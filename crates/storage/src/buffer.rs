@@ -2,9 +2,10 @@
 //!
 //! The experiments in the paper use an LRU buffer of 1 MB (256 pages of
 //! 4 KB); Fig. 21 varies the buffer between 0 and 1024 pages. [`BufferPool`]
-//! reproduces that component: it caches decoded [`Page`]s, evicts the least
-//! recently used page when full, and records every access in the shared
-//! [`IoCounters`].
+//! reproduces that component: it caches [`Page`]s — the encoded bytes as
+//! read from the store; a fetch decodes its one record in place and nothing
+//! decoded is kept — evicts the least recently used page when full, and
+//! records every access in the shared [`IoCounters`].
 //!
 //! The pool is **sharded**: the capacity is split across a power-of-two
 //! number of independently locked shards and every page id maps to
@@ -898,6 +899,84 @@ mod tests {
         pool.fetch(PageId(0)).unwrap(); // fault again: 0 was the LRU victim
         assert_eq!(faults(&pool), 6);
         assert_eq!(totals(&pool).evictions, 3);
+    }
+
+    /// The fixed trace of [`victim_sequence_and_stats_are_pinned_under_every_policy`]:
+    /// 96 steps over 12 pages, every eighth a two-page prefetch, the rest
+    /// demand fetches of the first id.
+    fn pinned_trace() -> impl Iterator<Item = (bool, [PageId; 2])> {
+        (0..96u64).map(|step| {
+            let id = (mix64(step) % 12) as u32;
+            (step % 8 == 7, [PageId(id), PageId((id + 5) % 12)])
+        })
+    }
+
+    /// Exact accounting is pinned, not assumed: the ids each policy drops,
+    /// in order, and its final counters, as recorded on the commit before
+    /// the resident-page maps stopped SipHashing — how a map places an id
+    /// must never reach the victim order or a counter.
+    #[test]
+    fn victim_sequence_and_stats_are_pinned_under_every_policy() {
+        let stats = |hits, faults, evictions, issued, useful, wasted| ShardStats {
+            hits,
+            faults,
+            evictions,
+            prefetch_issued: issued,
+            prefetch_useful: useful,
+            prefetch_wasted: wasted,
+        };
+        let pinned: [(EvictionPolicy, &[u32], ShardStats); 3] = [
+            (
+                EvictionPolicy::Lru,
+                &[
+                    1, 9, 10, 8, 0, 3, 4, 1, 5, 6, 9, 6, 11, 10, 1, 3, 4, 7, 8, 10, 9, 3, 11, 2, 6,
+                    4, 10, 1, 9, 5, 2, 3, 11, 0, 7, 8, 9, 10, 4, 6, 5, 11, 3, 2, 7, 2, 0, 9, 6, 10,
+                    4, 11, 5, 3,
+                ],
+                stats(37, 47, 42, 13, 2, 10),
+            ),
+            (
+                EvictionPolicy::Clock,
+                &[
+                    0, 9, 1, 10, 8, 4, 3, 1, 6, 5, 9, 6, 11, 10, 1, 3, 8, 4, 7, 9, 2, 11, 3, 10, 4,
+                    6, 1, 9, 5, 2, 7, 11, 0, 3, 8, 9, 10, 4, 6, 5, 7, 11, 2, 3, 2, 0, 9, 6, 10, 4,
+                    11, 5, 3,
+                ],
+                stats(38, 46, 41, 14, 2, 11),
+            ),
+            (
+                EvictionPolicy::TwoQ,
+                &[
+                    0, 9, 1, 10, 8, 4, 6, 3, 5, 9, 6, 11, 10, 8, 4, 7, 9, 2, 10, 11, 4, 6, 9, 2, 5,
+                    7, 11, 8, 9, 1, 0, 3, 4, 6, 10, 5, 11, 3, 0, 2, 8, 4, 2, 11, 0, 6, 9, 10, 5, 4,
+                    3, 10,
+                ],
+                stats(39, 45, 40, 13, 2, 10),
+            ),
+        ];
+        for (policy, expected_victims, expected_stats) in pinned {
+            let pool = BufferPool::with_config(
+                disk_with_pages(12),
+                BufferPoolConfig::new(5).with_policy(policy),
+                IoCounters::new(),
+            );
+            let resident =
+                |pool: &BufferPool<MemoryDisk>| pool.shards[0].lock().cache.victim_order();
+            let mut victims: Vec<u32> = Vec::new();
+            for (prefetch, ids) in pinned_trace() {
+                let before = resident(&pool);
+                if prefetch {
+                    pool.prefetch(&ids);
+                } else {
+                    pool.fetch(ids[0]).unwrap();
+                }
+                let after = resident(&pool);
+                victims.extend(before.iter().filter(|id| !after.contains(id)).map(|id| id.0));
+            }
+            assert_eq!(victims, expected_victims, "{policy}: victim sequence");
+            assert_eq!(pool.io_stats().total, expected_stats, "{policy}: counters");
+            assert_eq!(totals(&pool), pool.counters().snapshot(), "{policy}: both views agree");
+        }
     }
 
     #[test]

@@ -9,10 +9,14 @@
 use crate::error::StorageError;
 use crate::page::{Page, PageId, PAGE_SIZE};
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
+
+/// Bytes one page occupies in a [`FileDisk`] file: an 8-byte used-length
+/// header followed by the page padded to [`PAGE_SIZE`].
+const SLOT_BYTES: usize = PAGE_SIZE + 8;
 
 /// Abstract page store.
 ///
@@ -62,11 +66,15 @@ impl PageStore for MemoryDisk {
     }
 }
 
-/// A file-backed page store. Every page occupies exactly [`PAGE_SIZE`] bytes
-/// on disk; the first 8 bytes of each slot store the used length.
+/// A file-backed page store. Every page occupies one fixed-size slot on
+/// disk: 8 bytes storing the used length, then the page padded to
+/// [`PAGE_SIZE`] bytes.
+///
+/// Reads are positional (`pread`): no seek, no shared file cursor and hence
+/// no lock, so faults of different buffer shards read concurrently.
 #[derive(Debug)]
 pub struct FileDisk {
-    file: Mutex<File>,
+    file: File,
     num_pages: usize,
 }
 
@@ -76,7 +84,7 @@ impl FileDisk {
     pub fn create<P: AsRef<Path>>(path: P, pages: &[Page]) -> Result<Self, StorageError> {
         let mut file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
-        let mut slot = vec![0u8; PAGE_SIZE + 8];
+        let mut slot = vec![0u8; SLOT_BYTES];
         for page in pages {
             let used = page.used_bytes();
             slot[..8].copy_from_slice(&(used as u64).to_le_bytes());
@@ -85,7 +93,7 @@ impl FileDisk {
             file.write_all(&slot)?;
         }
         file.flush()?;
-        Ok(FileDisk { file: Mutex::new(file), num_pages: pages.len() })
+        Ok(FileDisk { file, num_pages: pages.len() })
     }
 
     /// Opens an existing page file previously written by
@@ -93,13 +101,12 @@ impl FileDisk {
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, StorageError> {
         let file = OpenOptions::new().read(true).open(path)?;
         let len = file.metadata()?.len() as usize;
-        let slot = PAGE_SIZE + 8;
-        if !len.is_multiple_of(slot) {
+        if !len.is_multiple_of(SLOT_BYTES) {
             return Err(StorageError::Io(format!(
-                "page file length {len} is not a multiple of the slot size {slot}"
+                "page file length {len} is not a multiple of the slot size {SLOT_BYTES}"
             )));
         }
-        Ok(FileDisk { file: Mutex::new(file), num_pages: len / slot })
+        Ok(FileDisk { file, num_pages: len / SLOT_BYTES })
     }
 }
 
@@ -112,21 +119,19 @@ impl PageStore for FileDisk {
         if page.index() >= self.num_pages {
             return Err(StorageError::PageOutOfBounds { page, num_pages: self.num_pages });
         }
-        let mut file = self.file.lock();
-        let slot = (PAGE_SIZE + 8) as u64;
-        file.seek(SeekFrom::Start(page.index() as u64 * slot))?;
-        let mut header = [0u8; 8];
-        file.read_exact(&mut header)?;
-        let used = u64::from_le_bytes(header) as usize;
+        // One positional read of the whole slot (header and page), then one
+        // copy of the used bytes into the shared page buffer.
+        let mut slot = [0u8; SLOT_BYTES];
+        self.file.read_exact_at(&mut slot, page.index() as u64 * SLOT_BYTES as u64)?;
+        let (header, body) = slot.split_at(8);
+        let used = u64::from_le_bytes(header.try_into().expect("8-byte header")) as usize;
         if used > PAGE_SIZE {
             return Err(StorageError::CorruptPage {
                 page,
                 message: format!("recorded length {used} exceeds the page size"),
             });
         }
-        let mut buf = vec![0u8; used];
-        file.read_exact(&mut buf)?;
-        Page::from_bytes(Bytes::from(buf))
+        Page::from_bytes(Bytes::from(&body[..used]))
     }
 }
 

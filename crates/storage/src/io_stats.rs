@@ -769,15 +769,20 @@ mod tests {
                 let c = c.clone();
                 let stop = Arc::clone(&stop);
                 scope.spawn(move || {
+                    // Poll first, then look at the flag: on a busy box the
+                    // recorders can finish before this thread is first
+                    // scheduled, and the final snapshot is as good as any.
                     let mut polls = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    loop {
                         let s = c.snapshot();
                         assert!(s.evictions <= s.faults, "torn snapshot: {s:?}");
                         assert!(s.faults <= s.accesses, "torn snapshot: {s:?}");
                         assert!(s.accesses <= 4 * ROUNDS, "over-counted snapshot: {s:?}");
                         polls += 1;
+                        if stop.load(Ordering::Relaxed) {
+                            break polls;
+                        }
                     }
-                    polls
                 })
             };
             let flagger = {

@@ -56,7 +56,7 @@ impl PageLayout {
 
         let mut pages: Vec<Page> = Vec::new();
         let mut entries_index: Vec<NodeIndexEntry> =
-            vec![NodeIndexEntry { first_page: PageId(0), span: 0 }; graph.num_nodes()];
+            vec![NodeIndexEntry { first_page: PageId(0), offset: 0, span: 0 }; graph.num_nodes()];
         let mut current = PageBuilder::new();
         let mut scratch: Vec<PageEntry> = Vec::new();
 
@@ -70,12 +70,13 @@ impl PageLayout {
                 if !current.fits(scratch.len()) {
                     pages.push(std::mem::replace(&mut current, PageBuilder::new()).build());
                 }
-                let page_id = PageId::new(pages.len());
-                current.push_record(node, &scratch)?;
-                entries_index[node.index()] = NodeIndexEntry { first_page: page_id, span: 1 };
+                let first_page = PageId::new(pages.len());
+                let offset = current.push_record(node, &scratch)?;
+                entries_index[node.index()] = NodeIndexEntry { first_page, offset, span: 1 };
             } else {
                 // Hub node: flush the current page and emit dedicated,
-                // consecutive continuation pages.
+                // consecutive continuation pages (so on every one of them
+                // the hub's record starts at offset 0).
                 if !current.is_empty() {
                     pages.push(std::mem::replace(&mut current, PageBuilder::new()).build());
                 }
@@ -87,7 +88,7 @@ impl PageLayout {
                     pages.push(b.build());
                     span += 1;
                 }
-                entries_index[node.index()] = NodeIndexEntry { first_page, span };
+                entries_index[node.index()] = NodeIndexEntry { first_page, offset: 0, span };
             }
         }
         if !current.is_empty() {

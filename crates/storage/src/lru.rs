@@ -67,7 +67,8 @@ struct Slot<K, V> {
 ///
 /// Generic over the hash builder `S` so callers keep their preferred hasher
 /// (`rnn-core` uses its `FastHasher` for small tuple keys; the buffer pool
-/// uses the std default).
+/// a one-multiply hasher for its dense page ids). The hasher only places
+/// keys in the map; the victim order never depends on it.
 ///
 /// A capacity of zero is allowed and caches nothing: every `insert` is
 /// dropped and every `get` misses. Callers that consider an empty cache a

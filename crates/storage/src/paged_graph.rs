@@ -1,11 +1,11 @@
 //! The disk-page backed graph view.
 //!
-//! [`PagedGraph`] combines a page store, the node-id index and an LRU buffer
-//! into a [`Topology`] implementation. Query algorithms written against the
-//! `Topology` trait run unchanged on a `PagedGraph`; the only difference from
-//! the in-memory [`rnn_graph::Graph`] is that every adjacency fetch goes
-//! through the buffer and is accounted for in [`IoStats`]. This is the
-//! component the paper's experiments measure.
+//! [`PagedGraph`] combines a page store, the node-id index and a buffer pool
+//! (LRU by default) into a [`Topology`] implementation. Query algorithms
+//! written against the `Topology` trait run unchanged on a `PagedGraph`; the
+//! only difference from the in-memory [`rnn_graph::Graph`] is that every
+//! adjacency fetch goes through the buffer and is accounted for in
+//! [`IoStats`]. This is the component the paper's experiments measure.
 
 use crate::buffer::{BufferPool, BufferPoolConfig, BufferPoolStats};
 use crate::disk::{MemoryDisk, PageStore};
@@ -13,23 +13,16 @@ use crate::error::StorageError;
 use crate::io_stats::{IoCounters, IoStats};
 use crate::layout::{LayoutStrategy, PageLayout};
 use crate::node_index::NodeIndex;
-use crate::page::{PageEntry, PageId};
+use crate::page::{PageId, RecordView};
 use crate::policy::EvictionPolicy;
 use rnn_graph::{Graph, Neighbor, NodeId, Topology};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 thread_local! {
-    /// Scratch buffer reused across adjacency fetches to avoid per-call
-    /// allocation (the decoded entries are copied into `Neighbor` values
-    /// before the closure is invoked). Thread-local so the serving path
-    /// shares no mutable state between worker threads — the old shared
-    /// `Mutex<Vec<_>>` was a lock on every fetch of every worker.
-    static FETCH_SCRATCH: RefCell<Vec<PageEntry>> = const { RefCell::new(Vec::new()) };
-
-    /// Scratch for translating prefetch-hint nodes to page ids. Separate
-    /// from `FETCH_SCRATCH` because hints arrive between fetches on the
-    /// same thread.
+    /// Scratch for translating prefetch-hint nodes to page ids, reused so a
+    /// hint costs no allocation. Thread-local so the serving path shares no
+    /// mutable state between worker threads.
     static HINT_SCRATCH: RefCell<Vec<PageId>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -170,66 +163,43 @@ impl<S: PageStore> PagedGraph<S> {
         &self.index
     }
 
-    /// Fetches the adjacency list of `node`, going through the buffer.
+    /// Fetches the adjacency list of `node`, going through the buffer: one
+    /// index load, one pool access per page of the record, and an in-place
+    /// decode at the offset the index names.
+    ///
+    /// `visit` runs while this thread holds only [`crate::Page`] handles —
+    /// never a shard lock — so a visitor may itself fetch other adjacency
+    /// lists (nested verification expansions do).
     fn fetch_neighbors(
         &self,
         node: NodeId,
         visit: &mut dyn FnMut(Neighbor),
     ) -> Result<(), StorageError> {
         let entry = self.index.entry(node);
-        // Take the thread-local scratch buffer so it is *not* borrowed while
-        // the visitor runs: visitors may recursively fetch other adjacency
-        // lists (e.g. nested verification expansions), which then just use a
-        // fresh buffer.
-        let mut scratch = FETCH_SCRATCH.with(|cell| std::mem::take(&mut *cell.borrow_mut()));
-        scratch.clear();
-        let mut result = Ok(());
-        if entry.span > 1 {
-            // A multi-page record (high-degree hub node): fetch the whole
-            // span in one batched call — one lock round per owning shard
-            // instead of one per page, with identical accounting.
-            let ids: Vec<PageId> = entry.pages().collect();
-            match self.buffer.fetch_many(&ids) {
-                Ok(pages) => {
-                    for (page_id, page) in ids.into_iter().zip(pages) {
-                        if let Err(e) = page.entries_of(page_id, node, &mut scratch) {
-                            result = Err(e);
-                            break;
-                        }
-                    }
-                }
-                Err(e) => result = Err(e),
-            }
-        } else {
-            for page_id in entry.pages() {
-                match self.buffer.fetch(page_id) {
-                    Ok(page) => {
-                        if let Err(e) = page.entries_of(page_id, node, &mut scratch) {
-                            result = Err(e);
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                }
-            }
-        }
-        if result.is_ok() {
-            for e in scratch.iter() {
+        let mut visit_record = |record: RecordView<'_>| {
+            for e in record.entries() {
                 visit(Neighbor { node: e.neighbor, weight: e.weight, edge: e.edge });
             }
+        };
+        if entry.span == 1 {
+            let page = self.buffer.fetch(entry.first_page)?;
+            visit_record(page.record_at(entry.first_page, node, usize::from(entry.offset))?);
+            return Ok(());
         }
-        // Return the (possibly grown) scratch buffer for reuse on this
-        // thread.
-        FETCH_SCRATCH.with(|cell| {
-            let mut slot = cell.borrow_mut();
-            if slot.capacity() < scratch.capacity() {
-                *slot = scratch;
-            }
-        });
-        result
+        // A multi-page record (high-degree hub node): fetch the whole span
+        // in one batched call — one lock round per owning shard instead of
+        // one per page, with identical accounting — and validate every page
+        // before visiting anything, so an error yields no partial list.
+        let ids: Vec<PageId> = entry.pages().collect();
+        let pages = self.buffer.fetch_many(&ids)?;
+        let mut offset = usize::from(entry.offset);
+        let mut records = Vec::with_capacity(pages.len());
+        for (&page_id, page) in ids.iter().zip(&pages) {
+            records.push(page.record_at(page_id, node, offset)?);
+            offset = 0; // continuation pages are dedicated to the hub
+        }
+        records.into_iter().for_each(visit_record);
+        Ok(())
     }
 }
 
@@ -600,6 +570,47 @@ mod tests {
         // The paper's cost model counts one access per page of the list,
         // batched or not.
         assert_eq!(pg.io_stats().accesses, u64::from(pg.node_index().entry(hub).span));
+    }
+
+    /// Regression: `fetch_neighbors` used to ignore the "not found" flag of
+    /// the page scan, so an index that disagrees with the page file served
+    /// *empty adjacency lists*. The offset pointer makes the disagreement an
+    /// error that names the page, the node and the offset.
+    #[test]
+    fn an_index_from_another_layout_is_an_error_not_an_empty_list() {
+        let g = grid_graph(12);
+        let shuffled = PageLayout::build(&g, LayoutStrategy::Shuffled(5)).unwrap();
+        let node_order = PageLayout::build(&g, LayoutStrategy::NodeOrder).unwrap();
+        assert_eq!(shuffled.num_pages(), node_order.num_pages(), "same degrees, same packing");
+        let dir = std::env::temp_dir().join(format!("rnn_paged_mismatch_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shuffled.pages");
+        drop(FileDisk::create(&path, &shuffled.pages).unwrap());
+        let pool = BufferPool::new(FileDisk::open(&path).unwrap(), 8, IoCounters::new());
+        let pg = PagedGraph::from_parts(pool, node_order.index.clone(), g.num_nodes());
+
+        let mut mismatches = 0;
+        for v in g.node_ids() {
+            let mut got = Vec::new();
+            match pg.fetch_neighbors(v, &mut |n| got.push(n)) {
+                // The two layouts may agree on a node by chance; then the
+                // list is the right one.
+                Ok(()) => assert_eq!(got, g.neighbors_vec(v), "node {v}"),
+                Err(StorageError::CorruptPage { page, message }) => {
+                    mismatches += 1;
+                    let entry = node_order.index.entry(v);
+                    assert_eq!(page, entry.first_page);
+                    assert!(got.is_empty(), "nothing is visited before the record validates");
+                    assert!(message.contains(&format!("node {v}")), "{message}");
+                    assert!(message.contains(&format!("offset {}", entry.offset)), "{message}");
+                }
+                Err(other) => panic!("node {v}: unexpected error {other}"),
+            }
+        }
+        assert!(mismatches > g.num_nodes() / 2, "a shuffled file disagrees on most nodes");
+
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir(&dir).ok();
     }
 
     #[test]

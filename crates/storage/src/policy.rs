@@ -34,6 +34,39 @@
 use crate::lru::Lru;
 use crate::page::{Page, PageId};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hasher of the resident-page maps: page ids are dense `u32`s under no
+/// adversary's control, so one Fibonacci multiply replaces SipHash — the low
+/// bits of the product (the table's bucket) stay distinct for consecutive
+/// ids and the high bits (its control byte) are well mixed. It only decides
+/// where a map keeps an id, never a victim: eviction order lives in the
+/// recency list, the Clock ring and the ghost FIFO.
+#[derive(Default, Clone, Copy)]
+struct PageIdHasher(u64);
+
+impl Hasher for PageIdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write_u32(&mut self, id: u32) {
+        self.0 = (self.0 ^ u64::from(id)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    /// `PageId` hashes through `write_u32`; this is only the trait's
+    /// mandatory fallback.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+}
+
+type PageIdMap<V> = HashMap<PageId, V, BuildHasherDefault<PageIdHasher>>;
+type PageLru = Lru<PageId, Resident, BuildHasherDefault<PageIdHasher>>;
 
 /// The eviction policy of a buffer pool, selected via
 /// `BufferPoolConfig::with_policy`.
@@ -323,7 +356,7 @@ impl PageCache {
 
 /// Exact LRU over `Lru` — the seed policy, unchanged victim order.
 pub(crate) struct LruPages {
-    inner: Lru<PageId, Resident>,
+    inner: PageLru,
 }
 
 /// Second-chance FIFO ("Clock"). Slots form a ring in admission order; the
@@ -331,7 +364,7 @@ pub(crate) struct LruPages {
 pub(crate) struct ClockPages {
     capacity: usize,
     slots: Vec<ClockSlot>,
-    map: HashMap<PageId, usize>,
+    map: PageIdMap<usize>,
     hand: usize,
 }
 
@@ -343,7 +376,7 @@ struct ClockSlot {
 
 impl ClockPages {
     fn new(capacity: usize) -> Self {
-        ClockPages { capacity, slots: Vec::new(), map: HashMap::new(), hand: 0 }
+        ClockPages { capacity, slots: Vec::new(), map: PageIdMap::default(), hand: 0 }
     }
 
     /// Advances the hand to the next victim slot, clearing reference bits on
@@ -423,9 +456,9 @@ pub(crate) struct TwoQPages {
     capacity: usize,
     /// Probation FIFO. Backed by `Lru` but never touched on hit, so its
     /// recency order *is* insertion order.
-    a1in: Lru<PageId, Resident>,
+    a1in: PageLru,
     /// Protected LRU: pages that faulted again while ghosted.
-    am: Lru<PageId, Resident>,
+    am: PageLru,
     ghost: GhostQueue,
 }
 
@@ -511,14 +544,14 @@ impl TwoQPages {
 /// sequence number, so membership and removal stay O(1).
 struct GhostQueue {
     queue: VecDeque<(PageId, u64)>,
-    live: HashMap<PageId, u64>,
+    live: PageIdMap<u64>,
     seq: u64,
     capacity: usize,
 }
 
 impl GhostQueue {
     fn new(capacity: usize) -> Self {
-        GhostQueue { queue: VecDeque::new(), live: HashMap::new(), seq: 0, capacity }
+        GhostQueue { queue: VecDeque::new(), live: PageIdMap::default(), seq: 0, capacity }
     }
 
     fn push(&mut self, id: PageId) {

@@ -254,3 +254,58 @@ fn twoq_beats_lru_on_the_scan_thrash_trace() {
         "2Q must keep the hot set resident across the cold scan: {twoq} faults vs LRU's {lru}"
     );
 }
+
+/// Exact accounting is pinned, not assumed: one fixed trace of `fetch`,
+/// `fetch_many` and `prefetch` under every policy at 1 and 4 shards must
+/// leave exactly the counters (total and per-shard accesses) it left on the
+/// commit before page lookups stopped SipHashing and adjacency fetches
+/// stopped scanning — neither may move an access, a fault or a victim.
+#[test]
+fn a_fixed_trace_leaves_the_pinned_counters_under_every_policy() {
+    use EvictionPolicy::{Clock, Lru, TwoQ};
+    // (policy, shards, [hits, faults, evictions, prefetch issued / useful /
+    // wasted], demand accesses per shard)
+    let pinned: [(EvictionPolicy, usize, [u64; 6], &[u64]); 6] = [
+        (Lru, 1, [67, 173, 166, 44, 0, 43], &[240]),
+        (Lru, 4, [47, 193, 185, 44, 2, 40], &[103, 69, 49, 19]),
+        (Clock, 1, [64, 176, 169, 45, 0, 44], &[240]),
+        (Clock, 4, [48, 192, 184, 45, 2, 41], &[103, 69, 49, 19]),
+        (TwoQ, 1, [79, 161, 154, 41, 0, 40], &[240]),
+        (TwoQ, 4, [49, 191, 183, 44, 2, 40], &[103, 69, 49, 19]),
+    ];
+    for (policy, shards, expected, per_shard) in pinned {
+        let pool = BufferPool::with_config(
+            disk_with_pages(40),
+            BufferPoolConfig::new(8).with_shards(shards).with_policy(policy),
+            IoCounters::new(),
+        );
+        for step in 0..240u64 {
+            let x = rnn_storage::lru::mix64(step);
+            // Two interleaved localities, so every policy sees reuse.
+            let id = PageId::new(if step % 3 == 0 { x % 6 } else { x % 40 } as usize);
+            let next = PageId::new((id.index() + 1) % 40);
+            match step % 8 {
+                7 => pool.prefetch(&[id, next]),
+                3 => drop(pool.fetch_many(&[id, next]).expect("pages in range")),
+                _ => drop(pool.fetch(id).expect("page in range")),
+            }
+        }
+        let stats = pool.io_stats();
+        let t = stats.total;
+        assert_eq!(
+            [
+                t.hits,
+                t.faults,
+                t.evictions,
+                t.prefetch_issued,
+                t.prefetch_useful,
+                t.prefetch_wasted
+            ],
+            expected,
+            "{policy} at {shards} shard(s)"
+        );
+        let accesses: Vec<u64> = stats.per_shard.iter().map(|s| s.accesses()).collect();
+        assert_eq!(accesses, per_shard, "{policy} at {shards} shard(s): page -> shard mapping");
+        assert_eq!(pool.counters().snapshot(), t.as_io_stats(), "{policy}: both views agree");
+    }
+}

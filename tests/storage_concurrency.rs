@@ -26,7 +26,10 @@ use rnn_core::{run_rknn, Algorithm, Precomputed, QueryStats};
 use rnn_datagen::{grid_map, place_points_on_nodes, sample_node_queries, GridConfig};
 use rnn_graph::{Graph, NodeId, NodePointSet, Topology};
 use rnn_index::HubLabelIndex;
-use rnn_storage::{BufferPoolConfig, IoCounters, IoStats, LayoutStrategy, PagedGraph, ShardStats};
+use rnn_storage::{
+    BufferPool, BufferPoolConfig, FileDisk, IoCounters, IoStats, LayoutStrategy, PageLayout,
+    PagedGraph, ShardStats,
+};
 
 /// Builds a mixed workload (every algorithm over every query node) against a
 /// paged backend with the given buffer config and asserts `run_batch`
@@ -286,4 +289,59 @@ fn sharded_and_single_shard_pools_serve_identical_adjacency() {
             );
         }
     }
+}
+
+/// Contract 2 on the miss path: `FileDisk` reads are positional and take no
+/// lock, so faults of different shards (and, before the insert re-check, of
+/// the same page) overlap in the store. Eight threads over a pool far smaller
+/// than the file must still get every list right, count every visit once in
+/// both accounting systems, and keep `evictions <= faults <= accesses` in
+/// every shard.
+#[test]
+fn concurrent_faults_over_a_file_disk_keep_exact_accounting() {
+    let graph = grid_map(&GridConfig { rows: 40, cols: 40, seed: 11, ..Default::default() });
+    let layout = PageLayout::build(&graph, LayoutStrategy::Shuffled(3)).expect("layout");
+    let num_pages = layout.num_pages() as u64;
+    assert!(num_pages >= 24, "the file must dwarf the 8-page pool");
+    let dir = std::env::temp_dir().join(format!("rnn_it_concurrent_faults_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("graph.pages");
+    let disk = FileDisk::create(&path, &layout.pages).expect("file disk");
+    let pool =
+        BufferPool::with_config(disk, BufferPoolConfig::new(8).with_shards(4), IoCounters::new());
+    let paged = PagedGraph::from_parts(pool, layout.index, graph.num_nodes());
+
+    let threads = 8;
+    let visits_per_thread = 2_000usize;
+    let num_nodes = graph.num_nodes();
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let (paged, graph) = (&paged, &graph);
+            scope.spawn(move || {
+                let mut state = 0x2545F4914F6CDD1Du64 ^ (t as u64);
+                for _ in 0..visits_per_thread {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(11);
+                    let node = NodeId::new((state >> 33) as usize % num_nodes);
+                    assert_eq!(paged.neighbors_vec(node), graph.neighbors_vec(node), "node {node}");
+                }
+            });
+        }
+    });
+
+    let io = paged.io_stats();
+    assert_eq!(io.accesses as usize, threads * visits_per_thread, "grid records span one page");
+    let pool = paged.pool_stats();
+    assert_eq!(pool.total.as_io_stats(), io, "shard partition agrees with thread partition");
+    for s in pool.per_shard.iter().chain(std::iter::once(&pool.total)) {
+        assert!(s.evictions <= s.faults && s.faults <= s.accesses(), "{s:?}");
+    }
+    assert!(
+        pool.total.faults > num_pages,
+        "a shuffled layout behind 8 pages faults more often than once per page: {:?}",
+        pool.total
+    );
+    assert!(paged.buffer().resident_pages() <= 8);
+
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir(&dir).ok();
 }

@@ -7,10 +7,47 @@ mod common;
 use common::restricted_instance;
 use proptest::prelude::*;
 use rnn_core::{naive, run_rknn, Algorithm, Precomputed};
-use rnn_graph::Topology;
+use rnn_graph::{Graph, GraphBuilder, Topology};
+use rnn_storage::page::PageRecord;
 use rnn_storage::{
-    BufferPool, BufferPoolConfig, FileDisk, IoCounters, LayoutStrategy, PageLayout, PagedGraph,
+    BufferPool, BufferPoolConfig, EvictionPolicy, FileDisk, IoCounters, LayoutStrategy, MemoryDisk,
+    PageLayout, PagedGraph,
 };
+
+/// Graphs shaped to stress the record pointer rather than the queries: no
+/// spanning tree (so isolated nodes and several components are common),
+/// optionally a hub whose adjacency list overflows one page, every edge
+/// offered to the builder twice (`Graph` keeps one copy of an identical
+/// parallel edge), and the smallest positive weights beside ordinary ones
+/// (`GraphBuilder` rejects an exact zero; zero-weight and parallel *entries*
+/// are covered at the page level by `rnn-storage`'s unit tests).
+fn sparse_graph_with_optional_hub() -> impl Strategy<Value = Graph> {
+    let hub_degree = PageRecord::max_entries_per_page() + 1;
+    (
+        2usize..40,
+        proptest::collection::vec((0usize..40, 0usize..40, 0u8..4), 0..60),
+        prop_oneof![Just(0usize), Just(hub_degree), Just(2 * hub_degree + 7)],
+    )
+        .prop_map(|(small, edges, hub_degree)| {
+            // Nodes 0..small carry the random edges; the hub (if any) is the
+            // node after them, and its leaves follow.
+            let n = small + if hub_degree > 0 { 1 + hub_degree } else { 0 };
+            let mut b = GraphBuilder::new(n);
+            for (a, c, w) in edges {
+                let (a, c) = (a % small, c % small);
+                if a == c || b.has_edge(a, c) {
+                    continue;
+                }
+                let weight = [f64::MIN_POSITIVE, 5e-324, 0.25, 7.5][w as usize];
+                b.add_edge(a, c, weight).expect("valid edge");
+                b.add_edge(c, a, weight).expect("an identical parallel edge is accepted");
+            }
+            for leaf in 0..hub_degree {
+                b.add_edge(small, small + 1 + leaf, 1.0 + (leaf % 5) as f64).expect("hub edge");
+            }
+            b.build().expect("valid graph")
+        })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
@@ -48,6 +85,63 @@ proptest! {
         let pool = paged.pool_stats();
         prop_assert_eq!(pool.per_shard.len(), config.effective_shards());
         prop_assert_eq!(pool.total.as_io_stats(), io);
+    }
+
+    /// The record pointer `(first_page, offset, span)` is right for every
+    /// node of every layout, and following it through any pool shape serves
+    /// the in-memory adjacency at exactly one access per page of the record.
+    #[test]
+    fn record_pointers_serve_exact_adjacency_under_every_layout_policy_and_sharding(
+        graph in sparse_graph_with_optional_hub(),
+        buffer in prop_oneof![Just(0usize), Just(1), Just(4), Just(64)],
+    ) {
+        for strategy in
+            [LayoutStrategy::BfsLocality, LayoutStrategy::NodeOrder, LayoutStrategy::Shuffled(9)]
+        {
+            let layout = PageLayout::build(&graph, strategy).expect("layout");
+            let mut total_span = 0u64;
+            for (v, entry) in layout.index.iter() {
+                total_span += u64::from(entry.span);
+                prop_assert!(entry.span >= 1, "{:?}: node {} has no record", strategy, v);
+                let mut scanned = Vec::new();
+                let mut pointed = Vec::new();
+                for (i, p) in entry.pages().enumerate() {
+                    let page = &layout.pages[p.index()];
+                    let offset = if i == 0 { usize::from(entry.offset) } else { 0 };
+                    let record = page.record_at(p, v, offset);
+                    prop_assert!(record.is_ok(), "{:?}: node {}: {:?}", strategy, v, record);
+                    let record = record.unwrap();
+                    prop_assert_eq!(record.node, v, "the header at the pointer names the node");
+                    pointed.extend(record.entries());
+                    prop_assert!(page.entries_of(p, v, &mut scanned).expect("well-formed page"));
+                }
+                prop_assert_eq!(&pointed, &scanned, "pointer and page scan agree on node {}", v);
+                prop_assert_eq!(pointed.len(), graph.degree(v));
+            }
+            for policy in EvictionPolicy::ALL {
+                for shards in [1usize, 4] {
+                    let config =
+                        BufferPoolConfig::new(buffer).with_shards(shards).with_policy(policy);
+                    let pool = BufferPool::with_config(
+                        MemoryDisk::new(layout.pages.clone()),
+                        config,
+                        IoCounters::new(),
+                    );
+                    let paged =
+                        PagedGraph::from_parts(pool, layout.index.clone(), graph.num_nodes());
+                    for v in graph.node_ids() {
+                        prop_assert_eq!(
+                            paged.neighbors_vec(v),
+                            graph.neighbors_vec(v),
+                            "node {} on {:?}/{}/{} shards/{} pages", v, strategy, policy, shards, buffer
+                        );
+                    }
+                    let io = paged.io_stats();
+                    prop_assert_eq!(io.accesses, total_span, "one access per page of every record");
+                    prop_assert_eq!(paged.pool_stats().total.as_io_stats(), io);
+                }
+            }
+        }
     }
 
     #[test]
