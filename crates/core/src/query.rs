@@ -26,11 +26,15 @@ pub struct QueryStats {
     pub auxiliary_settled: u64,
     /// Data points discovered as candidates.
     pub candidates: u64,
-    /// Hub-label only: entries of the query's own label scanned while
-    /// generating candidates (zero for the traversal algorithms).
+    /// Hub-label only: label entries (hubs) iterated — the query's own label
+    /// while generating candidates plus, per verified candidate, the hubs of
+    /// its label examined while counting strictly closer points (zero for
+    /// the traversal algorithms).
     pub label_scans: u64,
-    /// Hub-label only: candidate bucket-prefix entries examined while
-    /// counting strictly closer points (zero for the traversal algorithms).
+    /// Hub-label only: hub-bucket entries actually read — those of the
+    /// candidate phase (`heap_pushes`; entries Lemma 1 skips unread are not
+    /// counted) plus the bucket-prefix entries examined while counting
+    /// (`auxiliary_settled`). Zero for the traversal algorithms.
     pub bucket_scans: u64,
 }
 

@@ -15,7 +15,19 @@
 //! 1. **Candidates.** Scan the buckets of the query's hubs once, folding
 //!    `d(q, h) + d(h, p)` to the minimum per occupied node. By the 2-hop
 //!    cover this minimum is the exact `d(q, p)` for every point in the
-//!    query's component (and only those points are touched).
+//!    query's component (and only those points are touched). The paper's
+//!    Lemma 1 is applied inside the fold: the shortest path to `p` "runs
+//!    through" the hub attaining the minimum, and that hub's bucket lists
+//!    its nearest points first, so entry `j` of a hub at distance `a` is
+//!    left out when `fl(d_j + d_r) < fl(a + d_j)`, `d_r` being the bucket's
+//!    `k`-th nearest entry other than `j` — `k` points lie strictly closer
+//!    to `p` than the query does. The test is the comparison phase 2 would
+//!    make at that hub, so it removes no reverse neighbor: a point left out
+//!    at its attaining hub is one phase 2 rejects, and if another hub still
+//!    folds it, at a longer sum, phase 2 counts against a larger bound and
+//!    rejects it all the same. Buckets ascend, so once the query is farther
+//!    from the hub than the hub's `k`-th point by more than a rounding
+//!    margin, every entry past the first `k` is skipped without being read.
 //! 2. **Verification.** For each candidate `p` with `d(q, p) > 0`, count
 //!    distinct other points within distance `< d(q, p)` of `p` by scanning
 //!    the bucket *prefixes* of `p`'s hubs (buckets are distance-sorted, so
@@ -29,12 +41,12 @@
 
 use crate::labeling::{HubLabeling, LabelDecoder, LabelPrecision};
 use crate::point_table::HubPointTable;
+use rnn_core::fast_hash::FastSet;
 use rnn_core::precomputed::HubLabelRknn;
 use rnn_core::query::{QueryStats, RknnOutcome};
 use rnn_core::scratch::Scratch;
 use rnn_graph::{NodeId, NodePointSet, PointId, PointsOnNodes, Topology, Weight};
 use rnn_obs::{MetricsRegistry, Phase};
-use std::collections::hash_map::Entry;
 
 /// A hub labeling bundled with the inverted point table of one data set,
 /// answering distance, k-NN and RkNN queries without graph traversal.
@@ -212,14 +224,15 @@ impl HubLabelIndex {
     ///
     /// [`QueryStats`] fields are label-scan counters here:
     /// `nodes_settled` = query label entries processed (the "main
-    /// expansion"), `heap_pushes` = bucket entries folded in the candidate
-    /// phase, `candidates` / `verifications` as usual, and
+    /// expansion"), `heap_pushes` = bucket entries read in the candidate
+    /// phase (entries Lemma 1 skips unread are not counted), `candidates` /
+    /// `verifications` = points that survive the prune and are counted, and
     /// `auxiliary_settled` = bucket entries scanned by verifications.
     /// `range_nn_queries` stays zero — there is no range probe. The
     /// dedicated hub-label counters report the same work in its own terms:
     /// `label_scans` = label entries read (the query's label plus one per
     /// candidate-hub examined while counting) and `bucket_scans` = bucket
-    /// entries examined across both phases.
+    /// entries read across both phases (`heap_pushes + auxiliary_settled`).
     ///
     /// When the scratch's tracer is active (the engine's
     /// `QueryEngine::with_tracing`), the two phases are reported as
@@ -231,67 +244,72 @@ impl HubLabelIndex {
         assert!(k >= 1, "RkNN queries require k >= 1");
         assert!(query.index() < self.num_nodes(), "query node {query} outside the labeled graph");
         let mut stats = QueryStats::default();
+        let mut dec = LabelDecoder::from_parts(scratch.take_indices(), scratch.take_weights());
 
-        // Phase 1: exact distance from the query to every occupied node
-        // sharing a hub (= every point of the query's component). Folding
-        // goes through a pooled map (not a dense per-node array) so the
-        // per-query cost stays proportional to the touched label entries,
-        // never to the total point count; `touched` records first-touch
-        // order, keeping the verification sequence deterministic.
+        // Phase 1: fold `d(q, h) + d(h, p)` to the minimum per occupied
+        // node over the buckets of the query's hubs, leaving out the entries
+        // Lemma 1 rejects at the hub (see the module docs). Folding goes
+        // through a pooled map (not a dense per-node array) so the per-query
+        // cost stays proportional to the entries read, never to the total
+        // point count.
         let candidate_span = scratch.tracer().begin();
         let mut dmin = scratch.take_node_dist_map();
-        let mut touched = scratch.take_node_dists();
-        {
-            let mut dec = LabelDecoder::from_parts(scratch.take_indices(), scratch.take_weights());
-            let (hubs, hub_dists) = self.labeling.label(query, &mut dec);
-            for (i, &h) in hubs.iter().enumerate() {
-                stats.nodes_settled += 1;
-                stats.label_scans += 1;
-                let dh = hub_dists[i];
-                let (dists, nodes) = self.table.bucket(h);
-                stats.heap_pushes += dists.len() as u64;
-                stats.bucket_scans += dists.len() as u64;
-                for (j, &d) in dists.iter().enumerate() {
-                    let cand = dh + d;
-                    match dmin.entry(nodes[j]) {
-                        Entry::Vacant(slot) => {
-                            slot.insert(cand);
-                            touched.push((nodes[j], cand));
-                        }
-                        Entry::Occupied(mut slot) => {
-                            if cand < *slot.get() {
-                                slot.insert(cand);
-                            }
-                        }
-                    }
+        let (hubs, hub_dists) = self.labeling.label(query, &mut dec);
+        for (&h, &a) in hubs.iter().zip(hub_dists) {
+            stats.nodes_settled += 1;
+            stats.label_scans += 1;
+            let (dists, nodes) = self.table.bucket(h);
+            let mut fold = |j: usize| {
+                let through = a + dists[j];
+                dmin.entry(nodes[j]).and_modify(|d| *d = through.min(*d)).or_insert(through);
+            };
+            let len = dists.len();
+            let read = if len <= k {
+                // Fewer than `k` other points: nothing to prune with.
+                (0..len).for_each(&mut fold);
+                len
+            } else {
+                // The k-th nearest *other* point of the bucket is entry `k`
+                // for the first `k` entries and entry `k - 1` for the rest.
+                let (kth_of_tail, kth_of_head) = (dists[k - 1], dists[k]);
+                (0..k).filter(|&j| !lemma1_rejects(a, dists[j], kth_of_head)).for_each(&mut fold);
+                if tail_is_rejected(a, kth_of_tail, dists[len - 1]) {
+                    (k + 2).min(len) // the head, entry `k` and the last one
+                } else {
+                    (k..len).filter(|&j| !lemma1_rejects(a, dists[j], kth_of_tail)).for_each(fold);
+                    len
                 }
-            }
-            let (ranks, weights) = dec.into_parts();
-            scratch.put_indices(ranks);
-            scratch.put_weights(weights);
+            };
+            stats.heap_pushes += read as u64;
+            stats.bucket_scans += read as u64;
         }
-        let folded = stats.heap_pushes;
-        scratch.tracer_mut().end(Phase::CandidateGen, candidate_span, folded);
+        let read = stats.heap_pushes;
+        scratch.tracer_mut().end(Phase::CandidateGen, candidate_span, read);
 
-        // Phase 2: verify candidates. A point collocated with the query
-        // (distance zero) is trivially a reverse neighbor and not reported,
-        // matching the expansion algorithms.
+        // Phase 2: verify candidates — in the map's order, which only decides
+        // the order of the sums in `stats` and of the result before it is
+        // sorted. A point collocated with the query (distance zero) is
+        // trivially a reverse neighbor and not reported, matching the
+        // expansion algorithms.
         let counting_span = scratch.tracer().begin();
+        let mut seen = scratch.take_node_set();
         let mut result: Vec<PointId> = Vec::new();
-        for &(n, _) in touched.iter() {
-            let dq = dmin[&n];
-            if dq == Weight::ZERO {
+        for (&node, &dist) in dmin.iter() {
+            if dist == Weight::ZERO {
                 continue;
             }
             stats.candidates += 1;
             stats.verifications += 1;
-            let closer = self.count_strictly_closer(n, dq, k, scratch, &mut stats);
+            let closer = self.count_strictly_closer(node, dist, k, &mut dec, &mut seen, &mut stats);
             if closer < k {
-                result.push(self.table.point_of(n).expect("candidate nodes are occupied"));
+                result.push(self.table.point_of(node).expect("candidate nodes are occupied"));
             }
         }
+        let (ranks, weights) = dec.into_parts();
+        scratch.put_indices(ranks);
+        scratch.put_weights(weights);
         scratch.put_node_dist_map(dmin);
-        scratch.put_node_dists(touched);
+        scratch.put_node_set(seen);
         let counted = stats.auxiliary_settled;
         scratch.tracer_mut().end(Phase::Counting, counting_span, counted);
         RknnOutcome::from_points(result, stats)
@@ -304,7 +322,7 @@ impl HubLabelIndex {
     /// bound (the minimal sum is the exact distance, every other sum only
     /// overestimates — an overestimate below a bound implies the exact
     /// distance is too), so scanning each bucket prefix and deduplicating
-    /// into a set is exact. The point collocated with the query ties at
+    /// into `seen` is exact. The point collocated with the query ties at
     /// exactly `bound` (the labels produce identical, commuted sums for both
     /// directions of a pair) and is therefore never counted — ties do not
     /// disqualify, as in the paper.
@@ -313,16 +331,15 @@ impl HubLabelIndex {
         node: NodeId,
         bound: Weight,
         limit: usize,
-        scratch: &mut Scratch,
+        dec: &mut LabelDecoder,
+        seen: &mut FastSet<NodeId>,
         stats: &mut QueryStats,
     ) -> usize {
-        let mut seen = scratch.take_node_set();
+        seen.clear();
         let mut count = 0;
-        let mut dec = LabelDecoder::from_parts(scratch.take_indices(), scratch.take_weights());
-        let (hubs, hub_dists) = self.labeling.label(node, &mut dec);
-        'hubs: for (i, &h) in hubs.iter().enumerate() {
+        let (hubs, hub_dists) = self.labeling.label(node, dec);
+        for (&h, &dh) in hubs.iter().zip(hub_dists) {
             stats.label_scans += 1;
-            let dh = hub_dists[i];
             if dh >= bound {
                 continue; // every sum through this hub is >= bound
             }
@@ -334,20 +351,49 @@ impl HubLabelIndex {
                 stats.auxiliary_settled += 1;
                 stats.bucket_scans += 1;
                 let other = nodes[j];
-                if other != node && seen.insert(other) {
+                if other != node && !seen.contains(&other) {
                     count += 1;
                     if count >= limit {
-                        break 'hubs;
+                        return count; // before the insert: `seen` stays empty at k = 1
                     }
+                    seen.insert(other);
                 }
             }
         }
-        let (ranks, weights) = dec.into_parts();
-        scratch.put_indices(ranks);
-        scratch.put_weights(weights);
-        scratch.put_node_set(seen);
         count
     }
+}
+
+/// Lemma 1 at a hub at distance `a` from the query, for the bucket entry at
+/// distance `d` whose k-th nearest other bucket entry is at distance `kth`:
+/// `k` points lie strictly closer to the entry than the query does. Both
+/// sides are the sums [`HubLabelIndex::count_strictly_closer`] compares when
+/// it scans this hub with bound `a + d`, so a rejected entry is one the
+/// counting phase would reject.
+fn lemma1_rejects(a: Weight, d: Weight, kth: Weight) -> bool {
+    d + kth < a + d
+}
+
+/// Whether [`lemma1_rejects`] holds for *every* entry past the first `k` of a
+/// bucket whose `k`-th entry is at distance `kth` and whose last is at
+/// `last` — decided without reading them.
+///
+/// For such an entry at distance `d <= last`, let `x = d + kth` and
+/// `y = a + d` be the exact sums, so `y - x = a - kth`. A floating-point sum
+/// is off by at most half an ulp, `fl(s) = s(1 + e)` with `|e| <= EPSILON / 2`
+/// (subnormal sums are exact), hence for `x < y`
+/// `fl(y) - fl(x) >= (y - x) - EPSILON / 2 * (x + y) > (a - kth) - EPSILON * y`
+/// and `fl(x) < fl(y)` follows from `a - kth >= EPSILON * (a + last)`. The
+/// guard is itself computed in floating point: its rounded difference and
+/// rounded sum cost a factor below `1 + 2 * EPSILON`, and the scaling by a
+/// power of two is exact unless it underflows, when rounding it still cannot
+/// move it past the float on the other side of the comparison. Asking for
+/// `4 * EPSILON` leaves that slack four times over. Inside the margin —
+/// absorbed sums, where `kth < a` but `fl(x) == fl(y)` — and when `a + last`
+/// overflows, the caller tests entry by entry.
+fn tail_is_rejected(a: Weight, kth: Weight, last: Weight) -> bool {
+    let (a, kth, last) = (a.value(), kth.value(), last.value());
+    a - kth > 4.0 * f64::EPSILON * (a + last)
 }
 
 impl HubLabelRknn for HubLabelIndex {
@@ -471,6 +517,103 @@ mod tests {
             out.stats.heap_pushes + out.stats.auxiliary_settled,
             "bucket scans = candidate folds + counting prefix entries"
         );
+    }
+
+    #[test]
+    fn lemma1_skips_sorted_bucket_tails_unread() {
+        // Path 0-1-...-9 with unit weights, points on 0, 1, 2 and 6, query
+        // on 9: the hubs the far points share with the query are farther
+        // from it than from their nearest point, so their buckets are cut
+        // off after the head and the far points are never verified.
+        let mut b = GraphBuilder::new(10);
+        for i in 0..9 {
+            b.add_edge(i, i + 1, 1.0).unwrap();
+        }
+        let g = b.build().unwrap();
+        let pts = NodePointSet::from_nodes(10, [0, 1, 2, 6].map(NodeId::new));
+        let index = HubLabelIndex::build(&g, &pts);
+        let query = NodeId::new(9);
+        let out = index.rknn(query, 1);
+        assert_eq!(out.points, naive::naive_rknn(&g, &pts, query, 1).points);
+        assert_eq!(out.points, vec![pts.point_at(NodeId::new(6)).unwrap()]);
+
+        let mut dec = LabelDecoder::new();
+        let (hubs, _) = index.labeling().label(query, &mut dec);
+        let listed: usize = hubs.iter().map(|&h| index.point_table().bucket(h).0.len()).sum();
+        assert!(listed > 4, "some point is listed under several of the query's hubs");
+        assert!(
+            out.stats.heap_pushes < listed as u64,
+            "read {} of {listed} listed entries",
+            out.stats.heap_pushes
+        );
+        assert!(out.stats.candidates < 4, "Lemma 1 rejected a point inside the fold");
+        assert_eq!(out.stats.bucket_scans, out.stats.heap_pushes + out.stats.auxiliary_settled);
+    }
+
+    /// Magnitudes chosen to force absorption, underflow and overflow in the
+    /// sums of the guard and of the per-entry test.
+    fn nasty_weights() -> Vec<Weight> {
+        let two53 = 9_007_199_254_740_992.0;
+        [
+            f64::MIN_POSITIVE,
+            2.0 * f64::MIN_POSITIVE,
+            1e-300,
+            f64::EPSILON,
+            0.25,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            f64::from(1.0 + f32::EPSILON),
+            3.0,
+            67_108_864.0,
+            two53,
+            two53 + 2.0,
+            1e300,
+            f64::MAX,
+        ]
+        .map(Weight::new)
+        .to_vec()
+    }
+
+    #[test]
+    fn unread_tail_skip_implies_the_per_entry_test() {
+        let values = nasty_weights();
+        let mut skipped = 0;
+        for &a in &values {
+            for &kth in &values {
+                for &last in values.iter().filter(|&&last| last >= kth) {
+                    if !tail_is_rejected(a, kth, last) {
+                        continue;
+                    }
+                    skipped += 1;
+                    for &d in values.iter().filter(|&&d| kth <= d && d <= last) {
+                        assert!(lemma1_rejects(a, d, kth), "a={a} kth={kth} d={d} last={last}");
+                    }
+                }
+            }
+        }
+        assert!(skipped > 100, "the guard fires on the well-separated triples ({skipped})");
+    }
+
+    #[test]
+    fn absorbed_sums_fall_back_to_the_per_entry_test() {
+        let w = Weight::new;
+        let two53 = 9_007_199_254_740_992.0;
+        // kth < a, yet both sums round to 2^53: the entry ties, Lemma 1 does
+        // not reject it, and the guard must not claim it does.
+        assert!(!lemma1_rejects(w(0.5), w(two53), w(0.25)));
+        assert!(!tail_is_rejected(w(0.5), w(0.25), w(two53)));
+        // The same gap below a short bucket is far outside the margin.
+        assert!(lemma1_rejects(w(0.5), w(8.0), w(0.25)));
+        assert!(tail_is_rejected(w(0.5), w(0.25), w(8.0)));
+        // Smallest normal weights: the scaled margin underflows, the sums
+        // are exact, and the guard still agrees with the test.
+        let tiny = f64::MIN_POSITIVE;
+        assert!(lemma1_rejects(w(2.0 * tiny), w(tiny), w(tiny)));
+        assert!(tail_is_rejected(w(2.0 * tiny), w(tiny), w(tiny)));
+        // No gap, and an overflowing `a + last`, never skip.
+        assert!(!tail_is_rejected(w(1.0), w(1.0), w(2.0)));
+        assert!(!tail_is_rejected(w(f64::MAX), w(1.0), w(f64::MAX)));
     }
 
     #[test]
