@@ -1,0 +1,192 @@
+//! Criterion micro-bench for the kernels under every restricted-network
+//! query in `rnn-core`, the layer the `mem-kernel` workload of the standalone
+//! benchmark measures end to end.
+//!
+//! * `node_state/*`: the per-node state container of an expansion — the
+//!   direct-address [`NodeTable`] against the `FastMap` it replaced. Both
+//!   containers have held 50 000 entries before the timed loop, as a pooled
+//!   buffer that once served a large query has: `fill_clear/200` is the
+//!   cycle of one small probe on such a buffer (a hash map clears in time
+//!   proportional to its capacity, the table in O(1)), `fill_clear/50000`
+//!   the large query itself, `get/*` 1024 lookups (half of them misses) at
+//!   that many live entries.
+//! * `heap/push_invalidate_pop`: 4096 pushes into the lazy algorithm's
+//!   [`ExpansionHeap`], every fourth ticket invalidated, then popped dry.
+//! * `range_nn`, `eager`, `lazy_ep`, `lazy`: 64 range-NN probes and 8 full
+//!   queries per row on a 10⁴-node grid at point density 0.01, `k = 1`, on a
+//!   reused `Scratch`.
+//! * `update/64_insert_delete_pairs`: a point inserted into and deleted from
+//!   the materialized 1-NN table of a 10⁵-node grid at density 0.05 — a local
+//!   update (~100 nodes visited per pair) that must not cost O(graph).
+
+mod common;
+
+use criterion::{criterion_group, criterion_main, Criterion};
+use rnn_core::fast_hash::{fast_map, FastMap};
+use rnn_core::heap::ExpansionHeap;
+use rnn_core::knn::range_nn_into;
+use rnn_core::materialize::MaterializedKnn;
+use rnn_core::{run_rknn_with, Algorithm, NodeTable, Precomputed, Scratch};
+use rnn_datagen::{grid_map, place_points_on_nodes, sample_node_queries, GridConfig};
+use rnn_graph::{NodeId, PointId, PointsOnNodes, Weight};
+use rnn_storage::lru::mix64;
+use std::hint::black_box;
+
+const ID_SPACE: u64 = 100_000;
+const LARGE: usize = 50_000;
+
+/// `count` distinct pseudo-random node ids below [`ID_SPACE`].
+fn distinct_nodes(count: usize) -> Vec<NodeId> {
+    let mut seen = vec![false; ID_SPACE as usize];
+    (0u64..)
+        .map(|i| (mix64(i) % ID_SPACE) as usize)
+        .filter(|&n| !std::mem::replace(&mut seen[n], true))
+        .take(count)
+        .map(NodeId::new)
+        .collect()
+}
+
+fn bench_node_state(c: &mut Criterion) {
+    let all = distinct_nodes(LARGE + 512);
+    let (nodes, misses) = all.split_at(LARGE);
+    let mut group = c.benchmark_group("core_kernels/node_state");
+    for live in [200usize, LARGE] {
+        let keys = &nodes[..live];
+        // Half the probes hit a live entry, half miss.
+        let probes: Vec<NodeId> = (0..1024)
+            .map(|i| if i % 2 == 0 { keys[i * 7 % live] } else { misses[i / 2] })
+            .collect();
+
+        let mut table: NodeTable<f64> = NodeTable::new();
+        let mut map: FastMap<NodeId, f64> = fast_map();
+        for &n in nodes {
+            table.insert(n, 0.0);
+            map.insert(n, 0.0);
+        }
+        group.bench_function(format!("table/fill_clear/{live}"), |b| {
+            b.iter(|| {
+                table.clear();
+                for &n in keys {
+                    table.insert(n, 1.0);
+                }
+                black_box(table.len())
+            })
+        });
+        group.bench_function(format!("fast_map/fill_clear/{live}"), |b| {
+            b.iter(|| {
+                map.clear();
+                for &n in keys {
+                    map.insert(n, 1.0);
+                }
+                black_box(map.len())
+            })
+        });
+        // Both now hold exactly `keys`.
+        group.bench_function(format!("table/get/{live}"), |b| {
+            b.iter(|| probes.iter().filter_map(|&n| table.get(n)).sum::<f64>())
+        });
+        group.bench_function(format!("fast_map/get/{live}"), |b| {
+            b.iter(|| probes.iter().filter_map(|n| map.get(n)).sum::<f64>())
+        });
+    }
+    group.finish();
+}
+
+fn bench_heap(c: &mut Criterion) {
+    let entries: Vec<(NodeId, Weight)> = (0..4096u64)
+        .map(|i| {
+            (NodeId::new((mix64(i) % ID_SPACE) as usize), Weight::new((mix64(!i) % 10_000) as f64))
+        })
+        .collect();
+    let mut heap = ExpansionHeap::new();
+    c.bench_function("core_kernels/heap/push_invalidate_pop", |b| {
+        b.iter(|| {
+            heap.clear();
+            for &(node, dist) in &entries {
+                let ticket = heap.push(node, dist);
+                if ticket % 4 == 3 {
+                    heap.invalidate(ticket - 2);
+                }
+            }
+            let mut popped = 0u32;
+            while heap.pop().is_some() {
+                popped += 1;
+            }
+            black_box(popped)
+        })
+    });
+}
+
+fn bench_queries(c: &mut Criterion) {
+    let graph = grid_map(&GridConfig { rows: 100, cols: 100, seed: 5, ..Default::default() });
+    let points = place_points_on_nodes(&graph, 0.01, 6);
+    let queries = sample_node_queries(&points, 8, 7);
+    let sources: Vec<NodeId> =
+        (0..64u64).map(|i| NodeId::new((mix64(i) % graph.num_nodes() as u64) as usize)).collect();
+    let mut scratch = Scratch::new();
+    let mut group = c.benchmark_group("core_kernels");
+    group.bench_function("range_nn/64_probes", |b| {
+        let mut found = Vec::new();
+        let keep_all = |_: PointId| false;
+        b.iter(|| {
+            let mut settled = 0;
+            for &source in &sources {
+                let range = Weight::new(8.0);
+                settled += range_nn_into(
+                    &graph,
+                    &points,
+                    source,
+                    1,
+                    range,
+                    &keep_all,
+                    &mut scratch,
+                    &mut found,
+                );
+            }
+            black_box(settled)
+        })
+    });
+    for (name, algorithm) in [
+        ("eager", Algorithm::Eager),
+        ("lazy_ep", Algorithm::LazyExtendedPruning),
+        ("lazy", Algorithm::Lazy),
+    ] {
+        group.bench_function(format!("{name}/8_queries"), |b| {
+            b.iter(|| {
+                for &q in &queries {
+                    let none = Precomputed::none();
+                    black_box(run_rknn_with(algorithm, &graph, &points, none, q, 1, &mut scratch));
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
+fn bench_updates(c: &mut Criterion) {
+    let graph = grid_map(&GridConfig { rows: 316, cols: 316, seed: 5, ..Default::default() });
+    let points = place_points_on_nodes(&graph, 0.05, 6);
+    let mut table = MaterializedKnn::build(&graph, &points, 1);
+    let free: Vec<NodeId> = (0u64..)
+        .map(|i| NodeId::new((mix64(i) % graph.num_nodes() as u64) as usize))
+        .filter(|&n| points.point_at(n).is_none())
+        .take(64)
+        .collect();
+    c.bench_function("core_kernels/update/64_insert_delete_pairs", |b| {
+        b.iter(|| {
+            let mut visited = 0;
+            for &node in &free {
+                visited += table.insert_point(&graph, node).nodes_visited;
+                visited += table.delete_point(&graph, node).nodes_visited;
+            }
+            black_box(visited)
+        })
+    });
+}
+
+criterion_group! {
+    name = benches;
+    config = common::quick_criterion();
+    targets = bench_node_state, bench_heap, bench_queries, bench_updates
+}
+criterion_main!(benches);

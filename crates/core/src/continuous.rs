@@ -10,12 +10,12 @@
 //! belongs to the RkNN set of its *nearest* route node.
 
 use crate::expansion::NetworkExpansion;
-use crate::fast_hash::{fast_map, fast_set, FastMap, FastSet};
+use crate::fast_hash::{fast_set, FastSet};
 use crate::knn::range_nn_into;
 use crate::query::{QueryStats, RknnOutcome};
 use crate::scratch::Scratch;
 use crate::verify::{verify_candidate_in, VerifyParams};
-use rnn_graph::{NodeId, PointId, PointsOnNodes, Route, Topology, Weight};
+use rnn_graph::{PointId, PointsOnNodes, Route, Topology, Weight};
 
 fn route_membership(route: &Route, num_nodes: usize) -> Vec<bool> {
     let mut on_route = vec![false; num_nodes];
@@ -118,34 +118,30 @@ where
     let mut result: Vec<PointId> = Vec::new();
     let on_route = route_membership(route, topo.num_nodes());
 
-    let mut heap = crate::heap::ExpansionHeap::new();
-    let mut best: FastMap<NodeId, Weight> = fast_map();
-    let mut settled: FastMap<NodeId, Weight> = fast_map();
-    let mut counters: FastMap<NodeId, usize> = fast_map();
-    let mut verified: FastSet<PointId> = fast_set();
     let mut scratch = Scratch::new();
+    let mut bufs = scratch.take_lazy();
 
     for &n in route.nodes() {
-        best.insert(n, Weight::ZERO);
-        heap.push(n, Weight::ZERO);
+        bufs.best.insert(n, Weight::ZERO);
+        bufs.heap.push(n, Weight::ZERO);
     }
 
-    while let Some((node, dist, _)) = heap.pop() {
-        if settled.contains_key(&node) {
+    while let Some((node, dist, _)) = bufs.heap.pop() {
+        if bufs.settled.contains(node) {
             continue;
         }
-        if best.get(&node).is_some_and(|b| *b < dist) {
+        if bufs.best.get(node).is_some_and(|b| *b < dist) {
             continue;
         }
-        settled.insert(node, dist);
+        bufs.settled.insert(node, dist);
         stats.nodes_settled += 1;
-        if counters.get(&node).copied().unwrap_or(0) >= k {
+        if bufs.counters.get(node).is_some_and(|c| *c >= k) {
             continue;
         }
 
         if dist > Weight::ZERO {
             if let Some(p) = points.point_at(node) {
-                if verified.insert(p) {
+                if bufs.verified.insert(p) {
                     stats.candidates += 1;
                     stats.verifications += 1;
                     let v = verify_candidate_in(
@@ -162,33 +158,25 @@ where
                         result.push(p);
                     }
                     for &(m, dm) in &v.visited {
-                        let counted = match settled.get(&m) {
+                        let counted = match bufs.settled.get(m) {
                             Some(&dq) => dm < dq,
                             None => dm < dist,
                         };
                         if counted {
-                            *counters.entry(m).or_insert(0) += 1;
+                            *bufs.counters.entry(m, 0) += 1;
                         }
                     }
                     scratch.put_node_dists(v.visited);
                 }
             }
         }
-        if counters.get(&node).copied().unwrap_or(0) >= k {
+        if bufs.counters.get(node).is_some_and(|c| *c >= k) {
             continue;
         }
-        topo.visit_neighbors(node, &mut |nb| {
-            if settled.contains_key(&nb.node) {
-                return;
-            }
-            let cand = dist + nb.weight;
-            if best.get(&nb.node).is_none_or(|b| cand < *b) {
-                best.insert(nb.node, cand);
-                heap.push(nb.node, cand);
-            }
-        });
+        bufs.expand(topo, node, dist);
     }
-    stats.heap_pushes = heap.pushes();
+    stats.heap_pushes = bufs.heap.pushes();
+    scratch.put_lazy(bufs);
     RknnOutcome::from_points(result, stats)
 }
 
@@ -216,7 +204,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rnn_graph::{Graph, GraphBuilder, NodePointSet, Route};
+    use rnn_graph::{Graph, GraphBuilder, NodeId, NodePointSet, Route};
 
     fn ladder() -> (Graph, NodePointSet) {
         // Two parallel paths of 8 nodes with rungs; points scattered on both.

@@ -6,7 +6,7 @@
 //! is that primitive, shared by the k-NN / range-NN / verification queries
 //! and by the main loops of the eager and lazy algorithms.
 
-use crate::fast_hash::{fast_map, FastMap};
+use crate::node_table::NodeTable;
 use rnn_graph::{NodeId, Topology, Weight};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -21,17 +21,17 @@ enum Label {
 }
 
 /// The allocation-bearing state of a [`NetworkExpansion`]: the frontier heap
-/// and the label map.
+/// and the label table.
 ///
 /// Buffers outlive individual expansions: an expansion built with
-/// [`NetworkExpansion::reusing`] starts from recycled (cleared but still
+/// [`NetworkExpansion::reusing`] starts from recycled (empty but still
 /// allocated) buffers, and [`NetworkExpansion::into_buffers`] recovers them
 /// afterwards — this is how the query engine's `Scratch` arena keeps
 /// steady-state queries allocation-free.
 #[derive(Debug, Default)]
 pub struct ExpansionBuffers {
     heap: BinaryHeap<Reverse<(Weight, NodeId)>>,
-    labels: FastMap<NodeId, Label>,
+    labels: NodeTable<Label>,
     /// Scratch for frontier prefetch hints ([`Topology::prefetch_hint`]).
     /// Only ever touched when the topology asks for hints, so the in-memory
     /// path never pays for it.
@@ -49,6 +49,22 @@ impl ExpansionBuffers {
         self.heap.clear();
         self.labels.clear();
         self.hints.clear();
+    }
+
+    /// Offers a (possibly better) tentative distance for `node`; returns
+    /// whether it was taken, i.e. labelled and pushed onto the frontier.
+    #[inline]
+    fn relax(&mut self, node: NodeId, dist: Weight) -> bool {
+        match self.labels.get_mut(node) {
+            Some(Label::Settled(_)) => return false,
+            Some(Label::Tentative(best)) if *best <= dist => return false,
+            Some(label) => *label = Label::Tentative(dist),
+            None => {
+                self.labels.insert(node, Label::Tentative(dist));
+            }
+        }
+        self.heap.push(Reverse((dist, node)));
+        true
     }
 }
 
@@ -87,7 +103,7 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
     }
 
     /// Starts an expansion on recycled buffers (cleared here), avoiding the
-    /// heap/map allocations of a fresh expansion.
+    /// heap/table allocations of a fresh expansion.
     pub fn reusing<I>(topo: &'a T, mut bufs: ExpansionBuffers, sources: I) -> Self
     where
         I: IntoIterator<Item = (NodeId, Weight)>,
@@ -100,13 +116,9 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
         }
         if exp.wants_hints && !exp.bufs.labels.is_empty() {
             // The sources are the first adjacency lists the expansion will
-            // fetch — hint them right away. (At this point the label map
+            // fetch — hint them right away. (At this point the label table
             // holds exactly the tentative sources.)
-            let mut hints = std::mem::take(&mut exp.bufs.hints);
-            hints.clear();
-            hints.extend(exp.bufs.labels.keys().copied());
-            exp.topo.prefetch_hint(&hints);
-            exp.bufs.hints = hints;
+            exp.topo.prefetch_hint(exp.bufs.labels.nodes());
         }
         exp
     }
@@ -118,14 +130,8 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
 
     /// Offers a (possibly better) tentative distance for `node`.
     fn relax(&mut self, node: NodeId, dist: Weight) {
-        match self.bufs.labels.get(&node) {
-            Some(Label::Settled(_)) => {}
-            Some(Label::Tentative(best)) if *best <= dist => {}
-            _ => {
-                self.bufs.labels.insert(node, Label::Tentative(dist));
-                self.bufs.heap.push(Reverse((dist, node)));
-                self.pushes += 1;
-            }
+        if self.bufs.relax(node, dist) {
+            self.pushes += 1;
         }
     }
 
@@ -147,12 +153,12 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
     /// pruned nodes.
     pub fn next_settled_unexpanded(&mut self) -> Option<(NodeId, Weight)> {
         while let Some(Reverse((dist, node))) = self.bufs.heap.pop() {
-            match self.bufs.labels.get(&node) {
+            match self.bufs.labels.get_mut(node) {
                 Some(Label::Settled(_)) => continue, // stale entry
                 Some(Label::Tentative(best)) if *best < dist => continue, // superseded
-                _ => {}
+                Some(label) => *label = Label::Settled(dist),
+                None => unreachable!("every heap entry was labelled when pushed"),
             }
-            self.bufs.labels.insert(node, Label::Settled(dist));
             self.settled_count += 1;
             return Some((node, dist));
         }
@@ -169,15 +175,8 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
         let bufs = &mut self.bufs;
         let pushes = &mut self.pushes;
         self.topo.visit_neighbors(node, &mut |nb| {
-            let cand = dist + nb.weight;
-            match bufs.labels.get(&nb.node) {
-                Some(Label::Settled(_)) => {}
-                Some(Label::Tentative(best)) if *best <= cand => {}
-                _ => {
-                    bufs.labels.insert(nb.node, Label::Tentative(cand));
-                    bufs.heap.push(Reverse((cand, nb.node)));
-                    *pushes += 1;
-                }
+            if bufs.relax(nb.node, dist + nb.weight) {
+                *pushes += 1;
             }
         });
     }
@@ -196,16 +195,9 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
             let pushes = &mut self.pushes;
             let hints = &mut hints;
             self.topo.visit_neighbors(node, &mut |nb| {
-                let cand = dist + nb.weight;
-                match bufs.labels.get(&nb.node) {
-                    Some(Label::Settled(_)) => {}
-                    Some(Label::Tentative(best)) if *best <= cand => {}
-                    _ => {
-                        bufs.labels.insert(nb.node, Label::Tentative(cand));
-                        bufs.heap.push(Reverse((cand, nb.node)));
-                        *pushes += 1;
-                        hints.push(nb.node);
-                    }
+                if bufs.relax(nb.node, dist + nb.weight) {
+                    *pushes += 1;
+                    hints.push(nb.node);
                 }
             });
         }
@@ -217,7 +209,7 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
 
     /// Returns the settled distance of `node`, if it has been settled.
     pub fn settled_distance(&self, node: NodeId) -> Option<Weight> {
-        match self.bufs.labels.get(&node) {
+        match self.bufs.labels.get(node) {
             Some(Label::Settled(d)) => Some(*d),
             _ => None,
         }
@@ -231,20 +223,6 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
     /// Number of heap pushes performed so far.
     pub fn pushes(&self) -> u64 {
         self.pushes
-    }
-
-    /// Runs the expansion to completion and returns the distance of every
-    /// reachable node. This is the classical single-source shortest path
-    /// computation, used by the naive baseline and by tests.
-    pub fn run_to_completion(mut self) -> FastMap<NodeId, Weight> {
-        while self.next_settled().is_some() {}
-        let mut out = fast_map();
-        for (node, label) in self.bufs.labels.iter() {
-            if let Label::Settled(d) = label {
-                out.insert(*node, *d);
-            }
-        }
-        out
     }
 }
 
@@ -279,6 +257,14 @@ mod tests {
         b.add_edge(0, 2, 4.0).unwrap();
         b.add_edge(2, 3, 1.0).unwrap();
         b.build().unwrap()
+    }
+
+    /// The classical single-source shortest path computation: the distance
+    /// of every node the expansion reaches.
+    fn run_to_completion<T: Topology>(
+        mut exp: NetworkExpansion<'_, T>,
+    ) -> std::collections::HashMap<usize, f64> {
+        std::iter::from_fn(|| exp.next_settled()).map(|(n, d)| (n.index(), d.value())).collect()
     }
 
     #[test]
@@ -329,17 +315,15 @@ mod tests {
         b.add_edge(2, 3, 1.0).unwrap();
         let g = b.build().unwrap();
         assert_eq!(network_distance(&g, NodeId::new(0), NodeId::new(3)), None);
-        let all = NetworkExpansion::new(&g, NodeId::new(0)).run_to_completion();
+        let all = run_to_completion(NetworkExpansion::new(&g, NodeId::new(0)));
         assert_eq!(all.len(), 2);
     }
 
     #[test]
     fn run_to_completion_matches_incremental() {
         let g = diamond();
-        let all = NetworkExpansion::new(&g, NodeId::new(1)).run_to_completion();
-        assert_eq!(all[&NodeId::new(0)].value(), 1.0);
-        assert_eq!(all[&NodeId::new(3)].value(), 1.0);
-        assert_eq!(all[&NodeId::new(2)].value(), 2.0);
+        let all = run_to_completion(NetworkExpansion::new(&g, NodeId::new(1)));
+        assert_eq!((all[&0], all[&3], all[&2]), (1.0, 1.0, 2.0));
     }
 
     /// A topology wrapper that asks for prefetch hints and records every
@@ -401,7 +385,7 @@ mod tests {
         }
         let g = diamond();
         let topo = NoHints(&g, std::sync::atomic::AtomicU32::new(0));
-        NetworkExpansion::new(&topo, NodeId::new(0)).run_to_completion();
+        run_to_completion(NetworkExpansion::new(&topo, NodeId::new(0)));
         assert_eq!(topo.1.load(std::sync::atomic::Ordering::Relaxed), 0);
     }
 }

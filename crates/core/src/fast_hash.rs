@@ -1,12 +1,15 @@
-//! Fast hashing for node/point keyed maps.
+//! Fast hashing for maps and sets keyed by small integer ids.
 //!
-//! The query algorithms keep per-query hash maps keyed by [`rnn_graph::NodeId`]
-//! (distance labels, visit marks, verification counters). The default SipHash
-//! hasher of the standard library is overkill for 32-bit ids and shows up in
-//! profiles, so this module provides a small multiplicative hasher in the
-//! spirit of `FxHash` without adding a dependency. HashDoS resistance is
-//! irrelevant here: keys are dense internal ids, not attacker-controlled
-//! input.
+//! The expansions themselves do not hash: their per-node state (distance
+//! labels, visit marks, verification counters) lives in the direct-address
+//! [`crate::NodeTable`]. What remains hashed are the small per-query sets of
+//! [`rnn_graph::PointId`]s (verified / discovered candidates), the node maps
+//! that `rnn-index` checks out of the `Scratch` pools, and result maps
+//! handed to callers. The default SipHash hasher of the standard library is
+//! overkill for 32-bit ids, so this module provides a small multiplicative
+//! hasher in the spirit of `FxHash` without adding a dependency. HashDoS
+//! resistance is irrelevant here: keys are dense internal ids, not
+//! attacker-controlled input.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

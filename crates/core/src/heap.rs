@@ -7,8 +7,10 @@
 //!   *invalidated* ("removed from the heap" in the paper's terminology, via
 //!   the hash table of back-pointers) without rebuilding the heap;
 //! * pops skip invalidated and stale entries transparently.
+//!
+//! Tickets are handed out densely from zero, so the invalidation marks are a
+//! bitmap indexed by ticket rather than a hash set.
 
-use crate::fast_hash::{fast_set, FastSet};
 use rnn_graph::{NodeId, Weight};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -46,20 +48,17 @@ impl PartialOrd for Entry {
 #[derive(Debug, Default)]
 pub struct ExpansionHeap {
     heap: BinaryHeap<Entry>,
-    invalidated: FastSet<Ticket>,
-    next_ticket: Ticket,
+    /// Bit `t` is set once ticket `t` has been invalidated. Grown on demand:
+    /// a ticket beyond the last word is valid.
+    invalidated: Vec<u64>,
+    /// Entries pushed since the last clear — also the next ticket.
     pushes: u64,
 }
 
 impl ExpansionHeap {
     /// Creates an empty heap.
     pub fn new() -> Self {
-        ExpansionHeap {
-            heap: BinaryHeap::new(),
-            invalidated: fast_set(),
-            next_ticket: 0,
-            pushes: 0,
-        }
+        Self::default()
     }
 
     /// Empties the heap for reuse: entries, invalidations, tickets and the
@@ -67,32 +66,42 @@ impl ExpansionHeap {
     pub fn clear(&mut self) {
         self.heap.clear();
         self.invalidated.clear();
-        self.next_ticket = 0;
         self.pushes = 0;
     }
 
     /// Pushes an entry and returns its ticket.
     pub fn push(&mut self, node: NodeId, dist: Weight) -> Ticket {
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
+        let ticket = self.pushes;
         self.pushes += 1;
         self.heap.push(Entry { dist, node, ticket });
         ticket
     }
 
     /// Marks a previously pushed entry as invalid; it will be skipped by
-    /// [`ExpansionHeap::pop`].
+    /// [`ExpansionHeap::pop`]. A ticket this heap has not handed out (since
+    /// the last [`ExpansionHeap::clear`]) is ignored.
     pub fn invalidate(&mut self, ticket: Ticket) {
-        self.invalidated.insert(ticket);
+        if ticket >= self.pushes {
+            return;
+        }
+        let word = (ticket / 64) as usize;
+        if word >= self.invalidated.len() {
+            self.invalidated.resize(word + 1, 0);
+        }
+        self.invalidated[word] |= 1 << (ticket % 64);
+    }
+
+    #[inline]
+    fn is_invalidated(&self, ticket: Ticket) -> bool {
+        self.invalidated.get((ticket / 64) as usize).is_some_and(|w| w >> (ticket % 64) & 1 == 1)
     }
 
     /// Pops the valid entry with the smallest distance, if any.
     pub fn pop(&mut self) -> Option<(NodeId, Weight, Ticket)> {
         while let Some(e) = self.heap.pop() {
-            if self.invalidated.remove(&e.ticket) {
-                continue;
+            if !self.is_invalidated(e.ticket) {
+                return Some((e.node, e.dist, e.ticket));
             }
-            return Some((e.node, e.dist, e.ticket));
         }
         None
     }
@@ -100,12 +109,10 @@ impl ExpansionHeap {
     /// Distance of the smallest valid entry without popping it.
     pub fn peek_dist(&mut self) -> Option<Weight> {
         while let Some(e) = self.heap.peek() {
-            if self.invalidated.contains(&e.ticket) {
-                let e = self.heap.pop().expect("peeked entry exists");
-                self.invalidated.remove(&e.ticket);
-                continue;
+            if !self.is_invalidated(e.ticket) {
+                return Some(e.dist);
             }
-            return Some(e.dist);
+            self.heap.pop();
         }
         None
     }
@@ -115,7 +122,9 @@ impl ExpansionHeap {
         self.peek_dist().is_none()
     }
 
-    /// Total number of entries ever pushed (for statistics).
+    /// Number of entries pushed since the last [`ExpansionHeap::clear`] (for
+    /// statistics). Tickets are handed out in sequence, so this is also the
+    /// ticket the next push will get.
     pub fn pushes(&self) -> u64 {
         self.pushes
     }
@@ -177,6 +186,36 @@ mod tests {
         assert!(!h.is_empty());
         assert_eq!(h.pop().map(|(nd, _, _)| nd), Some(n(2)));
         assert_eq!(h.peek_dist(), None);
+    }
+
+    #[test]
+    fn clear_forgets_invalidations_so_reused_tickets_are_fresh() {
+        let mut h = ExpansionHeap::new();
+        let tickets: Vec<Ticket> = (0..130).map(|i| h.push(n(i), w(i as f64))).collect();
+        for &t in &tickets {
+            h.invalidate(t);
+        }
+        assert!(h.is_empty());
+        h.clear();
+        assert_eq!(h.pushes(), 0);
+        // The same ticket numbers are handed out again, across both bitmap
+        // words and beyond them; none may inherit an old invalidation.
+        let again: Vec<Ticket> = (0..200).map(|i| h.push(n(i), w(i as f64))).collect();
+        assert_eq!(again[..130], tickets[..]);
+        h.invalidate(again[64]);
+        let popped: Vec<u32> = std::iter::from_fn(|| h.pop()).map(|(nd, _, _)| nd.0).collect();
+        let expected: Vec<u32> = (0..200).filter(|&i| i != 64).collect();
+        assert_eq!(popped, expected);
+    }
+
+    #[test]
+    fn invalidating_a_ticket_never_handed_out_is_ignored() {
+        let mut h = ExpansionHeap::new();
+        h.invalidate(0);
+        h.invalidate(u64::MAX);
+        let t = h.push(n(1), w(1.0));
+        assert_eq!(t, 0);
+        assert_eq!(h.pop().map(|(nd, _, _)| nd), Some(n(1)));
     }
 
     #[test]

@@ -11,35 +11,34 @@
 //! `k > 1` a node is only discarded once `k` distinct points have been
 //! counted against it.
 
-use crate::fast_hash::{FastMap, FastSet};
+use crate::fast_hash::FastSet;
 use crate::heap::{ExpansionHeap, Ticket};
+use crate::node_table::NodeTable;
 use crate::query::{QueryStats, RknnOutcome};
 use crate::scratch::{Reset, Scratch};
 use crate::verify::{verify_candidate_in, VerifyParams};
 use rnn_graph::{NodeId, PointId, PointsOnNodes, Topology, Weight};
+use std::ops::Range;
 
-/// The reusable allocation state of the lazy main loop, pooled by
-/// [`Scratch`].
+/// The reusable allocation state of the lazy main loop (also of its
+/// continuous variant), pooled by [`Scratch`].
 #[derive(Debug, Default)]
 pub(crate) struct LazyBuffers {
     /// Main expansion heap with ticket-based invalidation.
-    heap: ExpansionHeap,
+    pub(crate) heap: ExpansionHeap,
     /// Best tentative distance per node.
-    best: FastMap<NodeId, Weight>,
-    /// Hash table of visited (settled) nodes: final distance from the query.
-    settled: FastMap<NodeId, Weight>,
-    /// Back-pointers: heap tickets created while processing a node, so the
-    /// node's expansion can be undone when it is later invalidated.
-    children: FastMap<NodeId, Vec<Ticket>>,
-    /// Recycled ticket vectors for `children` entries.
-    spare_tickets: Vec<Vec<Ticket>>,
+    pub(crate) best: NodeTable<Weight>,
+    /// Table of visited (settled) nodes: final distance from the query.
+    pub(crate) settled: NodeTable<Weight>,
+    /// Back-pointers: the heap tickets created while processing a node, so
+    /// the node's expansion can be undone when it is later invalidated.
+    /// Tickets are handed out in sequence and a node is processed in one go,
+    /// so its tickets are one contiguous range.
+    children: NodeTable<Range<Ticket>>,
     /// Verification counters: how many distinct data points are known to be
     /// strictly closer to the node than the query.
-    counters: FastMap<NodeId, usize>,
-    /// Nodes whose children have already been removed (the removal is done at
-    /// most once per node).
-    pruned_children: FastSet<NodeId>,
-    verified: FastSet<PointId>,
+    pub(crate) counters: NodeTable<usize>,
+    pub(crate) verified: FastSet<PointId>,
 }
 
 impl Reset for LazyBuffers {
@@ -47,14 +46,33 @@ impl Reset for LazyBuffers {
         self.heap.clear();
         self.best.clear();
         self.settled.clear();
-        // Recycle the per-node ticket vectors instead of dropping them.
-        for (_, mut tickets) in self.children.drain() {
-            tickets.clear();
-            self.spare_tickets.push(tickets);
-        }
+        self.children.clear();
         self.counters.clear();
-        self.pruned_children.clear();
         self.verified.clear();
+    }
+}
+
+impl LazyBuffers {
+    /// Relaxes the neighbors of the just-settled `node` and returns the
+    /// tickets of the heap entries this created.
+    pub(crate) fn expand<T: Topology + ?Sized>(
+        &mut self,
+        topo: &T,
+        node: NodeId,
+        dist: Weight,
+    ) -> Range<Ticket> {
+        let first = self.heap.pushes();
+        let (heap, best, settled) = (&mut self.heap, &mut self.best, &self.settled);
+        topo.visit_neighbors(node, &mut |nb| {
+            if settled.contains(nb.node) {
+                return;
+            }
+            let cand = dist + nb.weight;
+            if best.insert_if_less(nb.node, cand) {
+                heap.push(nb.node, cand);
+            }
+        });
+        first..self.heap.pushes()
     }
 }
 
@@ -74,7 +92,7 @@ where
 }
 
 /// [`lazy_rknn`] on the recycled buffers of `scratch`: the main heap, every
-/// hash table and every verification expansion run allocation-free in the
+/// node table and every verification expansion run allocation-free in the
 /// steady state.
 pub fn lazy_rknn_in<T, P>(
     topo: &T,
@@ -96,10 +114,10 @@ where
     bufs.heap.push(query, Weight::ZERO);
 
     while let Some((node, dist, _)) = bufs.heap.pop() {
-        if bufs.settled.contains_key(&node) {
+        if bufs.settled.contains(node) {
             continue; // stale entry
         }
-        if bufs.best.get(&node).is_some_and(|b| *b < dist) {
+        if bufs.best.get(node).is_some_and(|b| *b < dist) {
             continue; // superseded entry
         }
         bufs.settled.insert(node, dist);
@@ -107,7 +125,7 @@ where
 
         // A node already counted against k distinct closer points cannot lead
         // to (or be) a reverse neighbor.
-        if bufs.counters.get(&node).copied().unwrap_or(0) >= k {
+        if bufs.counters.get(node).is_some_and(|c| *c >= k) {
             continue;
         }
 
@@ -135,7 +153,7 @@ where
                     // settled strictly within d(p, q) is strictly closer to p
                     // than to the query.
                     for &(m, dm) in &v.visited {
-                        let counted = match bufs.settled.get(&m) {
+                        let counted = match bufs.settled.get(m) {
                             // Visited node: count only when provably closer
                             // to p than to the query.
                             Some(&dq) => dm < dq,
@@ -145,17 +163,16 @@ where
                             None => dm < dist,
                         };
                         if counted {
-                            let c = bufs.counters.entry(m).or_insert(0);
+                            let c = bufs.counters.entry(m, 0);
                             *c += 1;
-                            if *c == k
-                                && bufs.settled.contains_key(&m)
-                                && bufs.pruned_children.insert(m)
-                            {
+                            // The counter passes k exactly once, so the
+                            // removal is done at most once per node.
+                            if *c == k {
                                 // Remove the heap entries inserted while
-                                // processing m (the paper's hash-table based
-                                // deletion).
-                                if let Some(tickets) = bufs.children.get(&m) {
-                                    for &t in tickets {
+                                // processing m, if it was processed (the
+                                // paper's hash-table based deletion).
+                                if let Some(tickets) = bufs.children.get(m) {
+                                    for t in tickets.clone() {
                                         bufs.heap.invalidate(t);
                                     }
                                 }
@@ -170,29 +187,13 @@ where
         // Re-check the counter: the verification of this node's own point
         // counts the node itself (the point is at distance 0 from it), which
         // is exactly what stops the k=1 expansion at nodes containing points.
-        if bufs.counters.get(&node).copied().unwrap_or(0) >= k {
+        if bufs.counters.get(node).is_some_and(|c| *c >= k) {
             continue;
         }
 
         // Expand the node, remembering the created heap entries.
-        let mut created: Vec<Ticket> = bufs.spare_tickets.pop().unwrap_or_default();
-        let heap = &mut bufs.heap;
-        let best = &mut bufs.best;
-        let settled = &bufs.settled;
-        topo.visit_neighbors(node, &mut |nb| {
-            if settled.contains_key(&nb.node) {
-                return;
-            }
-            let cand = dist + nb.weight;
-            let improves = best.get(&nb.node).is_none_or(|b| cand < *b);
-            if improves {
-                best.insert(nb.node, cand);
-                created.push(heap.push(nb.node, cand));
-            }
-        });
-        if created.is_empty() {
-            bufs.spare_tickets.push(created);
-        } else {
+        let created = bufs.expand(topo, node, dist);
+        if !created.is_empty() {
             bufs.children.insert(node, created);
         }
     }

@@ -9,8 +9,13 @@
 //! points. A node de-heaped from the main heap whose k-th recorded point is
 //! strictly closer than the query is pruned by Lemma 1 without issuing any
 //! verification around it.
+//!
+//! All per-node state — tentative distances, settle marks and the lists of
+//! recorded points — lives in direct-address [`NodeTable`]s and one flat
+//! array, so a query allocates nothing per node it touches.
 
-use crate::fast_hash::{FastMap, FastSet};
+use crate::fast_hash::FastSet;
+use crate::node_table::NodeTable;
 use crate::query::{QueryStats, RknnOutcome};
 use crate::scratch::{Reset, Scratch};
 use crate::verify::{verify_candidate_in, VerifyParams};
@@ -18,31 +23,87 @@ use rnn_graph::{NodeId, PointId, PointsOnNodes, Topology, Weight};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Per-node list of the nearest discovered points, capped at `k` entries.
-#[derive(Clone, Debug, Default)]
-struct FoundList {
+/// How many entries a found-list has room for when it is created (`k` if that
+/// is smaller); a list that outgrows its room moves to twice as much.
+const FIRST_LIST_ROOM: usize = 4;
+
+/// Where one node's found-list lives in [`FoundLists::entries`]. The fields
+/// are `u32` to keep the per-node state at 12 bytes; [`FoundLists::insert`]
+/// refuses to let the array outgrow them.
+#[derive(Copy, Clone, Debug)]
+struct ListRange {
+    start: u32,
+    /// Recorded points: `entries[start..start + len]`, nearest first.
+    len: u32,
+    /// Slots owned from `start` on; at most `k`.
+    room: u32,
+}
+
+/// Per-node lists of the nearest discovered points, each capped at `k`
+/// entries (the `k` of the running query, passed to the methods that need
+/// it) and kept in ascending distance order. All lists live in ranges of one
+/// flat array, so recording a point at a node never allocates once the array
+/// has grown to its working size; a node without a list reads as the empty
+/// list. A list starts with room for `min(k, FIRST_LIST_ROOM)` entries and
+/// moves to a range of twice the room at the end of the array when it fills
+/// up, so the array follows the points actually recorded (at most a small
+/// multiple of them) and not `k`, which is request input.
+#[derive(Debug, Default)]
+struct FoundLists {
+    lists: NodeTable<ListRange>,
     entries: Vec<(Weight, PointId)>,
 }
 
-impl FoundList {
-    fn contains(&self, p: PointId) -> bool {
-        self.entries.iter().any(|&(_, q)| q == p)
+impl FoundLists {
+    fn clear(&mut self) {
+        self.lists.clear();
+        self.entries.clear();
     }
 
-    fn kth_distance(&self, k: usize) -> Weight {
-        if self.entries.len() >= k {
-            self.entries[k - 1].0
-        } else {
-            Weight::INFINITY
+    /// The points recorded at `node`, nearest first.
+    fn get(&self, node: NodeId) -> &[(Weight, PointId)] {
+        match self.lists.get(node) {
+            Some(list) => &self.entries[list.start as usize..][..list.len as usize],
+            None => &[],
         }
     }
 
-    fn insert(&mut self, dist: Weight, p: PointId, k: usize) -> bool {
-        if self.entries.len() >= k || self.contains(p) {
+    /// Whether `p` could still be recorded at `node`: its list is not full
+    /// and does not hold `p` yet.
+    fn admits(&self, node: NodeId, p: PointId, k: usize) -> bool {
+        let list = self.get(node);
+        list.len() < k && !list.iter().any(|&(_, q)| q == p)
+    }
+
+    fn kth_distance(&self, node: NodeId, k: usize) -> Weight {
+        self.get(node).get(k - 1).map_or(Weight::INFINITY, |&(d, _)| d)
+    }
+
+    /// Records `p` at distance `dist` from `node`, after every recorded point
+    /// that is not farther. Returns `false` if the list does not admit `p`.
+    fn insert(&mut self, node: NodeId, dist: Weight, p: PointId, k: usize) -> bool {
+        let list = self.lists.entry(node, ListRange { start: 0, len: 0, room: 0 });
+        let (mut start, len) = (list.start as usize, list.len as usize);
+        if len >= k || self.entries[start..start + len].iter().any(|&(_, q)| q == p) {
             return false;
         }
-        let pos = self.entries.partition_point(|&(d, _)| d <= dist);
-        self.entries.insert(pos, (dist, p));
+        if list.len == list.room {
+            // A new list, or one out of room: (re)house it at the end of the
+            // array. The range left behind is dead until the next `clear`.
+            let room = len.saturating_mul(2).max(FIRST_LIST_ROOM).min(k);
+            let end = self.entries.len();
+            self.entries.extend_from_within(start..start + len);
+            self.entries.resize(end + room, (Weight::INFINITY, p));
+            // Every range lies inside the array, so this bounds all fields.
+            assert!(self.entries.len() <= u32::MAX as usize, "found-lists exceed 2^32 entries");
+            (list.start, list.room) = (end as u32, room as u32);
+            start = end;
+        }
+        let slots = &mut self.entries[start..=start + len];
+        let pos = slots[..len].partition_point(|&(d, _)| d <= dist);
+        slots[pos..].rotate_right(1);
+        slots[pos] = (dist, p);
+        list.len += 1;
         true
     }
 }
@@ -53,13 +114,12 @@ impl FoundList {
 pub(crate) struct LazyEpBuffers {
     /// Main expansion heap (H).
     heap: BinaryHeap<Reverse<(Weight, NodeId)>>,
-    best: FastMap<NodeId, Weight>,
-    settled: FastSet<NodeId>,
+    best: NodeTable<Weight>,
+    settled: NodeTable<()>,
     /// Parallel point expansion heap (H').
     point_heap: BinaryHeap<Reverse<(Weight, NodeId, PointId)>>,
-    /// Per-node nearest discovered points (the lists themselves hold at most
-    /// `k` entries, so clearing the map between queries is cheap).
-    found: FastMap<NodeId, FoundList>,
+    /// Per-node nearest discovered points.
+    found: FoundLists,
     discovered: FastSet<PointId>,
 }
 
@@ -87,8 +147,8 @@ where
 }
 
 /// [`lazy_ep_rknn`] on the recycled buffers of `scratch`: both heaps, the
-/// per-node hash tables and every verification expansion run allocation-free
-/// in the steady state.
+/// per-node tables and found-lists and every verification expansion run
+/// allocation-free in the steady state.
 pub fn lazy_ep_rknn_in<T, P>(
     topo: &T,
     points: &P,
@@ -116,37 +176,33 @@ where
                 break;
             }
             bufs.point_heap.pop();
-            let list = bufs.found.entry(pnode).or_default();
-            if !list.insert(pd, pid, k) {
+            if !bufs.found.insert(pnode, pd, pid, k) {
                 continue;
             }
             stats.auxiliary_settled += 1;
-            let found = &mut bufs.found;
+            let found = &bufs.found;
             let point_heap = &mut bufs.point_heap;
             topo.visit_neighbors(pnode, &mut |nb| {
-                let cand = pd + nb.weight;
-                let neighbor_list = found.entry(nb.node).or_default();
-                if neighbor_list.entries.len() < k && !neighbor_list.contains(pid) {
-                    point_heap.push(Reverse((cand, nb.node, pid)));
+                if found.admits(nb.node, pid, k) {
+                    point_heap.push(Reverse((pd + nb.weight, nb.node, pid)));
                 }
             });
         }
 
         // Pop the main heap.
         bufs.heap.pop();
-        if bufs.settled.contains(&node) {
+        if bufs.settled.contains(node) {
             continue;
         }
-        if bufs.best.get(&node).is_some_and(|b| *b < dist) {
+        if bufs.best.get(node).is_some_and(|b| *b < dist) {
             continue;
         }
-        bufs.settled.insert(node);
+        bufs.settled.insert(node, ());
         stats.nodes_settled += 1;
         last_main_dist = dist;
 
         // Lemma 1 with the k-th discovered point of this node.
-        let kth = bufs.found.get(&node).map_or(Weight::INFINITY, |l| l.kth_distance(k));
-        if kth < dist {
+        if bufs.found.kth_distance(node, k) < dist {
             continue;
         }
 
@@ -173,7 +229,7 @@ where
                     // record it at its own node (distance 0) and offer its
                     // neighbors to H'. The neighbors are only processed when
                     // the throttling rule lets H' advance.
-                    bufs.found.entry(node).or_default().insert(Weight::ZERO, p, k);
+                    bufs.found.insert(node, Weight::ZERO, p, k);
                     stats.auxiliary_settled += 1;
                     let point_heap = &mut bufs.point_heap;
                     topo.visit_neighbors(node, &mut |nb| {
@@ -186,8 +242,7 @@ where
         // Re-check the pruning condition: the node's own point (just recorded
         // at distance 0) participates exactly as in lazy, which is what stops
         // the k=1 expansion at nodes containing points.
-        let effective_kth = bufs.found.get(&node).map_or(Weight::INFINITY, |l| l.kth_distance(k));
-        if effective_kth < dist {
+        if bufs.found.kth_distance(node, k) < dist {
             continue;
         }
 
@@ -196,13 +251,11 @@ where
         let best = &mut bufs.best;
         let settled = &bufs.settled;
         topo.visit_neighbors(node, &mut |nb| {
-            if settled.contains(&nb.node) {
+            if settled.contains(nb.node) {
                 return;
             }
             let cand = dist + nb.weight;
-            let improves = best.get(&nb.node).is_none_or(|b| cand < *b);
-            if improves {
-                best.insert(nb.node, cand);
+            if best.insert_if_less(nb.node, cand) {
                 heap.push(Reverse((cand, nb.node)));
                 stats.heap_pushes += 1;
             }
@@ -298,5 +351,88 @@ mod tests {
     fn k_zero_panics() {
         let (g, pts, q) = fig3();
         let _ = lazy_ep_rknn(&g, &pts, q, 0);
+    }
+
+    #[test]
+    fn found_lists_keep_ascending_order_with_ties_after_their_equals() {
+        let (w, p) = (Weight::new, PointId::new);
+        let k = 3;
+        let mut found = FoundLists::default();
+        let (a, b) = (NodeId::new(9), NodeId::new(2));
+        assert!(found.get(a).is_empty() && found.admits(a, p(0), k));
+        assert_eq!(found.kth_distance(a, k), Weight::INFINITY);
+
+        assert!(found.insert(a, w(2.0), p(0), k));
+        // Another node's list in between: each keeps to its own range.
+        assert!(found.insert(b, w(1.0), p(7), k));
+        assert!(found.insert(a, w(1.0), p(1), k));
+        // Equal distance: recorded after the entry that was there first.
+        assert!(found.insert(a, w(1.0), p(2), k));
+        assert_eq!(found.get(a), &[(w(1.0), p(1)), (w(1.0), p(2)), (w(2.0), p(0))]);
+        assert_eq!(found.kth_distance(a, k), w(2.0));
+        assert_eq!(found.get(b), &[(w(1.0), p(7))]);
+        assert_eq!(found.kth_distance(b, k), Weight::INFINITY);
+
+        // Full lists and already recorded points are refused, untouched.
+        assert!(!found.admits(a, p(3), k) && !found.insert(a, w(0.5), p(3), k));
+        assert!(!found.admits(b, p(7), k) && !found.insert(b, w(0.5), p(7), k));
+        assert_eq!(found.get(a).len(), 3);
+        assert_eq!(found.get(b), &[(w(1.0), p(7))]);
+
+        found.clear();
+        assert!(found.get(a).is_empty() && found.get(b).is_empty());
+        assert!(found.insert(b, w(4.0), p(5), k));
+        assert_eq!(found.get(b), &[(w(4.0), p(5))]);
+    }
+
+    #[test]
+    fn found_lists_outgrow_their_room_without_losing_order_or_neighbors() {
+        let (w, p) = (Weight::new, PointId::new);
+        let k = 11;
+        let mut found = FoundLists::default();
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        // Descending distances, so every insert shifts the whole list; `b`
+        // fills up in between and sits right behind each range `a` outgrows.
+        for i in 0..k {
+            assert!(found.insert(a, w((k - i) as f64), p(i), k), "a admits point {i}");
+            assert!(found.insert(b, w(i as f64), p(100 + i), k), "b admits point {i}");
+        }
+        let ids = |list: &[(Weight, PointId)]| list.iter().map(|e| e.1.index()).collect::<Vec<_>>();
+        assert_eq!(ids(found.get(a)), (0..k).rev().collect::<Vec<_>>());
+        assert_eq!(ids(found.get(b)), (100..100 + k).collect::<Vec<_>>());
+        assert_eq!((found.kth_distance(a, k), found.kth_distance(b, k)), (w(11.0), w(10.0)));
+        assert!(!found.insert(a, w(0.0), p(50), k), "k entries is the cap, whatever the room");
+        // Rooms of 4, 8 and 11 per list: dead ranges stay below the live one.
+        assert_eq!(found.entries.len(), 2 * (4 + 8 + 11));
+    }
+
+    #[test]
+    fn memory_follows_the_recorded_points_not_k() {
+        // k is request input: with k far beyond |P| every node records all
+        // the points, and the found-lists must hold just those.
+        let side = 12;
+        let mut b = GraphBuilder::new(side * side);
+        for v in 0..side * side {
+            if v % side + 1 < side {
+                b.add_edge(v, v + 1, 1.0 + (v * 7 % 5) as f64 * 0.31).unwrap();
+            }
+            if v + side < side * side {
+                b.add_edge(v, v + side, 1.0 + (v * 11 % 7) as f64 * 0.23).unwrap();
+            }
+        }
+        let g = b.build().unwrap();
+        let pts = NodePointSet::from_predicate(side * side, |n| n.index() % 16 == 5);
+        let num_points = pts.num_points();
+        assert_eq!(num_points, 9);
+        let q = NodeId::new(side * side / 2);
+        let mut scratch = Scratch::new();
+        for k in [num_points - 1, num_points, num_points + 1, 1_000, 200_000, usize::MAX] {
+            let out = lazy_ep_rknn_in(&g, &pts, q, k, &mut scratch);
+            assert_eq!(out.points, crate::eager::eager_rknn(&g, &pts, q, k).points, "k={k}");
+            let bufs = scratch.take_lazy_ep();
+            // Rooms of 4, 8 and 16 at most, for a list of up to 9 points.
+            assert!(bufs.found.entries.capacity() <= 2 * side * side * (4 + 8 + 16), "k={k}");
+            scratch.put_lazy_ep(bufs);
+        }
     }
 }

@@ -88,6 +88,7 @@ pub mod lazy;
 pub mod lazy_ep;
 pub mod materialize;
 pub mod naive;
+pub mod node_table;
 pub mod precomputed;
 pub mod query;
 pub mod scratch;
@@ -101,6 +102,7 @@ pub use engine::{
     BatchOutcome, QueryEngine, QuerySpec, RknnAlgorithm, SharedResultCache, Workload,
 };
 pub use materialize::MaterializedKnn;
+pub use node_table::NodeTable;
 pub use precomputed::{HubLabelRknn, Precomputed};
 pub use query::{QueryStats, RknnOutcome};
 pub use rnn_obs::{Phase, PhaseRecord, QueryTrace, Tracer};

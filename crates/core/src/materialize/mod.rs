@@ -53,6 +53,8 @@ pub struct MaterializedKnn {
     lists_per_page: usize,
     counters: IoCounters,
     lru: Mutex<PageLru>,
+    /// Node tables of the update expansions (`update.rs`), reused per update.
+    update: update::UpdateBuffers,
 }
 
 impl MaterializedKnn {
@@ -108,6 +110,7 @@ impl MaterializedKnn {
             lists_per_page,
             counters: IoCounters::new(),
             lru: Mutex::new(PageLru::new(DEFAULT_TABLE_BUFFER_PAGES)),
+            update: update::UpdateBuffers::default(),
         }
     }
 

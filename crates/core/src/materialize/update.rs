@@ -2,7 +2,7 @@
 //! insertions and deletions (Section 4.1, Fig. 10 of the paper).
 
 use super::{list_insert, KnnEntry, MaterializedKnn};
-use crate::fast_hash::{fast_map, fast_set, FastMap, FastSet};
+use crate::node_table::NodeTable;
 use rnn_graph::{NodeId, Topology, Weight};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -16,7 +16,62 @@ pub struct UpdateStats {
     pub nodes_visited: u64,
 }
 
+/// The node state of the update expansions, kept inside the table between
+/// updates: a local update then costs what it touches, where fresh
+/// [`NodeTable`]s would be sized to the graph on every call.
+#[derive(Debug, Default)]
+pub(super) struct UpdateBuffers {
+    heap: BinaryHeap<Reverse<(Weight, NodeId)>>,
+    best: NodeTable<Weight>,
+    settled: NodeTable<()>,
+    /// Nodes whose list lost the deleted point, in the order found.
+    affected: NodeTable<()>,
+}
+
 impl MaterializedKnn {
+    /// Expands from `node` in distance order, applies `change` to the list of
+    /// every node settled, and continues only through the nodes whose list it
+    /// changed (returned `true`); those are recorded in `bufs.affected`.
+    fn expand_while_changing<T: Topology + ?Sized>(
+        &mut self,
+        topo: &T,
+        node: NodeId,
+        bufs: &mut UpdateBuffers,
+        stats: &mut UpdateStats,
+        mut change: impl FnMut(&mut Vec<KnnEntry>, Weight) -> bool,
+    ) {
+        let UpdateBuffers { heap, best, settled, affected } = bufs;
+        heap.clear();
+        best.clear();
+        settled.clear();
+        affected.clear();
+        best.insert(node, Weight::ZERO);
+        heap.push(Reverse((Weight::ZERO, node)));
+        while let Some(Reverse((dist, n))) = heap.pop() {
+            if settled.insert(n, ()).is_some() {
+                continue;
+            }
+            if best.get(n).is_some_and(|b| *b < dist) {
+                continue;
+            }
+            stats.nodes_visited += 1;
+            if !change(self.list_mut(n), dist) {
+                continue;
+            }
+            stats.lists_changed += 1;
+            affected.insert(n, ());
+            topo.visit_neighbors(n, &mut |nb| {
+                if settled.contains(nb.node) {
+                    return;
+                }
+                let cand = dist + nb.weight;
+                if best.insert_if_less(nb.node, cand) {
+                    heap.push(Reverse((cand, nb.node)));
+                }
+            });
+        }
+    }
+
     /// Handles the insertion of a new data point residing on `node`.
     ///
     /// A bounded expansion from the new point updates every list it improves
@@ -25,39 +80,14 @@ impl MaterializedKnn {
     pub fn insert_point<T: Topology + ?Sized>(&mut self, topo: &T, node: NodeId) -> UpdateStats {
         let capacity_k = self.capacity_k();
         let mut stats = UpdateStats::default();
-        let mut heap: BinaryHeap<Reverse<(Weight, NodeId)>> = BinaryHeap::new();
-        let mut best: FastMap<NodeId, Weight> = fast_map();
-        let mut settled: FastSet<NodeId> = fast_set();
-        best.insert(node, Weight::ZERO);
-        heap.push(Reverse((Weight::ZERO, node)));
-
-        while let Some(Reverse((dist, n))) = heap.pop() {
-            if !settled.insert(n) {
-                continue;
-            }
-            if best.get(&n).is_some_and(|b| *b < dist) {
-                continue;
-            }
-            stats.nodes_visited += 1;
-            let inserted = list_insert(self.list_mut(n), node, dist, capacity_k);
-            if !inserted {
-                // The new point is not among the K nearest of n; by the
-                // triangle inequality it cannot be among the K nearest of any
-                // node whose shortest path to it passes through n.
-                continue;
-            }
-            stats.lists_changed += 1;
-            topo.visit_neighbors(n, &mut |nb| {
-                if settled.contains(&nb.node) {
-                    return;
-                }
-                let cand = dist + nb.weight;
-                if best.get(&nb.node).is_none_or(|b| cand < *b) {
-                    best.insert(nb.node, cand);
-                    heap.push(Reverse((cand, nb.node)));
-                }
-            });
-        }
+        let mut bufs = std::mem::take(&mut self.update);
+        // Where the new point is not among the K nearest of n, by the triangle
+        // inequality it cannot be among the K nearest of any node whose
+        // shortest path to it passes through n.
+        self.expand_while_changing(topo, node, &mut bufs, &mut stats, |list, dist| {
+            list_insert(list, node, dist, capacity_k)
+        });
+        self.update = bufs;
         debug_assert!(self.check_invariants());
         stats
     }
@@ -72,50 +102,16 @@ impl MaterializedKnn {
     pub fn delete_point<T: Topology + ?Sized>(&mut self, topo: &T, node: NodeId) -> UpdateStats {
         let capacity_k = self.capacity_k();
         let mut stats = UpdateStats::default();
+        let mut bufs = std::mem::take(&mut self.update);
 
         // ---- Step 1: find the affected nodes and remove the deleted point.
-        let mut affected: Vec<NodeId> = Vec::new();
-        let mut affected_set: FastSet<NodeId> = fast_set();
-        {
-            let mut heap: BinaryHeap<Reverse<(Weight, NodeId)>> = BinaryHeap::new();
-            let mut best: FastMap<NodeId, Weight> = fast_map();
-            let mut settled: FastSet<NodeId> = fast_set();
-            best.insert(node, Weight::ZERO);
-            heap.push(Reverse((Weight::ZERO, node)));
-            while let Some(Reverse((dist, n))) = heap.pop() {
-                if !settled.insert(n) {
-                    continue;
-                }
-                if best.get(&n).is_some_and(|b| *b < dist) {
-                    continue;
-                }
-                stats.nodes_visited += 1;
-                let list = self.list_mut(n);
-                let before = list.len();
-                list.retain(|&(loc, _)| loc != node);
-                if list.len() == before {
-                    // Border node: its list does not contain the deleted
-                    // point, so nothing beyond it can either.
-                    continue;
-                }
-                stats.lists_changed += 1;
-                affected.push(n);
-                affected_set.insert(n);
-                topo.visit_neighbors(n, &mut |nb| {
-                    if settled.contains(&nb.node) {
-                        return;
-                    }
-                    let cand = dist + nb.weight;
-                    if best.get(&nb.node).is_none_or(|b| cand < *b) {
-                        best.insert(nb.node, cand);
-                        heap.push(Reverse((cand, nb.node)));
-                    }
-                });
-            }
-        }
-        if affected.is_empty() {
-            return stats;
-        }
+        // A border node's list does not contain the deleted point, so nothing
+        // beyond it can either.
+        self.expand_while_changing(topo, node, &mut bufs, &mut stats, |list, _| {
+            let before = list.len();
+            list.retain(|&(loc, _)| loc != node);
+            list.len() < before
+        });
 
         // ---- Step 2: complete the affected lists with a restricted All-NN.
         //
@@ -123,8 +119,9 @@ impl MaterializedKnn {
         // of its neighbors (border nodes carry unchanged, correct lists;
         // affected neighbors carry their remaining entries). Propagation then
         // stays inside the affected region.
+        let affected = &bufs.affected;
         let mut heap: BinaryHeap<Reverse<(Weight, NodeId, NodeId)>> = BinaryHeap::new();
-        for &a in &affected {
+        for &a in affected.nodes() {
             topo.visit_neighbors(a, &mut |nb| {
                 let neighbor_list: Vec<KnnEntry> = self.knn_of_untracked(nb.node).to_vec();
                 // Reading the neighbor's list is a table access.
@@ -140,11 +137,12 @@ impl MaterializedKnn {
                 continue;
             }
             topo.visit_neighbors(n, &mut |nb| {
-                if affected_set.contains(&nb.node) {
+                if affected.contains(nb.node) {
                     heap.push(Reverse((dist + nb.weight, nb.node, point_node)));
                 }
             });
         }
+        self.update = bufs;
         debug_assert!(self.check_invariants());
         stats
     }

@@ -1,17 +1,22 @@
 //! Reusable per-worker scratch state for query execution.
 //!
 //! Every RkNN query needs a handful of allocation-heavy structures: the main
-//! expansion's heap and label map, one more expansion per auxiliary probe
+//! expansion's heap and label table, one more expansion per auxiliary probe
 //! (range-NN, verification), candidate buffers and visit marks. Allocating
 //! them per query dominates steady-state serving cost, so [`Scratch`] pools
 //! them: an algorithm checks a buffer out, uses it, and returns it; the next
 //! query (or the next probe of the same query) *resets* the buffer — clears
-//! it while keeping its capacity — instead of allocating a new one.
+//! it while keeping its capacity — instead of allocating a new one. The
+//! per-node state is held in [`crate::NodeTable`]s, whose reset is O(1)
+//! however many nodes the largest query so far touched, so the ~80 small
+//! probes of one eager query do not each pay for the biggest one.
 //!
 //! One `Scratch` belongs to one worker (it is deliberately not `Sync`); the
-//! query engine keeps one per thread. Buffer reuse never changes results:
-//! every checkout resets the buffer before handing it out, which the batch
-//! determinism tests verify end to end.
+//! query engine keeps one per thread, and a server worker keeps its own
+//! across point-set and topology swaps: the node tables size themselves to
+//! the graph they are used on and never trust a slot left by another one.
+//! Buffer reuse never changes results: every buffer is reset before it is
+//! used again, which the batch determinism tests verify end to end.
 //!
 //! The [`Scratch::created`] / [`Scratch::reuses`] counters exist so tests can
 //! assert the steady state — after a warm-up query, further identical queries
@@ -48,9 +53,9 @@ impl<K, V> Reset for FastMap<K, V> {
 }
 
 impl Reset for ExpansionBuffers {
-    fn reset(&mut self) {
-        self.clear();
-    }
+    /// Nothing to do at checkout: the only consumer of the buffers,
+    /// `NetworkExpansion::reusing`, clears them itself.
+    fn reset(&mut self) {}
 }
 
 fn take_from<T: Reset>(pool: &mut Vec<T>, created: &mut u64, reuses: &mut u64) -> T {
@@ -76,7 +81,6 @@ pub struct Scratch {
     indices: Vec<Vec<u32>>,
     node_dists: Vec<Vec<(NodeId, Weight)>>,
     point_sets: Vec<FastSet<PointId>>,
-    point_dist_maps: Vec<FastMap<PointId, Weight>>,
     node_dist_maps: Vec<FastMap<NodeId, Weight>>,
     node_sets: Vec<FastSet<NodeId>>,
     lazy: Vec<crate::lazy::LazyBuffers>,
@@ -148,7 +152,6 @@ impl Scratch {
         take_indices, put_indices, indices: Vec<u32>;
         take_node_dists, put_node_dists, node_dists: Vec<(NodeId, Weight)>;
         take_point_set, put_point_set, point_sets: FastSet<PointId>;
-        take_point_dist_map, put_point_dist_map, point_dist_maps: FastMap<PointId, Weight>;
         take_node_dist_map, put_node_dist_map, node_dist_maps: FastMap<NodeId, Weight>;
         take_node_set, put_node_set, node_sets: FastSet<NodeId>;
     }
@@ -195,6 +198,60 @@ mod tests {
         assert_eq!(s.reuses(), 3);
         s.put_expansion(a);
         s.put_expansion(b);
+    }
+
+    /// A `side` x `side` grid with varied weights and a point on every
+    /// `every`-th node.
+    fn grid_world(side: usize, every: usize) -> (rnn_graph::Graph, rnn_graph::NodePointSet) {
+        let mut b = rnn_graph::GraphBuilder::new(side * side);
+        for v in 0..side * side {
+            if v % side + 1 < side {
+                b.add_edge(v, v + 1, 1.0 + (v * 7 % 5) as f64 * 0.31).unwrap();
+            }
+            if v + side < side * side {
+                b.add_edge(v, v + side, 1.0 + (v * 11 % 7) as f64 * 0.23).unwrap();
+            }
+        }
+        let points =
+            rnn_graph::NodePointSet::from_predicate(side * side, |n| n.index() % every == 3);
+        (b.build().unwrap(), points)
+    }
+
+    #[test]
+    fn one_scratch_serves_graphs_of_different_sizes_in_turn() {
+        use crate::{run_rknn_with, Algorithm, Precomputed};
+        // A server worker keeps its scratch across topology swaps: small
+        // graph, a 5 000-node one (which sizes every node table and leaves
+        // its slots behind), then the small one again.
+        let small = grid_world(3, 4);
+        let large = grid_world(71, 97);
+        let algorithms = [Algorithm::Eager, Algorithm::Lazy, Algorithm::LazyExtendedPruning];
+        let mut scratch = Scratch::new();
+        let mut created = Vec::new();
+        for (graph, points) in [&small, &large, &small] {
+            for query in [0, graph.num_nodes() / 2, graph.num_nodes() - 1].map(NodeId::new) {
+                for algorithm in algorithms {
+                    for k in [1, 3] {
+                        let none = Precomputed::none();
+                        let pooled =
+                            run_rknn_with(algorithm, graph, points, none, query, k, &mut scratch);
+                        let fresh = run_rknn_with(
+                            algorithm,
+                            graph,
+                            points,
+                            none,
+                            query,
+                            k,
+                            &mut Scratch::new(),
+                        );
+                        assert_eq!(pooled, fresh, "{algorithm} q={query} k={k}");
+                    }
+                }
+            }
+            created.push(scratch.created());
+        }
+        assert!(created[0] > 0);
+        assert_eq!(created[1], created[2], "the third pass runs on pooled buffers only");
     }
 
     #[test]

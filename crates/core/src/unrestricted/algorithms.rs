@@ -7,7 +7,9 @@
 //! pruning compares the query distance of a node with the distances of the
 //! points discovered around it.
 
-use super::expansion::{unrestricted_range_nn, unrestricted_verify, Event, UnrestrictedExpansion};
+use super::expansion::{
+    unrestricted_range_nn, unrestricted_verify, Event, ProbeBuffers, UnrestrictedExpansion,
+};
 use super::EdgePosition;
 use crate::fast_hash::{fast_map, fast_set, FastMap, FastSet};
 use crate::query::{QueryStats, RknnOutcome};
@@ -53,11 +55,14 @@ pub fn unrestricted_eager_rknn<T: Topology + ?Sized>(
     let mut stats = QueryStats::default();
     let mut result: Vec<PointId> = Vec::new();
     let mut verified: FastSet<PointId> = fast_set();
+    // One set of expansion buffers serves every probe of the query in turn.
+    let mut probe = ProbeBuffers::default();
 
     let verify_point = |p: PointId,
                         stats: &mut QueryStats,
                         result: &mut Vec<PointId>,
-                        verified: &mut FastSet<PointId>| {
+                        verified: &mut FastSet<PointId>,
+                        probe: &mut ProbeBuffers| {
         if !verified.insert(p) {
             return;
         }
@@ -67,7 +72,7 @@ pub fn unrestricted_eager_rknn<T: Topology + ?Sized>(
         }
         stats.candidates += 1;
         stats.verifications += 1;
-        let (accepted, settled) = unrestricted_verify(topo, points, p, &pos, query, k);
+        let (accepted, settled) = unrestricted_verify(topo, points, p, &pos, query, k, probe);
         stats.auxiliary_settled += settled;
         if accepted {
             result.push(p);
@@ -77,7 +82,7 @@ pub fn unrestricted_eager_rknn<T: Topology + ?Sized>(
     // Points on the query's own edge are candidates regardless of the node
     // expansion (their shortest path to the query may not pass any node).
     for ep in points.points_on_edge(query.edge) {
-        verify_point(ep.point, &mut stats, &mut result, &mut verified);
+        verify_point(ep.point, &mut stats, &mut result, &mut verified, &mut probe);
     }
 
     // Main expansion over nodes, pruned by Lemma 1.
@@ -97,12 +102,12 @@ pub fn unrestricted_eager_rknn<T: Topology + ?Sized>(
         // keeps it from wasting one of the k probe slots.
         let closer = if dist > Weight::ZERO {
             stats.range_nn_queries += 1;
-            let (found, settled) = unrestricted_range_nn(topo, points, node, k, dist, |p| {
-                resolve_point(graph, points, p).same_location(query)
-            });
+            let at_query = |p| resolve_point(graph, points, p).same_location(query);
+            let (found, settled) =
+                unrestricted_range_nn(topo, points, node, k, dist, at_query, &mut probe);
             stats.auxiliary_settled += settled;
             for &(p, _) in &found {
-                verify_point(p, &mut stats, &mut result, &mut verified);
+                verify_point(p, &mut stats, &mut result, &mut verified, &mut probe);
             }
             found.len()
         } else {
@@ -112,7 +117,7 @@ pub fn unrestricted_eager_rknn<T: Topology + ?Sized>(
         // Candidates on adjacent edges (they may lie outside the probe range
         // but can still be reverse neighbors).
         for p in adjacent_candidates(topo, points, node) {
-            verify_point(p, &mut stats, &mut result, &mut verified);
+            verify_point(p, &mut stats, &mut result, &mut verified, &mut probe);
         }
 
         if closer < k {
@@ -142,67 +147,77 @@ pub fn unrestricted_lazy_rknn<T: Topology + ?Sized>(
     let mut verified: FastSet<PointId> = fast_set();
     let mut counters: FastMap<NodeId, usize> = fast_map();
     let mut settled: FastMap<NodeId, Weight> = fast_map();
+    // One set of expansion buffers serves every verification in turn.
+    let mut probe = ProbeBuffers::default();
 
-    let process_candidate = |p: PointId,
-                             frontier: Weight,
-                             stats: &mut QueryStats,
-                             result: &mut Vec<PointId>,
-                             verified: &mut FastSet<PointId>,
-                             counters: &mut FastMap<NodeId, usize>,
-                             settled: &FastMap<NodeId, Weight>| {
-        if !verified.insert(p) {
-            return;
-        }
-        let pos = resolve_point(graph, points, p);
-        if pos.same_location(query) {
-            return;
-        }
-        stats.candidates += 1;
-        stats.verifications += 1;
-        // A verification expansion that also records the visited nodes for
-        // the counter-based pruning.
-        let mut exp = UnrestrictedExpansion::from_position(topo, points, &pos, Some(*query));
-        let mut others: Vec<Weight> = Vec::new();
-        let mut visited: Vec<(NodeId, Weight)> = Vec::new();
-        let mut accepted = false;
-        while let Some(event) = exp.next_event() {
-            match event {
-                Event::Target(d) => {
-                    let strictly_closer = others.iter().filter(|&&x| x < d).count();
-                    accepted = strictly_closer < k;
-                    visited.retain(|&(_, vd)| vd < d);
-                    break;
-                }
-                Event::Point(q, d) => {
-                    if q != p {
-                        others.push(d);
-                    }
-                }
-                Event::Node(n, d) => {
-                    visited.push((n, d));
-                    if others.len() >= k && d > others[k - 1] {
+    let mut process_candidate =
+        |p: PointId,
+         frontier: Weight,
+         stats: &mut QueryStats,
+         result: &mut Vec<PointId>,
+         verified: &mut FastSet<PointId>,
+         counters: &mut FastMap<NodeId, usize>,
+         settled: &FastMap<NodeId, Weight>| {
+            if !verified.insert(p) {
+                return;
+            }
+            let pos = resolve_point(graph, points, p);
+            if pos.same_location(query) {
+                return;
+            }
+            stats.candidates += 1;
+            stats.verifications += 1;
+            // A verification expansion that also records the visited nodes for
+            // the counter-based pruning.
+            let mut exp = UnrestrictedExpansion::from_position_in(
+                topo,
+                points,
+                &pos,
+                Some(*query),
+                std::mem::take(&mut probe),
+            );
+            let mut others: Vec<Weight> = Vec::new();
+            let mut visited: Vec<(NodeId, Weight)> = Vec::new();
+            let mut accepted = false;
+            while let Some(event) = exp.next_event() {
+                match event {
+                    Event::Target(d) => {
+                        let strictly_closer = others.iter().filter(|&&x| x < d).count();
+                        accepted = strictly_closer < k;
                         visited.retain(|&(_, vd)| vd < d);
                         break;
                     }
+                    Event::Point(q, d) => {
+                        if q != p {
+                            others.push(d);
+                        }
+                    }
+                    Event::Node(n, d) => {
+                        visited.push((n, d));
+                        if others.len() >= k && d > others[k - 1] {
+                            visited.retain(|&(_, vd)| vd < d);
+                            break;
+                        }
+                    }
                 }
             }
-        }
-        stats.auxiliary_settled += exp.settled_nodes();
-        if accepted {
-            result.push(p);
-        }
-        // Counter side effects: only count nodes that are provably closer to
-        // the point than to the query.
-        for (m, dm) in visited {
-            let counted = match settled.get(&m) {
-                Some(&dq) => dm < dq,
-                None => dm < frontier,
-            };
-            if counted {
-                *counters.entry(m).or_insert(0) += 1;
+            stats.auxiliary_settled += exp.settled_nodes();
+            probe = exp.into_buffers();
+            if accepted {
+                result.push(p);
             }
-        }
-    };
+            // Counter side effects: only count nodes that are provably closer to
+            // the point than to the query.
+            for (m, dm) in visited {
+                let counted = match settled.get(&m) {
+                    Some(&dq) => dm < dq,
+                    None => dm < frontier,
+                };
+                if counted {
+                    *counters.entry(m).or_insert(0) += 1;
+                }
+            }
+        };
 
     // Candidates on the query's own edge.
     for ep in points.points_on_edge(query.edge) {
@@ -275,6 +290,7 @@ pub fn unrestricted_naive_rknn<T: Topology + ?Sized>(
     }
     stats.nodes_settled += exp.settled_nodes();
 
+    let mut probe = ProbeBuffers::default();
     for (p, _) in points.iter() {
         let Some(&dq) = dist_to_query.get(&p) else { continue };
         if dq == Weight::ZERO {
@@ -283,7 +299,7 @@ pub fn unrestricted_naive_rknn<T: Topology + ?Sized>(
         stats.candidates += 1;
         stats.verifications += 1;
         let pos = resolve_point(graph, points, p);
-        let (accepted, settled) = unrestricted_verify(topo, points, p, &pos, query, k);
+        let (accepted, settled) = unrestricted_verify(topo, points, p, &pos, query, k, &mut probe);
         stats.auxiliary_settled += settled;
         if accepted {
             result.push(p);

@@ -8,7 +8,8 @@
 //! through both endpoints of its edge with different bounds.
 
 use super::EdgePosition;
-use crate::fast_hash::{fast_map, fast_set, FastMap, FastSet};
+use crate::fast_hash::FastSet;
+use crate::node_table::NodeTable;
 use rnn_graph::{EdgePointSet, NodeId, PointId, Topology, Weight};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -60,27 +61,46 @@ fn key_rank(key: &Key) -> (u8, u32) {
     }
 }
 
+/// The allocation-bearing state of an [`UnrestrictedExpansion`]. The
+/// algorithms keep one set for all the probes of a query (each probe starts
+/// from the cleared buffers of the previous one) instead of sizing fresh
+/// node tables per probe.
+#[derive(Debug, Default)]
+pub(crate) struct ProbeBuffers {
+    heap: BinaryHeap<HeapEntry>,
+    node_best: NodeTable<Weight>,
+    node_settled: NodeTable<()>,
+    point_emitted: FastSet<PointId>,
+    hints: Vec<NodeId>,
+}
+
 /// Incremental expansion over an unrestricted network.
 pub struct UnrestrictedExpansion<'a, T: Topology + ?Sized> {
     topo: &'a T,
     points: &'a EdgePointSet,
     target: Option<EdgePosition>,
-    heap: BinaryHeap<HeapEntry>,
-    node_best: FastMap<NodeId, Weight>,
-    node_settled: FastSet<NodeId>,
-    point_emitted: FastSet<PointId>,
+    bufs: ProbeBuffers,
     target_emitted: bool,
     settled_nodes: u64,
     /// Cached [`Topology::wants_prefetch_hints`] (checked once per
     /// expansion); hints are collected only when `true`.
     wants_hints: bool,
-    hint_scratch: Vec<NodeId>,
 }
 
 impl<'a, T: Topology + ?Sized> UnrestrictedExpansion<'a, T> {
     /// Starts an expansion from a graph node.
     pub fn from_node(topo: &'a T, points: &'a EdgePointSet, source: NodeId) -> Self {
-        let mut exp = Self::empty(topo, points, None);
+        Self::from_node_in(topo, points, source, ProbeBuffers::default())
+    }
+
+    /// [`UnrestrictedExpansion::from_node`] on recycled buffers.
+    pub(crate) fn from_node_in(
+        topo: &'a T,
+        points: &'a EdgePointSet,
+        source: NodeId,
+        bufs: ProbeBuffers,
+    ) -> Self {
+        let mut exp = Self::empty(topo, points, None, bufs);
         exp.relax_node(source, Weight::ZERO);
         exp.hint_sources();
         exp
@@ -95,18 +115,29 @@ impl<'a, T: Topology + ?Sized> UnrestrictedExpansion<'a, T> {
         source: &EdgePosition,
         target: Option<EdgePosition>,
     ) -> Self {
-        let mut exp = Self::empty(topo, points, target);
+        Self::from_position_in(topo, points, source, target, ProbeBuffers::default())
+    }
+
+    /// [`UnrestrictedExpansion::from_position`] on recycled buffers.
+    pub(crate) fn from_position_in(
+        topo: &'a T,
+        points: &'a EdgePointSet,
+        source: &EdgePosition,
+        target: Option<EdgePosition>,
+        bufs: ProbeBuffers,
+    ) -> Self {
+        let mut exp = Self::empty(topo, points, target, bufs);
         exp.relax_node(source.lo, source.dist_to_lo());
         exp.relax_node(source.hi, source.dist_to_hi());
         // Same-edge data points are reachable directly along the edge.
         for ep in points.points_on_edge(source.edge) {
             let direct = Weight::new((ep.offset.value() - source.offset.value()).abs());
-            exp.heap.push(HeapEntry { dist: direct, key: Key::Point(ep.point) });
+            exp.bufs.heap.push(HeapEntry { dist: direct, key: Key::Point(ep.point) });
         }
         // Same-edge target.
         if let Some(t) = exp.target {
             if let Some(direct) = source.direct_distance(&t) {
-                exp.heap.push(HeapEntry { dist: direct, key: Key::Target });
+                exp.bufs.heap.push(HeapEntry { dist: direct, key: Key::Target });
             }
         }
         exp.hint_sources();
@@ -120,47 +151,52 @@ impl<'a, T: Topology + ?Sized> UnrestrictedExpansion<'a, T> {
         source: NodeId,
         target: EdgePosition,
     ) -> Self {
-        let mut exp = Self::empty(topo, points, Some(target));
+        let mut exp = Self::empty(topo, points, Some(target), ProbeBuffers::default());
         exp.relax_node(source, Weight::ZERO);
         exp.hint_sources();
         exp
     }
 
-    fn empty(topo: &'a T, points: &'a EdgePointSet, target: Option<EdgePosition>) -> Self {
+    fn empty(
+        topo: &'a T,
+        points: &'a EdgePointSet,
+        target: Option<EdgePosition>,
+        mut bufs: ProbeBuffers,
+    ) -> Self {
+        bufs.heap.clear();
+        bufs.node_best.clear();
+        bufs.node_settled.clear();
+        bufs.point_emitted.clear();
         UnrestrictedExpansion {
             topo,
             points,
             target,
-            heap: BinaryHeap::new(),
-            node_best: fast_map(),
-            node_settled: fast_set(),
-            point_emitted: fast_set(),
+            bufs,
             target_emitted: false,
             settled_nodes: 0,
             wants_hints: topo.wants_prefetch_hints(),
-            hint_scratch: Vec::new(),
         }
+    }
+
+    /// Consumes the expansion, releasing its buffers for the next one.
+    pub(crate) fn into_buffers(self) -> ProbeBuffers {
+        self.bufs
     }
 
     /// Hints the source nodes to a hint-hungry topology: their adjacency
     /// lists are the first fetches of the expansion. No-op otherwise.
     fn hint_sources(&mut self) {
-        if self.wants_hints && !self.node_best.is_empty() {
-            let mut hints = std::mem::take(&mut self.hint_scratch);
-            hints.clear();
-            hints.extend(self.node_best.keys().copied());
-            self.topo.prefetch_hint(&hints);
-            self.hint_scratch = hints;
+        if self.wants_hints && !self.bufs.node_best.is_empty() {
+            self.topo.prefetch_hint(self.bufs.node_best.nodes());
         }
     }
 
     fn relax_node(&mut self, node: NodeId, dist: Weight) {
-        if self.node_settled.contains(&node) {
+        if self.bufs.node_settled.contains(node) {
             return;
         }
-        if self.node_best.get(&node).is_none_or(|b| dist < *b) {
-            self.node_best.insert(node, dist);
-            self.heap.push(HeapEntry { dist, key: Key::Node(node) });
+        if self.bufs.node_best.insert_if_less(node, dist) {
+            self.bufs.heap.push(HeapEntry { dist, key: Key::Node(node) });
         }
     }
 
@@ -173,21 +209,21 @@ impl<'a, T: Topology + ?Sized> UnrestrictedExpansion<'a, T> {
     /// expanding settled nodes; callers controlling pruning (the eager main
     /// loop) must invoke [`UnrestrictedExpansion::expand_node`] themselves.
     pub fn next_event_unexpanded(&mut self) -> Option<Event> {
-        while let Some(HeapEntry { dist, key }) = self.heap.pop() {
+        while let Some(HeapEntry { dist, key }) = self.bufs.heap.pop() {
             match key {
                 Key::Node(node) => {
-                    if self.node_settled.contains(&node) {
+                    if self.bufs.node_settled.contains(node) {
                         continue;
                     }
-                    if self.node_best.get(&node).is_some_and(|b| *b < dist) {
+                    if self.bufs.node_best.get(node).is_some_and(|b| *b < dist) {
                         continue;
                     }
-                    self.node_settled.insert(node);
+                    self.bufs.node_settled.insert(node, ());
                     self.settled_nodes += 1;
                     return Some(Event::Node(node, dist));
                 }
                 Key::Point(p) => {
-                    if !self.point_emitted.insert(p) {
+                    if !self.bufs.point_emitted.insert(p) {
                         continue;
                     }
                     return Some(Event::Point(p, dist));
@@ -225,7 +261,7 @@ impl<'a, T: Topology + ?Sized> UnrestrictedExpansion<'a, T> {
         // a frontier prefetch hint when the topology asks for them. Hints
         // never alter the relaxation itself.
         let mut hints = if self.wants_hints {
-            let mut h = std::mem::take(&mut self.hint_scratch);
+            let mut h = std::mem::take(&mut self.bufs.hints);
             h.clear();
             Some(h)
         } else {
@@ -234,12 +270,12 @@ impl<'a, T: Topology + ?Sized> UnrestrictedExpansion<'a, T> {
         for nb in neighbors {
             // Data points on the adjacent edge.
             for ep in self.points.points_on_edge(nb.edge) {
-                if self.point_emitted.contains(&ep.point) {
+                if self.bufs.point_emitted.contains(&ep.point) {
                     continue;
                 }
                 let direct =
                     if node < nb.node { ep.offset } else { nb.weight.saturating_sub(ep.offset) };
-                self.heap.push(HeapEntry { dist: dist + direct, key: Key::Point(ep.point) });
+                self.bufs.heap.push(HeapEntry { dist: dist + direct, key: Key::Point(ep.point) });
             }
             // The target location, if it lies on the adjacent edge.
             if let Some(t) = self.target {
@@ -249,15 +285,14 @@ impl<'a, T: Topology + ?Sized> UnrestrictedExpansion<'a, T> {
                     } else {
                         t.edge_weight.saturating_sub(t.offset)
                     };
-                    self.heap.push(HeapEntry { dist: dist + direct, key: Key::Target });
+                    self.bufs.heap.push(HeapEntry { dist: dist + direct, key: Key::Target });
                 }
             }
             // Ordinary node relaxation.
-            if !self.node_settled.contains(&nb.node) {
+            if !self.bufs.node_settled.contains(nb.node) {
                 let cand = dist + nb.weight;
-                if self.node_best.get(&nb.node).is_none_or(|b| cand < *b) {
-                    self.node_best.insert(nb.node, cand);
-                    self.heap.push(HeapEntry { dist: cand, key: Key::Node(nb.node) });
+                if self.bufs.node_best.insert_if_less(nb.node, cand) {
+                    self.bufs.heap.push(HeapEntry { dist: cand, key: Key::Node(nb.node) });
                     if let Some(h) = hints.as_mut() {
                         h.push(nb.node);
                     }
@@ -268,7 +303,7 @@ impl<'a, T: Topology + ?Sized> UnrestrictedExpansion<'a, T> {
             if !h.is_empty() {
                 self.topo.prefetch_hint(&h);
             }
-            self.hint_scratch = h;
+            self.bufs.hints = h;
         }
     }
 }
@@ -281,14 +316,15 @@ impl<'a, T: Topology + ?Sized> UnrestrictedExpansion<'a, T> {
 /// Excluded points (typically a point coinciding with the query location,
 /// which ties with the query everywhere) do not occupy result slots and do
 /// not stop the expansion: the probe keeps searching for `k` countable
-/// points. Pass `|_| false` to exclude nothing.
-pub fn unrestricted_range_nn<T, F>(
+/// points. Pass `|_| false` to exclude nothing. Runs on the recycled `bufs`.
+pub(crate) fn unrestricted_range_nn<T, F>(
     topo: &T,
     points: &EdgePointSet,
     source: NodeId,
     k: usize,
     range: Weight,
     exclude: F,
+    bufs: &mut ProbeBuffers,
 ) -> (Vec<(PointId, Weight)>, u64)
 where
     T: Topology + ?Sized,
@@ -298,7 +334,7 @@ where
     if k == 0 || range == Weight::ZERO {
         return (found, 0);
     }
-    let mut exp = UnrestrictedExpansion::from_node(topo, points, source);
+    let mut exp = UnrestrictedExpansion::from_node_in(topo, points, source, std::mem::take(bufs));
     while let Some(event) = exp.next_event() {
         match event {
             Event::Node(_, d) | Event::Point(_, d) | Event::Target(d) if d >= range => break,
@@ -314,28 +350,38 @@ where
             _ => {}
         }
     }
-    (found, exp.settled_nodes())
+    let settled = exp.settled_nodes();
+    *bufs = exp.into_buffers();
+    (found, settled)
 }
 
 /// Verifies a candidate point on an unrestricted network: the candidate is a
 /// reverse k nearest neighbor of `target` iff the target is reached before
 /// `k` other data points lie strictly closer. Returns the verdict and the
-/// number of nodes settled.
-pub fn unrestricted_verify<T: Topology + ?Sized>(
+/// number of nodes settled. Runs on the recycled `bufs`.
+pub(crate) fn unrestricted_verify<T: Topology + ?Sized>(
     topo: &T,
     points: &EdgePointSet,
     candidate: PointId,
     candidate_pos: &EdgePosition,
     target: &EdgePosition,
     k: usize,
+    bufs: &mut ProbeBuffers,
 ) -> (bool, u64) {
-    let mut exp = UnrestrictedExpansion::from_position(topo, points, candidate_pos, Some(*target));
+    let mut exp = UnrestrictedExpansion::from_position_in(
+        topo,
+        points,
+        candidate_pos,
+        Some(*target),
+        std::mem::take(bufs),
+    );
     let mut other_dists: Vec<Weight> = Vec::new();
+    let mut accepted = false;
     while let Some(event) = exp.next_event() {
         match event {
             Event::Target(d) => {
-                let strictly_closer = other_dists.iter().filter(|&&x| x < d).count();
-                return (strictly_closer < k, exp.settled_nodes());
+                accepted = other_dists.iter().filter(|&&x| x < d).count() < k;
+                break;
             }
             Event::Point(p, d) => {
                 if p != candidate {
@@ -344,12 +390,14 @@ pub fn unrestricted_verify<T: Topology + ?Sized>(
             }
             Event::Node(_, d) => {
                 if other_dists.len() >= k && d > other_dists[k - 1] {
-                    return (false, exp.settled_nodes());
+                    break;
                 }
             }
         }
     }
-    (false, exp.settled_nodes())
+    let settled = exp.settled_nodes();
+    *bufs = exp.into_buffers();
+    (accepted, settled)
 }
 
 #[cfg(test)]
@@ -440,17 +488,18 @@ mod tests {
     #[test]
     fn range_nn_respects_strict_range_and_k() {
         let (g, pts) = sample();
-        let none = |_: PointId| false;
-        let (found, _) = unrestricted_range_nn(&g, &pts, NodeId::new(0), 2, Weight::new(3.0), none);
+        let bufs = &mut ProbeBuffers::default();
+        let mut probe = |k, range| {
+            unrestricted_range_nn(&g, &pts, NodeId::new(0), k, Weight::new(range), |_| false, bufs)
+        };
+        let (found, _) = probe(2, 3.0);
         assert!(found.is_empty(), "p0 at exactly distance 3 must be excluded");
-        let (found, _) = unrestricted_range_nn(&g, &pts, NodeId::new(0), 2, Weight::new(7.5), none);
+        let (found, _) = probe(2, 7.5);
         assert_eq!(found.len(), 2);
         assert_eq!(found[0].0, PointId::new(0));
-        let (found, _) =
-            unrestricted_range_nn(&g, &pts, NodeId::new(0), 1, Weight::new(100.0), none);
+        let (found, _) = probe(1, 100.0);
         assert_eq!(found.len(), 1);
-        let (found, settled) =
-            unrestricted_range_nn(&g, &pts, NodeId::new(0), 0, Weight::new(5.0), none);
+        let (found, settled) = probe(0, 5.0);
         assert!(found.is_empty());
         assert_eq!(settled, 0);
     }
@@ -460,10 +509,15 @@ mod tests {
         let (g, pts) = sample();
         // From n0 with k = 1, p0 (distance 3) normally fills the only slot.
         // Excluding p0 lets the probe reach p1 (distance 7) instead.
-        let (found, _) =
-            unrestricted_range_nn(&g, &pts, NodeId::new(0), 1, Weight::new(7.5), |p| {
-                p == PointId::new(0)
-            });
+        let (found, _) = unrestricted_range_nn(
+            &g,
+            &pts,
+            NodeId::new(0),
+            1,
+            Weight::new(7.5),
+            |p| p == PointId::new(0),
+            &mut ProbeBuffers::default(),
+        );
         assert_eq!(found, vec![(PointId::new(1), Weight::new(7.0))]);
     }
 
@@ -479,13 +533,15 @@ mod tests {
         // (n0): 3 + 12 = 15, via hi (n1): 7 + 4 + 2 = 13 -> 13): p1 is
         // strictly closer (4 < 13) so p0 is not a reverse NN of p2 for k=1
         // but is for k=2.
-        let (ok, _) = unrestricted_verify(&g, &pts, PointId::new(0), &p0, &p2, 1);
+        // One set of buffers for all three probes, as the algorithms do.
+        let bufs = &mut ProbeBuffers::default();
+        let (ok, _) = unrestricted_verify(&g, &pts, PointId::new(0), &p0, &p2, 1, bufs);
         assert!(!ok);
-        let (ok, _) = unrestricted_verify(&g, &pts, PointId::new(0), &p0, &p2, 2);
+        let (ok, _) = unrestricted_verify(&g, &pts, PointId::new(0), &p0, &p2, 2, bufs);
         assert!(ok);
         // Candidate p0, target p1 (distance 4): no other point is strictly
         // closer (p2 is at 13) -> accepted for k=1.
-        let (ok, _) = unrestricted_verify(&g, &pts, PointId::new(0), &p0, &p1, 1);
+        let (ok, _) = unrestricted_verify(&g, &pts, PointId::new(0), &p0, &p1, 1, bufs);
         assert!(ok);
     }
 

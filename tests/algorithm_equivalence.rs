@@ -142,3 +142,52 @@ fn generated_workload_equivalence_smoke_test() {
         }
     }
 }
+
+/// The work counters of the three expansion algorithms on a fixed workload:
+/// a 50 x 52 grid at density 0.01, 50 queries, k in {1, 4}. The constants
+/// were recorded while every per-node structure was still a hash map; the
+/// direct-address tables that replaced them change the representation of the
+/// node state, not the algorithm, so not one settle, push or probe may move.
+#[test]
+fn work_counters_on_a_seeded_grid_are_pinned() {
+    use rnn_core::{Algorithm, Precomputed, QueryStats, Scratch};
+    use rnn_datagen::{grid_map, place_points_on_nodes, sample_node_queries, GridConfig};
+    let graph = grid_map(&GridConfig { rows: 50, cols: 52, seed: 15, ..Default::default() });
+    let points = place_points_on_nodes(&graph, 0.01, 15);
+    let queries = sample_node_queries(&points, 50, 15);
+    // (nodes_settled, auxiliary_settled, heap_pushes, verifications,
+    // range_nn_queries, candidates), summed over the 50 queries.
+    let pinned = [
+        (Algorithm::Eager, 1, (6890, 783883, 7749, 221, 6840, 221)),
+        (Algorithm::Eager, 4, (22073, 5785902, 25474, 640, 22023, 640)),
+        (Algorithm::Lazy, 1, (69833, 79047, 86345, 661, 0, 661)),
+        (Algorithm::Lazy, 4, (125815, 430585, 150439, 1149, 0, 1149)),
+        (Algorithm::LazyExtendedPruning, 1, (17270, 90147, 19615, 136, 0, 136)),
+        (Algorithm::LazyExtendedPruning, 4, (48907, 598399, 56471, 434, 0, 434)),
+    ];
+    let mut scratch = Scratch::new();
+    for (algo, k, expected) in pinned {
+        let mut total = QueryStats::default();
+        for &q in &queries {
+            total += &rnn_core::run_rknn_with(
+                algo,
+                &graph,
+                &points,
+                Precomputed::none(),
+                q,
+                k,
+                &mut scratch,
+            )
+            .stats;
+        }
+        let got = (
+            total.nodes_settled,
+            total.auxiliary_settled,
+            total.heap_pushes,
+            total.verifications,
+            total.range_nn_queries,
+            total.candidates,
+        );
+        assert_eq!(got, expected, "{algo} k={k}");
+    }
+}
