@@ -15,6 +15,9 @@
 //! * `range_nn`, `eager`, `lazy_ep`, `lazy`: 64 range-NN probes and 8 full
 //!   queries per row on a 10⁴-node grid at point density 0.01, `k = 1`, on a
 //!   reused `Scratch`.
+//! * `continuous_lazy`, `unrestricted_eager`, `unrestricted_lazy`: 8 queries
+//!   per row on the same grid (routes of 12 nodes; points on edges at density
+//!   0.01), `k = 1` — the only timing these paths have.
 //! * `update/64_insert_delete_pairs`: a point inserted into and deleted from
 //!   the materialized 1-NN table of a 10⁵-node grid at density 0.05 — a local
 //!   update (~100 nodes visited per pair) that must not cost O(graph).
@@ -22,12 +25,17 @@
 mod common;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rnn_core::continuous::continuous_lazy_rknn;
 use rnn_core::fast_hash::{fast_map, FastMap};
 use rnn_core::heap::ExpansionHeap;
 use rnn_core::knn::range_nn_into;
 use rnn_core::materialize::MaterializedKnn;
+use rnn_core::unrestricted::{unrestricted_eager_rknn, unrestricted_lazy_rknn, EdgePosition};
 use rnn_core::{run_rknn_with, Algorithm, NodeTable, Precomputed, Scratch};
-use rnn_datagen::{grid_map, place_points_on_nodes, sample_node_queries, GridConfig};
+use rnn_datagen::{
+    grid_map, place_points_on_edges, place_points_on_nodes, sample_edge_queries,
+    sample_node_queries, sample_routes, GridConfig,
+};
 use rnn_graph::{NodeId, PointId, PointsOnNodes, Weight};
 use rnn_storage::lru::mix64;
 use std::hint::black_box;
@@ -156,6 +164,31 @@ fn bench_queries(c: &mut Criterion) {
                 for &q in &queries {
                     let none = Precomputed::none();
                     black_box(run_rknn_with(algorithm, &graph, &points, none, q, 1, &mut scratch));
+                }
+            })
+        });
+    }
+    let routes = sample_routes(&graph, 12, 8, 7);
+    group.bench_function("continuous_lazy/8_queries", |b| {
+        b.iter(|| {
+            for route in &routes {
+                black_box(continuous_lazy_rknn(&graph, &points, route, 1));
+            }
+        })
+    });
+    let edge_points = place_points_on_edges(&graph, 0.01, 6);
+    let positions: Vec<EdgePosition> = sample_edge_queries(&edge_points, 8, 7)
+        .into_iter()
+        .map(|p| EdgePosition::of_point(&graph, &edge_points, p))
+        .collect();
+    for (name, run) in [
+        ("unrestricted_eager", unrestricted_eager_rknn as fn(_, _, _, _, _) -> _),
+        ("unrestricted_lazy", unrestricted_lazy_rknn),
+    ] {
+        group.bench_function(format!("{name}/8_queries"), |b| {
+            b.iter(|| {
+                for query in &positions {
+                    black_box(run(&graph, &graph, &edge_points, query, 1));
                 }
             })
         });

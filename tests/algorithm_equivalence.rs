@@ -190,4 +190,95 @@ fn work_counters_on_a_seeded_grid_are_pinned() {
         );
         assert_eq!(got, expected, "{algo} k={k}");
     }
+
+    // The paths no benchmark workload runs, on the same grid: the same six
+    // counters plus the number of result points, summed over the workload.
+    // (The unrestricted algorithms report no `heap_pushes`.)
+    use rnn_core::RknnOutcome;
+    use rnn_datagen::{place_points_on_edges, sample_edge_queries, sample_routes};
+    use rnn_graph::{EdgePointSet, Graph};
+    type Row = (u64, u64, u64, u64, u64, u64, usize);
+    fn sum(outcomes: impl Iterator<Item = RknnOutcome>) -> Row {
+        let mut row = (0, 0, 0, 0, 0, 0, 0);
+        for out in outcomes {
+            let s = &out.stats;
+            row.0 += s.nodes_settled;
+            row.1 += s.auxiliary_settled;
+            row.2 += s.heap_pushes;
+            row.3 += s.verifications;
+            row.4 += s.range_nn_queries;
+            row.5 += s.candidates;
+            row.6 += out.points.len();
+        }
+        row
+    }
+
+    // Unrestricted: points on edges at density 0.01, 30 queries at data
+    // points, k in {1, 3}.
+    let edge_points = place_points_on_edges(&graph, 0.01, 15);
+    let positions: Vec<EdgePosition> = sample_edge_queries(&edge_points, 30, 15)
+        .into_iter()
+        .map(|p| EdgePosition::of_point(&graph, &edge_points, p))
+        .collect();
+    type Unrestricted = fn(&Graph, &Graph, &EdgePointSet, &EdgePosition, usize) -> RknnOutcome;
+    let unrestricted: [(&str, Unrestricted, [Row; 2]); 3] = [
+        (
+            "eager",
+            unrestricted_eager_rknn,
+            [(3476, 301744, 0, 129, 3476, 129, 39), (10928, 2484545, 0, 334, 10928, 334, 103)],
+        ),
+        (
+            "lazy",
+            unrestricted_lazy_rknn,
+            [(24082, 44753, 0, 327, 0, 327, 39), (73755, 232609, 0, 729, 0, 729, 103)],
+        ),
+        (
+            "naive",
+            unrestricted_naive_rknn,
+            [(78000, 95628, 0, 750, 0, 750, 39), (78000, 235276, 0, 750, 0, 750, 103)],
+        ),
+    ];
+    for (name, run, expected) in unrestricted {
+        for (k, expected) in [1, 3].into_iter().zip(expected) {
+            let got = sum(positions.iter().map(|q| run(&graph, &graph, &edge_points, q, k)));
+            assert_eq!(got, expected, "unrestricted {name} k={k}");
+        }
+    }
+
+    // Continuous: 20 routes of 12 nodes over the node points, k in {1, 3}.
+    let routes = sample_routes(&graph, 12, 20, 15);
+    assert_eq!(routes.len(), 20);
+    type Continuous = fn(&Graph, &NodePointSet, &Route, usize) -> RknnOutcome;
+    let continuous: [(&str, Continuous, [Row; 2]); 2] = [
+        (
+            "eager",
+            continuous_eager_rknn,
+            [(4040, 293030, 4465, 112, 3800, 112, 33), (9299, 1593050, 10583, 247, 9059, 247, 79)],
+        ),
+        (
+            "lazy",
+            continuous_lazy_rknn,
+            [(26474, 29132, 30524, 258, 0, 258, 33), (50358, 120325, 58699, 465, 0, 465, 79)],
+        ),
+    ];
+    for (name, run, expected) in continuous {
+        for (k, expected) in [1, 3].into_iter().zip(expected) {
+            let got = sum(routes.iter().map(|r| run(&graph, &points, r, k)));
+            assert_eq!(got, expected, "continuous {name} k={k}");
+        }
+    }
+
+    // Maintenance: 200 insert + delete pairs on a K = 2 table, at nodes that
+    // hold no point; (lists_changed, nodes_visited) summed per operation kind.
+    let mut table = MaterializedKnn::build(&graph, &points, 2);
+    let free = graph.node_ids().filter(|&n| points.point_at(n).is_none());
+    let free = NodePointSet::from_nodes(graph.num_nodes(), free);
+    let (mut inserts, mut deletes) = ((0, 0), (0, 0));
+    for node in sample_node_queries(&free, 200, 15) {
+        let stats = table.insert_point(&graph, node);
+        inserts = (inserts.0 + stats.lists_changed, inserts.1 + stats.nodes_visited);
+        let stats = table.delete_point(&graph, node);
+        deletes = (deletes.0 + stats.lists_changed, deletes.1 + stats.nodes_visited);
+    }
+    assert_eq!((inserts, deletes), ((37257, 45928), (37257, 343822)), "200 updates, K=2");
 }
