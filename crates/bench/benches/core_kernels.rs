@@ -10,8 +10,6 @@
 //!   proportional to its capacity, the table in O(1)), `fill_clear/50000`
 //!   the large query itself, `get/*` 1024 lookups (half of them misses) at
 //!   that many live entries.
-//! * `heap/push_invalidate_pop`: 4096 pushes into the lazy algorithm's
-//!   [`ExpansionHeap`], every fourth ticket invalidated, then popped dry.
 //! * `range_nn`, `eager`, `lazy_ep`, `lazy`: 64 range-NN probes and 8 full
 //!   queries per row on a 10⁴-node grid at point density 0.01, `k = 1`, on a
 //!   reused `Scratch`.
@@ -27,7 +25,6 @@ mod common;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rnn_core::continuous::continuous_lazy_rknn;
 use rnn_core::fast_hash::{fast_map, FastMap};
-use rnn_core::heap::ExpansionHeap;
 use rnn_core::knn::range_nn_into;
 use rnn_core::materialize::MaterializedKnn;
 use rnn_core::unrestricted::{unrestricted_eager_rknn, unrestricted_lazy_rknn, EdgePosition};
@@ -98,31 +95,6 @@ fn bench_node_state(c: &mut Criterion) {
         });
     }
     group.finish();
-}
-
-fn bench_heap(c: &mut Criterion) {
-    let entries: Vec<(NodeId, Weight)> = (0..4096u64)
-        .map(|i| {
-            (NodeId::new((mix64(i) % ID_SPACE) as usize), Weight::new((mix64(!i) % 10_000) as f64))
-        })
-        .collect();
-    let mut heap = ExpansionHeap::new();
-    c.bench_function("core_kernels/heap/push_invalidate_pop", |b| {
-        b.iter(|| {
-            heap.clear();
-            for &(node, dist) in &entries {
-                let ticket = heap.push(node, dist);
-                if ticket % 4 == 3 {
-                    heap.invalidate(ticket - 2);
-                }
-            }
-            let mut popped = 0u32;
-            while heap.pop().is_some() {
-                popped += 1;
-            }
-            black_box(popped)
-        })
-    });
 }
 
 fn bench_queries(c: &mut Criterion) {
@@ -220,6 +192,6 @@ fn bench_updates(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = common::quick_criterion();
-    targets = bench_node_state, bench_heap, bench_queries, bench_updates
+    targets = bench_node_state, bench_queries, bench_updates
 }
 criterion_main!(benches);

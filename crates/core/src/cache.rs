@@ -2,7 +2,7 @@
 //!
 //! ReHub-style serving workloads repeat queries: the same hot nodes are asked
 //! for their reverse neighbors over and over (popular locations, periodic
-//! monitoring). [`ResultCache`] memoizes whole [`RknnOutcome`]s keyed by
+//! monitoring). `ResultCache` memoizes whole [`RknnOutcome`]s keyed by
 //! `(algorithm, query node, k)` in an LRU bounded by a fixed capacity;
 //! [`crate::engine::QueryEngine::with_result_cache`] turns it on (it is
 //! **off by default** — caching never changes results, but batch workloads
@@ -28,7 +28,7 @@ use std::hash::BuildHasherDefault;
 use std::ops::AddAssign;
 use std::sync::Arc;
 
-/// Hit/miss counters of a [`ResultCache`], surfaced per batch in
+/// Hit/miss counters of a `ResultCache`, surfaced per batch in
 /// [`crate::engine::BatchOutcome::cache`] and cumulatively by
 /// [`crate::engine::QueryEngine::cache_stats`].
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]

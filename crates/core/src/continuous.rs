@@ -9,13 +9,11 @@
 //! iff some route node is reached before `k` other data points, i.e. iff it
 //! belongs to the RkNN set of its *nearest* route node.
 
-use crate::expansion::NetworkExpansion;
-use crate::fast_hash::{fast_set, FastSet};
-use crate::knn::range_nn_into;
+use crate::eager::eager_rknn_from;
+use crate::lazy::lazy_rknn_from;
 use crate::query::{QueryStats, RknnOutcome};
 use crate::scratch::Scratch;
-use crate::verify::{verify_candidate_in, VerifyParams};
-use rnn_graph::{PointId, PointsOnNodes, Route, Topology, Weight};
+use rnn_graph::{PointId, PointsOnNodes, Route, Topology};
 
 fn route_membership(route: &Route, num_nodes: usize) -> Vec<bool> {
     let mut on_route = vec![false; num_nodes];
@@ -25,9 +23,9 @@ fn route_membership(route: &Route, num_nodes: usize) -> Vec<bool> {
     on_route
 }
 
-/// Continuous RkNN with the eager algorithm: multi-source expansion over the
-/// route, Lemma 1 pruning with the route distance, and verification against
-/// the nearest route node.
+/// Continuous RkNN with the eager algorithm: the eager query whose source set
+/// is the route — multi-source expansion, Lemma 1 pruning with the route
+/// distance, and verification against the nearest route node.
 ///
 /// Points residing on route nodes (distance zero from the route) are not
 /// reported, consistently with the single-query semantics.
@@ -39,71 +37,14 @@ where
     T: Topology + ?Sized,
     P: PointsOnNodes + ?Sized,
 {
-    assert!(k >= 1, "RkNN queries require k >= 1");
     assert!(!route.is_empty(), "continuous queries require a non-empty route");
-    let mut stats = QueryStats::default();
-    let mut result: Vec<PointId> = Vec::new();
-    let mut verified: FastSet<PointId> = fast_set();
     let on_route = route_membership(route, topo.num_nodes());
-    let mut scratch = Scratch::new();
-    let mut probe_found = scratch.take_found();
-    // Points on route nodes are at route distance zero and can never be
-    // strictly closer to anything than the route is; the probes exclude them
-    // so they neither enter the Lemma-1 count (their distance is re-derived
-    // by a second expansion, so a floating-point tie can land on either side)
-    // nor waste one of the k probe slots. They are also excluded from the
-    // result by definition.
-    let exclude = |p: PointId| on_route[points.node_of(p).index()];
-
-    let mut exp =
-        NetworkExpansion::with_sources(topo, route.nodes().iter().map(|&n| (n, Weight::ZERO)));
-    while let Some((node, dist)) = exp.next_settled_unexpanded() {
-        stats.nodes_settled += 1;
-        probe_found.clear();
-        if dist > Weight::ZERO {
-            stats.range_nn_queries += 1;
-            stats.auxiliary_settled += range_nn_into(
-                topo,
-                points,
-                node,
-                k,
-                dist,
-                &exclude,
-                &mut scratch,
-                &mut probe_found,
-            );
-        }
-
-        for &(p, _) in &probe_found {
-            if verified.insert(p) {
-                stats.candidates += 1;
-                stats.verifications += 1;
-                let v = verify_candidate_in(
-                    topo,
-                    points,
-                    p,
-                    points.node_of(p),
-                    |n| on_route[n.index()],
-                    VerifyParams { k, collect_visited: false },
-                    &mut scratch,
-                );
-                stats.auxiliary_settled += v.settled;
-                if v.accepted {
-                    result.push(p);
-                }
-            }
-        }
-        if probe_found.len() < k {
-            exp.expand_from(node, dist);
-        }
-    }
-    stats.heap_pushes = exp.pushes();
-    RknnOutcome::from_points(result, stats)
+    eager_rknn_from(topo, points, route.nodes(), |n| on_route[n.index()], k, &mut Scratch::new())
 }
 
-/// Continuous RkNN with the lazy algorithm: the multi-source expansion prunes
-/// through the verification counters exactly as the single-source lazy
-/// algorithm does.
+/// Continuous RkNN with the lazy algorithm: the lazy query whose source set
+/// is the route, pruning through the verification counters exactly as the
+/// single-source query does.
 ///
 /// # Panics
 /// Panics if `k == 0` or the route is empty.
@@ -112,72 +53,9 @@ where
     T: Topology + ?Sized,
     P: PointsOnNodes + ?Sized,
 {
-    assert!(k >= 1, "RkNN queries require k >= 1");
     assert!(!route.is_empty(), "continuous queries require a non-empty route");
-    let mut stats = QueryStats::default();
-    let mut result: Vec<PointId> = Vec::new();
     let on_route = route_membership(route, topo.num_nodes());
-
-    let mut scratch = Scratch::new();
-    let mut bufs = scratch.take_lazy();
-
-    for &n in route.nodes() {
-        bufs.best.insert(n, Weight::ZERO);
-        bufs.heap.push(n, Weight::ZERO);
-    }
-
-    while let Some((node, dist, _)) = bufs.heap.pop() {
-        if bufs.settled.contains(node) {
-            continue;
-        }
-        if bufs.best.get(node).is_some_and(|b| *b < dist) {
-            continue;
-        }
-        bufs.settled.insert(node, dist);
-        stats.nodes_settled += 1;
-        if bufs.counters.get(node).is_some_and(|c| *c >= k) {
-            continue;
-        }
-
-        if dist > Weight::ZERO {
-            if let Some(p) = points.point_at(node) {
-                if bufs.verified.insert(p) {
-                    stats.candidates += 1;
-                    stats.verifications += 1;
-                    let v = verify_candidate_in(
-                        topo,
-                        points,
-                        p,
-                        node,
-                        |n| on_route[n.index()],
-                        VerifyParams { k, collect_visited: true },
-                        &mut scratch,
-                    );
-                    stats.auxiliary_settled += v.settled;
-                    if v.accepted {
-                        result.push(p);
-                    }
-                    for &(m, dm) in &v.visited {
-                        let counted = match bufs.settled.get(m) {
-                            Some(&dq) => dm < dq,
-                            None => dm < dist,
-                        };
-                        if counted {
-                            *bufs.counters.entry(m, 0) += 1;
-                        }
-                    }
-                    scratch.put_node_dists(v.visited);
-                }
-            }
-        }
-        if bufs.counters.get(node).is_some_and(|c| *c >= k) {
-            continue;
-        }
-        bufs.expand(topo, node, dist);
-    }
-    stats.heap_pushes = bufs.heap.pushes();
-    scratch.put_lazy(bufs);
-    RknnOutcome::from_points(result, stats)
+    lazy_rknn_from(topo, points, route.nodes(), |n| on_route[n.index()], k, &mut Scratch::new())
 }
 
 /// Naive continuous baseline: the union of per-route-node naive RkNN queries,

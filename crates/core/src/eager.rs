@@ -44,22 +44,43 @@ where
     T: Topology + ?Sized,
     P: PointsOnNodes + ?Sized,
 {
+    eager_rknn_from(topo, points, &[query], |n| n == query, k, scratch)
+}
+
+/// The eager algorithm for a query that is a set of nodes: `sources` lists
+/// them and `is_source` tests membership. The distance of a node from the
+/// query is its distance from the nearest source, so one source is the plain
+/// query and the nodes of a route the continuous one.
+pub(crate) fn eager_rknn_from<T, P, F>(
+    topo: &T,
+    points: &P,
+    sources: &[NodeId],
+    is_source: F,
+    k: usize,
+    scratch: &mut Scratch,
+) -> RknnOutcome
+where
+    T: Topology + ?Sized,
+    P: PointsOnNodes + ?Sized,
+    F: Fn(NodeId) -> bool,
+{
     assert!(k >= 1, "RkNN queries require k >= 1");
     let mut stats = QueryStats::default();
     let mut result: Vec<PointId> = Vec::new();
     let mut verified = scratch.take_point_set();
     let mut probe_found = scratch.take_found();
-    // A point residing on the query node can never be strictly closer to
+    // A point residing on a query node can never be strictly closer to
     // anything than the query is, so the probes exclude it: it must neither
     // contribute to the pruning count (its distance is re-derived by a second
     // expansion whose floating-point sums need not match `dist` exactly, so a
-    // tie can land on either side) nor occupy one of the k probe slots.
-    let exclude = |p: PointId| points.node_of(p) == query;
+    // tie can land on either side) nor occupy one of the k probe slots. It is
+    // also excluded from the result by definition.
+    let exclude = |p: PointId| is_source(points.node_of(p));
 
     let mut exp = NetworkExpansion::reusing(
         topo,
         scratch.take_expansion(),
-        std::iter::once((query, Weight::ZERO)),
+        sources.iter().map(|&n| (n, Weight::ZERO)),
     );
     while let Some((node, dist)) = exp.next_settled_unexpanded() {
         stats.nodes_settled += 1;
@@ -71,7 +92,7 @@ where
             stats.auxiliary_settled +=
                 range_nn_into(topo, points, node, k, dist, &exclude, scratch, &mut probe_found);
         }
-        // (At the source node no point can be strictly closer than distance 0.)
+        // (At a source node no point can be strictly closer than distance 0.)
 
         // Every point discovered by the probe is a candidate and must be
         // verified exactly once.
@@ -84,7 +105,7 @@ where
                     points,
                     p,
                     points.node_of(p),
-                    |n| n == query,
+                    &is_source,
                     VerifyParams { k, collect_visited: false },
                     scratch,
                 );
@@ -97,7 +118,7 @@ where
 
         // Expansion proceeds only when fewer than k points were found
         // strictly closer to the node than the query (the probe already
-        // excluded the query's own point).
+        // excluded the query's own points).
         if probe_found.len() < k {
             exp.expand_from(node, dist);
         }

@@ -3,11 +3,17 @@
 //! All query processing in the paper is built on *network expansion*: nodes
 //! are visited in ascending order of their network distance from one or more
 //! source locations, fetching adjacency lists on demand. [`NetworkExpansion`]
-//! is that primitive, shared by the k-NN / range-NN / verification queries
-//! and by the main loops of the eager and lazy algorithms.
+//! is that primitive, and the only place in this crate that pops a
+//! `(distance, node)` frontier and relaxes neighbors: the k-NN / range-NN /
+//! verification queries, the main loops of eager, lazy and lazy-EP, the
+//! materialized-table updates and the unrestricted expansion all drive it.
+//! A caller shapes the traversal through three entry points — a veto on
+//! settling ([`NetworkExpansion::next_settled_unexpanded_if`]), the choice of
+//! whether to expand a settled node, and a per-arc hook on expanding
+//! ([`NetworkExpansion::expand_from_each`]).
 
 use crate::node_table::NodeTable;
-use rnn_graph::{NodeId, Topology, Weight};
+use rnn_graph::{Neighbor, NodeId, Topology, Weight};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -32,9 +38,9 @@ enum Label {
 pub struct ExpansionBuffers {
     heap: BinaryHeap<Reverse<(Weight, NodeId)>>,
     labels: NodeTable<Label>,
-    /// Scratch for frontier prefetch hints ([`Topology::prefetch_hint`]).
-    /// Only ever touched when the topology asks for hints, so the in-memory
-    /// path never pays for it.
+    /// Scratch for frontier prefetch hints ([`Topology::prefetch_hint`]),
+    /// empty between expansion steps. Only ever filled when the topology asks
+    /// for hints, so the in-memory path never pays for it.
     hints: Vec<NodeId>,
 }
 
@@ -112,7 +118,9 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
         let wants_hints = topo.wants_prefetch_hints();
         let mut exp = NetworkExpansion { topo, bufs, settled_count: 0, pushes: 0, wants_hints };
         for (node, dist) in sources {
-            exp.relax(node, dist);
+            if exp.bufs.relax(node, dist) {
+                exp.pushes += 1;
+            }
         }
         if exp.wants_hints && !exp.bufs.labels.is_empty() {
             // The sources are the first adjacency lists the expansion will
@@ -126,13 +134,6 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
     /// Consumes the expansion, releasing its buffers for reuse.
     pub fn into_buffers(self) -> ExpansionBuffers {
         self.bufs
-    }
-
-    /// Offers a (possibly better) tentative distance for `node`.
-    fn relax(&mut self, node: NodeId, dist: Weight) {
-        if self.bufs.relax(node, dist) {
-            self.pushes += 1;
-        }
     }
 
     /// Settles and returns the next node in distance order, or `None` when
@@ -152,11 +153,29 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
     /// is how the eager algorithm applies Lemma 1 to stop the expansion at
     /// pruned nodes.
     pub fn next_settled_unexpanded(&mut self) -> Option<(NodeId, Weight)> {
+        self.next_settled_unexpanded_if(|_| true)
+    }
+
+    /// [`NetworkExpansion::next_settled_unexpanded`] with a veto: the frontier
+    /// entry of a node for which `keep` returns `false` is dropped instead of
+    /// settled. The node stays tentative at the refused distance, so only a
+    /// strictly better offer would bring it back onto the frontier; one at
+    /// the same distance or beyond does not. This is how the lazy algorithm
+    /// removes the heap entries a pruned node inserted.
+    pub fn next_settled_unexpanded_if(
+        &mut self,
+        mut keep: impl FnMut(NodeId) -> bool,
+    ) -> Option<(NodeId, Weight)> {
         while let Some(Reverse((dist, node))) = self.bufs.heap.pop() {
             match self.bufs.labels.get_mut(node) {
                 Some(Label::Settled(_)) => continue, // stale entry
                 Some(Label::Tentative(best)) if *best < dist => continue, // superseded
-                Some(label) => *label = Label::Settled(dist),
+                Some(label) => {
+                    if !keep(node) {
+                        continue;
+                    }
+                    *label = Label::Settled(dist);
+                }
                 None => unreachable!("every heap entry was labelled when pushed"),
             }
             self.settled_count += 1;
@@ -165,46 +184,61 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
         None
     }
 
+    /// The distance at which the next node settles (unless vetoed), or `None`
+    /// when the frontier holds no live entry. Stale and superseded entries on
+    /// top of the heap are discarded on the way.
+    pub fn peek_dist(&mut self) -> Option<Weight> {
+        while let Some(&Reverse((dist, node))) = self.bufs.heap.peek() {
+            if self.bufs.labels.get(node) == Some(&Label::Tentative(dist)) {
+                return Some(dist);
+            }
+            self.bufs.heap.pop();
+        }
+        None
+    }
+
+    /// Whether the heap holds no entry at all, live or stale.
+    pub(crate) fn frontier_is_empty(&self) -> bool {
+        self.bufs.heap.is_empty()
+    }
+
     /// Relaxes the neighbors of a node previously returned by
     /// [`NetworkExpansion::next_settled_unexpanded`].
     pub fn expand_from(&mut self, node: NodeId, dist: Weight) {
-        if self.wants_hints {
-            self.expand_from_hinted(node, dist);
-            return;
-        }
+        self.expand_from_each(node, dist, |_, _| {});
+    }
+
+    /// [`NetworkExpansion::expand_from`] with a per-arc hook: `each` sees
+    /// every neighbor of `node` once, after its relaxation, together with
+    /// whether the offer was taken (labelled and pushed onto the frontier).
+    ///
+    /// A taken neighbor is an adjacency list the expansion is likely to fetch
+    /// soon, so when the topology asks for hints the taken neighbors of one
+    /// call go to [`Topology::prefetch_hint`] as one batch. Hints are
+    /// best-effort and change neither the relaxation logic nor its order.
+    pub fn expand_from_each(
+        &mut self,
+        node: NodeId,
+        dist: Weight,
+        mut each: impl FnMut(Neighbor, bool),
+    ) {
+        let wants_hints = self.wants_hints;
         let bufs = &mut self.bufs;
         let pushes = &mut self.pushes;
         self.topo.visit_neighbors(node, &mut |nb| {
-            if bufs.relax(nb.node, dist + nb.weight) {
+            let taken = bufs.relax(nb.node, dist + nb.weight);
+            if taken {
                 *pushes += 1;
-            }
-        });
-    }
-
-    /// [`NetworkExpansion::expand_from`] with frontier hint collection: every
-    /// neighbor newly pushed onto the heap is an adjacency list the expansion
-    /// is likely to fetch soon, so its node id is passed to
-    /// [`Topology::prefetch_hint`] after the visit. Hints are best-effort and
-    /// change neither the relaxation logic nor its order — this method is
-    /// bit-for-bit the plain loop plus a `Vec<NodeId>` of the fresh pushes.
-    fn expand_from_hinted(&mut self, node: NodeId, dist: Weight) {
-        let mut hints = std::mem::take(&mut self.bufs.hints);
-        hints.clear();
-        {
-            let bufs = &mut self.bufs;
-            let pushes = &mut self.pushes;
-            let hints = &mut hints;
-            self.topo.visit_neighbors(node, &mut |nb| {
-                if bufs.relax(nb.node, dist + nb.weight) {
-                    *pushes += 1;
-                    hints.push(nb.node);
+                if wants_hints {
+                    bufs.hints.push(nb.node);
                 }
-            });
+            }
+            each(nb, taken);
+        });
+        if !bufs.hints.is_empty() {
+            self.topo.prefetch_hint(&bufs.hints);
+            bufs.hints.clear();
         }
-        if !hints.is_empty() {
-            self.topo.prefetch_hint(&hints);
-        }
-        self.bufs.hints = hints;
     }
 
     /// Returns the settled distance of `node`, if it has been settled.
@@ -324,6 +358,89 @@ mod tests {
         let g = diamond();
         let all = run_to_completion(NetworkExpansion::new(&g, NodeId::new(1)));
         assert_eq!((all[&0], all[&3], all[&2]), (1.0, 1.0, 2.0));
+    }
+
+    #[test]
+    fn vetoed_node_stays_unsettled_whatever_is_offered_later() {
+        // Node 3 is at distance 2 through node 1 and through node 2 alike,
+        // and at 4 through node 4, which itself settles at 3.
+        let mut b = GraphBuilder::new(5);
+        for (u, v, w) in
+            [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0), (0, 4, 3.0), (4, 3, 1.0)]
+        {
+            b.add_edge(u, v, w).unwrap();
+        }
+        let g = b.build().unwrap();
+        let mut exp = NetworkExpansion::new(&g, NodeId::new(0));
+        let mut settled = Vec::new();
+        let mut asked = 0;
+        // Node 3 is refused when its entry (pushed by node 1) comes up: the
+        // equal offer of node 2 was not taken before, and the worse one of
+        // node 4 is not taken afterwards.
+        while let Some((n, d)) = exp.next_settled_unexpanded_if(|n| {
+            asked += u32::from(n == NodeId::new(3));
+            n != NodeId::new(3)
+        }) {
+            settled.push((n.index(), d.value()));
+            exp.expand_from(n, d);
+        }
+        assert_eq!(settled, vec![(0, 0.0), (1, 1.0), (2, 1.0), (4, 3.0)]);
+        assert_eq!(asked, 1, "one live entry, refused once, never pushed again");
+        assert_eq!(exp.settled_distance(NodeId::new(3)), None);
+        assert_eq!(exp.settled_count(), 4);
+    }
+
+    #[test]
+    fn peek_dist_skips_stale_entries_and_agrees_with_next_settle() {
+        // Node 2 is pushed at 4, then again at 3: the entry at 4 is
+        // superseded and is all the heap holds at the end.
+        let g = diamond();
+        let mut exp = NetworkExpansion::new(&g, NodeId::new(0));
+        let mut peeked = Vec::new();
+        loop {
+            let peek = exp.peek_dist();
+            let next = exp.next_settled();
+            assert_eq!(peek, next.map(|(_, d)| d));
+            peeked.push(peek.map(Weight::value));
+            if next.is_none() {
+                break;
+            }
+        }
+        assert_eq!(peeked, vec![Some(0.0), Some(1.0), Some(2.0), Some(3.0), None]);
+        assert!(exp.pushes() > exp.settled_count(), "a superseded entry was pushed");
+        assert!(exp.frontier_is_empty(), "peeking discarded it");
+    }
+
+    #[test]
+    fn per_arc_hook_sees_every_neighbor_once_with_its_taken_flag() {
+        let g = diamond();
+        let mut exp = NetworkExpansion::new(&g, NodeId::new(0));
+        let mut arcs = Vec::new();
+        while let Some((n, d)) = exp.next_settled_unexpanded() {
+            let mut seen = Vec::new();
+            exp.expand_from_each(n, d, |nb, taken| {
+                seen.push(nb);
+                arcs.push((n.index(), nb.node.index(), taken));
+            });
+            assert_eq!(seen, g.neighbors(n).collect::<Vec<_>>(), "adjacency of {n}");
+        }
+        // Taken: a first label (0->1, 0->2, 1->3) or a strictly better one
+        // (3->2 at 3 against 4). Not taken: settled or no better.
+        arcs.sort_unstable();
+        assert_eq!(
+            arcs,
+            vec![
+                (0, 1, true),
+                (0, 2, true),
+                (1, 0, false),
+                (1, 3, true),
+                (2, 0, false),
+                (2, 3, false),
+                (3, 1, false),
+                (3, 2, true),
+            ]
+        );
+        assert_eq!(exp.pushes(), 5, "the source and the four taken offers");
     }
 
     /// A topology wrapper that asks for prefetch hints and records every

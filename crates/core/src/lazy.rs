@@ -5,74 +5,40 @@
 //! is de-heaped, a verification query is issued. The nodes visited by that
 //! verification are closer to the discovered point than to the query, so they
 //! cannot lead to reverse neighbors: already-visited nodes have the heap
-//! entries created during their processing removed (through a hash table of
+//! entries created during their processing removed (through a table of
 //! back-pointers), and not-yet-visited nodes are remembered in a counter so
 //! they are discarded when they are eventually de-heaped. For RkNN with
 //! `k > 1` a node is only discarded once `k` distinct points have been
 //! counted against it.
 
+use crate::expansion::NetworkExpansion;
 use crate::fast_hash::FastSet;
-use crate::heap::{ExpansionHeap, Ticket};
 use crate::node_table::NodeTable;
 use crate::query::{QueryStats, RknnOutcome};
 use crate::scratch::{Reset, Scratch};
 use crate::verify::{verify_candidate_in, VerifyParams};
 use rnn_graph::{NodeId, PointId, PointsOnNodes, Topology, Weight};
-use std::ops::Range;
 
-/// The reusable allocation state of the lazy main loop (also of its
-/// continuous variant), pooled by [`Scratch`].
+/// The reusable allocation state of the lazy main loop beside its expansion,
+/// pooled by [`Scratch`].
 #[derive(Debug, Default)]
 pub(crate) struct LazyBuffers {
-    /// Main expansion heap with ticket-based invalidation.
-    pub(crate) heap: ExpansionHeap,
-    /// Best tentative distance per node.
-    pub(crate) best: NodeTable<Weight>,
-    /// Table of visited (settled) nodes: final distance from the query.
-    pub(crate) settled: NodeTable<Weight>,
-    /// Back-pointers: the heap tickets created while processing a node, so
-    /// the node's expansion can be undone when it is later invalidated.
-    /// Tickets are handed out in sequence and a node is processed in one go,
-    /// so its tickets are one contiguous range.
-    children: NodeTable<Range<Ticket>>,
+    /// Back-pointers: the node whose expansion pushed the live frontier entry
+    /// of a node. An entry is removed "through" its back-pointer: it is
+    /// refused when de-heaped if the node that pushed it has been pruned
+    /// since.
+    via: NodeTable<NodeId>,
     /// Verification counters: how many distinct data points are known to be
     /// strictly closer to the node than the query.
-    pub(crate) counters: NodeTable<usize>,
-    pub(crate) verified: FastSet<PointId>,
+    counters: NodeTable<usize>,
+    verified: FastSet<PointId>,
 }
 
 impl Reset for LazyBuffers {
     fn reset(&mut self) {
-        self.heap.clear();
-        self.best.clear();
-        self.settled.clear();
-        self.children.clear();
+        self.via.clear();
         self.counters.clear();
         self.verified.clear();
-    }
-}
-
-impl LazyBuffers {
-    /// Relaxes the neighbors of the just-settled `node` and returns the
-    /// tickets of the heap entries this created.
-    pub(crate) fn expand<T: Topology + ?Sized>(
-        &mut self,
-        topo: &T,
-        node: NodeId,
-        dist: Weight,
-    ) -> Range<Ticket> {
-        let first = self.heap.pushes();
-        let (heap, best, settled) = (&mut self.heap, &mut self.best, &self.settled);
-        topo.visit_neighbors(node, &mut |nb| {
-            if settled.contains(nb.node) {
-                return;
-            }
-            let cand = dist + nb.weight;
-            if best.insert_if_less(nb.node, cand) {
-                heap.push(nb.node, cand);
-            }
-        });
-        first..self.heap.pushes()
     }
 }
 
@@ -91,9 +57,9 @@ where
     lazy_rknn_in(topo, points, query, k, &mut Scratch::new())
 }
 
-/// [`lazy_rknn`] on the recycled buffers of `scratch`: the main heap, every
-/// node table and every verification expansion run allocation-free in the
-/// steady state.
+/// [`lazy_rknn`] on the recycled buffers of `scratch`: the main expansion,
+/// every node table and every verification expansion run allocation-free in
+/// the steady state.
 pub fn lazy_rknn_in<T, P>(
     topo: &T,
     points: &P,
@@ -105,34 +71,54 @@ where
     T: Topology + ?Sized,
     P: PointsOnNodes + ?Sized,
 {
+    lazy_rknn_from(topo, points, &[query], |n| n == query, k, scratch)
+}
+
+/// The lazy algorithm for a query that is a set of nodes, given as for
+/// `eager_rknn_from`: `sources` lists them and `is_source` tests membership.
+pub(crate) fn lazy_rknn_from<T, P, F>(
+    topo: &T,
+    points: &P,
+    sources: &[NodeId],
+    is_source: F,
+    k: usize,
+    scratch: &mut Scratch,
+) -> RknnOutcome
+where
+    T: Topology + ?Sized,
+    P: PointsOnNodes + ?Sized,
+    F: Fn(NodeId) -> bool,
+{
     assert!(k >= 1, "RkNN queries require k >= 1");
     let mut stats = QueryStats::default();
     let mut result: Vec<PointId> = Vec::new();
     let mut bufs = scratch.take_lazy();
+    let LazyBuffers { via, counters, verified } = &mut bufs;
+    let pruned = |counters: &NodeTable<usize>, n: NodeId| counters.get(n).is_some_and(|c| *c >= k);
 
-    bufs.best.insert(query, Weight::ZERO);
-    bufs.heap.push(query, Weight::ZERO);
-
-    while let Some((node, dist, _)) = bufs.heap.pop() {
-        if bufs.settled.contains(node) {
-            continue; // stale entry
-        }
-        if bufs.best.get(node).is_some_and(|b| *b < dist) {
-            continue; // superseded entry
-        }
-        bufs.settled.insert(node, dist);
+    let mut exp = NetworkExpansion::reusing(
+        topo,
+        scratch.take_expansion(),
+        sources.iter().map(|&n| (n, Weight::ZERO)),
+    );
+    // An entry pushed while processing a node that has been counted against
+    // k points since is removed from the heap (the paper's hash-table based
+    // deletion): it is refused here, and its node stays unvisited.
+    while let Some((node, dist)) =
+        exp.next_settled_unexpanded_if(|n| !via.get(n).is_some_and(|&m| pruned(counters, m)))
+    {
         stats.nodes_settled += 1;
 
         // A node already counted against k distinct closer points cannot lead
         // to (or be) a reverse neighbor.
-        if bufs.counters.get(node).is_some_and(|c| *c >= k) {
+        if pruned(counters, node) {
             continue;
         }
 
         // Process a data point residing on this node.
         if dist > Weight::ZERO {
             if let Some(p) = points.point_at(node) {
-                if bufs.verified.insert(p) {
+                if verified.insert(p) {
                     stats.candidates += 1;
                     stats.verifications += 1;
                     // p lies on the settled node, so d(p, q) == dist exactly.
@@ -141,7 +127,7 @@ where
                         points,
                         p,
                         node,
-                        |n| n == query,
+                        &is_source,
                         VerifyParams { k, collect_visited: true },
                         scratch,
                     );
@@ -153,30 +139,17 @@ where
                     // settled strictly within d(p, q) is strictly closer to p
                     // than to the query.
                     for &(m, dm) in &v.visited {
-                        let counted = match bufs.settled.get(m) {
+                        let counted = match exp.settled_distance(m) {
                             // Visited node: count only when provably closer
                             // to p than to the query.
-                            Some(&dq) => dm < dq,
+                            Some(dq) => dm < dq,
                             // Unvisited node: its eventual distance from the
                             // query is at least the current frontier distance
                             // (>= d(p, q) > dm).
                             None => dm < dist,
                         };
                         if counted {
-                            let c = bufs.counters.entry(m, 0);
-                            *c += 1;
-                            // The counter passes k exactly once, so the
-                            // removal is done at most once per node.
-                            if *c == k {
-                                // Remove the heap entries inserted while
-                                // processing m, if it was processed (the
-                                // paper's hash-table based deletion).
-                                if let Some(tickets) = bufs.children.get(m) {
-                                    for t in tickets.clone() {
-                                        bufs.heap.invalidate(t);
-                                    }
-                                }
-                            }
+                            *counters.entry(m, 0) += 1;
                         }
                     }
                     scratch.put_node_dists(v.visited);
@@ -187,18 +160,20 @@ where
         // Re-check the counter: the verification of this node's own point
         // counts the node itself (the point is at distance 0 from it), which
         // is exactly what stops the k=1 expansion at nodes containing points.
-        if bufs.counters.get(node).is_some_and(|c| *c >= k) {
+        if pruned(counters, node) {
             continue;
         }
 
-        // Expand the node, remembering the created heap entries.
-        let created = bufs.expand(topo, node, dist);
-        if !created.is_empty() {
-            bufs.children.insert(node, created);
-        }
+        // Expand the node, remembering which heap entries it created.
+        exp.expand_from_each(node, dist, |nb, taken| {
+            if taken {
+                via.insert(nb.node, node);
+            }
+        });
     }
 
-    stats.heap_pushes = bufs.heap.pushes();
+    stats.heap_pushes = exp.pushes();
+    scratch.put_expansion(exp.into_buffers());
     scratch.put_lazy(bufs);
     RknnOutcome::from_points(result, stats)
 }

@@ -10,10 +10,11 @@
 //! strictly closer than the query is pruned by Lemma 1 without issuing any
 //! verification around it.
 //!
-//! All per-node state — tentative distances, settle marks and the lists of
-//! recorded points — lives in direct-address [`NodeTable`]s and one flat
-//! array, so a query allocates nothing per node it touches.
+//! The main heap is a [`NetworkExpansion`]; the lists of recorded points live
+//! in a direct-address [`NodeTable`] and one flat array, so a query allocates
+//! nothing per node it touches.
 
+use crate::expansion::NetworkExpansion;
 use crate::fast_hash::FastSet;
 use crate::node_table::NodeTable;
 use crate::query::{QueryStats, RknnOutcome};
@@ -108,14 +109,10 @@ impl FoundLists {
     }
 }
 
-/// The reusable allocation state of the lazy-EP main loop, pooled by
-/// [`Scratch`].
+/// The reusable allocation state of the lazy-EP main loop beside its main
+/// expansion (H), pooled by [`Scratch`].
 #[derive(Debug, Default)]
 pub(crate) struct LazyEpBuffers {
-    /// Main expansion heap (H).
-    heap: BinaryHeap<Reverse<(Weight, NodeId)>>,
-    best: NodeTable<Weight>,
-    settled: NodeTable<()>,
     /// Parallel point expansion heap (H').
     point_heap: BinaryHeap<Reverse<(Weight, NodeId, PointId)>>,
     /// Per-node nearest discovered points.
@@ -125,9 +122,6 @@ pub(crate) struct LazyEpBuffers {
 
 impl Reset for LazyEpBuffers {
     fn reset(&mut self) {
-        self.heap.clear();
-        self.best.clear();
-        self.settled.clear();
         self.point_heap.clear();
         self.found.clear();
         self.discovered.clear();
@@ -146,9 +140,9 @@ where
     lazy_ep_rknn_in(topo, points, query, k, &mut Scratch::new())
 }
 
-/// [`lazy_ep_rknn`] on the recycled buffers of `scratch`: both heaps, the
-/// per-node tables and found-lists and every verification expansion run
-/// allocation-free in the steady state.
+/// [`lazy_ep_rknn`] on the recycled buffers of `scratch`: both expansions,
+/// the found-lists and every verification expansion run allocation-free in
+/// the steady state.
 pub fn lazy_ep_rknn_in<T, P>(
     topo: &T,
     points: &P,
@@ -165,11 +159,16 @@ where
     let mut result: Vec<PointId> = Vec::new();
     let mut bufs = scratch.take_lazy_ep();
 
-    bufs.best.insert(query, Weight::ZERO);
-    bufs.heap.push(Reverse((Weight::ZERO, query)));
+    let mut exp = NetworkExpansion::reusing(
+        topo,
+        scratch.take_expansion(),
+        std::iter::once((query, Weight::ZERO)),
+    );
     let mut last_main_dist = Weight::ZERO;
 
-    while let Some(&Reverse((dist, node))) = bufs.heap.peek() {
+    // H' gets a turn before every pop of the main heap, also when all that is
+    // left to pop are stale entries.
+    while !exp.frontier_is_empty() {
         // Advance H' while its frontier is behind the main frontier.
         while let Some(&Reverse((pd, pnode, pid))) = bufs.point_heap.peek() {
             if pd >= last_main_dist {
@@ -189,15 +188,7 @@ where
             });
         }
 
-        // Pop the main heap.
-        bufs.heap.pop();
-        if bufs.settled.contains(node) {
-            continue;
-        }
-        if bufs.best.get(node).is_some_and(|b| *b < dist) {
-            continue;
-        }
-        bufs.settled.insert(node, ());
+        let Some((node, dist)) = exp.next_settled_unexpanded() else { break };
         stats.nodes_settled += 1;
         last_main_dist = dist;
 
@@ -246,22 +237,12 @@ where
             continue;
         }
 
-        // Expand the node.
-        let heap = &mut bufs.heap;
-        let best = &mut bufs.best;
-        let settled = &bufs.settled;
-        topo.visit_neighbors(node, &mut |nb| {
-            if settled.contains(nb.node) {
-                return;
-            }
-            let cand = dist + nb.weight;
-            if best.insert_if_less(nb.node, cand) {
-                heap.push(Reverse((cand, nb.node)));
-                stats.heap_pushes += 1;
-            }
-        });
+        exp.expand_from(node, dist);
     }
 
+    // The push that seeded the expansion has never been part of this count.
+    stats.heap_pushes = exp.pushes() - 1;
+    scratch.put_expansion(exp.into_buffers());
     scratch.put_lazy_ep(bufs);
     RknnOutcome::from_points(result, stats)
 }

@@ -3,12 +3,15 @@
 //! This crate implements the algorithms of Yiu, Papadias, Mamoulis and Tao,
 //! *Reverse Nearest Neighbors in Large Graphs* (ICDE 2005 / TKDE 2006):
 //!
+//! * one *network expansion* kernel ([`expansion::NetworkExpansion`]): every
+//!   traversal below settles nodes and relaxes neighbors through it, shaping
+//!   it with a veto on settling, the choice to expand and a per-arc hook;
 //! * the pruning lemma (Lemma 1) and the two NN-search primitives it relies
 //!   on — *range-NN* and *verification* queries ([`knn`], [`verify`]);
 //! * the [`eager`] algorithm, which prunes graph nodes as soon as they are
 //!   de-heaped;
 //! * the [`lazy`] algorithm, which prunes only when data points are
-//!   discovered, using the verification expansions themselves to invalidate
+//!   discovered, using the verification expansions themselves to remove
 //!   heap entries;
 //! * the [`lazy_ep`] extension (extended pruning with a second, parallel
 //!   expansion of the discovered points);
@@ -16,8 +19,10 @@
 //!   materialized k-NN table, its insertion/deletion maintenance and the
 //!   `eager-M` algorithm built on it;
 //! * query variants: [`bichromatic`] queries, [`continuous`] queries along a
-//!   route, and queries on *unrestricted* networks where data points lie on
-//!   edges ([`unrestricted`]);
+//!   route (eager and lazy take a *set* of source nodes; a plain query has
+//!   one, a route has many), and queries on *unrestricted* networks where
+//!   data points lie on edges ([`unrestricted`]: the same kernel plus a heap
+//!   of the point events found on the arcs);
 //! * a [`naive`] baseline used for correctness cross-checks and as the
 //!   straw-man comparison;
 //! * the [`engine`] serving layer: the [`RknnAlgorithm`] trait behind the
@@ -82,7 +87,6 @@ pub mod eager;
 pub mod engine;
 pub mod expansion;
 pub mod fast_hash;
-pub mod heap;
 pub mod knn;
 pub mod lazy;
 pub mod lazy_ep;

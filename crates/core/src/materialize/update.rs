@@ -2,6 +2,7 @@
 //! insertions and deletions (Section 4.1, Fig. 10 of the paper).
 
 use super::{list_insert, KnnEntry, MaterializedKnn};
+use crate::expansion::{ExpansionBuffers, NetworkExpansion};
 use crate::node_table::NodeTable;
 use rnn_graph::{NodeId, Topology, Weight};
 use std::cmp::Reverse;
@@ -21,9 +22,7 @@ pub struct UpdateStats {
 /// [`NodeTable`]s would be sized to the graph on every call.
 #[derive(Debug, Default)]
 pub(super) struct UpdateBuffers {
-    heap: BinaryHeap<Reverse<(Weight, NodeId)>>,
-    best: NodeTable<Weight>,
-    settled: NodeTable<()>,
+    expansion: ExpansionBuffers,
     /// Nodes whose list lost the deleted point, in the order found.
     affected: NodeTable<()>,
 }
@@ -40,36 +39,21 @@ impl MaterializedKnn {
         stats: &mut UpdateStats,
         mut change: impl FnMut(&mut Vec<KnnEntry>, Weight) -> bool,
     ) {
-        let UpdateBuffers { heap, best, settled, affected } = bufs;
-        heap.clear();
-        best.clear();
-        settled.clear();
-        affected.clear();
-        best.insert(node, Weight::ZERO);
-        heap.push(Reverse((Weight::ZERO, node)));
-        while let Some(Reverse((dist, n))) = heap.pop() {
-            if settled.insert(n, ()).is_some() {
-                continue;
-            }
-            if best.get(n).is_some_and(|b| *b < dist) {
-                continue;
-            }
+        bufs.affected.clear();
+        let mut exp = NetworkExpansion::reusing(
+            topo,
+            std::mem::take(&mut bufs.expansion),
+            std::iter::once((node, Weight::ZERO)),
+        );
+        while let Some((n, dist)) = exp.next_settled_unexpanded() {
             stats.nodes_visited += 1;
-            if !change(self.list_mut(n), dist) {
-                continue;
+            if change(self.list_mut(n), dist) {
+                stats.lists_changed += 1;
+                bufs.affected.insert(n, ());
+                exp.expand_from(n, dist);
             }
-            stats.lists_changed += 1;
-            affected.insert(n, ());
-            topo.visit_neighbors(n, &mut |nb| {
-                if settled.contains(nb.node) {
-                    return;
-                }
-                let cand = dist + nb.weight;
-                if best.insert_if_less(nb.node, cand) {
-                    heap.push(Reverse((cand, nb.node)));
-                }
-            });
         }
+        bufs.expansion = exp.into_buffers();
     }
 
     /// Handles the insertion of a new data point residing on `node`.

@@ -107,24 +107,6 @@ impl<V> NodeTable<V> {
         &mut self.vals[slot]
     }
 
-    /// Stores `val` for `node` if it has no value yet or a larger one;
-    /// returns whether `val` was stored. This is the relaxation step of an
-    /// expansion keeping the best tentative distance per node.
-    #[inline]
-    pub fn insert_if_less(&mut self, node: NodeId, val: V) -> bool
-    where
-        V: PartialOrd,
-    {
-        match self.slot(node) {
-            Some(slot) if val < self.vals[slot] => self.vals[slot] = val,
-            Some(_) => return false,
-            None => {
-                self.push(node, val);
-            }
-        }
-        true
-    }
-
     /// Number of nodes with a value.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -172,9 +154,7 @@ mod tests {
         *t.entry(n(7), 70) += 1;
         *t.entry(n(7), 0) += 1;
         *t.get_mut(n(0)).unwrap() = 2;
-        assert!(
-            t.insert_if_less(n(9), 5) && !t.insert_if_less(n(9), 5) && t.insert_if_less(n(9), 4)
-        );
+        assert_eq!(t.insert(n(9), 4), None);
         assert_eq!(t.insert(n(9), 90), Some(4));
         assert_eq!((t.get(n(3)), t.get(n(0)), t.get(n(7))), (Some(&31), Some(&2), Some(&72)));
         assert!(t.contains(n(7)) && !t.contains(n(6)) && !t.contains(n(1_000_000)));

@@ -1,8 +1,11 @@
 //! Reusable per-worker scratch state for query execution.
 //!
-//! Every RkNN query needs a handful of allocation-heavy structures: the main
-//! expansion's heap and label table, one more expansion per auxiliary probe
-//! (range-NN, verification), candidate buffers and visit marks. Allocating
+//! Every RkNN query needs a handful of allocation-heavy structures: the heap
+//! and label table of its main expansion — the same
+//! [`ExpansionBuffers`] whichever algorithm runs it — one more set per
+//! auxiliary probe (range-NN, verification), candidate buffers and the few
+//! tables an algorithm keeps beside its expansion (lazy's back-pointers and
+//! counters, lazy-EP's second heap and found-lists). Allocating
 //! them per query dominates steady-state serving cost, so [`Scratch`] pools
 //! them: an algorithm checks a buffer out, uses it, and returns it; the next
 //! query (or the next probe of the same query) *resets* the buffer — clears

@@ -124,7 +124,7 @@ pub fn unrestricted_eager_rknn<T: Topology + ?Sized>(
             exp.expand_node(node, dist);
         }
     }
-    stats.heap_pushes = 0;
+    stats.heap_pushes = exp.pushes();
     RknnOutcome::from_points(result, stats)
 }
 
@@ -146,7 +146,6 @@ pub fn unrestricted_lazy_rknn<T: Topology + ?Sized>(
     let mut result: Vec<PointId> = Vec::new();
     let mut verified: FastSet<PointId> = fast_set();
     let mut counters: FastMap<NodeId, usize> = fast_map();
-    let mut settled: FastMap<NodeId, Weight> = fast_map();
     // One set of expansion buffers serves every verification in turn.
     let mut probe = ProbeBuffers::default();
 
@@ -157,7 +156,7 @@ pub fn unrestricted_lazy_rknn<T: Topology + ?Sized>(
          result: &mut Vec<PointId>,
          verified: &mut FastSet<PointId>,
          counters: &mut FastMap<NodeId, usize>,
-         settled: &FastMap<NodeId, Weight>| {
+         main: &UnrestrictedExpansion<'_, T>| {
             if !verified.insert(p) {
                 return;
             }
@@ -209,8 +208,8 @@ pub fn unrestricted_lazy_rknn<T: Topology + ?Sized>(
             // Counter side effects: only count nodes that are provably closer to
             // the point than to the query.
             for (m, dm) in visited {
-                let counted = match settled.get(&m) {
-                    Some(&dq) => dm < dq,
+                let counted = match main.settled_distance(m) {
+                    Some(dq) => dm < dq,
                     None => dm < frontier,
                 };
                 if counted {
@@ -218,6 +217,8 @@ pub fn unrestricted_lazy_rknn<T: Topology + ?Sized>(
                 }
             }
         };
+
+    let mut exp = UnrestrictedExpansion::from_position(topo, points, query, None);
 
     // Candidates on the query's own edge.
     for ep in points.points_on_edge(query.edge) {
@@ -228,32 +229,22 @@ pub fn unrestricted_lazy_rknn<T: Topology + ?Sized>(
             &mut result,
             &mut verified,
             &mut counters,
-            &settled,
+            &exp,
         );
     }
 
-    let mut exp = UnrestrictedExpansion::from_position(topo, points, query, None);
     while let Some(event) = exp.next_event_unexpanded() {
         let (node, dist) = match event {
             Event::Node(n, d) => (n, d),
             _ => continue,
         };
         stats.nodes_settled += 1;
-        settled.insert(node, dist);
         if counters.get(&node).copied().unwrap_or(0) >= k {
             continue;
         }
 
         for p in adjacent_candidates(topo, points, node) {
-            process_candidate(
-                p,
-                dist,
-                &mut stats,
-                &mut result,
-                &mut verified,
-                &mut counters,
-                &settled,
-            );
+            process_candidate(p, dist, &mut stats, &mut result, &mut verified, &mut counters, &exp);
         }
 
         if counters.get(&node).copied().unwrap_or(0) >= k {
@@ -261,6 +252,7 @@ pub fn unrestricted_lazy_rknn<T: Topology + ?Sized>(
         }
         exp.expand_node(node, dist);
     }
+    stats.heap_pushes = exp.pushes();
     RknnOutcome::from_points(result, stats)
 }
 
@@ -289,6 +281,7 @@ pub fn unrestricted_naive_rknn<T: Topology + ?Sized>(
         }
     }
     stats.nodes_settled += exp.settled_nodes();
+    stats.heap_pushes = exp.pushes();
 
     let mut probe = ProbeBuffers::default();
     for (p, _) in points.iter() {

@@ -6,12 +6,16 @@
 //! target location such as the query) are reported in ascending distance
 //! order, each exactly once, even though the same point can be reached
 //! through both endpoints of its edge with different bounds.
+//!
+//! The nodes are expanded by the shared [`NetworkExpansion`] kernel; this
+//! module adds a heap of the point / target events found on the arcs and
+//! merges the two by distance.
 
 use super::EdgePosition;
+use crate::expansion::{ExpansionBuffers, NetworkExpansion};
 use crate::fast_hash::FastSet;
-use crate::node_table::NodeTable;
 use rnn_graph::{EdgePointSet, NodeId, PointId, Topology, Weight};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// An event produced by the expansion, in ascending distance order.
@@ -25,39 +29,25 @@ pub enum Event {
     Target(Weight),
 }
 
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum Key {
-    Node(NodeId),
-    Point(PointId),
+/// What lies on an edge. At equal distances the target comes before the
+/// points and the points come in id order, for determinism.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum OnEdge {
     Target,
+    Point(PointId),
 }
 
-#[derive(Copy, Clone, Debug, PartialEq)]
-struct HeapEntry {
-    dist: Weight,
-    key: Key,
+/// Min-heap of the edge events offered so far, with their distances.
+#[derive(Debug, Default)]
+struct EdgeEvents {
+    heap: BinaryHeap<Reverse<(Weight, OnEdge)>>,
+    pushes: u64,
 }
 
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by distance; ties resolved by key kind/id for determinism.
-        other.dist.cmp(&self.dist).then_with(|| key_rank(&other.key).cmp(&key_rank(&self.key)))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-fn key_rank(key: &Key) -> (u8, u32) {
-    match key {
-        Key::Target => (0, 0),
-        Key::Point(p) => (1, p.0),
-        Key::Node(n) => (2, n.0),
+impl EdgeEvents {
+    fn offer(&mut self, dist: Weight, what: OnEdge) {
+        self.heap.push(Reverse((dist, what)));
+        self.pushes += 1;
     }
 }
 
@@ -67,24 +57,19 @@ fn key_rank(key: &Key) -> (u8, u32) {
 /// node tables per probe.
 #[derive(Debug, Default)]
 pub(crate) struct ProbeBuffers {
-    heap: BinaryHeap<HeapEntry>,
-    node_best: NodeTable<Weight>,
-    node_settled: NodeTable<()>,
+    nodes: ExpansionBuffers,
+    edge_events: EdgeEvents,
     point_emitted: FastSet<PointId>,
-    hints: Vec<NodeId>,
 }
 
 /// Incremental expansion over an unrestricted network.
 pub struct UnrestrictedExpansion<'a, T: Topology + ?Sized> {
-    topo: &'a T,
+    nodes: NetworkExpansion<'a, T>,
     points: &'a EdgePointSet,
     target: Option<EdgePosition>,
-    bufs: ProbeBuffers,
+    edge_events: EdgeEvents,
+    point_emitted: FastSet<PointId>,
     target_emitted: bool,
-    settled_nodes: u64,
-    /// Cached [`Topology::wants_prefetch_hints`] (checked once per
-    /// expansion); hints are collected only when `true`.
-    wants_hints: bool,
 }
 
 impl<'a, T: Topology + ?Sized> UnrestrictedExpansion<'a, T> {
@@ -100,10 +85,7 @@ impl<'a, T: Topology + ?Sized> UnrestrictedExpansion<'a, T> {
         source: NodeId,
         bufs: ProbeBuffers,
     ) -> Self {
-        let mut exp = Self::empty(topo, points, None, bufs);
-        exp.relax_node(source, Weight::ZERO);
-        exp.hint_sources();
-        exp
+        Self::start(topo, points, [(source, Weight::ZERO)], None, bufs)
     }
 
     /// Starts an expansion from an edge position (a data point or a query
@@ -126,118 +108,86 @@ impl<'a, T: Topology + ?Sized> UnrestrictedExpansion<'a, T> {
         target: Option<EdgePosition>,
         bufs: ProbeBuffers,
     ) -> Self {
-        let mut exp = Self::empty(topo, points, target, bufs);
-        exp.relax_node(source.lo, source.dist_to_lo());
-        exp.relax_node(source.hi, source.dist_to_hi());
+        let endpoints = [(source.lo, source.dist_to_lo()), (source.hi, source.dist_to_hi())];
+        let mut exp = Self::start(topo, points, endpoints, target, bufs);
         // Same-edge data points are reachable directly along the edge.
         for ep in points.points_on_edge(source.edge) {
             let direct = Weight::new((ep.offset.value() - source.offset.value()).abs());
-            exp.bufs.heap.push(HeapEntry { dist: direct, key: Key::Point(ep.point) });
+            exp.edge_events.offer(direct, OnEdge::Point(ep.point));
         }
         // Same-edge target.
-        if let Some(t) = exp.target {
-            if let Some(direct) = source.direct_distance(&t) {
-                exp.bufs.heap.push(HeapEntry { dist: direct, key: Key::Target });
-            }
+        if let Some(direct) = target.and_then(|t| source.direct_distance(&t)) {
+            exp.edge_events.offer(direct, OnEdge::Target);
         }
-        exp.hint_sources();
         exp
     }
 
-    /// Starts an expansion from a node with a target location to watch for.
-    pub fn from_node_with_target(
+    fn start(
         topo: &'a T,
         points: &'a EdgePointSet,
-        source: NodeId,
-        target: EdgePosition,
-    ) -> Self {
-        let mut exp = Self::empty(topo, points, Some(target), ProbeBuffers::default());
-        exp.relax_node(source, Weight::ZERO);
-        exp.hint_sources();
-        exp
-    }
-
-    fn empty(
-        topo: &'a T,
-        points: &'a EdgePointSet,
+        sources: impl IntoIterator<Item = (NodeId, Weight)>,
         target: Option<EdgePosition>,
-        mut bufs: ProbeBuffers,
+        bufs: ProbeBuffers,
     ) -> Self {
-        bufs.heap.clear();
-        bufs.node_best.clear();
-        bufs.node_settled.clear();
-        bufs.point_emitted.clear();
+        let ProbeBuffers { nodes, mut edge_events, mut point_emitted } = bufs;
+        edge_events.heap.clear();
+        edge_events.pushes = 0;
+        point_emitted.clear();
         UnrestrictedExpansion {
-            topo,
+            nodes: NetworkExpansion::reusing(topo, nodes, sources),
             points,
             target,
-            bufs,
+            edge_events,
+            point_emitted,
             target_emitted: false,
-            settled_nodes: 0,
-            wants_hints: topo.wants_prefetch_hints(),
         }
     }
 
     /// Consumes the expansion, releasing its buffers for the next one.
     pub(crate) fn into_buffers(self) -> ProbeBuffers {
-        self.bufs
-    }
-
-    /// Hints the source nodes to a hint-hungry topology: their adjacency
-    /// lists are the first fetches of the expansion. No-op otherwise.
-    fn hint_sources(&mut self) {
-        if self.wants_hints && !self.bufs.node_best.is_empty() {
-            self.topo.prefetch_hint(self.bufs.node_best.nodes());
-        }
-    }
-
-    fn relax_node(&mut self, node: NodeId, dist: Weight) {
-        if self.bufs.node_settled.contains(node) {
-            return;
-        }
-        if self.bufs.node_best.insert_if_less(node, dist) {
-            self.bufs.heap.push(HeapEntry { dist, key: Key::Node(node) });
+        ProbeBuffers {
+            nodes: self.nodes.into_buffers(),
+            edge_events: self.edge_events,
+            point_emitted: self.point_emitted,
         }
     }
 
     /// Number of nodes settled so far (the work/cost proxy).
     pub fn settled_nodes(&self) -> u64 {
-        self.settled_nodes
+        self.nodes.settled_count()
+    }
+
+    /// Number of heap pushes so far, node entries and edge events alike.
+    pub(crate) fn pushes(&self) -> u64 {
+        self.nodes.pushes() + self.edge_events.pushes
+    }
+
+    /// The settled distance of `node`, if it has been settled.
+    pub(crate) fn settled_distance(&self, node: NodeId) -> Option<Weight> {
+        self.nodes.settled_distance(node)
     }
 
     /// Returns the next event in ascending distance order, *without*
     /// expanding settled nodes; callers controlling pruning (the eager main
     /// loop) must invoke [`UnrestrictedExpansion::expand_node`] themselves.
     pub fn next_event_unexpanded(&mut self) -> Option<Event> {
-        while let Some(HeapEntry { dist, key }) = self.bufs.heap.pop() {
-            match key {
-                Key::Node(node) => {
-                    if self.bufs.node_settled.contains(node) {
-                        continue;
-                    }
-                    if self.bufs.node_best.get(node).is_some_and(|b| *b < dist) {
-                        continue;
-                    }
-                    self.bufs.node_settled.insert(node, ());
-                    self.settled_nodes += 1;
-                    return Some(Event::Node(node, dist));
+        while let Some(&Reverse((dist, what))) = self.edge_events.heap.peek() {
+            // An edge event goes before a node settling at the same distance.
+            if self.nodes.peek_dist().is_some_and(|node_dist| node_dist < dist) {
+                break;
+            }
+            self.edge_events.heap.pop();
+            match what {
+                OnEdge::Point(p) if self.point_emitted.insert(p) => {
+                    return Some(Event::Point(p, dist))
                 }
-                Key::Point(p) => {
-                    if !self.bufs.point_emitted.insert(p) {
-                        continue;
-                    }
-                    return Some(Event::Point(p, dist));
+                OnEdge::Target if !std::mem::replace(&mut self.target_emitted, true) => {
+                    return Some(Event::Target(dist))
                 }
-                Key::Target => {
-                    if self.target_emitted {
-                        continue;
-                    }
-                    self.target_emitted = true;
-                    return Some(Event::Target(dist));
-                }
+                _ => {} // already reported at a smaller distance
             }
         }
-        None
+        self.nodes.next_settled_unexpanded().map(|(node, dist)| Event::Node(node, dist))
     }
 
     /// Returns the next event, automatically expanding every settled node
@@ -254,57 +204,26 @@ impl<'a, T: Topology + ?Sized> UnrestrictedExpansion<'a, T> {
     /// points on its adjacent edges (and the target, if it lies on one of
     /// them) to the event heap.
     pub fn expand_node(&mut self, node: NodeId, dist: Weight) {
-        // Collect the adjacency once to avoid borrowing `self` inside the
-        // topology callback.
-        let neighbors = self.topo.neighbors_vec(node);
-        // Freshly relaxed neighbors are upcoming fetches — collect them for
-        // a frontier prefetch hint when the topology asks for them. Hints
-        // never alter the relaxation itself.
-        let mut hints = if self.wants_hints {
-            let mut h = std::mem::take(&mut self.bufs.hints);
-            h.clear();
-            Some(h)
-        } else {
-            None
-        };
-        for nb in neighbors {
-            // Data points on the adjacent edge.
-            for ep in self.points.points_on_edge(nb.edge) {
-                if self.bufs.point_emitted.contains(&ep.point) {
-                    continue;
+        let Self { points, target, edge_events, point_emitted, target_emitted, .. } = self;
+        self.nodes.expand_from_each(node, dist, |nb, _| {
+            // Offsets are measured from the lower-id endpoint of an edge.
+            let from_here = |offset: Weight, edge_weight: Weight| {
+                if node < nb.node {
+                    offset
+                } else {
+                    edge_weight.saturating_sub(offset)
                 }
-                let direct =
-                    if node < nb.node { ep.offset } else { nb.weight.saturating_sub(ep.offset) };
-                self.bufs.heap.push(HeapEntry { dist: dist + direct, key: Key::Point(ep.point) });
-            }
-            // The target location, if it lies on the adjacent edge.
-            if let Some(t) = self.target {
-                if !self.target_emitted && t.edge == nb.edge {
-                    let direct = if node < nb.node {
-                        t.offset
-                    } else {
-                        t.edge_weight.saturating_sub(t.offset)
-                    };
-                    self.bufs.heap.push(HeapEntry { dist: dist + direct, key: Key::Target });
+            };
+            for ep in points.points_on_edge(nb.edge) {
+                if !point_emitted.contains(&ep.point) {
+                    let direct = from_here(ep.offset, nb.weight);
+                    edge_events.offer(dist + direct, OnEdge::Point(ep.point));
                 }
             }
-            // Ordinary node relaxation.
-            if !self.bufs.node_settled.contains(nb.node) {
-                let cand = dist + nb.weight;
-                if self.bufs.node_best.insert_if_less(nb.node, cand) {
-                    self.bufs.heap.push(HeapEntry { dist: cand, key: Key::Node(nb.node) });
-                    if let Some(h) = hints.as_mut() {
-                        h.push(nb.node);
-                    }
-                }
+            if let Some(t) = target.filter(|t| !*target_emitted && t.edge == nb.edge) {
+                edge_events.offer(dist + from_here(t.offset, t.edge_weight), OnEdge::Target);
             }
-        }
-        if let Some(h) = hints {
-            if !h.is_empty() {
-                self.topo.prefetch_hint(&h);
-            }
-            self.bufs.hints = h;
-        }
+        });
     }
 }
 

@@ -7,24 +7,24 @@
 //! could answer "why was *this* query slow?" or be scraped as one snapshot.
 //! This crate unifies them:
 //!
-//! * [`MetricsRegistry`](registry::MetricsRegistry) — named counters, gauges
+//! * [`MetricsRegistry`] — named counters, gauges
 //!   and histograms with wait-free record paths (striped relaxed atomics),
 //!   plus pollable *sources* through which the server, buffer pool, result
 //!   cache and hub-label index contribute their own internally consistent
 //!   counter groups. One [`snapshot`](registry::MetricsRegistry::snapshot)
 //!   replaces ad-hoc polling of four APIs.
-//! * [`LatencyHistogram`](histogram::LatencyHistogram) — the fixed-bucket
+//! * [`LatencyHistogram`] — the fixed-bucket
 //!   log-scale latency distribution (moved here from `rnn-server` so every
 //!   layer can use it), now with an exact minimum, p99.9 and zero-copy
 //!   bucket iteration for exporters.
-//! * [`QueryTrace`](trace::QueryTrace) / [`Tracer`](trace::Tracer) — a
+//! * [`QueryTrace`] / [`Tracer`] — a
 //!   lightweight per-query span record capturing queue wait, service time
 //!   and per-phase timings + work counters (expansion vs. range-NN vs.
 //!   verification for the traversal algorithms, candidate generation vs.
 //!   counting for hub-label). The tracer lives in the engine's `Scratch`
 //!   arena, so the steady state stays allocation-free and tracing off costs
 //!   one branch per instrumentation point.
-//! * [`SlowQueryLog`](slowlog::SlowQueryLog) — a fixed-capacity record of
+//! * [`SlowQueryLog`] — a fixed-capacity record of
 //!   the N worst traces by service time plus 1-in-M uniform samples from a
 //!   seeded deterministic sampler; the common case (fast, unsampled query)
 //!   never takes its lock.

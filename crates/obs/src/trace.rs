@@ -17,7 +17,7 @@
 //! experiment asserts.
 //!
 //! Aggregation: a [`TraceRecorder`] folds finished traces into
-//! algorithm×phase counters of a [`MetricsRegistry`](crate::MetricsRegistry)
+//! algorithm×phase counters of a [`MetricsRegistry`]
 //! through wait-free pre-resolved handles (no name lookup per query).
 
 use crate::registry::{Counter, Histogram, MetricsRegistry};

@@ -5,9 +5,9 @@
 //! guarded by one mutex and two condvars (`not_empty` for consumers,
 //! `not_full` for blocked producers), holding **one sub-queue per
 //! [`Priority`] class**. Many submitter threads push — singly or in batches
-//! ([`RequestQueue::submit_batch`] pays one lock acquisition and one
+//! (`RequestQueue::submit_batch` pays one lock acquisition and one
 //! `not_empty` notification for N requests) — and many worker threads pop in
-//! *micro-batches* ([`RequestQueue::pop_batch`] hands out up to B requests
+//! *micro-batches* (`RequestQueue::pop_batch` hands out up to B requests
 //! per wakeup).
 //!
 //! **Pop order.** Workers drain [`Priority::Interactive`] before

@@ -113,7 +113,7 @@ impl Request {
     }
 
     /// A request for one engine-level [`QuerySpec`] (interactive, no
-    /// deadline) — the bridge from a [`Workload`] to the server's
+    /// deadline) — the bridge from a [`rnn_core::Workload`] to the server's
     /// [`crate::Server::submit_all`].
     pub fn from_spec(spec: QuerySpec) -> Self {
         Request::new(spec.algorithm, spec.query, spec.k)

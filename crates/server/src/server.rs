@@ -154,9 +154,16 @@ impl World {
         engine
     }
 
-    /// `true` if the current precomputed structures can serve `algorithm`.
-    fn can_serve(&self, algorithm: Algorithm) -> bool {
-        (!algorithm.needs_materialization() || self.materialized.is_some())
+    /// `true` if a worker can serve `request` on this world: `k` is at least
+    /// 1, the query is a node of the topology, and the precomputed structure
+    /// the algorithm needs is attached (for eager-M, a table materialized for
+    /// at least `k` neighbors). Anything else would panic inside the engine.
+    fn can_serve(&self, request: &Request) -> bool {
+        let algorithm = request.algorithm;
+        request.k >= 1
+            && request.query.index() < self.topo.num_nodes()
+            && (!algorithm.needs_materialization()
+                || self.materialized.as_ref().is_some_and(|t| request.k <= t.capacity_k()))
             && (!algorithm.needs_hub_labels() || self.hub_labels.is_some())
     }
 }
@@ -789,7 +796,7 @@ impl Server {
         }
         // Admission validation: refuse now what no worker could ever serve
         // (panicking a worker thread instead would poison the whole pool).
-        if request.k == 0 || !self.shared.world.read().can_serve(request.algorithm) {
+        if !self.shared.world.read().can_serve(&request) {
             class.rejected.fetch_add(1, Ordering::Relaxed);
             if let Some(t) = &self.shared.telemetry {
                 t.on_dropped(request.priority, false, self.shared.nanos_since_start());
@@ -827,7 +834,7 @@ impl Server {
                 if let Some(t) = &self.shared.telemetry {
                     t.on_arrival(request.priority);
                 }
-                if request.k == 0 || !world.can_serve(request.algorithm) {
+                if !world.can_serve(&request) {
                     class.rejected.fetch_add(1, Ordering::Relaxed);
                     if let Some(t) = &self.shared.telemetry {
                         t.on_dropped(request.priority, false, self.shared.nanos_since_start());
@@ -1124,10 +1131,10 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
             let start = Instant::now();
             let queue_wait = start.duration_since(queued.request.submit_instant);
             // Re-check serveability at dequeue: a swap_points() between
-            // admission and now may have dropped the precomputed structure
-            // this request needs — fail its ticket instead of letting the
-            // engine panic (which would kill the worker for good).
-            if !world.can_serve(queued.request.algorithm) {
+            // admission and now may have dropped (or shrunk) the precomputed
+            // structure this request needs — fail its ticket instead of
+            // letting the engine panic (which would kill the worker for good).
+            if !world.can_serve(&queued.request) {
                 class.rejected.fetch_add(1, Ordering::Relaxed);
                 if let Some(t) = &shared.telemetry {
                     t.on_dropped(priority, false, shared.nanos_since_start());
@@ -1363,13 +1370,36 @@ mod tests {
         assert_eq!(no_table.err(), Some(ServeError::Unservable));
         let no_labels = server.submit(Request::new(Algorithm::HubLabel, NodeId::new(0), 1));
         assert_eq!(no_labels.err(), Some(ServeError::Unservable));
+        // A query node the 25-node topology does not have, alone and in a batch.
+        let no_node = server.submit(Request::new(Algorithm::Eager, NodeId::new(1000), 1));
+        assert_eq!(no_node.err(), Some(ServeError::Unservable));
+        let mut batch = server.submit_all(&[
+            Request::new(Algorithm::Lazy, NodeId::new(25), 1),
+            Request::new(Algorithm::Lazy, NodeId::new(24), 1),
+        ]);
+        assert!(batch.pop().unwrap().unwrap().wait().is_ok());
+        assert_eq!(batch.pop().unwrap().err(), Some(ServeError::Unservable));
+        // The one worker is still alive and serves what follows.
         let ok = server.submit(Request::new(Algorithm::Naive, NodeId::new(0), 1)).unwrap();
         assert!(ok.wait().is_ok());
         let stats = server.shutdown();
-        assert_eq!(stats.submitted, 4);
-        assert_eq!(stats.rejected, 3);
-        assert_eq!(stats.completed, 1);
+        assert_eq!(stats.submitted, 7);
+        assert_eq!(stats.rejected, 5);
+        assert_eq!(stats.completed, 2);
         assert_eq!(stats.accounted(), stats.submitted);
+
+        // Eager-M beyond the K the table was materialized for.
+        let (graph, points, with_table) = self::world(5, 3);
+        let table = Arc::new(MaterializedKnn::build(&*graph, &*points, 2));
+        let server = Server::start(
+            with_table.with_materialized(table),
+            ServerConfig::default().with_workers(1),
+        );
+        let eager_m = |k| Request::new(Algorithm::EagerMaterialized, NodeId::new(3), k);
+        assert_eq!(server.submit(eager_m(3)).err(), Some(ServeError::Unservable));
+        assert!(server.submit(eager_m(2)).unwrap().wait().is_ok());
+        let stats = server.shutdown();
+        assert_eq!((stats.rejected, stats.completed), (1, 1));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! worker's *next* fold waited on a slow poller. This module removes both
 //! waits with a **seqlock-style double-buffered snapshot**:
 //!
-//! * Each worker owns a [`PublishedMetrics`]: two buffers of plain atomic
+//! * Each worker owns a `PublishedMetrics`: two buffers of plain atomic
 //!   words plus a version counter. After every micro-batch the worker writes
 //!   its cumulative metrics into the buffer the readers are *not* looking at
 //!   (the one of opposite parity to the version), then bumps the version

@@ -23,7 +23,7 @@
 //!
 //! [`IoCounters::snapshot`] is the poll path — the serving layer reads it on
 //! every stats poll — and it never takes a lock either. Shards live in a
-//! grow-only chunked slab ([`ShardSlab`]) whose published length a reader
+//! grow-only chunked slab (`ShardSlab`) whose published length a reader
 //! walks directly, and the folded totals of retired threads sit in a cell of
 //! plain atomics. The rare *structural* transitions — folding a retiring
 //! thread's shard into the retired cell, or [`IoCounters::reset`] zeroing

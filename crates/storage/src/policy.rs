@@ -22,13 +22,13 @@
 //!   through `A1in` and never touches the hot set in `Am` — scan-resistant.
 //!
 //! Every policy tracks, per resident page, whether it was admitted by
-//! [`PageCache::insert_prefetched`] (a speculative read) and has not yet
+//! `PageCache::insert_prefetched` (a speculative read) and has not yet
 //! served a demand hit. Speculative pages are admitted **cold** — at the
 //! LRU/A1in victim end, or with a cleared Clock reference bit at the hand —
 //! so a wrong guess is the first page out. The buffer pool turns the flag
 //! into its `prefetch_useful` / `prefetch_wasted` accounting.
 //!
-//! [`PageCache`] is the crate-internal enum the pool's shards hold; enum
+//! `PageCache` is the crate-internal enum the pool's shards hold; enum
 //! dispatch keeps the hot path monomorphic (no vtable per page access).
 
 use crate::lru::Lru;

@@ -1,7 +1,7 @@
 //! Model check of `rnn_core::NodeTable` against `std::collections::HashMap`:
-//! random insert / overwrite / entry / get_mut / insert_if_less / clear
-//! sequences must leave both with the same contents, with the table
-//! additionally reporting its nodes in first-insertion order.
+//! random insert / overwrite / entry / get_mut / clear sequences must leave
+//! both with the same contents, with the table additionally reporting its
+//! nodes in first-insertion order.
 
 use proptest::prelude::*;
 use rnn_core::NodeTable;
@@ -20,7 +20,7 @@ proptest! {
 
     #[test]
     fn node_table_matches_a_hash_map(
-        ops in proptest::collection::vec((0u8..8, node_index(), any::<u32>()), 0..200)
+        ops in proptest::collection::vec((0u8..7, node_index(), any::<u32>()), 0..200)
     ) {
         let mut table: NodeTable<u32> = NodeTable::new();
         let mut model: HashMap<NodeId, u32> = HashMap::new();
@@ -49,16 +49,6 @@ proptest! {
                     if let (Some(t), Some(m)) = (t, m) {
                         *t ^= val;
                         *m ^= val;
-                    }
-                }
-                6 => {
-                    let stored = model.get(&node).is_none_or(|m| val < *m);
-                    if !model.contains_key(&node) {
-                        order.push(node);
-                    }
-                    prop_assert_eq!(table.insert_if_less(node, val), stored);
-                    if stored {
-                        model.insert(node, val);
                     }
                 }
                 _ => {
