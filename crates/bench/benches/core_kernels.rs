@@ -10,9 +10,20 @@
 //!   proportional to its capacity, the table in O(1)), `fill_clear/50000`
 //!   the large query itself, `get/*` 1024 lookups (half of them misses) at
 //!   that many live entries.
+//! * `frontier/push_pop/{32,1024}`: the expansion's frontier held at that
+//!   many entries — 64 passes of 4096 settle-and-relax steps over a topology
+//!   of disjoint chains (one arc per node, grid-like weights in `[0.8, 1.2)`),
+//!   so every pop is followed by one push. The heap is private to `rnn-core`; this
+//!   drives it through [`NetworkExpansion`], label table included. The rows
+//!   to watch after touching `flat_heap.rs`: an edit that brings branches
+//!   back into the child pick of `pop` shows here first.
 //! * `range_nn`, `eager`, `lazy_ep`, `lazy`: 64 range-NN probes and 8 full
 //!   queries per row on a 10⁴-node grid at point density 0.01, `k = 1`, on a
 //!   reused `Scratch`.
+//! * `eager_visitor_only/8_queries`: the `eager` row through a topology that
+//!   does not lend its adjacency slices ([`Topology::adjacency`] left at
+//!   `None`), as a paged or wrapped graph does not; the distance to `eager`
+//!   is what the lent slice saves.
 //! * `continuous_lazy`, `unrestricted_eager`, `unrestricted_lazy`: 8 queries
 //!   per row on the same grid (routes of 12 nodes; points on edges at density
 //!   0.01), `k = 1` — the only timing these paths have.
@@ -24,6 +35,7 @@ mod common;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rnn_core::continuous::continuous_lazy_rknn;
+use rnn_core::expansion::{ExpansionBuffers, NetworkExpansion};
 use rnn_core::fast_hash::{fast_map, FastMap};
 use rnn_core::knn::range_nn_into;
 use rnn_core::materialize::MaterializedKnn;
@@ -33,7 +45,7 @@ use rnn_datagen::{
     grid_map, place_points_on_edges, place_points_on_nodes, sample_edge_queries,
     sample_node_queries, sample_routes, GridConfig,
 };
-use rnn_graph::{NodeId, PointId, PointsOnNodes, Weight};
+use rnn_graph::{EdgeId, Graph, Neighbor, NodeId, PointId, PointsOnNodes, Topology, Weight};
 use rnn_storage::lru::mix64;
 use std::hint::black_box;
 
@@ -97,6 +109,82 @@ fn bench_node_state(c: &mut Criterion) {
     group.finish();
 }
 
+/// Disjoint chains: node `i` has one arc, to node `i + width`, so an
+/// expansion seeded with nodes `0..width` pushes exactly one entry per node it
+/// settles and its frontier stays `width` entries wide.
+struct Chains {
+    arcs: Vec<Neighbor>,
+    width: usize,
+}
+
+impl Chains {
+    fn new(width: usize, steps: usize) -> Self {
+        let arcs = (0..steps)
+            .map(|i| Neighbor {
+                node: NodeId::new(i + width),
+                weight: Weight::new(0.8 + 0.4 * (mix64(i as u64) % 1024) as f64 / 1024.0),
+                edge: EdgeId::new(i),
+            })
+            .collect();
+        Chains { arcs, width }
+    }
+}
+
+impl Topology for Chains {
+    fn num_nodes(&self) -> usize {
+        self.arcs.len() + self.width
+    }
+
+    fn visit_neighbors(&self, node: NodeId, visit: &mut dyn FnMut(Neighbor)) {
+        self.adjacency(node).into_iter().flatten().copied().for_each(visit);
+    }
+
+    fn adjacency(&self, node: NodeId) -> Option<&[Neighbor]> {
+        Some(self.arcs.get(node.index()..=node.index()).unwrap_or(&[]))
+    }
+}
+
+fn bench_frontier(c: &mut Criterion) {
+    const STEPS: usize = 4096;
+    const PASSES: usize = 64;
+    let mut group = c.benchmark_group("core_kernels/frontier");
+    for width in [32usize, 1024] {
+        let chains = Chains::new(width, STEPS);
+        let sources: Vec<(NodeId, Weight)> =
+            (0..width).map(|i| (NodeId::new(i), chains.arcs[i].weight)).collect();
+        let mut bufs = ExpansionBuffers::new();
+        group.bench_function(format!("push_pop/{width}"), |b| {
+            b.iter(|| {
+                let mut last = Weight::ZERO;
+                for _ in 0..PASSES {
+                    let recycled = std::mem::take(&mut bufs);
+                    let mut exp =
+                        NetworkExpansion::reusing(&chains, recycled, sources.iter().copied());
+                    for _ in 0..STEPS {
+                        (_, last) = exp.next_settled().expect("a chain ends after the last step");
+                    }
+                    bufs = exp.into_buffers();
+                }
+                black_box(last)
+            })
+        });
+    }
+    group.finish();
+}
+
+/// A graph that keeps its adjacency slices to itself.
+struct VisitorOnly<'g>(&'g Graph);
+
+impl Topology for VisitorOnly<'_> {
+    fn num_nodes(&self) -> usize {
+        self.0.num_nodes()
+    }
+
+    fn visit_neighbors(&self, node: NodeId, visit: &mut dyn FnMut(Neighbor)) {
+        self.0.visit_neighbors(node, visit)
+    }
+}
+
 fn bench_queries(c: &mut Criterion) {
     let graph = grid_map(&GridConfig { rows: 100, cols: 100, seed: 5, ..Default::default() });
     let points = place_points_on_nodes(&graph, 0.01, 6);
@@ -140,6 +228,22 @@ fn bench_queries(c: &mut Criterion) {
             })
         });
     }
+    group.bench_function("eager_visitor_only/8_queries", |b| {
+        let (topo, none) = (VisitorOnly(&graph), Precomputed::none());
+        b.iter(|| {
+            for &q in &queries {
+                black_box(run_rknn_with(
+                    Algorithm::Eager,
+                    &topo,
+                    &points,
+                    none,
+                    q,
+                    1,
+                    &mut scratch,
+                ));
+            }
+        })
+    });
     let routes = sample_routes(&graph, 12, 8, 7);
     group.bench_function("continuous_lazy/8_queries", |b| {
         b.iter(|| {
@@ -192,6 +296,6 @@ fn bench_updates(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = common::quick_criterion();
-    targets = bench_node_state, bench_queries, bench_updates
+    targets = bench_node_state, bench_frontier, bench_queries, bench_updates
 }
 criterion_main!(benches);

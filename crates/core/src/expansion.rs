@@ -11,20 +11,25 @@
 //! settling ([`NetworkExpansion::next_settled_unexpanded_if`]), the choice of
 //! whether to expand a settled node, and a per-arc hook on expanding
 //! ([`NetworkExpansion::expand_from_each`]).
+//!
+//! Three representation choices keep the loop short, none of them visible
+//! to callers:
+//!
+//! * the frontier is the crate's flat heap of packed keys (`flat_heap.rs`):
+//!   `(distance, node)` as one integer, compared without a NaN branch, in
+//!   the order the tuple had — so the settle order, and with it every work
+//!   counter, is that of a binary heap of tuples;
+//! * a node's label is one `f64`: a tentative distance `d` is stored as `d`,
+//!   a settled one as `-d` (`-0.0` at a source). Distances are non-negative,
+//!   so no offer is below a settled label and relaxing is the single test
+//!   `offer < label`; settling is a negation;
+//! * neighbors come through [`rnn_graph::for_each_neighbor`]: the in-memory
+//!   graph lends its adjacency slice and the relaxation is inlined into the
+//!   loop over it, a paged or wrapped topology is visited arc by arc.
 
+use crate::flat_heap::FlatHeap;
 use crate::node_table::NodeTable;
-use rnn_graph::{Neighbor, NodeId, Topology, Weight};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Label of a node during expansion.
-#[derive(Copy, Clone, Debug, PartialEq)]
-enum Label {
-    /// Best distance found so far; the node is still in the frontier.
-    Tentative(Weight),
-    /// Final (settled) distance.
-    Settled(Weight),
-}
+use rnn_graph::{for_each_neighbor, Neighbor, NodeId, Topology, Weight};
 
 /// The allocation-bearing state of a [`NetworkExpansion`]: the frontier heap
 /// and the label table.
@@ -36,8 +41,10 @@ enum Label {
 /// steady-state queries allocation-free.
 #[derive(Debug, Default)]
 pub struct ExpansionBuffers {
-    heap: BinaryHeap<Reverse<(Weight, NodeId)>>,
-    labels: NodeTable<Label>,
+    /// `(distance, node, 0)` entries; stale ones are skipped when popped.
+    heap: FlatHeap,
+    /// Tentative distance `d` as `d`, settled distance `d` as `-d`.
+    labels: NodeTable<f64>,
     /// Scratch for frontier prefetch hints ([`Topology::prefetch_hint`]),
     /// empty between expansion steps. Only ever filled when the topology asks
     /// for hints, so the in-memory path never pays for it.
@@ -61,17 +68,29 @@ impl ExpansionBuffers {
     /// whether it was taken, i.e. labelled and pushed onto the frontier.
     #[inline]
     fn relax(&mut self, node: NodeId, dist: Weight) -> bool {
+        // `+ 0.0` folds a `-0.0` offer into `+0.0`: a negative zero label
+        // would read as settled.
+        let offer = dist.value() + 0.0;
         match self.labels.get_mut(node) {
-            Some(Label::Settled(_)) => return false,
-            Some(Label::Tentative(best)) if *best <= dist => return false,
-            Some(label) => *label = Label::Tentative(dist),
+            // Below the tentative distance; never below a settled label.
+            Some(label) if offer < *label => *label = offer,
+            Some(_) => return false,
             None => {
-                self.labels.insert(node, Label::Tentative(dist));
+                self.labels.insert(node, offer);
             }
         }
-        self.heap.push(Reverse((dist, node)));
+        self.heap.push(dist, node.0, 0);
         true
     }
+}
+
+/// Whether a frontier entry popped at `dist` is live, given its node's label:
+/// it is while the label is still the tentative distance the entry was pushed
+/// with. A settled label has its sign bit set, and a superseded entry sits
+/// above a smaller label; either way the bit patterns differ.
+#[inline]
+fn is_live(label: f64, dist: Weight) -> bool {
+    label.to_bits() == dist.value().to_bits()
 }
 
 /// An incremental single- or multi-source Dijkstra expansion over a
@@ -166,18 +185,14 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
         &mut self,
         mut keep: impl FnMut(NodeId) -> bool,
     ) -> Option<(NodeId, Weight)> {
-        while let Some(Reverse((dist, node))) = self.bufs.heap.pop() {
-            match self.bufs.labels.get_mut(node) {
-                Some(Label::Settled(_)) => continue, // stale entry
-                Some(Label::Tentative(best)) if *best < dist => continue, // superseded
-                Some(label) => {
-                    if !keep(node) {
-                        continue;
-                    }
-                    *label = Label::Settled(dist);
-                }
-                None => unreachable!("every heap entry was labelled when pushed"),
+        while let Some((dist, node, _)) = self.bufs.heap.pop() {
+            let node = NodeId(node);
+            let label =
+                self.bufs.labels.get_mut(node).expect("every heap entry was labelled when pushed");
+            if !is_live(*label, dist) || !keep(node) {
+                continue;
             }
+            *label = -dist.value();
             self.settled_count += 1;
             return Some((node, dist));
         }
@@ -188,8 +203,8 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
     /// when the frontier holds no live entry. Stale and superseded entries on
     /// top of the heap are discarded on the way.
     pub fn peek_dist(&mut self) -> Option<Weight> {
-        while let Some(&Reverse((dist, node))) = self.bufs.heap.peek() {
-            if self.bufs.labels.get(node) == Some(&Label::Tentative(dist)) {
+        while let Some((dist, node, _)) = self.bufs.heap.peek() {
+            if self.bufs.labels.get(NodeId(node)).is_some_and(|&label| is_live(label, dist)) {
                 return Some(dist);
             }
             self.bufs.heap.pop();
@@ -225,7 +240,7 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
         let wants_hints = self.wants_hints;
         let bufs = &mut self.bufs;
         let pushes = &mut self.pushes;
-        self.topo.visit_neighbors(node, &mut |nb| {
+        for_each_neighbor(self.topo, node, |nb| {
             let taken = bufs.relax(nb.node, dist + nb.weight);
             if taken {
                 *pushes += 1;
@@ -243,10 +258,8 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
 
     /// Returns the settled distance of `node`, if it has been settled.
     pub fn settled_distance(&self, node: NodeId) -> Option<Weight> {
-        match self.bufs.labels.get(node) {
-            Some(Label::Settled(d)) => Some(*d),
-            _ => None,
-        }
+        let label = *self.bufs.labels.get(node)?;
+        label.is_sign_negative().then(|| Weight::new(-label))
     }
 
     /// Number of nodes settled so far.
@@ -441,6 +454,76 @@ mod tests {
             ]
         );
         assert_eq!(exp.pushes(), 5, "the source and the four taken offers");
+    }
+
+    #[test]
+    fn negative_zero_source_is_a_zero_source() {
+        // `-0.0` has the largest bit pattern of all and reads as a settled
+        // label; as a source distance it must behave as `0.0` does: both
+        // sources settle first, in node-id order, at `+0.0`.
+        let g = diamond();
+        let sources = [(NodeId::new(3), Weight::new(-0.0)), (NodeId::new(1), Weight::ZERO)];
+        let mut exp = NetworkExpansion::with_sources(&g, sources);
+        assert_eq!(exp.settled_distance(NodeId::new(3)), None, "tentative, not settled");
+        assert_eq!(exp.peek_dist(), Some(Weight::ZERO));
+        let settled: Vec<_> = std::iter::from_fn(|| exp.next_settled())
+            .map(|(n, d)| (n.index(), d.value().to_bits()))
+            .collect();
+        let bits = f64::to_bits;
+        assert_eq!(settled, vec![(1, bits(0.0)), (3, bits(0.0)), (0, bits(1.0)), (2, bits(1.0))]);
+        assert_eq!(exp.pushes(), 4, "no settled source was re-opened");
+        for source in [1, 3] {
+            let d = exp.settled_distance(NodeId::new(source)).unwrap();
+            assert!(d.value() == 0.0 && d.value().is_sign_positive());
+        }
+    }
+
+    #[test]
+    fn zero_weight_arc_does_not_reopen_a_node_settled_at_zero() {
+        // The builder rejects zero weights, a topology need not: 0 = 1 = 2 at
+        // distance 0 of each other, 3 one step behind 2.
+        struct ZeroArcs;
+        impl Topology for ZeroArcs {
+            fn num_nodes(&self) -> usize {
+                4
+            }
+            fn visit_neighbors(&self, node: NodeId, visit: &mut dyn FnMut(Neighbor)) {
+                let arc = |to, w| Neighbor {
+                    node: NodeId::new(to),
+                    weight: Weight::new(w),
+                    edge: rnn_graph::EdgeId::new(0),
+                };
+                match node.index() {
+                    0 => visit(arc(1, 0.0)),
+                    1 => [arc(0, 0.0), arc(2, 0.0)].into_iter().for_each(visit),
+                    2 => [arc(1, 0.0), arc(3, 1.0)].into_iter().for_each(visit),
+                    _ => visit(arc(2, 1.0)),
+                }
+            }
+        }
+        let mut exp = NetworkExpansion::new(&ZeroArcs, NodeId::new(0));
+        let mut taken = Vec::new();
+        let mut settled = Vec::new();
+        while let Some((n, d)) = exp.next_settled_unexpanded() {
+            settled.push((n.index(), d.value()));
+            exp.expand_from_each(n, d, |nb, t| taken.push((n.index(), nb.node.index(), t)));
+        }
+        assert_eq!(settled, vec![(0, 0.0), (1, 0.0), (2, 0.0), (3, 1.0)]);
+        // Every offer back to a node settled at zero is `0.0` against a
+        // label of `-0.0`: equal as floats, and refused.
+        assert_eq!(
+            taken,
+            vec![
+                (0, 1, true),
+                (1, 0, false),
+                (1, 2, true),
+                (2, 1, false),
+                (2, 3, true),
+                (3, 2, false)
+            ]
+        );
+        assert_eq!((exp.pushes(), exp.settled_count()), (4, 4));
+        assert!(exp.frontier_is_empty());
     }
 
     /// A topology wrapper that asks for prefetch hints and records every

@@ -16,13 +16,12 @@
 
 use crate::expansion::NetworkExpansion;
 use crate::fast_hash::FastSet;
+use crate::flat_heap::FlatHeap;
 use crate::node_table::NodeTable;
 use crate::query::{QueryStats, RknnOutcome};
 use crate::scratch::{Reset, Scratch};
 use crate::verify::{verify_candidate_in, VerifyParams};
-use rnn_graph::{NodeId, PointId, PointsOnNodes, Topology, Weight};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use rnn_graph::{for_each_neighbor, NodeId, PointId, PointsOnNodes, Topology, Weight};
 
 /// How many entries a found-list has room for when it is created (`k` if that
 /// is smaller); a list that outgrows its room moves to twice as much.
@@ -113,8 +112,8 @@ impl FoundLists {
 /// expansion (H), pooled by [`Scratch`].
 #[derive(Debug, Default)]
 pub(crate) struct LazyEpBuffers {
-    /// Parallel point expansion heap (H').
-    point_heap: BinaryHeap<Reverse<(Weight, NodeId, PointId)>>,
+    /// Parallel point expansion heap (H'): `(distance, node, point)`.
+    point_heap: FlatHeap,
     /// Per-node nearest discovered points.
     found: FoundLists,
     discovered: FastSet<PointId>,
@@ -170,20 +169,21 @@ where
     // left to pop are stale entries.
     while !exp.frontier_is_empty() {
         // Advance H' while its frontier is behind the main frontier.
-        while let Some(&Reverse((pd, pnode, pid))) = bufs.point_heap.peek() {
+        while let Some((pd, pnode, pid)) = bufs.point_heap.peek() {
             if pd >= last_main_dist {
                 break;
             }
             bufs.point_heap.pop();
+            let (pnode, pid) = (NodeId(pnode), PointId(pid));
             if !bufs.found.insert(pnode, pd, pid, k) {
                 continue;
             }
             stats.auxiliary_settled += 1;
             let found = &bufs.found;
             let point_heap = &mut bufs.point_heap;
-            topo.visit_neighbors(pnode, &mut |nb| {
+            for_each_neighbor(topo, pnode, |nb| {
                 if found.admits(nb.node, pid, k) {
-                    point_heap.push(Reverse((pd + nb.weight, nb.node, pid)));
+                    point_heap.push(pd + nb.weight, nb.node.0, pid.0);
                 }
             });
         }
@@ -223,9 +223,7 @@ where
                     bufs.found.insert(node, Weight::ZERO, p, k);
                     stats.auxiliary_settled += 1;
                     let point_heap = &mut bufs.point_heap;
-                    topo.visit_neighbors(node, &mut |nb| {
-                        point_heap.push(Reverse((nb.weight, nb.node, p)));
-                    });
+                    for_each_neighbor(topo, node, |nb| point_heap.push(nb.weight, nb.node.0, p.0));
                 }
             }
         }

@@ -87,6 +87,7 @@ pub mod eager;
 pub mod engine;
 pub mod expansion;
 pub mod fast_hash;
+mod flat_heap;
 pub mod knn;
 pub mod lazy;
 pub mod lazy_ep;

@@ -19,10 +19,9 @@ mod update;
 pub use eager_m::{eager_m_rknn, eager_m_rknn_in};
 
 use crate::fast_hash::{fast_map, FastMap};
-use rnn_graph::{NodeId, PointsOnNodes, Topology, Weight};
+use crate::flat_heap::FlatHeap;
+use rnn_graph::{for_each_neighbor, NodeId, PointsOnNodes, Topology, Weight};
 use rnn_storage::{IoCounters, IoStats};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Mutex;
 
 /// One materialized entry: the node on which a data point resides, and the
@@ -75,20 +74,21 @@ impl MaterializedKnn {
         // Heap entries: (distance, node whose list may be extended, location
         // of the data point). Ties resolve by node id, then point location,
         // keeping the construction deterministic.
-        let mut heap: BinaryHeap<Reverse<(Weight, NodeId, NodeId)>> = BinaryHeap::new();
+        let mut heap = FlatHeap::default();
         for node in (0..num_nodes).map(NodeId::new) {
             if points.point_at(node).is_some() {
-                heap.push(Reverse((Weight::ZERO, node, node)));
+                heap.push(Weight::ZERO, node.0, node.0);
             }
         }
 
-        while let Some(Reverse((dist, node, point_node))) = heap.pop() {
+        while let Some((dist, node, point_node)) = heap.pop() {
+            let (node, point_node) = (NodeId(node), NodeId(point_node));
             if !list_insert(&mut lists[node.index()], point_node, dist, capacity_k) {
                 // Either this point already reached the node or the list is
                 // full of closer points: do not expand further.
                 continue;
             }
-            topo.visit_neighbors(node, &mut |nb| {
+            for_each_neighbor(topo, node, |nb| {
                 let cand = dist + nb.weight;
                 // Only propagate when the neighbor could still use this point.
                 let neighbor_list = &lists[nb.node.index()];
@@ -98,7 +98,7 @@ impl MaterializedKnn {
                         .map(|&(n, d)| (cand, point_node) < (d, n))
                         .unwrap_or(true)
                 {
-                    heap.push(Reverse((cand, nb.node, point_node)));
+                    heap.push(cand, nb.node.0, point_node.0);
                 }
             });
         }

@@ -3,10 +3,9 @@
 
 use super::{list_insert, KnnEntry, MaterializedKnn};
 use crate::expansion::{ExpansionBuffers, NetworkExpansion};
+use crate::flat_heap::FlatHeap;
 use crate::node_table::NodeTable;
-use rnn_graph::{NodeId, Topology, Weight};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use rnn_graph::{for_each_neighbor, NodeId, Topology, Weight};
 
 /// Summary of the work done by one maintenance operation.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -104,25 +103,26 @@ impl MaterializedKnn {
         // affected neighbors carry their remaining entries). Propagation then
         // stays inside the affected region.
         let affected = &bufs.affected;
-        let mut heap: BinaryHeap<Reverse<(Weight, NodeId, NodeId)>> = BinaryHeap::new();
+        let mut heap = FlatHeap::default();
         for &a in affected.nodes() {
-            topo.visit_neighbors(a, &mut |nb| {
+            for_each_neighbor(topo, a, |nb| {
                 let neighbor_list: Vec<KnnEntry> = self.knn_of_untracked(nb.node).to_vec();
                 // Reading the neighbor's list is a table access.
                 self.touch(nb.node);
                 for (loc, d) in neighbor_list {
-                    heap.push(Reverse((d + nb.weight, a, loc)));
+                    heap.push(d + nb.weight, a.0, loc.0);
                 }
             });
         }
-        while let Some(Reverse((dist, n, point_node))) = heap.pop() {
+        while let Some((dist, n, point_node)) = heap.pop() {
+            let (n, point_node) = (NodeId(n), NodeId(point_node));
             stats.nodes_visited += 1;
             if !list_insert(self.list_mut(n), point_node, dist, capacity_k) {
                 continue;
             }
-            topo.visit_neighbors(n, &mut |nb| {
+            for_each_neighbor(topo, n, |nb| {
                 if affected.contains(nb.node) {
-                    heap.push(Reverse((dist + nb.weight, nb.node, point_node)));
+                    heap.push(dist + nb.weight, nb.node.0, point_node.0);
                 }
             });
         }

@@ -13,7 +13,7 @@ use super::expansion::{
 use super::EdgePosition;
 use crate::fast_hash::{fast_map, fast_set, FastMap, FastSet};
 use crate::query::{QueryStats, RknnOutcome};
-use rnn_graph::{EdgePointSet, Graph, NodeId, PointId, Topology, Weight};
+use rnn_graph::{for_each_neighbor, EdgePointSet, Graph, NodeId, PointId, Topology, Weight};
 
 /// Collects the candidate points on the edges adjacent to `node`, excluding
 /// points that coincide with the query location.
@@ -23,7 +23,7 @@ fn adjacent_candidates<T: Topology + ?Sized>(
     node: NodeId,
 ) -> Vec<PointId> {
     let mut out = Vec::new();
-    topo.visit_neighbors(node, &mut |nb| {
+    for_each_neighbor(topo, node, |nb| {
         for ep in points.points_on_edge(nb.edge) {
             out.push(ep.point);
         }

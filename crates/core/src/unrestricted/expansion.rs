@@ -14,9 +14,8 @@
 use super::EdgePosition;
 use crate::expansion::{ExpansionBuffers, NetworkExpansion};
 use crate::fast_hash::FastSet;
+use crate::flat_heap::FlatHeap;
 use rnn_graph::{EdgePointSet, NodeId, PointId, Topology, Weight};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// An event produced by the expansion, in ascending distance order.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -29,25 +28,36 @@ pub enum Event {
     Target(Weight),
 }
 
-/// What lies on an edge. At equal distances the target comes before the
-/// points and the points come in id order, for determinism.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// What lies on an edge.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 enum OnEdge {
     Target,
     Point(PointId),
 }
 
-/// Min-heap of the edge events offered so far, with their distances.
+/// Min-heap of the edge events offered so far, with their distances. At
+/// equal distances the target comes before the points and the points come in
+/// id order, for determinism: the target is keyed `(0, 0)`, point `p`
+/// `(1, p)`.
 #[derive(Debug, Default)]
 struct EdgeEvents {
-    heap: BinaryHeap<Reverse<(Weight, OnEdge)>>,
+    heap: FlatHeap,
     pushes: u64,
 }
 
 impl EdgeEvents {
     fn offer(&mut self, dist: Weight, what: OnEdge) {
-        self.heap.push(Reverse((dist, what)));
+        match what {
+            OnEdge::Target => self.heap.push(dist, 0, 0),
+            OnEdge::Point(p) => self.heap.push(dist, 1, p.0),
+        }
         self.pushes += 1;
+    }
+
+    fn peek(&self) -> Option<(Weight, OnEdge)> {
+        self.heap.peek().map(|(dist, kind, p)| {
+            (dist, if kind == 0 { OnEdge::Target } else { OnEdge::Point(PointId(p)) })
+        })
     }
 }
 
@@ -171,7 +181,7 @@ impl<'a, T: Topology + ?Sized> UnrestrictedExpansion<'a, T> {
     /// expanding settled nodes; callers controlling pruning (the eager main
     /// loop) must invoke [`UnrestrictedExpansion::expand_node`] themselves.
     pub fn next_event_unexpanded(&mut self) -> Option<Event> {
-        while let Some(&Reverse((dist, what))) = self.edge_events.heap.peek() {
+        while let Some((dist, what)) = self.edge_events.peek() {
             // An edge event goes before a node settling at the same distance.
             if self.nodes.peek_dist().is_some_and(|node_dist| node_dist < dist) {
                 break;

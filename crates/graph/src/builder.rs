@@ -1,7 +1,7 @@
 //! Validating builder for [`Graph`].
 
 use crate::error::GraphError;
-use crate::graph::Graph;
+use crate::graph::{Graph, Neighbor};
 use crate::ids::{EdgeId, NodeId};
 use crate::weight::Weight;
 
@@ -129,49 +129,24 @@ impl GraphBuilder {
             offsets.push(acc);
         }
 
-        let num_arcs = acc as usize;
-        let mut arc_targets = vec![NodeId::default(); num_arcs];
-        let mut arc_weights = vec![Weight::ZERO; num_arcs];
-        let mut arc_edges = vec![EdgeId::default(); num_arcs];
+        let placeholder =
+            Neighbor { node: NodeId::default(), weight: Weight::ZERO, edge: EdgeId::default() };
+        let mut arcs = vec![placeholder; acc as usize];
         let mut cursor: Vec<u32> = offsets[..self.num_nodes].to_vec();
-
-        for (i, (&(lo, hi), &w)) in edge_endpoints.iter().zip(edge_weights.iter()).enumerate() {
-            let e = EdgeId::new(i);
-            let slot = cursor[lo.index()] as usize;
-            arc_targets[slot] = hi;
-            arc_weights[slot] = w;
-            arc_edges[slot] = e;
-            cursor[lo.index()] += 1;
-
-            let slot = cursor[hi.index()] as usize;
-            arc_targets[slot] = lo;
-            arc_weights[slot] = w;
-            arc_edges[slot] = e;
-            cursor[hi.index()] += 1;
-        }
-
-        // Sort each adjacency list by neighbor id for deterministic order.
-        for v in 0..self.num_nodes {
-            let lo = offsets[v] as usize;
-            let hi = offsets[v + 1] as usize;
-            let mut entries: Vec<(NodeId, Weight, EdgeId)> =
-                (lo..hi).map(|a| (arc_targets[a], arc_weights[a], arc_edges[a])).collect();
-            entries.sort_unstable_by_key(|&(n, _, _)| n);
-            for (off, (n, w, e)) in entries.into_iter().enumerate() {
-                arc_targets[lo + off] = n;
-                arc_weights[lo + off] = w;
-                arc_edges[lo + off] = e;
+        for (i, (&(lo, hi), &weight)) in edge_endpoints.iter().zip(&edge_weights).enumerate() {
+            let edge = EdgeId::new(i);
+            for (from, node) in [(lo, hi), (hi, lo)] {
+                arcs[cursor[from.index()] as usize] = Neighbor { node, weight, edge };
+                cursor[from.index()] += 1;
             }
         }
 
-        Ok(Graph::from_csr(
-            offsets,
-            arc_targets,
-            arc_weights,
-            arc_edges,
-            edge_endpoints,
-            edge_weights,
-        ))
+        // Sort each adjacency list by neighbor id for deterministic order.
+        for bounds in offsets.windows(2) {
+            arcs[bounds[0] as usize..bounds[1] as usize].sort_unstable_by_key(|arc| arc.node);
+        }
+
+        Ok(Graph::from_csr(offsets, arcs, edge_endpoints, edge_weights))
     }
 }
 

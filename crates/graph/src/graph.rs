@@ -3,10 +3,12 @@
 //!
 //! The paper models the network as an undirected graph `G = (V, E, W)` with a
 //! positive weight per edge. [`Graph`] stores both directed arcs of every
-//! undirected edge in a CSR layout: a prefix-offset array plus parallel
-//! neighbor / weight / edge-id arrays. This is the in-memory "ground truth"
-//! topology; the `rnn-storage` crate provides the disk-page backed view with
-//! I/O accounting used in the experiments.
+//! undirected edge in a CSR layout: a prefix-offset array plus one array of
+//! [`Neighbor`] records (target, weight and edge id of an arc side by side,
+//! 16 bytes), so a node's adjacency list is one contiguous slice that
+//! [`Topology::adjacency`] lends to the expansion as it is. This is the
+//! in-memory "ground truth" topology; the `rnn-storage` crate provides the
+//! disk-page backed view with I/O accounting used in the experiments.
 
 use crate::ids::{EdgeId, NodeId};
 use crate::topology::Topology;
@@ -14,7 +16,7 @@ use crate::weight::Weight;
 use serde::{Deserialize, Serialize};
 
 /// One entry of a node's adjacency list.
-#[derive(Copy, Clone, Debug, PartialEq)]
+#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Neighbor {
     /// The adjacent node.
     pub node: NodeId,
@@ -24,20 +26,20 @@ pub struct Neighbor {
     pub edge: EdgeId,
 }
 
+// The arc array costs what three parallel arrays of its fields would.
+const _: () = assert!(std::mem::size_of::<Neighbor>() == 16);
+
 /// An undirected weighted graph in CSR form.
 ///
 /// Construct a `Graph` through [`crate::GraphBuilder`]; the builder validates
 /// node bounds, weights and duplicate edges and sorts adjacency lists.
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
 pub struct Graph {
-    /// `offsets[v] .. offsets[v + 1]` is the slice of `v`'s adjacency arrays.
+    /// `arcs[offsets[v] .. offsets[v + 1]]` is the adjacency list of `v`.
     offsets: Vec<u32>,
-    /// Neighbor node of each directed arc.
-    arc_targets: Vec<NodeId>,
-    /// Weight of each directed arc (equal for the two arcs of an edge).
-    arc_weights: Vec<Weight>,
-    /// Undirected edge id of each directed arc.
-    arc_edges: Vec<EdgeId>,
+    /// The directed arcs, grouped by source node and sorted by target within
+    /// a group (the two arcs of an edge carry the same weight and edge id).
+    arcs: Vec<Neighbor>,
     /// Canonical endpoints `(lo, hi)` of each undirected edge.
     edge_endpoints: Vec<(NodeId, NodeId)>,
     /// Weight of each undirected edge.
@@ -49,17 +51,13 @@ impl Graph {
     /// already be validated and sorted.
     pub(crate) fn from_csr(
         offsets: Vec<u32>,
-        arc_targets: Vec<NodeId>,
-        arc_weights: Vec<Weight>,
-        arc_edges: Vec<EdgeId>,
+        arcs: Vec<Neighbor>,
         edge_endpoints: Vec<(NodeId, NodeId)>,
         edge_weights: Vec<Weight>,
     ) -> Self {
-        debug_assert_eq!(arc_targets.len(), arc_weights.len());
-        debug_assert_eq!(arc_targets.len(), arc_edges.len());
         debug_assert_eq!(edge_endpoints.len(), edge_weights.len());
-        debug_assert_eq!(*offsets.last().unwrap_or(&0) as usize, arc_targets.len());
-        Graph { offsets, arc_targets, arc_weights, arc_edges, edge_endpoints, edge_weights }
+        debug_assert_eq!(*offsets.last().unwrap_or(&0) as usize, arcs.len());
+        Graph { offsets, arcs, edge_endpoints, edge_weights }
     }
 
     /// Number of nodes `|V|`.
@@ -81,17 +79,17 @@ impl Graph {
         (self.offsets[i + 1] - self.offsets[i]) as usize
     }
 
+    /// The adjacency list of `node`, sorted by neighbor id.
+    #[inline]
+    fn arcs_of(&self, node: NodeId) -> &[Neighbor] {
+        let i = node.index();
+        &self.arcs[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
     /// Iterates over the adjacency list of `node`.
     #[inline]
     pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = Neighbor> + '_ {
-        let i = node.index();
-        let lo = self.offsets[i] as usize;
-        let hi = self.offsets[i + 1] as usize;
-        (lo..hi).map(move |a| Neighbor {
-            node: self.arc_targets[a],
-            weight: self.arc_weights[a],
-            edge: self.arc_edges[a],
-        })
+        self.arcs_of(node).iter().copied()
     }
 
     /// Returns the canonical endpoints `(lo, hi)` of an undirected edge, with
@@ -167,6 +165,11 @@ impl Topology for Graph {
         for n in self.neighbors(node) {
             visit(n);
         }
+    }
+
+    #[inline]
+    fn adjacency(&self, node: NodeId) -> Option<&[Neighbor]> {
+        Some(self.arcs_of(node))
     }
 }
 
@@ -250,6 +253,10 @@ mod tests {
         let direct: Vec<_> = g.neighbors(NodeId::new(2)).collect();
         assert_eq!(via_trait, direct);
         assert_eq!(Topology::num_nodes(&g), 7);
+        // The lent slice is the visited list, element for element.
+        for v in g.node_ids() {
+            assert_eq!(g.adjacency(v), Some(&g.neighbors_vec(v)[..]), "node {v}");
+        }
     }
 
     #[test]

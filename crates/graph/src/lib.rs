@@ -46,5 +46,5 @@ pub use io::{read_edge_list, write_edge_list};
 pub use points::{NodePointSet, PointsOnNodes};
 pub use route::Route;
 pub use stats::GraphStats;
-pub use topology::Topology;
+pub use topology::{for_each_neighbor, Topology};
 pub use weight::Weight;

@@ -6,6 +6,17 @@
 //! captures exactly the operations the algorithms need, so the same
 //! implementation runs on [`crate::Graph`] (correctness tests, small examples)
 //! and on the paged graph of `rnn-storage` (cost experiments).
+//!
+//! An adjacency list can be fetched in two forms. [`Topology::visit_neighbors`]
+//! is the one every topology has: the list is handed to a visitor arc by arc,
+//! wherever it lives. [`Topology::adjacency`] is the one a topology offers
+//! when the list already sits in memory it owns as a `[Neighbor]`: it lends
+//! the slice, and the caller's loop over it needs no call per arc. The
+//! in-memory [`crate::Graph`] lends; the paged graph cannot — its records are
+//! encoded in pool frames behind a shard lock, which a borrowed slice would
+//! have to outlive, so lending would mean copying the list out first.
+//! [`for_each_neighbor`] picks the form a topology has, so a traversal is
+//! written once.
 
 use crate::graph::Neighbor;
 use crate::ids::NodeId;
@@ -28,6 +39,18 @@ pub trait Topology: Sync {
     /// paper's cost model; paged implementations count one page access per
     /// call (plus a buffer fault when the page is not resident).
     fn visit_neighbors(&self, node: NodeId, visit: &mut dyn FnMut(Neighbor));
+
+    /// The adjacency list of `node` as a borrowed slice, in the order
+    /// [`Topology::visit_neighbors`] visits it, if this topology holds it in
+    /// that form; `None` (the default) if it can only be visited.
+    ///
+    /// Not a second way to count: a topology that accounts for fetches (page
+    /// accesses, spans) does so in `visit_neighbors` and leaves this at
+    /// `None`. Loops go through [`for_each_neighbor`].
+    fn adjacency(&self, node: NodeId) -> Option<&[Neighbor]> {
+        let _ = node;
+        None
+    }
 
     /// Convenience helper collecting the adjacency list of `node` into a
     /// vector. Prefer [`Topology::visit_neighbors`] in hot paths to avoid the
@@ -76,6 +99,10 @@ impl<T: Topology + ?Sized> Topology for &T {
         (**self).visit_neighbors(node, visit)
     }
 
+    fn adjacency(&self, node: NodeId) -> Option<&[Neighbor]> {
+        (**self).adjacency(node)
+    }
+
     fn neighbors_vec(&self, node: NodeId) -> Vec<Neighbor> {
         (**self).neighbors_vec(node)
     }
@@ -90,6 +117,25 @@ impl<T: Topology + ?Sized> Topology for &T {
 
     fn prefetch_hint(&self, nodes: &[NodeId]) {
         (**self).prefetch_hint(nodes)
+    }
+}
+
+/// Calls `each` for every neighbor of `node`, in adjacency-list order: over
+/// the lent slice when the topology has one ([`Topology::adjacency`]), through
+/// [`Topology::visit_neighbors`] otherwise.
+///
+/// With the slice the loop is the caller's own — `each` is inlined into it,
+/// where the visitor costs an indirect call per arc — and that holds behind
+/// `&dyn Topology` too, at one virtual call per node.
+#[inline]
+pub fn for_each_neighbor<T: Topology + ?Sized>(
+    topo: &T,
+    node: NodeId,
+    mut each: impl FnMut(Neighbor),
+) {
+    match topo.adjacency(node) {
+        Some(arcs) => arcs.iter().copied().for_each(each),
+        None => topo.visit_neighbors(node, &mut each),
     }
 }
 
@@ -126,5 +172,40 @@ mod tests {
         // have nothing to warm; the reference impl delegates both.
         assert!(!r.wants_prefetch_hints());
         r.prefetch_hint(&[NodeId::new(0)]);
+        // The slice is lent through the reference impl too, also when the
+        // trait object is made from a reference to a reference.
+        let rr: &dyn Topology = &&g;
+        assert_eq!(rr.adjacency(NodeId::new(0)), Some(&g.neighbors_vec(NodeId::new(0))[..]));
+        assert_eq!(Topology::adjacency(&r, NodeId::new(1)), g.adjacency(NodeId::new(1)));
+    }
+
+    #[test]
+    fn for_each_neighbor_walks_the_slice_or_the_visitor_alike() {
+        /// Keeps its slices to itself and counts the fetches.
+        struct VisitorOnly(crate::Graph, std::sync::atomic::AtomicU32);
+        impl Topology for VisitorOnly {
+            fn num_nodes(&self) -> usize {
+                self.0.num_nodes()
+            }
+            fn visit_neighbors(&self, node: NodeId, visit: &mut dyn FnMut(Neighbor)) {
+                self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.0.visit_neighbors(node, visit)
+            }
+        }
+        let mut b = GraphBuilder::new(4);
+        for (u, v, w) in [(0, 1, 1.0), (1, 2, 2.0), (1, 3, 0.5)] {
+            b.add_edge(u, v, w).unwrap();
+        }
+        let g = b.build().unwrap();
+        let visitor_only = VisitorOnly(g.clone(), Default::default());
+        for node in g.node_ids() {
+            let (mut lent, mut visited) = (Vec::new(), Vec::new());
+            for_each_neighbor(&g, node, |nb| lent.push(nb));
+            for_each_neighbor(&visitor_only as &dyn Topology, node, |nb| visited.push(nb));
+            assert_eq!(lent, g.neighbors_vec(node));
+            assert_eq!(visited, lent);
+        }
+        assert_eq!(visitor_only.adjacency(NodeId::new(1)), None);
+        assert_eq!(visitor_only.1.into_inner(), 4, "one fetch per node, none for the slice probe");
     }
 }

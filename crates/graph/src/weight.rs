@@ -103,6 +103,30 @@ impl PartialOrd for Weight {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
+
+    // The provided operators go through `partial_cmp`, i.e. build an
+    // `Ordering` behind `cmp`'s NaN check, on every distance comparison of
+    // every inner loop. On the non-NaN values a `Weight` holds the plain
+    // `f64` operators give the same answers.
+    #[inline]
+    fn lt(&self, other: &Self) -> bool {
+        self.0 < other.0
+    }
+
+    #[inline]
+    fn le(&self, other: &Self) -> bool {
+        self.0 <= other.0
+    }
+
+    #[inline]
+    fn gt(&self, other: &Self) -> bool {
+        self.0 > other.0
+    }
+
+    #[inline]
+    fn ge(&self, other: &Self) -> bool {
+        self.0 >= other.0
+    }
 }
 
 impl Ord for Weight {
@@ -197,6 +221,17 @@ mod tests {
         assert_eq!(a.max(b), b);
         assert_eq!(a.min(b), a);
         assert!(a < Weight::INFINITY);
+        // The four operators are overridden; they must answer as `cmp` does.
+        let values = [0.0, -0.0, f64::MIN_POSITIVE, 1.0, 2.0, f64::INFINITY].map(Weight::new);
+        for x in values {
+            for y in values {
+                let ord = x.cmp(&y);
+                assert_eq!(
+                    (x < y, x <= y, x > y, x >= y),
+                    (ord.is_lt(), ord.is_le(), ord.is_gt(), ord.is_ge())
+                );
+            }
+        }
     }
 
     #[test]

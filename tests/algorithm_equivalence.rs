@@ -149,7 +149,9 @@ fn generated_workload_equivalence_smoke_test() {
 /// direct-address tables that replaced them change the representation of the
 /// node state, not the algorithm, so not one settle, push or probe may move.
 /// The same holds for the one expansion kernel they all run on since, and for
-/// the paths pinned after them, which no benchmark workload runs.
+/// the paths pinned after them, which no benchmark workload runs. It also
+/// holds for the form the adjacency lists arrive in: a topology that keeps
+/// its slices to itself is walked through the visitor, to the same counters.
 #[test]
 fn work_counters_on_a_seeded_grid_are_pinned() {
     use rnn_core::{Algorithm, Precomputed, QueryStats, RknnOutcome, Scratch};
@@ -157,7 +159,18 @@ fn work_counters_on_a_seeded_grid_are_pinned() {
         grid_map, place_points_on_edges, place_points_on_nodes, sample_edge_queries,
         sample_node_queries, sample_routes, GridConfig,
     };
-    use rnn_graph::{EdgePointSet, Graph};
+    use rnn_graph::{EdgePointSet, Graph, Neighbor, NodeId, Topology};
+    /// A graph that does not lend its adjacency slices, like a paged or a
+    /// wrapped one: `Topology::adjacency` stays at its default.
+    struct VisitorOnly<'g>(&'g Graph);
+    impl Topology for VisitorOnly<'_> {
+        fn num_nodes(&self) -> usize {
+            self.0.num_nodes()
+        }
+        fn visit_neighbors(&self, node: NodeId, visit: &mut dyn FnMut(Neighbor)) {
+            self.0.visit_neighbors(node, visit)
+        }
+    }
     let graph = grid_map(&GridConfig { rows: 50, cols: 52, seed: 15, ..Default::default() });
     let points = place_points_on_nodes(&graph, 0.01, 15);
     let queries = sample_node_queries(&points, 50, 15);
@@ -190,12 +203,24 @@ fn work_counters_on_a_seeded_grid_are_pinned() {
         (counters, results)
     }
     let mut scratch = Scratch::new();
+    let visitor_only = VisitorOnly(&graph);
+    for v in graph.node_ids() {
+        assert_eq!(graph.adjacency(v), Some(&visitor_only.neighbors_vec(v)[..]), "node {v}");
+        assert_eq!(visitor_only.adjacency(v), None);
+    }
     for (algo, k, expected) in pinned {
         let none = Precomputed::none();
-        let (got, _) = sum(queries
-            .iter()
-            .map(|&q| rnn_core::run_rknn_with(algo, &graph, &points, none, q, k, &mut scratch)));
-        assert_eq!(got, expected, "{algo} k={k}");
+        let mut run = |topo: &dyn Topology| {
+            let outcomes: Vec<RknnOutcome> = queries
+                .iter()
+                .map(|&q| rnn_core::run_rknn_with(algo, topo, &points, none, q, k, &mut scratch))
+                .collect();
+            let results: Vec<_> = outcomes.iter().map(|out| out.points.clone()).collect();
+            (sum(outcomes.into_iter()).0, results)
+        };
+        let (lent, visited) = (run(&graph), run(&visitor_only));
+        assert_eq!(lent.0, expected, "{algo} k={k}");
+        assert_eq!(visited, lent, "{algo} k={k}: slice and visitor are one traversal");
     }
 
     // The paths no benchmark workload runs, on the same grid: the same six
