@@ -1,19 +1,42 @@
 //! Criterion micro-bench for the layer under every paged query: one
-//! adjacency fetch (`Topology::visit_neighbors`), and the `Lru` kernel below
-//! it.
+//! adjacency fetch as `rnn-core` makes it (`for_each_neighbor` behind
+//! `&dyn Topology`, which on a paged graph is `Topology::with_adjacency`),
+//! and the `Lru` kernel below it.
 //!
 //! Each row times 1024 fetches of a fixed pseudo-random node sequence on a
 //! 10⁴-node grid map (degree ≤ 4, BFS-locality layout), so the rows divide
 //! directly: the in-memory `Graph` is the floor, the fully resident pools
 //! are the hit path (index load + pool hit + in-place decode) at 1 and 8
-//! shards, and the 1-page pools fault on every access — `MemoryDisk` adds the
-//! evict/insert work, `FileDisk` the positional read on top.
+//! shards, `*_visitor` is the same hit path entered through
+//! `Topology::visit_neighbors`, and the 1-page pools fault on every access —
+//! `MemoryDisk` adds the evict/insert work, `FileDisk` the positional read
+//! on top.
+//!
+//! What the hit costs, in ns per fetch (row / 1024), before and after
+//! `PagedGraph::with_adjacency` moved onto `BufferPool::read_with` (closure
+//! on the resident page under the shard lock, no `Page` clone, ≤ 16 arcs
+//! copied to the caller's stack, list lent after the lock is released). The
+//! 2-vCPU box drifts by ±15 % over minutes, so each line is one sitting of
+//! alternated runs of the two builds, this file identical in both:
+//!
+//! | row | before | after |
+//! |---|---|---|
+//! | `paged/resident/1_shards`, quiet sitting (5 / 1 runs) | 60–67 | 44 |
+//! | `paged/resident/1_shards`, busy sitting (3 / 3 runs) | 74–76 | 53–54 |
+//! | `paged/resident/1_shards_visitor`, busy sitting | 73–76 | 54–58 |
+//! | `paged/resident/8_shards`, busy sitting | 72–77 | 53–59 |
+//! | `paged/1_page_pool/memory_disk`, busy sitting | 150–165 | 154–174 |
+//! | `graph/in_memory_floor` | 2.6–3.3 | 2.6–4.1 |
+//!
+//! The miss path is not what this change is about (it gained a closure call
+//! and reads 3–5 % slower here, inside the sittings' spread); at the
+//! benchmark's 2 % fault rate the hit decides (`paged-cold` +13.9 %).
 
 mod common;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rnn_datagen::{grid_map, GridConfig};
-use rnn_graph::{Graph, NodeId, Topology};
+use rnn_graph::{for_each_neighbor, Graph, NodeId, Topology};
 use rnn_storage::lru::mix64;
 use rnn_storage::{
     BufferPool, BufferPoolConfig, FileDisk, IoCounters, LayoutStrategy, Lru, MemoryDisk,
@@ -25,8 +48,19 @@ const FETCHES: usize = 1024;
 
 /// Sums the edge weights of `nodes`' adjacency lists — enough work per
 /// neighbor that the visit cannot be optimized away, little enough that the
-/// fetch dominates.
-fn visit_all(topology: &impl Topology, nodes: &[NodeId]) -> f64 {
+/// fetch dominates. Fetches the way `rnn-core` does: `for_each_neighbor`
+/// behind `&dyn Topology`.
+fn visit_all(topology: &dyn Topology, nodes: &[NodeId]) -> f64 {
+    let mut sum = 0.0;
+    for &node in nodes {
+        for_each_neighbor(topology, node, |n| sum += n.weight.value());
+    }
+    sum
+}
+
+/// [`visit_all`] through the per-arc visitor, which wrapped topologies (the
+/// benchmark's `SpanTopology`) still enter by.
+fn visit_all_visitor(topology: &dyn Topology, nodes: &[NodeId]) -> f64 {
     let mut sum = 0.0;
     for &node in nodes {
         topology.visit_neighbors(node, &mut |n| sum += n.weight.value());
@@ -63,13 +97,20 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(visit_all(&graph, &nodes)))
     });
     for shards in [1usize, 8] {
-        let resident = BufferPoolConfig::new(layout.num_pages()).with_shards(shards);
+        // Pages hash to shards unevenly, and capacity is split evenly: room
+        // for every page in every shard is what keeps the whole file resident.
+        let resident = BufferPoolConfig::new(shards * layout.num_pages()).with_shards(shards);
         let pg = paged(memory(), &layout, resident);
         visit_all(&pg, &nodes); // fault everything in once
         let warm_faults = pg.io_stats().faults;
         group.bench_function(format!("paged/resident/{shards}_shards"), |b| {
             b.iter(|| black_box(visit_all(&pg, &nodes)))
         });
+        if shards == 1 {
+            group.bench_function("paged/resident/1_shards_visitor", |b| {
+                b.iter(|| black_box(visit_all_visitor(&pg, &nodes)))
+            });
+        }
         assert_eq!(pg.io_stats().faults, warm_faults, "a resident pool must not fault");
     }
     let pg = paged(memory(), &layout, BufferPoolConfig::new(1));

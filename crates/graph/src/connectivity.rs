@@ -8,7 +8,6 @@
 use crate::builder::GraphBuilder;
 use crate::graph::Graph;
 use crate::ids::NodeId;
-use crate::topology::Topology;
 
 /// Assigns a component id to every node (0-based, in order of discovery) and
 /// returns the vector of component ids together with the number of
@@ -28,13 +27,13 @@ pub fn connected_components(graph: &Graph) -> (Vec<usize>, usize) {
         component[start] = id;
         stack.push(NodeId::new(start));
         while let Some(v) = stack.pop() {
-            graph.visit_neighbors(v, &mut |nb| {
+            for nb in graph.neighbors(v) {
                 let i = nb.node.index();
                 if component[i] == UNVISITED {
                     component[i] = id;
                     stack.push(nb.node);
                 }
-            });
+            }
         }
     }
     (component, num_components)

@@ -368,7 +368,7 @@ impl HubLabeling {
     /// `threads`.
     ///
     /// The cost model is the same as the algorithms': adjacency fetches go
-    /// through [`Topology::visit_neighbors`], so building over a paged
+    /// through [`Topology::with_adjacency`], so building over a paged
     /// backend is accounted I/O like any traversal.
     ///
     /// # Panics
@@ -393,9 +393,7 @@ impl HubLabeling {
         // Construction order: descending degree, then ascending node id.
         let mut degree = vec![0u32; n];
         for (v, slot) in degree.iter_mut().enumerate() {
-            let mut d = 0u32;
-            topo.visit_neighbors(NodeId::new(v), &mut |_| d += 1);
-            *slot = d;
+            topo.with_adjacency(NodeId::new(v), &mut |arcs| *slot = arcs.len() as u32);
         }
         let mut order: Vec<u32> = (0..n as u32).collect();
         order.sort_by(|&a, &b| degree[b as usize].cmp(&degree[a as usize]).then(a.cmp(&b)));

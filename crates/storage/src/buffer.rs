@@ -7,6 +7,12 @@
 //! decoded is kept — evicts the least recently used page when full, and
 //! records every access in the shared [`IoCounters`].
 //!
+//! A demand access is [`BufferPool::read_with`]: the caller's closure reads
+//! the page where it lies — on a hit under the shard lock, on the resident
+//! page, without cloning its handle — and [`BufferPool::fetch`], which
+//! returns a handle, is that call with a cloning closure. Capacity, hits,
+//! faults and evictions count 4 KB encoded pages either way.
+//!
 //! The pool is **sharded**: the capacity is split across a power-of-two
 //! number of independently locked shards and every page id maps to
 //! exactly one shard (`mix64(page_id) & mask`), so concurrent fetches of
@@ -458,40 +464,73 @@ impl<S: PageStore> BufferPool<S> {
         self.shards.iter().map(|s| s.lock()).collect()
     }
 
-    /// Fetches a page through the buffer, recording the access.
+    /// Fetches a page through the buffer, recording the access, and returns
+    /// a handle to it: [`BufferPool::read_with`] with a closure that clones
+    /// the page (a reference-count bump, no bytes are copied).
     ///
     /// Only the one shard owning `page_id` is locked (never across the
     /// store read): fetches of pages in distinct shards run concurrently.
     pub fn fetch(&self, page_id: PageId) -> Result<Page, StorageError> {
+        self.read_with(page_id, |page| Ok(page.clone()))
+    }
+
+    /// Accesses a page through the buffer, recording the access, and returns
+    /// what `read` makes of it — the pool's one single-page demand path
+    /// ([`BufferPool::fetch`] is a call to it), so a hit, a miss and both
+    /// accounting systems are written once.
+    ///
+    /// **On a hit `read` runs under the shard lock**, on the resident page
+    /// itself: no handle is cloned, so a reader that copies a few bytes out
+    /// pays no reference-count traffic. That sets its contract:
+    ///
+    /// * `read` must not call back into this pool (the shard lock is not
+    ///   reentrant — a second access to the same shard would deadlock) and
+    ///   must not block;
+    /// * `read` must be short. Every other access to the shard waits for it.
+    ///   [`crate::PagedGraph`] copies at most 16 decoded arcs under the
+    ///   lock; for anything longer it clones the handle (as
+    ///   [`BufferPool::fetch`] does) and works on that outside.
+    ///
+    /// On a miss the page is read from the store outside the lock, inserted
+    /// under it, and `read` runs on the page just read with no lock held.
+    /// The access is counted before `read` runs, so an `Err` from `read`
+    /// (a record that fails validation) leaves the access counted, exactly
+    /// as a `fetch` followed by a failing decode does; an `Err` from the
+    /// store counts nothing.
+    pub fn read_with<R>(
+        &self,
+        page_id: PageId,
+        read: impl FnOnce(&Page) -> Result<R, StorageError>,
+    ) -> Result<R, StorageError> {
         // Both accounting systems (the shard's own counters and the shared
         // per-thread counters) are updated while the shard lock is held, so
         // an access lands in both or — relative to a concurrent
         // [`BufferPool::clear_and_reset`], which resets both under every
         // shard lock — in neither. `record_access` itself is lock-free, so
         // this adds no lock traffic.
+        let shard = &self.shards[self.shard_of(page_id)];
         if self.capacity() == 0 {
             // No buffer at all: every access is a fault and nothing is
             // cached. Counted against the page's nominal shard.
             let page = self.store.read_page(page_id)?;
-            let shard = &self.shards[self.shard_of(page_id)];
             {
                 let mut state = shard.lock();
                 state.stats.faults += 1;
                 self.counters.record_access(true, false);
             }
-            return Ok(page);
+            return read(&page);
         }
 
-        let shard = &self.shards[self.shard_of(page_id)];
         {
-            let mut state = shard.lock();
-            if let Some((page, first_use)) = state.cache.lookup(page_id) {
+            let mut guard = shard.lock();
+            let state = &mut *guard;
+            if let Some((page, first_use)) = state.cache.lookup_ref(page_id) {
                 state.stats.hits += 1;
                 if first_use {
                     state.stats.prefetch_useful += 1;
                 }
                 self.counters.record_access(false, false);
-                return Ok(page);
+                return read(page);
             }
         }
 
@@ -512,7 +551,7 @@ impl<S: PageStore> BufferPool<S> {
             }
             self.counters.record_access(true, evicted);
         }
-        Ok(page)
+        read(&page)
     }
 
     /// Fetches a batch of pages, grouping the requests by owning shard so
@@ -561,13 +600,13 @@ impl<S: PageStore> BufferPool<S> {
                         state.stats.hits += 1;
                         self.counters.record_access(false, false);
                         batch_dups.push(i);
-                    } else if let Some((page, first_use)) = state.cache.lookup(id) {
+                    } else if let Some((page, first_use)) = state.cache.lookup_ref(id) {
+                        out[i] = Some(page.clone());
                         state.stats.hits += 1;
                         if first_use {
                             state.stats.prefetch_useful += 1;
                         }
                         self.counters.record_access(false, false);
-                        out[i] = Some(page);
                     } else {
                         missing.push(i);
                     }
@@ -955,28 +994,117 @@ mod tests {
             ),
         ];
         for (policy, expected_victims, expected_stats) in pinned {
-            let pool = BufferPool::with_config(
-                disk_with_pages(12),
-                BufferPoolConfig::new(5).with_policy(policy),
-                IoCounters::new(),
-            );
-            let resident =
-                |pool: &BufferPool<MemoryDisk>| pool.shards[0].lock().cache.victim_order();
-            let mut victims: Vec<u32> = Vec::new();
-            for (prefetch, ids) in pinned_trace() {
-                let before = resident(&pool);
-                if prefetch {
-                    pool.prefetch(&ids);
-                } else {
-                    pool.fetch(ids[0]).unwrap();
-                }
-                let after = resident(&pool);
-                victims.extend(before.iter().filter(|id| !after.contains(id)).map(|id| id.0));
+            for access in [fetch_page, read_page_in_place] {
+                let config = BufferPoolConfig::new(5).with_policy(policy);
+                let (victims, stats, io) = replay_pinned_trace(config, access);
+                assert_eq!(victims, expected_victims, "{policy}: victim sequence");
+                assert_eq!(stats.total, expected_stats, "{policy}: counters");
+                assert_eq!(stats.total.as_io_stats(), io, "{policy}: both views agree");
             }
-            assert_eq!(victims, expected_victims, "{policy}: victim sequence");
-            assert_eq!(pool.io_stats().total, expected_stats, "{policy}: counters");
-            assert_eq!(totals(&pool), pool.counters().snapshot(), "{policy}: both views agree");
         }
+    }
+
+    /// A demand access the way callers before `read_with` made it.
+    fn fetch_page(pool: &BufferPool<MemoryDisk>, id: PageId) {
+        let page = pool.fetch(id).unwrap();
+        assert_eq!(page.records(id).unwrap()[0].node, NodeId(id.0));
+    }
+
+    /// A demand access that reads the record where the page lies — under the
+    /// shard lock on a hit — and takes no handle.
+    fn read_page_in_place(pool: &BufferPool<MemoryDisk>, id: PageId) {
+        let entries = pool.read_with(id, |page| Ok(page.record_at(id, NodeId(id.0), 0)?.len()));
+        assert_eq!(entries.unwrap(), 1);
+    }
+
+    /// Replays [`pinned_trace`] on a fresh pool through `access`; returns the
+    /// ids dropped, in order, and both accounting views.
+    fn replay_pinned_trace(
+        config: BufferPoolConfig,
+        access: fn(&BufferPool<MemoryDisk>, PageId),
+    ) -> (Vec<u32>, BufferPoolStats, IoStats) {
+        let pool = BufferPool::with_config(disk_with_pages(12), config, IoCounters::new());
+        let resident = |pool: &BufferPool<MemoryDisk>| -> Vec<PageId> {
+            pool.shards.iter().flat_map(|shard| shard.lock().cache.victim_order()).collect()
+        };
+        let mut victims: Vec<u32> = Vec::new();
+        for (prefetch, ids) in pinned_trace() {
+            let before = resident(&pool);
+            if prefetch {
+                pool.prefetch(&ids);
+            } else {
+                access(&pool, ids[0]);
+            }
+            let after = resident(&pool);
+            victims.extend(before.iter().filter(|id| !after.contains(id)).map(|id| id.0));
+        }
+        (victims, pool.io_stats(), pool.counters().snapshot())
+    }
+
+    /// `fetch` is a call to `read_with`, and this is what holds it there:
+    /// beyond the pinned single shard above, the two agree shard by shard on
+    /// every counter and every victim with the pool striped and with no pool
+    /// at all.
+    #[test]
+    fn read_with_accounts_and_evicts_exactly_like_fetch() {
+        for policy in EvictionPolicy::ALL {
+            for (capacity, shards) in [(8, 8), (0, 1)] {
+                let config =
+                    BufferPoolConfig::new(capacity).with_shards(shards).with_policy(policy);
+                let fetched = replay_pinned_trace(config, fetch_page);
+                let read = replay_pinned_trace(config, read_page_in_place);
+                assert_eq!(read, fetched, "{policy}, {capacity} pages / {shards} shards");
+                assert_eq!(read.1.per_shard.len(), shards);
+                assert_eq!(read.1.total.as_io_stats(), read.2, "{policy}: both views agree");
+                assert_eq!(read.2.accesses, 84, "12 of the 96 steps are prefetches");
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_reader_leaves_the_access_counted_and_the_lock_free() {
+        let pool = BufferPool::new(disk_with_pages(2), 2, IoCounters::new());
+        let wrong_node = |page: &Page| page.record_at(PageId(0), NodeId(7), 0).map(|r| r.len());
+        for (accesses, faults) in [(1, 1), (2, 1)] {
+            // Once on the page just read (miss), once under the lock (hit).
+            let err = pool.read_with(PageId(0), wrong_node).unwrap_err();
+            assert!(matches!(err, StorageError::CorruptPage { page: PageId(0), .. }), "{err}");
+            let s = totals(&pool);
+            assert_eq!((s.accesses, s.faults), (accesses, faults));
+            assert_eq!(s, pool.counters().snapshot());
+        }
+        // The shard lock was released on the error path.
+        assert_eq!(pool.read_with(PageId(0), |page| Ok(page.used_bytes())).unwrap(), 24);
+        // A store error reaches the caller before `read` or any counter.
+        let unreachable = |_: &Page| -> Result<(), StorageError> { panic!("no page to read") };
+        assert!(pool.read_with(PageId(9), unreachable).is_err());
+        assert_eq!(totals(&pool).accesses, 3);
+    }
+
+    #[test]
+    fn concurrent_readers_of_one_hot_page_are_each_counted_once() {
+        // Every access but the first faults is a hit whose closure runs under
+        // the one shard lock; the barrier starts the four threads together.
+        let pool = BufferPool::new(disk_with_pages(4), 4, IoCounters::new());
+        let (threads, per_thread) = (4u64, 5_000u64);
+        let start = std::sync::Barrier::new(threads as usize);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..per_thread {
+                        read_page_in_place(&pool, PageId(2));
+                    }
+                    assert_eq!(pool.counters().snapshot_current_thread().accesses, per_thread);
+                });
+            }
+        });
+        let stats = pool.io_stats().total;
+        assert_eq!(stats.accesses(), threads * per_thread);
+        assert!((1..=threads).contains(&stats.faults), "only first touches fault: {stats:?}");
+        assert_eq!(stats.evictions, 0);
+        assert_eq!(stats.as_io_stats(), pool.counters().snapshot(), "both views agree");
+        assert_eq!(pool.resident_pages(), 1);
     }
 
     #[test]

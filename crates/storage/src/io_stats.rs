@@ -18,8 +18,10 @@
 //! worker, so it must not serialize the pool. Each recording thread owns a
 //! shard of relaxed atomic counters; the thread finds its shard through a
 //! thread-local cache keyed by the counter handle's unique id, so the
-//! steady-state record path is: one thread-local read, one id compare, three
-//! relaxed `fetch_add`s — no lock, no shared cache line with other writers.
+//! steady-state record path is: one thread-local read, one id compare, and a
+//! plain load + store of the thread's own `accesses` (a fault or an eviction
+//! adds a `fetch_add`) — no lock, no locked instruction on a hit, no shared
+//! cache line with other writers.
 //!
 //! [`IoCounters::snapshot`] is the poll path — the serving layer reads it on
 //! every stats poll — and it never takes a lock either. Shards live in a
@@ -122,7 +124,12 @@ struct ThreadShard {
 
 impl ThreadShard {
     fn record(&self, fault: bool, evicted: bool) {
-        self.accesses.fetch_add(1, Ordering::Relaxed);
+        // Single writer: a plain load + store, not a locked read-modify-write
+        // — this runs once per page access, under the pool's shard lock. The
+        // one other writer is `zero`, and a reset racing a recorder was
+        // already approximate (see `zero`); the `Release` increments below
+        // still publish this store with the fault they follow.
+        self.accesses.store(self.accesses.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         if fault {
             self.faults.fetch_add(1, Ordering::Release);
         }
@@ -334,8 +341,8 @@ impl IoCounters {
     /// buffer, `evicted` whether a page was evicted to serve it.
     ///
     /// Lock-free on the steady state: after a thread's first access the
-    /// record path is a thread-local lookup plus relaxed `fetch_add`s on
-    /// counters no other thread writes.
+    /// record path is a thread-local lookup plus an increment of counters
+    /// no other thread writes.
     pub fn record_access(&self, fault: bool, evicted: bool) {
         self.with_shard(|shard| shard.record(fault, evicted));
     }

@@ -12,7 +12,7 @@
 use crate::error::StorageError;
 use crate::node_index::{NodeIndex, NodeIndexEntry};
 use crate::page::{Page, PageBuilder, PageEntry, PageId, PageRecord};
-use rnn_graph::{Graph, NodeId, Topology};
+use rnn_graph::{Graph, NodeId};
 use std::collections::VecDeque;
 
 /// How adjacency lists are assigned to pages.
@@ -62,9 +62,11 @@ impl PageLayout {
 
         for &node in &order {
             scratch.clear();
-            graph.visit_neighbors(node, &mut |n| {
-                scratch.push(PageEntry { neighbor: n.node, edge: n.edge, weight: n.weight });
-            });
+            scratch.extend(graph.neighbors(node).map(|n| PageEntry {
+                neighbor: n.node,
+                edge: n.edge,
+                weight: n.weight,
+            }));
 
             if scratch.len() <= max_entries {
                 if !current.fits(scratch.len()) {
@@ -142,12 +144,12 @@ fn bfs_order(graph: &Graph) -> Vec<NodeId> {
         queue.push_back(NodeId::new(start));
         while let Some(v) = queue.pop_front() {
             order.push(v);
-            graph.visit_neighbors(v, &mut |nb| {
+            for nb in graph.neighbors(v) {
                 if !visited[nb.node.index()] {
                     visited[nb.node.index()] = true;
                     queue.push_back(nb.node);
                 }
-            });
+            }
         }
     }
     order
@@ -156,7 +158,7 @@ fn bfs_order(graph: &Graph) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rnn_graph::GraphBuilder;
+    use rnn_graph::{GraphBuilder, Topology};
 
     fn grid_graph(side: usize) -> Graph {
         let mut b = GraphBuilder::new(side * side);

@@ -137,13 +137,28 @@ impl<'a> RecordView<'a> {
     /// Decodes the entries one by one, without copying them anywhere.
     #[inline]
     pub fn entries(&self) -> impl ExactSizeIterator<Item = PageEntry> + 'a {
-        self.body.chunks_exact(ENTRY_BYTES).map(|raw| PageEntry {
-            neighbor: NodeId(le_u32(raw, 0)),
-            edge: EdgeId(le_u32(raw, 4)),
-            weight: Weight::new(f64::from_le_bytes(
-                raw[8..].try_into().expect("chunks_exact yields whole 16-byte entries"),
-            )),
-        })
+        self.body.chunks_exact(ENTRY_BYTES).map(decode_entry)
+    }
+
+    /// Decodes entry `i` (`i < len()`). For the paged graph's hit path, which
+    /// copies a record out while it holds a shard lock: a counted loop over
+    /// this stays a loop, where one over [`RecordView::entries`] has compiled
+    /// to an out-of-line `next` call per entry.
+    #[inline]
+    pub(crate) fn entry(&self, i: usize) -> PageEntry {
+        decode_entry(&self.body[i * ENTRY_BYTES..(i + 1) * ENTRY_BYTES])
+    }
+}
+
+/// Decodes one [`ENTRY_BYTES`]-long encoded entry.
+#[inline]
+fn decode_entry(raw: &[u8]) -> PageEntry {
+    PageEntry {
+        neighbor: NodeId(le_u32(raw, 0)),
+        edge: EdgeId(le_u32(raw, 4)),
+        weight: Weight::new(f64::from_le_bytes(
+            raw[8..ENTRY_BYTES].try_into().expect("an entry is 16 bytes"),
+        )),
     }
 }
 

@@ -6,6 +6,14 @@
 //! only difference from the in-memory [`rnn_graph::Graph`] is that every
 //! adjacency fetch goes through the buffer and is accounted for in
 //! [`IoStats`]. This is the component the paper's experiments measure.
+//!
+//! A fetch is [`Topology::with_adjacency`]: one call per node that lends the
+//! decoded list as a slice. The record is copied out of the pool frame by a
+//! [`BufferPool::read_with`] closure — under the shard lock on a hit, so the
+//! copy is bounded at 16 arcs and anything longer takes a page handle and
+//! decodes outside — and the slice is lent only after the lock is released.
+//! [`Topology::adjacency`] stays `None`: a frame can be evicted the moment
+//! the lock drops, so there is nothing here to borrow beyond the call.
 
 use crate::buffer::{BufferPool, BufferPoolConfig, BufferPoolStats};
 use crate::disk::{MemoryDisk, PageStore};
@@ -13,11 +21,16 @@ use crate::error::StorageError;
 use crate::io_stats::{IoCounters, IoStats};
 use crate::layout::{LayoutStrategy, PageLayout};
 use crate::node_index::NodeIndex;
-use crate::page::{PageId, RecordView};
+use crate::page::{Page, PageEntry, PageId, RecordView};
 use crate::policy::EvictionPolicy;
-use rnn_graph::{Graph, Neighbor, NodeId, Topology};
+use rnn_graph::{EdgeId, Graph, Neighbor, NodeId, Topology, Weight};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Arcs of a record that are copied out under the shard lock, into a buffer
+/// on the fetching thread's stack; a longer record is decoded from a page
+/// handle outside the lock. Grid and road nodes have degree ≤ 8.
+const INLINE_ARCS: usize = 16;
 
 thread_local! {
     /// Scratch for translating prefetch-hint nodes to page ids, reused so a
@@ -163,44 +176,82 @@ impl<S: PageStore> PagedGraph<S> {
         &self.index
     }
 
-    /// Fetches the adjacency list of `node`, going through the buffer: one
-    /// index load, one pool access per page of the record, and an in-place
-    /// decode at the offset the index names.
+    /// Fetches the adjacency list of `node` through the buffer — one index
+    /// load, one pool access per page of the record, an in-place decode at
+    /// the offset the index names — and lends it to `lend` as one slice.
     ///
-    /// `visit` runs while this thread holds only [`crate::Page`] handles —
-    /// never a shard lock — so a visitor may itself fetch other adjacency
-    /// lists (nested verification expansions do).
-    fn fetch_neighbors(
+    /// The common record (one page, at most [`INLINE_ARCS`] arcs) is
+    /// validated and decoded into a buffer on this stack frame by a
+    /// [`BufferPool::read_with`] closure, which on a pool hit runs under the
+    /// shard lock on the resident page: no page handle is cloned, and the
+    /// lock is held for one bounds check and a copy of at most 16 arcs. A
+    /// longer record takes a page handle instead and is decoded with no lock
+    /// held. Either way `lend` runs after every lock is released, so it may
+    /// itself fetch other adjacency lists (nested verification expansions
+    /// do), and it runs only once the whole record has validated: an error
+    /// lends nothing.
+    fn lend_adjacency(
         &self,
         node: NodeId,
-        visit: &mut dyn FnMut(Neighbor),
+        lend: &mut dyn FnMut(&[Neighbor]),
     ) -> Result<(), StorageError> {
         let entry = self.index.entry(node);
-        let mut visit_record = |record: RecordView<'_>| {
-            for e in record.entries() {
-                visit(Neighbor { node: e.neighbor, weight: e.weight, edge: e.edge });
-            }
-        };
+        let mut offset = usize::from(entry.offset);
         if entry.span == 1 {
-            let page = self.buffer.fetch(entry.first_page)?;
-            visit_record(page.record_at(entry.first_page, node, usize::from(entry.offset))?);
+            let page_id = entry.first_page;
+            let unset = Neighbor { node: NodeId(0), weight: Weight::ZERO, edge: EdgeId(0) };
+            let mut inline = [unset; INLINE_ARCS];
+            let copied = self.buffer.read_with(page_id, |page| {
+                let record = page.record_at(page_id, node, offset)?;
+                if record.len() > INLINE_ARCS {
+                    return Ok(Copied::TooLong(page.clone()));
+                }
+                for (i, slot) in inline[..record.len()].iter_mut().enumerate() {
+                    *slot = neighbor(record.entry(i));
+                }
+                Ok(Copied::Inline(record.len()))
+            })?;
+            match copied {
+                Copied::Inline(len) => lend(&inline[..len]),
+                Copied::TooLong(page) => {
+                    let arcs: Vec<Neighbor> =
+                        arcs_of(page.record_at(page_id, node, offset)?).collect();
+                    lend(&arcs);
+                }
+            }
             return Ok(());
         }
-        // A multi-page record (high-degree hub node): fetch the whole span
-        // in one batched call — one lock round per owning shard instead of
-        // one per page, with identical accounting — and validate every page
-        // before visiting anything, so an error yields no partial list.
-        let ids: Vec<PageId> = entry.pages().collect();
-        let pages = self.buffer.fetch_many(&ids)?;
-        let mut offset = usize::from(entry.offset);
-        let mut records = Vec::with_capacity(pages.len());
-        for (&page_id, page) in ids.iter().zip(&pages) {
-            records.push(page.record_at(page_id, node, offset)?);
+        // A multi-page record (high-degree hub node): one pool access per
+        // page, as the paper's cost model counts them, each decoded from a
+        // page handle with no lock held into the one list that is lent.
+        let mut arcs: Vec<Neighbor> = Vec::new();
+        for page_id in entry.pages() {
+            let page = self.buffer.fetch(page_id)?;
+            arcs.extend(arcs_of(page.record_at(page_id, node, offset)?));
             offset = 0; // continuation pages are dedicated to the hub
         }
-        records.into_iter().for_each(visit_record);
+        lend(&arcs);
         Ok(())
     }
+}
+
+/// What [`PagedGraph::lend_adjacency`]'s closure did with a one-page record
+/// while it may have held the shard lock.
+enum Copied {
+    /// Decoded this many arcs into the caller's stack buffer.
+    Inline(usize),
+    /// More than [`INLINE_ARCS`]: took a handle, to decode outside the lock.
+    TooLong(Page),
+}
+
+#[inline]
+fn neighbor(e: PageEntry) -> Neighbor {
+    Neighbor { node: e.neighbor, weight: e.weight, edge: e.edge }
+}
+
+/// The arcs of an adjacency record, decoded one by one.
+fn arcs_of(record: RecordView<'_>) -> impl ExactSizeIterator<Item = Neighbor> + '_ {
+    record.entries().map(neighbor)
 }
 
 impl<S: PageStore> Topology for PagedGraph<S> {
@@ -208,8 +259,13 @@ impl<S: PageStore> Topology for PagedGraph<S> {
         self.num_nodes
     }
 
+    /// Still required by the trait; a loop over the lent list.
     fn visit_neighbors(&self, node: NodeId, visit: &mut dyn FnMut(Neighbor)) {
-        self.fetch_neighbors(node, visit)
+        self.with_adjacency(node, &mut |arcs| arcs.iter().copied().for_each(&mut *visit));
+    }
+
+    fn with_adjacency(&self, node: NodeId, f: &mut dyn FnMut(&[Neighbor])) {
+        self.lend_adjacency(node, f)
             .expect("pages built by PageLayout are well formed and in bounds");
     }
 
@@ -548,17 +604,106 @@ mod tests {
         assert!(dbg.contains("2q") || dbg.contains("TwoQ"), "Debug shows the policy: {dbg}");
     }
 
-    #[test]
-    fn multi_page_adjacency_spans_are_fetched_batched_and_identical() {
-        // A star graph: the hub's adjacency list overflows one 4 KB page, so
-        // its index entry spans several pages and `fetch_neighbors` takes the
-        // `fetch_many` path.
-        let leaves = 700;
+    /// A star: the hub's 700-arc adjacency list overflows one 4 KB page.
+    fn star_graph(leaves: usize) -> Graph {
         let mut b = GraphBuilder::new(leaves + 1);
         for l in 0..leaves {
             b.add_edge(0, l + 1, 1.0 + (l % 7) as f64).unwrap();
         }
-        let g = b.build().unwrap();
+        b.build().unwrap()
+    }
+
+    /// What `with_adjacency` lends for `node`, and how often it called back.
+    fn lent<T: Topology>(topo: &T, node: NodeId) -> (Vec<Neighbor>, usize) {
+        let (mut arcs, mut calls) = (Vec::new(), 0);
+        topo.with_adjacency(node, &mut |list| {
+            arcs = list.to_vec();
+            calls += 1;
+        });
+        (arcs, calls)
+    }
+
+    #[test]
+    fn with_adjacency_lends_what_the_in_memory_graph_owns() {
+        // Degrees 2..=4 (inline buffer) on the grid; on the star a 700-arc
+        // hub (span > 1) and 1-arc leaves; and a 17-arc node beside a 16-arc
+        // one, straddling the bound of what is copied under the lock.
+        let mut b = GraphBuilder::new(40);
+        for l in 0..17 {
+            b.add_edge(0, l + 2, 1.0 + l as f64).unwrap();
+        }
+        for l in 0..16 {
+            b.add_edge(1, l + 20, 2.0 + l as f64).unwrap();
+        }
+        let straddle = b.build().unwrap();
+        assert_eq!(straddle.adjacency(NodeId::new(0)).unwrap().len(), INLINE_ARCS + 1);
+        assert_eq!(straddle.adjacency(NodeId::new(1)).unwrap().len(), INLINE_ARCS);
+        for g in [grid_graph(10), star_graph(700), straddle] {
+            let pg = PagedGraph::build(&g).unwrap();
+            for pass in ["cold", "warm"] {
+                for v in g.node_ids() {
+                    let (arcs, calls) = lent(&pg, v);
+                    assert_eq!(Some(&arcs[..]), g.adjacency(v), "{pass}: node {v}");
+                    assert_eq!(calls, 1, "{pass}: node {v} is lent exactly once");
+                    assert_eq!(pg.adjacency(v), None, "a paged list is lent, never owned");
+                }
+            }
+            // One access per page of every record, per pass — through the
+            // visitor too, which is a loop over the same call.
+            let pages_per_pass: u64 =
+                g.node_ids().map(|v| u64::from(pg.node_index().entry(v).span)).sum();
+            assert_eq!(pg.io_stats().accesses, 2 * pages_per_pass);
+            for v in g.node_ids() {
+                let mut visited = Vec::new();
+                pg.visit_neighbors(v, &mut |nb| visited.push(nb));
+                assert_eq!(Some(&visited[..]), g.adjacency(v), "visitor: node {v}");
+            }
+            assert_eq!(pg.io_stats().accesses, 3 * pages_per_pass);
+            assert_eq!(pg.pool_stats().total.as_io_stats(), pg.io_stats());
+        }
+    }
+
+    #[test]
+    fn a_callback_may_fetch_from_the_shard_it_was_served_by() {
+        // One shard, so every nested fetch needs the lock the outer fetch
+        // took: the list is lent only after that lock is released. Three
+        // levels deep, hits and misses alike (capacity 2 keeps evicting).
+        let g = grid_graph(6);
+        for capacity in [2, 64] {
+            let pg = PagedGraph::build_with(
+                &g,
+                LayoutStrategy::BfsLocality,
+                capacity,
+                IoCounters::new(),
+            )
+            .unwrap();
+            assert_eq!(pg.buffer().num_shards(), 1);
+            let mut fetched = 0u64;
+            for v in g.node_ids() {
+                pg.with_adjacency(v, &mut |outer| {
+                    fetched += 1;
+                    assert_eq!(Some(outer), g.adjacency(v));
+                    for nb in outer {
+                        pg.with_adjacency(nb.node, &mut |inner| {
+                            fetched += 1;
+                            assert_eq!(Some(inner), g.adjacency(nb.node));
+                            // Same node again: same page, same shard, a hit.
+                            fetched += 1;
+                            assert_eq!(pg.neighbors_vec(nb.node), inner);
+                        });
+                    }
+                });
+            }
+            assert_eq!(pg.io_stats().accesses, fetched, "capacity {capacity}");
+            assert_eq!(pg.pool_stats().total.as_io_stats(), pg.io_stats());
+        }
+    }
+
+    #[test]
+    fn multi_page_adjacency_spans_are_fetched_batched_and_identical() {
+        // The hub's index entry spans several pages, so `lend_adjacency`
+        // gathers the list page by page before it lends anything.
+        let g = star_graph(700);
         let pg =
             PagedGraph::build_with(&g, LayoutStrategy::BfsLocality, 64, IoCounters::new()).unwrap();
         let hub = NodeId::new(0);
@@ -572,7 +717,7 @@ mod tests {
         assert_eq!(pg.io_stats().accesses, u64::from(pg.node_index().entry(hub).span));
     }
 
-    /// Regression: `fetch_neighbors` used to ignore the "not found" flag of
+    /// Regression: the adjacency fetch used to ignore the "not found" flag of
     /// the page scan, so an index that disagrees with the page file served
     /// *empty adjacency lists*. The offset pointer makes the disagreement an
     /// error that names the page, the node and the offset.
@@ -591,16 +736,16 @@ mod tests {
 
         let mut mismatches = 0;
         for v in g.node_ids() {
-            let mut got = Vec::new();
-            match pg.fetch_neighbors(v, &mut |n| got.push(n)) {
+            let mut got = None;
+            match pg.lend_adjacency(v, &mut |arcs| got = Some(arcs.to_vec())) {
                 // The two layouts may agree on a node by chance; then the
                 // list is the right one.
-                Ok(()) => assert_eq!(got, g.neighbors_vec(v), "node {v}"),
+                Ok(()) => assert_eq!(got, Some(g.neighbors_vec(v)), "node {v}"),
                 Err(StorageError::CorruptPage { page, message }) => {
                     mismatches += 1;
                     let entry = node_order.index.entry(v);
                     assert_eq!(page, entry.first_page);
-                    assert!(got.is_empty(), "nothing is visited before the record validates");
+                    assert_eq!(got, None, "nothing is lent before the record validates");
                     assert!(message.contains(&format!("node {v}")), "{message}");
                     assert!(message.contains(&format!("offset {}", entry.offset)), "{message}");
                 }
@@ -611,6 +756,30 @@ mod tests {
 
         std::fs::remove_file(&path).ok();
         std::fs::remove_dir(&dir).ok();
+    }
+
+    #[test]
+    fn a_hub_whose_last_page_is_someone_elses_lends_nothing() {
+        // The index claims one page more for the hub than the layout wrote:
+        // three pages validate, the fourth holds leaf records.
+        let g = star_graph(700);
+        let layout = PageLayout::build(&g, LayoutStrategy::NodeOrder).unwrap();
+        let hub = NodeId::new(0);
+        let mut entries: Vec<_> = layout.index.iter().map(|(_, e)| e).collect();
+        entries[0].span += 1;
+        let stray = PageId::new(entries[0].first_page.index() + usize::from(entries[0].span) - 1);
+        assert!(stray.index() < layout.num_pages());
+        let pool = BufferPool::new(MemoryDisk::new(layout.pages), 64, IoCounters::new());
+        let pg = PagedGraph::from_parts(pool, NodeIndex::new(entries), g.num_nodes());
+        for pass in ["cold", "warm"] {
+            let mut lent = false;
+            match pg.lend_adjacency(hub, &mut |_| lent = true) {
+                Err(StorageError::CorruptPage { page, .. }) => assert_eq!(page, stray, "{pass}"),
+                other => panic!("{pass}: expected a corrupt page, got {other:?}"),
+            }
+            assert!(!lent, "{pass}: no partial list is lent");
+        }
+        assert_eq!(pg.neighbors_vec(NodeId::new(1)), g.neighbors_vec(NodeId::new(1)));
     }
 
     #[test]

@@ -147,7 +147,7 @@ fn victim(id: PageId, r: Resident) -> Victim {
 /// One shard's resident-page cache, dispatching to the configured policy.
 ///
 /// The API is shaped by what `BufferPool::fetch`/`prefetch`/`resize` need:
-/// demand lookups ([`PageCache::lookup`]) report whether they are the first
+/// demand lookups ([`PageCache::lookup_ref`]) report whether they are the first
 /// demand use of a prefetched page, inserts return the displaced [`Victim`],
 /// and [`PageCache::pop_victim`] exposes the policy's own victim order for
 /// shrinking.
@@ -228,10 +228,12 @@ impl PageCache {
         }
     }
 
-    /// Demand lookup. On a hit returns the page and `true` iff this is the
-    /// first demand use of a page admitted by prefetch (the caller counts it
-    /// as `prefetch_useful`; the flag is cleared).
-    pub fn lookup(&mut self, id: PageId) -> Option<(Page, bool)> {
+    /// Demand lookup. On a hit returns the resident page — borrowed, so a
+    /// reader that only decodes a record never touches the page's reference
+    /// count — and `true` iff this is the first demand use of a page
+    /// admitted by prefetch (the caller counts it as `prefetch_useful`; the
+    /// flag is cleared).
+    pub fn lookup_ref(&mut self, id: PageId) -> Option<(&Page, bool)> {
         let r = match self {
             PageCache::Lru(c) => c.inner.get_mut(&id)?,
             PageCache::Clock(c) => {
@@ -254,7 +256,7 @@ impl PageCache {
             }
         };
         let first_use = std::mem::replace(&mut r.prefetched, false);
-        Some((r.page.clone(), first_use))
+        Some((&r.page, first_use))
     }
 
     /// Demand insert after a fault. Returns the evicted [`Victim`], if the
@@ -626,10 +628,10 @@ mod tests {
         // The exact trace the seed buffer-pool test pins down.
         let mut c = PageCache::new(EvictionPolicy::Lru, 3);
         fill_demand(&mut c, [0, 1, 2]);
-        assert!(c.lookup(id(0)).is_some()); // hit -> [0, 2, 1]
+        assert!(c.lookup_ref(id(0)).is_some()); // hit -> [0, 2, 1]
         let v = c.insert(id(3), page(3)).expect("full cache evicts");
         assert_eq!(v.id, id(1));
-        assert!(c.lookup(id(2)).is_some()); // hit -> [2, 3, 0]
+        assert!(c.lookup_ref(id(2)).is_some()); // hit -> [2, 3, 0]
         let v = c.insert(id(1), page(1)).expect("evicts again");
         assert_eq!(v.id, id(0));
         assert_eq!(c.victim_order(), vec![id(3), id(2), id(1)]);
@@ -643,12 +645,12 @@ mod tests {
                                         // Hit 1 and 2; the first sweep clears 0's bit (no rescue in between)
                                         // and keeps sweeping until it wraps to 0 again... all bits are set,
                                         // so the first eviction clears 0, 1, 2 and takes 0.
-        assert!(c.lookup(id(1)).is_some());
+        assert!(c.lookup_ref(id(1)).is_some());
         let v = c.insert(id(3), page(3)).expect("full");
         assert_eq!(v.id, id(0), "first full sweep clears every bit and takes the oldest");
         // Now 1 and 2 have clear bits, 3 is referenced (demand admission,
         // hand moved past it). A hit on 2 rescues it; 1 is the next victim.
-        assert!(c.lookup(id(2)).is_some());
+        assert!(c.lookup_ref(id(2)).is_some());
         let v = c.insert(id(4), page(4)).expect("full");
         assert_eq!(v.id, id(1), "unreferenced page at the hand loses");
         assert!(c.contains(id(2)), "the reference bit rescued page 2");
@@ -689,7 +691,7 @@ mod tests {
         fill_demand(&mut c, [0, 1, 2, 3]);
         // 0 is the oldest probation entry; hitting it must not reorder the
         // FIFO, so the next reclaim still takes 0.
-        assert!(c.lookup(id(0)).is_some());
+        assert!(c.lookup_ref(id(0)).is_some());
         let v = c.pop_victim().unwrap();
         assert_eq!(v.id, id(0), "probation is a FIFO even after a hit");
     }
@@ -704,9 +706,9 @@ mod tests {
             assert_eq!(order[0], id(9), "{policy}: speculative page is the next victim");
             // A demand lookup reports first use exactly once and clears the
             // cold standing in LRU/Clock terms (recency touch / ref bit).
-            let (_, first) = c.lookup(id(9)).unwrap();
+            let (_, first) = c.lookup_ref(id(9)).unwrap();
             assert!(first, "{policy}: first demand use of a prefetched page");
-            let (_, again) = c.lookup(id(9)).unwrap();
+            let (_, again) = c.lookup_ref(id(9)).unwrap();
             assert!(!again, "{policy}: the flag reports only the first use");
             // Once used, the page is no longer flagged at eviction time.
             let mut drained = Vec::new();
@@ -741,7 +743,7 @@ mod tests {
             let mut c = PageCache::new(policy, 3);
             fill_demand(&mut c, [0, 1]);
             assert!(c.insert_prefetched(id(0), page(0)).is_none());
-            let (_, first) = c.lookup(id(0)).unwrap();
+            let (_, first) = c.lookup_ref(id(0)).unwrap();
             assert!(!first, "{policy}: a resident demand page never becomes 'prefetched'");
             assert_eq!(c.len(), 2);
         }
@@ -754,7 +756,7 @@ mod tests {
             assert!(c.insert(id(0), page(0)).is_none(), "{policy}");
             assert!(c.insert_prefetched(id(1), page(1)).is_none(), "{policy}");
             assert_eq!(c.len(), 0, "{policy}");
-            assert!(c.lookup(id(0)).is_none(), "{policy}");
+            assert!(c.lookup_ref(id(0)).is_none(), "{policy}");
             assert!(c.pop_victim().is_none(), "{policy}");
         }
     }
@@ -764,7 +766,7 @@ mod tests {
         for policy in EvictionPolicy::ALL {
             let mut c = PageCache::new(policy, 5);
             fill_demand(&mut c, [0, 1, 2, 3, 4]);
-            c.lookup(id(2));
+            c.lookup_ref(id(2));
             let mut n = 0;
             while c.pop_victim().is_some() {
                 n += 1;
@@ -781,15 +783,15 @@ mod tests {
     fn clock_pop_victim_preserves_ring_order_and_map() {
         let mut c = PageCache::new(EvictionPolicy::Clock, 5);
         fill_demand(&mut c, [0, 1, 2, 3, 4]);
-        c.lookup(id(1)); // re-reference 1
-                         // First pop sweeps all bits clear and takes 0; 1 was re-referenced
-                         // but the same sweep clears it too, so the second pop takes 1.
+        c.lookup_ref(id(1)); // re-reference 1
+                             // First pop sweeps all bits clear and takes 0; 1 was re-referenced
+                             // but the same sweep clears it too, so the second pop takes 1.
         assert_eq!(c.pop_victim().unwrap().id, id(0));
         assert_eq!(c.pop_victim().unwrap().id, id(1));
         // Map must still resolve the remaining pages after Vec::remove.
         for i in [2u32, 3, 4] {
             assert!(c.contains(id(i)), "page {i} resolvable after compaction");
-            assert!(c.lookup(id(i)).is_some());
+            assert!(c.lookup_ref(id(i)).is_some());
         }
         assert_eq!(c.len(), 3);
     }

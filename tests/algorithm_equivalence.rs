@@ -150,8 +150,9 @@ fn generated_workload_equivalence_smoke_test() {
 /// node state, not the algorithm, so not one settle, push or probe may move.
 /// The same holds for the one expansion kernel they all run on since, and for
 /// the paths pinned after them, which no benchmark workload runs. It also
-/// holds for the form the adjacency lists arrive in: a topology that keeps
-/// its slices to itself is walked through the visitor, to the same counters.
+/// holds for the form the adjacency lists arrive in: owned by the graph,
+/// gathered from a visitor by the default `Topology::with_adjacency`, or
+/// decoded from pool frames by the paged graph's — the same counters.
 #[test]
 fn work_counters_on_a_seeded_grid_are_pinned() {
     use rnn_core::{Algorithm, Precomputed, QueryStats, RknnOutcome, Scratch};
@@ -160,8 +161,9 @@ fn work_counters_on_a_seeded_grid_are_pinned() {
         sample_node_queries, sample_routes, GridConfig,
     };
     use rnn_graph::{EdgePointSet, Graph, Neighbor, NodeId, Topology};
-    /// A graph that does not lend its adjacency slices, like a paged or a
-    /// wrapped one: `Topology::adjacency` stays at its default.
+    /// A graph with nothing but the visitor, like a wrapped one:
+    /// `Topology::adjacency` and `Topology::with_adjacency` stay at their
+    /// defaults, so every list is gathered arc by arc before it is lent.
     struct VisitorOnly<'g>(&'g Graph);
     impl Topology for VisitorOnly<'_> {
         fn num_nodes(&self) -> usize {
@@ -204,9 +206,11 @@ fn work_counters_on_a_seeded_grid_are_pinned() {
     }
     let mut scratch = Scratch::new();
     let visitor_only = VisitorOnly(&graph);
+    let paged = rnn_storage::PagedGraph::build(&graph).expect("a grid pages");
     for v in graph.node_ids() {
         assert_eq!(graph.adjacency(v), Some(&visitor_only.neighbors_vec(v)[..]), "node {v}");
-        assert_eq!(visitor_only.adjacency(v), None);
+        assert_eq!(graph.adjacency(v), Some(&paged.neighbors_vec(v)[..]), "node {v}");
+        assert_eq!((visitor_only.adjacency(v), paged.adjacency(v)), (None, None));
     }
     for (algo, k, expected) in pinned {
         let none = Precomputed::none();
@@ -218,10 +222,15 @@ fn work_counters_on_a_seeded_grid_are_pinned() {
             let results: Vec<_> = outcomes.iter().map(|out| out.points.clone()).collect();
             (sum(outcomes.into_iter()).0, results)
         };
-        let (lent, visited) = (run(&graph), run(&visitor_only));
-        assert_eq!(lent.0, expected, "{algo} k={k}");
-        assert_eq!(visited, lent, "{algo} k={k}: slice and visitor are one traversal");
+        let owned = run(&graph);
+        assert_eq!(owned.0, expected, "{algo} k={k}");
+        assert_eq!(run(&visitor_only), owned, "{algo} k={k}: gathered from the visitor");
+        assert_eq!(run(&paged), owned, "{algo} k={k}: decoded from pool frames");
     }
+    // The paged runs were counted fetch by fetch, in both accounting views.
+    let io = paged.io_stats();
+    assert!(io.accesses > 1_000_000 && io.faults > 0, "{io:?}");
+    assert_eq!(paged.pool_stats().total.as_io_stats(), io);
 
     // The paths no benchmark workload runs, on the same grid: the same six
     // counters, and the number of result points, summed over the workload.
