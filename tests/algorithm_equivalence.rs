@@ -264,10 +264,42 @@ fn work_counters_on_a_seeded_grid_are_pinned() {
             [((78000, 95628, 93286, 750, 0, 750), 39), ((78000, 235276, 93286, 750, 0, 750), 103)],
         ),
     ];
-    for (name, run, expected) in unrestricted {
+    type UnrestrictedPaged =
+        fn(&rnn_storage::PagedGraph, &Graph, &EdgePointSet, &EdgePosition, usize) -> RknnOutcome;
+    let unrestricted_paged: [UnrestrictedPaged; 3] =
+        [unrestricted_eager_rknn, unrestricted_lazy_rknn, unrestricted_naive_rknn];
+    for ((name, run, expected), run_paged) in unrestricted.into_iter().zip(unrestricted_paged) {
         for (k, expected) in [1, 3].into_iter().zip(expected) {
             let got = sum(positions.iter().map(|q| run(&graph, &graph, &edge_points, q, k)));
             assert_eq!(got, expected, "unrestricted {name} k={k}");
+            let got = sum(positions.iter().map(|q| run_paged(&paged, &graph, &edge_points, q, k)));
+            assert_eq!(got, expected, "unrestricted {name} k={k}: decoded from pool frames");
+        }
+    }
+
+    // Bichromatic: the node points are the targets, a second seeded set the
+    // sites, the 50 queries above, k in {1, 3}.
+    let sites = place_points_on_nodes(&graph, 0.01, 16);
+    type Bichromatic = fn(&Graph, &NodePointSet, &NodePointSet, NodeId, usize) -> RknnOutcome;
+    let bichromatic: [(&str, Bichromatic, [Row; 2]); 2] = [
+        (
+            "eager",
+            bichromatic_rknn,
+            [
+                ((6616, 780297, 7462, 0, 6566, 50), 50),
+                ((16699, 3547518, 19156, 0, 16649, 146), 146),
+            ],
+        ),
+        (
+            "naive",
+            naive_bichromatic_rknn,
+            [((130000, 0, 154331, 0, 0, 1250), 50), ((130000, 0, 154331, 0, 0, 1250), 146)],
+        ),
+    ];
+    for (name, run, expected) in bichromatic {
+        for (k, expected) in [1, 3].into_iter().zip(expected) {
+            let got = sum(queries.iter().map(|&q| run(&graph, &points, &sites, q, k)));
+            assert_eq!(got, expected, "bichromatic {name} k={k}");
         }
     }
 
