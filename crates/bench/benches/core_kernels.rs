@@ -255,16 +255,16 @@ fn bench_queries(c: &mut Criterion) {
     let edge_points = place_points_on_edges(&graph, 0.01, 6);
     let positions: Vec<EdgePosition> = sample_edge_queries(&edge_points, 8, 7)
         .into_iter()
-        .map(|p| EdgePosition::of_point(&graph, &edge_points, p))
+        .map(|p| edge_points.position(p))
         .collect();
     for (name, run) in [
-        ("unrestricted_eager", unrestricted_eager_rknn as fn(_, _, _, _, _) -> _),
+        ("unrestricted_eager", unrestricted_eager_rknn as fn(_, _, _, _) -> _),
         ("unrestricted_lazy", unrestricted_lazy_rknn),
     ] {
         group.bench_function(format!("{name}/8_queries"), |b| {
             b.iter(|| {
                 for query in &positions {
-                    black_box(run(&graph, &graph, &edge_points, query, 1));
+                    black_box(run(&graph, &edge_points, query, 1));
                 }
             })
         });

@@ -2,8 +2,9 @@
 //!
 //! Every function builds the corresponding workload, measures the algorithms
 //! on the disk-page backed graph and returns a [`Report`] whose rows mirror
-//! the original table or figure. See DESIGN.md for the per-experiment index
-//! and EXPERIMENTS.md for measured-vs-paper numbers.
+//! the original table or figure. The `repro` binary runs them by name (its
+//! usage text is the index; the README's "Build, test, bench" section shows
+//! the invocations).
 
 use crate::harness::{
     measure_continuous, measure_restricted, measure_unrestricted, measure_updates, Measurement,

@@ -4,7 +4,7 @@ use rnn_core::cost::{AverageCost, CostModel, QueryCost};
 use rnn_core::materialize::MaterializedKnn;
 use rnn_core::unrestricted::{
     transform_to_restricted, unrestricted_eager_rknn, unrestricted_lazy_rknn,
-    unrestricted_naive_rknn, EdgePosition,
+    unrestricted_naive_rknn,
 };
 use rnn_core::{run_rknn, Algorithm, Precomputed};
 use rnn_graph::{EdgePointSet, Graph, NodeId, NodePointSet, PointId, Route};
@@ -195,8 +195,8 @@ impl UnrestrictedWorkload {
 /// Measures eager / lazy / naive natively on an unrestricted workload.
 /// `Algorithm::EagerMaterialized`, `Algorithm::LazyExtendedPruning` and
 /// `Algorithm::HubLabel` are measured on the equivalent restricted
-/// transformation (see DESIGN.md) — the hub labeling is built over the
-/// transformed graph.
+/// transformation (`rnn_core::unrestricted::transform_to_restricted`) — the
+/// hub labeling is built over the transformed graph.
 pub fn measure_unrestricted(
     algorithm: Algorithm,
     workload: &UnrestrictedWorkload,
@@ -209,29 +209,12 @@ pub fn measure_unrestricted(
             let mut result_total = 0usize;
             let start = Instant::now();
             for &q in &workload.queries {
-                let query = EdgePosition::of_point(&workload.graph, &workload.points, q);
+                let (paged, points) = (&workload.paged, &workload.points);
+                let query = points.position(q);
                 let out = match algorithm {
-                    Algorithm::Eager => unrestricted_eager_rknn(
-                        &workload.paged,
-                        &workload.graph,
-                        &workload.points,
-                        &query,
-                        k,
-                    ),
-                    Algorithm::Lazy => unrestricted_lazy_rknn(
-                        &workload.paged,
-                        &workload.graph,
-                        &workload.points,
-                        &query,
-                        k,
-                    ),
-                    Algorithm::Naive => unrestricted_naive_rknn(
-                        &workload.paged,
-                        &workload.graph,
-                        &workload.points,
-                        &query,
-                        k,
-                    ),
+                    Algorithm::Eager => unrestricted_eager_rknn(paged, points, &query, k),
+                    Algorithm::Lazy => unrestricted_lazy_rknn(paged, points, &query, k),
+                    Algorithm::Naive => unrestricted_naive_rknn(paged, points, &query, k),
                     Algorithm::EagerMaterialized
                     | Algorithm::LazyExtendedPruning
                     | Algorithm::HubLabel => {

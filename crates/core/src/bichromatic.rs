@@ -36,10 +36,28 @@ where
     P: PointsOnNodes + ?Sized,
     Q: PointsOnNodes + ?Sized,
 {
+    bichromatic_rknn_in(topo, targets, sites, query, k, &mut Scratch::new())
+}
+
+/// [`bichromatic_rknn`] on the recycled buffers of `scratch`: the main
+/// expansion and every range-NN probe run allocation-free in the steady
+/// state.
+pub fn bichromatic_rknn_in<T, P, Q>(
+    topo: &T,
+    targets: &P,
+    sites: &Q,
+    query: NodeId,
+    k: usize,
+    scratch: &mut Scratch,
+) -> RknnOutcome
+where
+    T: Topology + ?Sized,
+    P: PointsOnNodes + ?Sized,
+    Q: PointsOnNodes + ?Sized,
+{
     assert!(k >= 1, "bichromatic RkNN queries require k >= 1");
     let mut stats = QueryStats::default();
     let mut result: Vec<PointId> = Vec::new();
-    let mut scratch = Scratch::new();
     let mut probe_found = scratch.take_found();
     // A site on the query node itself ties with the query everywhere and must
     // not count as "strictly closer" (the probe re-derives its distance with
@@ -48,7 +66,11 @@ where
     // the k probe slots.
     let exclude = |p: PointId| sites.node_of(p) == query;
 
-    let mut exp = NetworkExpansion::new(topo, query);
+    let mut exp = NetworkExpansion::reusing(
+        topo,
+        scratch.take_expansion(),
+        std::iter::once((query, Weight::ZERO)),
+    );
     while let Some((node, dist)) = exp.next_settled_unexpanded() {
         stats.nodes_settled += 1;
 
@@ -56,7 +78,7 @@ where
         let closer_sites = if dist > Weight::ZERO {
             stats.range_nn_queries += 1;
             stats.auxiliary_settled +=
-                range_nn_into(topo, sites, node, k, dist, &exclude, &mut scratch, &mut probe_found);
+                range_nn_into(topo, sites, node, k, dist, &exclude, scratch, &mut probe_found);
             probe_found.len()
         } else {
             0
@@ -78,6 +100,8 @@ where
         // keep the query among its k nearest sites.
     }
     stats.heap_pushes = exp.pushes();
+    scratch.put_expansion(exp.into_buffers());
+    scratch.put_found(probe_found);
     RknnOutcome::from_points(result, stats)
 }
 

@@ -13,15 +13,7 @@ use crate::eager::eager_rknn_from;
 use crate::lazy::lazy_rknn_from;
 use crate::query::{QueryStats, RknnOutcome};
 use crate::scratch::Scratch;
-use rnn_graph::{PointId, PointsOnNodes, Route, Topology};
-
-fn route_membership(route: &Route, num_nodes: usize) -> Vec<bool> {
-    let mut on_route = vec![false; num_nodes];
-    for &n in route.nodes() {
-        on_route[n.index()] = true;
-    }
-    on_route
-}
+use rnn_graph::{NodeLocation, PointId, PointsOnNodes, Route, Topology};
 
 /// Continuous RkNN with the eager algorithm: the eager query whose source set
 /// is the route — multi-source expansion, Lemma 1 pruning with the route
@@ -38,8 +30,7 @@ where
     P: PointsOnNodes + ?Sized,
 {
     assert!(!route.is_empty(), "continuous queries require a non-empty route");
-    let on_route = route_membership(route, topo.num_nodes());
-    eager_rknn_from(topo, points, route.nodes(), |n| on_route[n.index()], k, &mut Scratch::new())
+    eager_rknn_from(topo, points, &NodeLocation::of_route(route), k, &mut Scratch::new())
 }
 
 /// Continuous RkNN with the lazy algorithm: the lazy query whose source set
@@ -54,8 +45,7 @@ where
     P: PointsOnNodes + ?Sized,
 {
     assert!(!route.is_empty(), "continuous queries require a non-empty route");
-    let on_route = route_membership(route, topo.num_nodes());
-    lazy_rknn_from(topo, points, route.nodes(), |n| on_route[n.index()], k, &mut Scratch::new())
+    lazy_rknn_from(topo, points, &NodeLocation::of_route(route), k, &mut Scratch::new())
 }
 
 /// Naive continuous baseline: the union of per-route-node naive RkNN queries,
@@ -67,7 +57,7 @@ where
 {
     assert!(k >= 1, "RkNN queries require k >= 1");
     assert!(!route.is_empty(), "continuous queries require a non-empty route");
-    let on_route = route_membership(route, topo.num_nodes());
+    let on_route = NodeLocation::of_route(route);
     let mut stats = QueryStats::default();
     let mut all: Vec<PointId> = Vec::new();
     for &n in route.nodes() {
@@ -75,7 +65,7 @@ where
         stats += &out.stats;
         all.extend(out.points);
     }
-    all.retain(|&p| !on_route[points.node_of(p).index()]);
+    all.retain(|&p| !on_route.contains(points.node_of(p)));
     RknnOutcome::from_points(all, stats)
 }
 

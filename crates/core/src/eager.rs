@@ -8,12 +8,12 @@
 //! reverse neighbors), and the discovered points themselves are checked with
 //! verification queries.
 
-use crate::expansion::NetworkExpansion;
+use crate::expansion::{for_each_candidate_at, NetworkExpansion};
 use crate::knn::range_nn_into;
 use crate::query::{QueryStats, RknnOutcome};
 use crate::scratch::Scratch;
 use crate::verify::{verify_candidate_in, VerifyParams};
-use rnn_graph::{NodeId, PointId, PointsOnNodes, Topology, Weight};
+use rnn_graph::{NodeId, PointId, PointSource, PointsOnNodes, Revealed, Topology, Weight};
 
 /// Runs the eager RkNN algorithm.
 ///
@@ -44,44 +44,64 @@ where
     T: Topology + ?Sized,
     P: PointsOnNodes + ?Sized,
 {
-    eager_rknn_from(topo, points, &[query], |n| n == query, k, scratch)
+    eager_rknn_from(topo, points, &query.into(), k, scratch)
 }
 
-/// The eager algorithm for a query that is a set of nodes: `sources` lists
-/// them and `is_source` tests membership. The distance of a node from the
-/// query is its distance from the nearest source, so one source is the plain
-/// query and the nodes of a route the continuous one.
-pub(crate) fn eager_rknn_from<T, P, F>(
+/// The eager algorithm for a query at any location of any [`PointSource`]:
+/// a node or the nodes of a route over points on nodes (the distance of a
+/// node from a route is its distance from the nearest route node), a position
+/// on an edge over points on edges. Points at the query location are not
+/// reported.
+///
+/// # Panics
+/// Panics if `k == 0`.
+pub fn eager_rknn_from<T, S>(
     topo: &T,
-    points: &P,
-    sources: &[NodeId],
-    is_source: F,
+    points: &S,
+    query: &S::Location,
     k: usize,
     scratch: &mut Scratch,
 ) -> RknnOutcome
 where
     T: Topology + ?Sized,
-    P: PointsOnNodes + ?Sized,
-    F: Fn(NodeId) -> bool,
+    S: PointSource + ?Sized,
 {
     assert!(k >= 1, "RkNN queries require k >= 1");
     let mut stats = QueryStats::default();
     let mut result: Vec<PointId> = Vec::new();
     let mut verified = scratch.take_point_set();
     let mut probe_found = scratch.take_found();
-    // A point residing on a query node can never be strictly closer to
-    // anything than the query is, so the probes exclude it: it must neither
-    // contribute to the pruning count (its distance is re-derived by a second
-    // expansion whose floating-point sums need not match `dist` exactly, so a
-    // tie can land on either side) nor occupy one of the k probe slots. It is
-    // also excluded from the result by definition.
-    let exclude = |p: PointId| is_source(points.node_of(p));
+    // A point at the query location can never be strictly closer to anything
+    // than the query is, so the probes exclude it: it must neither contribute
+    // to the pruning count (its distance is re-derived by a second expansion
+    // whose floating-point sums need not match `dist` exactly, so a tie can
+    // land on either side) nor occupy one of the k probe slots. It is also
+    // excluded from the result by definition.
+    let at_query = |p: PointId| points.is_at(p, query);
+    // Every candidate is verified exactly once.
+    let mut consider = |p: PointId, stats: &mut QueryStats, scratch: &mut Scratch| {
+        if !verified.insert(p) || at_query(p) {
+            return;
+        }
+        stats.candidates += 1;
+        stats.verifications += 1;
+        let params = VerifyParams { k, collect_visited: false };
+        let v = verify_candidate_in(topo, points, p, query, params, scratch);
+        stats.auxiliary_settled += v.settled;
+        if v.accepted {
+            result.push(p);
+        }
+    };
 
-    let mut exp = NetworkExpansion::reusing(
-        topo,
-        scratch.take_expansion(),
-        sources.iter().map(|&n| (n, Weight::ZERO)),
-    );
+    // What the query reaches without passing a node is a candidate whatever
+    // the expansion over the nodes does.
+    points.beside(query, None, |what, _| {
+        if let Revealed::Point(p) = what {
+            consider(p, &mut stats, scratch);
+        }
+    });
+
+    let mut exp = NetworkExpansion::reusing(topo, scratch.take_expansion(), points.seeds(query));
     while let Some((node, dist)) = exp.next_settled_unexpanded() {
         stats.nodes_settled += 1;
 
@@ -90,35 +110,21 @@ where
         if dist > Weight::ZERO {
             stats.range_nn_queries += 1;
             stats.auxiliary_settled +=
-                range_nn_into(topo, points, node, k, dist, &exclude, scratch, &mut probe_found);
+                range_nn_into(topo, points, node, k, dist, &at_query, scratch, &mut probe_found);
         }
-        // (At a source node no point can be strictly closer than distance 0.)
+        // (At distance zero of the query no point can be strictly closer.)
 
-        // Every point discovered by the probe is a candidate and must be
-        // verified exactly once.
+        // Candidates: the points the probe discovered, and those the node
+        // itself reveals (on an adjacent edge they may lie outside the probe
+        // range and still be reverse neighbors).
         for &(p, _) in &probe_found {
-            if verified.insert(p) {
-                stats.candidates += 1;
-                stats.verifications += 1;
-                let v = verify_candidate_in(
-                    topo,
-                    points,
-                    p,
-                    points.node_of(p),
-                    &is_source,
-                    VerifyParams { k, collect_visited: false },
-                    scratch,
-                );
-                stats.auxiliary_settled += v.settled;
-                if v.accepted {
-                    result.push(p);
-                }
-            }
+            consider(p, &mut stats, scratch);
         }
+        for_each_candidate_at(topo, points, node, |p| consider(p, &mut stats, scratch));
 
         // Expansion proceeds only when fewer than k points were found
         // strictly closer to the node than the query (the probe already
-        // excluded the query's own points).
+        // excluded the points at the query).
         if probe_found.len() < k {
             exp.expand_from(node, dist);
         }

@@ -12,6 +12,14 @@
 //! whether to expand a settled node, and a per-arc hook on expanding
 //! ([`NetworkExpansion::expand_from_each`]).
 //!
+//! [`PointExpansion`] is the form the query algorithms drive: the kernel plus
+//! what a [`PointSource`] reveals on the way. The points on nodes come with
+//! the node that settles; the points on edges (and a target location on one)
+//! are found when an arc is traversed, at a distance beyond the node's, so
+//! they wait in a second small heap and are merged in by distance. Over a
+//! source that has nothing on its arcs that heap stays empty and the loop is
+//! the kernel's.
+//!
 //! Three representation choices keep the loop short, none of them visible
 //! to callers:
 //!
@@ -27,9 +35,12 @@
 //!   graph lends its adjacency slice and the relaxation is inlined into the
 //!   loop over it, a paged or wrapped topology is visited arc by arc.
 
+use crate::fast_hash::FastSet;
 use crate::flat_heap::FlatHeap;
 use crate::node_table::NodeTable;
-use rnn_graph::{for_each_neighbor, Neighbor, NodeId, Topology, Weight};
+use rnn_graph::{
+    for_each_neighbor, Neighbor, NodeId, PointId, PointSource, Revealed, Topology, Weight,
+};
 
 /// The allocation-bearing state of a [`NetworkExpansion`]: the frontier heap
 /// and the label table.
@@ -49,6 +60,8 @@ pub struct ExpansionBuffers {
     /// empty between expansion steps. Only ever filled when the topology asks
     /// for hints, so the in-memory path never pays for it.
     hints: Vec<NodeId>,
+    /// What a [`PointExpansion`] found on the arcs and has yet to report.
+    arc_events: ArcEvents,
 }
 
 impl ExpansionBuffers {
@@ -62,6 +75,8 @@ impl ExpansionBuffers {
         self.heap.clear();
         self.labels.clear();
         self.hints.clear();
+        self.arc_events.heap.clear();
+        self.arc_events.emitted.clear();
     }
 
     /// Offers a (possibly better) tentative distance for `node`; returns
@@ -287,6 +302,222 @@ pub fn network_distance<T: Topology + ?Sized>(
         }
     }
     None
+}
+
+/// Calls `found` for every data point a de-heaped `node` contributes as a
+/// candidate to an RkNN query: the point on the node, and — the paper's
+/// substitution for unrestricted networks — the points on the edges adjacent
+/// to it, whose list is fetched from `topo` only for a source that has points
+/// on edges.
+pub(crate) fn for_each_candidate_at<T, S>(
+    topo: &T,
+    source: &S,
+    node: NodeId,
+    mut found: impl FnMut(PointId),
+) where
+    T: Topology + ?Sized,
+    S: PointSource + ?Sized,
+{
+    if let Some(p) = source.on_node(node) {
+        found(p);
+    }
+    if S::REVEALS_ON_ARCS {
+        for_each_neighbor(topo, node, |arc| {
+            source.on_arc(node, &arc, None, |what, _| {
+                if let Revealed::Point(p) = what {
+                    found(p);
+                }
+            });
+        });
+    }
+}
+
+/// What a [`PointExpansion`] reports, in ascending distance order.
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub enum Event {
+    /// A graph node settled at the given distance. Which data point that
+    /// reveals ([`PointSource::on_node`]) and whether it reaches the target
+    /// ([`PointSource::covers`]) is for the caller to ask.
+    Node(NodeId, Weight),
+    /// A data point on an edge, reached at the given (exact) distance.
+    Point(PointId, Weight),
+    /// The target location on an edge, reached at the given (exact) distance.
+    Target(Weight),
+}
+
+impl Event {
+    /// The distance of the event from the start of the expansion.
+    #[inline]
+    pub fn dist(&self) -> Weight {
+        match *self {
+            Event::Node(_, dist) | Event::Point(_, dist) | Event::Target(dist) => dist,
+        }
+    }
+}
+
+/// Min-heap of what the traversed arcs revealed, with the distances, and the
+/// points reported so far. At equal distances the target comes before the
+/// points and the points come in id order, for determinism: the target is
+/// keyed `(0, 0)`, point `p` `(1, p)`.
+#[derive(Debug, Default)]
+struct ArcEvents {
+    heap: FlatHeap,
+    emitted: FastSet<PointId>,
+}
+
+impl ArcEvents {
+    /// Queues `what` at `dist`, unless it is a point that was reported
+    /// already; returns whether it was queued.
+    fn offer(&mut self, dist: Weight, what: Revealed) -> bool {
+        match what {
+            Revealed::Target => self.heap.push(dist, 0, 0),
+            Revealed::Point(p) if self.emitted.contains(&p) => return false,
+            Revealed::Point(p) => self.heap.push(dist, 1, p.0),
+        }
+        true
+    }
+}
+
+/// A network expansion that also reports what its [`PointSource`] reveals on
+/// the arcs it traverses: nodes, data points on edges and an optional target
+/// location arrive as [`Event`]s in ascending distance order, each exactly
+/// once, even though a point on an edge is reached through both endpoints
+/// with different bounds (the paper's `unrestricted-range-NN` idea).
+pub struct PointExpansion<'a, T: Topology + ?Sized, S: PointSource + ?Sized> {
+    nodes: NetworkExpansion<'a, T>,
+    source: &'a S,
+    target: Option<&'a S::Location>,
+    arc_events: ArcEvents,
+    arc_pushes: u64,
+    target_emitted: bool,
+}
+
+impl<'a, T: Topology + ?Sized, S: PointSource + ?Sized> PointExpansion<'a, T, S> {
+    /// Starts an expansion from a graph node, on recycled buffers.
+    pub fn from_node(topo: &'a T, source: &'a S, node: NodeId, bufs: ExpansionBuffers) -> Self {
+        Self::start(topo, source, std::iter::once((node, Weight::ZERO)), None, bufs)
+    }
+
+    /// Starts an expansion from a location (of a data point or a query), on
+    /// recycled buffers. What the location reaches without passing a node —
+    /// the points on its own edge, and `target` if it shares the edge — is
+    /// queued with its direct distance.
+    pub fn from_location(
+        topo: &'a T,
+        source: &'a S,
+        from: &S::Location,
+        target: Option<&'a S::Location>,
+        bufs: ExpansionBuffers,
+    ) -> Self {
+        let mut exp = Self::start(topo, source, source.seeds(from), target, bufs);
+        if S::REVEALS_ON_ARCS {
+            let Self { arc_events, arc_pushes, .. } = &mut exp;
+            source.beside(from, target, |what, direct| {
+                *arc_pushes += u64::from(arc_events.offer(direct, what));
+            });
+        }
+        exp
+    }
+
+    fn start(
+        topo: &'a T,
+        source: &'a S,
+        seeds: impl Iterator<Item = (NodeId, Weight)>,
+        target: Option<&'a S::Location>,
+        bufs: ExpansionBuffers,
+    ) -> Self {
+        let mut nodes = NetworkExpansion::reusing(topo, bufs, seeds);
+        let arc_events = std::mem::take(&mut nodes.bufs.arc_events);
+        PointExpansion { nodes, source, target, arc_events, arc_pushes: 0, target_emitted: false }
+    }
+
+    /// Consumes the expansion, releasing its buffers for reuse.
+    pub fn into_buffers(self) -> ExpansionBuffers {
+        let mut bufs = self.nodes.into_buffers();
+        bufs.arc_events = self.arc_events;
+        bufs
+    }
+
+    /// Number of nodes settled so far (the work/cost proxy).
+    pub fn settled_count(&self) -> u64 {
+        self.nodes.settled_count()
+    }
+
+    /// Number of heap pushes so far, node entries and arc events alike.
+    pub fn pushes(&self) -> u64 {
+        self.nodes.pushes() + self.arc_pushes
+    }
+
+    /// The data point `event` reveals, if any: the point of a point event, or
+    /// the one that settling the node of a node event reveals.
+    #[inline]
+    pub fn revealed(&self, event: &Event) -> Option<PointId> {
+        match *event {
+            Event::Node(node, _) => self.source.on_node(node),
+            Event::Point(p, _) => Some(p),
+            Event::Target(_) => None,
+        }
+    }
+
+    /// Returns the next event in ascending distance order, *without*
+    /// expanding a settled node; the caller decides whether to go on through
+    /// it with [`PointExpansion::expand`].
+    #[inline]
+    pub fn next_event_unexpanded(&mut self) -> Option<Event> {
+        if S::REVEALS_ON_ARCS {
+            if let Some(event) = self.next_arc_event() {
+                return Some(event);
+            }
+        }
+        self.nodes.next_settled_unexpanded().map(|(node, dist)| Event::Node(node, dist))
+    }
+
+    /// The next queued arc event, if no node settles before it.
+    fn next_arc_event(&mut self) -> Option<Event> {
+        while let Some((dist, kind, id)) = self.arc_events.heap.peek() {
+            // An arc event goes before a node settling at the same distance.
+            if self.nodes.peek_dist().is_some_and(|node_dist| node_dist < dist) {
+                break;
+            }
+            self.arc_events.heap.pop();
+            if kind == 0 {
+                if !std::mem::replace(&mut self.target_emitted, true) {
+                    return Some(Event::Target(dist));
+                }
+            } else if self.arc_events.emitted.insert(PointId(id)) {
+                return Some(Event::Point(PointId(id), dist));
+            }
+            // Otherwise: already reported at a smaller distance.
+        }
+        None
+    }
+
+    /// Returns the next event, expanding every settled node on the way (what
+    /// verification and the naive baseline want).
+    #[inline]
+    pub fn next_event(&mut self) -> Option<Event> {
+        let event = self.next_event_unexpanded();
+        if let Some(Event::Node(node, dist)) = event {
+            self.expand(node, dist);
+        }
+        event
+    }
+
+    /// Expands a settled node: relaxes its neighbors and queues what the
+    /// source reveals on the arcs out of it.
+    #[inline]
+    pub fn expand(&mut self, node: NodeId, dist: Weight) {
+        if !S::REVEALS_ON_ARCS {
+            return self.nodes.expand_from(node, dist);
+        }
+        let Self { nodes, source, target, arc_events, arc_pushes, target_emitted } = self;
+        let target = target.filter(|_| !*target_emitted);
+        nodes.expand_from_each(node, dist, |arc, _| {
+            source.on_arc(node, &arc, target, |what, along| {
+                *arc_pushes += u64::from(arc_events.offer(dist + along, what));
+            });
+        });
+    }
 }
 
 #[cfg(test)]

@@ -16,10 +16,13 @@
 //! Lemma-1 pruning bound nor occupy one of the probe's `k` result slots (a
 //! post-probe filter would waste a slot at exact-tie nodes, settling extra
 //! nodes for nothing).
+//!
+//! The probe is written over a [`PointSource`]: over points on nodes it is
+//! the paper's range-NN, over points on edges its `unrestricted-range-NN`.
 
-use crate::expansion::NetworkExpansion;
+use crate::expansion::{Event, NetworkExpansion, PointExpansion};
 use crate::scratch::Scratch;
-use rnn_graph::{NodeId, PointId, PointsOnNodes, Topology, Weight};
+use rnn_graph::{NodeId, PointId, PointSource, PointsOnNodes, Topology, Weight};
 use rnn_obs::Phase;
 
 /// Result of a k-NN style probe, together with the number of nodes the
@@ -84,10 +87,10 @@ where
 /// Excluded points do not occupy result slots and do not stop the expansion:
 /// the probe keeps searching for `k` *countable* points. Pass `|_| false` to
 /// exclude nothing. The expansion stops as soon as `k` points are found, the
-/// settled distance reaches `range`, or the graph is exhausted.
-pub fn range_nn<T, P, F>(
+/// distance of a node or a point reaches `range`, or the graph is exhausted.
+pub fn range_nn<T, S, F>(
     topo: &T,
-    points: &P,
+    points: &S,
     source: NodeId,
     k: usize,
     range: Weight,
@@ -95,7 +98,7 @@ pub fn range_nn<T, P, F>(
 ) -> NnProbe
 where
     T: Topology + ?Sized,
-    P: PointsOnNodes + ?Sized,
+    S: PointSource + ?Sized,
     F: Fn(PointId) -> bool,
 {
     let mut found = Vec::with_capacity(k.min(8));
@@ -108,9 +111,9 @@ where
 /// recycled expansion buffers, so steady-state probes allocate nothing.
 /// Returns the number of nodes the probe settled.
 #[allow(clippy::too_many_arguments)] // mirrors range-NN(n, k, e) plus the reuse plumbing
-pub fn range_nn_into<T, P, F>(
+pub fn range_nn_into<T, S, F>(
     topo: &T,
-    points: &P,
+    points: &S,
     source: NodeId,
     k: usize,
     range: Weight,
@@ -120,7 +123,7 @@ pub fn range_nn_into<T, P, F>(
 ) -> u64
 where
     T: Topology + ?Sized,
-    P: PointsOnNodes + ?Sized,
+    S: PointSource + ?Sized,
     F: Fn(PointId) -> bool + ?Sized,
 {
     out.clear();
@@ -128,24 +131,21 @@ where
         return 0;
     }
     let probe = scratch.tracer().begin();
-    let mut exp = NetworkExpansion::reusing(
-        topo,
-        scratch.take_expansion(),
-        std::iter::once((source, Weight::ZERO)),
-    );
-    while let Some((node, dist)) = exp.next_settled_unexpanded() {
+    let mut exp = PointExpansion::from_node(topo, points, source, scratch.take_expansion());
+    while let Some(event) = exp.next_event_unexpanded() {
+        let dist = event.dist();
         if dist >= range {
             break;
         }
-        if let Some(p) = points.point_at(node) {
-            if !exclude(p) {
-                out.push((p, dist));
-                if out.len() == k {
-                    break;
-                }
+        if let Some(p) = exp.revealed(&event).filter(|&p| !exclude(p)) {
+            out.push((p, dist));
+            if out.len() == k {
+                break;
             }
         }
-        exp.expand_from(node, dist);
+        if let Event::Node(node, _) = event {
+            exp.expand(node, dist);
+        }
     }
     let settled = exp.settled_count();
     scratch.put_expansion(exp.into_buffers());

@@ -11,13 +11,13 @@
 //! `k > 1` a node is only discarded once `k` distinct points have been
 //! counted against it.
 
-use crate::expansion::NetworkExpansion;
+use crate::expansion::{for_each_candidate_at, NetworkExpansion};
 use crate::fast_hash::FastSet;
 use crate::node_table::NodeTable;
 use crate::query::{QueryStats, RknnOutcome};
 use crate::scratch::{Reset, Scratch};
 use crate::verify::{verify_candidate_in, VerifyParams};
-use rnn_graph::{NodeId, PointId, PointsOnNodes, Topology, Weight};
+use rnn_graph::{NodeId, PointId, PointSource, PointsOnNodes, Revealed, Topology, Weight};
 
 /// The reusable allocation state of the lazy main loop beside its expansion,
 /// pooled by [`Scratch`].
@@ -71,23 +71,24 @@ where
     T: Topology + ?Sized,
     P: PointsOnNodes + ?Sized,
 {
-    lazy_rknn_from(topo, points, &[query], |n| n == query, k, scratch)
+    lazy_rknn_from(topo, points, &query.into(), k, scratch)
 }
 
-/// The lazy algorithm for a query that is a set of nodes, given as for
-/// `eager_rknn_from`: `sources` lists them and `is_source` tests membership.
-pub(crate) fn lazy_rknn_from<T, P, F>(
+/// The lazy algorithm for a query at any location of any [`PointSource`],
+/// as for [`crate::eager::eager_rknn_from`].
+///
+/// # Panics
+/// Panics if `k == 0`.
+pub fn lazy_rknn_from<T, S>(
     topo: &T,
-    points: &P,
-    sources: &[NodeId],
-    is_source: F,
+    points: &S,
+    query: &S::Location,
     k: usize,
     scratch: &mut Scratch,
 ) -> RknnOutcome
 where
     T: Topology + ?Sized,
-    P: PointsOnNodes + ?Sized,
-    F: Fn(NodeId) -> bool,
+    S: PointSource + ?Sized,
 {
     assert!(k >= 1, "RkNN queries require k >= 1");
     let mut stats = QueryStats::default();
@@ -96,11 +97,51 @@ where
     let LazyBuffers { via, counters, verified } = &mut bufs;
     let pruned = |counters: &NodeTable<usize>, n: NodeId| counters.get(n).is_some_and(|c| *c >= k);
 
-    let mut exp = NetworkExpansion::reusing(
-        topo,
-        scratch.take_expansion(),
-        sources.iter().map(|&n| (n, Weight::ZERO)),
-    );
+    // Verifies a discovered point (once), then counts it against every node
+    // its verification settled strictly within d(p, q): those are strictly
+    // closer to p than to the query. `frontier` is the distance the main
+    // expansion `exp` has reached.
+    let mut discover = |p: PointId,
+                        frontier: Weight,
+                        exp: &NetworkExpansion<'_, T>,
+                        counters: &mut NodeTable<usize>,
+                        stats: &mut QueryStats,
+                        scratch: &mut Scratch| {
+        if !verified.insert(p) || points.is_at(p, query) {
+            return;
+        }
+        stats.candidates += 1;
+        stats.verifications += 1;
+        let params = VerifyParams { k, collect_visited: true };
+        let v = verify_candidate_in(topo, points, p, query, params, scratch);
+        stats.auxiliary_settled += v.settled;
+        if v.accepted {
+            result.push(p);
+        }
+        for &(m, dm) in &v.visited {
+            let counted = match exp.settled_distance(m) {
+                // Visited node: count only when provably closer to p than to
+                // the query.
+                Some(dq) => dm < dq,
+                // Unvisited node: its eventual distance from the query is at
+                // least the current frontier distance.
+                None => dm < frontier,
+            };
+            if counted {
+                *counters.entry(m, 0) += 1;
+            }
+        }
+        scratch.put_node_dists(v.visited);
+    };
+
+    let mut exp = NetworkExpansion::reusing(topo, scratch.take_expansion(), points.seeds(query));
+    // What the query reaches without passing a node is discovered before
+    // any node is.
+    points.beside(query, None, |what, _| {
+        if let Revealed::Point(p) = what {
+            discover(p, Weight::ZERO, &exp, counters, &mut stats, scratch);
+        }
+    });
     // An entry pushed while processing a node that has been counted against
     // k points since is removed from the heap (the paper's hash-table based
     // deletion): it is refused here, and its node stays unvisited.
@@ -115,51 +156,15 @@ where
             continue;
         }
 
-        // Process a data point residing on this node.
-        if dist > Weight::ZERO {
-            if let Some(p) = points.point_at(node) {
-                if verified.insert(p) {
-                    stats.candidates += 1;
-                    stats.verifications += 1;
-                    // p lies on the settled node, so d(p, q) == dist exactly.
-                    let v = verify_candidate_in(
-                        topo,
-                        points,
-                        p,
-                        node,
-                        &is_source,
-                        VerifyParams { k, collect_visited: true },
-                        scratch,
-                    );
-                    stats.auxiliary_settled += v.settled;
-                    if v.accepted {
-                        result.push(p);
-                    }
-                    // Pruning side effects: every node the verification
-                    // settled strictly within d(p, q) is strictly closer to p
-                    // than to the query.
-                    for &(m, dm) in &v.visited {
-                        let counted = match exp.settled_distance(m) {
-                            // Visited node: count only when provably closer
-                            // to p than to the query.
-                            Some(dq) => dm < dq,
-                            // Unvisited node: its eventual distance from the
-                            // query is at least the current frontier distance
-                            // (>= d(p, q) > dm).
-                            None => dm < dist,
-                        };
-                        if counted {
-                            *counters.entry(m, 0) += 1;
-                        }
-                    }
-                    scratch.put_node_dists(v.visited);
-                }
-            }
-        }
+        // Process the data points this node reveals.
+        for_each_candidate_at(topo, points, node, |p| {
+            discover(p, dist, &exp, counters, &mut stats, scratch);
+        });
 
-        // Re-check the counter: the verification of this node's own point
-        // counts the node itself (the point is at distance 0 from it), which
-        // is exactly what stops the k=1 expansion at nodes containing points.
+        // Re-check the counter: the verification of a point on this very
+        // node counts the node itself (the point is at distance 0 from it),
+        // which is exactly what stops the k=1 expansion at nodes containing
+        // points.
         if pruned(counters, node) {
             continue;
         }

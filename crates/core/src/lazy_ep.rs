@@ -21,7 +21,9 @@ use crate::node_table::NodeTable;
 use crate::query::{QueryStats, RknnOutcome};
 use crate::scratch::{Reset, Scratch};
 use crate::verify::{verify_candidate_in, VerifyParams};
-use rnn_graph::{for_each_neighbor, NodeId, PointId, PointsOnNodes, Topology, Weight};
+use rnn_graph::{
+    for_each_neighbor, NodeId, NodeLocation, PointId, PointsOnNodes, Topology, Weight,
+};
 
 /// How many entries a found-list has room for when it is created (`k` if that
 /// is smaller); a list that outgrows its room moves to twice as much.
@@ -157,6 +159,7 @@ where
     let mut stats = QueryStats::default();
     let mut result: Vec<PointId> = Vec::new();
     let mut bufs = scratch.take_lazy_ep();
+    let target = NodeLocation::from(query);
 
     let mut exp = NetworkExpansion::reusing(
         topo,
@@ -203,15 +206,8 @@ where
                 if bufs.discovered.insert(p) {
                     stats.candidates += 1;
                     stats.verifications += 1;
-                    let v = verify_candidate_in(
-                        topo,
-                        points,
-                        p,
-                        node,
-                        |n| n == query,
-                        VerifyParams { k, collect_visited: false },
-                        scratch,
-                    );
+                    let params = VerifyParams { k, collect_visited: false };
+                    let v = verify_candidate_in(topo, points, p, &target, params, scratch);
                     stats.auxiliary_settled += v.settled;
                     if v.accepted {
                         result.push(p);

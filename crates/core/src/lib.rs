@@ -6,6 +6,13 @@
 //! * one *network expansion* kernel ([`expansion::NetworkExpansion`]): every
 //!   traversal below settles nodes and relaxes neighbors through it, shaping
 //!   it with a veto on settling, the choice to expand and a per-arc hook;
+//! * one set of drivers over a [`rnn_graph::PointSource`] — the trait that
+//!   says which data points settling a node or traversing an arc reveals, and
+//!   where an expansion from a location starts. Range-NN, verification,
+//!   eager, lazy and naive are each written once against it
+//!   ([`expansion::PointExpansion`] merges what the arcs reveal into the
+//!   kernel's settle order), so where the points sit and what a query is are
+//!   arguments, not modules;
 //! * the pruning lemma (Lemma 1) and the two NN-search primitives it relies
 //!   on — *range-NN* and *verification* queries ([`knn`], [`verify`]);
 //! * the [`eager`] algorithm, which prunes graph nodes as soon as they are
@@ -18,11 +25,12 @@
 //! * the [`materialize`] module: the single-pass All-NN computation, the
 //!   materialized k-NN table, its insertion/deletion maintenance and the
 //!   `eager-M` algorithm built on it;
-//! * query variants: [`bichromatic`] queries, [`continuous`] queries along a
-//!   route (eager and lazy take a *set* of source nodes; a plain query has
-//!   one, a route has many), and queries on *unrestricted* networks where
-//!   data points lie on edges ([`unrestricted`]: the same kernel plus a heap
-//!   of the point events found on the arcs);
+//! * query variants: [`bichromatic`] queries (the shared range-NN probe over
+//!   the sites), [`continuous`] queries along a route (the query location of
+//!   a node source is a *set* of nodes; a plain query has one, a route has
+//!   many), and queries on *unrestricted* networks where data points lie on
+//!   edges ([`unrestricted`]: the same drivers over an
+//!   [`rnn_graph::EdgePointSet`], with a position on an edge as the query);
 //! * a [`naive`] baseline used for correctness cross-checks and as the
 //!   straw-man comparison;
 //! * the [`engine`] serving layer: the [`RknnAlgorithm`] trait behind the

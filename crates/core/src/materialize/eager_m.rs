@@ -13,7 +13,7 @@ use crate::expansion::NetworkExpansion;
 use crate::query::{QueryStats, RknnOutcome};
 use crate::scratch::Scratch;
 use crate::verify::{verify_candidate_in, VerifyParams};
-use rnn_graph::{NodeId, PointId, PointsOnNodes, Topology, Weight};
+use rnn_graph::{NodeId, NodeLocation, PointId, PointsOnNodes, Topology, Weight};
 
 /// Runs the eager-M RkNN algorithm over a materialized table.
 ///
@@ -57,6 +57,7 @@ where
     let mut result: Vec<PointId> = Vec::new();
     let mut verified = scratch.take_node_set();
     let mut candidates = scratch.take_node_dists();
+    let target = NodeLocation::from(query);
 
     let mut exp = NetworkExpansion::reusing(
         topo,
@@ -106,15 +107,8 @@ where
                 }
                 _ => {
                     stats.verifications += 1;
-                    let v = verify_candidate_in(
-                        topo,
-                        points,
-                        p,
-                        loc,
-                        |n| n == query,
-                        VerifyParams { k, collect_visited: false },
-                        scratch,
-                    );
+                    let params = VerifyParams { k, collect_visited: false };
+                    let v = verify_candidate_in(topo, points, p, &target, params, scratch);
                     stats.auxiliary_settled += v.settled;
                     if v.accepted {
                         result.push(p);

@@ -8,11 +8,11 @@
 //! for the property tests and (b) the straw-man baseline in the benchmark
 //! harness.
 
-use crate::expansion::NetworkExpansion;
+use crate::expansion::PointExpansion;
 use crate::query::{QueryStats, RknnOutcome};
 use crate::scratch::Scratch;
 use crate::verify::{verify_candidate_in, VerifyParams};
-use rnn_graph::{NodeId, PointId, PointsOnNodes, Topology, Weight};
+use rnn_graph::{NodeId, PointId, PointSource, PointsOnNodes, Topology, Weight};
 
 /// Runs the naive RkNN baseline: a full expansion from the query followed by
 /// one bounded NN probe per data point.
@@ -39,49 +39,58 @@ where
     T: Topology + ?Sized,
     P: PointsOnNodes + ?Sized,
 {
+    naive_rknn_from(topo, points, &query.into(), k, scratch)
+}
+
+/// The naive baseline for a query at any location of any [`PointSource`], as
+/// for [`crate::eager::eager_rknn_from`].
+///
+/// # Panics
+/// Panics if `k == 0`.
+pub fn naive_rknn_from<T, S>(
+    topo: &T,
+    points: &S,
+    query: &S::Location,
+    k: usize,
+    scratch: &mut Scratch,
+) -> RknnOutcome
+where
+    T: Topology + ?Sized,
+    S: PointSource + ?Sized,
+{
     assert!(k >= 1, "RkNN queries require k >= 1");
     let mut stats = QueryStats::default();
     let mut result: Vec<PointId> = Vec::new();
 
     // Full single-source shortest paths from the query: the traversal the
-    // naive method cannot avoid.
-    let mut exp = NetworkExpansion::reusing(
-        topo,
-        scratch.take_expansion(),
-        std::iter::once((query, Weight::ZERO)),
-    );
-    let mut reachable_points: Vec<(PointId, NodeId)> = Vec::new();
-    while let Some((node, dist)) = exp.next_settled() {
-        stats.nodes_settled += 1;
-        if dist > Weight::ZERO {
-            if let Some(p) = points.point_at(node) {
-                reachable_points.push((p, node));
-            }
+    // naive method cannot avoid. It reaches every data point that can be
+    // reached; those at distance zero sit at the query.
+    let mut exp =
+        PointExpansion::from_location(topo, points, query, None, scratch.take_expansion());
+    let mut reachable_points = scratch.take_found();
+    while let Some(event) = exp.next_event() {
+        if let Some(p) = exp.revealed(&event).filter(|_| event.dist() > Weight::ZERO) {
+            reachable_points.push((p, event.dist()));
         }
     }
+    stats.nodes_settled = exp.settled_count();
     stats.heap_pushes = exp.pushes();
     scratch.put_expansion(exp.into_buffers());
 
     // Each encountered point is checked with the same verification primitive
     // the other algorithms use (a NN expansion around the point that stops
     // when the query is reached), so tie handling is identical everywhere.
-    for (p, node) in reachable_points {
+    for &(p, _) in &reachable_points {
         stats.candidates += 1;
         stats.verifications += 1;
-        let v = verify_candidate_in(
-            topo,
-            points,
-            p,
-            node,
-            |n| n == query,
-            VerifyParams { k, collect_visited: false },
-            scratch,
-        );
+        let params = VerifyParams { k, collect_visited: false };
+        let v = verify_candidate_in(topo, points, p, query, params, scratch);
         stats.auxiliary_settled += v.settled;
         if v.accepted {
             result.push(p);
         }
     }
+    scratch.put_found(reachable_points);
 
     RknnOutcome::from_points(result, stats)
 }

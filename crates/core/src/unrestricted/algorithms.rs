@@ -1,259 +1,46 @@
-//! Eager, lazy and naive RkNN algorithms on unrestricted networks.
+//! Eager, lazy and naive RkNN on unrestricted networks: the algorithms of
+//! [`crate::eager`], [`crate::lazy`] and [`crate::naive`] with an
+//! [`EdgePointSet`] as the point source and an [`EdgePosition`] as the query.
 //!
-//! The main loops mirror their restricted counterparts (Section 3), with the
-//! differences described in Section 5.2 of the paper: candidates are the data
-//! points on the edges adjacent to de-heaped nodes (and on the query's own
-//! edge), range-NN / verification use the unrestricted expansion, and Lemma 1
-//! pruning compares the query distance of a node with the distances of the
-//! points discovered around it.
+//! What Section 5.2 of the paper changes against Section 3 is all in the
+//! source: candidates are the data points on the edges adjacent to de-heaped
+//! nodes (and on the query's own edge), range-NN and verification find points
+//! on the arcs they traverse, and a verification is aimed at a position on an
+//! edge. `topo` is the traversed topology, in memory or paged; nothing else
+//! of the graph is needed, the point set knows the edges its points lie on.
 
-use super::expansion::{
-    unrestricted_range_nn, unrestricted_verify, Event, ProbeBuffers, UnrestrictedExpansion,
-};
 use super::EdgePosition;
-use crate::fast_hash::{fast_map, fast_set, FastMap, FastSet};
-use crate::query::{QueryStats, RknnOutcome};
-use rnn_graph::{for_each_neighbor, EdgePointSet, Graph, NodeId, PointId, Topology, Weight};
+use crate::query::RknnOutcome;
+use crate::scratch::Scratch;
+use rnn_graph::{EdgePointSet, Topology};
 
-/// Collects the candidate points on the edges adjacent to `node`, excluding
-/// points that coincide with the query location.
-fn adjacent_candidates<T: Topology + ?Sized>(
-    topo: &T,
-    points: &EdgePointSet,
-    node: NodeId,
-) -> Vec<PointId> {
-    let mut out = Vec::new();
-    for_each_neighbor(topo, node, |nb| {
-        for ep in points.points_on_edge(nb.edge) {
-            out.push(ep.point);
-        }
-    });
-    out
-}
-
-fn resolve_point(graph: &Graph, points: &EdgePointSet, p: PointId) -> EdgePosition {
-    EdgePosition::of_point(graph, points, p)
-}
-
-/// Eager RkNN on an unrestricted network.
-///
-/// `graph` provides edge endpoints / weights for resolving positions (it is
-/// *not* used for traversal); `topo` is the traversed topology (in-memory or
-/// paged) and `points` the data points on edges. Points coinciding with the
-/// query position are not reported.
+/// Eager RkNN on an unrestricted network. Points coinciding with the query
+/// position are not reported.
 ///
 /// # Panics
 /// Panics if `k == 0`.
 pub fn unrestricted_eager_rknn<T: Topology + ?Sized>(
     topo: &T,
-    graph: &Graph,
     points: &EdgePointSet,
     query: &EdgePosition,
     k: usize,
 ) -> RknnOutcome {
-    assert!(k >= 1, "RkNN queries require k >= 1");
-    let mut stats = QueryStats::default();
-    let mut result: Vec<PointId> = Vec::new();
-    let mut verified: FastSet<PointId> = fast_set();
-    // One set of expansion buffers serves every probe of the query in turn.
-    let mut probe = ProbeBuffers::default();
-
-    let verify_point = |p: PointId,
-                        stats: &mut QueryStats,
-                        result: &mut Vec<PointId>,
-                        verified: &mut FastSet<PointId>,
-                        probe: &mut ProbeBuffers| {
-        if !verified.insert(p) {
-            return;
-        }
-        let pos = resolve_point(graph, points, p);
-        if pos.same_location(query) {
-            return;
-        }
-        stats.candidates += 1;
-        stats.verifications += 1;
-        let (accepted, settled) = unrestricted_verify(topo, points, p, &pos, query, k, probe);
-        stats.auxiliary_settled += settled;
-        if accepted {
-            result.push(p);
-        }
-    };
-
-    // Points on the query's own edge are candidates regardless of the node
-    // expansion (their shortest path to the query may not pass any node).
-    for ep in points.points_on_edge(query.edge) {
-        verify_point(ep.point, &mut stats, &mut result, &mut verified, &mut probe);
-    }
-
-    // Main expansion over nodes, pruned by Lemma 1.
-    let mut exp = UnrestrictedExpansion::from_position(topo, points, query, None);
-    while let Some(event) = exp.next_event_unexpanded() {
-        let (node, dist) = match event {
-            Event::Node(n, d) => (n, d),
-            _ => continue, // point events of the main expansion are ignored here
-        };
-        stats.nodes_settled += 1;
-
-        // Lemma 1 probe. A data point coinciding with the query position ties
-        // with the query everywhere and is excluded at probe level: the probe
-        // re-derives its distance by a second expansion (summing the path in
-        // the opposite order), so a floating-point tie can land on either
-        // side of `dist` and k=1 queries would over-prune; excluding it also
-        // keeps it from wasting one of the k probe slots.
-        let closer = if dist > Weight::ZERO {
-            stats.range_nn_queries += 1;
-            let at_query = |p| resolve_point(graph, points, p).same_location(query);
-            let (found, settled) =
-                unrestricted_range_nn(topo, points, node, k, dist, at_query, &mut probe);
-            stats.auxiliary_settled += settled;
-            for &(p, _) in &found {
-                verify_point(p, &mut stats, &mut result, &mut verified, &mut probe);
-            }
-            found.len()
-        } else {
-            0
-        };
-
-        // Candidates on adjacent edges (they may lie outside the probe range
-        // but can still be reverse neighbors).
-        for p in adjacent_candidates(topo, points, node) {
-            verify_point(p, &mut stats, &mut result, &mut verified, &mut probe);
-        }
-
-        if closer < k {
-            exp.expand_node(node, dist);
-        }
-    }
-    stats.heap_pushes = exp.pushes();
-    RknnOutcome::from_points(result, stats)
+    crate::eager::eager_rknn_from(topo, points, query, k, &mut Scratch::new())
 }
 
 /// Lazy RkNN on an unrestricted network: pruning happens when data points are
-/// discovered on the edges adjacent to de-heaped nodes, using the same
-/// verification-counter mechanism as the restricted lazy algorithm.
+/// discovered on the edges adjacent to de-heaped nodes, through the
+/// verification counters of the lazy algorithm.
 ///
 /// # Panics
 /// Panics if `k == 0`.
 pub fn unrestricted_lazy_rknn<T: Topology + ?Sized>(
     topo: &T,
-    graph: &Graph,
     points: &EdgePointSet,
     query: &EdgePosition,
     k: usize,
 ) -> RknnOutcome {
-    assert!(k >= 1, "RkNN queries require k >= 1");
-    let mut stats = QueryStats::default();
-    let mut result: Vec<PointId> = Vec::new();
-    let mut verified: FastSet<PointId> = fast_set();
-    let mut counters: FastMap<NodeId, usize> = fast_map();
-    // One set of expansion buffers serves every verification in turn.
-    let mut probe = ProbeBuffers::default();
-
-    let mut process_candidate =
-        |p: PointId,
-         frontier: Weight,
-         stats: &mut QueryStats,
-         result: &mut Vec<PointId>,
-         verified: &mut FastSet<PointId>,
-         counters: &mut FastMap<NodeId, usize>,
-         main: &UnrestrictedExpansion<'_, T>| {
-            if !verified.insert(p) {
-                return;
-            }
-            let pos = resolve_point(graph, points, p);
-            if pos.same_location(query) {
-                return;
-            }
-            stats.candidates += 1;
-            stats.verifications += 1;
-            // A verification expansion that also records the visited nodes for
-            // the counter-based pruning.
-            let mut exp = UnrestrictedExpansion::from_position_in(
-                topo,
-                points,
-                &pos,
-                Some(*query),
-                std::mem::take(&mut probe),
-            );
-            let mut others: Vec<Weight> = Vec::new();
-            let mut visited: Vec<(NodeId, Weight)> = Vec::new();
-            let mut accepted = false;
-            while let Some(event) = exp.next_event() {
-                match event {
-                    Event::Target(d) => {
-                        let strictly_closer = others.iter().filter(|&&x| x < d).count();
-                        accepted = strictly_closer < k;
-                        visited.retain(|&(_, vd)| vd < d);
-                        break;
-                    }
-                    Event::Point(q, d) => {
-                        if q != p {
-                            others.push(d);
-                        }
-                    }
-                    Event::Node(n, d) => {
-                        visited.push((n, d));
-                        if others.len() >= k && d > others[k - 1] {
-                            visited.retain(|&(_, vd)| vd < d);
-                            break;
-                        }
-                    }
-                }
-            }
-            stats.auxiliary_settled += exp.settled_nodes();
-            probe = exp.into_buffers();
-            if accepted {
-                result.push(p);
-            }
-            // Counter side effects: only count nodes that are provably closer to
-            // the point than to the query.
-            for (m, dm) in visited {
-                let counted = match main.settled_distance(m) {
-                    Some(dq) => dm < dq,
-                    None => dm < frontier,
-                };
-                if counted {
-                    *counters.entry(m).or_insert(0) += 1;
-                }
-            }
-        };
-
-    let mut exp = UnrestrictedExpansion::from_position(topo, points, query, None);
-
-    // Candidates on the query's own edge.
-    for ep in points.points_on_edge(query.edge) {
-        process_candidate(
-            ep.point,
-            Weight::ZERO,
-            &mut stats,
-            &mut result,
-            &mut verified,
-            &mut counters,
-            &exp,
-        );
-    }
-
-    while let Some(event) = exp.next_event_unexpanded() {
-        let (node, dist) = match event {
-            Event::Node(n, d) => (n, d),
-            _ => continue,
-        };
-        stats.nodes_settled += 1;
-        if counters.get(&node).copied().unwrap_or(0) >= k {
-            continue;
-        }
-
-        for p in adjacent_candidates(topo, points, node) {
-            process_candidate(p, dist, &mut stats, &mut result, &mut verified, &mut counters, &exp);
-        }
-
-        if counters.get(&node).copied().unwrap_or(0) >= k {
-            continue;
-        }
-        exp.expand_node(node, dist);
-    }
-    stats.heap_pushes = exp.pushes();
-    RknnOutcome::from_points(result, stats)
+    crate::lazy::lazy_rknn_from(topo, points, query, k, &mut Scratch::new())
 }
 
 /// Naive RkNN baseline on an unrestricted network: computes the distance of
@@ -263,48 +50,17 @@ pub fn unrestricted_lazy_rknn<T: Topology + ?Sized>(
 /// Panics if `k == 0`.
 pub fn unrestricted_naive_rknn<T: Topology + ?Sized>(
     topo: &T,
-    graph: &Graph,
     points: &EdgePointSet,
     query: &EdgePosition,
     k: usize,
 ) -> RknnOutcome {
-    assert!(k >= 1, "RkNN queries require k >= 1");
-    let mut stats = QueryStats::default();
-    let mut result: Vec<PointId> = Vec::new();
-
-    // Distance of every data point from the query (full expansion).
-    let mut exp = UnrestrictedExpansion::from_position(topo, points, query, None);
-    let mut dist_to_query: FastMap<PointId, Weight> = fast_map();
-    while let Some(event) = exp.next_event() {
-        if let Event::Point(p, d) = event {
-            dist_to_query.insert(p, d);
-        }
-    }
-    stats.nodes_settled += exp.settled_nodes();
-    stats.heap_pushes = exp.pushes();
-
-    let mut probe = ProbeBuffers::default();
-    for (p, _) in points.iter() {
-        let Some(&dq) = dist_to_query.get(&p) else { continue };
-        if dq == Weight::ZERO {
-            continue; // coincides with the query location
-        }
-        stats.candidates += 1;
-        stats.verifications += 1;
-        let pos = resolve_point(graph, points, p);
-        let (accepted, settled) = unrestricted_verify(topo, points, p, &pos, query, k, &mut probe);
-        stats.auxiliary_settled += settled;
-        if accepted {
-            result.push(p);
-        }
-    }
-    RknnOutcome::from_points(result, stats)
+    crate::naive::naive_rknn_from(topo, points, query, k, &mut Scratch::new())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rnn_graph::{EdgePointSetBuilder, GraphBuilder};
+    use rnn_graph::{EdgePointSetBuilder, Graph, GraphBuilder, NodeId, PointId, Weight};
 
     /// A small "road network": a 3x3 grid with Euclidean-ish weights and
     /// points scattered on edges.
@@ -344,16 +100,41 @@ mod tests {
     fn eager_and_lazy_match_naive_for_point_queries() {
         let (g, pts) = road();
         for qi in 0..pts.num_points() {
-            let query = EdgePosition::of_point(&g, &pts, PointId::new(qi));
+            let query = pts.position(PointId::new(qi));
             for k in 1..=3 {
-                let e = unrestricted_eager_rknn(&g, &g, &pts, &query, k);
-                let l = unrestricted_lazy_rknn(&g, &g, &pts, &query, k);
-                let n = unrestricted_naive_rknn(&g, &g, &pts, &query, k);
+                let e = unrestricted_eager_rknn(&g, &pts, &query, k);
+                let l = unrestricted_lazy_rknn(&g, &pts, &query, k);
+                let n = unrestricted_naive_rknn(&g, &pts, &query, k);
                 assert_eq!(e.points, n.points, "eager vs naive, q={qi} k={k}");
                 assert_eq!(l.points, n.points, "lazy vs naive, q={qi} k={k}");
                 // the query point itself is never reported
                 assert!(!e.contains(PointId::new(qi)));
             }
+        }
+    }
+
+    /// The twin of the engine's scratch-reuse test for restricted queries:
+    /// after one warm-up query, further queries on the same arena — also from
+    /// other positions — create no buffer and only reset pooled ones.
+    #[test]
+    fn steady_state_queries_reuse_scratch_buffers_instead_of_allocating() {
+        use crate::{eager::eager_rknn_from, lazy::lazy_rknn_from};
+        type Driver = fn(&Graph, &EdgePointSet, &EdgePosition, usize, &mut Scratch) -> RknnOutcome;
+        let (g, pts) = road();
+        for (name, run) in [("eager", eager_rknn_from as Driver), ("lazy", lazy_rknn_from)] {
+            let mut scratch = Scratch::new();
+            let fresh =
+                |q: usize| run(&g, &pts, &pts.position(PointId::new(q)), 2, &mut Scratch::new());
+            assert_eq!(run(&g, &pts, &pts.position(PointId::new(3)), 2, &mut scratch), fresh(3));
+            let (created, reuses) = (scratch.created(), scratch.reuses());
+            assert!(created > 0, "{name}: the warm-up query fills the pools");
+            for round in 0..20 {
+                let q = round % pts.num_points();
+                let pooled = run(&g, &pts, &pts.position(PointId::new(q)), 2, &mut scratch);
+                assert_eq!(pooled, fresh(q), "{name}: reuse must not change results");
+            }
+            assert_eq!(scratch.created(), created, "{name}: steady state allocates no buffer");
+            assert!(scratch.reuses() >= reuses + 20, "{name}: every query resets pooled buffers");
         }
     }
 
@@ -367,8 +148,8 @@ mod tests {
             rnn_graph::EdgeLocation { edge: e, offset: Weight::new(2.0) },
         );
         for k in 1..=2 {
-            let eager = unrestricted_eager_rknn(&g, &g, &pts, &query, k);
-            let naive = unrestricted_naive_rknn(&g, &g, &pts, &query, k);
+            let eager = unrestricted_eager_rknn(&g, &pts, &query, k);
+            let naive = unrestricted_naive_rknn(&g, &pts, &query, k);
             assert_eq!(eager.points, naive.points, "k={k}");
         }
     }
@@ -392,10 +173,10 @@ mod tests {
             &g,
             rnn_graph::EdgeLocation { edge: e01, offset: Weight::new(0.5) },
         );
-        let naive = unrestricted_naive_rknn(&g, &g, &pts, &query, 1);
+        let naive = unrestricted_naive_rknn(&g, &pts, &query, 1);
         assert_eq!(naive.len(), 1);
-        let eager = unrestricted_eager_rknn(&g, &g, &pts, &query, 1);
-        let lazy = unrestricted_lazy_rknn(&g, &g, &pts, &query, 1);
+        let eager = unrestricted_eager_rknn(&g, &pts, &query, 1);
+        let lazy = unrestricted_lazy_rknn(&g, &pts, &query, 1);
         assert_eq!(eager.points, naive.points);
         assert_eq!(lazy.points, naive.points);
     }
@@ -419,8 +200,8 @@ mod tests {
             &g,
             rnn_graph::EdgeLocation { edge: e01, offset: Weight::new(9.0) },
         );
-        let out = unrestricted_eager_rknn(&g, &g, &pts, &query, 1);
-        let naive = unrestricted_naive_rknn(&g, &g, &pts, &query, 1);
+        let out = unrestricted_eager_rknn(&g, &pts, &query, 1);
+        let naive = unrestricted_naive_rknn(&g, &pts, &query, 1);
         assert_eq!(out.points, naive.points);
         assert_eq!(out.len(), 2);
     }
@@ -429,8 +210,8 @@ mod tests {
     #[should_panic]
     fn k_zero_panics() {
         let (g, pts) = road();
-        let query = EdgePosition::of_point(&g, &pts, PointId::new(0));
-        let _ = unrestricted_naive_rknn(&g, &g, &pts, &query, 0);
+        let query = pts.position(PointId::new(0));
+        let _ = unrestricted_naive_rknn(&g, &pts, &query, 0);
     }
 
     /// Boundary offsets are valid placements, so a point can sit exactly on a
@@ -457,11 +238,11 @@ mod tests {
             &g,
             rnn_graph::EdgeLocation { edge: e12, offset: Weight::new(0.0) },
         );
-        assert!(EdgePosition::of_point(&g, &pts, PointId::new(0)).same_location(&query));
+        assert!(pts.position(PointId::new(0)).same_location(&query));
 
-        let naive = unrestricted_naive_rknn(&g, &g, &pts, &query, 1);
-        let eager = unrestricted_eager_rknn(&g, &g, &pts, &query, 1);
-        let lazy = unrestricted_lazy_rknn(&g, &g, &pts, &query, 1);
+        let naive = unrestricted_naive_rknn(&g, &pts, &query, 1);
+        let eager = unrestricted_eager_rknn(&g, &pts, &query, 1);
+        let lazy = unrestricted_lazy_rknn(&g, &pts, &query, 1);
         assert!(!naive.contains(PointId::new(0)), "collocated point is never reported");
         assert_eq!(eager.points, naive.points);
         assert_eq!(lazy.points, naive.points);

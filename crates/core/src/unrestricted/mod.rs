@@ -4,17 +4,20 @@
 //! The position of a point on edge `n_i n_j` (with `i < j`) is the triplet
 //! `<n_i, n_j, pos>`; network distances combine the *direct distances* to the
 //! edge endpoints with ordinary node-to-node distances, with a special case
-//! for two positions on the same edge. This module provides:
+//! for two positions on the same edge. None of that needs algorithms of its
+//! own: [`rnn_graph::EdgePointSet`] is a [`rnn_graph::PointSource`] whose
+//! points are revealed by the arcs an expansion traverses, and the drivers of
+//! this crate — range-NN, verification, eager, lazy, naive — are written once
+//! over that trait. This module holds what is left:
 //!
 //! * [`EdgePosition`] — a resolved location on an edge (both endpoints, the
-//!   edge weight and the offset), plus distance helpers;
-//! * [`expansion::UnrestrictedExpansion`] — an event-based network expansion
-//!   that reports nodes, data points and an optional target location in
-//!   ascending distance order (the paper's `unrestricted-range-NN` building
-//!   block);
-//! * the eager, lazy and naive RkNN algorithms over unrestricted networks
-//!   ([`unrestricted_eager_rknn`], [`unrestricted_lazy_rknn`],
-//!   [`unrestricted_naive_rknn`]);
+//!   edge weight and the offset), which is what a query on an unrestricted
+//!   network is; the position of a data point is read from its set
+//!   ([`rnn_graph::EdgePointSet::position`]), so no function here needs the
+//!   in-memory graph beside the traversed topology;
+//! * [`unrestricted_eager_rknn`], [`unrestricted_lazy_rknn`] and
+//!   [`unrestricted_naive_rknn`] — the entry points, each a call of the
+//!   shared driver with an edge point set and a position;
 //! * [`transform_to_restricted`] — the classical transformation that splits
 //!   every edge at its data points, turning an unrestricted instance into a
 //!   restricted one (the paper mentions it as the alternative it does not
@@ -24,152 +27,10 @@
 //!   cross-check).
 
 pub mod algorithms;
-pub mod expansion;
+#[cfg(test)]
+mod expansion;
 mod transform;
 
 pub use algorithms::{unrestricted_eager_rknn, unrestricted_lazy_rknn, unrestricted_naive_rknn};
+pub use rnn_graph::EdgePosition;
 pub use transform::{transform_to_restricted, RestrictedView};
-
-use rnn_graph::{EdgeLocation, EdgePointSet, Graph, NodeId, PointId, Weight};
-
-/// A resolved position on an edge: the canonical endpoints, the edge weight
-/// and the offset from the lower-id endpoint.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct EdgePosition {
-    /// The edge the position lies on.
-    pub edge: rnn_graph::EdgeId,
-    /// Lower-id endpoint of the edge.
-    pub lo: NodeId,
-    /// Higher-id endpoint of the edge.
-    pub hi: NodeId,
-    /// Weight (length) of the edge.
-    pub edge_weight: Weight,
-    /// Distance from `lo`, in `[0, edge_weight]`.
-    pub offset: Weight,
-}
-
-impl EdgePosition {
-    /// Resolves an [`EdgeLocation`] against the graph.
-    pub fn resolve(graph: &Graph, location: EdgeLocation) -> Self {
-        let (lo, hi) = graph.edge_endpoints(location.edge);
-        EdgePosition {
-            edge: location.edge,
-            lo,
-            hi,
-            edge_weight: graph.edge_weight(location.edge),
-            offset: location.offset,
-        }
-    }
-
-    /// Resolves the position of a data point of an [`EdgePointSet`].
-    pub fn of_point(graph: &Graph, points: &EdgePointSet, point: PointId) -> Self {
-        Self::resolve(graph, points.location(point))
-    }
-
-    /// Direct distance to the lower-id endpoint (`pos`).
-    pub fn dist_to_lo(&self) -> Weight {
-        self.offset
-    }
-
-    /// Direct distance to the higher-id endpoint (`w - pos`).
-    pub fn dist_to_hi(&self) -> Weight {
-        self.edge_weight.saturating_sub(self.offset)
-    }
-
-    /// Direct distance to `node`, if it is one of the edge's endpoints.
-    pub fn dist_to_endpoint(&self, node: NodeId) -> Option<Weight> {
-        if node == self.lo {
-            Some(self.dist_to_lo())
-        } else if node == self.hi {
-            Some(self.dist_to_hi())
-        } else {
-            None
-        }
-    }
-
-    /// Direct (same-edge) distance to another position, or `None` if the two
-    /// positions lie on different edges.
-    pub fn direct_distance(&self, other: &EdgePosition) -> Option<Weight> {
-        if self.edge == other.edge {
-            Some(Weight::new((self.offset.value() - other.offset.value()).abs()))
-        } else {
-            None
-        }
-    }
-
-    /// Returns `true` if the two positions coincide (same edge, same offset).
-    pub fn coincides_with(&self, other: &EdgePosition) -> bool {
-        self.edge == other.edge && self.offset == other.offset
-    }
-
-    /// The node this position sits on, if its offset lands exactly on an
-    /// endpoint (boundary offsets are valid placements).
-    pub fn node_location(&self) -> Option<NodeId> {
-        if self.offset == Weight::ZERO {
-            Some(self.lo)
-        } else if self.offset == self.edge_weight {
-            Some(self.hi)
-        } else {
-            None
-        }
-    }
-
-    /// Returns `true` if the two positions denote the same physical location:
-    /// the same offset on the same edge, or the same node reached as a
-    /// boundary offset of two different edges.
-    pub fn same_location(&self, other: &EdgePosition) -> bool {
-        if self.coincides_with(other) {
-            return true;
-        }
-        match (self.node_location(), other.node_location()) {
-            (Some(a), Some(b)) => a == b,
-            _ => false,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rnn_graph::{EdgePointSetBuilder, GraphBuilder};
-
-    fn sample() -> (Graph, EdgePointSet) {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1, 10.0).unwrap();
-        b.add_edge(1, 2, 4.0).unwrap();
-        b.add_edge(2, 3, 6.0).unwrap();
-        let g = b.build().unwrap();
-        let e01 = g.edge_between(NodeId::new(0), NodeId::new(1)).unwrap();
-        let e23 = g.edge_between(NodeId::new(2), NodeId::new(3)).unwrap();
-        let mut pb = EdgePointSetBuilder::new(&g);
-        pb.add_point(e01, 3.0).unwrap();
-        pb.add_point(e01, 7.0).unwrap();
-        pb.add_point(e23, 1.0).unwrap();
-        let pts = pb.build();
-        (g, pts)
-    }
-
-    #[test]
-    fn positions_resolve_with_correct_endpoint_distances() {
-        let (g, pts) = sample();
-        let p0 = EdgePosition::of_point(&g, &pts, PointId::new(0));
-        assert_eq!(p0.lo, NodeId::new(0));
-        assert_eq!(p0.hi, NodeId::new(1));
-        assert_eq!(p0.dist_to_lo().value(), 3.0);
-        assert_eq!(p0.dist_to_hi().value(), 7.0);
-        assert_eq!(p0.dist_to_endpoint(NodeId::new(1)).unwrap().value(), 7.0);
-        assert_eq!(p0.dist_to_endpoint(NodeId::new(3)), None);
-    }
-
-    #[test]
-    fn same_edge_direct_distance() {
-        let (g, pts) = sample();
-        let p0 = EdgePosition::of_point(&g, &pts, PointId::new(0));
-        let p1 = EdgePosition::of_point(&g, &pts, PointId::new(1));
-        let p2 = EdgePosition::of_point(&g, &pts, PointId::new(2));
-        assert_eq!(p0.direct_distance(&p1).unwrap().value(), 4.0);
-        assert_eq!(p0.direct_distance(&p2), None);
-        assert!(!p0.coincides_with(&p1));
-        assert!(p0.coincides_with(&p0));
-    }
-}

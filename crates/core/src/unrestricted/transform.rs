@@ -35,11 +35,15 @@ impl RestrictedView {
             .expect("every transformed point node holds a point")
     }
 
-    /// Maps a point id of the view back to the original unrestricted id.
+    /// Maps a point id of the view back to the original unrestricted id:
+    /// the point nodes are appended after the original nodes in point-id
+    /// order. `None` for an id the view does not hold, or whose node is not
+    /// a point node.
     pub fn original_point(&self, in_view: PointId) -> Option<PointId> {
-        use rnn_graph::PointsOnNodes;
-        let node = self.points.node_of(in_view);
-        self.node_of_point.iter().position(|&n| n == node).map(PointId::new)
+        let node = *self.points.nodes().get(in_view.index())?;
+        let original_nodes = self.graph.num_nodes().checked_sub(self.node_of_point.len())?;
+        let original = node.index().checked_sub(original_nodes)?;
+        (self.node_of_point.get(original) == Some(&node)).then(|| PointId::new(original))
     }
 }
 
@@ -95,8 +99,8 @@ pub fn transform_to_restricted(
     let transformed = builder.build()?;
     let point_set = NodePointSet::from_nodes(total_nodes, node_of_point.iter().copied());
     // NodePointSet re-assigns dense ids in node order; since the added nodes
-    // are appended in point-id order, the mapping stays the identity, but we
-    // keep the explicit vector to be robust against that assumption changing.
+    // are appended in point-id order, the mapping stays the identity
+    // (`RestrictedView::original_point` checks it against this vector).
     node_of_point.shrink_to_fit();
     Ok(RestrictedView { graph: transformed, points: point_set, node_of_point })
 }
@@ -106,7 +110,6 @@ mod tests {
     use super::*;
     use crate::eager::eager_rknn;
     use crate::unrestricted::algorithms::unrestricted_naive_rknn;
-    use crate::unrestricted::EdgePosition;
     use rnn_graph::{EdgePointSetBuilder, PointsOnNodes, Weight};
 
     fn instance() -> (Graph, EdgePointSet) {
@@ -152,10 +155,10 @@ mod tests {
         let view = transform_to_restricted(&g, &pts).unwrap();
         for qi in 0..pts.num_points() {
             let q_orig = PointId::new(qi);
-            let q_pos = EdgePosition::of_point(&g, &pts, q_orig);
+            let q_pos = pts.position(q_orig);
             let q_node = view.node_of_point[qi];
             for k in 1..=2 {
-                let native = unrestricted_naive_rknn(&g, &g, &pts, &q_pos, k);
+                let native = unrestricted_naive_rknn(&g, &pts, &q_pos, k);
                 let on_view = eager_rknn(&view.graph, &view.points, q_node, k);
                 // map the view result back to original point ids
                 let mut mapped: Vec<PointId> =
@@ -175,6 +178,11 @@ mod tests {
             let in_view = view.point_in_view(original);
             assert_eq!(view.original_point(in_view), Some(original));
         }
+        assert_eq!(view.original_point(PointId::new(pts.num_points())), None, "no such point");
+        // A view whose points do not sit on the appended nodes maps nothing.
+        let on_original_nodes = NodePointSet::from_nodes(view.graph.num_nodes(), [NodeId::new(0)]);
+        let odd = RestrictedView { points: on_original_nodes, ..view };
+        assert_eq!(odd.original_point(PointId::new(0)), None, "node 0 is not a point node");
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! `p` belongs to the RkNN result iff fewer than `k` *other* data points lie
 //! strictly closer to `p` than the query does.
 //!
-//! The same primitive, parameterized by a target predicate, also serves
-//! continuous queries (the target is *any* node of the route).
+//! The primitive is written over a [`PointSource`], whose location type says
+//! what a target is: a node, *any* node of a route (continuous queries), or a
+//! position on an edge (unrestricted networks).
 
-use crate::expansion::NetworkExpansion;
+use crate::expansion::{Event, NetworkExpansion, PointExpansion};
 use crate::scratch::Scratch;
-use rnn_graph::{NodeId, PointId, PointsOnNodes, Topology, Weight};
+use rnn_graph::{NodeId, PointId, PointSource, PointsOnNodes, Topology, Weight};
 use rnn_obs::Phase;
 
 /// Outcome of a verification query.
@@ -20,8 +21,8 @@ use rnn_obs::Phase;
 pub struct Verification {
     /// `true` if the candidate is a reverse k nearest neighbor.
     pub accepted: bool,
-    /// Distance from the candidate to the (nearest) target node, when the
-    /// target was reached before the query could be rejected.
+    /// Distance from the candidate to the target (the nearest of its nodes),
+    /// when it was reached before the query could be rejected.
     pub target_distance: Option<Weight>,
     /// Nodes settled by the verification expansion.
     pub settled: u64,
@@ -42,35 +43,27 @@ pub struct VerifyParams {
     pub collect_visited: bool,
 }
 
-/// Verifies whether the candidate point residing on `candidate_node` is a
-/// reverse k nearest neighbor of the target location.
+/// Verifies whether the data point `candidate` is a reverse k nearest
+/// neighbor of the `target` location: an expansion from the candidate's own
+/// location that stops when the target is reached, or when `k` other points
+/// are known to be strictly closer than the target can still be.
 ///
-/// `is_target(n)` must return `true` exactly for the node(s) representing the
-/// query location (a single node for plain queries, every route node for
-/// continuous queries). `candidate` is the candidate point itself, which is
-/// never counted as "another point".
-pub fn verify_candidate<T, P, F>(
+/// `target` is a single node for plain queries, the nodes of a route for
+/// continuous ones (reaching any of them counts) and a position on an edge
+/// in unrestricted networks. `candidate` itself is never counted as "another
+/// point".
+pub fn verify_candidate<T, S>(
     topo: &T,
-    points: &P,
+    points: &S,
     candidate: PointId,
-    candidate_node: NodeId,
-    is_target: F,
+    target: &S::Location,
     params: VerifyParams,
 ) -> Verification
 where
     T: Topology + ?Sized,
-    P: PointsOnNodes + ?Sized,
-    F: Fn(NodeId) -> bool,
+    S: PointSource + ?Sized,
 {
-    verify_candidate_in(
-        topo,
-        points,
-        candidate,
-        candidate_node,
-        is_target,
-        params,
-        &mut Scratch::new(),
-    )
+    verify_candidate_in(topo, points, candidate, target, params, &mut Scratch::new())
 }
 
 /// [`verify_candidate`] on recycled buffers from `scratch`.
@@ -79,67 +72,64 @@ where
 /// `collect_visited`) comes from the arena; callers that want to keep the
 /// steady state allocation-free should hand it back with
 /// `scratch.put_node_dists(v.visited)` once processed.
-pub fn verify_candidate_in<T, P, F>(
+pub fn verify_candidate_in<T, S>(
     topo: &T,
-    points: &P,
+    points: &S,
     candidate: PointId,
-    candidate_node: NodeId,
-    is_target: F,
+    target: &S::Location,
     params: VerifyParams,
     scratch: &mut Scratch,
 ) -> Verification
 where
     T: Topology + ?Sized,
-    P: PointsOnNodes + ?Sized,
-    F: Fn(NodeId) -> bool,
+    S: PointSource + ?Sized,
 {
     let k = params.k;
     debug_assert!(k >= 1, "RkNN queries require k >= 1");
     let span = scratch.tracer().begin();
-    let mut exp = NetworkExpansion::reusing(
-        topo,
-        scratch.take_expansion(),
-        std::iter::once((candidate_node, Weight::ZERO)),
-    );
+    let from = points.location_of(candidate);
+    let mut exp =
+        PointExpansion::from_location(topo, points, &from, Some(target), scratch.take_expansion());
     // Distances of the other data points discovered so far (ascending because
-    // nodes settle in distance order).
+    // events arrive in distance order).
     let mut other_points = scratch.take_weights();
     let mut visited = if params.collect_visited { scratch.take_node_dists() } else { Vec::new() };
 
-    let mut accepted = false;
     let mut target_distance = None;
-    while let Some((node, dist)) = exp.next_settled() {
-        if is_target(node) {
-            // The target is reached at distance `dist`; the candidate is a
-            // reverse neighbor iff fewer than k other points are strictly
-            // closer.
-            let strictly_closer = other_points.iter().filter(|&&d| d < dist).count();
-            accepted = strictly_closer < k;
+    while let Some(event) = exp.next_event() {
+        let dist = event.dist();
+        let reached = match event {
+            Event::Target(_) => true,
+            Event::Node(node, _) => points.covers(target, node),
+            Event::Point(..) => false,
+        };
+        if reached {
             target_distance = Some(dist);
-            if params.collect_visited {
-                // Only nodes strictly closer to the candidate than the target
-                // participate in Lemma-1 pruning.
-                visited.retain(|&(_, d)| d < dist);
-            }
             break;
         }
-        if params.collect_visited {
+        if let (Event::Node(node, _), true) = (event, params.collect_visited) {
             visited.push((node, dist));
         }
-        if let Some(p) = points.point_at(node) {
-            if p != candidate {
-                other_points.push(dist);
-            }
+        if exp.revealed(&event).is_some_and(|p| p != candidate) {
+            other_points.push(dist);
         }
-        // Early rejection: once k other points have been settled and the
-        // expansion frontier has moved strictly past the k-th of them, any
-        // target found later is strictly farther than k other points.
+        // Early rejection: once k other points have been found and the
+        // expansion has moved strictly past the k-th of them, any target
+        // found later is strictly farther than k other points.
         if other_points.len() >= k && dist > other_points[k - 1] {
             break;
         }
     }
-    // Loop fall-through without a target: either early rejection triggered or
-    // the target is unreachable from the candidate — rejected both ways.
+    // The candidate is a reverse neighbor iff the target was reached — it is
+    // not after an early rejection, nor when it is unreachable — with fewer
+    // than k other points strictly closer.
+    let accepted = target_distance
+        .is_some_and(|reached| other_points.iter().filter(|&&d| d < reached).count() < k);
+    if let (Some(reached), true) = (target_distance, params.collect_visited) {
+        // Only nodes strictly closer to the candidate than the target
+        // participate in Lemma-1 pruning.
+        visited.retain(|&(_, d)| d < reached);
+    }
 
     let settled = exp.settled_count();
     scratch.put_expansion(exp.into_buffers());
@@ -210,7 +200,7 @@ mod tests {
         // candidate = point on node 0; query at node 1 (distance 1); the
         // nearest other point (node 2) is at distance 2 -> accepted for k=1.
         let p0 = pts.point_at(NodeId::new(0)).unwrap();
-        let v = verify_candidate(&g, &pts, p0, NodeId::new(0), |n| n == NodeId::new(1), params(1));
+        let v = verify_candidate(&g, &pts, p0, &NodeId::new(1).into(), params(1));
         assert!(v.accepted);
         assert_eq!(v.target_distance.unwrap().value(), 1.0);
     }
@@ -224,21 +214,21 @@ mod tests {
         // then query at node 4 (distance 2): point on node 0 is at distance 2
         // (not strictly closer), point on node 4 is the target itself -> accept.
         let p2 = pts.point_at(NodeId::new(2)).unwrap();
-        let v = verify_candidate(&g, &pts, p2, NodeId::new(2), |n| n == NodeId::new(3), params(1));
+        let v = verify_candidate(&g, &pts, p2, &NodeId::new(3).into(), params(1));
         assert!(v.accepted);
 
         // query at node 1: point on node 0 is at distance 2 == d(p2, n1)?
         // d(p2, n1) = 1, so nothing closer -> accept.
-        let v = verify_candidate(&g, &pts, p2, NodeId::new(2), |n| n == NodeId::new(1), params(1));
+        let v = verify_candidate(&g, &pts, p2, &NodeId::new(1).into(), params(1));
         assert!(v.accepted);
 
         // candidate = point on node 4, query at node 1 (distance 3): the
         // point on node 2 is strictly closer (distance 2) -> reject for k=1,
         // accept for k=2.
         let p4 = pts.point_at(NodeId::new(4)).unwrap();
-        let v = verify_candidate(&g, &pts, p4, NodeId::new(4), |n| n == NodeId::new(1), params(1));
+        let v = verify_candidate(&g, &pts, p4, &NodeId::new(1).into(), params(1));
         assert!(!v.accepted);
-        let v = verify_candidate(&g, &pts, p4, NodeId::new(4), |n| n == NodeId::new(1), params(2));
+        let v = verify_candidate(&g, &pts, p4, &NodeId::new(1).into(), params(2));
         assert!(v.accepted);
     }
 
@@ -254,8 +244,7 @@ mod tests {
         // candidate on node 1, other point on node 0 (distance 2), query node 3 (distance 2)
         let pts = NodePointSet::from_nodes(4, [NodeId::new(0), NodeId::new(1)]);
         let cand = pts.point_at(NodeId::new(1)).unwrap();
-        let v =
-            verify_candidate(&g, &pts, cand, NodeId::new(1), |n| n == NodeId::new(3), params(1));
+        let v = verify_candidate(&g, &pts, cand, &NodeId::new(3).into(), params(1));
         assert!(v.accepted, "a tie with another point must not disqualify the candidate");
     }
 
@@ -267,7 +256,7 @@ mod tests {
         let g = b.build().unwrap();
         let pts = NodePointSet::from_nodes(4, [NodeId::new(0)]);
         let p = pts.point_at(NodeId::new(0)).unwrap();
-        let v = verify_candidate(&g, &pts, p, NodeId::new(0), |n| n == NodeId::new(3), params(1));
+        let v = verify_candidate(&g, &pts, p, &NodeId::new(3).into(), params(1));
         assert!(!v.accepted);
         assert_eq!(v.target_distance, None);
     }
@@ -283,14 +272,7 @@ mod tests {
         let g = b.build().unwrap();
         let pts = NodePointSet::from_nodes(n, (0..n).step_by(2).map(NodeId::new));
         let cand = pts.point_at(NodeId::new(0)).unwrap();
-        let v = verify_candidate(
-            &g,
-            &pts,
-            cand,
-            NodeId::new(0),
-            |m| m == NodeId::new(n - 1),
-            params(1),
-        );
+        let v = verify_candidate(&g, &pts, cand, &NodeId::new(n - 1).into(), params(1));
         assert!(!v.accepted);
         assert!(
             v.settled < 10,
@@ -307,8 +289,7 @@ mod tests {
             &g,
             &pts,
             p0,
-            NodeId::new(0),
-            |n| n == NodeId::new(2),
+            &NodeId::new(2).into(),
             VerifyParams { k: 2, collect_visited: true },
         );
         assert!(v.accepted);

@@ -13,8 +13,8 @@
 //! * synthetic **grid maps** with controllable size and degree.
 //!
 //! None of those datasets can be redistributed here, so this crate generates
-//! synthetic graphs with the same structural characteristics (see DESIGN.md
-//! for the substitution argument): [`coauthor`], [`brite`], [`spatial`] and
+//! synthetic graphs with the same structural characteristics (each module's
+//! doc says which ones it keeps): [`coauthor`], [`brite`], [`spatial`] and
 //! [`grid`]. The [`points`] module places data points on nodes or edges at a
 //! prescribed density `D = |P| / |V|` and [`workload`] samples query
 //! workloads the way the paper does (50 queries drawn from the data points).

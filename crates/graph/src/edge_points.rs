@@ -7,7 +7,10 @@
 //! in a separate file pointed to by the edges; here [`EdgePointSet`] plays
 //! that role and is kept in memory (its size is `O(|P|)`, small relative to
 //! the network, and the paper's I/O accounting is dominated by adjacency-page
-//! accesses).
+//! accesses). Like that file it stands on its own: a point's record carries
+//! the endpoints and the weight of its edge ([`EdgePosition`]), so a query
+//! over a paged topology needs the point set and the page file, not the
+//! in-memory graph they were built from.
 
 use crate::error::GraphError;
 use crate::graph::Graph;
@@ -25,6 +28,100 @@ pub struct EdgeLocation {
     pub offset: Weight,
 }
 
+/// A resolved position on an edge: the canonical endpoints, the edge weight
+/// and the offset from the lower-id endpoint — everything a query needs to
+/// know about where a point or a query location sits, without the graph.
+#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct EdgePosition {
+    /// The edge the position lies on.
+    pub edge: EdgeId,
+    /// Lower-id endpoint of the edge.
+    pub lo: NodeId,
+    /// Higher-id endpoint of the edge.
+    pub hi: NodeId,
+    /// Weight (length) of the edge.
+    pub edge_weight: Weight,
+    /// Distance from `lo`, in `[0, edge_weight]`.
+    pub offset: Weight,
+}
+
+impl EdgePosition {
+    /// Resolves an [`EdgeLocation`] against the graph. (The position of a
+    /// data point is read from its set: [`EdgePointSet::position`].)
+    pub fn resolve(graph: &Graph, location: EdgeLocation) -> Self {
+        let (lo, hi) = graph.edge_endpoints(location.edge);
+        EdgePosition {
+            edge: location.edge,
+            lo,
+            hi,
+            edge_weight: graph.edge_weight(location.edge),
+            offset: location.offset,
+        }
+    }
+
+    /// Direct distance to the lower-id endpoint (`pos`).
+    pub fn dist_to_lo(&self) -> Weight {
+        self.offset
+    }
+
+    /// Direct distance to the higher-id endpoint (`w - pos`).
+    pub fn dist_to_hi(&self) -> Weight {
+        self.edge_weight.saturating_sub(self.offset)
+    }
+
+    /// The *direct distance* `d_L(p, n)` to `node`, if it is one of the
+    /// edge's endpoints.
+    pub fn dist_to_endpoint(&self, node: NodeId) -> Option<Weight> {
+        if node == self.lo {
+            Some(self.dist_to_lo())
+        } else if node == self.hi {
+            Some(self.dist_to_hi())
+        } else {
+            None
+        }
+    }
+
+    /// Direct (same-edge) distance to another position, or `None` if the two
+    /// positions lie on different edges.
+    pub fn direct_distance(&self, other: &EdgePosition) -> Option<Weight> {
+        if self.edge == other.edge {
+            Some(Weight::new((self.offset.value() - other.offset.value()).abs()))
+        } else {
+            None
+        }
+    }
+
+    /// Returns `true` if the two positions coincide (same edge, same offset).
+    pub fn coincides_with(&self, other: &EdgePosition) -> bool {
+        self.edge == other.edge && self.offset == other.offset
+    }
+
+    /// The node this position sits on, if its offset lands exactly on an
+    /// endpoint (boundary offsets are valid placements).
+    pub fn node_location(&self) -> Option<NodeId> {
+        if self.offset == Weight::ZERO {
+            Some(self.lo)
+        } else if self.offset == self.edge_weight {
+            Some(self.hi)
+        } else {
+            None
+        }
+    }
+
+    /// Returns `true` if the two positions denote the same physical location:
+    /// the same offset on the same edge, or the same node reached as a
+    /// boundary offset of two different edges.
+    pub fn same_location(&self, other: &EdgePosition) -> bool {
+        if self.coincides_with(other) {
+            return true;
+        }
+        match (self.node_location(), other.node_location()) {
+            (Some(a), Some(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
 /// A data point on an edge, as stored in the per-edge lists.
 #[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EdgePoint {
@@ -39,21 +136,23 @@ pub struct EdgePoint {
 pub struct EdgePointSet {
     /// Points on each edge, sorted by offset.
     by_edge: Vec<Vec<EdgePoint>>,
-    /// Location of each point, indexed by point id.
-    locations: Vec<EdgeLocation>,
+    /// Resolved position of each point, indexed by point id: the edge's
+    /// endpoints and weight are copied in at build time, so a query never
+    /// needs the graph to place a point.
+    positions: Vec<EdgePosition>,
 }
 
 impl EdgePointSet {
     /// Number of data points `|P|`.
     #[inline]
     pub fn num_points(&self) -> usize {
-        self.locations.len()
+        self.positions.len()
     }
 
     /// Returns `true` if the set contains no points.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.locations.is_empty()
+        self.positions.is_empty()
     }
 
     /// Returns the points lying on `edge`, sorted by offset from the lower-id
@@ -63,32 +162,22 @@ impl EdgePointSet {
         self.by_edge.get(edge.index()).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
+    /// Returns the resolved position of `point`.
+    #[inline]
+    pub fn position(&self, point: PointId) -> EdgePosition {
+        self.positions[point.index()]
+    }
+
     /// Returns the location of `point`.
     #[inline]
     pub fn location(&self, point: PointId) -> EdgeLocation {
-        self.locations[point.index()]
+        let EdgePosition { edge, offset, .. } = self.position(point);
+        EdgeLocation { edge, offset }
     }
 
     /// Iterates over `(point, location)` pairs in point id order.
     pub fn iter(&self) -> impl Iterator<Item = (PointId, EdgeLocation)> + '_ {
-        self.locations.iter().enumerate().map(|(i, &loc)| (PointId::new(i), loc))
-    }
-
-    /// The *direct distance* `d_L(p, n)` from a point to one endpoint `n` of
-    /// its edge, i.e. `pos` for the lower-id endpoint and `w - pos` for the
-    /// higher-id endpoint. Returns `None` if `n` is not an endpoint of the
-    /// point's edge.
-    pub fn direct_distance(&self, graph: &Graph, point: PointId, node: NodeId) -> Option<Weight> {
-        let loc = self.location(point);
-        let (lo, hi) = graph.edge_endpoints(loc.edge);
-        let w = graph.edge_weight(loc.edge);
-        if node == lo {
-            Some(loc.offset)
-        } else if node == hi {
-            Some(w.saturating_sub(loc.offset))
-        } else {
-            None
-        }
+        (0..self.num_points()).map(PointId::new).map(|p| (p, self.location(p)))
     }
 
     /// Data density `D = |P| / |V|` for a graph with `num_nodes` nodes, as
@@ -145,13 +234,13 @@ impl<'g> EdgePointSetBuilder<'g> {
     pub fn build(mut self) -> EdgePointSet {
         self.placements.sort_unstable_by_key(|a| (a.edge, a.offset));
         let mut by_edge = vec![Vec::new(); self.graph.num_edges()];
-        let mut locations = Vec::with_capacity(self.placements.len());
+        let mut positions = Vec::with_capacity(self.placements.len());
         for (i, loc) in self.placements.into_iter().enumerate() {
             let p = PointId::new(i);
             by_edge[loc.edge.index()].push(EdgePoint { point: p, offset: loc.offset });
-            locations.push(loc);
+            positions.push(EdgePosition::resolve(self.graph, loc));
         }
-        EdgePointSet { by_edge, locations }
+        EdgePointSet { by_edge, positions }
     }
 }
 
@@ -218,11 +307,42 @@ mod tests {
         let e = g.edge_between(NodeId::new(1), NodeId::new(2)).unwrap();
         let mut b = EdgePointSetBuilder::new(&g);
         b.add_point(e, 4.0).unwrap(); // 4 from n1, 2 from n2
-        let s = b.build();
-        let p = PointId::new(0);
-        assert_eq!(s.direct_distance(&g, p, NodeId::new(1)).unwrap().value(), 4.0);
-        assert_eq!(s.direct_distance(&g, p, NodeId::new(2)).unwrap().value(), 2.0);
-        assert_eq!(s.direct_distance(&g, p, NodeId::new(0)), None);
+        let p = b.build().position(PointId::new(0));
+        assert_eq!(p.dist_to_endpoint(NodeId::new(1)).unwrap().value(), 4.0);
+        assert_eq!(p.dist_to_endpoint(NodeId::new(2)).unwrap().value(), 2.0);
+        assert_eq!(p.dist_to_endpoint(NodeId::new(0)), None);
+    }
+
+    /// Points at 1 and 5 on the edge (1, 2) of weight 6, and one at the far
+    /// end of the edge (2, 3).
+    fn positioned() -> (Graph, EdgePointSet) {
+        let g = path_graph();
+        let mut b = EdgePointSetBuilder::new(&g);
+        b.add_point(EdgeId::new(1), 1.0).unwrap();
+        b.add_point(EdgeId::new(1), 5.0).unwrap();
+        b.add_point(EdgeId::new(2), 2.0).unwrap(); // on node 3
+        let points = b.build();
+        (g, points)
+    }
+
+    #[test]
+    fn positions_resolve_with_correct_endpoint_distances() {
+        let (g, pts) = positioned();
+        let p0 = pts.position(PointId::new(0));
+        assert_eq!(p0, EdgePosition::resolve(&g, pts.location(PointId::new(0))));
+        assert_eq!((p0.lo, p0.hi, p0.edge_weight.value()), (NodeId::new(1), NodeId::new(2), 6.0));
+        assert_eq!(p0.dist_to_lo().value(), 1.0);
+        assert_eq!(p0.dist_to_hi().value(), 5.0);
+    }
+
+    #[test]
+    fn same_edge_direct_distance() {
+        let (_, pts) = positioned();
+        let [p0, p1, p2] = [0, 1, 2].map(|i| pts.position(PointId::new(i)));
+        assert_eq!(p0.direct_distance(&p1).unwrap().value(), 4.0);
+        assert_eq!(p0.direct_distance(&p2), None);
+        assert!(!p0.coincides_with(&p1));
+        assert!(p0.coincides_with(&p0));
     }
 
     #[test]

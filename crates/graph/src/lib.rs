@@ -14,6 +14,8 @@
 //! * [`NodePointSet`] / [`EdgePointSet`] — data points residing on nodes
 //!   (*restricted* networks) or on edges (*unrestricted* networks), following
 //!   the terminology of the paper.
+//! * [`PointSource`] — what a network expansion asks of either kind of data
+//!   set, so the query algorithms are written once for both.
 //! * [`Route`] — a node path used by continuous RNN queries.
 //! * connectivity utilities, simple statistics and (de)serialization helpers.
 //!
@@ -30,6 +32,7 @@ pub mod error;
 pub mod graph;
 pub mod ids;
 pub mod io;
+pub mod point_source;
 pub mod points;
 pub mod route;
 pub mod stats;
@@ -38,11 +41,12 @@ pub mod weight;
 
 pub use builder::GraphBuilder;
 pub use connectivity::{connected_components, is_connected, largest_connected_component};
-pub use edge_points::{EdgeLocation, EdgePoint, EdgePointSet, EdgePointSetBuilder};
+pub use edge_points::{EdgeLocation, EdgePoint, EdgePointSet, EdgePointSetBuilder, EdgePosition};
 pub use error::GraphError;
 pub use graph::{Graph, Neighbor};
 pub use ids::{EdgeId, NodeId, PointId};
 pub use io::{read_edge_list, write_edge_list};
+pub use point_source::{NodeLocation, PointSource, Revealed};
 pub use points::{NodePointSet, PointsOnNodes};
 pub use route::Route;
 pub use stats::GraphStats;

@@ -8,7 +8,7 @@
 
 use rnn_core::bichromatic::{bichromatic_rknn, naive_bichromatic_rknn};
 use rnn_core::unrestricted::{
-    transform_to_restricted, unrestricted_eager_rknn, unrestricted_lazy_rknn, EdgePosition,
+    transform_to_restricted, unrestricted_eager_rknn, unrestricted_lazy_rknn,
 };
 use rnn_datagen::{
     place_points_on_edges, place_points_on_nodes, sample_edge_queries, spatial_road_network,
@@ -32,9 +32,9 @@ fn main() {
         shops.num_points()
     );
     for q in queries {
-        let pos = EdgePosition::of_point(&net.graph, &shops, q);
-        let eager = unrestricted_eager_rknn(&net.graph, &net.graph, &shops, &pos, 1);
-        let lazy = unrestricted_lazy_rknn(&net.graph, &net.graph, &shops, &pos, 1);
+        let pos = shops.position(q);
+        let eager = unrestricted_eager_rknn(&net.graph, &shops, &pos, 1);
+        let lazy = unrestricted_lazy_rknn(&net.graph, &shops, &pos, 1);
         assert_eq!(eager.points, lazy.points);
         println!("  shop {q:?}: {} shops would have it as their nearest competitor", eager.len());
     }

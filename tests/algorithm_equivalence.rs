@@ -109,12 +109,11 @@ proptest! {
     #[test]
     fn unrestricted_algorithms_agree_with_naive(inst in unrestricted_instance()) {
         for qi in 0..inst.points.num_points().min(3) {
-            let query = EdgePosition::of_point(&inst.graph, &inst.points, rnn_graph::PointId::new(qi));
-            let reference =
-                unrestricted_naive_rknn(&inst.graph, &inst.graph, &inst.points, &query, inst.k);
-            let e = unrestricted_eager_rknn(&inst.graph, &inst.graph, &inst.points, &query, inst.k);
+            let query = inst.points.position(rnn_graph::PointId::new(qi));
+            let reference = unrestricted_naive_rknn(&inst.graph, &inst.points, &query, inst.k);
+            let e = unrestricted_eager_rknn(&inst.graph, &inst.points, &query, inst.k);
             prop_assert_eq!(&e.points, &reference.points, "unrestricted eager vs naive");
-            let l = unrestricted_lazy_rknn(&inst.graph, &inst.graph, &inst.points, &query, inst.k);
+            let l = unrestricted_lazy_rknn(&inst.graph, &inst.points, &query, inst.k);
             prop_assert_eq!(&l.points, &reference.points, "unrestricted lazy vs naive");
         }
     }
@@ -241,38 +240,35 @@ fn work_counters_on_a_seeded_grid_are_pinned() {
     let edge_points = place_points_on_edges(&graph, 0.01, 15);
     let positions: Vec<EdgePosition> = sample_edge_queries(&edge_points, 30, 15)
         .into_iter()
-        .map(|p| EdgePosition::of_point(&graph, &edge_points, p))
+        .map(|p| edge_points.position(p))
         .collect();
-    type Unrestricted = fn(&Graph, &Graph, &EdgePointSet, &EdgePosition, usize) -> RknnOutcome;
+    type Unrestricted =
+        fn(&(dyn Topology + 'static), &EdgePointSet, &EdgePosition, usize) -> RknnOutcome;
     let unrestricted: [(&str, Unrestricted, [Row; 2]); 3] = [
         (
             "eager",
             unrestricted_eager_rknn,
             [
-                ((3476, 301744, 3941, 129, 3476, 129), 39),
-                ((10928, 2484545, 12753, 334, 10928, 334), 103),
+                ((3476, 301744, 3910, 129, 3476, 129), 39),
+                ((10928, 2484538, 12635, 334, 10928, 334), 103),
             ],
         ),
         (
             "lazy",
             unrestricted_lazy_rknn,
-            [((24082, 44753, 27370, 327, 0, 327), 39), ((73755, 232609, 86822, 729, 0, 729), 103)],
+            [((19416, 40762, 24703, 291, 0, 291), 39), ((70052, 232410, 84614, 727, 0, 727), 103)],
         ),
         (
             "naive",
             unrestricted_naive_rknn,
-            [((78000, 95628, 93286, 750, 0, 750), 39), ((78000, 235276, 93286, 750, 0, 750), 103)],
+            [((78000, 95628, 93286, 750, 0, 750), 39), ((78000, 235255, 93286, 750, 0, 750), 103)],
         ),
     ];
-    type UnrestrictedPaged =
-        fn(&rnn_storage::PagedGraph, &Graph, &EdgePointSet, &EdgePosition, usize) -> RknnOutcome;
-    let unrestricted_paged: [UnrestrictedPaged; 3] =
-        [unrestricted_eager_rknn, unrestricted_lazy_rknn, unrestricted_naive_rknn];
-    for ((name, run, expected), run_paged) in unrestricted.into_iter().zip(unrestricted_paged) {
+    for (name, run, expected) in unrestricted {
         for (k, expected) in [1, 3].into_iter().zip(expected) {
-            let got = sum(positions.iter().map(|q| run(&graph, &graph, &edge_points, q, k)));
+            let got = sum(positions.iter().map(|q| run(&graph, &edge_points, q, k)));
             assert_eq!(got, expected, "unrestricted {name} k={k}");
-            let got = sum(positions.iter().map(|q| run_paged(&paged, &graph, &edge_points, q, k)));
+            let got = sum(positions.iter().map(|q| run(&paged, &edge_points, q, k)));
             assert_eq!(got, expected, "unrestricted {name} k={k}: decoded from pool frames");
         }
     }

@@ -210,3 +210,35 @@ fn file_backed_store_matches_memory_store() {
     std::fs::remove_file(&path).ok();
     std::fs::remove_dir(&dir).ok();
 }
+
+/// Unrestricted queries need the page file and the point set, not the graph
+/// they were built from: the point set carries the endpoints and weight of
+/// every edge that holds a point, so the in-memory graph can be gone by the
+/// time eager, lazy and naive run over the paged topology.
+#[test]
+fn unrestricted_queries_run_over_a_paged_graph_after_the_graph_is_dropped() {
+    use rnn_core::unrestricted::{
+        unrestricted_eager_rknn, unrestricted_lazy_rknn, unrestricted_naive_rknn,
+    };
+    use rnn_datagen::{grid_map, place_points_on_edges, sample_edge_queries, GridConfig};
+
+    let graph = grid_map(&GridConfig { rows: 14, cols: 15, seed: 22, ..Default::default() });
+    let points = place_points_on_edges(&graph, 0.08, 22);
+    let queries: Vec<_> =
+        sample_edge_queries(&points, 6, 22).into_iter().map(|p| points.position(p)).collect();
+    let in_memory: Vec<_> =
+        queries.iter().map(|q| unrestricted_naive_rknn(&graph, &points, q, 2)).collect();
+    assert!(in_memory.iter().any(|out| !out.is_empty()));
+    // A pool of 4 pages: the traversals below fault their lists in.
+    let paged = PagedGraph::build_with(&graph, LayoutStrategy::BfsLocality, 4, IoCounters::new())
+        .expect("a grid pages");
+    drop(graph);
+
+    for (query, expected) in queries.iter().zip(&in_memory) {
+        let naive = unrestricted_naive_rknn(&paged, &points, query, 2);
+        assert_eq!(&naive, expected, "naive: the same work as in memory, too");
+        assert_eq!(unrestricted_eager_rknn(&paged, &points, query, 2).points, expected.points);
+        assert_eq!(unrestricted_lazy_rknn(&paged, &points, query, 2).points, expected.points);
+    }
+    assert!(paged.io_stats().faults > 0);
+}

@@ -187,11 +187,11 @@ fn native_algorithms_match_the_definition_on_seeded_instances() {
             let query_place = place(&graph, location.edge, location.offset.value());
             let expected = oracle(&nodes, &places, &query_place, k);
             let context = || format!("instance {i}, k={k}, query {location:?}, points {places:?}");
-            let naive = unrestricted_naive_rknn(&graph, &graph, &points, &query, k);
+            let naive = unrestricted_naive_rknn(&graph, &points, &query, k);
             assert_eq!(naive.points, expected, "naive: {}", context());
-            let eager = unrestricted_eager_rknn(&graph, &graph, &points, &query, k);
+            let eager = unrestricted_eager_rknn(&graph, &points, &query, k);
             assert_eq!(eager.points, expected, "eager: {}", context());
-            let lazy = unrestricted_lazy_rknn(&graph, &graph, &points, &query, k);
+            let lazy = unrestricted_lazy_rknn(&graph, &points, &query, k);
             assert_eq!(lazy.points, expected, "lazy: {}", context());
             reported += expected.len() as u64;
             away_from_points +=

@@ -7,7 +7,10 @@ mod common;
 use common::unrestricted_instance;
 use proptest::prelude::*;
 use rnn_core::expansion::network_distance;
-use rnn_core::unrestricted::{transform_to_restricted, unrestricted_naive_rknn, EdgePosition};
+use rnn_core::unrestricted::{
+    transform_to_restricted, unrestricted_eager_rknn, unrestricted_lazy_rknn,
+    unrestricted_naive_rknn, EdgePosition,
+};
 use rnn_graph::PointId;
 
 proptest! {
@@ -22,8 +25,7 @@ proptest! {
         };
         for qi in 0..inst.points.num_points().min(3) {
             let q = PointId::new(qi);
-            let q_pos = EdgePosition::of_point(&inst.graph, &inst.points, q);
-            let native = unrestricted_naive_rknn(&inst.graph, &inst.graph, &inst.points, &q_pos, inst.k);
+            let q_pos = inst.points.position(q);
             let q_node = view.node_of_point[qi];
             let on_view = rnn_core::eager::eager_rknn(&view.graph, &view.points, q_node, inst.k);
             let mut mapped: Vec<PointId> = on_view
@@ -32,7 +34,12 @@ proptest! {
                 .map(|&p| view.original_point(p).expect("view point maps back"))
                 .collect();
             mapped.sort_unstable();
-            prop_assert_eq!(mapped, native.points, "query point {}", qi);
+            let naive = unrestricted_naive_rknn(&inst.graph, &inst.points, &q_pos, inst.k);
+            prop_assert_eq!(&naive.points, &mapped, "naive, query point {}", qi);
+            let eager = unrestricted_eager_rknn(&inst.graph, &inst.points, &q_pos, inst.k);
+            prop_assert_eq!(&eager.points, &mapped, "eager, query point {}", qi);
+            let lazy = unrestricted_lazy_rknn(&inst.graph, &inst.points, &q_pos, inst.k);
+            prop_assert_eq!(&lazy.points, &mapped, "lazy, query point {}", qi);
         }
     }
 
@@ -50,8 +57,8 @@ proptest! {
         let b = view.node_of_point[1];
         let via_transform = network_distance(&view.graph, a, b);
         // and measured on the original graph through endpoint distances
-        let pa = EdgePosition::of_point(&inst.graph, &inst.points, PointId::new(0));
-        let pb = EdgePosition::of_point(&inst.graph, &inst.points, PointId::new(1));
+        let pa = inst.points.position(PointId::new(0));
+        let pb = inst.points.position(PointId::new(1));
         let mut best = f64::INFINITY;
         if let Some(direct) = pa.direct_distance(&pb) {
             best = best.min(direct.value());
@@ -81,11 +88,13 @@ proptest! {
         if inst.points.num_points() < 2 {
             return Ok(());
         }
-        use rnn_core::unrestricted::expansion::{Event, UnrestrictedExpansion};
-        let p0 = EdgePosition::of_point(&inst.graph, &inst.points, PointId::new(0));
-        let p1 = EdgePosition::of_point(&inst.graph, &inst.points, PointId::new(1));
+        use rnn_core::expansion::{Event, ExpansionBuffers, PointExpansion};
+        let p0 = inst.points.position(PointId::new(0));
+        let p1 = inst.points.position(PointId::new(1));
         let measure = |from: &EdgePosition, to: &EdgePosition| -> Option<f64> {
-            let mut exp = UnrestrictedExpansion::from_position(&inst.graph, &inst.points, from, Some(*to));
+            let bufs = ExpansionBuffers::new();
+            let mut exp =
+                PointExpansion::from_location(&inst.graph, &inst.points, from, Some(to), bufs);
             while let Some(ev) = exp.next_event() {
                 if let Event::Target(d) = ev {
                     return Some(d.value());
