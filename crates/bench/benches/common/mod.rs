@@ -1,6 +1,6 @@
 //! Shared helpers for the criterion benches.
 //!
-//! Every bench times one of the paper's experiments at a reduced size so that
+//! Every bench times one kernel at a reduced size so that
 //! `cargo bench --workspace` finishes in minutes; the `repro` binary is the
 //! tool for paper-style tables with I/O accounting.
 

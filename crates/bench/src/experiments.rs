@@ -2,28 +2,31 @@
 //!
 //! Every function builds the corresponding workload, measures the algorithms
 //! on the disk-page backed graph and returns a [`Report`] whose rows mirror
-//! the original table or figure. The `repro` binary runs them by name (its
-//! usage text is the index; the README's "Build, test, bench" section shows
-//! the invocations).
+//! the original table or figure and whose columns are counts only — buffer
+//! faults, page accesses and the work counters of the queries — so the
+//! committed `BENCH_<name>.json` of a report equals a fresh run on any
+//! machine. The `repro` binary runs them by name ([`EXPERIMENTS`] is the
+//! index; the README's "Build, test, bench" section shows the invocations).
+//! Time is measured elsewhere: end to end by `benchmark/`, per kernel by the
+//! criterion benches. The two [`Experiment::Drill`]s at the end are the
+//! exception — they assert a timing relation and leave no artifact.
 
 use crate::harness::{
-    measure_continuous, measure_restricted, measure_unrestricted, measure_updates, Measurement,
-    Scale, UnrestrictedWorkload, Workload,
+    measure_continuous, measure_restricted, measure_unrestricted, measure_updates, per,
+    Measurement, Scale, UnrestrictedWorkload, UpdateMeasurement, Workload,
 };
 use crate::report::Report;
-use rnn_core::engine::{QueryEngine, Workload as QueryWorkload};
 use rnn_core::materialize::MaterializedKnn;
-use rnn_core::{run_rknn, run_rknn_with, Algorithm, Precomputed, Scratch};
+use rnn_core::{run_rknn, run_rknn_with, Algorithm, Precomputed, RknnOutcome, Scratch};
 use rnn_datagen::{
     brite_topology, coauthorship_graph, grid_map, place_points_on_edges, place_points_on_nodes,
     sample_edge_queries, sample_node_queries, sample_routes, spatial_road_network, BriteConfig,
     CoauthorConfig, GridConfig, SpatialConfig,
 };
-use rnn_graph::{NodeId, PointsOnNodes};
+use rnn_graph::{Graph, NodeId, NodePointSet, PointsOnNodes};
 use rnn_index::HubLabelIndex;
-use rnn_storage::buffer::DEFAULT_BUFFER_PAGES;
 use rnn_storage::{
-    BufferPoolConfig, EvictionPolicy, IoCounters, IoStats, LayoutStrategy, PageId, PagedGraph,
+    BufferPoolConfig, EvictionPolicy, IoCounters, LayoutStrategy, PageId, PagedGraph,
 };
 
 const SEED: u64 = 42;
@@ -31,21 +34,16 @@ const SEED: u64 = 42;
 /// The four algorithms shown in the paper's figures.
 const FIGURE_ALGOS: [Algorithm; 4] = Algorithm::PAPER;
 
-fn cost_columns(algos: &[Algorithm]) -> Vec<String> {
+/// One [`Measurement::COLUMNS`] group per algorithm, prefixed by its short name.
+fn count_columns(algos: &[Algorithm]) -> Vec<String> {
     algos
         .iter()
-        .flat_map(|a| {
-            [
-                format!("{} faults", a.short_name()),
-                format!("{} cpu(s)", a.short_name()),
-                format!("{} cost(s)", a.short_name()),
-            ]
-        })
+        .flat_map(|a| Measurement::COLUMNS.map(|c| format!("{} {c}", a.short_name())))
         .collect()
 }
 
-fn cost_values(ms: &[Measurement]) -> Vec<f64> {
-    ms.iter().flat_map(|m| [m.avg.faults, m.avg.cpu_seconds, m.total_seconds()]).collect()
+fn count_values(ms: &[Measurement]) -> Vec<f64> {
+    ms.iter().flat_map(Measurement::values).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -66,7 +64,7 @@ pub fn table1_adhoc(scale: Scale) -> Report {
             co.graph.num_edges()
         ),
         "condition",
-        cost_columns(&algos),
+        count_columns(&algos),
     );
     for threshold in [1u32, 2, 5] {
         let points = co.authors_with_at_least(threshold);
@@ -79,7 +77,7 @@ pub fn table1_adhoc(scale: Scale) -> Report {
             algos.iter().map(|&a| measure_restricted(a, &workload, None, 1)).collect();
         report.push_row(
             format!(">= {threshold} SIGMOD papers (sel. {:.3})", co.selectivity(threshold)),
-            cost_values(&ms),
+            count_values(&ms),
         );
     }
     report
@@ -93,7 +91,7 @@ pub fn table2_density(scale: Scale) -> Report {
         "Table 2",
         format!("cost vs density on the coauthorship graph (|V|={}, k=1)", co.graph.num_nodes()),
         "density D",
-        cost_columns(&algos),
+        count_columns(&algos),
     );
     for density in [0.0125, 0.025, 0.05, 0.1] {
         let points = place_points_on_nodes(&co.graph, density, SEED);
@@ -101,7 +99,7 @@ pub fn table2_density(scale: Scale) -> Report {
         let workload = Workload::new(co.graph.clone(), points, queries);
         let ms: Vec<Measurement> =
             algos.iter().map(|&a| measure_restricted(a, &workload, None, 1)).collect();
-        report.push_row(format!("{density}"), cost_values(&ms));
+        report.push_row(format!("{density}"), count_values(&ms));
     }
     report
 }
@@ -142,11 +140,11 @@ pub fn fig15_brite_size(scale: Scale) -> Report {
         "Fig 15",
         "cost vs |V| (BRITE-like topology, D=0.01, k=1)",
         "|V|",
-        cost_columns(&FIGURE_ALGOS),
+        count_columns(&FIGURE_ALGOS),
     );
     for &n in sizes {
         let ms = measure_brite(n, 0.01, 1, scale.queries(), SEED);
-        report.push_row(format!("{n}"), cost_values(&ms));
+        report.push_row(format!("{n}"), count_values(&ms));
     }
     report
 }
@@ -158,11 +156,11 @@ pub fn fig16_brite_density(scale: Scale) -> Report {
         "Fig 16",
         format!("cost vs density (BRITE-like topology, |V|={nodes}, k=1)"),
         "density D",
-        cost_columns(&FIGURE_ALGOS),
+        count_columns(&FIGURE_ALGOS),
     );
     for density in [0.0025, 0.01, 0.04, 0.1] {
         let ms = measure_brite(nodes, density, 1, scale.queries(), SEED);
-        report.push_row(format!("{density}"), cost_values(&ms));
+        report.push_row(format!("{density}"), count_values(&ms));
     }
     report
 }
@@ -190,13 +188,13 @@ pub fn fig17_sf_density(scale: Scale) -> Report {
         "Fig 17",
         format!("cost vs density (SF-like road network, |V|≈{}, k=1)", scale.pick(20_000, 175_000)),
         "density D",
-        cost_columns(&FIGURE_ALGOS),
+        count_columns(&FIGURE_ALGOS),
     );
     for density in [0.0025, 0.01, 0.04, 0.1] {
         let workload = sf_workload(scale, density, SEED);
         let ms: Vec<Measurement> =
             FIGURE_ALGOS.iter().map(|&a| measure_unrestricted(a, &workload, 1, 1)).collect();
-        report.push_row(format!("{density}"), cost_values(&ms));
+        report.push_row(format!("{density}"), count_values(&ms));
     }
     report
 }
@@ -208,12 +206,12 @@ pub fn fig18_sf_k(scale: Scale) -> Report {
         "Fig 18",
         format!("cost vs k (SF-like road network, |V|≈{}, D=0.01)", scale.pick(20_000, 175_000)),
         "k",
-        cost_columns(&FIGURE_ALGOS),
+        count_columns(&FIGURE_ALGOS),
     );
     for k in [1usize, 2, 4, 8] {
         let ms: Vec<Measurement> =
             FIGURE_ALGOS.iter().map(|&a| measure_unrestricted(a, &workload, k, 8)).collect();
-        report.push_row(format!("{k}"), cost_values(&ms));
+        report.push_row(format!("{k}"), count_values(&ms));
     }
     report
 }
@@ -238,7 +236,7 @@ pub fn fig19_continuous(scale: Scale) -> Report {
         "Fig 19",
         "continuous queries: cost vs route size (SF-like road network, D=0.01, k=1)",
         "route nodes",
-        cost_columns(&algos),
+        count_columns(&algos),
     );
     for len in [4usize, 8, 16, 32] {
         let routes =
@@ -247,7 +245,7 @@ pub fn fig19_continuous(scale: Scale) -> Report {
             .iter()
             .map(|&a| measure_continuous(a, &workload.paged, &workload.points, &routes, 1))
             .collect();
-        report.push_row(format!("{len}"), cost_values(&ms));
+        report.push_row(format!("{len}"), count_values(&ms));
     }
     report
 }
@@ -281,11 +279,11 @@ pub fn fig20a_grid_size(scale: Scale) -> Report {
         "Fig 20a",
         "grid maps: cost vs |V| (degree 4, D=0.01, k=1)",
         "|V|",
-        cost_columns(&FIGURE_ALGOS),
+        count_columns(&FIGURE_ALGOS),
     );
     for &n in sizes {
         let ms = measure_grid(n, 4.0, scale);
-        report.push_row(format!("{n}"), cost_values(&ms));
+        report.push_row(format!("{n}"), count_values(&ms));
     }
     report
 }
@@ -297,11 +295,11 @@ pub fn fig20b_grid_degree(scale: Scale) -> Report {
         "Fig 20b",
         format!("grid maps: cost vs degree (|V|={nodes}, D=0.01, k=1)"),
         "degree",
-        cost_columns(&FIGURE_ALGOS),
+        count_columns(&FIGURE_ALGOS),
     );
     for degree in [4.0, 5.0, 6.0, 7.0] {
         let ms = measure_grid(nodes, degree, scale);
-        report.push_row(format!("{degree}"), cost_values(&ms));
+        report.push_row(format!("{degree}"), count_values(&ms));
     }
     report
 }
@@ -329,7 +327,7 @@ pub fn fig21_buffer(scale: Scale) -> Report {
         "Fig 21",
         "cost vs buffer size in pages and eviction policy (SF-like road network, D=0.01, k=1)",
         "buffer pages / policy",
-        cost_columns(&algos),
+        count_columns(&algos),
     );
     for buffer in [0usize, 16, 64, 256, 1024] {
         for policy in EvictionPolicy::ALL {
@@ -346,7 +344,7 @@ pub fn fig21_buffer(scale: Scale) -> Report {
             );
             let ms: Vec<Measurement> =
                 algos.iter().map(|&a| measure_restricted(a, &workload, None, 1)).collect();
-            report.push_row(format!("{buffer} {}", policy.name()), cost_values(&ms));
+            report.push_row(format!("{buffer} {}", policy.name()), count_values(&ms));
         }
     }
     report
@@ -374,36 +372,29 @@ fn update_workload(scale: Scale, density: f64) -> (Workload, Vec<NodeId>, Vec<No
     (Workload::new(net.graph, points, Vec::new()), empty_nodes, delete_nodes)
 }
 
+fn update_columns() -> Vec<String> {
+    ["insert", "delete"]
+        .iter()
+        .flat_map(|op| UpdateMeasurement::COLUMNS.map(|c| format!("{op} {c}")))
+        .collect()
+}
+
+fn update_values(inserts: &UpdateMeasurement, deletes: &UpdateMeasurement) -> Vec<f64> {
+    [inserts.values(), deletes.values()].concat()
+}
+
 /// Fig. 22a: maintenance cost versus density (K = 1).
 pub fn fig22a_update_density(scale: Scale) -> Report {
     let mut report = Report::new(
         "Fig 22a",
         "materialization maintenance: cost vs density (SF-like road network, K=1)",
         "density D",
-        vec![
-            "insert faults".into(),
-            "insert cpu(s)".into(),
-            "insert cost(s)".into(),
-            "delete faults".into(),
-            "delete cpu(s)".into(),
-            "delete cost(s)".into(),
-        ],
+        update_columns(),
     );
-    let model = rnn_core::CostModel::default();
     for density in [0.0025, 0.01, 0.04, 0.1] {
         let (workload, inserts, deletes) = update_workload(scale, density);
         let (ins, del) = measure_updates(&workload.paged, &workload.points, 1, &inserts, &deletes);
-        report.push_row(
-            format!("{density}"),
-            vec![
-                ins.faults,
-                ins.cpu_seconds,
-                ins.total_seconds(&model),
-                del.faults,
-                del.cpu_seconds,
-                del.total_seconds(&model),
-            ],
-        );
+        report.push_row(format!("{density}"), update_values(&ins, &del));
     }
     report
 }
@@ -415,176 +406,13 @@ pub fn fig22b_update_k(scale: Scale) -> Report {
         "Fig 22b",
         "materialization maintenance: cost vs K (SF-like road network, D=0.01)",
         "K",
-        vec![
-            "insert faults".into(),
-            "insert cpu(s)".into(),
-            "insert cost(s)".into(),
-            "delete faults".into(),
-            "delete cpu(s)".into(),
-            "delete cost(s)".into(),
-        ],
+        update_columns(),
     );
-    let model = rnn_core::CostModel::default();
     let (workload, inserts, deletes) = update_workload(scale, 0.01);
     for capacity_k in [1usize, 2, 4, 8] {
         let (ins, del) =
             measure_updates(&workload.paged, &workload.points, capacity_k, &inserts, &deletes);
-        report.push_row(
-            format!("{capacity_k}"),
-            vec![
-                ins.faults,
-                ins.cpu_seconds,
-                ins.total_seconds(&model),
-                del.faults,
-                del.cpu_seconds,
-                del.total_seconds(&model),
-            ],
-        );
-    }
-    report
-}
-
-// ---------------------------------------------------------------------------
-// Beyond the paper: batch serving throughput.
-// ---------------------------------------------------------------------------
-
-/// Batch query throughput versus worker thread count on the in-memory
-/// backend (grid map, D = 0.01, k = 1).
-///
-/// This is not a figure of the paper: it measures the serving scenario the
-/// engine layer exists for — a workload of queries executed by
-/// `QueryEngine::run_batch` at 1/2/4/8 threads, reported as queries/second
-/// and as speedup over the single-threaded run. Results are asserted to be
-/// identical across thread counts (scaling must not change answers);
-/// speedups depend on the machine's core count.
-pub fn throughput(scale: Scale) -> Report {
-    let nodes = scale.pick(10_000, 40_000);
-    let graph = grid_map(&GridConfig::with_nodes(nodes, 4.0, SEED));
-    let points = place_points_on_nodes(&graph, 0.01, SEED + 1);
-    let query_nodes = sample_node_queries(&points, scale.pick(64, 200), SEED + 2);
-    let algos = [Algorithm::Eager, Algorithm::Lazy, Algorithm::LazyExtendedPruning];
-
-    let columns = algos
-        .iter()
-        .flat_map(|a| [format!("{} q/s", a.short_name()), format!("{} speedup", a.short_name())])
-        .collect();
-    let mut report = Report::new(
-        "Throughput",
-        format!(
-            "batch throughput vs worker threads (grid map, |V|={nodes}, D=0.01, k=1, \
-             in-memory backend, {} queries)",
-            query_nodes.len()
-        ),
-        "threads",
-        columns,
-    );
-
-    let mut baseline_qps = vec![0.0f64; algos.len()];
-    let mut baseline_results = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let mut values = Vec::new();
-        for (i, &algorithm) in algos.iter().enumerate() {
-            let engine = QueryEngine::new(&graph, &points).with_threads(threads);
-            let workload = QueryWorkload::uniform(algorithm, 1, query_nodes.iter().copied());
-            let start = std::time::Instant::now();
-            let batch = engine.run_batch(&workload);
-            let seconds = start.elapsed().as_secs_f64().max(1e-9);
-            let qps = workload.len() as f64 / seconds;
-            if threads == 1 {
-                baseline_qps[i] = qps;
-                baseline_results.push(batch.results);
-            } else {
-                assert_eq!(
-                    batch.results, baseline_results[i],
-                    "{algorithm} at {threads} threads must reproduce the sequential results"
-                );
-            }
-            values.push(qps);
-            values.push(qps / baseline_qps[i]);
-        }
-        report.push_row(format!("{threads}"), values);
-    }
-    report
-}
-
-/// Batch query throughput versus worker thread count on the **paged**
-/// backend: all workers share one sharded buffer pool (grid map, D = 0.01,
-/// k = 1, 256-page pool striped over 8 shards).
-///
-/// This is the disk-resident serving scenario the striped storage path
-/// exists for: before sharding, every page access of every worker funneled
-/// through one buffer-pool mutex and one I/O-counter mutex. Results are
-/// asserted identical across thread counts *and* identical to the in-memory
-/// backend before any number is reported (storage affects cost, never
-/// answers); speedups depend on the machine's core count.
-pub fn paged_scaling(scale: Scale) -> Report {
-    let nodes = scale.pick(10_000, 40_000);
-    let graph = grid_map(&GridConfig::with_nodes(nodes, 4.0, SEED));
-    let points = place_points_on_nodes(&graph, 0.01, SEED + 1);
-    let query_nodes = sample_node_queries(&points, scale.pick(64, 200), SEED + 2);
-    let algos = [Algorithm::Eager, Algorithm::Lazy];
-    let shards = 8;
-
-    let counters = IoCounters::new();
-    let paged = PagedGraph::build_with_config(
-        &graph,
-        LayoutStrategy::BfsLocality,
-        BufferPoolConfig::new(DEFAULT_BUFFER_PAGES).with_shards(shards),
-        counters.clone(),
-    )
-    .expect("paged graph");
-
-    let mut columns: Vec<String> = algos
-        .iter()
-        .flat_map(|a| [format!("{} q/s", a.short_name()), format!("{} speedup", a.short_name())])
-        .collect();
-    columns.push("hit ratio".into());
-    let mut report = Report::new(
-        "Paged scaling",
-        format!(
-            "batch throughput vs worker threads on the paged backend (grid map, |V|={nodes}, \
-             D=0.01, k=1, shared {DEFAULT_BUFFER_PAGES}-page pool, {} shards, {} queries)",
-            paged.buffer().num_shards(),
-            query_nodes.len()
-        ),
-        "threads",
-        columns,
-    );
-
-    // The in-memory reference the paged results must reproduce exactly.
-    let mut reference = Vec::new();
-    for &algorithm in &algos {
-        let workload = QueryWorkload::uniform(algorithm, 1, query_nodes.iter().copied());
-        reference.push(QueryEngine::new(&graph, &points).run_batch(&workload).results);
-    }
-
-    let mut baseline_qps = vec![0.0f64; algos.len()];
-    for threads in [1usize, 2, 4, 8] {
-        let mut values = Vec::new();
-        let mut io = IoStats::default();
-        for (i, &algorithm) in algos.iter().enumerate() {
-            paged.cold_start();
-            let engine =
-                QueryEngine::new(&paged, &points).with_io_counters(&counters).with_threads(threads);
-            let workload = QueryWorkload::uniform(algorithm, 1, query_nodes.iter().copied());
-            let start = std::time::Instant::now();
-            let batch = engine.run_batch(&workload);
-            let seconds = start.elapsed().as_secs_f64().max(1e-9);
-            assert_eq!(
-                batch.results, reference[i],
-                "{algorithm} at {threads} threads on the paged backend must reproduce the \
-                 in-memory results"
-            );
-            io += batch.aggregate_io;
-            let qps = workload.len() as f64 / seconds;
-            if threads == 1 {
-                baseline_qps[i] = qps;
-            }
-            values.push(qps);
-            values.push(qps / baseline_qps[i]);
-        }
-        values.push(io.hit_ratio());
-        report.push_row(format!("{threads}"), values);
+        report.push_row(format!("{capacity_k}"), update_values(&ins, &del));
     }
     report
 }
@@ -603,7 +431,7 @@ pub fn paged_scaling(scale: Scale) -> Report {
 /// Am. The remaining bursts are longer than the pool, which flushes the hot
 /// set out of any recency-based policy every round, while 2Q's Am (which
 /// single-access scan pages never enter) keeps it resident.
-fn scan_thrash(graph: &rnn_graph::Graph, policy: EvictionPolicy) -> (u64, f64) {
+fn scan_thrash(graph: &Graph, policy: EvictionPolicy) -> (u64, f64) {
     let probe = PagedGraph::build_with(graph, LayoutStrategy::BfsLocality, 1, IoCounters::new())
         .expect("paged graph");
     let pages = probe.num_pages();
@@ -816,11 +644,31 @@ pub fn paging(scale: Scale) -> Report {
     report
 }
 
-/// Hub-label index: construction cost, label size and label-vs-expansion
-/// query latency on grid and BRITE graphs (in-memory backend).
+/// One in-memory query per node of `queries`, on a shared scratch.
+fn run_all(
+    algorithm: Algorithm,
+    graph: &Graph,
+    points: &NodePointSet,
+    pre: Precomputed<'_>,
+    queries: &[NodeId],
+    scratch: &mut Scratch,
+) -> Vec<RknnOutcome> {
+    queries.iter().map(|&q| run_rknn_with(algorithm, graph, points, pre, q, 1, scratch)).collect()
+}
+
+/// `count` summed over `outcomes`, per query.
+fn per_query(outcomes: &[RknnOutcome], count: impl Fn(&RknnOutcome) -> u64) -> f64 {
+    per(outcomes.iter().map(count).sum(), outcomes.len())
+}
+
+const MIB: f64 = 1024.0 * 1024.0;
+
+/// Hub-label index: label size, and what a label-served query scans against
+/// what eager's expansion settles, on grid and BRITE graphs (in-memory
+/// backend).
 ///
-/// Not a figure of the paper: this measures the preprocessing/latency trade
-/// the `rnn-index` subsystem makes. Every hub-label result set is asserted
+/// Not a figure of the paper: this measures the preprocessing/work trade the
+/// `rnn-index` subsystem makes. Every hub-label result set is asserted
 /// byte-identical to eager's before any number is reported.
 pub fn index(scale: Scale) -> Report {
     let grid_nodes = scale.pick(2_500, 10_000);
@@ -830,12 +678,13 @@ pub fn index(scale: Scale) -> Report {
         "hub-label index vs eager expansion (in-memory backend, D=0.01, k=1)",
         "graph",
         vec![
-            "build(s)".into(),
             "hubs/node".into(),
             "label MiB".into(),
-            "HL q/s".into(),
-            "E q/s".into(),
-            "HL speedup".into(),
+            "HL label scans".into(),
+            "HL bucket scans".into(),
+            "E settled".into(),
+            "E aux settled".into(),
+            "results".into(),
         ],
     );
 
@@ -856,323 +705,112 @@ pub fn index(scale: Scale) -> Report {
     for (label, graph) in instances {
         let points = place_points_on_nodes(&graph, 0.01, SEED + 1);
         let queries = sample_node_queries(&points, scale.queries(), SEED + 2);
-
-        let start = std::time::Instant::now();
         let hub_index = HubLabelIndex::build(&graph, &points);
-        let build_seconds = start.elapsed().as_secs_f64();
         let stats = hub_index.labeling().stats();
 
         let mut scratch = Scratch::new();
         let pre = Precomputed::hub_labels(&hub_index);
-        let start = std::time::Instant::now();
-        let label_results: Vec<_> = queries
-            .iter()
-            .map(|&q| run_rknn_with(Algorithm::HubLabel, &graph, &points, pre, q, 1, &mut scratch))
-            .collect();
-        let label_seconds = start.elapsed().as_secs_f64().max(1e-9);
-
-        let start = std::time::Instant::now();
-        let eager_results: Vec<_> = queries
-            .iter()
-            .map(|&q| {
-                run_rknn_with(
-                    Algorithm::Eager,
-                    &graph,
-                    &points,
-                    Precomputed::none(),
-                    q,
-                    1,
-                    &mut scratch,
-                )
-            })
-            .collect();
-        let eager_seconds = start.elapsed().as_secs_f64().max(1e-9);
-
-        for (hl, e) in label_results.iter().zip(&eager_results) {
+        let labelled = run_all(Algorithm::HubLabel, &graph, &points, pre, &queries, &mut scratch);
+        let eager =
+            run_all(Algorithm::Eager, &graph, &points, Precomputed::none(), &queries, &mut scratch);
+        for (hl, e) in labelled.iter().zip(&eager) {
             assert_eq!(hl.points, e.points, "{label}: hub-label must reproduce eager's results");
         }
 
-        let n = queries.len() as f64;
         report.push_row(
             label,
             vec![
-                build_seconds,
                 stats.avg_label(),
-                stats.label_bytes() as f64 / (1024.0 * 1024.0),
-                n / label_seconds,
-                n / eager_seconds,
-                eager_seconds / label_seconds,
+                stats.label_bytes() as f64 / MIB,
+                per_query(&labelled, |o| o.stats.label_scans),
+                per_query(&labelled, |o| o.stats.bucket_scans),
+                per_query(&eager, |o| o.stats.nodes_settled),
+                per_query(&eager, |o| o.stats.auxiliary_settled),
+                per_query(&eager, |o| o.len() as u64),
             ],
         );
     }
     report
 }
 
-/// The hub-label construction pipeline: parallel build wall-time at 1, 2, 4
-/// and 8 threads, label size for the full-width and compressed layouts, and
-/// hub-label vs eager query throughput on the BRITE instance.
+/// The hub-label construction pipeline: label size and per-query scan work
+/// of the full-width layout and the two compressed ones (delta-varint ranks
+/// with exact or `f32` distances) on the BRITE instance.
 ///
 /// Not a figure of the paper: this measures the `rnn-index` preprocessing
-/// lever. Before any number is reported, every parallel build is asserted
-/// **identical** to the sequential one (level-synchronous construction makes
-/// the labeling a pure function of the graph, whatever the thread count),
-/// and the compressed tiers (delta-varint ranks with exact or `f32`
-/// distances) are asserted to reproduce the exact tier's and eager's RkNN
-/// result sets query for query. On a single-CPU runner the speedup column
-/// stays ~1.0x by construction — the determinism assertion is the point
-/// there; multi-core machines additionally see the build-time scaling.
+/// lever. Before any number is reported, the builds at 1, 2, 4 and 8 threads
+/// are asserted **identical** (level-synchronous construction makes the
+/// labeling a pure function of the graph, whatever the thread count), the
+/// `f32` tier is asserted to cut the label bytes by at least 40 %, and every
+/// tier is asserted to reproduce eager's RkNN result sets query for query.
 pub fn label_build(scale: Scale) -> Report {
     use rnn_index::LabelPrecision;
-    const MIB: f64 = 1024.0 * 1024.0;
 
     let nodes = scale.pick(2_000, 8_000);
     let graph = brite_topology(&BriteConfig { num_nodes: nodes, seed: SEED, ..Default::default() });
     let points = place_points_on_nodes(&graph, 0.01, SEED + 1);
     let queries = sample_node_queries(&points, scale.queries(), SEED + 2);
 
-    let start = std::time::Instant::now();
     let reference = HubLabelIndex::build(&graph, &points);
-    let sequential_seconds = start.elapsed().as_secs_f64().max(1e-9);
-    let stats = reference.labeling().stats();
-    let full_mib = stats.label_bytes() as f64 / MIB;
-
+    for threads in [2usize, 4, 8] {
+        assert!(
+            HubLabelIndex::build_with_threads(&graph, &points, threads) == reference,
+            "{threads}-thread build must be identical to the sequential build"
+        );
+    }
     let exact = reference.compressed(LabelPrecision::Exact);
-    let exact_mib = exact.labeling().stats().label_bytes() as f64 / MIB;
     let compact = reference.compressed(LabelPrecision::F32);
-    let compact_mib = compact.labeling().stats().label_bytes() as f64 / MIB;
-    let cut = 1.0 - compact_mib / full_mib;
+    let bytes = |tier: &HubLabelIndex| tier.labeling().stats().label_bytes() as f64;
+    let (full_bytes, compact_bytes) = (bytes(&reference), bytes(&compact));
     assert!(
-        cut >= 0.40,
+        compact_bytes <= 0.60 * full_bytes,
         "delta-rank + f32 labels must cut label_bytes() by at least 40% on BRITE \
-         (full {full_mib:.2} MiB, compressed {compact_mib:.2} MiB)"
+         (full {:.2} MiB, compressed {:.2} MiB)",
+        full_bytes / MIB,
+        compact_bytes / MIB
     );
-
-    // Query every tier against the eager oracle: compression must never
-    // change an answer (the f32 tier re-derives its point table from the
-    // rounded labeling, so both RkNN phases sum identically-rounded values).
-    let mut scratch = Scratch::new();
-    let mut tiers = [(&reference, 0.0f64), (&exact, 0.0), (&compact, 0.0)];
-    for (tier, seconds) in &mut tiers {
-        let pre = Precomputed::hub_labels(*tier);
-        let start = std::time::Instant::now();
-        let results: Vec<_> = queries
-            .iter()
-            .map(|&q| run_rknn_with(Algorithm::HubLabel, &graph, &points, pre, q, 1, &mut scratch))
-            .collect();
-        *seconds = start.elapsed().as_secs_f64().max(1e-9);
-        for (&q, r) in queries.iter().zip(&results) {
-            let e = run_rknn_with(
-                Algorithm::Eager,
-                &graph,
-                &points,
-                Precomputed::none(),
-                q,
-                1,
-                &mut scratch,
-            );
-            assert_eq!(r.points, e.points, "query {q:?}: every label tier must reproduce eager");
-        }
-    }
-    let start = std::time::Instant::now();
-    for &q in &queries {
-        run_rknn_with(Algorithm::Eager, &graph, &points, Precomputed::none(), q, 1, &mut scratch);
-    }
-    let eager_seconds = start.elapsed().as_secs_f64().max(1e-9);
-
-    let n = queries.len() as f64;
-    let hl_qps = n / tiers[0].1;
-    let eager_qps = n / eager_seconds;
 
     let mut report = Report::new(
         "Label build",
         format!(
-            "parallel + compressed hub-label pipeline (BRITE |V|={nodes}, D=0.01, k=1; \
-             every parallel build asserted identical to sequential, every compressed \
-             result set asserted equal to exact and eager; label storage: \
-             {full_mib:.2} MiB full, {exact_mib:.2} MiB delta-rank exact, \
-             {compact_mib:.2} MiB delta-rank f32 = {:.0}% cut)",
-            cut * 100.0
+            "parallel + compressed hub-label pipeline (BRITE |V|={nodes}, D=0.01, k=1; builds at \
+             1/2/4/8 threads asserted identical, every tier's result sets asserted equal to \
+             eager's)"
         ),
-        "threads",
+        "label tier",
         vec![
-            "build(s)".into(),
-            "speedup".into(),
             "hubs/node".into(),
-            "full MiB".into(),
-            "f32 MiB".into(),
+            "label MiB".into(),
             "cut %".into(),
-            "HL q/s".into(),
-            "E q/s".into(),
+            "label scans".into(),
+            "bucket scans".into(),
+            "results".into(),
         ],
     );
-    for threads in [1usize, 2, 4, 8] {
-        let start = std::time::Instant::now();
-        let built = HubLabelIndex::build_with_threads(&graph, &points, threads);
-        let build_seconds = start.elapsed().as_secs_f64().max(1e-9);
-        assert!(
-            built == reference,
-            "{threads}-thread build must be identical to the sequential build"
-        );
-        report.push_row(
-            format!("{threads}"),
-            vec![
-                build_seconds,
-                sequential_seconds / build_seconds,
-                stats.avg_label(),
-                full_mib,
-                compact_mib,
-                cut * 100.0,
-                hl_qps,
-                eager_qps,
-            ],
-        );
-    }
-    report
-}
-
-/// Online serving under open-loop load: a mixed-algorithm, mixed-priority
-/// request stream submitted to `rnn-server` in bursts at several offered
-/// arrival rates, reporting achieved throughput and the **per-class**
-/// queue-wait / service-time latency split (p50/p99 from the server's
-/// log-scale histograms).
-///
-/// Open loop means arrivals are paced by a clock, not by completions — the
-/// regime where queueing happens: below the capacity of the 2-worker pool
-/// the queue-wait percentiles stay near zero, at and above capacity they
-/// grow while service time stays flat, which is exactly the split the
-/// histograms exist to show. Every fourth request rides the batch class, so
-/// under overload the per-class columns show the QoS separation: interactive
-/// queue wait stays lower than batch queue wait while service times match.
-/// Arrivals come in bursts of 4 through `Server::submit_all` — one queue
-/// lock round-trip per burst, the intended pattern for bursty open-loop
-/// traffic. Offered rates are calibrated against the sequential execution
-/// of the same stream, so the rows land in the same load regimes on any
-/// machine. Every served result is asserted byte-identical to the
-/// sequential oracle before any number is reported — admission, queueing,
-/// priorities and worker scheduling must never change answers.
-pub fn serving(scale: Scale) -> Report {
-    use rnn_server::{BackpressurePolicy, Priority, Request, Server, ServerConfig, World};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    let nodes = scale.pick(10_000, 40_000);
-    let graph = Arc::new(grid_map(&GridConfig::with_nodes(nodes, 4.0, SEED)));
-    let points = Arc::new(place_points_on_nodes(&graph, 0.01, SEED + 1));
-    let query_nodes = sample_node_queries(&points, scale.pick(64, 200), SEED + 2);
-    let algos = [Algorithm::Eager, Algorithm::Lazy, Algorithm::LazyExtendedPruning];
-    let workers = 2;
-    const BURST: usize = 4;
-
-    // The mixed stream: algorithms round-robin over the query nodes; every
-    // fourth request is batch-class.
-    let priority_of = |i: usize| if i % 4 == 3 { Priority::Batch } else { Priority::Interactive };
-    let stream: Vec<(Algorithm, rnn_graph::NodeId)> =
-        query_nodes.iter().enumerate().map(|(i, &q)| (algos[i % algos.len()], q)).collect();
-    let batch_requests = (0..stream.len()).filter(|&i| priority_of(i) == Priority::Batch).count();
-
-    // Sequential oracle + capacity calibration (one thread, one scratch).
+    // Query every tier against the eager oracle: compression must never
+    // change an answer (the f32 tier re-derives its point table from the
+    // rounded labeling, so both RkNN phases sum identically-rounded values).
     let mut scratch = Scratch::new();
-    let started = Instant::now();
-    let oracle: Vec<_> = stream
-        .iter()
-        .map(|&(a, q)| run_rknn_with(a, &*graph, &*points, Precomputed::none(), q, 1, &mut scratch))
-        .collect();
-    let sequential_seconds = started.elapsed().as_secs_f64().max(1e-9);
-    let capacity_qps = stream.len() as f64 / sequential_seconds;
-
-    let mut report = Report::new(
-        "Serving",
-        format!(
-            "online serving under open-loop load (grid map, |V|={nodes}, D=0.01, k=1, \
-             {workers} workers, mixed E/L/LP stream of {} requests, {batch_requests} of them \
-             batch-class, submit_all bursts of {BURST}; offered rates relative to the \
-             {capacity_qps:.0} q/s sequential capacity)",
-            stream.len()
-        ),
-        "offered load",
-        vec![
-            "offered q/s".into(),
-            "served q/s".into(),
-            "int qwait p50(ms)".into(),
-            "int qwait p99(ms)".into(),
-            "int service p99(ms)".into(),
-            "bat qwait p50(ms)".into(),
-            "bat qwait p99(ms)".into(),
-            "bat service p99(ms)".into(),
-        ],
-    );
-
-    for (label, factor) in [("0.5x", 0.5), ("1x", 1.0), ("2x", 2.0)] {
-        let offered_qps = capacity_qps * factor;
-        let interarrival = Duration::from_secs_f64(1.0 / offered_qps);
-        let world = World::new(graph.clone(), points.clone());
-        let server = Server::start(
-            world,
-            ServerConfig::default()
-                .with_workers(workers)
-                .with_queue_capacity(stream.len().max(1))
-                .with_policy(BackpressurePolicy::Block),
-        );
-
-        // Open-loop arrivals in bursts: burst b (requests b*BURST..) is
-        // submitted at start + b*BURST * 1/rate through one submit_all
-        // call, regardless of how far the workers have gotten.
-        let started = Instant::now();
-        let mut tickets = Vec::with_capacity(stream.len());
-        for (b, chunk) in stream.chunks(BURST).enumerate() {
-            let due = started + interarrival * (b * BURST) as u32;
-            if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                std::thread::sleep(wait);
-            }
-            let burst: Vec<Request> = chunk
-                .iter()
-                .enumerate()
-                .map(|(j, &(a, q))| Request::new(a, q, 1).with_priority(priority_of(b * BURST + j)))
-                .collect();
-            for result in server.submit_all(&burst) {
-                tickets.push(result.expect("admitted under Block"));
-            }
+    let eager =
+        run_all(Algorithm::Eager, &graph, &points, Precomputed::none(), &queries, &mut scratch);
+    for (name, tier) in
+        [("full", &reference), ("delta-rank exact", &exact), ("delta-rank f32", &compact)]
+    {
+        let pre = Precomputed::hub_labels(tier);
+        let served = run_all(Algorithm::HubLabel, &graph, &points, pre, &queries, &mut scratch);
+        for ((&q, r), e) in queries.iter().zip(&served).zip(&eager) {
+            assert_eq!(r.points, e.points, "query {q:?}: the {name} tier must reproduce eager");
         }
-        for (i, (ticket, expected)) in tickets.into_iter().zip(&oracle).enumerate() {
-            let served = ticket.wait().expect("served");
-            assert_eq!(
-                served.outcome, *expected,
-                "request {i} ({label} load) must equal the sequential oracle"
-            );
-        }
-        let wall_seconds = started.elapsed().as_secs_f64().max(1e-9);
-        let stats = server.shutdown();
-        assert_eq!(stats.completed, stream.len() as u64, "{label}: everything served");
-        assert_eq!(stats.accounted(), stats.submitted, "{label}: nothing lost");
-        let interactive = stats.class(Priority::Interactive);
-        let batch = stats.class(Priority::Batch);
-        assert_eq!(batch.completed, batch_requests as u64, "{label}: batch class served");
-        assert_eq!(
-            interactive.completed,
-            (stream.len() - batch_requests) as u64,
-            "{label}: interactive class served"
-        );
-        for (class, s) in [("interactive", interactive), ("batch", batch)] {
-            assert_eq!(s.accounted(), s.submitted, "{label}/{class}: per-class conservation");
-            assert_eq!(
-                s.queue_wait.count(),
-                s.completed + s.shed_at_dequeue,
-                "{label}/{class}: queue-wait histogram covers completions + dequeue sheds"
-            );
-        }
-
-        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        let stats = tier.labeling().stats();
         report.push_row(
-            label.to_string(),
+            name,
             vec![
-                offered_qps,
-                stats.completed as f64 / wall_seconds,
-                ms(interactive.queue_wait.p50()),
-                ms(interactive.queue_wait.p99()),
-                ms(interactive.service.p99()),
-                ms(batch.queue_wait.p50()),
-                ms(batch.queue_wait.p99()),
-                ms(batch.service.p99()),
+                stats.avg_label(),
+                stats.label_bytes() as f64 / MIB,
+                (1.0 - stats.label_bytes() as f64 / full_bytes) * 100.0,
+                per_query(&served, |o| o.stats.label_scans),
+                per_query(&served, |o| o.stats.bucket_scans),
+                per_query(&served, |o| o.len() as u64),
             ],
         );
     }
@@ -1192,7 +830,10 @@ pub fn serving(scale: Scale) -> Report {
 /// and both exporters must render that snapshot byte-deterministically.
 /// Results are asserted byte-identical to a sequential oracle in every
 /// trial, so tracing can never change answers either.
-pub fn obs_overhead(scale: Scale) -> Report {
+///
+/// A drill, not a report: both readings are wall-clock throughput, so they
+/// are printed and asserted here and written nowhere.
+pub fn obs_overhead(scale: Scale) {
     use rnn_obs::{prometheus_text, report_json, MetricsRegistry, Phase};
     use rnn_server::{Request, Server, ServerConfig, World};
     use std::sync::Arc;
@@ -1294,22 +935,22 @@ pub fn obs_overhead(scale: Scale) -> Report {
          {untraced_best:.0} q/s"
     );
 
-    let mut report = Report::new(
-        "Obs overhead",
-        format!(
-            "serving throughput with full observability on vs. off (grid map, |V|={nodes}, \
-             D=0.02, k=2, {workers} workers, all {} algorithms x {} queries, interleaved \
-             best-of-{TRIALS}; traced best asserted within 5% of untraced best)",
-            Algorithm::ALL.len(),
-            query_nodes.len()
-        ),
-        "mode",
-        vec!["best q/s".into(), "worst q/s".into(), "vs untraced best".into()],
-    );
     let worst = |qps: &[f64]| qps.iter().copied().fold(f64::MAX, f64::min);
-    report.push_row("untraced", vec![untraced_best, worst(&untraced), 1.0]);
-    report.push_row("traced", vec![traced_best, worst(&traced), traced_best / untraced_best]);
-    report
+    println!(
+        "== Obs overhead — serving throughput with full observability on vs. off (grid map, \
+         |V|={nodes}, D=0.02, k=2, {workers} workers, all {} algorithms x {} queries, interleaved \
+         best-of-{TRIALS})",
+        Algorithm::ALL.len(),
+        query_nodes.len()
+    );
+    for (mode, qps) in [("untraced", &untraced), ("traced", &traced)] {
+        println!(
+            "{mode:>18}  best {:.0} q/s  worst {:.0} q/s  {:.3} of untraced best",
+            best(qps),
+            worst(qps),
+            best(qps) / untraced_best
+        );
+    }
 }
 
 /// SLO burn-rate detection latency: a calibrated overload burst through a
@@ -1331,7 +972,10 @@ pub fn obs_overhead(scale: Scale) -> Report {
 /// recorder must carry the critical and recovery transitions in order, and
 /// the Chrome-trace export of the slow-query spans plus those events must
 /// parse back as JSON.
-pub fn slo(scale: Scale) -> Report {
+///
+/// A drill, not a report: the latencies it prints are wall-clock and the
+/// states beside them are asserted here, so nothing is written.
+pub fn slo(scale: Scale) {
     use rnn_obs::{chrome_trace, JsonValue, LatencyHistogram};
     use rnn_server::{
         EventKind, MetricsRegistry, Priority, Request, Server, ServerConfig, SloSpec, SloState,
@@ -1399,26 +1043,12 @@ pub fn slo(scale: Scale) -> Report {
     );
     let engine = server.slo().expect("telemetry server carries an SLO engine");
 
-    let mut report = Report::new(
-        "SLO",
-        format!(
-            "burn-rate detection latency (grid map, |V|={nodes}, D=0.02, k=1, {workers} \
-             workers; p99 objective {:.1}ms = 32x the {:.0}us sequential mean, short/long \
-             windows 1/4 epochs, burns 5/10; overload burst of {burst_len} requests in one \
-             submit_all; critical within one epoch of the burst, ok again after — asserted)",
-            threshold_nanos / 1e6,
-            mean_nanos / 1e3,
-        ),
-        "phase",
-        vec![
-            "completed".into(),
-            "phase p99(ms)".into(),
-            "win4 p99(ms)".into(),
-            "cum p99(ms)".into(),
-            "state".into(),
-            "short burn".into(),
-            "long burn".into(),
-        ],
+    println!(
+        "== SLO — burn-rate detection latency (grid map, |V|={nodes}, D=0.02, k=1, {workers} \
+         workers; p99 objective {:.1}ms = 32x the {:.0}us sequential mean, short/long windows \
+         1/4 epochs, burns 5/10; overload burst of {burst_len} requests in one submit_all)",
+        threshold_nanos / 1e6,
+        mean_nanos / 1e3,
     );
 
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
@@ -1443,10 +1073,10 @@ pub fn slo(scale: Scale) -> Report {
         }
         h
     };
-    // Snapshot-derived row values; taken right after the phase's
+    // Snapshot-derived readings; taken right after the phase's
     // evaluate-then-advance so the burn/state gauges reflect the epoch that
     // just ended while the 4-epoch window view still contains it.
-    let phase_row = |phase: &LatencyHistogram| -> Vec<f64> {
+    let print_phase = |label: &str, phase: &LatencyHistogram| {
         let snap = registry.snapshot();
         let win = snap
             .histogram("rnn_server_latency_nanos_window{class=\"interactive\"}")
@@ -1455,15 +1085,17 @@ pub fn slo(scale: Scale) -> Report {
             .histogram("rnn_server_latency_nanos{class=\"interactive\"}")
             .expect("cumulative latency view");
         let gauge = |name: &str| snap.gauge(name).unwrap_or(0) as f64;
-        vec![
-            phase.count() as f64,
+        println!(
+            "{label:>18}  completed {:>6}  p99 {:.2}ms  win4 p99 {:.2}ms  cum p99 {:.2}ms  \
+             state {}  burn short {:.1} long {:.1}",
+            phase.count(),
             ms(phase.p99()),
             ms(win.p99()),
             ms(cum.p99()),
             gauge("rnn_slo_state{slo=\"interactive_p99\"}"),
             gauge("rnn_slo_burn_short_permille{slo=\"interactive_p99\"}") / 1000.0,
             gauge("rnn_slo_burn_long_permille{slo=\"interactive_p99\"}") / 1000.0,
-        ]
+        );
     };
 
     // Two healthy warmup epochs: the latency SLO must not read critical.
@@ -1475,7 +1107,7 @@ pub fn slo(scale: Scale) -> Report {
             "{label}: healthy closed-loop traffic must not read critical"
         );
         assert_ne!(engine.state(0), Some(SloState::Critical), "{label}: latency SLO");
-        report.push_row(label, phase_row(&h));
+        print_phase(label, &h);
     }
 
     // The overload burst: one submit_all, queue wait grows linearly through
@@ -1511,7 +1143,7 @@ pub fn slo(scale: Scale) -> Report {
         detected.long_burn
     );
     assert_eq!(engine.state(0), Some(SloState::Critical), "detection latency: one epoch");
-    report.push_row("overload", phase_row(&burst));
+    print_phase("overload", &burst);
 
     // Recovery: four healthy epochs (one long window). The short window
     // clears immediately, so the state must leave critical at the first
@@ -1528,7 +1160,7 @@ pub fn slo(scale: Scale) -> Report {
                 "one healthy epoch must clear the short window and leave critical"
             );
         }
-        report.push_row(*label, phase_row(&h));
+        print_phase(label, &h);
     }
     assert_eq!(engine.state(0), Some(SloState::Ok), "recovered to ok after the burst");
     assert_eq!(engine.state(1), Some(SloState::Ok), "Block never drops: ratio SLO stays ok");
@@ -1589,61 +1221,43 @@ pub fn slo(scale: Scale) -> Report {
     };
     assert_eq!(instants("slo_transition"), slo_events.len(), "transitions render as instants");
     assert!(instants("slow_query") > 0 && spans.len() > slow.worst.len());
-
-    report
 }
 
-/// All experiment ids: the paper's tables and figures, then the serving
-/// experiments added on top.
-pub const ALL_EXPERIMENTS: [&str; 20] = [
-    "table1",
-    "table2",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "fig19",
-    "fig20a",
-    "fig20b",
-    "fig21",
-    "fig22a",
-    "fig22b",
-    "throughput",
-    "paged-scaling",
-    "paging",
-    "index",
-    "label-build",
-    "serving",
-    "obs-overhead",
-    "slo",
+/// How the `repro` binary runs an experiment.
+#[derive(Clone, Copy)]
+pub enum Experiment {
+    /// Counts only: printed, and written as `BENCH_<name>.json` under `--json`.
+    Report(fn(Scale) -> Report),
+    /// Asserts a timing relation on this machine and prints its readings;
+    /// leaves no artifact, since no column of it would repeat.
+    Drill(fn(Scale)),
+}
+
+/// Every experiment by id: the paper's tables and figures, the three count
+/// reports added on top, then the two drills.
+pub const EXPERIMENTS: [(&str, Experiment); 17] = [
+    ("table1", Experiment::Report(table1_adhoc)),
+    ("table2", Experiment::Report(table2_density)),
+    ("fig15", Experiment::Report(fig15_brite_size)),
+    ("fig16", Experiment::Report(fig16_brite_density)),
+    ("fig17", Experiment::Report(fig17_sf_density)),
+    ("fig18", Experiment::Report(fig18_sf_k)),
+    ("fig19", Experiment::Report(fig19_continuous)),
+    ("fig20a", Experiment::Report(fig20a_grid_size)),
+    ("fig20b", Experiment::Report(fig20b_grid_degree)),
+    ("fig21", Experiment::Report(fig21_buffer)),
+    ("fig22a", Experiment::Report(fig22a_update_density)),
+    ("fig22b", Experiment::Report(fig22b_update_k)),
+    ("paging", Experiment::Report(paging)),
+    ("index", Experiment::Report(index)),
+    ("label-build", Experiment::Report(label_build)),
+    ("obs-overhead", Experiment::Drill(obs_overhead)),
+    ("slo", Experiment::Drill(slo)),
 ];
 
-/// Runs one experiment by id. Returns `None` for an unknown id.
-pub fn run_by_name(name: &str, scale: Scale) -> Option<Report> {
-    let report = match name {
-        "table1" => table1_adhoc(scale),
-        "table2" => table2_density(scale),
-        "fig15" => fig15_brite_size(scale),
-        "fig16" => fig16_brite_density(scale),
-        "fig17" => fig17_sf_density(scale),
-        "fig18" => fig18_sf_k(scale),
-        "fig19" => fig19_continuous(scale),
-        "fig20a" => fig20a_grid_size(scale),
-        "fig20b" => fig20b_grid_degree(scale),
-        "fig21" => fig21_buffer(scale),
-        "fig22a" => fig22a_update_density(scale),
-        "fig22b" => fig22b_update_k(scale),
-        "throughput" => throughput(scale),
-        "paged-scaling" => paged_scaling(scale),
-        "paging" => paging(scale),
-        "index" => index(scale),
-        "label-build" => label_build(scale),
-        "serving" => serving(scale),
-        "obs-overhead" => obs_overhead(scale),
-        "slo" => slo(scale),
-        _ => return None,
-    };
-    Some(report)
+/// Looks an [`EXPERIMENTS`] entry up by id.
+pub fn experiment(name: &str) -> Option<(&'static str, Experiment)> {
+    EXPERIMENTS.iter().find(|(id, _)| *id == name).copied()
 }
 
 #[cfg(test)]
@@ -1652,10 +1266,10 @@ mod tests {
 
     #[test]
     fn experiment_registry_is_complete() {
-        for name in ALL_EXPERIMENTS {
-            // only check registration here; the cheap ones are exercised in
-            // the integration tests and the full set by the repro binary.
-            assert!([
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        assert_eq!(
+            names,
+            [
                 "table1",
                 "table2",
                 "fig15",
@@ -1668,36 +1282,50 @@ mod tests {
                 "fig21",
                 "fig22a",
                 "fig22b",
-                "throughput",
-                "paged-scaling",
                 "paging",
                 "index",
                 "label-build",
-                "serving",
                 "obs-overhead",
                 "slo"
             ]
-            .contains(&name));
+        );
+        // Only the two timing drills go without an artifact.
+        for (name, e) in EXPERIMENTS {
+            let drill = matches!(e, Experiment::Drill(_));
+            assert_eq!(drill, name == "obs-overhead" || name == "slo", "{name}");
+            assert!(experiment(name).is_some());
         }
-        assert!(run_by_name("nonsense", Scale::Quick).is_none());
+        assert!(experiment("nonsense").is_none());
+        assert!(experiment("throughput").is_none(), "timed by benchmark/ now");
+    }
+
+    /// The gate on the committed `BENCH_*.json` is exact equality, so a
+    /// report must be a pure function of the commit: no clock, no
+    /// thread-dependent count, no unordered iteration.
+    #[test]
+    fn a_report_renders_byte_identically_twice() {
+        let first = fig22a_update_density(Scale::Quick).to_json();
+        assert_eq!(first, fig22a_update_density(Scale::Quick).to_json());
     }
 
     #[test]
     fn table2_produces_one_row_per_density_with_sane_values() {
         let report = table2_density(Scale::Quick);
         assert_eq!(report.rows.len(), 4);
-        assert_eq!(report.columns.len(), 6);
+        assert_eq!(report.columns.len(), 2 * Measurement::COLUMNS.len());
         for (label, values) in &report.rows {
             assert!(!label.is_empty());
             for v in values {
                 assert!(v.is_finite() && *v >= 0.0);
             }
         }
-        // higher density means cheaper queries: the eager cost column must not
-        // increase from the lowest to the highest density
-        let cost_col = report.column_index("E cost(s)").unwrap();
-        let first = report.value(0, cost_col).unwrap();
-        let last = report.value(3, cost_col).unwrap();
-        assert!(last <= first * 1.5, "density 0.1 should not be much costlier than 0.0125");
+        // higher density means cheaper queries: what eager settles per query
+        // must not increase from the lowest to the highest density
+        for column in ["E settled", "E aux settled"] {
+            let col = report.column_index(column).unwrap();
+            let first = report.value(0, col).unwrap();
+            let last = report.value(3, col).unwrap();
+            assert!(last <= first, "{column}: density 0.1 must not cost more than 0.0125");
+        }
     }
 }

@@ -1,16 +1,16 @@
-//! Measurement utilities shared by the experiments and the criterion benches.
+//! Measurement utilities of the experiments. Nothing here reads a clock: a
+//! measurement is the page I/O and the work counters every query already
+//! returns, so two runs of one commit — on any machine — measure the same.
 
-use rnn_core::cost::{AverageCost, CostModel, QueryCost};
 use rnn_core::materialize::MaterializedKnn;
 use rnn_core::unrestricted::{
     transform_to_restricted, unrestricted_eager_rknn, unrestricted_lazy_rknn,
     unrestricted_naive_rknn,
 };
-use rnn_core::{run_rknn, Algorithm, Precomputed};
+use rnn_core::{run_rknn, Algorithm, Precomputed, QueryStats, RknnOutcome};
 use rnn_graph::{EdgePointSet, Graph, NodeId, NodePointSet, PointId, Route};
 use rnn_index::HubLabelIndex;
 use rnn_storage::{BufferPoolConfig, IoCounters, IoStats, LayoutStrategy, PagedGraph};
-use std::time::{Duration, Instant};
 
 /// Experiment scale: laptop-friendly or the paper's cardinalities.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -86,37 +86,60 @@ impl Workload {
     }
 }
 
-/// The averaged outcome of running one algorithm over a workload.
+/// What running one algorithm over a workload counted, summed over its
+/// queries.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Measurement {
     /// The algorithm that was measured.
     pub algorithm: Algorithm,
-    /// Per-query averages (CPU seconds, buffer faults, page accesses).
-    pub avg: AverageCost,
-    /// Average result cardinality.
-    pub avg_result_size: f64,
+    /// Number of queries (or routes) the sums below cover.
+    pub queries: usize,
+    /// Page accesses, buffer faults and evictions of the whole workload.
+    pub io: IoStats,
+    /// Summed work counters of the queries.
+    pub stats: QueryStats,
+    /// Summed result cardinality.
+    pub results: usize,
 }
 
 impl Measurement {
-    /// Combined cost in seconds under the paper's 10 ms/fault model.
-    pub fn total_seconds(&self) -> f64 {
-        self.avg.total_seconds(&CostModel::default())
+    /// Names of the per-query columns [`Measurement::values`] fills, in order.
+    pub const COLUMNS: [&'static str; 6] =
+        ["faults", "accesses", "settled", "aux settled", "verifs", "results"];
+
+    fn new(algorithm: Algorithm, queries: usize) -> Self {
+        Measurement {
+            algorithm,
+            queries,
+            io: IoStats::default(),
+            stats: QueryStats::default(),
+            results: 0,
+        }
+    }
+
+    fn record(&mut self, outcome: &RknnOutcome) {
+        self.stats += &outcome.stats;
+        self.results += outcome.len();
+    }
+
+    /// Per-query averages in [`Measurement::COLUMNS`] order: buffer faults
+    /// (the paper's I/O cost), page accesses, nodes settled by the main and by
+    /// the auxiliary expansions, verification queries and result size.
+    pub fn values(&self) -> [f64; 6] {
+        [
+            per(self.io.faults, self.queries),
+            per(self.io.accesses, self.queries),
+            per(self.stats.nodes_settled, self.queries),
+            per(self.stats.auxiliary_settled, self.queries),
+            per(self.stats.verifications, self.queries),
+            per(self.results as u64, self.queries),
+        ]
     }
 }
 
-fn finish(
-    algorithm: Algorithm,
-    cpu: Duration,
-    io: IoStats,
-    result_total: usize,
-    queries: usize,
-) -> Measurement {
-    let cost = QueryCost::new(cpu, io);
-    Measurement {
-        algorithm,
-        avg: cost.averaged_over(queries),
-        avg_result_size: result_total as f64 / queries.max(1) as f64,
-    }
+/// `total` averaged over `operations` (an empty workload averages to the total).
+pub(crate) fn per(total: u64, operations: usize) -> f64 {
+    total as f64 / operations.max(1) as f64
 }
 
 /// Measures one algorithm over a restricted workload. The buffer is cold at
@@ -146,18 +169,15 @@ pub fn measure_restricted(
     if let Some(t) = table {
         t.reset_io();
     }
-    let mut result_total = 0usize;
-    let start = Instant::now();
+    let mut m = Measurement::new(algorithm, workload.queries.len());
     for &q in &workload.queries {
-        let out = run_rknn(algorithm, &workload.paged, &workload.points, pre, q, k);
-        result_total += out.len();
+        m.record(&run_rknn(algorithm, &workload.paged, &workload.points, pre, q, k));
     }
-    let cpu = start.elapsed();
-    let mut io = workload.paged.io_stats();
+    m.io = workload.paged.io_stats();
     if let Some(t) = table {
-        io += t.io_stats();
+        m.io += t.io_stats();
     }
-    finish(algorithm, cpu, io, result_total, workload.queries.len())
+    m
 }
 
 /// An unrestricted workload: the spatial graph, data points on its edges and
@@ -206,8 +226,7 @@ pub fn measure_unrestricted(
     match algorithm {
         Algorithm::Eager | Algorithm::Lazy | Algorithm::Naive => {
             workload.paged.cold_start();
-            let mut result_total = 0usize;
-            let start = Instant::now();
+            let mut m = Measurement::new(algorithm, workload.queries.len());
             for &q in &workload.queries {
                 let (paged, points) = (&workload.paged, &workload.points);
                 let query = points.position(q);
@@ -221,10 +240,10 @@ pub fn measure_unrestricted(
                         unreachable!("handled by the transform branch of the outer match")
                     }
                 };
-                result_total += out.len();
+                m.record(&out);
             }
-            let cpu = start.elapsed();
-            finish(algorithm, cpu, workload.paged.io_stats(), result_total, workload.queries.len())
+            m.io = workload.paged.io_stats();
+            m
         }
         Algorithm::EagerMaterialized | Algorithm::LazyExtendedPruning | Algorithm::HubLabel => {
             // Transform to a restricted instance and measure there.
@@ -262,8 +281,7 @@ pub fn measure_continuous(
     k: usize,
 ) -> Measurement {
     paged.cold_start();
-    let mut result_total = 0usize;
-    let start = Instant::now();
+    let mut m = Measurement::new(algorithm, routes.len());
     for route in routes {
         let out = match algorithm {
             Algorithm::Eager => {
@@ -281,46 +299,66 @@ pub fn measure_continuous(
                 panic!("continuous measurement supports eager / lazy / naive, not {algorithm}")
             }
         };
-        result_total += out.len();
+        m.record(&out);
     }
-    let cpu = start.elapsed();
-    finish(algorithm, cpu, paged.io_stats(), result_total, routes.len())
+    m.io = paged.io_stats();
+    m
 }
 
-/// Measures the maintenance cost of the materialized k-NN table: the average
-/// cost of an insertion and of a deletion, in the same units as queries.
+/// What one kind of table update (insertion or deletion) counted, summed
+/// over the updates.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct UpdateMeasurement {
+    /// Number of updates the sums below cover.
+    pub updates: usize,
+    /// Page I/O of the graph and of the table's own pages.
+    pub io: IoStats,
+    /// Nodes the update expansions examined.
+    pub nodes_visited: u64,
+    /// Nodes whose materialized list was modified.
+    pub lists_changed: u64,
+}
+
+impl UpdateMeasurement {
+    /// Names of the per-update columns [`UpdateMeasurement::values`] fills.
+    pub const COLUMNS: [&'static str; 4] = ["faults", "accesses", "visited", "changed"];
+
+    /// Per-update averages in [`UpdateMeasurement::COLUMNS`] order.
+    pub fn values(&self) -> [f64; 4] {
+        [
+            per(self.io.faults, self.updates),
+            per(self.io.accesses, self.updates),
+            per(self.nodes_visited, self.updates),
+            per(self.lists_changed, self.updates),
+        ]
+    }
+}
+
+/// Measures the maintenance of the materialized k-NN table: what the
+/// insertions and then the deletions cost, each from a cold buffer.
 pub fn measure_updates(
     paged: &PagedGraph,
     points: &NodePointSet,
     capacity_k: usize,
     insert_nodes: &[NodeId],
     delete_nodes: &[NodeId],
-) -> (AverageCost, AverageCost) {
+) -> (UpdateMeasurement, UpdateMeasurement) {
     let mut table = MaterializedKnn::build(paged, points, capacity_k);
-
-    paged.cold_start();
-    table.reset_io();
-    let start = Instant::now();
-    for &n in insert_nodes {
-        table.insert_point(paged, n);
-    }
-    let cpu = start.elapsed();
-    let mut io = paged.io_stats();
-    io += table.io_stats();
-    let inserts = QueryCost::new(cpu, io).averaged_over(insert_nodes.len());
-
-    paged.cold_start();
-    table.reset_io();
-    let start = Instant::now();
-    for &n in delete_nodes {
-        table.delete_point(paged, n);
-    }
-    let cpu = start.elapsed();
-    let mut io = paged.io_stats();
-    io += table.io_stats();
-    let deletes = QueryCost::new(cpu, io).averaged_over(delete_nodes.len());
-
-    (inserts, deletes)
+    let mut measure = |nodes: &[NodeId], insert: bool| {
+        paged.cold_start();
+        table.reset_io();
+        let mut m = UpdateMeasurement { updates: nodes.len(), ..Default::default() };
+        for &n in nodes {
+            let stats =
+                if insert { table.insert_point(paged, n) } else { table.delete_point(paged, n) };
+            m.nodes_visited += stats.nodes_visited;
+            m.lists_changed += stats.lists_changed;
+        }
+        m.io = paged.io_stats();
+        m.io += table.io_stats();
+        m
+    };
+    (measure(insert_nodes, true), measure(delete_nodes, false))
 }
 
 #[cfg(test)]
@@ -343,19 +381,26 @@ mod tests {
         for algo in Algorithm::ALL {
             let m = measure_restricted(algo, &w, Some(&table), 1);
             assert_eq!(m.algorithm, algo);
+            assert_eq!(m.queries, w.queries.len());
             if algo.needs_hub_labels() {
                 // Label-served queries never touch the paged graph; their
                 // index construction I/O happens before the cold start.
-                assert_eq!(m.avg.accesses, 0.0, "{algo} must answer without page accesses");
+                assert_eq!(m.io.accesses, 0, "{algo} must answer without page accesses");
+                assert!(m.stats.label_scans > 0, "{algo} must scan labels");
             } else {
-                assert!(m.avg.accesses > 0.0, "{algo} must access pages");
+                assert!(m.io.accesses > 0, "{algo} must access pages");
+                assert!(m.io.faults > 0, "{algo} starts on a cold buffer");
+                assert!(m.stats.nodes_settled > 0, "{algo} must expand");
             }
-            assert!(m.total_seconds() >= 0.0);
-            sizes.push(m.avg_result_size);
+            assert_eq!(m.values()[1], m.io.accesses as f64 / m.queries as f64);
+            sizes.push(m.results);
         }
         for s in &sizes {
             assert_eq!(*s, sizes[0], "every algorithm reports the same result sizes");
         }
+        // Averaging over no queries is guarded: zeros, not NaN.
+        let empty = Workload::new(w.graph.clone(), w.points.clone(), Vec::new());
+        assert_eq!(measure_restricted(Algorithm::Eager, &empty, None, 1).values(), [0.0; 6]);
     }
 
     #[test]
@@ -378,7 +423,11 @@ mod tests {
             .collect();
         let deletes: Vec<NodeId> = w.points.nodes().iter().take(3).copied().collect();
         let (ins, del) = measure_updates(&w.paged, &w.points, 2, &inserts, &deletes);
-        assert!(ins.accesses > 0.0);
-        assert!(del.accesses > 0.0);
+        assert_eq!((ins.updates, del.updates), (inserts.len(), deletes.len()));
+        for m in [ins, del] {
+            assert!(m.io.accesses > 0 && m.io.faults > 0, "every update pass starts cold");
+            assert!(m.nodes_visited > 0 && m.lists_changed > 0);
+            assert!(m.values().iter().all(|v| *v > 0.0));
+        }
     }
 }

@@ -51,8 +51,8 @@ impl Report {
         self.columns.iter().position(|c| c == name)
     }
 
-    /// Renders the report as machine-readable JSON — the cross-PR perf
-    /// trajectory format (`BENCH_<experiment>.json`). Hand-rolled because
+    /// Renders the report as machine-readable JSON — the format of the
+    /// committed `BENCH_<experiment>.json` files. Hand-rolled because
     /// the workspace's serde is a vendored marker stub: the grammar here is
     /// a flat object with a `schema` tag, so downstream tooling can evolve
     /// it without guessing. Non-finite values serialize as `null` (JSON has
@@ -84,27 +84,6 @@ impl Report {
             out.push_str(if r + 1 < self.rows.len() { "]},\n" } else { "]}\n" });
         }
         out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Renders the report as a Markdown table (used by EXPERIMENTS.md).
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("### {} — {}\n\n", self.id, self.title));
-        out.push_str(&format!("| {} |", self.x_label));
-        for c in &self.columns {
-            out.push_str(&format!(" {c} |"));
-        }
-        out.push('\n');
-        out.push_str(&format!("|{}", "---|".repeat(self.columns.len() + 1)));
-        out.push('\n');
-        for (label, values) in &self.rows {
-            out.push_str(&format!("| {label} |"));
-            for v in values {
-                out.push_str(&format!(" {} |", format_value(*v)));
-            }
-            out.push('\n');
-        }
         out
     }
 }
@@ -187,29 +166,25 @@ mod tests {
         assert!(text.contains("Fig X"));
         assert!(text.contains("eager"));
         assert!(text.contains("1234"));
-
-        let md = r.to_markdown();
-        assert!(md.starts_with("### Fig X"));
-        assert!(md.contains("| 0.01 | 1.50 | 1234 |"));
-        assert!(md.contains("| 0.1 | 0.2500 | 0 |"));
+        assert!(text.contains("1.50") && text.contains("0.2500"), "magnitude-scaled precision");
     }
 
     #[test]
     fn json_rendering_is_well_formed_and_guards_non_finite() {
         let mut r = Report::new(
-            "serving",
-            "open-loop \"QoS\"",
-            "offered",
-            vec!["qps".into(), "p99".into()],
+            "paging",
+            "a \"quoted\" title",
+            "policy",
+            vec!["faults".into(), "hit rate".into()],
         );
-        r.push_row("0.5x", vec![123.25, f64::NAN]);
-        r.push_row("1x", vec![0.5, f64::INFINITY]);
+        r.push_row("lru", vec![123.25, f64::NAN]);
+        r.push_row("2q", vec![0.5, f64::INFINITY]);
         let json = r.to_json();
         assert!(json.contains("\"schema\": \"rnn-bench-report/v1\""));
-        assert!(json.contains("\"title\": \"open-loop \\\"QoS\\\"\""), "quotes escaped");
-        assert!(json.contains("\"columns\": [\"qps\", \"p99\"]"));
-        assert!(json.contains("{\"label\": \"0.5x\", \"values\": [123.25, null]}"));
-        assert!(json.contains("{\"label\": \"1x\", \"values\": [0.5, null]}"));
+        assert!(json.contains("\"title\": \"a \\\"quoted\\\" title\""), "quotes escaped");
+        assert!(json.contains("\"columns\": [\"faults\", \"hit rate\"]"));
+        assert!(json.contains("{\"label\": \"lru\", \"values\": [123.25, null]}"));
+        assert!(json.contains("{\"label\": \"2q\", \"values\": [0.5, null]}"));
         // Structurally balanced (cheap well-formedness check without a
         // parser dependency).
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -54,9 +54,12 @@ impl CacheStats {
     }
 
     /// The difference `self - earlier`, for per-batch deltas of cumulative
-    /// counters.
+    /// counters; saturates at zero like [`rnn_storage::IoStats::since`].
     pub fn since(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats { hits: self.hits - earlier.hits, misses: self.misses - earlier.misses }
+        CacheStats {
+            hits: self.hits.saturating_sub(earlier.hits),
+            misses: self.misses.saturating_sub(earlier.misses),
+        }
     }
 }
 
@@ -190,6 +193,7 @@ mod tests {
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
         let earlier = CacheStats { hits: 1, misses: 1 };
         assert_eq!(s.since(&earlier), CacheStats { hits: 2, misses: 0 });
+        assert_eq!(earlier.since(&s), CacheStats::default(), "saturates, never wraps");
         s += CacheStats { hits: 1, misses: 2 };
         assert_eq!(s, CacheStats { hits: 4, misses: 3 });
         let mut by_ref = CacheStats::default();

@@ -1143,6 +1143,51 @@ mod tests {
         assert_eq!(counters.snapshot().accesses, 4 * after_one.accesses);
     }
 
+    /// `PagedGraph::cold_start` takes `&self`, so it can land between the two
+    /// counter snapshots the engine diffs per query and per batch. The diffs
+    /// must then read as "no more than what was counted", not panic (debug)
+    /// or wrap to ~2^64 (release).
+    #[test]
+    fn a_counter_reset_between_the_engines_two_snapshots_saturates() {
+        /// Cold-starts the paged graph after its first adjacency fetch.
+        struct ResetAfterFirstFetch<'a> {
+            paged: &'a PagedGraph,
+            armed: std::sync::atomic::AtomicBool,
+        }
+        impl Topology for ResetAfterFirstFetch<'_> {
+            fn num_nodes(&self) -> usize {
+                self.paged.num_nodes()
+            }
+            fn visit_neighbors(&self, node: NodeId, visit: &mut dyn FnMut(rnn_graph::Neighbor)) {
+                self.paged.visit_neighbors(node, visit);
+                if self.armed.swap(false, Ordering::Relaxed) {
+                    self.paged.cold_start();
+                }
+            }
+        }
+
+        let (g, pts, _) = setup();
+        let paged =
+            PagedGraph::build_with(&g, LayoutStrategy::BfsLocality, 8, IoCounters::new()).unwrap();
+        let counters = paged.counters().clone();
+        let workload = Workload::uniform(Algorithm::Lazy, 1, pts.nodes().iter().copied());
+        // Warm-up on this thread: both the merged and this thread's own
+        // counters now stand far above what one query adds.
+        let warm = QueryEngine::new(&paged, &pts).with_io_counters(&counters).run_batch(&workload);
+        assert!(warm.aggregate_io.accesses > 0);
+
+        let resetting =
+            ResetAfterFirstFetch { paged: &paged, armed: std::sync::atomic::AtomicBool::new(true) };
+        let one = Workload::uniform(Algorithm::Lazy, 1, pts.nodes().iter().copied().take(1));
+        let batch = QueryEngine::new(&resetting, &pts).with_io_counters(&counters).run_batch(&one);
+        assert_eq!(batch.results[0], warm.results[0], "the reset never changes an answer");
+        let counted = counters.snapshot();
+        assert!(counted.accesses < warm.aggregate_io.accesses, "the reset landed mid-query");
+        assert!(batch.io[0].accesses <= counted.accesses, "per-query diff saturates");
+        assert!(batch.aggregate_io.accesses <= counted.accesses, "per-batch diff saturates");
+        assert!(batch.aggregate_io.faults <= counted.faults);
+    }
+
     /// The scratch-reuse acceptance test: after the first (warm-up) query,
     /// repeated queries create no new buffers — every checkout is an arena
     /// reset of a pooled buffer.

@@ -89,7 +89,6 @@
 pub mod bichromatic;
 pub mod cache;
 pub mod continuous;
-pub mod cost;
 pub mod dispatch;
 pub mod eager;
 pub mod engine;
@@ -109,7 +108,6 @@ pub mod unrestricted;
 pub mod verify;
 
 pub use cache::CacheStats;
-pub use cost::{CostModel, QueryCost};
 pub use dispatch::{run_rknn, run_rknn_with, Algorithm};
 pub use engine::{
     BatchOutcome, QueryEngine, QuerySpec, RknnAlgorithm, SharedResultCache, Workload,

@@ -8,8 +8,8 @@ use std::ops::AddAssign;
 ///
 /// These are *algorithmic* counters (heap operations, expanded nodes,
 /// auxiliary queries); the I/O page counters live in
-/// [`rnn_storage::IoStats`] and the wall-clock CPU time is measured by the
-/// benchmark harness.
+/// [`rnn_storage::IoStats`] and wall-clock time is measured by the
+/// standalone benchmark (`benchmark/`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueryStats {
     /// Nodes settled (de-heaped with their final distance) by the main

@@ -155,7 +155,7 @@ fn json_number(v: f64) -> String {
 
 /// Renders the snapshot as `rnn-bench-report/v1` JSON — the exact grammar
 /// `repro --json` emits for experiments, so one toolchain consumes both the
-/// perf-trajectory files and scraped metrics. Counters and gauges become
+/// committed `BENCH_*.json` and scraped metrics. Counters and gauges become
 /// one row each; a histogram becomes one row with the summary columns
 /// filled (count, sum, mean, p50, p90, p99, p99.9, min, max — all in
 /// nanoseconds) and plain values leave them `null`.

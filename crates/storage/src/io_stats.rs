@@ -72,12 +72,15 @@ impl IoStats {
     }
 
     /// The difference `self - earlier`, used to attribute I/O to a single
-    /// query inside a longer workload.
+    /// query inside a longer workload. Saturates at zero: the counters can be
+    /// reset through `&self` ([`IoCounters::reset`], `PagedGraph::cold_start`)
+    /// between the two snapshots, and a reset must read as "nothing since",
+    /// not as a panic or a wrapped difference.
     pub fn since(&self, earlier: &IoStats) -> IoStats {
         IoStats {
-            accesses: self.accesses - earlier.accesses,
-            faults: self.faults - earlier.faults,
-            evictions: self.evictions - earlier.evictions,
+            accesses: self.accesses.saturating_sub(earlier.accesses),
+            faults: self.faults.saturating_sub(earlier.faults),
+            evictions: self.evictions.saturating_sub(earlier.evictions),
         }
     }
 
@@ -541,6 +544,7 @@ mod tests {
         let b = IoStats { accesses: 7, faults: 1, evictions: 0 };
         let d = a.since(&b);
         assert_eq!(d, IoStats { accesses: 3, faults: 3, evictions: 2 });
+        assert_eq!(b.since(&a), IoStats::default(), "saturates, never wraps");
         let mut acc = IoStats::default();
         acc += &a;
         acc += b; // by value

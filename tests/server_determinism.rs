@@ -56,80 +56,101 @@ fn mixed_requests(points: &NodePointSet, k: usize) -> Vec<(Algorithm, NodeId, us
 #[test]
 fn all_six_algorithms_match_the_sequential_oracle_at_every_worker_count() {
     let (graph, points) = grid_world();
-    let table = Arc::new(MaterializedKnn::build(&*graph, &*points, 2));
+    const TABLE_K: usize = 2;
+    let table = Arc::new(MaterializedKnn::build(&*graph, &*points, TABLE_K));
     let hub_index = Arc::new(HubLabelIndex::build(&*graph, &*points));
-    let requests = mixed_requests(&points, 2);
     // Every third request rides the batch class; the rest are interactive.
     // Priorities reorder service, so determinism must hold per ticket, not
     // per position.
     let priority_of =
         |i: usize| if i.is_multiple_of(3) { Priority::Batch } else { Priority::Interactive };
-    let batch_count = (0..requests.len()).filter(|&i| priority_of(i) == Priority::Batch).count();
+    let num_points = points.nodes().len();
 
-    // The sequential oracle: one scratch, one thread, direct calls.
-    let mut scratch = Scratch::new();
-    let pre = Precomputed::materialized(&table).with_hub_labels(&*hub_index);
-    let oracle: Vec<_> = requests
-        .iter()
-        .map(|&(algorithm, query, k)| {
-            run_rknn_with(algorithm, &*graph, &*points, pre, query, k, &mut scratch)
-        })
-        .collect();
+    // k = 2 is the ordinary case. The other three sit at and past the point
+    // count: every other point is then a reverse neighbor, "the k-th nearest"
+    // does not exist, and `k + 1` must not overflow anywhere on the way.
+    for k in [TABLE_K, num_points, num_points + 1, usize::MAX] {
+        let requests = mixed_requests(&points, k);
+        // Eager-M past its table's K is refused at admission (a worker would
+        // panic on it); the sequential loop leaves it out for the same reason.
+        let servable = |algorithm: Algorithm| !algorithm.needs_materialization() || k <= TABLE_K;
+        let expect_class = |class: Priority, served: bool| {
+            (0..requests.len())
+                .filter(|&i| priority_of(i) == class && servable(requests[i].0) == served)
+                .count() as u64
+        };
 
-    for workers in [1usize, 2, 8] {
-        let world = World::new(graph.clone(), points.clone())
-            .with_materialized(Arc::clone(&table))
-            .with_hub_labels(hub_index.clone());
-        let server = Server::start(
-            world,
-            ServerConfig::default()
-                .with_workers(workers)
-                .with_policy(BackpressurePolicy::Block)
-                .with_micro_batch(4),
-        );
-        let tickets: Vec<Ticket> = requests
+        // The sequential oracle: one scratch, one thread, direct calls.
+        let mut scratch = Scratch::new();
+        let pre = Precomputed::materialized(&table).with_hub_labels(&*hub_index);
+        let oracle: Vec<_> = requests
             .iter()
-            .enumerate()
-            .map(|(i, &(algorithm, query, k))| {
-                server
-                    .submit(Request::new(algorithm, query, k).with_priority(priority_of(i)))
-                    .expect("admitted")
+            .map(|&(algorithm, query, k)| {
+                servable(algorithm).then(|| {
+                    run_rknn_with(algorithm, &*graph, &*points, pre, query, k, &mut scratch)
+                })
             })
             .collect();
-        for ((ticket, expected), &(algorithm, query, _)) in
-            tickets.into_iter().zip(&oracle).zip(&requests)
-        {
-            let served = ticket.wait().expect("served");
-            assert_eq!(
-                served.outcome, *expected,
-                "{workers} workers: {algorithm} at {query} must equal the sequential loop"
+
+        for workers in [1usize, 2, 8] {
+            let world = World::new(graph.clone(), points.clone())
+                .with_materialized(Arc::clone(&table))
+                .with_hub_labels(hub_index.clone());
+            let server = Server::start(
+                world,
+                ServerConfig::default()
+                    .with_workers(workers)
+                    .with_policy(BackpressurePolicy::Block)
+                    .with_micro_batch(4),
             );
-        }
-        let stats = server.shutdown();
-        assert_eq!(stats.completed, requests.len() as u64, "{workers} workers");
-        assert_eq!(stats.accounted(), stats.submitted, "{workers} workers");
-        for algorithm in Algorithm::ALL {
-            assert_eq!(
-                stats.algorithm_count(algorithm),
-                points.nodes().len() as u64,
-                "{workers} workers: per-algorithm accounting"
-            );
-        }
-        assert_eq!(stats.queue_wait.count(), stats.completed);
-        assert_eq!(stats.service.count(), stats.completed);
-        // Per-class accounting: the class split survives any worker count.
-        let batch = stats.class(Priority::Batch);
-        let interactive = stats.class(Priority::Interactive);
-        assert_eq!(batch.completed, batch_count as u64, "{workers} workers: batch class");
-        assert_eq!(
-            interactive.completed,
-            (requests.len() - batch_count) as u64,
-            "{workers} workers: interactive class"
-        );
-        for (name, class) in [("batch", batch), ("interactive", interactive)] {
-            assert_eq!(class.accounted(), class.submitted, "{workers} workers: {name}");
-            assert_eq!(class.queue_wait.count(), class.completed, "{workers} workers: {name}");
-            assert_eq!(class.service.count(), class.completed, "{workers} workers: {name}");
+            let submitted: Vec<Result<Ticket, ServeError>> = requests
+                .iter()
+                .enumerate()
+                .map(|(i, &(algorithm, query, k))| {
+                    server.submit(Request::new(algorithm, query, k).with_priority(priority_of(i)))
+                })
+                .collect();
+            for ((result, expected), &(algorithm, query, _)) in
+                submitted.into_iter().zip(&oracle).zip(&requests)
+            {
+                match expected {
+                    Some(expected) => assert_eq!(
+                        result.expect("admitted").wait().expect("served").outcome,
+                        *expected,
+                        "{workers} workers, k={k}: {algorithm} at {query} must equal the \
+                         sequential loop"
+                    ),
+                    None => assert_eq!(
+                        result.err(),
+                        Some(ServeError::Unservable),
+                        "{workers} workers, k={k}: {algorithm} at {query} is beyond the table"
+                    ),
+                }
+            }
+            let stats = server.shutdown();
+            let served = oracle.iter().flatten().count() as u64;
+            assert_eq!(stats.completed, served, "{workers} workers, k={k}");
+            assert_eq!(stats.rejected, requests.len() as u64 - served, "{workers} workers, k={k}");
+            assert_eq!(stats.accounted(), stats.submitted, "{workers} workers, k={k}");
+            for algorithm in Algorithm::ALL {
+                assert_eq!(
+                    stats.algorithm_count(algorithm),
+                    if servable(algorithm) { num_points as u64 } else { 0 },
+                    "{workers} workers, k={k}: per-algorithm accounting"
+                );
+            }
+            assert_eq!(stats.queue_wait.count(), stats.completed);
+            assert_eq!(stats.service.count(), stats.completed);
+            // Per-class accounting: the class split survives any worker count.
+            for priority in [Priority::Batch, Priority::Interactive] {
+                let class = stats.class(priority);
+                let at = format!("{workers} workers, k={k}: {priority}");
+                assert_eq!(class.completed, expect_class(priority, true), "{at}");
+                assert_eq!(class.rejected, expect_class(priority, false), "{at}");
+                assert_eq!(class.accounted(), class.submitted, "{at}");
+                assert_eq!(class.queue_wait.count(), class.completed, "{at}");
+                assert_eq!(class.service.count(), class.completed, "{at}");
+            }
         }
     }
 }
