@@ -8,7 +8,7 @@
 //!
 //! EXPERIMENT   one or more of: table1 table2 fig15 fig16 fig17 fig18 fig19
 //!              fig20a fig20b fig21 fig22a fig22b paging index label-build
-//!              obs-overhead slo all (default: all)
+//!              bichromatic obs-overhead slo all (default: all)
 //! --full       use the paper's graph cardinalities instead of the quick,
 //!              laptop-friendly sizes
 //! --json DIR   additionally write each report as DIR/BENCH_<experiment>.json

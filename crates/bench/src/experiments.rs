@@ -12,8 +12,8 @@
 //! exception — they assert a timing relation and leave no artifact.
 
 use crate::harness::{
-    measure_continuous, measure_restricted, measure_unrestricted, measure_updates, per,
-    Measurement, Scale, UnrestrictedWorkload, UpdateMeasurement, Workload,
+    measure_bichromatic, measure_continuous, measure_restricted, measure_unrestricted,
+    measure_updates, per, Measurement, Scale, UnrestrictedWorkload, UpdateMeasurement, Workload,
 };
 use crate::report::Report;
 use rnn_core::materialize::MaterializedKnn;
@@ -25,9 +25,7 @@ use rnn_datagen::{
 };
 use rnn_graph::{Graph, NodeId, NodePointSet, PointsOnNodes};
 use rnn_index::HubLabelIndex;
-use rnn_storage::{
-    BufferPoolConfig, EvictionPolicy, IoCounters, LayoutStrategy, PageId, PagedGraph,
-};
+use rnn_storage::{BufferPoolConfig, IoCounters, LayoutStrategy, PagedGraph};
 
 const SEED: u64 = 42;
 
@@ -310,10 +308,7 @@ pub fn fig20b_grid_degree(scale: Scale) -> Report {
 
 /// Fig. 21: cost versus buffer size on the road network (D = 0.01, k = 1).
 /// Restricted view of the spatial graph, matching the eager/lazy comparison
-/// of the paper. Beyond the paper, every buffer size is measured under each
-/// eviction policy (the paper's LRU plus Clock and 2Q) on the *same*
-/// workload, so the policies' fault counts are directly comparable in one
-/// table.
+/// of the paper.
 pub fn fig21_buffer(scale: Scale) -> Report {
     let net = spatial_road_network(&SpatialConfig {
         num_nodes: scale.pick(20_000, 175_000),
@@ -325,27 +320,16 @@ pub fn fig21_buffer(scale: Scale) -> Report {
     let algos = [Algorithm::Eager, Algorithm::Lazy];
     let mut report = Report::new(
         "Fig 21",
-        "cost vs buffer size in pages and eviction policy (SF-like road network, D=0.01, k=1)",
-        "buffer pages / policy",
+        "cost vs buffer size in pages (SF-like road network, D=0.01, k=1)",
+        "buffer pages",
         count_columns(&algos),
     );
     for buffer in [0usize, 16, 64, 256, 1024] {
-        for policy in EvictionPolicy::ALL {
-            if buffer == 0 && policy != EvictionPolicy::Lru {
-                // An empty pool never picks a victim; one row covers all
-                // three policies.
-                continue;
-            }
-            let workload = Workload::with_buffer_config(
-                net.graph.clone(),
-                points.clone(),
-                queries.clone(),
-                BufferPoolConfig::new(buffer).with_policy(policy),
-            );
-            let ms: Vec<Measurement> =
-                algos.iter().map(|&a| measure_restricted(a, &workload, None, 1)).collect();
-            report.push_row(format!("{buffer} {}", policy.name()), count_values(&ms));
-        }
+        let workload =
+            Workload::with_buffer(net.graph.clone(), points.clone(), queries.clone(), buffer);
+        let ms: Vec<Measurement> =
+            algos.iter().map(|&a| measure_restricted(a, &workload, None, 1)).collect();
+        report.push_row(format!("{buffer}"), count_values(&ms));
     }
     report
 }
@@ -418,70 +402,55 @@ pub fn fig22b_update_k(scale: Scale) -> Report {
 }
 
 // ---------------------------------------------------------------------------
-// Beyond the paper: the paged-query fast path (eviction policies + prefetch).
+// Section 5.1: bichromatic queries (no figure in the paper).
 // ---------------------------------------------------------------------------
 
-/// Replays a scan-thrash page trace (a hot working set interleaved with a
-/// one-time cold scan) directly against a single-shard pool under `policy`,
-/// returning `(demand faults, hit rate)`.
-///
-/// The trace alternates a sweep over a small hot set with a burst of
-/// one-time scan pages. The first bursts are short — under 2Q they evict the
-/// hot set into the A1out ghost queue and the next sweep promotes it into
-/// Am. The remaining bursts are longer than the pool, which flushes the hot
-/// set out of any recency-based policy every round, while 2Q's Am (which
-/// single-access scan pages never enter) keeps it resident.
-fn scan_thrash(graph: &Graph, policy: EvictionPolicy) -> (u64, f64) {
-    let probe = PagedGraph::build_with(graph, LayoutStrategy::BfsLocality, 1, IoCounters::new())
-        .expect("paged graph");
-    let pages = probe.num_pages();
-    let capacity = (pages / 2).clamp(4, 16);
-    let paged = PagedGraph::build_with_config(
-        graph,
-        LayoutStrategy::BfsLocality,
-        BufferPoolConfig::new(capacity).with_policy(policy).with_shards(1),
-        IoCounters::new(),
-    )
-    .expect("paged graph");
-    let hot = (capacity / 4).max(1);
-    let mut cursor = hot;
-    let mut round = |burst: usize| {
-        for h in 0..hot {
-            let _ = paged.buffer().fetch(PageId::new(h));
-        }
-        for _ in 0..burst {
-            let _ = paged.buffer().fetch(PageId::new(cursor));
-            cursor += 1;
-            if cursor >= pages {
-                cursor = hot;
-            }
-        }
-    };
-    for _warmup in 0..3 {
-        round(capacity / 2);
+/// Bichromatic RkNN versus k on a BRITE-like topology behind the paper's
+/// 256-page buffer: the eager variant (Lemma 1 over the sites) beside its
+/// naive oracle, targets and sites both at D = 0.04, queries drawn from the
+/// sites. The paper evaluates no bichromatic workload; this report puts the
+/// path's counts under the same exact gate as the figures. The two
+/// algorithms' result columns are asserted equal row by row.
+pub fn bichromatic(scale: Scale) -> Report {
+    let nodes = scale.pick(20_000, 90_000);
+    let graph = brite_topology(&BriteConfig { num_nodes: nodes, seed: SEED, ..Default::default() });
+    let targets = place_points_on_nodes(&graph, 0.04, SEED + 1);
+    let sites = place_points_on_nodes(&graph, 0.04, SEED + 3);
+    let queries = sample_node_queries(&sites, scale.queries(), SEED + 2);
+    let paged = PagedGraph::build(&graph).expect("paged graph");
+    let algos = [Algorithm::Eager, Algorithm::Naive];
+    let mut report = Report::new(
+        "Bichromatic",
+        format!("bichromatic queries: cost vs k (BRITE-like topology, |V|={nodes}, D=0.04)"),
+        "k",
+        count_columns(&algos),
+    );
+    for k in [1usize, 2, 4, 8] {
+        let ms: Vec<Measurement> = algos
+            .iter()
+            .map(|&a| measure_bichromatic(a, &paged, &targets, &sites, &queries, k))
+            .collect();
+        assert_eq!(ms[0].results, ms[1].results, "k={k}: eager must report what naive reports");
+        report.push_row(format!("{k}"), count_values(&ms));
     }
-    for _thrash in 0..10 {
-        round(capacity + hot + 8);
-    }
-    let total = paged.pool_stats().total;
-    (total.faults, total.hits as f64 / total.accesses().max(1) as f64)
+    report
 }
 
+// ---------------------------------------------------------------------------
+// Beyond the paper: the paged-query fast path (sharding + prefetch).
+// ---------------------------------------------------------------------------
+
 /// Paged-query fast path: all six algorithms on page-resident BRITE and grid
-/// worlds under every eviction policy (LRU / Clock / 2Q) × shard count ×
-/// frontier prefetch off/on, measured over a cold pool and again over the
-/// warmed pool.
+/// worlds under every shard count × frontier prefetch off/on, measured over
+/// a cold pool and again over the warmed pool.
 ///
 /// Every cell's result sets — cold pass and warm pass — are asserted
 /// byte-identical to the in-memory oracle before any number is reported:
-/// policies, sharding and prefetch change cost, never answers. Prefetch
-/// accounting is reported honestly: issued / useful / wasted are separate
-/// columns (never folded into demand hits), `useful + wasted <= issued` is
-/// asserted, and the wasted ratio gets its own column. Per policy and shard
-/// count, the cold pass with prefetch must demand-fault less than without
-/// (asserted). The final rows replay a scan-thrash trace directly against
-/// the pool, where 2Q's scan resistance must beat LRU's fault count
-/// (asserted); their prefetch columns are zero by construction.
+/// sharding and prefetch change cost, never answers. Prefetch accounting is
+/// reported honestly: issued / useful / wasted are separate columns (never
+/// folded into demand hits), `useful + wasted <= issued` is asserted, and
+/// the wasted ratio gets its own column. Per shard count, the cold pass with
+/// prefetch must demand-fault less than without (asserted).
 pub fn paging(scale: Scale) -> Report {
     let k = 1usize;
     let instances = [
@@ -500,12 +469,12 @@ pub fn paging(scale: Scale) -> Report {
     let mut report = Report::new(
         "Paging",
         format!(
-            "paged-query fast path: demand faults and prefetch usefulness per eviction policy \
-             x shards x prefetch (all {} algorithms, D=0.01, k={k}; every cell byte-identical \
-             to the in-memory oracle; final rows replay a scan-thrash page trace)",
+            "paged-query fast path: demand faults and prefetch usefulness per shards x \
+             prefetch (all {} algorithms, D=0.01, k={k}; every cell byte-identical to the \
+             in-memory oracle)",
             algos.len()
         ),
-        "graph policy shards prefetch",
+        "graph shards prefetch",
         vec![
             "cold faults".into(),
             "warm faults".into(),
@@ -533,114 +502,87 @@ pub fn paging(scale: Scale) -> Report {
         // cold-pass columns then isolate what frontier prefetch is for —
         // converting first-touch demand faults into hits — without eviction
         // noise racing the prefetcher. (Eviction pressure is what the fig21
-        // policy rows and the scan-thrash rows below measure.)
+        // rows measure.)
         let probe =
             PagedGraph::build_with(graph, LayoutStrategy::BfsLocality, 1, IoCounters::new())
                 .expect("paged graph");
         let capacity = probe.num_pages().max(8) * 2;
 
-        for policy in EvictionPolicy::ALL {
-            for shards in [1usize, 4] {
-                let mut cold_faults_without_prefetch = 0u64;
-                for prefetch in [false, true] {
-                    let cell = format!("{name} {} s{shards} {}", policy.name(), {
-                        if prefetch {
-                            "pf"
-                        } else {
-                            "nopf"
-                        }
-                    });
-                    let paged = PagedGraph::build_with_config(
-                        graph,
-                        LayoutStrategy::BfsLocality,
-                        BufferPoolConfig::new(capacity).with_policy(policy).with_shards(shards),
-                        IoCounters::new(),
-                    )
-                    .expect("paged graph")
-                    .with_prefetch(prefetch);
+        for shards in [1usize, 4] {
+            let mut cold_faults_without_prefetch = 0u64;
+            for prefetch in [false, true] {
+                let cell = format!("{name} s{shards} {}", if prefetch { "pf" } else { "nopf" });
+                let paged = PagedGraph::build_with_config(
+                    graph,
+                    LayoutStrategy::BfsLocality,
+                    BufferPoolConfig::new(capacity).with_shards(shards),
+                    IoCounters::new(),
+                )
+                .expect("paged graph")
+                .with_prefetch(prefetch);
 
-                    paged.cold_start();
-                    let mut cold_stats = None;
-                    for pass in ["cold", "warm"] {
-                        for (i, &a) in algos.iter().enumerate() {
-                            for (j, &q) in queries.iter().enumerate() {
-                                let out = run_rknn(a, &paged, &points, pre, q, k);
-                                assert_eq!(
-                                    out, oracle[i][j],
-                                    "cell [{cell}] {pass} pass: {a} on query {q:?} must \
-                                     reproduce the in-memory oracle byte for byte"
-                                );
-                            }
-                        }
-                        if pass == "cold" {
-                            cold_stats = Some(paged.pool_stats().total);
+                paged.cold_start();
+                let mut cold_stats = None;
+                for pass in ["cold", "warm"] {
+                    for (i, &a) in algos.iter().enumerate() {
+                        for (j, &q) in queries.iter().enumerate() {
+                            let out = run_rknn(a, &paged, &points, pre, q, k);
+                            assert_eq!(
+                                out, oracle[i][j],
+                                "cell [{cell}] {pass} pass: {a} on query {q:?} must \
+                                 reproduce the in-memory oracle byte for byte"
+                            );
                         }
                     }
-                    let cold = cold_stats.take().expect("cold pass ran");
-                    let total = paged.pool_stats().total;
-                    let warm_faults = total.faults - cold.faults;
-                    let hit_rate = total.hits as f64 / total.accesses().max(1) as f64;
-                    assert!(
-                        total.prefetch_useful + total.prefetch_wasted <= total.prefetch_issued,
-                        "cell [{cell}]: useful + wasted must not exceed issued"
-                    );
-                    if prefetch {
-                        assert!(
-                            total.prefetch_issued > 0 && total.prefetch_useful > 0,
-                            "cell [{cell}]: the frontier prefetcher must issue useful \
-                             prefetches on an expansion workload"
-                        );
-                        assert!(
-                            cold.faults < cold_faults_without_prefetch,
-                            "cell [{cell}]: prefetch must reduce cold-pool demand faults \
-                             ({} with vs {} without)",
-                            cold.faults,
-                            cold_faults_without_prefetch
-                        );
-                    } else {
-                        assert_eq!(
-                            total.prefetch_issued, 0,
-                            "cell [{cell}]: prefetch disabled must issue nothing"
-                        );
-                        cold_faults_without_prefetch = cold.faults;
+                    if pass == "cold" {
+                        cold_stats = Some(paged.pool_stats().total);
                     }
-                    let wasted_ratio =
-                        total.prefetch_wasted as f64 / (total.prefetch_issued.max(1)) as f64;
-                    report.push_row(
-                        cell,
-                        vec![
-                            cold.faults as f64,
-                            warm_faults as f64,
-                            hit_rate,
-                            total.prefetch_issued as f64,
-                            total.prefetch_useful as f64,
-                            total.prefetch_wasted as f64,
-                            wasted_ratio,
-                        ],
-                    );
                 }
+                let cold = cold_stats.take().expect("cold pass ran");
+                let total = paged.pool_stats().total;
+                let warm_faults = total.faults - cold.faults;
+                let hit_rate = total.hits as f64 / total.accesses().max(1) as f64;
+                assert!(
+                    total.prefetch_useful + total.prefetch_wasted <= total.prefetch_issued,
+                    "cell [{cell}]: useful + wasted must not exceed issued"
+                );
+                if prefetch {
+                    assert!(
+                        total.prefetch_issued > 0 && total.prefetch_useful > 0,
+                        "cell [{cell}]: the frontier prefetcher must issue useful \
+                         prefetches on an expansion workload"
+                    );
+                    assert!(
+                        cold.faults < cold_faults_without_prefetch,
+                        "cell [{cell}]: prefetch must reduce cold-pool demand faults \
+                         ({} with vs {} without)",
+                        cold.faults,
+                        cold_faults_without_prefetch
+                    );
+                } else {
+                    assert_eq!(
+                        total.prefetch_issued, 0,
+                        "cell [{cell}]: prefetch disabled must issue nothing"
+                    );
+                    cold_faults_without_prefetch = cold.faults;
+                }
+                let wasted_ratio =
+                    total.prefetch_wasted as f64 / (total.prefetch_issued.max(1)) as f64;
+                report.push_row(
+                    cell,
+                    vec![
+                        cold.faults as f64,
+                        warm_faults as f64,
+                        hit_rate,
+                        total.prefetch_issued as f64,
+                        total.prefetch_useful as f64,
+                        total.prefetch_wasted as f64,
+                        wasted_ratio,
+                    ],
+                );
             }
         }
     }
-
-    // Scan-thrash: the access pattern 2Q exists for. Replayed on the grid
-    // graph's pages with a single shard so victim order is deterministic.
-    let (_, thrash_graph) = &instances[1];
-    let mut faults_by_policy = Vec::new();
-    for policy in EvictionPolicy::ALL {
-        let (faults, hit_rate) = scan_thrash(thrash_graph, policy);
-        faults_by_policy.push((policy, faults));
-        report.push_row(
-            format!("scan-thrash {} s1 -", policy.name()),
-            vec![faults as f64, 0.0, hit_rate, 0.0, 0.0, 0.0, 0.0],
-        );
-    }
-    let lru = faults_by_policy[0].1;
-    let twoq = faults_by_policy[2].1;
-    assert!(
-        twoq < lru,
-        "2Q must keep the hot set resident across the cold scan: {twoq} faults vs LRU's {lru}"
-    );
     report
 }
 
@@ -1235,7 +1177,7 @@ pub enum Experiment {
 
 /// Every experiment by id: the paper's tables and figures, the three count
 /// reports added on top, then the two drills.
-pub const EXPERIMENTS: [(&str, Experiment); 17] = [
+pub const EXPERIMENTS: [(&str, Experiment); 18] = [
     ("table1", Experiment::Report(table1_adhoc)),
     ("table2", Experiment::Report(table2_density)),
     ("fig15", Experiment::Report(fig15_brite_size)),
@@ -1251,6 +1193,7 @@ pub const EXPERIMENTS: [(&str, Experiment); 17] = [
     ("paging", Experiment::Report(paging)),
     ("index", Experiment::Report(index)),
     ("label-build", Experiment::Report(label_build)),
+    ("bichromatic", Experiment::Report(bichromatic)),
     ("obs-overhead", Experiment::Drill(obs_overhead)),
     ("slo", Experiment::Drill(slo)),
 ];
@@ -1285,6 +1228,7 @@ mod tests {
                 "paging",
                 "index",
                 "label-build",
+                "bichromatic",
                 "obs-overhead",
                 "slo"
             ]

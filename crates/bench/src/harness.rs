@@ -10,7 +10,7 @@ use rnn_core::unrestricted::{
 use rnn_core::{run_rknn, Algorithm, Precomputed, QueryStats, RknnOutcome};
 use rnn_graph::{EdgePointSet, Graph, NodeId, NodePointSet, PointId, Route};
 use rnn_index::HubLabelIndex;
-use rnn_storage::{BufferPoolConfig, IoCounters, IoStats, LayoutStrategy, PagedGraph};
+use rnn_storage::{IoCounters, IoStats, LayoutStrategy, PagedGraph};
 
 /// Experiment scale: laptop-friendly or the paper's cardinalities.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -64,21 +64,10 @@ impl Workload {
         queries: Vec<NodeId>,
         buffer_pages: usize,
     ) -> Self {
-        Self::with_buffer_config(graph, points, queries, BufferPoolConfig::new(buffer_pages))
-    }
-
-    /// Builds a workload with full buffer control (capacity and shard
-    /// count), for measuring the striped serving configurations.
-    pub fn with_buffer_config(
-        graph: Graph,
-        points: NodePointSet,
-        queries: Vec<NodeId>,
-        config: BufferPoolConfig,
-    ) -> Self {
-        let paged = PagedGraph::build_with_config(
+        let paged = PagedGraph::build_with(
             &graph,
             LayoutStrategy::BfsLocality,
-            config,
+            buffer_pages,
             IoCounters::new(),
         )
         .expect("paged graph construction");
@@ -300,6 +289,31 @@ pub fn measure_continuous(
             }
         };
         m.record(&out);
+    }
+    m.io = paged.io_stats();
+    m
+}
+
+/// Measures bichromatic queries — eager (Lemma 1 over the sites) or its naive
+/// oracle — over a paged graph: `targets` are reported, `sites` compete with
+/// the query.
+pub fn measure_bichromatic(
+    algorithm: Algorithm,
+    paged: &PagedGraph,
+    targets: &NodePointSet,
+    sites: &NodePointSet,
+    queries: &[NodeId],
+    k: usize,
+) -> Measurement {
+    let run = match algorithm {
+        Algorithm::Eager => rnn_core::bichromatic::bichromatic_rknn,
+        Algorithm::Naive => rnn_core::bichromatic::naive_bichromatic_rknn,
+        _ => panic!("bichromatic measurement supports eager / naive, not {algorithm}"),
+    };
+    paged.cold_start();
+    let mut m = Measurement::new(algorithm, queries.len());
+    for &q in queries {
+        m.record(&run(paged, targets, sites, q, k));
     }
     m.io = paged.io_stats();
     m

@@ -58,7 +58,8 @@ where
     T: Topology + ?Sized,
     P: PointsOnNodes + ?Sized,
 {
-    let mut found = Vec::with_capacity(k);
+    // `k` is request input: reserve for what can be found, not what is asked.
+    let mut found = Vec::with_capacity(k.min(points.num_points()));
     if k == 0 {
         return NnProbe { found, settled: 0 };
     }
@@ -204,8 +205,11 @@ mod tests {
     #[test]
     fn k_nearest_with_fewer_points_than_k() {
         let (g, pts) = path_graph();
-        let probe = k_nearest(&g, &pts, NodeId::new(2), 5);
-        assert_eq!(probe.found.len(), 2);
+        // Node 1 is 2 from the point on node 0 and 6 from the one on node 4.
+        let all = k_nearest(&g, &pts, NodeId::new(1), 2).found;
+        for k in [5, pts.num_points() + 1, usize::MAX] {
+            assert_eq!(k_nearest(&g, &pts, NodeId::new(1), k).found, all, "k = {k}");
+        }
         assert_eq!(k_nearest(&g, &pts, NodeId::new(2), 0).found.len(), 0);
     }
 

@@ -168,7 +168,9 @@ impl HubLabelIndex {
     /// k-th best.
     pub fn k_nearest(&self, node: NodeId, k: usize) -> Vec<(PointId, Weight)> {
         assert!(node.index() < self.num_nodes(), "node {node} outside the labeled graph");
-        let mut best: Vec<(Weight, NodeId)> = Vec::with_capacity(k + 1);
+        // `k` is request input: reserve for what can be found (plus the one
+        // slot `offer` overshoots by), not what is asked.
+        let mut best: Vec<(Weight, NodeId)> = Vec::with_capacity(k.min(self.num_points()) + 1);
         if k == 0 {
             return Vec::new();
         }
@@ -443,7 +445,7 @@ mod tests {
         let (g, pts) = path5();
         let index = HubLabelIndex::build(&g, &pts);
         for node in 0..5 {
-            for k in 0..=3 {
+            for k in [0, 1, 2, 3, pts.num_points() + 1, usize::MAX] {
                 let via_labels = index.k_nearest(NodeId::new(node), k);
                 let via_expansion = knn::k_nearest(&g, &pts, NodeId::new(node), k).found;
                 assert_eq!(via_labels, via_expansion, "node {node} k {k}");

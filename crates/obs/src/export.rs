@@ -342,7 +342,6 @@ pub fn chrome_trace(traces: &[QueryTrace], events: &[Event]) -> String {
                 args.push(("delta", u64::from(delta)));
             }
             EventKind::PoolResize { pages } => args.push(("pages", pages)),
-            EventKind::PoolPolicy { policy } => args.push(("policy", policy)),
             EventKind::PoolClear { reset_stats } => {
                 args.push(("reset_stats", u64::from(reset_stats)));
             }

@@ -3,7 +3,7 @@
 //!
 //! Metrics answer "how much"; the flight recorder answers "what happened,
 //! in what order". Layers append compact [`EventKind`]s — admission sheds,
-//! point-set swaps, buffer-pool resize/policy changes, worker lifecycle,
+//! point-set swaps, buffer-pool resizes and clears, worker lifecycle,
 //! SLO transitions, slow-query captures — and a later
 //! [`drain`](FlightRecorder::drain) recovers them in deterministic sequence
 //! order for inspection, structured logging, or the Chrome-trace exporter
@@ -57,9 +57,8 @@ pub struct Event {
 
 /// The event vocabulary. Payloads are compact codes, not strings — the
 /// recorder stores three `u64` words per event. Opaque codes (`class`,
-/// `policy`, `algorithm`) are defined by the emitting layer; the server
-/// uses its priority/algorithm indices and the storage layer its
-/// `EvictionPolicy` discriminant.
+/// `algorithm`) are defined by the emitting layer; the server uses its
+/// priority/algorithm indices.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// Admission control shed or rejected work: `class` is the priority
@@ -82,11 +81,6 @@ pub enum EventKind {
     PoolResize {
         /// New capacity in pages.
         pages: u64,
-    },
-    /// The buffer pool switched eviction policy.
-    PoolPolicy {
-        /// Policy code (storage-defined discriminant).
-        policy: u64,
     },
     /// The buffer pool was cleared (`reset_stats = true` when counters were
     /// also zeroed).
@@ -134,7 +128,6 @@ impl EventKind {
             EventKind::AdmissionShed { .. } => "admission_shed",
             EventKind::PointsSwap { .. } => "points_swap",
             EventKind::PoolResize { .. } => "pool_resize",
-            EventKind::PoolPolicy { .. } => "pool_policy",
             EventKind::PoolClear { .. } => "pool_clear",
             EventKind::WorkerStart { .. } => "worker_start",
             EventKind::WorkerStop { .. } => "worker_stop",
@@ -143,13 +136,13 @@ impl EventKind {
         }
     }
 
-    /// `(tag, w0, w1, w2)` wire form.
+    /// `(tag, w0, w1, w2)` wire form. Tag 3 belonged to a kind that no
+    /// longer exists; the others keep their codes and 3 decodes as unknown.
     fn encode(&self) -> (u64, u64, u64, u64) {
         match *self {
             EventKind::AdmissionShed { class, count } => (0, class, count, 0),
             EventKind::PointsSwap { points, delta } => (1, points, u64::from(delta), 0),
             EventKind::PoolResize { pages } => (2, pages, 0, 0),
-            EventKind::PoolPolicy { policy } => (3, policy, 0, 0),
             EventKind::PoolClear { reset_stats } => (4, u64::from(reset_stats), 0, 0),
             EventKind::WorkerStart { worker } => (5, worker, 0, 0),
             EventKind::WorkerStop { worker, served } => (6, worker, served, 0),
@@ -165,7 +158,6 @@ impl EventKind {
             0 => EventKind::AdmissionShed { class: w0, count: w1 },
             1 => EventKind::PointsSwap { points: w0, delta: w1 != 0 },
             2 => EventKind::PoolResize { pages: w0 },
-            3 => EventKind::PoolPolicy { policy: w0 },
             4 => EventKind::PoolClear { reset_stats: w0 != 0 },
             5 => EventKind::WorkerStart { worker: w0 },
             6 => EventKind::WorkerStop { worker: w0, served: w1 },
@@ -347,7 +339,7 @@ mod tests {
     fn clock_epochs_stamp_events() {
         let clock = Clock::new();
         let rec = FlightRecorder::new(8).with_clock(clock.clone());
-        rec.record(EventKind::PoolPolicy { policy: 1 });
+        rec.record(EventKind::PoolResize { pages: 1 });
         clock.advance();
         clock.advance();
         rec.record(EventKind::PoolClear { reset_stats: true });
@@ -394,7 +386,6 @@ mod tests {
             EventKind::AdmissionShed { class: 0, count: 0 },
             EventKind::PointsSwap { points: 0, delta: false },
             EventKind::PoolResize { pages: 0 },
-            EventKind::PoolPolicy { policy: 0 },
             EventKind::PoolClear { reset_stats: false },
             EventKind::WorkerStart { worker: 0 },
             EventKind::WorkerStop { worker: 0, served: 0 },
@@ -405,11 +396,12 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), kinds.len(), "event names are unique");
-        for (i, k) in kinds.iter().enumerate() {
+        for (k, code) in kinds.iter().zip([0u64, 1, 2, 4, 5, 6, 7, 8]) {
             let (tag, w0, w1, w2) = k.encode();
-            assert_eq!(tag, i as u64);
+            assert_eq!(tag, code);
             assert_eq!(EventKind::decode(tag, w0, w1, w2), Some(*k), "encode/decode round trip");
         }
+        assert_eq!(EventKind::decode(3, 0, 0, 0), None, "the retired code is unknown");
         assert_eq!(EventKind::decode(99, 0, 0, 0), None);
     }
 }

@@ -57,7 +57,7 @@ use rnn_obs::{
     Drained, EventKind, FlightRecorder, LatencyHistogram, MetricsRegistry, SloEngine,
     SloTransition, SlowQueryLog, SlowQueryReport, TraceRecorder,
 };
-use rnn_storage::{EvictionPolicy, IoCounters, StorageControl};
+use rnn_storage::{IoCounters, StorageControl};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -88,9 +88,9 @@ pub struct World {
     hub_index: Option<Arc<HubLabelIndex>>,
     /// Runtime-tuning handle of the paged storage behind `topo`, when the
     /// world is disk-resident ([`World::with_storage_control`]): lets the
-    /// server apply [`ServerConfig`]'s eviction-policy / prefetch knobs and
-    /// export the buffer's policy + prefetch telemetry. Point swaps never
-    /// touch it — the topology (and its storage) outlives point churn.
+    /// server apply [`ServerConfig`]'s prefetch setting and export the
+    /// buffer's prefetch telemetry. Point swaps never touch it — the
+    /// topology (and its storage) outlives point churn.
     storage: Option<Arc<dyn StorageControl>>,
 }
 
@@ -107,9 +107,8 @@ impl World {
 
     /// Attaches the storage-control handle of a paged topology (typically
     /// the same `Arc<PagedGraph<_>>` passed as `topo`, re-cast): the server
-    /// then applies [`ServerConfig::with_eviction_policy`] /
-    /// [`ServerConfig::with_prefetch`] at startup and exports the buffer
-    /// pool's policy and prefetch counters through its metrics source.
+    /// then applies [`ServerConfig::with_prefetch`] at startup and exports
+    /// the buffer pool's prefetch counters through its metrics source.
     pub fn with_storage_control(mut self, storage: Arc<dyn StorageControl>) -> Self {
         self.storage = Some(storage);
         self
@@ -218,10 +217,6 @@ pub struct ServerConfig {
     pub slow_samples: usize,
     /// Seed of the slow-query log's deterministic sampler.
     pub slow_seed: u64,
-    /// Page-eviction policy to apply to the world's paged storage at
-    /// startup (requires [`World::with_storage_control`]). `None` leaves
-    /// the backend's current policy — the paper-exact LRU by default.
-    pub eviction_policy: Option<EvictionPolicy>,
     /// Expansion-frontier prefetch on the paged storage: `Some(true)` /
     /// `Some(false)` set it at startup (requires
     /// [`World::with_storage_control`]), `None` leaves the backend as
@@ -247,7 +242,6 @@ impl Default for ServerConfig {
             slow_sample_every: 0,
             slow_samples: 0,
             slow_seed: 0,
-            eviction_policy: None,
             prefetch: None,
         }
     }
@@ -315,13 +309,6 @@ impl ServerConfig {
         self.slow_samples = samples;
         self.slow_seed = seed;
         self.tracing = true;
-        self
-    }
-
-    /// Sets the page-eviction policy to apply to the world's paged storage
-    /// at startup (no-op for in-memory worlds).
-    pub fn with_eviction_policy(mut self, policy: EvictionPolicy) -> Self {
-        self.eviction_policy = Some(policy);
         self
     }
 
@@ -564,10 +551,10 @@ impl Shared {
 /// to the totals, `queue_wait.count() <= completed + shed_at_dequeue`).
 ///
 /// When the world carries a storage-control handle
-/// ([`World::with_storage_control`]), the source additionally emits the
-/// buffer's eviction-policy code, whether prefetch is on, the pool-level
-/// `prefetch_{issued,useful,wasted}` counters and a per-shard demand
-/// hit-rate gauge — all from one [`StorageControl::pool_stats`] call. The
+/// ([`World::with_storage_control`]), the source additionally emits whether
+/// prefetch is on, the pool-level `prefetch_{issued,useful,wasted}` counters
+/// and a per-shard demand hit-rate gauge — all from one
+/// [`StorageControl::pool_stats`] call. The
 /// handle is captured at registration (point swaps never replace the
 /// storage), so polling stays lock-free with respect to the world lock.
 fn register_server_source(registry: &MetricsRegistry, shared: &Arc<Shared>) {
@@ -616,7 +603,6 @@ fn register_server_source(registry: &MetricsRegistry, shared: &Arc<Shared>) {
         set.counter("rnn_server_io_faults_total", s.io.faults);
         set.counter("rnn_server_io_evictions_total", s.io.evictions);
         if let Some(storage) = &storage {
-            set.gauge("rnn_server_storage_policy", storage.policy().code());
             set.gauge("rnn_server_storage_prefetch_enabled", u64::from(storage.prefetch_enabled()));
             let pool = storage.pool_stats();
             set.counter("rnn_server_storage_prefetch_issued_total", pool.total.prefetch_issued);
@@ -699,15 +685,10 @@ impl Server {
         registry: Option<&MetricsRegistry>,
         telemetry: Option<TelemetryConfig>,
     ) -> Server {
-        // Apply the storage knobs before any worker can fetch a page, so the
-        // whole serving lifetime runs under one policy/prefetch setting.
-        if let Some(storage) = &world.storage {
-            if let Some(policy) = config.eviction_policy {
-                storage.set_policy(policy);
-            }
-            if let Some(prefetch) = config.prefetch {
-                storage.set_prefetch(prefetch);
-            }
+        // Apply the prefetch setting before any worker can fetch a page, so
+        // the whole serving lifetime runs under one setting.
+        if let (Some(storage), Some(prefetch)) = (&world.storage, config.prefetch) {
+            storage.set_prefetch(prefetch);
         }
         let workers = config.workers.max(1);
         let cache = (config.cache_capacity > 0).then(|| {
@@ -1317,15 +1298,11 @@ mod tests {
         let registry = MetricsRegistry::new();
         let server = Server::start_observed(
             world,
-            ServerConfig::default()
-                .with_workers(2)
-                .with_eviction_policy(EvictionPolicy::TwoQ)
-                .with_prefetch(true),
+            ServerConfig::default().with_workers(2).with_prefetch(true),
             Some(counters),
             &registry,
         );
         let ctl = server.storage_control().expect("the world carries a storage handle");
-        assert_eq!(ctl.policy(), EvictionPolicy::TwoQ, "config applied at startup");
         assert!(ctl.prefetch_enabled(), "config applied at startup");
 
         let tickets: Vec<Ticket> = (0..n)
@@ -1341,11 +1318,10 @@ mod tests {
                 NodeId::new(q),
                 2,
             );
-            assert_eq!(served.outcome, direct, "prefetch/policy must not change results");
+            assert_eq!(served.outcome, direct, "prefetch must not change results");
         }
 
         let snap = registry.snapshot();
-        assert_eq!(snap.gauge("rnn_server_storage_policy"), Some(EvictionPolicy::TwoQ.code()));
         assert_eq!(snap.gauge("rnn_server_storage_prefetch_enabled"), Some(1));
         let issued = snap.counter("rnn_server_storage_prefetch_issued_total").unwrap();
         let useful = snap.counter("rnn_server_storage_prefetch_useful_total").unwrap();

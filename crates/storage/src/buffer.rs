@@ -19,17 +19,16 @@
 //! pages in distinct shards never contend on a lock. With one shard
 //! (the default, and the only configuration before sharding existed) the
 //! pool is a single LRU whose victim order is bit-compatible with the
-//! paper's buffer; with N shards each shard runs the same policy over its
-//! slice of the pages. Shard counts come from [`BufferPoolConfig`].
+//! paper's buffer; with N shards each shard is the same LRU over its slice
+//! of the pages. Shard counts come from [`BufferPoolConfig`].
 //!
-//! The *eviction policy* of the shards is pluggable
-//! ([`BufferPoolConfig::with_policy`]): exact LRU (the default), Clock
-//! (second-chance, no recency-list writes on a hit) or 2Q (scan-resistant)
-//! — see [`EvictionPolicy`]. On top of the demand path the pool supports
-//! batched fetches ([`BufferPool::fetch_many`], one lock round per owning
-//! shard) and best-effort speculative reads ([`BufferPool::prefetch`])
-//! with their own `prefetch_issued` / `prefetch_useful` / `prefetch_wasted`
-//! accounting, kept strictly out of the demand counters.
+//! Replacement is exact LRU and nothing else: the paper's cost model is
+//! faults against one LRU buffer (Fig. 21 varies its size, never its
+//! policy), so every fault count in the repository is a statement about
+//! this victim order. On top of the demand path the pool supports
+//! best-effort speculative reads ([`BufferPool::prefetch`]) with their own
+//! `prefetch_issued` / `prefetch_useful` / `prefetch_wasted` accounting,
+//! kept strictly out of the demand counters.
 //!
 //! Each shard keeps its own hit/fault/eviction counters ([`ShardStats`],
 //! reported by [`BufferPool::io_stats`] as a [`BufferPoolStats`] breakdown
@@ -42,7 +41,7 @@ use crate::error::StorageError;
 use crate::io_stats::{IoCounters, IoStats};
 use crate::lru::mix64;
 use crate::page::{Page, PageId};
-use crate::policy::{EvictionPolicy, PageCache};
+use crate::policy::PageCache;
 use parking_lot::Mutex;
 use rnn_obs::{EventKind, FlightRecorder};
 use std::ops::AddAssign;
@@ -52,8 +51,7 @@ use std::sync::Arc;
 /// Number of pages in the paper's default 1 MB buffer.
 pub const DEFAULT_BUFFER_PAGES: usize = 256;
 
-/// Configuration of a [`BufferPool`]: total capacity, shard count and
-/// eviction policy.
+/// Configuration of a [`BufferPool`]: total capacity and shard count.
 ///
 /// The shard count is normalized when the pool is built: it is rounded up to
 /// a power of two (so the shard of a page is one mask of its mixed id) and
@@ -67,16 +65,13 @@ pub struct BufferPoolConfig {
     pub capacity: usize,
     /// Requested shard count (normalized to a power of two when building).
     pub shards: usize,
-    /// Eviction policy every shard runs ([`EvictionPolicy::Lru`] by
-    /// default — the paper's buffer, bit-compatible victim order).
-    pub policy: EvictionPolicy,
 }
 
 impl BufferPoolConfig {
     /// A single-shard LRU pool of `capacity` pages — the classic
     /// configuration, bit-compatible with the paper's single LRU list.
     pub fn new(capacity: usize) -> Self {
-        BufferPoolConfig { capacity, shards: 1, policy: EvictionPolicy::Lru }
+        BufferPoolConfig { capacity, shards: 1 }
     }
 
     /// Sets the requested shard count (see the type docs for normalization).
@@ -86,13 +81,6 @@ impl BufferPoolConfig {
     /// granularity, while fewer serializes distinct-page fetches.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Sets the eviction policy (see [`EvictionPolicy`] for the
-    /// trade-offs). All shards run the same policy.
-    pub fn with_policy(mut self, policy: EvictionPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -198,8 +186,8 @@ pub struct BufferPoolStats {
     pub total: ShardStats,
 }
 
-/// One independently locked slice of the pool: a policy-driven page cache
-/// over the pages whose mixed id maps here, plus this shard's counters.
+/// One independently locked slice of the pool: an LRU page cache over the
+/// pages whose mixed id maps here, plus this shard's counters.
 /// Counters live *inside* the lock — every read and write happens under the
 /// shard's guard — which is what makes [`BufferPool::clear`] (all guards
 /// held) atomic with the pages by construction.
@@ -210,8 +198,8 @@ struct ShardState {
 
 type Shard = Mutex<ShardState>;
 
-fn new_shard(policy: EvictionPolicy, capacity: usize) -> Shard {
-    Mutex::new(ShardState { cache: PageCache::new(policy, capacity), stats: ShardStats::default() })
+fn new_shard(capacity: usize) -> Shard {
+    Mutex::new(ShardState { cache: PageCache::new(capacity), stats: ShardStats::default() })
 }
 
 /// A striped LRU page buffer on top of a [`PageStore`].
@@ -224,7 +212,7 @@ pub struct BufferPool<S> {
     shards: Vec<Shard>,
     counters: IoCounters,
     /// Optional flight-recorder sink for control-plane events (resize,
-    /// policy switch, clear). Touched only on those paths — never on
+    /// clear). Touched only on those paths — never on
     /// `fetch` — so attaching a sink costs the hot path nothing.
     events: Mutex<Option<Arc<FlightRecorder>>>,
 }
@@ -243,11 +231,7 @@ impl<S: PageStore> BufferPool<S> {
     /// Creates a buffer from a [`BufferPoolConfig`] (capacity split across
     /// the normalized shard count).
     pub fn with_config(store: S, config: BufferPoolConfig, counters: IoCounters) -> Self {
-        let shards: Vec<Shard> = config
-            .shard_capacities()
-            .into_iter()
-            .map(|cap| new_shard(config.policy, cap))
-            .collect();
+        let shards: Vec<Shard> = config.shard_capacities().into_iter().map(new_shard).collect();
         debug_assert!(shards.len().is_power_of_two());
         BufferPool {
             store,
@@ -260,10 +244,9 @@ impl<S: PageStore> BufferPool<S> {
     }
 
     /// Attaches a flight recorder: from here on, every control-plane
-    /// mutation — [`BufferPool::resize`], [`BufferPool::set_policy`],
-    /// [`BufferPool::clear`] / [`BufferPool::clear_and_reset`] — appends a
-    /// structured event ([`EventKind::PoolResize`] /
-    /// [`EventKind::PoolPolicy`] / [`EventKind::PoolClear`]), so runtime
+    /// mutation — [`BufferPool::resize`], [`BufferPool::clear`] /
+    /// [`BufferPool::clear_and_reset`] — appends a structured event
+    /// ([`EventKind::PoolResize`] / [`EventKind::PoolClear`]), so runtime
     /// tuning actions land on the same timeline as the serving events.
     /// Replaces any previous sink.
     pub fn set_event_sink(&self, recorder: Arc<FlightRecorder>) {
@@ -276,11 +259,6 @@ impl<S: PageStore> BufferPool<S> {
         if let Some(recorder) = sink {
             recorder.record(kind);
         }
-    }
-
-    /// Creates a buffer with the paper's default capacity of 256 pages.
-    pub fn with_default_capacity(store: S, counters: IoCounters) -> Self {
-        Self::new(store, DEFAULT_BUFFER_PAGES, counters)
     }
 
     /// The total buffer capacity in pages.
@@ -304,11 +282,6 @@ impl<S: PageStore> BufferPool<S> {
     pub fn resident_pages(&self) -> usize {
         let guards = self.lock_all();
         guards.iter().map(|g| g.cache.len()).sum()
-    }
-
-    /// The eviction policy the shards run (all shards share one policy).
-    pub fn policy(&self) -> EvictionPolicy {
-        self.shards[0].lock().cache.policy()
     }
 
     /// The shared I/O counters this pool reports into.
@@ -377,12 +350,11 @@ impl<S: PageStore> BufferPool<S> {
     ///
     /// The new capacity is re-split over the existing shards with the same
     /// remainder-first rule the constructor uses. A shrink drains each
-    /// over-full shard in **its policy's own victim order** — exact LRU
-    /// order for the default policy (the surviving pages are precisely the
-    /// most recently used of each shard), hand-sweep order for Clock,
-    /// reclaim order for 2Q; a grow only adds headroom. With fewer pages
-    /// than shards, the trailing shards get capacity 0 and cache nothing
-    /// (every access to them faults).
+    /// over-full shard in **exact LRU victim order** (the surviving pages
+    /// are precisely the most recently used of each shard, unused
+    /// prefetched pages going first); a grow only adds headroom. With fewer
+    /// pages than shards, the trailing shards get capacity 0 and cache
+    /// nothing (every access to them faults).
     ///
     /// Pages dropped by a shrink are *not* counted as evictions in either
     /// accounting system: eviction counters mean "evicted to make room for a
@@ -409,41 +381,6 @@ impl<S: PageStore> BufferPool<S> {
         self.capacity.store(new_capacity, Ordering::Relaxed);
         drop(guards);
         self.emit(EventKind::PoolResize { pages: new_capacity as u64 });
-    }
-
-    /// Switches every shard to `policy` at runtime, holding all shard locks
-    /// (serving systems tune the policy without rebuilding the pool or
-    /// invalidating the page→shard mapping).
-    ///
-    /// Resident pages are carried over: each shard is drained in its old
-    /// policy's victim order and re-admitted into the new cache from coldest
-    /// to warmest, preserving both residency and each page's unused-prefetch
-    /// standing (so `prefetch_useful`/`prefetch_wasted` accounting stays
-    /// truthful across the switch). No counter changes — like
-    /// [`BufferPool::resize`], a policy switch is not demand activity.
-    pub fn set_policy(&self, policy: EvictionPolicy) {
-        let mut guards = self.lock_all();
-        for guard in guards.iter_mut() {
-            if guard.cache.policy() == policy {
-                continue;
-            }
-            let capacity = guard.cache.capacity();
-            let mut drained = Vec::with_capacity(guard.cache.len());
-            while let Some(v) = guard.cache.pop_victim() {
-                drained.push(v);
-            }
-            let mut cache = PageCache::new(policy, capacity);
-            for v in drained.into_iter().rev() {
-                if v.prefetched_unused {
-                    cache.insert_prefetched(v.id, v.page);
-                } else {
-                    cache.insert(v.id, v.page);
-                }
-            }
-            guard.cache = cache;
-        }
-        drop(guards);
-        self.emit(EventKind::PoolPolicy { policy: policy.code() });
     }
 
     fn clear_locked(&self, mut guards: Vec<std::sync::MutexGuard<'_, ShardState>>) {
@@ -475,7 +412,7 @@ impl<S: PageStore> BufferPool<S> {
     }
 
     /// Accesses a page through the buffer, recording the access, and returns
-    /// what `read` makes of it — the pool's one single-page demand path
+    /// what `read` makes of it — the pool's one demand path
     /// ([`BufferPool::fetch`] is a call to it), so a hit, a miss and both
     /// accounting systems are written once.
     ///
@@ -554,98 +491,6 @@ impl<S: PageStore> BufferPool<S> {
         read(&page)
     }
 
-    /// Fetches a batch of pages, grouping the requests by owning shard so
-    /// each shard's lock is taken once per pass instead of once per page —
-    /// when every page hits, that is one lock round-trip per distinct shard;
-    /// misses add one more per shard that faulted (the store reads happen
-    /// between the two, outside any lock, exactly like [`BufferPool::fetch`]).
-    ///
-    /// Accounting is per id — one hit or one fault each, with a duplicate of
-    /// a faulting id counting a hit (its page is served by the first
-    /// occurrence's insert) — classified against the shard's state when the
-    /// batch arrives. Absent eviction pressure *within* the batch this is
-    /// identical to fetching the ids one by one; when a sequential loop
-    /// would evict one batch member while faulting another, the batch still
-    /// counts the hit the initially-resident page deserved, so a batch never
-    /// faults more than the equivalent loop. Pages are returned in input
-    /// order. On a store error the already resolved hits stay counted, like
-    /// an aborted sequential loop.
-    pub fn fetch_many(&self, ids: &[PageId]) -> Result<Vec<Page>, StorageError> {
-        if ids.len() <= 1 || self.capacity() == 0 {
-            // One page needs no grouping, and the no-buffer path caches
-            // nothing anyway: per-id fetch keeps the exact seed accounting.
-            return ids.iter().map(|&id| self.fetch(id)).collect();
-        }
-        let mut out: Vec<Option<Page>> = vec![None; ids.len()];
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, &id) in ids.iter().enumerate() {
-            buckets[self.shard_of(id)].push(i);
-        }
-        for (shard_idx, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let shard = &self.shards[shard_idx];
-            // Pass 1 (one lock hold): resolve hits, classify misses.
-            let mut missing: Vec<usize> = Vec::new();
-            let mut batch_dups: Vec<usize> = Vec::new();
-            {
-                let mut state = shard.lock();
-                for &i in bucket {
-                    let id = ids[i];
-                    if missing.iter().any(|&j| ids[j] == id) {
-                        // Second occurrence of an id that is faulting in this
-                        // batch: by the time a sequential loop reached it, the
-                        // first occurrence's insert would have made it a hit.
-                        state.stats.hits += 1;
-                        self.counters.record_access(false, false);
-                        batch_dups.push(i);
-                    } else if let Some((page, first_use)) = state.cache.lookup_ref(id) {
-                        out[i] = Some(page.clone());
-                        state.stats.hits += 1;
-                        if first_use {
-                            state.stats.prefetch_useful += 1;
-                        }
-                        self.counters.record_access(false, false);
-                    } else {
-                        missing.push(i);
-                    }
-                }
-            }
-            if missing.is_empty() {
-                continue;
-            }
-            // Store reads outside the lock.
-            let mut pages: Vec<Page> = Vec::with_capacity(missing.len());
-            for &i in &missing {
-                pages.push(self.store.read_page(ids[i])?);
-            }
-            // Pass 2 (second lock hold): insert + fault accounting.
-            {
-                let mut state = shard.lock();
-                for (&i, page) in missing.iter().zip(pages) {
-                    let victim = state.cache.insert(ids[i], page.clone());
-                    state.stats.faults += 1;
-                    let evicted = victim.is_some();
-                    if let Some(v) = victim {
-                        state.stats.evictions += 1;
-                        if v.prefetched_unused {
-                            state.stats.prefetch_wasted += 1;
-                        }
-                    }
-                    self.counters.record_access(true, evicted);
-                    out[i] = Some(page);
-                }
-            }
-            for &i in &batch_dups {
-                let id = ids[i];
-                let src = ids.iter().position(|&x| x == id).expect("duplicate has a first");
-                out[i] = out[src].clone();
-            }
-        }
-        Ok(out.into_iter().map(|p| p.expect("every id resolved")).collect())
-    }
-
     /// Speculatively faults `ids` into the pool, **without** demand
     /// accounting: no access, no fault, no eviction is recorded in either
     /// accounting system (so per-query I/O numbers and the `evictions <=
@@ -654,7 +499,7 @@ impl<S: PageStore> BufferPool<S> {
     /// `prefetch_useful`, an unused drop turns it `prefetch_wasted`.
     ///
     /// Best-effort by design: already-resident pages are skipped without
-    /// touching their recency/reference state, store errors are swallowed
+    /// touching their recency, store errors are swallowed
     /// (the demand fetch will surface them), a zero-capacity pool ignores
     /// hints entirely, and admitted pages enter **cold** (first in victim
     /// order) so a wrong guess costs one page slot for the shortest possible
@@ -675,7 +520,7 @@ impl<S: PageStore> BufferPool<S> {
             }
             let shard = &self.shards[shard_idx];
             // Pass 1: drop already-resident (and duplicate) hints under one
-            // lock hold, with no policy-state side effects.
+            // lock hold, without touching their recency.
             let mut to_read: Vec<PageId> = Vec::new();
             {
                 let state = shard.lock();
@@ -718,7 +563,6 @@ impl<S: PageStore> std::fmt::Debug for BufferPool<S> {
         f.debug_struct("BufferPool")
             .field("capacity", &self.capacity())
             .field("shards", &self.num_shards())
-            .field("policy", &self.policy())
             .field("resident", &self.resident_pages())
             .field("stats", &self.io_stats().total)
             .finish()
@@ -762,7 +606,6 @@ mod tests {
         pool.set_event_sink(Arc::clone(&recorder));
         pool.fetch(PageId(0)).unwrap();
         pool.resize(2);
-        pool.set_policy(EvictionPolicy::Clock);
         pool.clear();
         pool.clear_and_reset();
         let drained = recorder.drain();
@@ -771,7 +614,6 @@ mod tests {
             kinds,
             vec![
                 EventKind::PoolResize { pages: 2 },
-                EventKind::PoolPolicy { policy: EvictionPolicy::Clock.code() },
                 EventKind::PoolClear { reset_stats: false },
                 EventKind::PoolClear { reset_stats: true },
             ]
@@ -828,7 +670,8 @@ mod tests {
 
     #[test]
     fn large_capacity_buffer_faults_once_per_page() {
-        let pool = BufferPool::with_default_capacity(disk_with_pages(10), IoCounters::new());
+        let config = BufferPoolConfig::paper_default();
+        let pool = BufferPool::with_config(disk_with_pages(10), config, IoCounters::new());
         assert_eq!(pool.capacity(), DEFAULT_BUFFER_PAGES);
         for round in 0..3 {
             for i in 0..10 {
@@ -950,57 +793,30 @@ mod tests {
         })
     }
 
-    /// Exact accounting is pinned, not assumed: the ids each policy drops,
-    /// in order, and its final counters, as recorded on the commit before
-    /// the resident-page maps stopped SipHashing — how a map places an id
-    /// must never reach the victim order or a counter.
+    /// Exact accounting is pinned, not assumed: the ids LRU drops, in order,
+    /// and its final counters, as recorded on the commit before the
+    /// resident-page map stopped SipHashing — how a map places an id must
+    /// never reach the victim order or a counter. ("Every policy" is the one
+    /// there is: the Clock and 2Q rows went with those policies.)
     #[test]
     fn victim_sequence_and_stats_are_pinned_under_every_policy() {
-        let stats = |hits, faults, evictions, issued, useful, wasted| ShardStats {
-            hits,
-            faults,
-            evictions,
-            prefetch_issued: issued,
-            prefetch_useful: useful,
-            prefetch_wasted: wasted,
-        };
-        let pinned: [(EvictionPolicy, &[u32], ShardStats); 3] = [
-            (
-                EvictionPolicy::Lru,
-                &[
-                    1, 9, 10, 8, 0, 3, 4, 1, 5, 6, 9, 6, 11, 10, 1, 3, 4, 7, 8, 10, 9, 3, 11, 2, 6,
-                    4, 10, 1, 9, 5, 2, 3, 11, 0, 7, 8, 9, 10, 4, 6, 5, 11, 3, 2, 7, 2, 0, 9, 6, 10,
-                    4, 11, 5, 3,
-                ],
-                stats(37, 47, 42, 13, 2, 10),
-            ),
-            (
-                EvictionPolicy::Clock,
-                &[
-                    0, 9, 1, 10, 8, 4, 3, 1, 6, 5, 9, 6, 11, 10, 1, 3, 8, 4, 7, 9, 2, 11, 3, 10, 4,
-                    6, 1, 9, 5, 2, 7, 11, 0, 3, 8, 9, 10, 4, 6, 5, 7, 11, 2, 3, 2, 0, 9, 6, 10, 4,
-                    11, 5, 3,
-                ],
-                stats(38, 46, 41, 14, 2, 11),
-            ),
-            (
-                EvictionPolicy::TwoQ,
-                &[
-                    0, 9, 1, 10, 8, 4, 6, 3, 5, 9, 6, 11, 10, 8, 4, 7, 9, 2, 10, 11, 4, 6, 9, 2, 5,
-                    7, 11, 8, 9, 1, 0, 3, 4, 6, 10, 5, 11, 3, 0, 2, 8, 4, 2, 11, 0, 6, 9, 10, 5, 4,
-                    3, 10,
-                ],
-                stats(39, 45, 40, 13, 2, 10),
-            ),
+        let expected_victims: [u32; 54] = [
+            1, 9, 10, 8, 0, 3, 4, 1, 5, 6, 9, 6, 11, 10, 1, 3, 4, 7, 8, 10, 9, 3, 11, 2, 6, 4, 10,
+            1, 9, 5, 2, 3, 11, 0, 7, 8, 9, 10, 4, 6, 5, 11, 3, 2, 7, 2, 0, 9, 6, 10, 4, 11, 5, 3,
         ];
-        for (policy, expected_victims, expected_stats) in pinned {
-            for access in [fetch_page, read_page_in_place] {
-                let config = BufferPoolConfig::new(5).with_policy(policy);
-                let (victims, stats, io) = replay_pinned_trace(config, access);
-                assert_eq!(victims, expected_victims, "{policy}: victim sequence");
-                assert_eq!(stats.total, expected_stats, "{policy}: counters");
-                assert_eq!(stats.total.as_io_stats(), io, "{policy}: both views agree");
-            }
+        let expected_stats = ShardStats {
+            hits: 37,
+            faults: 47,
+            evictions: 42,
+            prefetch_issued: 13,
+            prefetch_useful: 2,
+            prefetch_wasted: 10,
+        };
+        for access in [fetch_page, read_page_in_place] {
+            let (victims, stats, io) = replay_pinned_trace(BufferPoolConfig::new(5), access);
+            assert_eq!(victims, expected_victims, "victim sequence");
+            assert_eq!(stats.total, expected_stats, "counters");
+            assert_eq!(stats.total.as_io_stats(), io, "both views agree");
         }
     }
 
@@ -1047,17 +863,14 @@ mod tests {
     /// at all.
     #[test]
     fn read_with_accounts_and_evicts_exactly_like_fetch() {
-        for policy in EvictionPolicy::ALL {
-            for (capacity, shards) in [(8, 8), (0, 1)] {
-                let config =
-                    BufferPoolConfig::new(capacity).with_shards(shards).with_policy(policy);
-                let fetched = replay_pinned_trace(config, fetch_page);
-                let read = replay_pinned_trace(config, read_page_in_place);
-                assert_eq!(read, fetched, "{policy}, {capacity} pages / {shards} shards");
-                assert_eq!(read.1.per_shard.len(), shards);
-                assert_eq!(read.1.total.as_io_stats(), read.2, "{policy}: both views agree");
-                assert_eq!(read.2.accesses, 84, "12 of the 96 steps are prefetches");
-            }
+        for (capacity, shards) in [(8, 8), (0, 1)] {
+            let config = BufferPoolConfig::new(capacity).with_shards(shards);
+            let fetched = replay_pinned_trace(config, fetch_page);
+            let read = replay_pinned_trace(config, read_page_in_place);
+            assert_eq!(read, fetched, "{capacity} pages / {shards} shards");
+            assert_eq!(read.1.per_shard.len(), shards);
+            assert_eq!(read.1.total.as_io_stats(), read.2, "both views agree");
+            assert_eq!(read.2.accesses, 84, "12 of the 96 steps are prefetches");
         }
     }
 
@@ -1123,6 +936,11 @@ mod tests {
                     std::thread::spawn(move || {
                         for i in 0..per_thread {
                             let id = PageId(((t * 3 + i) % 8) as u32);
+                            if i % 7 == 0 {
+                                // Speculative reads race the demand fetches
+                                // and must stay out of their counters.
+                                pool.prefetch(&[PageId(((t * 3 + i + 1) % 8) as u32)]);
+                            }
                             let page = pool.fetch(id).unwrap();
                             let records = page.records(id).unwrap();
                             assert_eq!(records[0].node, NodeId(id.0));
@@ -1137,6 +955,9 @@ mod tests {
             assert_eq!(s.accesses, (threads * per_thread) as u64);
             assert!(s.faults >= 8, "each of the 8 pages faults at least once");
             assert!(s.faults <= s.accesses);
+            assert!(s.evictions <= s.faults);
+            let t = pool.io_stats().total;
+            assert!(t.prefetch_useful + t.prefetch_wasted <= t.prefetch_issued);
             assert!(pool.resident_pages() <= 4);
             assert_eq!(
                 s,
@@ -1371,135 +1192,39 @@ mod tests {
     }
 
     #[test]
-    fn fetch_many_matches_sequential_fetch_accounting() {
-        // Capacities chosen so every shard can hold all 8 pages: with no
-        // intra-batch eviction pressure, batched accounting is bit-identical
-        // to the sequential loop (including duplicate-id handling).
-        for (capacity, shards) in [(8usize, 1usize), (32, 4)] {
-            for policy in EvictionPolicy::ALL {
-                let config =
-                    BufferPoolConfig::new(capacity).with_shards(shards).with_policy(policy);
-                let batched =
-                    BufferPool::with_config(disk_with_pages(8), config, IoCounters::new());
-                let sequential =
-                    BufferPool::with_config(disk_with_pages(8), config, IoCounters::new());
-                let trace: Vec<Vec<u32>> =
-                    vec![vec![0, 1, 2], vec![1, 2, 5, 1], vec![7, 0, 7, 3, 2], vec![4, 4, 4]];
-                for batch in &trace {
-                    let ids: Vec<PageId> = batch.iter().map(|&i| PageId(i)).collect();
-                    let via_batch = batched.fetch_many(&ids).unwrap();
-                    let via_loop: Vec<Page> =
-                        ids.iter().map(|&id| sequential.fetch(id).unwrap()).collect();
-                    assert_eq!(via_batch, via_loop, "{policy}/{shards} shards: pages");
-                    assert_eq!(
-                        batched.io_stats().total,
-                        sequential.io_stats().total,
-                        "{policy}/{shards} shards: accounting after batch {batch:?}"
-                    );
-                    assert_eq!(
-                        batched.counters().snapshot(),
-                        sequential.counters().snapshot(),
-                        "{policy}/{shards} shards: thread-attributed accounting"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fetch_many_under_pressure_classifies_against_batch_start_state() {
-        // Capacity 4 forces evictions *within* a batch. The batch classifies
-        // hits against the state at batch start, so it may count fewer
-        // faults than a sequential loop (which can evict one batch member
-        // while faulting another before reaching it) — never more. Results
-        // stay byte-identical to the loop in every cell.
-        let trace: Vec<Vec<u32>> =
-            vec![vec![0, 1, 2], vec![1, 2, 5, 1], vec![7, 0, 7, 3, 2], vec![4, 4, 4]];
-        for policy in EvictionPolicy::ALL {
-            let config = BufferPoolConfig::new(4).with_policy(policy);
-            let batched = BufferPool::with_config(disk_with_pages(8), config, IoCounters::new());
-            let sequential = BufferPool::with_config(disk_with_pages(8), config, IoCounters::new());
-            for batch in &trace {
-                let ids: Vec<PageId> = batch.iter().map(|&i| PageId(i)).collect();
-                let via_batch = batched.fetch_many(&ids).unwrap();
-                let via_loop: Vec<Page> =
-                    ids.iter().map(|&id| sequential.fetch(id).unwrap()).collect();
-                assert_eq!(via_batch, via_loop, "{policy}: pages under pressure");
-            }
-            let b = batched.io_stats().total;
-            let s = sequential.io_stats().total;
-            assert_eq!(b.accesses(), s.accesses(), "{policy}: one access per id either way");
-            assert!(b.faults <= s.faults, "{policy}: batch never faults more than the loop");
-            assert!(b.evictions <= b.faults, "{policy}: demand invariant holds");
-            assert_eq!(batched.counters().snapshot(), b.as_io_stats(), "{policy}: views agree");
-        }
-        // Pin the exact LRU single-shard numbers so the snapshot semantics
-        // are a documented contract, not an accident: hand-replaying the
-        // trace gives hits 8 / faults 7 / evictions 3 batched vs
-        // hits 6 / faults 9 / evictions 5 sequentially.
-        let config = BufferPoolConfig::new(4);
-        let pool = BufferPool::with_config(disk_with_pages(8), config, IoCounters::new());
-        for batch in &trace {
-            let ids: Vec<PageId> = batch.iter().map(|&i| PageId(i)).collect();
-            pool.fetch_many(&ids).unwrap();
-        }
-        let t = pool.io_stats().total;
-        assert_eq!((t.hits, t.faults, t.evictions), (8, 7, 3));
-    }
-
-    #[test]
-    fn fetch_many_on_empty_and_zero_capacity_pools() {
-        let pool = BufferPool::new(disk_with_pages(3), 0, IoCounters::new());
-        assert!(pool.fetch_many(&[]).unwrap().is_empty());
-        let pages = pool.fetch_many(&[PageId(0), PageId(1), PageId(0)]).unwrap();
-        assert_eq!(pages.len(), 3);
-        assert_eq!(pages[0], pages[2]);
-        let s = totals(&pool);
-        assert_eq!(s.accesses, 3);
-        assert_eq!(s.faults, 3, "no buffer: every batched access faults");
-        assert!(pool.fetch_many(&[PageId(9)]).is_err(), "out-of-bounds still errors");
-    }
-
-    #[test]
     fn prefetch_is_invisible_to_demand_accounting() {
-        for policy in EvictionPolicy::ALL {
-            let config = BufferPoolConfig::new(4).with_policy(policy);
-            let pool = BufferPool::with_config(disk_with_pages(8), config, IoCounters::new());
-            pool.prefetch(&[PageId(0), PageId(1), PageId(1)]);
-            let t = pool.io_stats().total;
-            assert_eq!(t.as_io_stats(), IoStats::default(), "{policy}: no demand activity");
-            assert_eq!(t.prefetch_issued, 2, "{policy}: duplicate hint reads once");
-            assert_eq!(pool.counters().snapshot(), IoStats::default(), "{policy}");
-            assert_eq!(pool.resident_pages(), 2, "{policy}");
+        let pool = BufferPool::new(disk_with_pages(8), 4, IoCounters::new());
+        pool.prefetch(&[PageId(0), PageId(1), PageId(1)]);
+        let t = pool.io_stats().total;
+        assert_eq!(t.as_io_stats(), IoStats::default(), "no demand activity");
+        assert_eq!(t.prefetch_issued, 2, "duplicate hint reads once");
+        assert_eq!(pool.counters().snapshot(), IoStats::default());
+        assert_eq!(pool.resident_pages(), 2);
 
-            // Demand use turns the speculative read useful — and counts as a
-            // hit, not a fault.
-            pool.fetch(PageId(0)).unwrap();
-            let t = pool.io_stats().total;
-            assert_eq!((t.hits, t.faults), (1, 0), "{policy}");
-            assert_eq!(t.prefetch_useful, 1, "{policy}");
-            // Prefetching a resident page is a no-op.
-            pool.prefetch(&[PageId(0)]);
-            assert_eq!(pool.io_stats().total.prefetch_issued, 2, "{policy}");
-            // Out-of-bounds hints are swallowed.
-            pool.prefetch(&[PageId(100)]);
-            assert_eq!(pool.io_stats().total.prefetch_issued, 2, "{policy}");
+        // Demand use turns the speculative read useful — and counts as a
+        // hit, not a fault.
+        pool.fetch(PageId(0)).unwrap();
+        let t = pool.io_stats().total;
+        assert_eq!((t.hits, t.faults), (1, 0));
+        assert_eq!(t.prefetch_useful, 1);
+        // Prefetching a resident page is a no-op.
+        pool.prefetch(&[PageId(0)]);
+        assert_eq!(pool.io_stats().total.prefetch_issued, 2);
+        // Out-of-bounds hints are swallowed.
+        pool.prefetch(&[PageId(100)]);
+        assert_eq!(pool.io_stats().total.prefetch_issued, 2);
 
-            // Flood the pool with speculative pages: the unused one from the
-            // start gets displaced eventually and turns wasted; demand
-            // eviction counters stay untouched throughout.
-            pool.prefetch(&[PageId(2), PageId(3), PageId(4), PageId(5), PageId(6)]);
-            let t = pool.io_stats().total;
-            assert_eq!(t.evictions, 0, "{policy}: speculative displacement is not an eviction");
-            assert!(
-                t.prefetch_wasted >= 1,
-                "{policy}: the overflow dropped an unused prefetched page"
-            );
-            assert!(
-                t.prefetch_useful + t.prefetch_wasted <= t.prefetch_issued,
-                "{policy}: each issued page decides at most once"
-            );
-        }
+        // Flood the pool with speculative pages: the unused one from the
+        // start gets displaced eventually and turns wasted; demand
+        // eviction counters stay untouched throughout.
+        pool.prefetch(&[PageId(2), PageId(3), PageId(4), PageId(5), PageId(6)]);
+        let t = pool.io_stats().total;
+        assert_eq!(t.evictions, 0, "speculative displacement is not an eviction");
+        assert!(t.prefetch_wasted >= 1, "the overflow dropped an unused prefetched page");
+        assert!(
+            t.prefetch_useful + t.prefetch_wasted <= t.prefetch_issued,
+            "each issued page decides at most once"
+        );
     }
 
     #[test]
@@ -1512,105 +1237,26 @@ mod tests {
 
     #[test]
     fn resize_shrink_drains_by_the_policy_victim_order() {
-        // Clock: a hit on an already-referenced page is a no-op, so the
-        // shrink drains in ring order (0, 1) — where LRU would have promoted
-        // the re-hit page 0 and kept it. This pins the drain to the clock
-        // sweep, not the LRU recency cut.
-        let config = BufferPoolConfig::new(4).with_policy(EvictionPolicy::Clock);
-        let pool = BufferPool::with_config(disk_with_pages(6), config, IoCounters::new());
-        for i in [0u32, 1, 2, 3] {
-            pool.fetch(PageId(i)).unwrap();
-        }
-        pool.fetch(PageId(0)).unwrap(); // LRU would move 0 to MRU; clock does nothing
-        let before = totals(&pool);
-        pool.resize(2);
-        assert_eq!(pool.resident_pages(), 2);
-        assert_eq!(totals(&pool), before, "resize drains are not evictions");
-        pool.fetch(PageId(2)).unwrap();
-        pool.fetch(PageId(3)).unwrap();
-        assert_eq!(totals(&pool).faults, before.faults, "2 and 3 survived the clock shrink");
-        pool.fetch(PageId(0)).unwrap();
-        assert_eq!(
-            totals(&pool).faults,
-            before.faults + 1,
-            "0 was drained in ring order despite its recent hit (LRU would have kept it)"
-        );
-
-        // 2Q: the protected queue survives a shrink while probation drains
-        // first.
-        let config = BufferPoolConfig::new(4).with_policy(EvictionPolicy::TwoQ);
-        let pool = BufferPool::with_config(disk_with_pages(8), config, IoCounters::new());
-        for i in [0u32, 1, 2, 3] {
-            pool.fetch(PageId(i)).unwrap(); // probation: 0..3
-        }
-        pool.fetch(PageId(4)).unwrap(); // evicts 0 to ghost (kin = 1)
-        pool.fetch(PageId(0)).unwrap(); // ghost hit: 0 joins the protected queue
-        let before = totals(&pool);
-        pool.resize(2);
-        assert_eq!(pool.resident_pages(), 2);
-        pool.fetch(PageId(0)).unwrap();
-        assert_eq!(totals(&pool).faults, before.faults, "the protected page survived");
-    }
-
-    #[test]
-    fn set_policy_preserves_residency_and_counters() {
+        // The victim order is LRU's with speculative pages admitted cold: a
+        // shrink drops the never-used prefetched page first — and counts it
+        // wasted, which it was — then the least recently used demand page.
         let pool = BufferPool::new(disk_with_pages(6), 4, IoCounters::new());
-        for i in [0u32, 1, 2, 3] {
+        for i in [0u32, 1, 2] {
             pool.fetch(PageId(i)).unwrap();
         }
-        pool.prefetch(&[PageId(4)]);
+        pool.prefetch(&[PageId(5)]);
+        pool.fetch(PageId(0)).unwrap(); // victim order: 5 (cold), 1, 2, 0
         let before = pool.io_stats().total;
-        assert_eq!(pool.policy(), EvictionPolicy::Lru);
-        pool.set_policy(EvictionPolicy::TwoQ);
-        assert_eq!(pool.policy(), EvictionPolicy::TwoQ);
-        assert_eq!(pool.io_stats().total, before, "a policy switch is not demand activity");
-        // Capacity 4 with one page prefetched: the switch drained one page
-        // (the over-capacity probation insert) or kept all — either way the
-        // demand pages 1..3 and the accounting invariants must hold.
-        assert!(pool.resident_pages() <= 4);
-        pool.set_policy(EvictionPolicy::TwoQ); // same-policy switch is a no-op
-        let t = pool.io_stats().total;
-        assert!(t.prefetch_useful + t.prefetch_wasted <= t.prefetch_issued);
-        // Every page still serves correct bytes afterwards.
-        for i in 0..6u32 {
-            let got = pool.fetch(PageId(i)).unwrap();
-            assert_eq!(got.records(PageId(i)).unwrap()[0].node, NodeId(i));
-        }
-    }
-
-    #[test]
-    fn clock_and_twoq_pools_serve_correct_pages_under_concurrency() {
-        use std::sync::Arc;
-        for policy in [EvictionPolicy::Clock, EvictionPolicy::TwoQ] {
-            let config = BufferPoolConfig::new(6).with_shards(4).with_policy(policy);
-            let pool =
-                Arc::new(BufferPool::with_config(disk_with_pages(16), config, IoCounters::new()));
-            let handles: Vec<_> = (0..4)
-                .map(|t| {
-                    let pool = Arc::clone(&pool);
-                    std::thread::spawn(move || {
-                        for i in 0..300 {
-                            let id = PageId(((t * 5 + i) % 16) as u32);
-                            if i % 7 == 0 {
-                                pool.prefetch(&[PageId(((t * 5 + i + 1) % 16) as u32)]);
-                            }
-                            let page = pool.fetch(id).unwrap();
-                            assert_eq!(page.records(id).unwrap()[0].node, NodeId(id.0));
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            let t = pool.io_stats().total;
-            assert_eq!(t.accesses(), 1200, "{policy}");
-            assert!(t.evictions <= t.faults, "{policy}");
-            assert!(t.faults <= t.accesses(), "{policy}");
-            assert!(t.prefetch_useful + t.prefetch_wasted <= t.prefetch_issued, "{policy}");
-            assert_eq!(t.as_io_stats(), pool.counters().snapshot(), "{policy}");
-            assert!(pool.resident_pages() <= 6, "{policy}");
-        }
+        pool.resize(2);
+        assert_eq!(pool.resident_pages(), 2);
+        let after = pool.io_stats().total;
+        assert_eq!(after.as_io_stats(), before.as_io_stats(), "resize drains are not evictions");
+        assert_eq!(after.prefetch_wasted, before.prefetch_wasted + 1, "page 5 was never used");
+        pool.fetch(PageId(2)).unwrap();
+        pool.fetch(PageId(0)).unwrap();
+        assert_eq!(totals(&pool).faults, before.faults, "the two most recent demand pages stayed");
+        pool.fetch(PageId(1)).unwrap();
+        assert_eq!(totals(&pool).faults, before.faults + 1, "1 was the LRU demand page");
     }
 
     #[test]

@@ -23,11 +23,9 @@
 //!   result cache.
 //! * [`buffer`] — the striped buffer manager ([`BufferPool`]): capacity
 //!   split over independently locked shards ([`BufferPoolConfig`]) with
-//!   exact per-shard access/fault/eviction accounting ([`ShardStats`]),
-//!   batched fetches and speculative prefetch with its own accounting.
-//! * [`policy`] — pluggable page-eviction policies ([`EvictionPolicy`]):
-//!   exact LRU (default, the paper's buffer), Clock (second-chance) and 2Q
-//!   (scan-resistant).
+//!   exact per-shard access/fault/eviction accounting ([`ShardStats`])
+//!   and speculative prefetch with its own accounting. Every shard evicts
+//!   in exact LRU order — the paper's buffer, and the only policy there is.
 //! * [`node_index`] — the node-id index ([`NodeIndex`]).
 //! * [`paged_graph`] — [`PagedGraph`], which ties everything together and
 //!   implements [`rnn_graph::Topology`], so every query algorithm of
@@ -54,7 +52,7 @@ pub mod metrics;
 pub mod node_index;
 pub mod page;
 pub mod paged_graph;
-pub mod policy;
+mod policy;
 
 pub use buffer::{BufferPool, BufferPoolConfig, BufferPoolStats, ShardStats};
 pub use disk::{FileDisk, MemoryDisk, PageStore};
@@ -66,4 +64,3 @@ pub use metrics::{register_buffer_pool, register_io_counters};
 pub use node_index::{NodeIndex, NodeIndexEntry};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use paged_graph::{PagedGraph, StorageControl};
-pub use policy::EvictionPolicy;

@@ -137,14 +137,6 @@ impl<K: Eq + Hash + Clone, V, S: BuildHasher> Lru<K, V, S> {
         Some(&mut self.slots[i].value)
     }
 
-    /// Like [`Lru::peek`], but returns a mutable reference — the recency
-    /// order is *not* touched. Used by caches that update per-entry metadata
-    /// (e.g. a prefetched flag) without promoting the entry.
-    pub fn peek_mut(&mut self, key: &K) -> Option<&mut V> {
-        let &i = self.map.get(key)?;
-        Some(&mut self.slots[i].value)
-    }
-
     /// Inserts (or refreshes) an entry, marking it most recently used.
     ///
     /// Returns the evicted `(key, value)` pair when the insert pushed the
@@ -485,18 +477,14 @@ mod tests {
     }
 
     #[test]
-    fn get_mut_touches_recency_and_peek_mut_does_not() {
+    fn get_mut_touches_recency_like_get() {
         let mut c = lru(2);
         c.insert(0, val(0));
         c.insert(1, val(1)); // [1, 0]
-        *c.peek_mut(&0).unwrap() = "peeked".to_string();
-        // 0 is still the LRU entry: peek_mut must not have promoted it.
-        assert_eq!(c.keys_mru_to_lru(), vec![1, 0]);
         *c.get_mut(&0).unwrap() = "touched".to_string();
         assert_eq!(c.keys_mru_to_lru(), vec![0, 1], "get_mut promotes like get");
         assert_eq!(c.peek(&0), Some(&"touched".to_string()));
         assert_eq!(c.get_mut(&9), None);
-        assert_eq!(c.peek_mut(&9), None);
     }
 
     #[test]

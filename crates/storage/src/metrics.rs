@@ -52,10 +52,9 @@ pub fn register_io_counters(registry: &MetricsRegistry, pool: &str, counters: &I
 ///
 /// Emits, per snapshot, gauges for the pool's shape —
 /// `rnn_buffer_pool_capacity_pages`, `rnn_buffer_pool_shards`,
-/// `rnn_buffer_pool_resident_pages`, plus `rnn_buffer_pool_policy` (the
-/// [`crate::EvictionPolicy::code`] of the active eviction policy) — then
-/// hit/fault/eviction and `prefetch_{issued,useful,wasted}` counters for the
-/// pool total, and per shard the same counters plus a
+/// `rnn_buffer_pool_resident_pages` — then hit/fault/eviction and
+/// `prefetch_{issued,useful,wasted}` counters for the pool total, and per
+/// shard the same counters plus a
 /// `rnn_buffer_pool_shard_hit_rate_permille` gauge (demand hits per 1000
 /// demand accesses; 0 when the shard is untouched)
 /// (`rnn_buffer_pool_shard_hits_total{pool="<pool>",shard="0"}`, …). All
@@ -79,7 +78,6 @@ where
             buffer.capacity() as u64,
         );
         set.gauge(&format!("rnn_buffer_pool_shards{{pool=\"{p}\"}}"), buffer.num_shards() as u64);
-        set.gauge(&format!("rnn_buffer_pool_policy{{pool=\"{p}\"}}"), buffer.policy().code());
         let stats = buffer.io_stats();
         // `resident_pages` re-locks the shards, but the gauge is advisory
         // (it may lag `stats` by concurrent fetches); the counters below all
@@ -218,7 +216,6 @@ mod tests {
         assert_eq!(g("rnn_buffer_pool_capacity_pages{pool=\"graph\"}"), 4);
         assert_eq!(g("rnn_buffer_pool_shards{pool=\"graph\"}"), 2);
         assert!(g("rnn_buffer_pool_resident_pages{pool=\"graph\"}") <= 4);
-        assert_eq!(g("rnn_buffer_pool_policy{pool=\"graph\"}"), crate::EvictionPolicy::Lru.code());
         assert_eq!(c("rnn_buffer_pool_prefetch_issued_total{pool=\"graph\"}"), 1);
         assert_eq!(
             c("rnn_buffer_pool_prefetch_useful_total{pool=\"graph\"}"),

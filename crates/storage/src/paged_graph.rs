@@ -1,7 +1,7 @@
 //! The disk-page backed graph view.
 //!
 //! [`PagedGraph`] combines a page store, the node-id index and a buffer pool
-//! (LRU by default) into a [`Topology`] implementation. Query algorithms
+//! (the paper's LRU) into a [`Topology`] implementation. Query algorithms
 //! written against the `Topology` trait run unchanged on a `PagedGraph`; the
 //! only difference from the in-memory [`rnn_graph::Graph`] is that every
 //! adjacency fetch goes through the buffer and is accounted for in
@@ -22,7 +22,6 @@ use crate::io_stats::{IoCounters, IoStats};
 use crate::layout::{LayoutStrategy, PageLayout};
 use crate::node_index::NodeIndex;
 use crate::page::{Page, PageEntry, PageId, RecordView};
-use crate::policy::EvictionPolicy;
 use rnn_graph::{EdgeId, Graph, Neighbor, NodeId, Topology, Weight};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,8 +38,8 @@ thread_local! {
     static HINT_SCRATCH: RefCell<Vec<PageId>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A graph stored on simulated disk pages and read through a striped,
-/// policy-driven page buffer.
+/// A graph stored on simulated disk pages and read through a striped LRU
+/// page buffer.
 pub struct PagedGraph<S: PageStore = MemoryDisk> {
     buffer: BufferPool<S>,
     index: NodeIndex,
@@ -301,20 +300,12 @@ impl<S: PageStore> Topology for PagedGraph<S> {
 /// Runtime tuning and introspection of a paged storage backend.
 ///
 /// The serving layer (`rnn-server`) keeps its storage backend behind this
-/// object-safe trait so configuration knobs — eviction policy, frontier
-/// prefetch — can be applied without knowing the concrete [`PageStore`]
-/// type, mirroring how query algorithms only see [`Topology`]. All methods
-/// take `&self`: the handle is shared with live query traffic and every
-/// operation is safe to apply while queries run (policy switches drain and
-/// re-admit resident pages without changing demand counters).
+/// object-safe trait so frontier prefetch can be switched, and the buffer
+/// inspected, without knowing the concrete [`PageStore`] type, mirroring how
+/// query algorithms only see [`Topology`]. All methods take `&self`: the
+/// handle is shared with live query traffic and every operation is safe to
+/// apply while queries run.
 pub trait StorageControl: Send + Sync {
-    /// The eviction policy currently driving the page buffer.
-    fn policy(&self) -> EvictionPolicy;
-
-    /// Switches the buffer's eviction policy at runtime, preserving resident
-    /// pages and all accounting ([`BufferPool::set_policy`]).
-    fn set_policy(&self, policy: EvictionPolicy);
-
     /// Whether expansion-frontier prefetch hints are enabled.
     fn prefetch_enabled(&self) -> bool;
 
@@ -333,8 +324,8 @@ pub trait StorageControl: Send + Sync {
     /// Number of pages currently resident in the buffer.
     fn resident_pages(&self) -> usize;
 
-    /// Attaches a flight recorder to the backend's control plane: resize,
-    /// policy-switch and clear operations then append structured events
+    /// Attaches a flight recorder to the backend's control plane: resize
+    /// and clear operations then append structured events
     /// ([`rnn_obs::EventKind::PoolResize`] and friends) so runtime tuning
     /// shows up on the serving layer's event timeline. The default
     /// implementation ignores the sink (for backends with no control-plane
@@ -345,14 +336,6 @@ pub trait StorageControl: Send + Sync {
 }
 
 impl<S: PageStore + Send> StorageControl for PagedGraph<S> {
-    fn policy(&self) -> EvictionPolicy {
-        self.buffer.policy()
-    }
-
-    fn set_policy(&self, policy: EvictionPolicy) {
-        self.buffer.set_policy(policy);
-    }
-
     fn prefetch_enabled(&self) -> bool {
         PagedGraph::prefetch_enabled(self)
     }
@@ -388,7 +371,6 @@ impl<S: PageStore> std::fmt::Debug for PagedGraph<S> {
             .field("num_nodes", &self.num_nodes)
             .field("num_pages", &self.num_pages())
             .field("buffer_capacity", &self.buffer_capacity())
-            .field("policy", &self.buffer.policy())
             .field("prefetch", &self.prefetch_enabled())
             .field("io", &self.io_stats())
             .finish()
@@ -575,7 +557,7 @@ mod tests {
     }
 
     #[test]
-    fn storage_control_tunes_policy_and_prefetch_through_dyn_handle() {
+    fn storage_control_tunes_prefetch_through_dyn_handle() {
         let g = grid_graph(8);
         let pg =
             PagedGraph::build_with(&g, LayoutStrategy::BfsLocality, 8, IoCounters::new()).unwrap();
@@ -583,25 +565,22 @@ mod tests {
             pg.neighbors_vec(v);
         }
         let ctl: &dyn StorageControl = &pg;
-        assert_eq!(ctl.policy(), EvictionPolicy::Lru);
         assert!(!ctl.prefetch_enabled());
         assert_eq!(ctl.buffer_capacity(), 8);
         assert_eq!(ctl.num_shards(), 1);
         assert!(ctl.resident_pages() > 0);
 
         let before = ctl.pool_stats().total;
-        ctl.set_policy(EvictionPolicy::TwoQ);
         ctl.set_prefetch(true);
-        assert_eq!(ctl.policy(), EvictionPolicy::TwoQ);
         assert!(ctl.prefetch_enabled());
-        // The switch preserves residency and accounting, and queries still
-        // return in-memory-identical results.
+        // The switch itself touches neither residency nor accounting, and
+        // queries still return in-memory-identical results.
         assert_eq!(ctl.pool_stats().total, before);
         for v in g.node_ids() {
             assert_eq!(pg.neighbors_vec(v), g.neighbors_vec(v), "node {v}");
         }
         let dbg = format!("{pg:?}");
-        assert!(dbg.contains("2q") || dbg.contains("TwoQ"), "Debug shows the policy: {dbg}");
+        assert!(dbg.contains("prefetch: true"), "Debug shows the switch: {dbg}");
     }
 
     /// A star: the hub's 700-arc adjacency list overflows one 4 KB page.

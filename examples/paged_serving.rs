@@ -7,8 +7,7 @@
 //! workers share one sharded pool, every page access is attributed to its
 //! thread by the lock-free I/O counters, and the batch must reproduce the
 //! in-memory sequential results byte for byte. The second half demonstrates
-//! the paged-query fast path: switching the pool's eviction policy
-//! (LRU / Clock / 2Q) and enabling the expansion-frontier prefetcher at
+//! the paged-query fast path: enabling the expansion-frontier prefetcher at
 //! runtime, with the prefetch usefulness accounting printed and asserted.
 //!
 //! Run with `cargo run --release --example paged_serving -- [THREADS]`
@@ -18,7 +17,7 @@ use rnn_core::engine::{QueryEngine, Workload};
 use rnn_core::{run_rknn_with, Algorithm, Precomputed, Scratch};
 use rnn_datagen::{grid_map, place_points_on_nodes, sample_node_queries, GridConfig};
 use rnn_graph::PointsOnNodes;
-use rnn_storage::{BufferPoolConfig, EvictionPolicy, IoCounters, LayoutStrategy, PagedGraph};
+use rnn_storage::{BufferPoolConfig, IoCounters, LayoutStrategy, PagedGraph};
 use std::time::Instant;
 
 fn main() {
@@ -95,10 +94,9 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // The paged-query fast path: eviction policy and frontier prefetch are
-    // runtime knobs. Neither may change answers; the prefetcher keeps its
-    // own issued / useful / wasted accounting and is never counted as
-    // demand I/O.
+    // The paged-query fast path: frontier prefetch is a runtime switch. It
+    // may not change answers; the prefetcher keeps its own issued / useful /
+    // wasted accounting and is never counted as demand I/O.
     // ------------------------------------------------------------------
     let mut scratch = Scratch::new();
     let sequential: Vec<_> = query_nodes
@@ -107,63 +105,55 @@ fn main() {
             run_rknn_with(Algorithm::Lazy, &graph, &points, Precomputed::none(), q, 1, &mut scratch)
         })
         .collect();
-    println!("\nfast path (lazy, cold pool per cell): policy x frontier prefetch");
-    for policy in EvictionPolicy::ALL {
-        paged.buffer().set_policy(policy);
-        assert_eq!(paged.buffer().policy(), policy, "policy switch applies");
-        let mut demand_faults_without_prefetch = 0;
-        for prefetch in [false, true] {
-            paged.set_prefetch(prefetch);
-            paged.cold_start();
-            let engine =
-                QueryEngine::new(&paged, &points).with_io_counters(&counters).with_threads(threads);
-            let workload = Workload::uniform(Algorithm::Lazy, 1, query_nodes.iter().copied());
-            let batch = engine.run_batch(&workload);
-            assert_eq!(
-                batch.results,
-                sequential,
-                "{} prefetch={prefetch}: policy and prefetch change cost, never answers",
-                policy.name()
-            );
-            let total = paged.pool_stats().total;
-            assert_eq!(
-                total.as_io_stats(),
-                paged.io_stats(),
-                "prefetch traffic stays out of the demand counters"
-            );
+    println!("\nfast path (lazy, cold pool per cell): frontier prefetch off / on");
+    let mut demand_faults_without_prefetch = 0;
+    for prefetch in [false, true] {
+        paged.set_prefetch(prefetch);
+        paged.cold_start();
+        let engine =
+            QueryEngine::new(&paged, &points).with_io_counters(&counters).with_threads(threads);
+        let workload = Workload::uniform(Algorithm::Lazy, 1, query_nodes.iter().copied());
+        let batch = engine.run_batch(&workload);
+        assert_eq!(
+            batch.results, sequential,
+            "prefetch={prefetch}: prefetch changes cost, never answers"
+        );
+        let total = paged.pool_stats().total;
+        assert_eq!(
+            total.as_io_stats(),
+            paged.io_stats(),
+            "prefetch traffic stays out of the demand counters"
+        );
+        assert!(
+            total.prefetch_useful + total.prefetch_wasted <= total.prefetch_issued,
+            "useful + wasted never exceeds issued"
+        );
+        if prefetch {
+            assert!(total.prefetch_issued > 0, "frontier hints must reach the pool");
+            assert!(total.prefetch_useful > 0, "prefetched pages must absorb demand faults");
             assert!(
-                total.prefetch_useful + total.prefetch_wasted <= total.prefetch_issued,
-                "useful + wasted never exceeds issued"
+                total.faults < demand_faults_without_prefetch,
+                "prefetch must reduce cold-pool demand faults"
             );
-            if prefetch {
-                assert!(total.prefetch_issued > 0, "frontier hints must reach the pool");
-                assert!(total.prefetch_useful > 0, "prefetched pages must absorb demand faults");
-                assert!(
-                    total.faults < demand_faults_without_prefetch,
-                    "prefetch must reduce cold-pool demand faults"
-                );
-                println!(
-                    "  {:<5} prefetch on : {:>5} demand faults | {:>4} issued, {:>4} useful, \
-                     {:>3} wasted (wasted ratio {:.2})",
-                    policy.name(),
-                    total.faults,
-                    total.prefetch_issued,
-                    total.prefetch_useful,
-                    total.prefetch_wasted,
-                    total.prefetch_wasted as f64 / total.prefetch_issued.max(1) as f64,
-                );
-            } else {
-                assert_eq!(total.prefetch_issued, 0, "prefetch off issues nothing");
-                demand_faults_without_prefetch = total.faults;
-                println!("  {:<5} prefetch off: {:>5} demand faults", policy.name(), total.faults);
-            }
+            println!(
+                "  prefetch on : {:>5} demand faults | {:>4} issued, {:>4} useful, \
+                 {:>3} wasted (wasted ratio {:.2})",
+                total.faults,
+                total.prefetch_issued,
+                total.prefetch_useful,
+                total.prefetch_wasted,
+                total.prefetch_wasted as f64 / total.prefetch_issued.max(1) as f64,
+            );
+        } else {
+            assert_eq!(total.prefetch_issued, 0, "prefetch off issues nothing");
+            demand_faults_without_prefetch = total.faults;
+            println!("  prefetch off: {:>5} demand faults", total.faults);
         }
     }
     paged.set_prefetch(false);
-    paged.buffer().set_policy(EvictionPolicy::Lru);
 
     println!(
-        "\nPaged serving is deterministic: sharded buffers, worker threads, eviction policies \
-         and the frontier prefetcher change cost, never answers."
+        "\nPaged serving is deterministic: sharded buffers, worker threads and the frontier \
+         prefetcher change cost, never answers."
     );
 }

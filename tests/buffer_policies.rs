@@ -1,9 +1,9 @@
-//! Property tests for the pluggable eviction policies and the prefetch
-//! path: arbitrary access traces replayed under every policy × shard count ×
-//! prefetch setting keep the accounting invariants and the page contents
-//! intact, query results never depend on the policy, `shards=1` LRU stays
-//! bit-compatible with the seed victim model, and 2Q is scan-resistant where
-//! LRU is not.
+//! Property tests for the buffer's LRU policy and the prefetch path:
+//! arbitrary access traces replayed under every shard count × prefetch
+//! setting keep the accounting invariants and the page contents intact,
+//! query results never depend on the pool's shape, and `shards=1` stays
+//! bit-compatible with the seed victim model. ("Every policy" in the test
+//! names below is the one there is: the pool runs exact LRU alone.)
 
 mod common;
 
@@ -13,8 +13,8 @@ use rnn_core::{naive, run_rknn, Algorithm, Precomputed};
 use rnn_graph::{EdgeId, NodeId, Weight};
 use rnn_storage::page::{PageBuilder, PageEntry};
 use rnn_storage::{
-    BufferPool, BufferPoolConfig, EvictionPolicy, IoCounters, LayoutStrategy, MemoryDisk, PageId,
-    PageStore, PagedGraph,
+    BufferPool, BufferPoolConfig, IoCounters, LayoutStrategy, MemoryDisk, PageId, PageStore,
+    PagedGraph,
 };
 
 /// A synthetic disk of `n` one-record pages; page `i`'s record carries node
@@ -38,70 +38,42 @@ fn disk_with_pages(n: usize) -> MemoryDisk {
     MemoryDisk::new(pages)
 }
 
-/// How one batch of a generated trace is driven into the pool.
-#[derive(Copy, Clone, Debug)]
-enum BatchKind {
-    FetchEach,
-    FetchMany,
-    Prefetch,
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// (a) Accounting invariants hold for arbitrary traces mixing `fetch`,
-    /// `fetch_many` and `prefetch`, under every policy × shard count, and
-    /// every demand-fetched page comes back byte-identical to the store.
+    /// (a) Accounting invariants hold for arbitrary traces mixing `fetch`
+    /// and `prefetch`, under every shard count, and every demand-fetched
+    /// page comes back byte-identical to the store.
     #[test]
     fn trace_replay_keeps_accounting_invariants_under_every_policy(
         num_pages in 4usize..48,
         capacity in prop_oneof![Just(0usize), Just(1), Just(3), Just(8), Just(32)],
         shards in prop_oneof![Just(1usize), Just(2), Just(4)],
-        policy_ix in 0usize..3,
         trace in proptest::collection::vec(
-            (0u8..3, proptest::collection::vec(0usize..48, 1..12)),
+            (any::<bool>(), proptest::collection::vec(0usize..48, 1..12)),
             1..24,
         ),
     ) {
-        let policy = EvictionPolicy::ALL[policy_ix];
         let pool = BufferPool::with_config(
             disk_with_pages(num_pages),
-            BufferPoolConfig::new(capacity).with_shards(shards).with_policy(policy),
+            BufferPoolConfig::new(capacity).with_shards(shards),
             IoCounters::new(),
         );
-        for (kind, ids) in &trace {
-            let kind = match kind {
-                0 => BatchKind::FetchEach,
-                1 => BatchKind::FetchMany,
-                _ => BatchKind::Prefetch,
-            };
+        for (prefetch, ids) in &trace {
             let ids: Vec<PageId> =
                 ids.iter().map(|&i| PageId::new(i % num_pages)).collect();
-            match kind {
-                BatchKind::FetchEach => {
-                    for &id in &ids {
-                        let page = pool.fetch(id).expect("page in range");
-                        let expected = pool.store().read_page(id).unwrap();
-                        prop_assert_eq!(
-                            page.as_bytes(),
-                            expected.as_bytes(),
-                            "fetch({:?}) under {:?} must return the store's bytes", id, policy
-                        );
-                    }
+            if *prefetch {
+                pool.prefetch(&ids);
+            } else {
+                for &id in &ids {
+                    let page = pool.fetch(id).expect("page in range");
+                    let expected = pool.store().read_page(id).unwrap();
+                    prop_assert_eq!(
+                        page.as_bytes(),
+                        expected.as_bytes(),
+                        "fetch({:?}) must return the store's bytes", id
+                    );
                 }
-                BatchKind::FetchMany => {
-                    let pages = pool.fetch_many(&ids).expect("pages in range");
-                    prop_assert_eq!(pages.len(), ids.len());
-                    for (&id, page) in ids.iter().zip(&pages) {
-                        let expected = pool.store().read_page(id).unwrap();
-                        prop_assert_eq!(
-                            page.as_bytes(),
-                            expected.as_bytes(),
-                            "fetch_many({:?}) under {:?} must return the store's bytes", id, policy
-                        );
-                    }
-                }
-                BatchKind::Prefetch => pool.prefetch(&ids),
             }
             // The invariants hold at every step, not just at the end.
             let stats = pool.io_stats();
@@ -127,8 +99,8 @@ proptest! {
         }
     }
 
-    /// (a) Query results never depend on the eviction policy, the shard
-    /// count or the prefetcher: every cell reproduces the naive in-memory
+    /// (a) Query results never depend on the buffer size, the shard count
+    /// or the prefetcher: every cell reproduces the naive in-memory
     /// reference.
     #[test]
     fn query_results_are_identical_under_every_policy_and_prefetch_setting(
@@ -136,14 +108,12 @@ proptest! {
         capacity in prop_oneof![Just(0usize), Just(2), Just(8)],
         shards in prop_oneof![Just(1usize), Just(4)],
         prefetch in any::<bool>(),
-        policy_ix in 0usize..3,
     ) {
-        let policy = EvictionPolicy::ALL[policy_ix];
         let reference = naive::naive_rknn(&inst.graph, &inst.points, inst.query, inst.k);
         let paged = PagedGraph::build_with_config(
             &inst.graph,
             LayoutStrategy::BfsLocality,
-            BufferPoolConfig::new(capacity).with_shards(shards).with_policy(policy),
+            BufferPoolConfig::new(capacity).with_shards(shards),
             IoCounters::new(),
         )
         .expect("paged graph")
@@ -152,7 +122,7 @@ proptest! {
             let out = run_rknn(algo, &paged, &inst.points, Precomputed::none(), inst.query, inst.k);
             prop_assert_eq!(
                 &out.points, &reference.points,
-                "{} under {:?}/{} shards/prefetch={}", algo, policy, shards, prefetch
+                "{} under {} shards/prefetch={}", algo, shards, prefetch
             );
         }
         let total = paged.pool_stats().total;
@@ -211,82 +181,35 @@ proptest! {
     }
 }
 
-/// (c) The scan-thrash trace: a hot working set swept between cold scan
-/// bursts. After a short warmup (which promotes the hot set into 2Q's Am),
-/// each burst is longer than the pool, so LRU loses the entire hot set every
-/// round while 2Q keeps it resident — strictly fewer faults.
-#[test]
-fn twoq_beats_lru_on_the_scan_thrash_trace() {
-    let num_pages = 64;
-    let capacity = 16;
-    let hot = 4;
-    let faults_under = |policy: EvictionPolicy| {
-        let pool = BufferPool::with_config(
-            disk_with_pages(num_pages),
-            BufferPoolConfig::new(capacity).with_shards(1).with_policy(policy),
-            IoCounters::new(),
-        );
-        let mut cursor = hot;
-        let mut round = |burst: usize| {
-            for h in 0..hot {
-                pool.fetch(PageId::new(h)).unwrap();
-            }
-            for _ in 0..burst {
-                pool.fetch(PageId::new(cursor)).unwrap();
-                cursor += 1;
-                if cursor >= num_pages {
-                    cursor = hot;
-                }
-            }
-        };
-        for _warmup in 0..3 {
-            round(capacity / 2);
-        }
-        for _thrash in 0..10 {
-            round(capacity + hot + 8);
-        }
-        pool.io_stats().total.faults
-    };
-    let lru = faults_under(EvictionPolicy::Lru);
-    let twoq = faults_under(EvictionPolicy::TwoQ);
-    assert!(
-        twoq < lru,
-        "2Q must keep the hot set resident across the cold scan: {twoq} faults vs LRU's {lru}"
-    );
-}
-
-/// Exact accounting is pinned, not assumed: one fixed trace of `fetch`,
-/// `fetch_many` and `prefetch` under every policy at 1 and 4 shards must
-/// leave exactly the counters (total and per-shard accesses) it left on the
-/// commit before page lookups stopped SipHashing and adjacency fetches
-/// stopped scanning — neither may move an access, a fault or a victim.
+/// Exact accounting is pinned, not assumed: one fixed trace of `fetch` and
+/// `prefetch` at 1 and 4 shards must leave exactly the counters (total and
+/// per-shard accesses) pinned here — how a map places an id or how a record
+/// is found in its page may never move an access, a fault or a victim.
 #[test]
 fn a_fixed_trace_leaves_the_pinned_counters_under_every_policy() {
-    use EvictionPolicy::{Clock, Lru, TwoQ};
-    // (policy, shards, [hits, faults, evictions, prefetch issued / useful /
-    // wasted], demand accesses per shard)
-    let pinned: [(EvictionPolicy, usize, [u64; 6], &[u64]); 6] = [
-        (Lru, 1, [67, 173, 166, 44, 0, 43], &[240]),
-        (Lru, 4, [47, 193, 185, 44, 2, 40], &[103, 69, 49, 19]),
-        (Clock, 1, [64, 176, 169, 45, 0, 44], &[240]),
-        (Clock, 4, [48, 192, 184, 45, 2, 41], &[103, 69, 49, 19]),
-        (TwoQ, 1, [79, 161, 154, 41, 0, 40], &[240]),
-        (TwoQ, 4, [49, 191, 183, 44, 2, 40], &[103, 69, 49, 19]),
+    // (shards, [hits, faults, evictions, prefetch issued / useful / wasted],
+    // demand accesses per shard)
+    let pinned: [(usize, [u64; 6], &[u64]); 2] = [
+        (1, [68, 172, 165, 44, 0, 43], &[240]),
+        (4, [47, 193, 185, 44, 2, 40], &[103, 69, 49, 19]),
     ];
-    for (policy, shards, expected, per_shard) in pinned {
+    for (shards, expected, per_shard) in pinned {
         let pool = BufferPool::with_config(
             disk_with_pages(40),
-            BufferPoolConfig::new(8).with_shards(shards).with_policy(policy),
+            BufferPoolConfig::new(8).with_shards(shards),
             IoCounters::new(),
         );
         for step in 0..240u64 {
             let x = rnn_storage::lru::mix64(step);
-            // Two interleaved localities, so every policy sees reuse.
+            // Two interleaved localities, so the trace has reuse.
             let id = PageId::new(if step % 3 == 0 { x % 6 } else { x % 40 } as usize);
             let next = PageId::new((id.index() + 1) % 40);
             match step % 8 {
                 7 => pool.prefetch(&[id, next]),
-                3 => drop(pool.fetch_many(&[id, next]).expect("pages in range")),
+                3 => {
+                    pool.fetch(id).expect("page in range");
+                    pool.fetch(next).expect("page in range");
+                }
                 _ => drop(pool.fetch(id).expect("page in range")),
             }
         }
@@ -302,10 +225,10 @@ fn a_fixed_trace_leaves_the_pinned_counters_under_every_policy() {
                 t.prefetch_wasted
             ],
             expected,
-            "{policy} at {shards} shard(s)"
+            "{shards} shard(s)"
         );
         let accesses: Vec<u64> = stats.per_shard.iter().map(|s| s.accesses()).collect();
-        assert_eq!(accesses, per_shard, "{policy} at {shards} shard(s): page -> shard mapping");
-        assert_eq!(pool.counters().snapshot(), t.as_io_stats(), "{policy}: both views agree");
+        assert_eq!(accesses, per_shard, "{shards} shard(s): page -> shard mapping");
+        assert_eq!(pool.counters().snapshot(), t.as_io_stats(), "both views agree");
     }
 }

@@ -10,7 +10,7 @@ use rnn::datagen::{grid_map, place_points_on_nodes, sample_node_queries, GridCon
 use rnn::graph::{GraphBuilder, NodeId, NodePointSet};
 use rnn::index::HubLabelIndex;
 use rnn::server::{Request, Server, ServerConfig, World};
-use rnn::storage::{BufferPoolConfig, EvictionPolicy, IoCounters, LayoutStrategy, PagedGraph};
+use rnn::storage::{BufferPoolConfig, IoCounters, LayoutStrategy, PagedGraph};
 use std::sync::Arc;
 
 /// The quickstart network: an 8-junction ring with two chords.
@@ -148,12 +148,12 @@ fn paged_serving_flow_matches_in_memory_results_on_a_sharded_pool() {
     }
 }
 
-/// Mirrors the fast-path half of `examples/paged_serving.rs`: switching the
-/// eviction policy and enabling the frontier prefetcher at runtime never
-/// changes answers, prefetch reduces cold-pool demand faults with useful
-/// prefetches, and the prefetch accounting stays out of the demand counters.
+/// Mirrors the fast-path half of `examples/paged_serving.rs`: enabling the
+/// frontier prefetcher at runtime never changes answers, prefetch reduces
+/// cold-pool demand faults with useful prefetches, and the prefetch
+/// accounting stays out of the demand counters.
 #[test]
-fn paged_serving_fast_path_policies_and_prefetch_change_cost_never_answers() {
+fn paged_serving_fast_path_prefetch_changes_cost_never_answers() {
     let graph = grid_map(&GridConfig::with_nodes(2_000, 4.0, 42));
     let points = place_points_on_nodes(&graph, 0.01, 43);
     let query_nodes = sample_node_queries(&points, 12, 44);
@@ -170,44 +170,33 @@ fn paged_serving_fast_path_policies_and_prefetch_change_cost_never_answers() {
         .iter()
         .map(|&q| run_rknn(Algorithm::Lazy, &graph, &points, Precomputed::none(), q, 1))
         .collect();
-    for policy in EvictionPolicy::ALL {
-        paged.buffer().set_policy(policy);
-        assert_eq!(paged.buffer().policy(), policy);
-        let mut faults_without_prefetch = 0;
-        for prefetch in [false, true] {
-            paged.set_prefetch(prefetch);
-            paged.cold_start();
-            let engine =
-                QueryEngine::new(&paged, &points).with_io_counters(&counters).with_threads(2);
-            let workload = Workload::uniform(Algorithm::Lazy, 1, query_nodes.iter().copied());
-            let batch = engine.run_batch(&workload);
-            assert_eq!(
-                batch.results,
-                sequential,
-                "{} prefetch={prefetch}: answers never change",
-                policy.name()
+    let mut faults_without_prefetch = 0;
+    for prefetch in [false, true] {
+        paged.set_prefetch(prefetch);
+        paged.cold_start();
+        let engine = QueryEngine::new(&paged, &points).with_io_counters(&counters).with_threads(2);
+        let workload = Workload::uniform(Algorithm::Lazy, 1, query_nodes.iter().copied());
+        let batch = engine.run_batch(&workload);
+        assert_eq!(batch.results, sequential, "prefetch={prefetch}: answers never change");
+        let total = paged.pool_stats().total;
+        assert_eq!(
+            total.as_io_stats(),
+            paged.io_stats(),
+            "prefetch traffic stays out of the demand counters"
+        );
+        assert!(total.prefetch_useful + total.prefetch_wasted <= total.prefetch_issued);
+        if prefetch {
+            assert!(total.prefetch_issued > 0, "hints must reach the pool");
+            assert!(total.prefetch_useful > 0, "prefetches must be used");
+            assert!(
+                total.faults < faults_without_prefetch,
+                "prefetch must reduce cold demand faults ({} vs {})",
+                total.faults,
+                faults_without_prefetch
             );
-            let total = paged.pool_stats().total;
-            assert_eq!(
-                total.as_io_stats(),
-                paged.io_stats(),
-                "prefetch traffic stays out of the demand counters"
-            );
-            assert!(total.prefetch_useful + total.prefetch_wasted <= total.prefetch_issued);
-            if prefetch {
-                assert!(total.prefetch_issued > 0, "{}: hints must reach the pool", policy.name());
-                assert!(total.prefetch_useful > 0, "{}: prefetches must be used", policy.name());
-                assert!(
-                    total.faults < faults_without_prefetch,
-                    "{}: prefetch must reduce cold demand faults ({} vs {})",
-                    policy.name(),
-                    total.faults,
-                    faults_without_prefetch
-                );
-            } else {
-                assert_eq!(total.prefetch_issued, 0, "prefetch off issues nothing");
-                faults_without_prefetch = total.faults;
-            }
+        } else {
+            assert_eq!(total.prefetch_issued, 0, "prefetch off issues nothing");
+            faults_without_prefetch = total.faults;
         }
     }
 }

@@ -10,8 +10,8 @@ use rnn_core::{naive, run_rknn, Algorithm, Precomputed};
 use rnn_graph::{Graph, GraphBuilder, Topology};
 use rnn_storage::page::PageRecord;
 use rnn_storage::{
-    BufferPool, BufferPoolConfig, EvictionPolicy, FileDisk, IoCounters, LayoutStrategy, MemoryDisk,
-    PageLayout, PagedGraph,
+    BufferPool, BufferPoolConfig, FileDisk, IoCounters, LayoutStrategy, MemoryDisk, PageLayout,
+    PagedGraph,
 };
 
 /// Graphs shaped to stress the record pointer rather than the queries: no
@@ -118,28 +118,23 @@ proptest! {
                 prop_assert_eq!(&pointed, &scanned, "pointer and page scan agree on node {}", v);
                 prop_assert_eq!(pointed.len(), graph.degree(v));
             }
-            for policy in EvictionPolicy::ALL {
-                for shards in [1usize, 4] {
-                    let config =
-                        BufferPoolConfig::new(buffer).with_shards(shards).with_policy(policy);
-                    let pool = BufferPool::with_config(
-                        MemoryDisk::new(layout.pages.clone()),
-                        config,
-                        IoCounters::new(),
+            for shards in [1usize, 4] {
+                let pool = BufferPool::with_config(
+                    MemoryDisk::new(layout.pages.clone()),
+                    BufferPoolConfig::new(buffer).with_shards(shards),
+                    IoCounters::new(),
+                );
+                let paged = PagedGraph::from_parts(pool, layout.index.clone(), graph.num_nodes());
+                for v in graph.node_ids() {
+                    prop_assert_eq!(
+                        paged.neighbors_vec(v),
+                        graph.neighbors_vec(v),
+                        "node {} on {:?}/{} shards/{} pages", v, strategy, shards, buffer
                     );
-                    let paged =
-                        PagedGraph::from_parts(pool, layout.index.clone(), graph.num_nodes());
-                    for v in graph.node_ids() {
-                        prop_assert_eq!(
-                            paged.neighbors_vec(v),
-                            graph.neighbors_vec(v),
-                            "node {} on {:?}/{}/{} shards/{} pages", v, strategy, policy, shards, buffer
-                        );
-                    }
-                    let io = paged.io_stats();
-                    prop_assert_eq!(io.accesses, total_span, "one access per page of every record");
-                    prop_assert_eq!(paged.pool_stats().total.as_io_stats(), io);
                 }
+                let io = paged.io_stats();
+                prop_assert_eq!(io.accesses, total_span, "one access per page of every record");
+                prop_assert_eq!(paged.pool_stats().total.as_io_stats(), io);
             }
         }
     }
