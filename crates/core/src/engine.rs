@@ -27,11 +27,12 @@
 //!   number of threads with **deterministic, input-order results**: queries
 //!   are independent, so the result and [`QueryStats`] of each query are
 //!   identical no matter how many workers run them or how they interleave
-//!   (only I/O attribution and cache hit counts depend on scheduling).
+//!   (only buffer faults and cache hit counts depend on scheduling).
 //!
 //! The topology and point set are shared by reference across workers, which
 //! is why [`Topology`] and [`rnn_graph::PointsOnNodes`] require `Sync` and
-//! why `rnn-storage`'s buffer pool and I/O counters are thread-safe.
+//! why `rnn-storage`'s buffer pool is thread-safe. A batch's I/O is the
+//! caller's to read: diff the paged graph's `io_stats()` around the batch.
 
 use crate::cache::{CacheKey, CacheStats, ResultCache};
 use crate::dispatch::Algorithm;
@@ -44,13 +45,12 @@ use crate::{eager, lazy, lazy_ep, materialize, naive};
 use rnn_graph::{NodeId, PointsOnNodes, Topology};
 use rnn_obs::{Phase, QueryTrace};
 use rnn_storage::lru::mix64;
-use rnn_storage::{IoCounters, IoStats};
 use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// One query's result with its I/O attribution and (when tracing) its trace.
-type AttributedOutcome = (RknnOutcome, IoStats, Option<QueryTrace>);
+/// One query's result and (when tracing) its trace.
+type TracedOutcome = (RknnOutcome, Option<QueryTrace>);
 
 /// A monochromatic RkNN algorithm, executable against any topology / point
 /// set pair with a reusable [`Scratch`] arena.
@@ -233,20 +233,12 @@ pub struct BatchOutcome {
     /// One outcome per query, in the workload's input order, independent of
     /// the thread count (each also carries its per-query [`QueryStats`]).
     pub results: Vec<RknnOutcome>,
-    /// Per-query I/O, attributed through the executing thread's counters.
-    /// All zeros unless counters were attached with
-    /// [`QueryEngine::with_io_counters`]. Unlike `results`, I/O depends on
-    /// the shared buffer state and is not deterministic across thread counts.
-    pub io: Vec<IoStats>,
     /// Sum of the per-query [`QueryStats`].
     pub aggregate: QueryStats,
-    /// Total I/O recorded while the batch ran (including cross-thread buffer
-    /// effects); zero without attached counters.
-    pub aggregate_io: IoStats,
     /// Result-cache hits/misses during this batch; all zeros unless a cache
-    /// was attached with [`QueryEngine::with_result_cache`]. Like I/O, the
-    /// split between hits and misses depends on scheduling (two workers can
-    /// race to miss on the same key) — the *results* never do.
+    /// was attached with [`QueryEngine::with_result_cache`]. Like buffer
+    /// faults, the split between hits and misses depends on scheduling (two
+    /// workers can race to miss on the same key) — the *results* never do.
     pub cache: CacheStats,
     /// One phase trace per query, in the workload's input order — empty
     /// unless tracing was enabled with [`QueryEngine::with_tracing`]. A
@@ -432,7 +424,6 @@ pub struct QueryEngine<'a> {
     points: &'a dyn PointsOnNodes,
     materialized: Option<&'a MaterializedKnn>,
     hub_labels: Option<&'a dyn HubLabelRknn>,
-    io: Option<&'a IoCounters>,
     cache: Option<std::sync::Arc<CacheState>>,
     threads: usize,
     tracing: bool,
@@ -440,8 +431,7 @@ pub struct QueryEngine<'a> {
 
 impl<'a> QueryEngine<'a> {
     /// Creates an engine over a topology and point set. Defaults: no
-    /// materialized table, no hub-label index, no I/O attribution, no result
-    /// cache, one thread.
+    /// materialized table, no hub-label index, no result cache, one thread.
     pub fn new<T, P>(topo: &'a T, points: &'a P) -> Self
     where
         T: Topology,
@@ -460,7 +450,6 @@ impl<'a> QueryEngine<'a> {
             points,
             materialized: None,
             hub_labels: None,
-            io: None,
             cache: None,
             threads: 1,
             tracing: false,
@@ -495,13 +484,6 @@ impl<'a> QueryEngine<'a> {
     /// same graph and point set this engine serves.
     pub fn with_hub_labels(mut self, index: &'a dyn HubLabelRknn) -> Self {
         self.hub_labels = Some(index);
-        self
-    }
-
-    /// Attaches I/O counters (e.g. `PagedGraph::counters()`) so batches
-    /// report per-query and aggregate I/O.
-    pub fn with_io_counters(mut self, counters: &'a IoCounters) -> Self {
-        self.io = Some(counters);
         self
     }
 
@@ -653,15 +635,9 @@ impl<'a> QueryEngine<'a> {
         outcome
     }
 
-    fn run_attributed(&self, spec: &QuerySpec, scratch: &mut Scratch) -> AttributedOutcome {
-        let before = self.io.map(|c| c.snapshot_current_thread());
+    fn run_traced(&self, spec: &QuerySpec, scratch: &mut Scratch) -> TracedOutcome {
         let outcome = self.run(spec, scratch);
-        let trace = scratch.tracer_mut().take_completed();
-        let io = match (self.io, before) {
-            (Some(c), Some(b)) => c.snapshot_current_thread().since(&b),
-            _ => IoStats::default(),
-        };
-        (outcome, io, trace)
+        (outcome, scratch.tracer_mut().take_completed())
     }
 
     /// Executes a workload and returns per-query results in input order plus
@@ -673,16 +649,15 @@ impl<'a> QueryEngine<'a> {
     /// the batch-determinism property tests).
     pub fn run_batch(&self, workload: &Workload) -> BatchOutcome {
         let n = workload.queries.len();
-        let io_before = self.io.map(|c| c.snapshot());
         let cache_before = self.cache_stats();
-        let mut slots: Vec<Option<AttributedOutcome>> = Vec::new();
+        let mut slots: Vec<Option<TracedOutcome>> = Vec::new();
         slots.resize_with(n, || None);
 
         let workers = self.threads.min(n.max(1));
         if workers <= 1 {
             let mut scratch = Scratch::new();
             for (slot, spec) in slots.iter_mut().zip(&workload.queries) {
-                *slot = Some(self.run_attributed(spec, &mut scratch));
+                *slot = Some(self.run_traced(spec, &mut scratch));
             }
         } else {
             // Work stealing off a shared cursor: workers pull the next query
@@ -690,7 +665,7 @@ impl<'a> QueryEngine<'a> {
             // the end. Results land in their input-order slots regardless of
             // which worker ran them.
             let next = AtomicUsize::new(0);
-            let done: Mutex<Vec<(usize, AttributedOutcome)>> = Mutex::new(Vec::with_capacity(n));
+            let done: Mutex<Vec<(usize, TracedOutcome)>> = Mutex::new(Vec::with_capacity(n));
             std::thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(|| {
@@ -701,15 +676,7 @@ impl<'a> QueryEngine<'a> {
                             if i >= n {
                                 break;
                             }
-                            local
-                                .push((i, self.run_attributed(&workload.queries[i], &mut scratch)));
-                        }
-                        // Fold this worker's I/O into the retired total:
-                        // ThreadIds are never reused, so without this every
-                        // batch would leak one dead per-thread entry per
-                        // worker in the shared counters.
-                        if let Some(counters) = self.io {
-                            counters.retire_current_thread();
+                            local.push((i, self.run_traced(&workload.queries[i], &mut scratch)));
                         }
                         done.lock().expect("worker result lock").extend(local);
                     });
@@ -721,23 +688,16 @@ impl<'a> QueryEngine<'a> {
         }
 
         let mut results = Vec::with_capacity(n);
-        let mut io = Vec::with_capacity(n);
         let mut traces = Vec::with_capacity(if self.tracing { n } else { 0 });
         let mut aggregate = QueryStats::default();
         for slot in slots {
-            let (outcome, query_io, trace) =
-                slot.expect("every query index was executed exactly once");
+            let (outcome, trace) = slot.expect("every query index was executed exactly once");
             aggregate += &outcome.stats;
             results.push(outcome);
-            io.push(query_io);
             traces.extend(trace);
         }
-        let aggregate_io = match (self.io, io_before) {
-            (Some(c), Some(b)) => c.snapshot().since(&b),
-            _ => IoStats::default(),
-        };
         let cache = self.cache_stats().since(&cache_before);
-        BatchOutcome { results, io, aggregate, aggregate_io, cache, traces }
+        BatchOutcome { results, aggregate, cache, traces }
     }
 }
 
@@ -748,7 +708,6 @@ impl std::fmt::Debug for QueryEngine<'_> {
             .field("num_points", &self.points.num_points())
             .field("materialized", &self.materialized.is_some())
             .field("hub_labels", &self.hub_labels.is_some())
-            .field("io_attribution", &self.io.is_some())
             .field("result_cache", &self.cache.is_some())
             .field("threads", &self.threads)
             .field("tracing", &self.tracing)
@@ -832,7 +791,6 @@ mod tests {
         assert!(!workload.is_empty());
         let batch = engine.run_batch(&workload);
         assert_eq!(batch.results.len(), workload.len());
-        assert_eq!(batch.io.len(), workload.len());
         let mut expected_aggregate = QueryStats::default();
         for (spec, outcome) in workload.queries.iter().zip(&batch.results) {
             let single = run_rknn(
@@ -847,7 +805,6 @@ mod tests {
             expected_aggregate += &single.stats;
         }
         assert_eq!(batch.aggregate, expected_aggregate);
-        assert_eq!(batch.aggregate_io, IoStats::default(), "no counters attached");
         assert_eq!(batch.cache, CacheStats::default(), "no cache attached");
     }
 
@@ -1121,34 +1078,31 @@ mod tests {
         let (g, pts, _) = setup();
         let paged =
             PagedGraph::build_with(&g, LayoutStrategy::BfsLocality, 8, IoCounters::new()).unwrap();
-        let counters = paged.counters().clone();
-        let engine = QueryEngine::new(&paged, &pts).with_io_counters(&counters).with_threads(4);
+        let engine = QueryEngine::new(&paged, &pts).with_threads(4);
         let workload = Workload::uniform(Algorithm::Lazy, 1, pts.nodes().iter().copied());
+        // A batch's I/O is the diff of the pool's count around it.
+        let before = paged.io_stats();
         let batch = engine.run_batch(&workload);
-        // Every query fetched at least one adjacency page, and the per-query
-        // attributions add up to the aggregate (all I/O came from workers).
-        assert!(batch.io.iter().all(|io| io.accesses > 0));
-        assert_eq!(IoStats::merged(batch.io.iter()).accesses, batch.aggregate_io.accesses);
+        let io = paged.io_stats().since(&before);
+        assert!(io.accesses >= workload.len() as u64, "every query fetched a page: {io:?}");
+        assert!(io.evictions <= io.faults && io.faults <= io.accesses, "{io:?}");
         // Results on the paged backend equal the in-memory ones.
         let in_memory = QueryEngine::new(&g, &pts).run_batch(&workload);
         assert_eq!(batch.results, in_memory.results);
-        // Workers retire their counters on exit, so repeated batches do not
-        // grow the live per-thread map (ThreadIds are never reused) and no
-        // counts are lost across batches.
-        let after_one = counters.snapshot();
-        for _ in 0..3 {
+        // Every batch does the same work whichever worker runs which query,
+        // so each later batch adds exactly the accesses of the first.
+        for batches in 2..=4 {
             engine.run_batch(&workload);
+            assert_eq!(paged.io_stats().accesses, batches * io.accesses);
         }
-        assert!(counters.per_thread_snapshots().is_empty(), "all batch workers retired");
-        assert_eq!(counters.snapshot().accesses, 4 * after_one.accesses);
     }
 
     /// `PagedGraph::cold_start` takes `&self`, so it can land between the two
-    /// counter snapshots the engine diffs per query and per batch. The diffs
-    /// must then read as "no more than what was counted", not panic (debug)
-    /// or wrap to ~2^64 (release).
+    /// snapshots a caller diffs around a batch. The diff must then read as
+    /// "no more than what was counted", not panic (debug) or wrap to ~2^64
+    /// (release).
     #[test]
-    fn a_counter_reset_between_the_engines_two_snapshots_saturates() {
+    fn a_cold_start_between_a_callers_two_snapshots_saturates() {
         /// Cold-starts the paged graph after its first adjacency fetch.
         struct ResetAfterFirstFetch<'a> {
             paged: &'a PagedGraph,
@@ -1169,23 +1123,22 @@ mod tests {
         let (g, pts, _) = setup();
         let paged =
             PagedGraph::build_with(&g, LayoutStrategy::BfsLocality, 8, IoCounters::new()).unwrap();
-        let counters = paged.counters().clone();
         let workload = Workload::uniform(Algorithm::Lazy, 1, pts.nodes().iter().copied());
-        // Warm-up on this thread: both the merged and this thread's own
-        // counters now stand far above what one query adds.
-        let warm = QueryEngine::new(&paged, &pts).with_io_counters(&counters).run_batch(&workload);
-        assert!(warm.aggregate_io.accesses > 0);
+        // Warm-up: the count now stands far above what one query adds.
+        let warm = QueryEngine::new(&paged, &pts).run_batch(&workload);
+        let before = paged.io_stats();
+        assert!(before.accesses > 0);
 
         let resetting =
             ResetAfterFirstFetch { paged: &paged, armed: std::sync::atomic::AtomicBool::new(true) };
         let one = Workload::uniform(Algorithm::Lazy, 1, pts.nodes().iter().copied().take(1));
-        let batch = QueryEngine::new(&resetting, &pts).with_io_counters(&counters).run_batch(&one);
+        let batch = QueryEngine::new(&resetting, &pts).run_batch(&one);
         assert_eq!(batch.results[0], warm.results[0], "the reset never changes an answer");
-        let counted = counters.snapshot();
-        assert!(counted.accesses < warm.aggregate_io.accesses, "the reset landed mid-query");
-        assert!(batch.io[0].accesses <= counted.accesses, "per-query diff saturates");
-        assert!(batch.aggregate_io.accesses <= counted.accesses, "per-batch diff saturates");
-        assert!(batch.aggregate_io.faults <= counted.faults);
+        let counted = paged.io_stats();
+        assert!(counted.accesses < before.accesses, "the reset landed mid-query");
+        let diff = counted.since(&before);
+        assert_eq!(diff.accesses, 0, "the diff saturates at nothing-since");
+        assert!(diff.faults <= counted.faults);
     }
 
     /// The scratch-reuse acceptance test: after the first (warm-up) query,

@@ -11,18 +11,20 @@
 //! The table is disk-resident in the paper (its I/O cost is visible in
 //! Fig. 18 and Fig. 22); [`MaterializedKnn`] simulates that by grouping the
 //! per-node lists into pages and running every access through a small LRU
-//! buffer that reports into [`rnn_storage::IoStats`].
+//! buffer — the workspace's one [`Lru`] — that counts it in an
+//! [`rnn_storage::IoStats`].
 
 mod eager_m;
 mod update;
 
 pub use eager_m::{eager_m_rknn, eager_m_rknn_in};
 
-use crate::fast_hash::{fast_map, FastMap};
+use crate::fast_hash::FastHasher;
 use crate::flat_heap::FlatHeap;
 use rnn_graph::{for_each_neighbor, NodeId, PointsOnNodes, Topology, Weight};
-use rnn_storage::{IoCounters, IoStats};
-use std::sync::Mutex;
+use rnn_storage::{IoStats, Lru};
+use std::hash::BuildHasherDefault;
+use std::sync::{Mutex, MutexGuard};
 
 /// One materialized entry: the node on which a data point resides, and the
 /// network distance from the list's owner to that point.
@@ -50,8 +52,7 @@ pub struct MaterializedKnn {
     capacity_k: usize,
     lists: Vec<Vec<KnnEntry>>,
     lists_per_page: usize,
-    counters: IoCounters,
-    lru: Mutex<PageLru>,
+    buffer: Mutex<TableBuffer>,
     /// Node tables of the update expansions (`update.rs`), reused per update.
     update: update::UpdateBuffers,
 }
@@ -108,8 +109,10 @@ impl MaterializedKnn {
             capacity_k,
             lists,
             lists_per_page,
-            counters: IoCounters::new(),
-            lru: Mutex::new(PageLru::new(DEFAULT_TABLE_BUFFER_PAGES)),
+            buffer: Mutex::new(TableBuffer {
+                pages: Lru::new(DEFAULT_TABLE_BUFFER_PAGES),
+                io: IoStats::default(),
+            }),
             update: update::UpdateBuffers::default(),
         }
     }
@@ -177,32 +180,39 @@ impl MaterializedKnn {
 
     /// I/O statistics of table accesses.
     pub fn io_stats(&self) -> IoStats {
-        self.counters.snapshot()
-    }
-
-    /// Shared counters handle (e.g. to merge graph and table I/O).
-    pub fn counters(&self) -> &IoCounters {
-        &self.counters
+        self.buffer().io
     }
 
     /// Resets the I/O counters and empties the simulated buffer.
     pub fn reset_io(&self) {
-        self.counters.reset();
-        self.lru.lock().expect("lru lock").clear();
+        let mut buffer = self.buffer();
+        buffer.pages.clear();
+        buffer.io = IoStats::default();
     }
 
-    /// Sets the number of buffered table pages (0 disables buffering).
+    /// Sets the number of buffered table pages (0 disables buffering) and
+    /// empties the buffer; the counts go on.
     pub fn set_buffer_pages(&self, pages: usize) {
-        let mut lru = self.lru.lock().expect("lru lock");
-        lru.capacity = pages;
-        lru.clear();
+        let mut buffer = self.buffer();
+        buffer.pages.set_capacity(pages);
+        buffer.pages.clear();
+    }
+
+    fn buffer(&self) -> MutexGuard<'_, TableBuffer> {
+        self.buffer.lock().expect("table buffer lock")
     }
 
     /// Records an access to the page holding `node`'s list.
     fn touch(&self, node: NodeId) {
         let page = (node.index() / self.lists_per_page) as u32;
-        let fault = self.lru.lock().expect("lru lock").touch(page);
-        self.counters.record_access(fault, false);
+        let mut buffer = self.buffer();
+        buffer.io.accesses += 1;
+        if buffer.pages.get(&page).is_none() {
+            buffer.io.faults += 1;
+            if buffer.pages.insert(page, ()).is_some() {
+                buffer.io.evictions += 1;
+            }
+        }
     }
 
     /// Mutable access used by the update algorithms; counts the page access.
@@ -244,42 +254,12 @@ pub(crate) fn list_insert(
     true
 }
 
-/// A minimal LRU over simulated page numbers.
+/// The table's simulated page buffer and what its accesses counted, under
+/// one lock.
 #[derive(Debug)]
-struct PageLru {
-    capacity: usize,
-    stamp: u64,
-    pages: FastMap<u32, u64>,
-}
-
-impl PageLru {
-    fn new(capacity: usize) -> Self {
-        PageLru { capacity, stamp: 0, pages: fast_map() }
-    }
-
-    fn clear(&mut self) {
-        self.pages.clear();
-        self.stamp = 0;
-    }
-
-    /// Returns `true` if the access faulted.
-    fn touch(&mut self, page: u32) -> bool {
-        self.stamp += 1;
-        if self.capacity == 0 {
-            return true;
-        }
-        if let Some(s) = self.pages.get_mut(&page) {
-            *s = self.stamp;
-            return false;
-        }
-        if self.pages.len() >= self.capacity {
-            if let Some((&victim, _)) = self.pages.iter().min_by_key(|&(_, &s)| s) {
-                self.pages.remove(&victim);
-            }
-        }
-        self.pages.insert(page, self.stamp);
-        true
-    }
+struct TableBuffer {
+    pages: Lru<u32, (), BuildHasherDefault<FastHasher>>,
+    io: IoStats,
 }
 
 #[cfg(test)]

@@ -342,9 +342,7 @@ pub fn chrome_trace(traces: &[QueryTrace], events: &[Event]) -> String {
                 args.push(("delta", u64::from(delta)));
             }
             EventKind::PoolResize { pages } => args.push(("pages", pages)),
-            EventKind::PoolClear { reset_stats } => {
-                args.push(("reset_stats", u64::from(reset_stats)));
-            }
+            EventKind::PoolClear => {}
             EventKind::WorkerStart { worker } => args.push(("worker", worker)),
             EventKind::WorkerStop { worker, served } => {
                 args.push(("worker", worker));

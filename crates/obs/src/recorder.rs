@@ -82,12 +82,8 @@ pub enum EventKind {
         /// New capacity in pages.
         pages: u64,
     },
-    /// The buffer pool was cleared (`reset_stats = true` when counters were
-    /// also zeroed).
-    PoolClear {
-        /// Whether statistics were reset along with the frames.
-        reset_stats: bool,
-    },
+    /// The buffer pool was cleared: its frames dropped, its counts zeroed.
+    PoolClear,
     /// A server worker thread started.
     WorkerStart {
         /// Worker index.
@@ -128,7 +124,7 @@ impl EventKind {
             EventKind::AdmissionShed { .. } => "admission_shed",
             EventKind::PointsSwap { .. } => "points_swap",
             EventKind::PoolResize { .. } => "pool_resize",
-            EventKind::PoolClear { .. } => "pool_clear",
+            EventKind::PoolClear => "pool_clear",
             EventKind::WorkerStart { .. } => "worker_start",
             EventKind::WorkerStop { .. } => "worker_stop",
             EventKind::SloTransition { .. } => "slo_transition",
@@ -143,7 +139,7 @@ impl EventKind {
             EventKind::AdmissionShed { class, count } => (0, class, count, 0),
             EventKind::PointsSwap { points, delta } => (1, points, u64::from(delta), 0),
             EventKind::PoolResize { pages } => (2, pages, 0, 0),
-            EventKind::PoolClear { reset_stats } => (4, u64::from(reset_stats), 0, 0),
+            EventKind::PoolClear => (4, 0, 0, 0),
             EventKind::WorkerStart { worker } => (5, worker, 0, 0),
             EventKind::WorkerStop { worker, served } => (6, worker, served, 0),
             EventKind::SloTransition { slo, from, to } => (7, slo, from, to),
@@ -158,7 +154,7 @@ impl EventKind {
             0 => EventKind::AdmissionShed { class: w0, count: w1 },
             1 => EventKind::PointsSwap { points: w0, delta: w1 != 0 },
             2 => EventKind::PoolResize { pages: w0 },
-            4 => EventKind::PoolClear { reset_stats: w0 != 0 },
+            4 => EventKind::PoolClear,
             5 => EventKind::WorkerStart { worker: w0 },
             6 => EventKind::WorkerStop { worker: w0, served: w1 },
             7 => EventKind::SloTransition { slo: w0, from: w1, to: w2 },
@@ -342,7 +338,7 @@ mod tests {
         rec.record(EventKind::PoolResize { pages: 1 });
         clock.advance();
         clock.advance();
-        rec.record(EventKind::PoolClear { reset_stats: true });
+        rec.record(EventKind::PoolClear);
         let d = rec.drain();
         assert_eq!(d.events[0].epoch, 0);
         assert_eq!(d.events[1].epoch, 2);
@@ -386,7 +382,7 @@ mod tests {
             EventKind::AdmissionShed { class: 0, count: 0 },
             EventKind::PointsSwap { points: 0, delta: false },
             EventKind::PoolResize { pages: 0 },
-            EventKind::PoolClear { reset_stats: false },
+            EventKind::PoolClear,
             EventKind::WorkerStart { worker: 0 },
             EventKind::WorkerStop { worker: 0, served: 0 },
             EventKind::SloTransition { slo: 0, from: 0, to: 0 },

@@ -14,9 +14,10 @@
 //!
 //! * **Within a source** (`register_source`): the closure polls one
 //!   underlying API — the server's seqlock-published `ServerStats`, the
-//!   storage layer's release/acquire `IoCounters` — whose snapshot is
-//!   internally consistent by that API's own construction. The registry
-//!   never mixes a source's values with a second read.
+//!   storage layer's `IoCounters`, which sums its pool's shard counters with
+//!   every shard lock held — whose snapshot is internally consistent by
+//!   that API's own construction. The registry never mixes a source's
+//!   values with a second read.
 //! * **Across the registry's own counters**: [`Counter::add`] publishes with
 //!   `Release` and the snapshot reads with `Acquire`, walking counters in
 //!   **reverse registration order**. Register coarse counters first and bump

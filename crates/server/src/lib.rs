@@ -26,8 +26,8 @@
 //!   interleaves. Every accepted request resolves its ticket exactly once.
 //! * [`Server`] — N long-lived workers, each with its own [`Scratch`]
 //!   arena, draining the queue in micro-batches, sharing one result cache
-//!   (and, on paged worlds, one striped buffer pool and one set of
-//!   lock-free I/O counters); graceful drain-then-join shutdown; atomic
+//!   (and, on paged worlds, one striped buffer pool that counts each page
+//!   access once); graceful drain-then-join shutdown; atomic
 //!   point-set swaps that sweep the cache.
 //! * [`ServerStats`] — **wait-free** runtime snapshots: global and
 //!   per-class ([`ClassStats`]) admission counters and latency histograms,

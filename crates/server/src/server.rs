@@ -20,8 +20,8 @@
 //! micro-batches of up to B requests per wakeup — interactive before batch
 //! class, earliest-deadline-first under `Shed`. All workers share one
 //! [`SharedResultCache`] and — when the world is a `PagedGraph` — one striped
-//! buffer pool and one set of lock-free I/O counters, so the serving path
-//! reuses every concurrency layer built underneath it.
+//! buffer pool and its I/O count, so the serving path reuses every
+//! concurrency layer built underneath it.
 //!
 //! **World swaps.** The topology and precomputed structures live in a
 //! [`World`] behind an RwLock. A worker holds the *read* lock for the
@@ -42,7 +42,9 @@
 //!
 //! **Stats are wait-free.** Workers publish their latency histograms
 //! through a per-worker seqlock snapshot ([`crate::stats`]); a
-//! [`Server::stats`] poll never takes a lock a worker might hold.
+//! [`Server::stats`] poll never takes a lock a worker might hold — except,
+//! on a server started with I/O accounting, the buffer shard locks its I/O
+//! rollup reads the pool's one count under.
 
 use crate::queue::{Admission, BackpressurePolicy, RequestQueue};
 use crate::request::{Priority, Queued, Request, ServeError, ServedQuery, Ticket};
@@ -546,9 +548,9 @@ impl Shared {
 /// registry snapshot polls one [`Shared::stats_snapshot`] and emits the
 /// admission counters (totals and per class), per-algorithm serve counts,
 /// queue depth, micro-batch count, the latency histograms, and the cache /
-/// I/O rollups — all from that single wait-free poll, so the exported
-/// numbers keep the snapshot's internal consistency (per-class counts sum
-/// to the totals, `queue_wait.count() <= completed + shed_at_dequeue`).
+/// I/O rollups — all from that single poll, so the exported numbers keep
+/// the snapshot's internal consistency (per-class counts sum to the totals,
+/// `queue_wait.count() <= completed + shed_at_dequeue`).
 ///
 /// When the world carries a storage-control handle
 /// ([`World::with_storage_control`]), the source additionally emits whether
@@ -636,9 +638,9 @@ impl Server {
         Self::start_inner(world, config, None, None, None)
     }
 
-    /// [`Server::start`] plus I/O attribution: `counters` (e.g.
-    /// `PagedGraph::counters()`) are snapshotted into [`ServerStats::io`]
-    /// and retired per worker on shutdown.
+    /// [`Server::start`] plus I/O accounting: every stats poll reads
+    /// `counters` (e.g. a clone of `PagedGraph::counters()`) into
+    /// [`ServerStats::io`].
     pub fn start_with_io(world: World, config: ServerConfig, counters: IoCounters) -> Server {
         Self::start_inner(world, config, Some(counters), None, None)
     }
@@ -665,7 +667,7 @@ impl Server {
     /// recorder of structured serving events (admission sheds, point
     /// swaps, worker lifecycle, slow-query captures, SLO transitions —
     /// and, when the world carries a storage-control handle, buffer-pool
-    /// resize / policy / clear events). See [`TelemetryConfig`] for the
+    /// resize / clear events). See [`TelemetryConfig`] for the
     /// clock-driving options and [`Server::advance_epoch`] for the manual
     /// driver.
     pub fn start_with_telemetry(
@@ -1009,9 +1011,11 @@ impl Server {
     }
 
     /// A point-in-time snapshot of counters, latency histograms and the
-    /// cache / I/O rollups. **Wait-free**: atomic loads plus one seqlock
-    /// snapshot read per worker — a poll never contends with an in-flight
-    /// micro-batch, so dashboards and autoscalers can hammer it.
+    /// cache / I/O rollups. The server's own counters are **wait-free**:
+    /// atomic loads plus one seqlock snapshot read per worker, so that part
+    /// of a poll never contends with an in-flight micro-batch. The I/O
+    /// rollup (with [`Server::start_with_io`]) is the buffer pool's count
+    /// and takes its shard locks, as [`StorageControl::pool_stats`] does.
     pub fn stats(&self) -> ServerStats {
         self.shared.stats_snapshot()
     }
@@ -1102,9 +1106,6 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
         if let Some(cache) = &shared.cache {
             engine = engine.with_shared_result_cache(cache);
         }
-        if let Some(io) = &shared.io {
-            engine = engine.with_io_counters(io);
-        }
         for queued in batch.drain(..) {
             let priority = queued.request.priority;
             let class = shared.counts.class(priority);
@@ -1188,11 +1189,6 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
         if let Some(t) = &shared.telemetry {
             t.on_micro_batch();
         }
-    }
-    // Fold this worker's per-thread I/O into the retired total, exactly as
-    // the batch engine's workers do (ThreadIds are never reused).
-    if let Some(io) = &shared.io {
-        io.retire_current_thread();
     }
     if let Some(t) = &shared.telemetry {
         t.record_event(

@@ -26,12 +26,13 @@
 //! the double buffer removing the writer-side "odd = mid-write" wait: a
 //! writer always has a free buffer to publish into.
 //!
-//! Everything else in a [`ServerStats`] snapshot is already wait-free:
-//! admission counters are relaxed atomics, the shared result cache keeps its
-//! hit/miss counters outside the shard locks, and the I/O registry mutex is
-//! touched by workers only on their first page access. A `stats()` poll
-//! therefore never contends with an in-flight micro-batch — pinned by the
-//! `polling_stats_never_blocks_and_never_tears` test.
+//! The rest of the server's own counters are already wait-free: admission
+//! counters are relaxed atomics and the shared result cache keeps its
+//! hit/miss counters outside the shard locks, so a `stats()` poll never
+//! contends with an in-flight micro-batch over them — pinned by the
+//! `polling_stats_never_blocks_and_never_tears` test. The one exception is
+//! the I/O rollup of a server given a paged world's counters: it is the
+//! buffer pool's own count, read under the pool's shard locks.
 
 use crate::request::Priority;
 use rnn_core::{Algorithm, CacheStats};
@@ -269,8 +270,8 @@ pub struct ServerStats {
     pub service: LatencyHistogram,
     /// Result-cache hits/misses (zeros when caching is disabled).
     pub cache: CacheStats,
-    /// I/O counters rollup (zeros unless the server was given the paged
-    /// world's counters).
+    /// The paged world's buffer-pool count, read through the handle the
+    /// server was started with (zeros without one).
     pub io: IoStats,
 }
 

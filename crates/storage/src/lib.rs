@@ -30,7 +30,8 @@
 //! * [`paged_graph`] — [`PagedGraph`], which ties everything together and
 //!   implements [`rnn_graph::Topology`], so every query algorithm of
 //!   `rnn-core` runs unchanged on top of it.
-//! * [`io_stats`] — shared I/O counters ([`IoStats`], [`IoCounters`]).
+//! * [`io_stats`] — the I/O triple ([`IoStats`]) and [`IoCounters`], a read
+//!   handle on a pool's shard counters — the one place an access is counted.
 //! * [`metrics`] — registry glue: publishes the I/O counters and the buffer
 //!   pool's per-shard stats as snapshot sources of an
 //!   [`rnn_obs::MetricsRegistry`], preserving each API's own snapshot

@@ -1,10 +1,11 @@
 //! Registry glue: publishing the storage layer's counters through
 //! [`rnn_obs::MetricsRegistry`].
 //!
-//! The storage layer already keeps two consistent-snapshot counter bundles —
-//! the thread-attributed [`IoCounters`] and the per-shard
-//! [`BufferPool::io_stats`] — and both are *poll* APIs: nothing here touches
-//! the page-access hot path. Each registration installs a snapshot **source**
+//! The storage layer counts demand I/O once, in the buffer shards, and reads
+//! it two ways — the total through an [`IoCounters`] handle, the per-shard
+//! breakdown through [`BufferPool::io_stats`]. Both are *poll* APIs that take
+//! the shard locks: nothing here touches the page-access hot path. Each
+//! registration installs a snapshot **source**
 //! ([`MetricsRegistry::register_source`]), so every
 //! [`MetricsRegistry::snapshot`] re-polls the live counters and the emitted
 //! triple always comes from **one** underlying snapshot call. That preserves
@@ -23,7 +24,7 @@ use crate::io_stats::IoCounters;
 use rnn_obs::MetricsRegistry;
 use std::sync::Arc;
 
-/// Registers shared [`IoCounters`] as a snapshot source named
+/// Registers an [`IoCounters`] handle as a snapshot source named
 /// `io-counters/<pool>`.
 ///
 /// Emits, per snapshot, from one [`IoCounters::snapshot`] call:
@@ -32,8 +33,8 @@ use std::sync::Arc;
 /// * `rnn_io_faults_total{pool="<pool>"}` — buffer misses;
 /// * `rnn_io_evictions_total{pool="<pool>"}` — pages evicted.
 ///
-/// `IoCounters` is a shared handle, so the registry keeps a clone; counts
-/// recorded by any thread after registration show up in later snapshots.
+/// The registry keeps a clone of the handle, so accesses its pool serves
+/// after registration show up in later snapshots.
 pub fn register_io_counters(registry: &MetricsRegistry, pool: &str, counters: &IoCounters) {
     let accesses = format!("rnn_io_accesses_total{{pool=\"{pool}\"}}");
     let faults = format!("rnn_io_faults_total{{pool=\"{pool}\"}}");
@@ -146,37 +147,22 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::MemoryDisk;
-    use crate::page::{PageBuilder, PageEntry, PageId};
-    use rnn_graph::{EdgeId, NodeId, Weight};
-
-    fn disk(pages: usize) -> MemoryDisk {
-        let pages = (0..pages)
-            .map(|i| {
-                let mut b = PageBuilder::new();
-                b.push_record(
-                    NodeId(i as u32),
-                    &[PageEntry { neighbor: NodeId(0), edge: EdgeId(0), weight: Weight::new(1.0) }],
-                )
-                .unwrap();
-                b.build()
-            })
-            .collect();
-        MemoryDisk::new(pages)
-    }
+    use crate::buffer::tests::disk_with_pages as disk;
+    use crate::page::PageId;
 
     #[test]
     fn io_counters_source_reflects_live_counts() {
         let registry = MetricsRegistry::new();
         let counters = IoCounters::new();
+        let pool = BufferPool::new(disk(4), 1, counters.clone());
         register_io_counters(&registry, "graph", &counters);
 
         let snap = registry.snapshot();
         assert_eq!(snap.counter("rnn_io_accesses_total{pool=\"graph\"}"), Some(0));
 
-        counters.record_access(true, false);
-        counters.record_access(false, false);
-        counters.record_access(true, true);
+        for id in [0, 0, 1] {
+            pool.fetch(PageId(id)).unwrap(); // fault, hit, fault + eviction
+        }
         let snap = registry.snapshot();
         assert_eq!(snap.counter("rnn_io_accesses_total{pool=\"graph\"}"), Some(3));
         assert_eq!(snap.counter("rnn_io_faults_total{pool=\"graph\"}"), Some(2));
@@ -186,11 +172,11 @@ mod tests {
     #[test]
     fn two_pools_register_without_clashing() {
         let registry = MetricsRegistry::new();
-        let a = IoCounters::new();
-        let b = IoCounters::new();
-        register_io_counters(&registry, "graph", &a);
-        register_io_counters(&registry, "knn-table", &b);
-        a.record_access(true, false);
+        let a = BufferPool::new(disk(2), 2, IoCounters::new());
+        let b = BufferPool::new(disk(2), 2, IoCounters::new());
+        register_io_counters(&registry, "graph", a.counters());
+        register_io_counters(&registry, "knn-table", b.counters());
+        a.fetch(PageId(0)).unwrap();
         let snap = registry.snapshot();
         assert_eq!(snap.counter("rnn_io_accesses_total{pool=\"graph\"}"), Some(1));
         assert_eq!(snap.counter("rnn_io_accesses_total{pool=\"knn-table\"}"), Some(0));
@@ -257,20 +243,20 @@ mod tests {
 
     #[test]
     fn snapshots_keep_io_invariants_under_concurrent_recording() {
-        // Pollers snapshot the registry while recorders hammer the counters;
-        // every emitted triple must satisfy evictions <= faults <= accesses
+        // Pollers snapshot the registry while fetchers hammer a pool; every
+        // emitted triple must satisfy evictions <= faults <= accesses
         // because each collection reads one IoCounters snapshot.
         let registry = MetricsRegistry::new();
-        let counters = IoCounters::new();
-        register_io_counters(&registry, "graph", &counters);
+        let config = crate::buffer::BufferPoolConfig::new(4).with_shards(2);
+        let pool = BufferPool::with_config(disk(16), config, IoCounters::new());
+        register_io_counters(&registry, "graph", pool.counters());
         std::thread::scope(|scope| {
-            for _ in 0..2 {
-                let counters = counters.clone();
+            for t in 0..2u32 {
+                let pool = &pool;
                 scope.spawn(move || {
-                    for i in 0..2_000u64 {
-                        counters.record_access(i % 2 == 0, i % 8 == 0);
+                    for i in 0..2_000u32 {
+                        pool.fetch(PageId((t + i * 3) % 16)).unwrap();
                     }
-                    counters.retire_current_thread();
                 });
             }
             let registry = registry.clone();

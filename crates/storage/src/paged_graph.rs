@@ -4,7 +4,8 @@
 //! (the paper's LRU) into a [`Topology`] implementation. Query algorithms
 //! written against the `Topology` trait run unchanged on a `PagedGraph`; the
 //! only difference from the in-memory [`rnn_graph::Graph`] is that every
-//! adjacency fetch goes through the buffer and is accounted for in
+//! adjacency fetch goes through the buffer and is counted once, by the buffer
+//! shard that serves it; [`PagedGraph::io_stats`] reads that count as an
 //! [`IoStats`]. This is the component the paper's experiments measure.
 //!
 //! A fetch is [`Topology::with_adjacency`]: one call per node that lends the
@@ -129,35 +130,28 @@ impl<S: PageStore> PagedGraph<S> {
         &self.buffer
     }
 
-    /// The shared I/O counters of the underlying buffer.
+    /// The read handle on the underlying buffer's counts.
     pub fn counters(&self) -> &IoCounters {
         self.buffer.counters()
     }
 
-    /// A snapshot of the I/O activity so far (merged over all accessing
-    /// threads).
+    /// The buffer's demand accesses, faults and evictions since it was
+    /// built or last cold-started. Diff two of these ([`IoStats::since`])
+    /// for the I/O of the work between them.
     pub fn io_stats(&self) -> IoStats {
         self.buffer.counters().snapshot()
     }
 
-    /// The buffer pool's own per-shard counter breakdown plus merged total.
+    /// The buffer pool's per-shard counter breakdown plus merged total.
     pub fn pool_stats(&self) -> BufferPoolStats {
         self.buffer.io_stats()
     }
 
-    /// Resets the I/O accounting — both the shared per-thread counters and
-    /// the pool's per-shard breakdown, so the two views stay in agreement —
-    /// while the buffer content is left untouched.
-    pub fn reset_io(&self) {
-        self.buffer.reset_stats();
-    }
-
-    /// Drops all buffered pages and resets both the pool's per-shard
-    /// counters and the shared per-thread [`IoCounters`] in one atomic step
-    /// ([`BufferPool::clear_and_reset`]), simulating a cold start. Used
-    /// between workload repetitions in the experiments.
+    /// Drops all buffered pages and zeroes every count in one atomic step
+    /// ([`BufferPool::clear`]), simulating a cold start. Used between
+    /// workload repetitions in the experiments.
     pub fn cold_start(&self) {
-        self.buffer.clear_and_reset();
+        self.buffer.clear();
     }
 
     /// Number of pages of the underlying store.
@@ -422,13 +416,10 @@ mod tests {
         let s = pg.io_stats();
         assert_eq!(s.accesses, 100);
         assert!(s.faults >= pg.num_pages() as u64);
-        pg.reset_io();
-        assert_eq!(pg.io_stats(), IoStats::default());
-        // reset_io keeps the two accounting views in agreement: the pool's
-        // per-shard breakdown is zeroed too (pages stay resident).
-        assert_eq!(pg.pool_stats().total, crate::ShardStats::default());
-        assert!(pg.buffer().resident_pages() > 0, "reset_io leaves pages resident");
         pg.cold_start();
+        assert_eq!(pg.io_stats(), IoStats::default());
+        assert_eq!(pg.pool_stats().total, crate::ShardStats::default());
+        assert_eq!(pg.buffer().resident_pages(), 0, "a cold start empties the buffer");
         pg.neighbors_vec(NodeId::new(0));
         assert_eq!(pg.io_stats().faults, 1);
         assert_eq!(pg.pool_stats().total.faults, 1);
@@ -506,11 +497,7 @@ mod tests {
         }
         let pool = pg.pool_stats();
         assert_eq!(pool.per_shard.len(), 4);
-        assert_eq!(
-            pool.total.as_io_stats(),
-            pg.io_stats(),
-            "pool-side totals match the thread-attributed counters"
-        );
+        assert_eq!(pool.total.as_io_stats(), pg.io_stats(), "the handle reads the shard total");
         pg.cold_start();
         assert_eq!(pg.io_stats(), IoStats::default());
         assert_eq!(pg.pool_stats().total, crate::ShardStats::default());

@@ -4,9 +4,9 @@
 //!
 //! This is the regime the paper targets (the graph lives on disk pages
 //! behind an LRU buffer) combined with the serving layers built on top: the
-//! workers share one sharded pool, every page access is attributed to its
-//! thread by the lock-free I/O counters, and the batch must reproduce the
-//! in-memory sequential results byte for byte. The second half demonstrates
+//! workers share one sharded pool, every page access is counted once by the
+//! shard that serves it, and the batch must reproduce the in-memory
+//! sequential results byte for byte. The second half demonstrates
 //! the paged-query fast path: enabling the expansion-frontier prefetcher at
 //! runtime, with the prefetch usefulness accounting printed and asserted.
 //!
@@ -29,12 +29,11 @@ fn main() {
     let graph = grid_map(&GridConfig::with_nodes(10_000, 4.0, 42));
     let points = place_points_on_nodes(&graph, 0.01, 43);
     let query_nodes = sample_node_queries(&points, 64, 44);
-    let counters = IoCounters::new();
     let paged = PagedGraph::build_with_config(
         &graph,
         LayoutStrategy::BfsLocality,
         BufferPoolConfig::new(256).with_shards(8),
-        counters.clone(),
+        IoCounters::new(),
     )
     .expect("paged graph");
     println!(
@@ -60,26 +59,25 @@ fn main() {
 
         // The same workload through the thread pool, on the paged backend.
         paged.cold_start();
-        let engine =
-            QueryEngine::new(&paged, &points).with_io_counters(&counters).with_threads(threads);
+        let engine = QueryEngine::new(&paged, &points).with_threads(threads);
         let workload = Workload::uniform(algorithm, 1, query_nodes.iter().copied());
+        let before = paged.io_stats();
         let start = Instant::now();
         let batch = engine.run_batch(&workload);
         let secs = start.elapsed().as_secs_f64();
+        // The batch's I/O: the pool's one count, diffed around it.
+        let io = paged.io_stats().since(&before);
 
         // Paged + parallel never changes answers.
         assert_eq!(
             batch.results, sequential,
             "{algorithm}: paged batch must match the in-memory sequential loop"
         );
-        // The pool's per-shard counters and the per-thread counters describe
-        // the same accesses, partitioned two different ways.
+        assert!(io.accesses >= workload.len() as u64, "every query fetched a page");
+        // The shards partition the batch's accesses.
         let pool = paged.pool_stats();
-        assert_eq!(pool.total.as_io_stats(), paged.io_stats(), "accounting systems agree");
-        // Every query's I/O was attributed to the worker that ran it.
-        assert!(batch.io.iter().all(|io| io.accesses > 0), "per-query attribution populated");
+        assert_eq!(pool.total.as_io_stats(), io, "the shards partition the batch's I/O");
 
-        let io = batch.aggregate_io;
         println!(
             "  {:<8} {} threads {:>8.1} q/s | {:>7} accesses, {:>5} faults \
              (hit ratio {:.3}) | busiest shard {:>6} accesses",
@@ -106,12 +104,11 @@ fn main() {
         })
         .collect();
     println!("\nfast path (lazy, cold pool per cell): frontier prefetch off / on");
-    let mut demand_faults_without_prefetch = 0;
+    let (mut demand_faults_without_prefetch, mut demand_accesses_without_prefetch) = (0, 0);
     for prefetch in [false, true] {
         paged.set_prefetch(prefetch);
         paged.cold_start();
-        let engine =
-            QueryEngine::new(&paged, &points).with_io_counters(&counters).with_threads(threads);
+        let engine = QueryEngine::new(&paged, &points).with_threads(threads);
         let workload = Workload::uniform(Algorithm::Lazy, 1, query_nodes.iter().copied());
         let batch = engine.run_batch(&workload);
         assert_eq!(
@@ -119,16 +116,16 @@ fn main() {
             "prefetch={prefetch}: prefetch changes cost, never answers"
         );
         let total = paged.pool_stats().total;
-        assert_eq!(
-            total.as_io_stats(),
-            paged.io_stats(),
-            "prefetch traffic stays out of the demand counters"
-        );
         assert!(
             total.prefetch_useful + total.prefetch_wasted <= total.prefetch_issued,
             "useful + wasted never exceeds issued"
         );
         if prefetch {
+            assert_eq!(
+                total.accesses(),
+                demand_accesses_without_prefetch,
+                "prefetch traffic stays out of the demand counters"
+            );
             assert!(total.prefetch_issued > 0, "frontier hints must reach the pool");
             assert!(total.prefetch_useful > 0, "prefetched pages must absorb demand faults");
             assert!(
@@ -147,6 +144,7 @@ fn main() {
         } else {
             assert_eq!(total.prefetch_issued, 0, "prefetch off issues nothing");
             demand_faults_without_prefetch = total.faults;
+            demand_accesses_without_prefetch = total.accesses();
             println!("  prefetch off: {:>5} demand faults", total.faults);
         }
     }

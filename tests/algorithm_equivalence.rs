@@ -226,7 +226,8 @@ fn work_counters_on_a_seeded_grid_are_pinned() {
         assert_eq!(run(&visitor_only), owned, "{algo} k={k}: gathered from the visitor");
         assert_eq!(run(&paged), owned, "{algo} k={k}: decoded from pool frames");
     }
-    // The paged runs were counted fetch by fetch, in both accounting views.
+    // The paged runs were counted fetch by fetch, and the shards partition
+    // the total.
     let io = paged.io_stats();
     assert!(io.accesses > 1_000_000 && io.faults > 0, "{io:?}");
     assert_eq!(paged.pool_stats().total.as_io_stats(), io);

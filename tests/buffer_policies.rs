@@ -93,7 +93,7 @@ proptest! {
             prop_assert_eq!(
                 pool.counters().snapshot(),
                 stats.total.as_io_stats(),
-                "pool-side and thread-side demand accounting agree (prefetch stays out of both)"
+                "the handle reads the pool's demand total (prefetch stays out of it)"
             );
             prop_assert!(pool.resident_pages() <= capacity, "residency bounded by capacity");
         }
@@ -229,6 +229,6 @@ fn a_fixed_trace_leaves_the_pinned_counters_under_every_policy() {
         );
         let accesses: Vec<u64> = stats.per_shard.iter().map(|s| s.accesses()).collect();
         assert_eq!(accesses, per_shard, "{shards} shard(s): page -> shard mapping");
-        assert_eq!(pool.counters().snapshot(), t.as_io_stats(), "both views agree");
+        assert_eq!(pool.counters().snapshot(), t.as_io_stats(), "the handle reads the total");
     }
 }

@@ -158,7 +158,7 @@ fn all_six_algorithms_match_the_sequential_oracle_at_every_worker_count() {
 #[test]
 fn paged_world_with_shared_cache_matches_the_in_memory_oracle() {
     // The full serving stack: paged topology behind a striped buffer pool,
-    // lock-free I/O counters, shared result cache, 4 workers.
+    // its I/O count read through a handle, shared result cache, 4 workers.
     let (graph, points) = grid_world();
     let counters = IoCounters::new();
     let paged = Arc::new(

@@ -76,7 +76,7 @@ proptest! {
         }
         // I/O sanity: every access either hits or faults, faults never
         // exceed accesses, and the pool's per-shard accounting partitions
-        // the same totals the per-thread counters see.
+        // the total its handle reads.
         let io = paged.io_stats();
         prop_assert!(io.faults <= io.accesses);
         if buffer == 0 {
