@@ -3,6 +3,8 @@
 //! * parallel label construction is **identical** to the sequential build —
 //!   same CSR, same entry order — at 1, 2 and 8 threads, on the grid and
 //!   BRITE generators and on random zoo graphs;
+//! * every label byte of the 2-thread build is pinned by hash on the BRITE
+//!   2000-node and 2500-node grid graphs;
 //! * the compressed tiers answer like the exact one: delta-varint ranks with
 //!   exact distances decode bit-identically, and the `f32` tier stays within
 //!   `Weight::approx_eq` of exact while producing the *same* k-NN orders and
@@ -16,7 +18,7 @@ mod common;
 use common::build_connected_graph;
 use rnn_datagen::{brite_topology, grid_map, place_points_on_nodes, BriteConfig, GridConfig};
 use rnn_graph::{NodeId, NodePointSet};
-use rnn_index::{HubLabelIndex, HubLabeling, HubPointTable, LabelPrecision};
+use rnn_index::{HubLabelIndex, HubLabeling, HubPointTable, LabelDecoder, LabelPrecision};
 
 const SEED: u64 = 7;
 
@@ -72,6 +74,41 @@ fn parallel_build_is_identical_to_sequential_at_1_2_8_threads() {
             assert!(built == reference, "{name}: {threads}-thread index must equal sequential");
         }
     }
+}
+
+/// FNV-1a over every label of `labeling`, node by node: the entry count,
+/// then each hub rank and the bits of its distance, little-endian.
+fn label_hash(labeling: &HubLabeling) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut dec = LabelDecoder::new();
+    for v in 0..labeling.num_nodes() {
+        let (ranks, dists) = labeling.label(NodeId::new(v), &mut dec);
+        eat(&(ranks.len() as u64).to_le_bytes());
+        for (&r, d) in ranks.iter().zip(dists) {
+            eat(&r.to_le_bytes());
+            eat(&d.value().to_bits().to_le_bytes());
+        }
+    }
+    hash
+}
+
+/// Every label byte of the 2-thread build, pinned on the two graphs of
+/// `BENCH_index.json`: BRITE |V| = 2000 (~35 hubs per node) and the
+/// 2500-node grid (~388 hubs per node, so a label spans many blocks of the
+/// construction arena). A change to how labels are built or stored may not
+/// move either value.
+#[test]
+fn label_bytes_of_the_two_thread_build_are_pinned() {
+    let brite = brite_topology(&BriteConfig { num_nodes: 2_000, seed: 42, ..Default::default() });
+    let grid = grid_map(&GridConfig::with_nodes(2_500, 4.0, 42));
+    let hashes = [&brite, &grid]
+        .map(|g| format!("{:#018x}", label_hash(&HubLabeling::build_with_threads(g, 2))));
+    assert_eq!(hashes, ["0x5fcc3e6dae45b092", "0x7135147476fa73a5"]);
 }
 
 #[test]
