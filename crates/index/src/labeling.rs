@@ -33,6 +33,32 @@
 //! sequential, so the loss of within-level pruning costs only a few percent
 //! extra entries versus fully sequential PLL.
 //!
+//! # Construction memory
+//!
+//! Labels grow one entry at a time, for every node at once, and their final
+//! lengths are unknown until the last level commits. A growable list per
+//! node would pay 16 padded bytes per `(u32, f64)` entry, up to 2× slack from
+//! doubling, and a full copy into the CSR while the lists are still alive;
+//! the allocator then keeps the freed small buffers, so the process would
+//! peak near three times the label bytes. Instead the build appends into one
+//! arena: fixed blocks of 64 entries, ranks and distances in two flat arrays,
+//! each node's blocks chained head to tail. The slack is under one block per
+//! node, and the pruned searches read a label block by block.
+//!
+//! When the last level has committed, the arena is frozen *in place* into
+//! the CSR: one pass over the chains gives every block its final position
+//! (a node's blocks side by side, nodes in id order), a swap-cycle
+//! permutation moves each block there with at most one block swap per block,
+//! one left-to-right `copy_within` closes each node's unused tail, and the
+//! arrays are truncated and shrunk so their end goes back to the OS. On
+//! BRITE 5×10⁴ (104 MB of labels) that takes the build's rise in peak RSS
+//! from ~3.1× the label bytes to ~1.3×. The block is 64 entries because the
+//! covered test walks a label's chain for every settled node: over 12
+//! alternated 2-thread builds of BRITE 5×10⁴ on a 2-vCPU box, 64-entry
+//! blocks took a median 3.62 s, 16-entry blocks 3.91 s and per-node lists
+//! 4.06 s, while the slack (half a block per node on average) stays small
+//! beside labels of ~170 entries.
+//!
 //! # Label storage
 //!
 //! Hubs are stored as *ranks* (position in the construction order), so label
@@ -60,6 +86,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// prune everything downstream) are committed almost one at a time, then
 /// saturates here to expose enough parallelism on large graphs.
 pub const MAX_LEVEL_WIDTH: usize = 512;
+
+/// Entries per block of the construction arena (see "Construction memory").
+const BLOCK: usize = 64;
+
+/// The end of a block chain.
+const NO_BLOCK: u32 = u32::MAX;
 
 /// Distance storage tier for [`HubLabeling::compressed`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -256,8 +288,132 @@ impl LabelStats {
     }
 }
 
+/// The labels under construction: blocks of [`BLOCK`] entries in two flat
+/// arrays, each node's blocks chained in push order (see "Construction
+/// memory").
+struct LabelArena {
+    /// Hub ranks, [`BLOCK`] slots per block.
+    ranks: Vec<u32>,
+    /// Hub distances, parallel to `ranks`.
+    dists: Vec<Weight>,
+    /// Per block: the node's next block, or [`NO_BLOCK`].
+    next: Vec<u32>,
+    /// Per node: first block, or [`NO_BLOCK`] while the label is empty.
+    head: Vec<u32>,
+    /// Per node: last block, the one `push` appends to.
+    tail: Vec<u32>,
+    /// Per node: entries pushed.
+    len: Vec<u32>,
+}
+
+impl LabelArena {
+    fn new(n: usize) -> Self {
+        LabelArena {
+            ranks: Vec::new(),
+            dists: Vec::new(),
+            next: Vec::new(),
+            head: vec![NO_BLOCK; n],
+            tail: vec![NO_BLOCK; n],
+            len: vec![0; n],
+        }
+    }
+
+    /// Appends `(rank, dist)` to the label of `node`, chaining a fresh block
+    /// at the arena's end when the node's last block is full.
+    fn push(&mut self, node: usize, rank: u32, dist: Weight) {
+        let len = self.len[node] as usize;
+        if len.is_multiple_of(BLOCK) {
+            let block = self.next.len() as u32;
+            self.next.push(NO_BLOCK);
+            self.ranks.resize(self.ranks.len() + BLOCK, 0);
+            self.dists.resize(self.dists.len() + BLOCK, Weight::ZERO);
+            match self.tail[node] {
+                NO_BLOCK => self.head[node] = block,
+                tail => self.next[tail as usize] = block,
+            }
+            self.tail[node] = block;
+        }
+        let slot = self.tail[node] as usize * BLOCK + len % BLOCK;
+        self.ranks[slot] = rank;
+        self.dists[slot] = dist;
+        self.len[node] += 1;
+    }
+
+    /// The label of `node` in push order, as one `(ranks, dists)` slice pair
+    /// per block.
+    fn chunks(&self, node: usize) -> impl Iterator<Item = (&[u32], &[Weight])> {
+        let (mut block, mut left) = (self.head[node], self.len[node] as usize);
+        std::iter::from_fn(move || {
+            if left == 0 {
+                return None;
+            }
+            let lo = block as usize * BLOCK;
+            let take = left.min(BLOCK);
+            left -= take;
+            block = self.next[block as usize];
+            Some((&self.ranks[lo..lo + take], &self.dists[lo..lo + take]))
+        })
+    }
+
+    /// Freezes the arena in place into CSR `(offsets, ranks, dists)`: every
+    /// node's entries in push order, nodes in id order, with both arrays'
+    /// length and capacity equal to the entry count.
+    fn freeze(self) -> (Vec<usize>, Vec<u32>, Vec<Weight>) {
+        let LabelArena { mut ranks, mut dists, next, head, len, .. } = self;
+        // 1. Final block positions: a node's blocks side by side, nodes in id
+        //    order. `start` takes each node's first final block.
+        let mut dest = vec![NO_BLOCK; next.len()];
+        let mut start = head;
+        let mut cursor = 0u32;
+        for first in &mut start {
+            let mut block = std::mem::replace(first, cursor);
+            while block != NO_BLOCK {
+                dest[block as usize] = cursor;
+                cursor += 1;
+                block = next[block as usize];
+            }
+        }
+        // 2. Swap cycles: each swap puts the block at `b` where it belongs.
+        //    Slots before `b` already hold their final blocks, so `to > b`.
+        for b in 0..dest.len() {
+            while dest[b] as usize != b {
+                let to = dest[b] as usize;
+                swap_blocks(&mut ranks, b, to);
+                swap_blocks(&mut dists, b, to);
+                dest.swap(b, to);
+            }
+        }
+        // 3. Close each node's unused tail. A node's entries never move
+        //    right, so one left-to-right pass overwrites only what is done.
+        let mut offsets = Vec::with_capacity(len.len() + 1);
+        offsets.push(0);
+        let mut end = 0;
+        for (&first, &count) in start.iter().zip(&len) {
+            let from = first as usize * BLOCK;
+            let count = count as usize;
+            ranks.copy_within(from..from + count, end);
+            dists.copy_within(from..from + count, end);
+            end += count;
+            offsets.push(end);
+        }
+        // 4. Hand the arena's end back.
+        ranks.truncate(end);
+        ranks.shrink_to_fit();
+        dists.truncate(end);
+        dists.shrink_to_fit();
+        (offsets, ranks, dists)
+    }
+}
+
+/// Swaps the [`BLOCK`]-entry blocks `a < b` of `v`.
+fn swap_blocks<T>(v: &mut [T], a: usize, b: usize) {
+    let (left, right) = v.split_at_mut(b * BLOCK);
+    left[a * BLOCK..(a + 1) * BLOCK].swap_with_slice(&mut right[..BLOCK]);
+}
+
 /// Per-worker state for the pruned per-root Dijkstras: the rank-indexed
-/// root-distance table and the reusable expansion buffers.
+/// root-distance table and the reusable expansion buffers. Built once per
+/// build and reused by every level.
 struct RootScratch {
     /// Distances from the current root to its hubs, indexed by rank; only
     /// the entries of the root's committed label are populated at any time.
@@ -277,11 +433,13 @@ impl RootScratch {
     fn search<T: Topology + ?Sized>(
         &mut self,
         topo: &T,
-        labels: &[Vec<(u32, Weight)>],
+        labels: &LabelArena,
         root: NodeId,
     ) -> Vec<(NodeId, Weight)> {
-        for &(h, d) in &labels[root.index()] {
-            self.root_dist[h as usize] = d;
+        for (hubs, dists) in labels.chunks(root.index()) {
+            for (&h, &d) in hubs.iter().zip(dists) {
+                self.root_dist[h as usize] = d;
+            }
         }
         let mut out = Vec::new();
         let bufs = std::mem::replace(&mut self.bufs, ExpansionBuffers::new());
@@ -290,8 +448,9 @@ impl RootScratch {
             // Prune: if committed higher-ranked hubs already certify
             // d(root, u) <= d, this shortest path is covered — no label, and
             // no expansion through u (everything beyond is covered too).
-            let covered =
-                labels[u.index()].iter().any(|&(h, d2)| self.root_dist[h as usize] + d2 <= d);
+            let covered = labels.chunks(u.index()).any(|(hubs, dists)| {
+                hubs.iter().zip(dists).any(|(&h, &d2)| self.root_dist[h as usize] + d2 <= d)
+            });
             if covered {
                 continue;
             }
@@ -299,25 +458,27 @@ impl RootScratch {
             exp.expand_from(u, d);
         }
         self.bufs = exp.into_buffers();
-        for &(h, _) in &labels[root.index()] {
-            self.root_dist[h as usize] = Weight::INFINITY;
+        for (hubs, _) in labels.chunks(root.index()) {
+            for &h in hubs {
+                self.root_dist[h as usize] = Weight::INFINITY;
+            }
         }
         out
     }
 }
 
 /// Runs the pruned Dijkstras of one level's `roots`, each against the same
-/// committed `labels`, on up to `threads` scoped workers. Results come back
-/// in root order regardless of scheduling.
+/// committed `labels`, on one scoped worker per lent scratch (at most one
+/// per root). Results come back in root order regardless of scheduling.
 fn run_level<T: Topology + ?Sized>(
     topo: &T,
-    labels: &[Vec<(u32, Weight)>],
+    labels: &LabelArena,
     roots: &[NodeId],
-    threads: usize,
+    scratches: &mut [RootScratch],
 ) -> Vec<Vec<(NodeId, Weight)>> {
-    let workers = threads.min(roots.len());
+    let workers = scratches.len().min(roots.len());
     if workers <= 1 {
-        let mut scratch = RootScratch::new(labels.len());
+        let scratch = &mut scratches[0];
         return roots.iter().map(|&root| scratch.search(topo, labels, root)).collect();
     }
     // The engine's worker pattern: scoped threads pull root indices off a
@@ -325,11 +486,11 @@ fn run_level<T: Topology + ?Sized>(
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<Vec<(NodeId, Weight)>>> = (0..roots.len()).map(|_| None).collect();
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
+        let handles: Vec<_> = scratches[..workers]
+            .iter_mut()
+            .map(|scratch| {
                 let cursor = &cursor;
                 s.spawn(move || {
-                    let mut scratch = RootScratch::new(labels.len());
                     let mut out = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -405,19 +566,21 @@ impl HubLabeling {
 
         // Per-node labels, grown level by level; entries end up in ascending
         // rank order because levels commit in rank order.
-        let mut labels: Vec<Vec<(u32, Weight)>> = vec![Vec::new(); n];
+        let mut labels = LabelArena::new(n);
+        let mut scratches: Vec<RootScratch> =
+            (0..threads.min(MAX_LEVEL_WIDTH).min(n)).map(|_| RootScratch::new(n)).collect();
         let mut level_start = 0usize;
         let mut width_cap = 1usize;
         while level_start < n {
             let width = width_cap.min(MAX_LEVEL_WIDTH).min(n - level_start);
             let roots = &node_of_rank[level_start..level_start + width];
-            let results = run_level(topo, &labels, roots, threads);
+            let results = run_level(topo, &labels, roots, &mut scratches);
             // Sequential commit pass, in rank order within the level.
             for (i, entries) in results.into_iter().enumerate() {
                 let rank = (level_start + i) as u32;
                 progress.entries.add(entries.len() as u64);
                 for (node, d) in entries {
-                    labels[node.index()].push((rank, d));
+                    labels.push(node.index(), rank, d);
                 }
             }
             progress.roots.add(width as u64);
@@ -425,20 +588,11 @@ impl HubLabeling {
             width_cap = width_cap.saturating_mul(2);
         }
 
-        // Freeze into the full-width CSR.
-        let mut offsets = Vec::with_capacity(n + 1);
-        let entries: usize = labels.iter().map(Vec::len).sum();
-        let mut hub_ranks = Vec::with_capacity(entries);
-        let mut hub_dists = Vec::with_capacity(entries);
-        offsets.push(0);
-        for label in &labels {
-            debug_assert!(label.windows(2).all(|w| w[0].0 < w[1].0), "ranks ascend");
-            for &(h, d) in label {
-                hub_ranks.push(h);
-                hub_dists.push(d);
-            }
-            offsets.push(hub_ranks.len());
-        }
+        let (offsets, hub_ranks, hub_dists) = labels.freeze();
+        debug_assert!(
+            offsets.windows(2).all(|w| hub_ranks[w[0]..w[1]].windows(2).all(|r| r[0] < r[1])),
+            "ranks ascend"
+        );
         HubLabeling {
             offsets,
             store: LabelStore::Full { hub_ranks, hub_dists },
@@ -665,6 +819,54 @@ mod tests {
         let detached = LabelBuildProgress::detached();
         let _ = HubLabeling::build_with_threads_observed(&g, 1, &detached);
         assert_eq!(detached.roots_done(), 16);
+    }
+
+    #[test]
+    fn freeze_lays_scattered_blocks_out_as_each_nodes_push_order() {
+        // Labels straddling the block boundaries, grown a few entries per
+        // round in reverse node order so their blocks interleave out of node
+        // order; the last node's only entry is pushed after all of them.
+        let sizes = [0usize, 1, 63, 64, 65, 128, 129, 1];
+        let last = sizes.len() - 1;
+        let entry =
+            |v: usize, i: usize| ((v * 1000 + i) as u32, Weight::new(i as f64 + v as f64 / 8.0));
+        let mut arena = LabelArena::new(sizes.len());
+        let mut pushed = vec![0; sizes.len()];
+        for round in 0.. {
+            let step = 1 + (round * 7) % 11;
+            let mut any = false;
+            for v in (0..last).rev() {
+                for _ in 0..step.min(sizes[v] - pushed[v]) {
+                    let (r, d) = entry(v, pushed[v]);
+                    arena.push(v, r, d);
+                    pushed[v] += 1;
+                    any = true;
+                }
+            }
+            if !any {
+                break;
+            }
+        }
+        let (r, d) = entry(last, 0);
+        arena.push(last, r, d);
+        assert!(arena.head[6] < arena.head[1], "blocks are out of node order");
+        assert_eq!(
+            arena.head[last] as usize,
+            arena.next.len() - 1,
+            "last node owns the last block"
+        );
+
+        let (offsets, ranks, dists) = arena.freeze();
+        let entries: usize = sizes.iter().sum();
+        assert_eq!(offsets.len(), sizes.len() + 1);
+        for (v, &size) in sizes.iter().enumerate() {
+            assert_eq!(offsets[v + 1] - offsets[v], size, "node {v}");
+            for i in 0..size {
+                assert_eq!((ranks[offsets[v] + i], dists[offsets[v] + i]), entry(v, i), "node {v}");
+            }
+        }
+        assert_eq!((ranks.len(), ranks.capacity()), (entries, entries));
+        assert_eq!((dists.len(), dists.capacity()), (entries, entries));
     }
 
     #[test]
