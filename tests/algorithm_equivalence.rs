@@ -152,6 +152,9 @@ fn generated_workload_equivalence_smoke_test() {
 /// holds for the form the adjacency lists arrive in: owned by the graph,
 /// gathered from a visitor by the default `Topology::with_adjacency`, or
 /// decoded from pool frames by the paged graph's — the same counters.
+/// Eager-M, naive and the hub-label fold were pinned on the same queries
+/// before their verify-once bookkeeping and their hash sets and maps moved
+/// to dense tables; those rows may not move either.
 #[test]
 fn work_counters_on_a_seeded_grid_are_pinned() {
     use rnn_core::{Algorithm, Precomputed, QueryStats, RknnOutcome, Scratch};
@@ -175,6 +178,8 @@ fn work_counters_on_a_seeded_grid_are_pinned() {
     let graph = grid_map(&GridConfig { rows: 50, cols: 52, seed: 15, ..Default::default() });
     let points = place_points_on_nodes(&graph, 0.01, 15);
     let queries = sample_node_queries(&points, 50, 15);
+    // Eager-M reads a K = 4 table; the other drivers ignore it.
+    let knn_table = MaterializedKnn::build(&graph, &points, 4);
     // (nodes_settled, auxiliary_settled, heap_pushes, verifications,
     // range_nn_queries, candidates), summed over the 50 queries.
     let pinned = [
@@ -184,6 +189,10 @@ fn work_counters_on_a_seeded_grid_are_pinned() {
         (Algorithm::Lazy, 4, (125815, 430585, 150439, 1149, 0, 1149)),
         (Algorithm::LazyExtendedPruning, 1, (17270, 90147, 19615, 136, 0, 136)),
         (Algorithm::LazyExtendedPruning, 4, (48907, 598399, 56471, 434, 0, 434)),
+        (Algorithm::EagerMaterialized, 1, (6890, 20657, 7749, 198, 6840, 221)),
+        (Algorithm::EagerMaterialized, 4, (22073, 212017, 25474, 640, 22023, 640)),
+        (Algorithm::Naive, 1, (130000, 124128, 154331, 1250, 0, 1250)),
+        (Algorithm::Naive, 4, (130000, 449931, 154331, 1250, 0, 1250)),
     ];
     type Counters = (u64, u64, u64, u64, u64, u64);
     /// The six counters and the number of result points, summed.
@@ -212,11 +221,11 @@ fn work_counters_on_a_seeded_grid_are_pinned() {
         assert_eq!((visitor_only.adjacency(v), paged.adjacency(v)), (None, None));
     }
     for (algo, k, expected) in pinned {
-        let none = Precomputed::none();
+        let pre = Precomputed::materialized(&knn_table);
         let mut run = |topo: &dyn Topology| {
             let outcomes: Vec<RknnOutcome> = queries
                 .iter()
-                .map(|&q| rnn_core::run_rknn_with(algo, topo, &points, none, q, k, &mut scratch))
+                .map(|&q| rnn_core::run_rknn_with(algo, topo, &points, pre, q, k, &mut scratch))
                 .collect();
             let results: Vec<_> = outcomes.iter().map(|out| out.points.clone()).collect();
             (sum(outcomes.into_iter()).0, results)
@@ -231,6 +240,23 @@ fn work_counters_on_a_seeded_grid_are_pinned() {
     let io = paged.io_stats();
     assert!(io.accesses > 1_000_000 && io.faults > 0, "{io:?}");
     assert_eq!(paged.pool_stats().total.as_io_stats(), io);
+
+    // Hub labels on the same queries, through `HubLabelIndex::rknn_in`: the
+    // six counters (label-scan counts here), the result points, and the
+    // dedicated (label_scans, bucket_scans), all summed.
+    let hub_index = rnn_index::HubLabelIndex::build(&graph, &points);
+    let hub_pinned = [
+        (1, (((18960, 1955, 60828, 1048, 0, 1048), 35), (50308, 62783))),
+        (4, (((18960, 23120, 105989, 1243, 0, 1243), 190), (113250, 129109))),
+    ];
+    for (k, expected) in hub_pinned {
+        let outcomes: Vec<RknnOutcome> =
+            queries.iter().map(|&q| hub_index.rknn_in(q, k, &mut scratch)).collect();
+        let scans = outcomes
+            .iter()
+            .fold((0, 0), |(l, b), out| (l + out.stats.label_scans, b + out.stats.bucket_scans));
+        assert_eq!((sum(outcomes.into_iter()), scans), expected, "hub-label k={k}");
+    }
 
     // The paths no benchmark workload runs, on the same grid: the same six
     // counters, and the number of result points, summed over the workload.
