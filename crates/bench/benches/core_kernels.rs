@@ -2,14 +2,13 @@
 //! query in `rnn-core`, the layer the `mem-kernel` workload of the standalone
 //! benchmark measures end to end.
 //!
-//! * `node_state/*`: the per-node state container of an expansion — the
-//!   direct-address [`NodeTable`] against the `FastMap` it replaced. Both
-//!   containers have held 50 000 entries before the timed loop, as a pooled
-//!   buffer that once served a large query has: `fill_clear/200` is the
-//!   cycle of one small probe on such a buffer (a hash map clears in time
-//!   proportional to its capacity, the table in O(1)), `fill_clear/50000`
-//!   the large query itself, `get/*` 1024 lookups (half of them misses) at
-//!   that many live entries.
+//! * `node_state/*`: the direct-address [`NodeTable`] every per-node and
+//!   per-point state of a query lives in. The table has held 50 000 entries
+//!   before the timed loop, as a pooled buffer that once served a large
+//!   query has: `fill_clear/200` is the cycle of one small probe on such a
+//!   buffer (the table clears in O(1), whatever its capacity),
+//!   `fill_clear/50000` the large query itself, `get/*` 1024 lookups (half of
+//!   them misses) at that many live entries.
 //! * `frontier/push_pop/{32,1024}`: the expansion's frontier held at that
 //!   many entries — 64 passes of 4096 settle-and-relax steps over a topology
 //!   of disjoint chains (one arc per node, grid-like weights in `[0.8, 1.2)`),
@@ -36,7 +35,6 @@ mod common;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rnn_core::continuous::continuous_lazy_rknn;
 use rnn_core::expansion::{ExpansionBuffers, NetworkExpansion};
-use rnn_core::fast_hash::{fast_map, FastMap};
 use rnn_core::knn::range_nn_into;
 use rnn_core::materialize::MaterializedKnn;
 use rnn_core::unrestricted::{unrestricted_eager_rknn, unrestricted_lazy_rknn, EdgePosition};
@@ -75,10 +73,8 @@ fn bench_node_state(c: &mut Criterion) {
             .collect();
 
         let mut table: NodeTable<f64> = NodeTable::new();
-        let mut map: FastMap<NodeId, f64> = fast_map();
         for &n in nodes {
             table.insert(n, 0.0);
-            map.insert(n, 0.0);
         }
         group.bench_function(format!("table/fill_clear/{live}"), |b| {
             b.iter(|| {
@@ -89,21 +85,9 @@ fn bench_node_state(c: &mut Criterion) {
                 black_box(table.len())
             })
         });
-        group.bench_function(format!("fast_map/fill_clear/{live}"), |b| {
-            b.iter(|| {
-                map.clear();
-                for &n in keys {
-                    map.insert(n, 1.0);
-                }
-                black_box(map.len())
-            })
-        });
-        // Both now hold exactly `keys`.
+        // The table now holds exactly `keys`.
         group.bench_function(format!("table/get/{live}"), |b| {
             b.iter(|| probes.iter().filter_map(|&n| table.get(n)).sum::<f64>())
-        });
-        group.bench_function(format!("fast_map/get/{live}"), |b| {
-            b.iter(|| probes.iter().filter_map(|n| map.get(n)).sum::<f64>())
         });
     }
     group.finish();

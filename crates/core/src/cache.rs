@@ -10,7 +10,7 @@
 //!
 //! The recency structure is the workspace's shared [`rnn_storage::Lru`] —
 //! the same slot-vector implementation the buffer pool stripes — with the
-//! crate's [`FastHasher`] for the small tuple keys. The engine stripes the
+//! crate's `FastHasher` for the small tuple keys. The engine stripes the
 //! cache across independently locked shards the same way the buffer pool
 //! does (see `QueryEngine::with_result_cache_sharded`).
 //!

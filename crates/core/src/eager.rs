@@ -8,11 +8,12 @@
 //! reverse neighbors), and the discovered points themselves are checked with
 //! verification queries.
 
+use crate::candidates::Candidates;
 use crate::expansion::{for_each_candidate_at, NetworkExpansion};
 use crate::knn::range_nn_into;
 use crate::query::{QueryStats, RknnOutcome};
 use crate::scratch::Scratch;
-use crate::verify::{verify_candidate_in, VerifyParams};
+use crate::verify::VerifyParams;
 use rnn_graph::{NodeId, PointId, PointSource, PointsOnNodes, Revealed, Topology, Weight};
 
 /// Runs the eager RkNN algorithm.
@@ -68,8 +69,7 @@ where
 {
     assert!(k >= 1, "RkNN queries require k >= 1");
     let mut stats = QueryStats::default();
-    let mut result: Vec<PointId> = Vec::new();
-    let mut verified = scratch.take_point_set();
+    let mut cands = Candidates::new(VerifyParams { k, collect_visited: false }, scratch);
     let mut probe_found = scratch.take_found();
     // A point at the query location can never be strictly closer to anything
     // than the query is, so the probes exclude it: it must neither contribute
@@ -80,16 +80,8 @@ where
     let at_query = |p: PointId| points.is_at(p, query);
     // Every candidate is verified exactly once.
     let mut consider = |p: PointId, stats: &mut QueryStats, scratch: &mut Scratch| {
-        if !verified.insert(p) || at_query(p) {
-            return;
-        }
-        stats.candidates += 1;
-        stats.verifications += 1;
-        let params = VerifyParams { k, collect_visited: false };
-        let v = verify_candidate_in(topo, points, p, query, params, scratch);
-        stats.auxiliary_settled += v.settled;
-        if v.accepted {
-            result.push(p);
+        if cands.discover(p) && !at_query(p) {
+            cands.verify(topo, points, p, query, stats, scratch);
         }
     };
 
@@ -132,8 +124,7 @@ where
     stats.heap_pushes = exp.pushes();
     scratch.put_expansion(exp.into_buffers());
     scratch.put_found(probe_found);
-    scratch.put_point_set(verified);
-    RknnOutcome::from_points(result, stats)
+    cands.finish(stats, scratch)
 }
 
 #[cfg(test)]

@@ -35,7 +35,6 @@
 //!   graph lends its adjacency slice and the relaxation is inlined into the
 //!   loop over it, a paged or wrapped topology is visited arc by arc.
 
-use crate::fast_hash::FastSet;
 use crate::flat_heap::FlatHeap;
 use crate::node_table::NodeTable;
 use rnn_graph::{
@@ -362,7 +361,7 @@ impl Event {
 #[derive(Debug, Default)]
 struct ArcEvents {
     heap: FlatHeap,
-    emitted: FastSet<PointId>,
+    emitted: NodeTable<(), PointId>,
 }
 
 impl ArcEvents {
@@ -371,7 +370,7 @@ impl ArcEvents {
     fn offer(&mut self, dist: Weight, what: Revealed) -> bool {
         match what {
             Revealed::Target => self.heap.push(dist, 0, 0),
-            Revealed::Point(p) if self.emitted.contains(&p) => return false,
+            Revealed::Point(p) if self.emitted.contains(p) => return false,
             Revealed::Point(p) => self.heap.push(dist, 1, p.0),
         }
         true
@@ -484,7 +483,7 @@ impl<'a, T: Topology + ?Sized, S: PointSource + ?Sized> PointExpansion<'a, T, S>
                 if !std::mem::replace(&mut self.target_emitted, true) {
                     return Some(Event::Target(dist));
                 }
-            } else if self.arc_events.emitted.insert(PointId(id)) {
+            } else if self.arc_events.emitted.insert(PointId(id), ()).is_none() {
                 return Some(Event::Point(PointId(id), dist));
             }
             // Otherwise: already reported at a smaller distance.

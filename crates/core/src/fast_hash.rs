@@ -1,18 +1,14 @@
-//! Fast hashing for maps and sets keyed by small integer ids.
-//!
-//! The expansions themselves do not hash: their per-node state (distance
-//! labels, visit marks, verification counters) lives in the direct-address
-//! [`crate::NodeTable`]. What remains hashed are the small per-query sets of
-//! [`rnn_graph::PointId`]s (verified / discovered candidates), the node maps
-//! that `rnn-index` checks out of the `Scratch` pools, and result maps
-//! handed to callers. The default SipHash hasher of the standard library is
-//! overkill for 32-bit ids, so this module provides a small multiplicative
-//! hasher in the spirit of `FxHash` without adding a dependency. HashDoS
-//! resistance is irrelevant here: keys are dense internal ids, not
+//! The hasher of the few hash tables left in the crate, none of them a
+//! query's per-node or per-point state (that lives in [`crate::NodeTable`]):
+//! the result cache's LRU (`cache.rs`), the engine's pick of a cache shard
+//! (`engine.rs`) and the LRU of eager-M's simulated table pages
+//! (`materialize/mod.rs`). Their keys are small integers or tuples of them,
+//! for which the standard library's SipHash is overkill, so this is a small
+//! multiplicative hasher in the spirit of `FxHash`, without a dependency.
+//! HashDoS resistance is irrelevant: keys are internal ids, not
 //! attacker-controlled input.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 
 /// A fast, non-cryptographic hasher for small integer keys.
 #[derive(Default, Clone, Copy)]
@@ -54,44 +50,9 @@ impl Hasher for FastHasher {
     }
 }
 
-/// `HashMap` using [`FastHasher`].
-pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
-
-/// `HashSet` using [`FastHasher`].
-pub type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
-
-/// Creates an empty [`FastMap`].
-pub fn fast_map<K, V>() -> FastMap<K, V> {
-    FastMap::default()
-}
-
-/// Creates an empty [`FastSet`].
-pub fn fast_set<K>() -> FastSet<K> {
-    FastSet::default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rnn_graph::NodeId;
-
-    #[test]
-    fn map_and_set_behave_like_std() {
-        let mut m: FastMap<NodeId, u32> = fast_map();
-        for i in 0..1000u32 {
-            m.insert(NodeId(i), i * 2);
-        }
-        assert_eq!(m.len(), 1000);
-        for i in 0..1000u32 {
-            assert_eq!(m.get(&NodeId(i)), Some(&(i * 2)));
-        }
-        assert_eq!(m.get(&NodeId(5000)), None);
-
-        let mut s: FastSet<u64> = fast_set();
-        s.insert(7);
-        s.insert(7);
-        assert_eq!(s.len(), 1);
-    }
 
     #[test]
     fn hasher_distributes_sequential_keys() {

@@ -11,12 +11,12 @@
 //! `k > 1` a node is only discarded once `k` distinct points have been
 //! counted against it.
 
+use crate::candidates::Candidates;
 use crate::expansion::{for_each_candidate_at, NetworkExpansion};
-use crate::fast_hash::FastSet;
 use crate::node_table::NodeTable;
 use crate::query::{QueryStats, RknnOutcome};
 use crate::scratch::{Reset, Scratch};
-use crate::verify::{verify_candidate_in, VerifyParams};
+use crate::verify::VerifyParams;
 use rnn_graph::{NodeId, PointId, PointSource, PointsOnNodes, Revealed, Topology, Weight};
 
 /// The reusable allocation state of the lazy main loop beside its expansion,
@@ -31,14 +31,12 @@ pub(crate) struct LazyBuffers {
     /// Verification counters: how many distinct data points are known to be
     /// strictly closer to the node than the query.
     counters: NodeTable<usize>,
-    verified: FastSet<PointId>,
 }
 
 impl Reset for LazyBuffers {
     fn reset(&mut self) {
         self.via.clear();
         self.counters.clear();
-        self.verified.clear();
     }
 }
 
@@ -92,9 +90,9 @@ where
 {
     assert!(k >= 1, "RkNN queries require k >= 1");
     let mut stats = QueryStats::default();
-    let mut result: Vec<PointId> = Vec::new();
+    let mut cands = Candidates::new(VerifyParams { k, collect_visited: true }, scratch);
     let mut bufs = scratch.take_lazy();
-    let LazyBuffers { via, counters, verified } = &mut bufs;
+    let LazyBuffers { via, counters } = &mut bufs;
     let pruned = |counters: &NodeTable<usize>, n: NodeId| counters.get(n).is_some_and(|c| *c >= k);
 
     // Verifies a discovered point (once), then counts it against every node
@@ -107,17 +105,10 @@ where
                         counters: &mut NodeTable<usize>,
                         stats: &mut QueryStats,
                         scratch: &mut Scratch| {
-        if !verified.insert(p) || points.is_at(p, query) {
+        if !cands.discover(p) || points.is_at(p, query) {
             return;
         }
-        stats.candidates += 1;
-        stats.verifications += 1;
-        let params = VerifyParams { k, collect_visited: true };
-        let v = verify_candidate_in(topo, points, p, query, params, scratch);
-        stats.auxiliary_settled += v.settled;
-        if v.accepted {
-            result.push(p);
-        }
+        let v = cands.verify(topo, points, p, query, stats, scratch);
         for &(m, dm) in &v.visited {
             let counted = match exp.settled_distance(m) {
                 // Visited node: count only when provably closer to p than to
@@ -180,7 +171,7 @@ where
     stats.heap_pushes = exp.pushes();
     scratch.put_expansion(exp.into_buffers());
     scratch.put_lazy(bufs);
-    RknnOutcome::from_points(result, stats)
+    cands.finish(stats, scratch)
 }
 
 #[cfg(test)]

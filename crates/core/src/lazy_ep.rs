@@ -14,13 +14,13 @@
 //! in a direct-address [`NodeTable`] and one flat array, so a query allocates
 //! nothing per node it touches.
 
+use crate::candidates::Candidates;
 use crate::expansion::NetworkExpansion;
-use crate::fast_hash::FastSet;
 use crate::flat_heap::FlatHeap;
 use crate::node_table::NodeTable;
 use crate::query::{QueryStats, RknnOutcome};
 use crate::scratch::{Reset, Scratch};
-use crate::verify::{verify_candidate_in, VerifyParams};
+use crate::verify::VerifyParams;
 use rnn_graph::{
     for_each_neighbor, NodeId, NodeLocation, PointId, PointsOnNodes, Topology, Weight,
 };
@@ -118,14 +118,12 @@ pub(crate) struct LazyEpBuffers {
     point_heap: FlatHeap,
     /// Per-node nearest discovered points.
     found: FoundLists,
-    discovered: FastSet<PointId>,
 }
 
 impl Reset for LazyEpBuffers {
     fn reset(&mut self) {
         self.point_heap.clear();
         self.found.clear();
-        self.discovered.clear();
     }
 }
 
@@ -157,7 +155,7 @@ where
 {
     assert!(k >= 1, "RkNN queries require k >= 1");
     let mut stats = QueryStats::default();
-    let mut result: Vec<PointId> = Vec::new();
+    let mut cands = Candidates::new(VerifyParams { k, collect_visited: false }, scratch);
     let mut bufs = scratch.take_lazy_ep();
     let target = NodeLocation::from(query);
 
@@ -203,15 +201,8 @@ where
         // Process the resident point, if any.
         if dist > Weight::ZERO {
             if let Some(p) = points.point_at(node) {
-                if bufs.discovered.insert(p) {
-                    stats.candidates += 1;
-                    stats.verifications += 1;
-                    let params = VerifyParams { k, collect_visited: false };
-                    let v = verify_candidate_in(topo, points, p, &target, params, scratch);
-                    stats.auxiliary_settled += v.settled;
-                    if v.accepted {
-                        result.push(p);
-                    }
+                if cands.discover(p) {
+                    cands.verify(topo, points, p, &target, &mut stats, scratch);
                     // Seed the parallel expansion with the discovered point:
                     // record it at its own node (distance 0) and offer its
                     // neighbors to H'. The neighbors are only processed when
@@ -238,7 +229,7 @@ where
     stats.heap_pushes = exp.pushes() - 1;
     scratch.put_expansion(exp.into_buffers());
     scratch.put_lazy_ep(bufs);
-    RknnOutcome::from_points(result, stats)
+    cands.finish(stats, scratch)
 }
 
 #[cfg(test)]

@@ -88,12 +88,13 @@
 
 pub mod bichromatic;
 pub mod cache;
+mod candidates;
 pub mod continuous;
 pub mod dispatch;
 pub mod eager;
 pub mod engine;
 pub mod expansion;
-pub mod fast_hash;
+mod fast_hash;
 mod flat_heap;
 pub mod knn;
 pub mod lazy;

@@ -9,11 +9,12 @@
 //! verification query.
 
 use super::MaterializedKnn;
+use crate::candidates::Candidates;
 use crate::expansion::NetworkExpansion;
 use crate::query::{QueryStats, RknnOutcome};
 use crate::scratch::Scratch;
-use crate::verify::{verify_candidate_in, VerifyParams};
-use rnn_graph::{NodeId, NodeLocation, PointId, PointsOnNodes, Topology, Weight};
+use crate::verify::VerifyParams;
+use rnn_graph::{NodeId, NodeLocation, PointsOnNodes, Topology, Weight};
 
 /// Runs the eager-M RkNN algorithm over a materialized table.
 ///
@@ -54,8 +55,7 @@ where
         k
     );
     let mut stats = QueryStats::default();
-    let mut result: Vec<PointId> = Vec::new();
-    let mut verified = scratch.take_node_set();
+    let mut cands = Candidates::new(VerifyParams { k, collect_visited: false }, scratch);
     let mut candidates = scratch.take_node_dists();
     let target = NodeLocation::from(query);
 
@@ -88,31 +88,18 @@ where
         }
 
         for &(loc, d_to_node) in &candidates {
-            if !verified.insert(loc) {
+            // The table may be momentarily out of sync with an ad hoc point
+            // set; skip entries that no longer hold a point.
+            let Some(p) = points.point_at(loc).filter(|&p| cands.discover(p)) else {
                 continue;
-            }
-            stats.candidates += 1;
-            let p = match points.point_at(loc) {
-                Some(p) => p,
-                // The table may be momentarily out of sync with an ad hoc
-                // point set; skip entries that no longer hold a point.
-                None => continue,
             };
             // Upper bound for d(p, q): through the settled node.
             let upper_bound = dist + d_to_node;
             match table.kth_other_distance(loc, loc, k) {
-                Some(kth) if upper_bound <= kth => {
-                    // The materialized information already proves membership.
-                    result.push(p);
-                }
+                // The materialized information already proves membership.
+                Some(kth) if upper_bound <= kth => cands.accept(p, &mut stats),
                 _ => {
-                    stats.verifications += 1;
-                    let params = VerifyParams { k, collect_visited: false };
-                    let v = verify_candidate_in(topo, points, p, &target, params, scratch);
-                    stats.auxiliary_settled += v.settled;
-                    if v.accepted {
-                        result.push(p);
-                    }
+                    cands.verify(topo, points, p, &target, &mut stats, scratch);
                 }
             }
         }
@@ -127,8 +114,7 @@ where
     stats.heap_pushes = exp.pushes();
     scratch.put_expansion(exp.into_buffers());
     scratch.put_node_dists(candidates);
-    scratch.put_node_set(verified);
-    RknnOutcome::from_points(result, stats)
+    cands.finish(stats, scratch)
 }
 
 #[cfg(test)]

@@ -8,11 +8,12 @@
 //! for the property tests and (b) the straw-man baseline in the benchmark
 //! harness.
 
+use crate::candidates::Candidates;
 use crate::expansion::PointExpansion;
 use crate::query::{QueryStats, RknnOutcome};
 use crate::scratch::Scratch;
-use crate::verify::{verify_candidate_in, VerifyParams};
-use rnn_graph::{NodeId, PointId, PointSource, PointsOnNodes, Topology, Weight};
+use crate::verify::VerifyParams;
+use rnn_graph::{NodeId, PointSource, PointsOnNodes, Topology, Weight};
 
 /// Runs the naive RkNN baseline: a full expansion from the query followed by
 /// one bounded NN probe per data point.
@@ -60,7 +61,6 @@ where
 {
     assert!(k >= 1, "RkNN queries require k >= 1");
     let mut stats = QueryStats::default();
-    let mut result: Vec<PointId> = Vec::new();
 
     // Full single-source shortest paths from the query: the traversal the
     // naive method cannot avoid. It reaches every data point that can be
@@ -80,19 +80,13 @@ where
     // Each encountered point is checked with the same verification primitive
     // the other algorithms use (a NN expansion around the point that stops
     // when the query is reached), so tie handling is identical everywhere.
+    // The expansion reveals each point once, so none needs a mark.
+    let mut cands = Candidates::new(VerifyParams { k, collect_visited: false }, scratch);
     for &(p, _) in &reachable_points {
-        stats.candidates += 1;
-        stats.verifications += 1;
-        let params = VerifyParams { k, collect_visited: false };
-        let v = verify_candidate_in(topo, points, p, query, params, scratch);
-        stats.auxiliary_settled += v.settled;
-        if v.accepted {
-            result.push(p);
-        }
+        cands.verify(topo, points, p, query, &mut stats, scratch);
     }
     scratch.put_found(reachable_points);
-
-    RknnOutcome::from_points(result, stats)
+    cands.finish(stats, scratch)
 }
 
 #[cfg(test)]

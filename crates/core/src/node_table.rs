@@ -1,9 +1,9 @@
-//! A direct-address table keyed by [`NodeId`].
+//! A direct-address table keyed by [`NodeId`] (or [`rnn_graph::PointId`]).
 //!
-//! Node ids are dense `u32` indices below `Topology::num_nodes()`, so the
-//! per-node state of an expansion (distance labels, visit marks, counters)
-//! needs no hashing. [`NodeTable`] is a *sparse set*: `sparse[node]` names a
-//! slot in the compact `nodes` / `vals` arrays, which hold the touched nodes
+//! Node and point ids are dense `u32` indices, so the per-node state of an
+//! expansion (distance labels, visit marks, counters) and a query's per-point
+//! marks need no hashing. [`NodeTable`] is a *sparse set*: `sparse[key]` names
+//! a slot in the compact `keys` / `vals` arrays, which hold the touched keys
 //! in touch order. A lookup is two dependent loads, and [`NodeTable::clear`]
 //! only truncates the compact arrays — it never walks `sparse` — so a table
 //! pooled across thousands of small expansions costs nothing to reset, no
@@ -12,11 +12,11 @@
 //! `sparse` is never trusted on its own: a slot left over from before a
 //! `clear()` (or from another graph — one table may serve topologies of
 //! different sizes in turn) is valid only if it is in range *and* the compact
-//! array names the same node there. The table grows on the first insert of a
-//! node beyond its current length, at 4 bytes per node.
+//! array names the same key there. The table grows on the first insert of a
+//! key beyond its current length, at 4 bytes per id.
 //!
 //! That growth is the one thing a *fresh* table pays and a hash map does not:
-//! the first insert of node `i` zero-fills `sparse` up to `i` (about 10 µs on
+//! the first insert of id `i` zero-fills `sparse` up to `i` (about 10 µs on
 //! a 10⁵-node graph). Code that runs many small expansions therefore keeps
 //! its tables between them — in a `Scratch`, or inside the structure they
 //! serve, as `MaterializedKnn` does for its updates — and only the one-shot
@@ -24,113 +24,113 @@
 
 use rnn_graph::NodeId;
 
-/// A map from [`NodeId`] to `V` by direct addressing (see the module docs).
+/// A map from `K` to `V` by direct addressing (see the module docs).
 #[derive(Clone, Debug)]
-pub struct NodeTable<V> {
-    /// Node index → slot in `nodes` / `vals`; stale unless confirmed there.
+pub struct NodeTable<V, K = NodeId> {
+    /// Id → slot in `keys` / `vals`; stale unless confirmed there.
     sparse: Vec<u32>,
-    /// The live nodes, in the order they were first inserted.
-    nodes: Vec<NodeId>,
-    /// `vals[i]` belongs to `nodes[i]`.
+    /// The live keys, in the order they were first inserted.
+    keys: Vec<K>,
+    /// `vals[i]` belongs to `keys[i]`.
     vals: Vec<V>,
 }
 
-impl<V> Default for NodeTable<V> {
+impl<V, K> Default for NodeTable<V, K> {
     fn default() -> Self {
-        NodeTable { sparse: Vec::new(), nodes: Vec::new(), vals: Vec::new() }
+        NodeTable { sparse: Vec::new(), keys: Vec::new(), vals: Vec::new() }
     }
 }
 
-impl<V> NodeTable<V> {
-    /// Creates an empty table; it sizes itself to the nodes it is given.
+impl<V, K: Copy + Eq + Into<u32>> NodeTable<V, K> {
+    /// Creates an empty table; it sizes itself to the keys it is given.
     pub fn new() -> Self {
         Self::default()
     }
 
     #[inline]
-    fn slot(&self, node: NodeId) -> Option<usize> {
-        let slot = *self.sparse.get(node.index())? as usize;
-        (self.nodes.get(slot) == Some(&node)).then_some(slot)
+    fn slot(&self, key: K) -> Option<usize> {
+        let slot = *self.sparse.get(key.into() as usize)? as usize;
+        (self.keys.get(slot) == Some(&key)).then_some(slot)
     }
 
     #[inline]
-    fn push(&mut self, node: NodeId, val: V) -> usize {
-        let index = node.index();
+    fn push(&mut self, key: K, val: V) -> usize {
+        let index = key.into() as usize;
         if index >= self.sparse.len() {
             self.sparse.resize(index + 1, 0);
         }
-        let slot = self.nodes.len();
-        // Live entries are distinct `u32` node ids, so a slot fits in `u32`.
+        let slot = self.keys.len();
+        // Live entries are distinct `u32` ids, so a slot fits in `u32`.
         self.sparse[index] = slot as u32;
-        self.nodes.push(node);
+        self.keys.push(key);
         self.vals.push(val);
         slot
     }
 
-    /// The value stored for `node`, if any.
+    /// The value stored for `key`, if any.
     #[inline]
-    pub fn get(&self, node: NodeId) -> Option<&V> {
-        self.slot(node).map(|slot| &self.vals[slot])
+    pub fn get(&self, key: K) -> Option<&V> {
+        self.slot(key).map(|slot| &self.vals[slot])
     }
 
-    /// Mutable access to the value stored for `node`, if any.
+    /// Mutable access to the value stored for `key`, if any.
     #[inline]
-    pub fn get_mut(&mut self, node: NodeId) -> Option<&mut V> {
-        self.slot(node).map(|slot| &mut self.vals[slot])
+    pub fn get_mut(&mut self, key: K) -> Option<&mut V> {
+        self.slot(key).map(|slot| &mut self.vals[slot])
     }
 
-    /// Whether `node` has a value.
+    /// Whether `key` has a value.
     #[inline]
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.slot(node).is_some()
+    pub fn contains(&self, key: K) -> bool {
+        self.slot(key).is_some()
     }
 
-    /// Stores `val` for `node`, returning the value it replaces.
+    /// Stores `val` for `key`, returning the value it replaces.
     #[inline]
-    pub fn insert(&mut self, node: NodeId, val: V) -> Option<V> {
-        match self.slot(node) {
+    pub fn insert(&mut self, key: K, val: V) -> Option<V> {
+        match self.slot(key) {
             Some(slot) => Some(std::mem::replace(&mut self.vals[slot], val)),
             None => {
-                self.push(node, val);
+                self.push(key, val);
                 None
             }
         }
     }
 
-    /// The value stored for `node`, storing `default` first if there is none.
+    /// The value stored for `key`, storing `default` first if there is none.
     #[inline]
-    pub fn entry(&mut self, node: NodeId, default: V) -> &mut V {
-        let slot = match self.slot(node) {
+    pub fn entry(&mut self, key: K, default: V) -> &mut V {
+        let slot = match self.slot(key) {
             Some(slot) => slot,
-            None => self.push(node, default),
+            None => self.push(key, default),
         };
         &mut self.vals[slot]
     }
 
-    /// Number of nodes with a value.
+    /// Number of keys with a value.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.keys.len()
     }
 
-    /// Whether no node has a value.
+    /// Whether no key has a value.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.keys.is_empty()
     }
 
-    /// The nodes with a value, in the order they were first inserted.
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
+    /// The keys with a value, in the order they were first inserted.
+    pub fn nodes(&self) -> &[K] {
+        &self.keys
     }
 
-    /// `(node, value)` pairs in first-insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &V)> {
-        self.nodes.iter().copied().zip(&self.vals)
+    /// `(key, value)` pairs in first-insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
+        self.keys.iter().copied().zip(&self.vals)
     }
 
     /// Removes every entry in O(1) (plus dropping the values, free for the
     /// `Copy` payloads the expansions store), keeping all capacity.
     pub fn clear(&mut self) {
-        self.nodes.clear();
+        self.keys.clear();
         self.vals.clear();
     }
 }

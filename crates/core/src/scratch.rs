@@ -4,14 +4,17 @@
 //! and label table of its main expansion — the same
 //! [`ExpansionBuffers`] whichever algorithm runs it — one more set per
 //! auxiliary probe (range-NN, verification), candidate buffers and the few
-//! tables an algorithm keeps beside its expansion (lazy's back-pointers and
-//! counters, lazy-EP's second heap and found-lists). Allocating
-//! them per query dominates steady-state serving cost, so [`Scratch`] pools
-//! them: an algorithm checks a buffer out, uses it, and returns it; the next
-//! query (or the next probe of the same query) *resets* the buffer — clears
-//! it while keeping its capacity — instead of allocating a new one. The
-//! per-node state is held in [`crate::NodeTable`]s, whose reset is O(1)
-//! however many nodes the largest query so far touched, so the ~80 small
+//! tables an algorithm keeps beside its expansion. Allocating them per query
+//! dominates steady-state serving cost, so [`Scratch`] pools them: an
+//! algorithm checks a buffer out, uses it, and returns it; the next query (or
+//! the next probe of the same query) *resets* the buffer — clears it while
+//! keeping its capacity — instead of allocating a new one.
+//!
+//! The public pools (expansions, `Vec`s, and [`NodeTable`]s of node distances
+//! and node marks) also serve `rnn-index`'s hub-label RkNN; the crate-private
+//! ones hold the verify-once point marks and lazy's and lazy-EP's bundles.
+//! All per-node and per-point state is a [`NodeTable`], whose reset is O(1)
+//! however many keys the largest query so far touched, so the ~80 small
 //! probes of one eager query do not each pay for the biggest one.
 //!
 //! One `Scratch` belongs to one worker (it is deliberately not `Sync`); the
@@ -27,7 +30,7 @@
 //! (`reuses` grows).
 
 use crate::expansion::ExpansionBuffers;
-use crate::fast_hash::{FastMap, FastSet};
+use crate::node_table::NodeTable;
 use rnn_graph::{NodeId, PointId, Weight};
 use rnn_obs::Tracer;
 
@@ -43,13 +46,7 @@ impl<T> Reset for Vec<T> {
     }
 }
 
-impl<K> Reset for FastSet<K> {
-    fn reset(&mut self) {
-        self.clear();
-    }
-}
-
-impl<K, V> Reset for FastMap<K, V> {
+impl<V, K: Copy + Eq + Into<u32>> Reset for NodeTable<V, K> {
     fn reset(&mut self) {
         self.clear();
     }
@@ -83,9 +80,9 @@ pub struct Scratch {
     weights: Vec<Vec<Weight>>,
     indices: Vec<Vec<u32>>,
     node_dists: Vec<Vec<(NodeId, Weight)>>,
-    point_sets: Vec<FastSet<PointId>>,
-    node_dist_maps: Vec<FastMap<NodeId, Weight>>,
-    node_sets: Vec<FastSet<NodeId>>,
+    dist_tables: Vec<NodeTable<Weight>>,
+    node_marks: Vec<NodeTable<()>>,
+    point_marks: Vec<NodeTable<(), PointId>>,
     lazy: Vec<crate::lazy::LazyBuffers>,
     lazy_ep: Vec<crate::lazy_ep::LazyEpBuffers>,
     created: u64,
@@ -154,14 +151,14 @@ impl Scratch {
         take_weights, put_weights, weights: Vec<Weight>;
         take_indices, put_indices, indices: Vec<u32>;
         take_node_dists, put_node_dists, node_dists: Vec<(NodeId, Weight)>;
-        take_point_set, put_point_set, point_sets: FastSet<PointId>;
-        take_node_dist_map, put_node_dist_map, node_dist_maps: FastMap<NodeId, Weight>;
-        take_node_set, put_node_set, node_sets: FastSet<NodeId>;
+        take_dist_table, put_dist_table, dist_tables: NodeTable<Weight>;
+        take_node_marks, put_node_marks, node_marks: NodeTable<()>;
     }
 
-    // Crate-private pools: buffer bundles whose types are internal to the
-    // lazy / lazy-EP implementations.
+    // Crate-private pools: the verify-once marks and the buffer bundles whose
+    // types are internal to the lazy / lazy-EP implementations.
     pool_accessors! { pub(crate),
+        take_point_marks, put_point_marks, point_marks: NodeTable<(), PointId>;
         take_lazy, put_lazy, lazy: crate::lazy::LazyBuffers;
         take_lazy_ep, put_lazy_ep, lazy_ep: crate::lazy_ep::LazyEpBuffers;
     }
@@ -260,9 +257,9 @@ mod tests {
     #[test]
     fn sets_come_back_empty() {
         let mut s = Scratch::new();
-        let mut set = s.take_point_set();
-        set.insert(PointId::new(7));
-        s.put_point_set(set);
-        assert!(s.take_point_set().is_empty());
+        let mut marks = s.take_point_marks();
+        marks.insert(PointId::new(7), ());
+        s.put_point_marks(marks);
+        assert!(s.take_point_marks().is_empty());
     }
 }

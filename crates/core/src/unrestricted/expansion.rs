@@ -1,6 +1,6 @@
 //! The shared expansion, range-NN probe and verification of the crate over
 //! an [`rnn_graph::EdgePointSet`]: what [`crate::expansion::PointExpansion`],
-//! [`crate::knn::range_nn`] and [`crate::verify::verify_candidate`] do when
+//! [`crate::knn::range_nn`] and [`crate::verify::verify_candidate_in`] do when
 //! the points are found on the arcs rather than on the nodes.
 
 #[cfg(test)]

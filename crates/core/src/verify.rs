@@ -33,7 +33,7 @@ pub struct Verification {
     pub visited: Vec<(NodeId, Weight)>,
 }
 
-/// Parameters of [`verify_candidate`].
+/// Parameters of [`verify_candidate_in`].
 #[derive(Clone, Copy, Debug)]
 pub struct VerifyParams {
     /// The `k` of the RkNN query.
@@ -46,27 +46,14 @@ pub struct VerifyParams {
 /// Verifies whether the data point `candidate` is a reverse k nearest
 /// neighbor of the `target` location: an expansion from the candidate's own
 /// location that stops when the target is reached, or when `k` other points
-/// are known to be strictly closer than the target can still be.
+/// are known to be strictly closer than the target can still be. Every
+/// driver verifies through the crate's one verify-once path
+/// (`candidates.rs`), on recycled buffers from `scratch`.
 ///
 /// `target` is a single node for plain queries, the nodes of a route for
 /// continuous ones (reaching any of them counts) and a position on an edge
 /// in unrestricted networks. `candidate` itself is never counted as "another
 /// point".
-pub fn verify_candidate<T, S>(
-    topo: &T,
-    points: &S,
-    candidate: PointId,
-    target: &S::Location,
-    params: VerifyParams,
-) -> Verification
-where
-    T: Topology + ?Sized,
-    S: PointSource + ?Sized,
-{
-    verify_candidate_in(topo, points, candidate, target, params, &mut Scratch::new())
-}
-
-/// [`verify_candidate`] on recycled buffers from `scratch`.
 ///
 /// The returned [`Verification::visited`] vector (populated only under
 /// `collect_visited`) comes from the arena; callers that want to keep the
@@ -140,7 +127,7 @@ where
 
 /// Counts data points other than `exclude` with distance strictly smaller
 /// than `bound` from `source`, stopping early once `limit` such points have
-/// been found. Used by the naive baseline.
+/// been found. Used by the bichromatic driver.
 pub fn count_points_strictly_within<T, P>(
     topo: &T,
     points: &P,
@@ -177,7 +164,17 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rnn_graph::{Graph, GraphBuilder, NodePointSet};
+    use rnn_graph::{Graph, GraphBuilder, NodeLocation, NodePointSet};
+
+    fn verify_candidate(
+        g: &Graph,
+        pts: &NodePointSet,
+        candidate: PointId,
+        target: &NodeLocation,
+        params: VerifyParams,
+    ) -> Verification {
+        verify_candidate_in(g, pts, candidate, target, params, &mut Scratch::new())
+    }
 
     /// 0 -1- 1 -1- 2 -1- 3 -1- 4 ; points on 0, 2, 4.
     fn line() -> (Graph, NodePointSet) {

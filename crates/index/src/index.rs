@@ -41,10 +41,10 @@
 
 use crate::labeling::{HubLabeling, LabelDecoder, LabelPrecision};
 use crate::point_table::HubPointTable;
-use rnn_core::fast_hash::FastSet;
 use rnn_core::precomputed::HubLabelRknn;
 use rnn_core::query::{QueryStats, RknnOutcome};
 use rnn_core::scratch::Scratch;
+use rnn_core::NodeTable;
 use rnn_graph::{NodeId, NodePointSet, PointId, PointsOnNodes, Topology, Weight};
 use rnn_obs::{MetricsRegistry, Phase};
 
@@ -251,11 +251,11 @@ impl HubLabelIndex {
         // Phase 1: fold `d(q, h) + d(h, p)` to the minimum per occupied
         // node over the buckets of the query's hubs, leaving out the entries
         // Lemma 1 rejects at the hub (see the module docs). Folding goes
-        // through a pooled map (not a dense per-node array) so the per-query
-        // cost stays proportional to the entries read, never to the total
-        // point count.
+        // through a pooled `NodeTable`, which clears in O(1), so the
+        // per-query cost stays proportional to the entries read, never to the
+        // total point count or to the largest query the table served.
         let candidate_span = scratch.tracer().begin();
-        let mut dmin = scratch.take_node_dist_map();
+        let mut dmin = scratch.take_dist_table();
         let (hubs, hub_dists) = self.labeling.label(query, &mut dec);
         for (&h, &a) in hubs.iter().zip(hub_dists) {
             stats.nodes_settled += 1;
@@ -263,7 +263,8 @@ impl HubLabelIndex {
             let (dists, nodes) = self.table.bucket(h);
             let mut fold = |j: usize| {
                 let through = a + dists[j];
-                dmin.entry(nodes[j]).and_modify(|d| *d = through.min(*d)).or_insert(through);
+                let d = dmin.entry(nodes[j], through);
+                *d = through.min(*d);
             };
             let len = dists.len();
             let read = if len <= k {
@@ -288,15 +289,15 @@ impl HubLabelIndex {
         let read = stats.heap_pushes;
         scratch.tracer_mut().end(Phase::CandidateGen, candidate_span, read);
 
-        // Phase 2: verify candidates — in the map's order, which only decides
-        // the order of the sums in `stats` and of the result before it is
-        // sorted. A point collocated with the query (distance zero) is
+        // Phase 2: verify candidates — in first-fold order, which only
+        // decides the order of the sums in `stats` and of the result before
+        // it is sorted. A point collocated with the query (distance zero) is
         // trivially a reverse neighbor and not reported, matching the
         // expansion algorithms.
         let counting_span = scratch.tracer().begin();
-        let mut seen = scratch.take_node_set();
+        let mut seen = scratch.take_node_marks();
         let mut result: Vec<PointId> = Vec::new();
-        for (&node, &dist) in dmin.iter() {
+        for (node, &dist) in dmin.iter() {
             if dist == Weight::ZERO {
                 continue;
             }
@@ -310,8 +311,8 @@ impl HubLabelIndex {
         let (ranks, weights) = dec.into_parts();
         scratch.put_indices(ranks);
         scratch.put_weights(weights);
-        scratch.put_node_dist_map(dmin);
-        scratch.put_node_set(seen);
+        scratch.put_dist_table(dmin);
+        scratch.put_node_marks(seen);
         let counted = stats.auxiliary_settled;
         scratch.tracer_mut().end(Phase::Counting, counting_span, counted);
         RknnOutcome::from_points(result, stats)
@@ -324,17 +325,17 @@ impl HubLabelIndex {
     /// bound (the minimal sum is the exact distance, every other sum only
     /// overestimates — an overestimate below a bound implies the exact
     /// distance is too), so scanning each bucket prefix and deduplicating
-    /// into `seen` is exact. The point collocated with the query ties at
-    /// exactly `bound` (the labels produce identical, commuted sums for both
-    /// directions of a pair) and is therefore never counted — ties do not
-    /// disqualify, as in the paper.
+    /// into the `seen` table, cleared in O(1) per candidate, is exact. The
+    /// point collocated with the query ties at exactly `bound` (the labels
+    /// produce identical, commuted sums for both directions of a pair) and is
+    /// therefore never counted — ties do not disqualify, as in the paper.
     fn count_strictly_closer(
         &self,
         node: NodeId,
         bound: Weight,
         limit: usize,
         dec: &mut LabelDecoder,
-        seen: &mut FastSet<NodeId>,
+        seen: &mut NodeTable<()>,
         stats: &mut QueryStats,
     ) -> usize {
         seen.clear();
@@ -353,12 +354,12 @@ impl HubLabelIndex {
                 stats.auxiliary_settled += 1;
                 stats.bucket_scans += 1;
                 let other = nodes[j];
-                if other != node && !seen.contains(&other) {
+                if other != node && !seen.contains(other) {
                     count += 1;
                     if count >= limit {
                         return count; // before the insert: `seen` stays empty at k = 1
                     }
-                    seen.insert(other);
+                    seen.insert(other, ());
                 }
             }
         }
