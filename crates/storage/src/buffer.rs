@@ -773,6 +773,72 @@ pub(crate) mod tests {
         }
     }
 
+    /// The demand steps of [`pinned_trace`] alone: the same generator with
+    /// its prefetch steps skipped, 84 demand fetches over 12 pages.
+    fn demand_trace() -> impl Iterator<Item = PageId> {
+        pinned_trace().filter(|&(prefetch, _)| !prefetch).map(|(_, ids)| ids[0])
+    }
+
+    /// The demand path's victim order is LRU's and nothing else's: the ids
+    /// dropped, in order, the hits / faults / evictions and the per-shard
+    /// accesses of [`demand_trace`], through both access paths, as recorded
+    /// while the pool still carried its speculative-read path.
+    #[test]
+    fn demand_trace_victims_and_counters_are_pinned() {
+        // (pages / shards, victims, [hits, faults, evictions], accesses per shard)
+        let pinned = [
+            (
+                BufferPoolConfig::new(5),
+                &[
+                    1, 10, 8, 0, 3, 4, 1, 5, 6, 9, 11, 10, 1, 3, 4, 7, 8, 10, 9, 3, 2, 6, 4, 10, 1,
+                    9, 2, 3, 11, 7, 8, 9, 4, 6, 5, 11, 3, 7, 0, 9, 6, 4, 11, 5,
+                ][..],
+                [35, 49, 44],
+                &[84][..],
+            ),
+            (
+                BufferPoolConfig::new(8).with_shards(4),
+                &[
+                    8, 0, 4, 3, 4, 10, 1, 11, 5, 6, 3, 8, 4, 7, 8, 3, 6, 10, 4, 7, 3, 8, 7, 8, 4,
+                    6, 5, 3, 7, 0, 6, 7, 4, 5, 3, 1, 11,
+                ],
+                [41, 43, 37],
+                &[53, 17, 5, 9],
+            ),
+        ];
+        for (config, victims, counters, per_shard) in pinned {
+            let shards = config.shards;
+            for access in [fetch_page, read_page_in_place] {
+                let (dropped, stats) = replay_demand_trace(config, access);
+                assert_eq!(dropped, victims, "{shards} shard(s): victim sequence");
+                let t = stats.total;
+                assert_eq!([t.hits, t.faults, t.evictions], counters, "{shards} shard(s)");
+                let accesses: Vec<u64> = stats.per_shard.iter().map(ShardStats::accesses).collect();
+                assert_eq!(accesses, per_shard, "{shards} shard(s): page -> shard mapping");
+            }
+        }
+    }
+
+    /// Replays [`demand_trace`] on a fresh pool through `access`; returns the
+    /// ids dropped, in order, and the pool's counters.
+    fn replay_demand_trace(
+        config: BufferPoolConfig,
+        access: fn(&BufferPool<MemoryDisk>, PageId),
+    ) -> (Vec<u32>, BufferPoolStats) {
+        let pool = BufferPool::with_config(disk_with_pages(12), config, IoCounters::new());
+        let resident = |pool: &BufferPool<MemoryDisk>| -> Vec<PageId> {
+            pool.shards.iter().flat_map(|shard| shard.lock().cache.victim_order()).collect()
+        };
+        let mut victims: Vec<u32> = Vec::new();
+        for id in demand_trace() {
+            let before = resident(&pool);
+            access(&pool, id);
+            let after = resident(&pool);
+            victims.extend(before.iter().filter(|id| !after.contains(id)).map(|id| id.0));
+        }
+        (victims, pool.io_stats())
+    }
+
     /// A demand access the way callers before `read_with` made it.
     fn fetch_page(pool: &BufferPool<MemoryDisk>, id: PageId) {
         let page = pool.fetch(id).unwrap();

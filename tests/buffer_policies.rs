@@ -232,3 +232,65 @@ fn a_fixed_trace_leaves_the_pinned_counters_under_every_policy() {
         assert_eq!(pool.counters().snapshot(), t.as_io_stats(), "the handle reads the total");
     }
 }
+
+/// A [`MemoryDisk`] that records the id of every page read from it.
+struct RecordingDisk {
+    disk: MemoryDisk,
+    reads: std::sync::Mutex<Vec<usize>>,
+}
+
+impl PageStore for RecordingDisk {
+    fn num_pages(&self) -> usize {
+        self.disk.num_pages()
+    }
+
+    fn read_page(&self, page: PageId) -> Result<rnn_storage::Page, rnn_storage::StorageError> {
+        self.reads.lock().unwrap().push(page.index());
+        self.disk.read_page(page)
+    }
+}
+
+/// The demand steps of the fixed trace alone — the same generator with its
+/// `step % 8 == 7` steps skipped — at 1 and 4 shards: the hits, faults and
+/// evictions, the accesses per shard and the pages the store read, in order
+/// (folded into one `mix64` digest: a victim that moved would move a later
+/// fault), as recorded while the pool still had a speculative-read path.
+#[test]
+fn a_demand_only_trace_leaves_the_pinned_counters_and_faults() {
+    // (shards, [hits, faults, evictions], demand accesses per shard, digest of
+    // the store's reads)
+    let pinned: [(usize, [u64; 3], &[u64], u64); 2] = [
+        (1, [68, 172, 164], &[240], 0x96ed_1b13_2ba6_9ca8),
+        (4, [51, 189, 181], &[103, 69, 49, 19], 0x3ad7_eb3e_26f1_8d91),
+    ];
+    for (shards, expected, per_shard, reads_digest) in pinned {
+        let store = RecordingDisk { disk: disk_with_pages(40), reads: Default::default() };
+        let pool = BufferPool::with_config(
+            store,
+            BufferPoolConfig::new(8).with_shards(shards),
+            IoCounters::new(),
+        );
+        for step in 0..240u64 {
+            let x = rnn_storage::lru::mix64(step);
+            let id = PageId::new(if step % 3 == 0 { x % 6 } else { x % 40 } as usize);
+            let next = PageId::new((id.index() + 1) % 40);
+            match step % 8 {
+                7 => continue,
+                3 => {
+                    pool.fetch(id).expect("page in range");
+                    pool.fetch(next).expect("page in range");
+                }
+                _ => drop(pool.fetch(id).expect("page in range")),
+            }
+        }
+        let stats = pool.io_stats();
+        let t = stats.total;
+        let accesses: Vec<u64> = stats.per_shard.iter().map(|s| s.accesses()).collect();
+        let reads = pool.store().reads.lock().unwrap().clone();
+        let digest = reads.iter().fold(0u64, |h, &id| rnn_storage::lru::mix64(h ^ id as u64));
+        assert_eq!([t.hits, t.faults, t.evictions], expected, "{shards} shard(s)");
+        assert_eq!(accesses, per_shard, "{shards} shard(s): page -> shard mapping");
+        assert_eq!(reads.len() as u64, t.faults, "{shards} shard(s): one read per fault");
+        assert_eq!(digest, reads_digest, "{shards} shard(s): the faults, in order");
+    }
+}
