@@ -437,20 +437,16 @@ pub fn bichromatic(scale: Scale) -> Report {
 }
 
 // ---------------------------------------------------------------------------
-// Beyond the paper: the paged-query fast path (sharding + prefetch).
+// Beyond the paper: the paged-query fast path (sharding).
 // ---------------------------------------------------------------------------
 
 /// Paged-query fast path: all six algorithms on page-resident BRITE and grid
-/// worlds under every shard count × frontier prefetch off/on, measured over
-/// a cold pool and again over the warmed pool.
+/// worlds under every shard count, measured over a cold pool and again over
+/// the warmed pool.
 ///
 /// Every cell's result sets — cold pass and warm pass — are asserted
 /// byte-identical to the in-memory oracle before any number is reported:
-/// sharding and prefetch change cost, never answers. Prefetch accounting is
-/// reported honestly: issued / useful / wasted are separate columns (never
-/// folded into demand hits), `useful + wasted <= issued` is asserted, and
-/// the wasted ratio gets its own column. Per shard count, the cold pass with
-/// prefetch must demand-fault less than without (asserted).
+/// sharding changes cost, never answers.
 pub fn paging(scale: Scale) -> Report {
     let k = 1usize;
     let instances = [
@@ -469,21 +465,12 @@ pub fn paging(scale: Scale) -> Report {
     let mut report = Report::new(
         "Paging",
         format!(
-            "paged-query fast path: demand faults and prefetch usefulness per shards x \
-             prefetch (all {} algorithms, D=0.01, k={k}; every cell byte-identical to the \
-             in-memory oracle)",
+            "paged-query fast path: demand faults per graph x shards (all {} algorithms, \
+             D=0.01, k={k}; every cell byte-identical to the in-memory oracle)",
             algos.len()
         ),
-        "graph shards prefetch",
-        vec![
-            "cold faults".into(),
-            "warm faults".into(),
-            "hit rate".into(),
-            "pf issued".into(),
-            "pf useful".into(),
-            "pf wasted".into(),
-            "pf wasted ratio".into(),
-        ],
+        "graph shards",
+        vec!["cold faults".into(), "warm faults".into(), "hit rate".into()],
     );
 
     for (name, graph) in &instances {
@@ -499,88 +486,45 @@ pub fn paging(scale: Scale) -> Report {
             .collect();
 
         // The pool holds the whole graph with headroom in every shard: the
-        // cold-pass columns then isolate what frontier prefetch is for —
-        // converting first-touch demand faults into hits — without eviction
-        // noise racing the prefetcher. (Eviction pressure is what the fig21
-        // rows measure.)
+        // cold pass counts first-touch faults only, the warm pass none.
+        // (Eviction pressure is what the fig21 rows measure.)
         let probe =
             PagedGraph::build_with(graph, LayoutStrategy::BfsLocality, 1, IoCounters::new())
                 .expect("paged graph");
         let capacity = probe.num_pages().max(8) * 2;
 
         for shards in [1usize, 4] {
-            let mut cold_faults_without_prefetch = 0u64;
-            for prefetch in [false, true] {
-                let cell = format!("{name} s{shards} {}", if prefetch { "pf" } else { "nopf" });
-                let paged = PagedGraph::build_with_config(
-                    graph,
-                    LayoutStrategy::BfsLocality,
-                    BufferPoolConfig::new(capacity).with_shards(shards),
-                    IoCounters::new(),
-                )
-                .expect("paged graph")
-                .with_prefetch(prefetch);
+            let cell = format!("{name} s{shards}");
+            let paged = PagedGraph::build_with_config(
+                graph,
+                LayoutStrategy::BfsLocality,
+                BufferPoolConfig::new(capacity).with_shards(shards),
+                IoCounters::new(),
+            )
+            .expect("paged graph");
 
-                paged.cold_start();
-                let mut cold_stats = None;
-                for pass in ["cold", "warm"] {
-                    for (i, &a) in algos.iter().enumerate() {
-                        for (j, &q) in queries.iter().enumerate() {
-                            let out = run_rknn(a, &paged, &points, pre, q, k);
-                            assert_eq!(
-                                out, oracle[i][j],
-                                "cell [{cell}] {pass} pass: {a} on query {q:?} must \
-                                 reproduce the in-memory oracle byte for byte"
-                            );
-                        }
-                    }
-                    if pass == "cold" {
-                        cold_stats = Some(paged.pool_stats().total);
+            paged.cold_start();
+            let mut cold_stats = None;
+            for pass in ["cold", "warm"] {
+                for (i, &a) in algos.iter().enumerate() {
+                    for (j, &q) in queries.iter().enumerate() {
+                        let out = run_rknn(a, &paged, &points, pre, q, k);
+                        assert_eq!(
+                            out, oracle[i][j],
+                            "cell [{cell}] {pass} pass: {a} on query {q:?} must \
+                             reproduce the in-memory oracle byte for byte"
+                        );
                     }
                 }
-                let cold = cold_stats.take().expect("cold pass ran");
-                let total = paged.pool_stats().total;
-                let warm_faults = total.faults - cold.faults;
-                let hit_rate = total.hits as f64 / total.accesses().max(1) as f64;
-                assert!(
-                    total.prefetch_useful + total.prefetch_wasted <= total.prefetch_issued,
-                    "cell [{cell}]: useful + wasted must not exceed issued"
-                );
-                if prefetch {
-                    assert!(
-                        total.prefetch_issued > 0 && total.prefetch_useful > 0,
-                        "cell [{cell}]: the frontier prefetcher must issue useful \
-                         prefetches on an expansion workload"
-                    );
-                    assert!(
-                        cold.faults < cold_faults_without_prefetch,
-                        "cell [{cell}]: prefetch must reduce cold-pool demand faults \
-                         ({} with vs {} without)",
-                        cold.faults,
-                        cold_faults_without_prefetch
-                    );
-                } else {
-                    assert_eq!(
-                        total.prefetch_issued, 0,
-                        "cell [{cell}]: prefetch disabled must issue nothing"
-                    );
-                    cold_faults_without_prefetch = cold.faults;
+                if pass == "cold" {
+                    cold_stats = Some(paged.pool_stats().total);
                 }
-                let wasted_ratio =
-                    total.prefetch_wasted as f64 / (total.prefetch_issued.max(1)) as f64;
-                report.push_row(
-                    cell,
-                    vec![
-                        cold.faults as f64,
-                        warm_faults as f64,
-                        hit_rate,
-                        total.prefetch_issued as f64,
-                        total.prefetch_useful as f64,
-                        total.prefetch_wasted as f64,
-                        wasted_ratio,
-                    ],
-                );
             }
+            let cold = cold_stats.expect("cold pass ran");
+            let total = paged.pool_stats().total;
+            let warm_faults = total.faults - cold.faults;
+            let hit_rate = total.hits as f64 / total.accesses().max(1) as f64;
+            report.push_row(cell, vec![cold.faults as f64, warm_faults as f64, hit_rate]);
         }
     }
     report

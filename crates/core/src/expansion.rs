@@ -55,10 +55,6 @@ pub struct ExpansionBuffers {
     heap: FlatHeap,
     /// Tentative distance `d` as `d`, settled distance `d` as `-d`.
     labels: NodeTable<f64>,
-    /// Scratch for frontier prefetch hints ([`Topology::prefetch_hint`]),
-    /// empty between expansion steps. Only ever filled when the topology asks
-    /// for hints, so the in-memory path never pays for it.
-    hints: Vec<NodeId>,
     /// What a [`PointExpansion`] found on the arcs and has yet to report.
     arc_events: ArcEvents,
 }
@@ -73,7 +69,6 @@ impl ExpansionBuffers {
     pub fn clear(&mut self) {
         self.heap.clear();
         self.labels.clear();
-        self.hints.clear();
         self.arc_events.heap.clear();
         self.arc_events.emitted.clear();
     }
@@ -119,10 +114,6 @@ pub struct NetworkExpansion<'a, T: Topology + ?Sized> {
     bufs: ExpansionBuffers,
     settled_count: u64,
     pushes: u64,
-    /// Cached [`Topology::wants_prefetch_hints`], checked once per expansion
-    /// per the trait contract: when `false` (every in-memory topology), the
-    /// hint plumbing is a single branch and no collection happens.
-    wants_hints: bool,
 }
 
 impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
@@ -148,18 +139,11 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
         I: IntoIterator<Item = (NodeId, Weight)>,
     {
         bufs.clear();
-        let wants_hints = topo.wants_prefetch_hints();
-        let mut exp = NetworkExpansion { topo, bufs, settled_count: 0, pushes: 0, wants_hints };
+        let mut exp = NetworkExpansion { topo, bufs, settled_count: 0, pushes: 0 };
         for (node, dist) in sources {
             if exp.bufs.relax(node, dist) {
                 exp.pushes += 1;
             }
-        }
-        if exp.wants_hints && !exp.bufs.labels.is_empty() {
-            // The sources are the first adjacency lists the expansion will
-            // fetch — hint them right away. (At this point the label table
-            // holds exactly the tentative sources.)
-            exp.topo.prefetch_hint(exp.bufs.labels.nodes());
         }
         exp
     }
@@ -240,34 +224,21 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
     /// [`NetworkExpansion::expand_from`] with a per-arc hook: `each` sees
     /// every neighbor of `node` once, after its relaxation, together with
     /// whether the offer was taken (labelled and pushed onto the frontier).
-    ///
-    /// A taken neighbor is an adjacency list the expansion is likely to fetch
-    /// soon, so when the topology asks for hints the taken neighbors of one
-    /// call go to [`Topology::prefetch_hint`] as one batch. Hints are
-    /// best-effort and change neither the relaxation logic nor its order.
     pub fn expand_from_each(
         &mut self,
         node: NodeId,
         dist: Weight,
         mut each: impl FnMut(Neighbor, bool),
     ) {
-        let wants_hints = self.wants_hints;
         let bufs = &mut self.bufs;
         let pushes = &mut self.pushes;
         for_each_neighbor(self.topo, node, |nb| {
             let taken = bufs.relax(nb.node, dist + nb.weight);
             if taken {
                 *pushes += 1;
-                if wants_hints {
-                    bufs.hints.push(nb.node);
-                }
             }
             each(nb, taken);
         });
-        if !bufs.hints.is_empty() {
-            self.topo.prefetch_hint(&bufs.hints);
-            bufs.hints.clear();
-        }
     }
 
     /// Returns the settled distance of `node`, if it has been settled.
@@ -754,68 +725,5 @@ mod tests {
         );
         assert_eq!((exp.pushes(), exp.settled_count()), (4, 4));
         assert!(exp.frontier_is_empty());
-    }
-
-    /// A topology wrapper that asks for prefetch hints and records every
-    /// batch it receives (stand-in for the paged graph in `rnn-storage`).
-    struct HintRecorder<'g> {
-        graph: &'g Graph,
-        hints: std::sync::Mutex<Vec<Vec<usize>>>,
-    }
-
-    impl Topology for HintRecorder<'_> {
-        fn num_nodes(&self) -> usize {
-            self.graph.num_nodes()
-        }
-        fn visit_neighbors(&self, node: NodeId, visit: &mut dyn FnMut(rnn_graph::Neighbor)) {
-            self.graph.visit_neighbors(node, visit)
-        }
-        fn wants_prefetch_hints(&self) -> bool {
-            true
-        }
-        fn prefetch_hint(&self, nodes: &[NodeId]) {
-            let mut batch: Vec<usize> = nodes.iter().map(|n| n.index()).collect();
-            batch.sort_unstable();
-            self.hints.lock().unwrap().push(batch);
-        }
-    }
-
-    #[test]
-    fn hinting_topology_receives_sources_and_fresh_frontier_pushes() {
-        let g = diamond();
-        let rec = HintRecorder { graph: &g, hints: std::sync::Mutex::new(Vec::new()) };
-        let mut exp = NetworkExpansion::new(&rec, NodeId::new(0));
-        let mut settled = Vec::new();
-        while let Some((n, d)) = exp.next_settled() {
-            settled.push((n.index(), d.value()));
-        }
-        // Hints MUST NOT change results: same settle order and distances as
-        // the plain expansion test above.
-        assert_eq!(settled, vec![(0, 0.0), (1, 1.0), (3, 2.0), (2, 3.0)]);
-        let hints = rec.hints.into_inner().unwrap();
-        // First batch is the source itself, then each expansion hints the
-        // neighbors it freshly pushed: 0 pushes {1,2}, 1 pushes {3},
-        // 3 re-pushes 2 with the better distance, 2 pushes nothing.
-        assert_eq!(hints, vec![vec![0], vec![1, 2], vec![3], vec![2]]);
-    }
-
-    #[test]
-    fn non_hinting_topology_never_gets_hint_calls() {
-        struct NoHints<'g>(&'g Graph, std::sync::atomic::AtomicU32);
-        impl Topology for NoHints<'_> {
-            fn num_nodes(&self) -> usize {
-                self.0.num_nodes()
-            }
-            fn visit_neighbors(&self, node: NodeId, visit: &mut dyn FnMut(rnn_graph::Neighbor)) {
-                self.0.visit_neighbors(node, visit)
-            }
-            fn prefetch_hint(&self, _nodes: &[NodeId]) {
-                self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-        }
-        let g = diamond();
-        let topo = NoHints(&g, std::sync::atomic::AtomicU32::new(0));
-        run_to_completion(NetworkExpansion::new(&topo, NodeId::new(0)));
-        assert_eq!(topo.1.load(std::sync::atomic::Ordering::Relaxed), 0);
     }
 }

@@ -10,7 +10,7 @@ mod tests {
     use crate::scratch::Scratch;
     use crate::verify::{verify_candidate_in, VerifyParams};
     use rnn_graph::{
-        EdgePointSet, EdgePointSetBuilder, Graph, GraphBuilder, NodeId, PointId, Topology, Weight,
+        EdgePointSet, EdgePointSetBuilder, Graph, GraphBuilder, NodeId, PointId, Weight,
     };
 
     /// Fig. 14-like network: a square of nodes with data points on edges.
@@ -143,47 +143,5 @@ mod tests {
         let v = verify(&p1, 1);
         assert!(v.accepted);
         assert_eq!(v.target_distance, Some(Weight::new(4.0)));
-    }
-
-    #[test]
-    fn hinting_topology_gets_sources_and_frontier_and_results_are_unchanged() {
-        struct Recorder<'g> {
-            graph: &'g Graph,
-            hints: std::sync::Mutex<Vec<Vec<usize>>>,
-        }
-        impl Topology for Recorder<'_> {
-            fn num_nodes(&self) -> usize {
-                self.graph.num_nodes()
-            }
-            fn visit_neighbors(&self, node: NodeId, visit: &mut dyn FnMut(rnn_graph::Neighbor)) {
-                self.graph.visit_neighbors(node, visit)
-            }
-            fn wants_prefetch_hints(&self) -> bool {
-                true
-            }
-            fn prefetch_hint(&self, nodes: &[NodeId]) {
-                let mut batch: Vec<usize> = nodes.iter().map(|n| n.index()).collect();
-                batch.sort_unstable();
-                self.hints.lock().unwrap().push(batch);
-            }
-        }
-
-        let (g, pts) = sample();
-        let baseline: Vec<Event> = {
-            let mut exp =
-                PointExpansion::from_node(&g, &pts, NodeId::new(0), ExpansionBuffers::new());
-            std::iter::from_fn(|| exp.next_event()).collect()
-        };
-        let rec = Recorder { graph: &g, hints: std::sync::Mutex::new(Vec::new()) };
-        let mut exp =
-            PointExpansion::from_node(&rec, &pts, NodeId::new(0), ExpansionBuffers::new());
-        let hinted: Vec<Event> = std::iter::from_fn(|| exp.next_event()).collect();
-        assert_eq!(hinted, baseline, "hints must not change the event stream");
-        let hints = rec.hints.into_inner().unwrap();
-        assert_eq!(hints[0], vec![0], "the source is hinted first");
-        assert!(
-            hints[1..].iter().all(|b| !b.is_empty()),
-            "frontier batches only fire when something was freshly relaxed"
-        );
     }
 }

@@ -88,11 +88,11 @@ pub struct World {
     /// maintains incrementally (the type-erased `hub_labels` handle cannot
     /// be mutated through the trait).
     hub_index: Option<Arc<HubLabelIndex>>,
-    /// Runtime-tuning handle of the paged storage behind `topo`, when the
+    /// Introspection handle of the paged storage behind `topo`, when the
     /// world is disk-resident ([`World::with_storage_control`]): lets the
-    /// server apply [`ServerConfig`]'s prefetch setting and export the
-    /// buffer's prefetch telemetry. Point swaps never touch it — the
-    /// topology (and its storage) outlives point churn.
+    /// server export the buffer's per-shard hit rates and record its
+    /// control-plane events. Point swaps never touch it — the topology (and
+    /// its storage) outlives point churn.
     storage: Option<Arc<dyn StorageControl>>,
 }
 
@@ -109,8 +109,9 @@ impl World {
 
     /// Attaches the storage-control handle of a paged topology (typically
     /// the same `Arc<PagedGraph<_>>` passed as `topo`, re-cast): the server
-    /// then applies [`ServerConfig::with_prefetch`] at startup and exports
-    /// the buffer pool's prefetch counters through its metrics source.
+    /// then exports the buffer pool's per-shard hit rates through its
+    /// metrics source and, with telemetry on, records the pool's resize and
+    /// clear events.
     pub fn with_storage_control(mut self, storage: Arc<dyn StorageControl>) -> Self {
         self.storage = Some(storage);
         self
@@ -219,12 +220,6 @@ pub struct ServerConfig {
     pub slow_samples: usize,
     /// Seed of the slow-query log's deterministic sampler.
     pub slow_seed: u64,
-    /// Expansion-frontier prefetch on the paged storage: `Some(true)` /
-    /// `Some(false)` set it at startup (requires
-    /// [`World::with_storage_control`]), `None` leaves the backend as
-    /// built. Prefetch is speculation-only — it never changes results or
-    /// demand I/O accounting.
-    pub prefetch: Option<bool>,
 }
 
 impl Default for ServerConfig {
@@ -244,7 +239,6 @@ impl Default for ServerConfig {
             slow_sample_every: 0,
             slow_samples: 0,
             slow_seed: 0,
-            prefetch: None,
         }
     }
 }
@@ -311,13 +305,6 @@ impl ServerConfig {
         self.slow_samples = samples;
         self.slow_seed = seed;
         self.tracing = true;
-        self
-    }
-
-    /// Enables or disables expansion-frontier prefetch on the world's paged
-    /// storage at startup (no-op for in-memory worlds).
-    pub fn with_prefetch(mut self, enabled: bool) -> Self {
-        self.prefetch = Some(enabled);
         self
     }
 }
@@ -553,12 +540,10 @@ impl Shared {
 /// `queue_wait.count() <= completed + shed_at_dequeue`).
 ///
 /// When the world carries a storage-control handle
-/// ([`World::with_storage_control`]), the source additionally emits whether
-/// prefetch is on, the pool-level `prefetch_{issued,useful,wasted}` counters
-/// and a per-shard demand hit-rate gauge — all from one
-/// [`StorageControl::pool_stats`] call. The
-/// handle is captured at registration (point swaps never replace the
-/// storage), so polling stays lock-free with respect to the world lock.
+/// ([`World::with_storage_control`]), the source additionally emits a
+/// per-shard hit-rate gauge, all from one [`StorageControl::pool_stats`]
+/// call. The handle is captured at registration (point swaps never replace
+/// the storage), so polling stays lock-free with respect to the world lock.
 fn register_server_source(registry: &MetricsRegistry, shared: &Arc<Shared>) {
     let storage = shared.world.read().storage.clone();
     let shared = Arc::clone(shared);
@@ -605,12 +590,7 @@ fn register_server_source(registry: &MetricsRegistry, shared: &Arc<Shared>) {
         set.counter("rnn_server_io_faults_total", s.io.faults);
         set.counter("rnn_server_io_evictions_total", s.io.evictions);
         if let Some(storage) = &storage {
-            set.gauge("rnn_server_storage_prefetch_enabled", u64::from(storage.prefetch_enabled()));
-            let pool = storage.pool_stats();
-            set.counter("rnn_server_storage_prefetch_issued_total", pool.total.prefetch_issued);
-            set.counter("rnn_server_storage_prefetch_useful_total", pool.total.prefetch_useful);
-            set.counter("rnn_server_storage_prefetch_wasted_total", pool.total.prefetch_wasted);
-            for (i, shard) in pool.per_shard.iter().enumerate() {
+            for (i, shard) in storage.pool_stats().per_shard.iter().enumerate() {
                 set.gauge(
                     &format!("rnn_server_storage_shard_hit_rate_permille{{shard=\"{i}\"}}"),
                     shard.hit_rate_permille(),
@@ -687,11 +667,6 @@ impl Server {
         registry: Option<&MetricsRegistry>,
         telemetry: Option<TelemetryConfig>,
     ) -> Server {
-        // Apply the prefetch setting before any worker can fetch a page, so
-        // the whole serving lifetime runs under one setting.
-        if let (Some(storage), Some(prefetch)) = (&world.storage, config.prefetch) {
-            storage.set_prefetch(prefetch);
-        }
         let workers = config.workers.max(1);
         let cache = (config.cache_capacity > 0).then(|| {
             let shards = if config.cache_shards == 0 { workers } else { config.cache_shards };
@@ -953,14 +928,6 @@ impl Server {
     /// [`ServerConfig::with_tracing`]).
     pub fn tracing(&self) -> bool {
         self.shared.tracing
-    }
-
-    /// The world's storage-control handle, when the server fronts a paged
-    /// topology ([`World::with_storage_control`]) — for inspecting the
-    /// buffer's policy, prefetch setting and prefetch usefulness at
-    /// runtime.
-    pub fn storage_control(&self) -> Option<Arc<dyn StorageControl>> {
-        self.shared.world.read().storage.clone()
     }
 
     /// Takes everything the slow-query log captured since the last drain:
@@ -1270,65 +1237,6 @@ mod tests {
         assert_eq!(stats.class(Priority::Interactive).queue_wait.count(), 81);
         assert_eq!(stats.class(Priority::Batch).submitted, 0);
         assert_eq!(stats.class(Priority::Batch).service.count(), 0);
-    }
-
-    #[test]
-    fn storage_control_applies_config_and_exports_prefetch_telemetry() {
-        use rnn_storage::{BufferPoolConfig, LayoutStrategy, PagedGraph};
-        let graph = Arc::new(grid(9));
-        let n = 81;
-        let points = Arc::new(NodePointSet::from_nodes(n, (0..n).step_by(5).map(NodeId::new)));
-        let counters = IoCounters::new();
-        let paged = Arc::new(
-            PagedGraph::build_with_config(
-                &graph,
-                LayoutStrategy::BfsLocality,
-                BufferPoolConfig::new(16).with_shards(2),
-                counters.clone(),
-            )
-            .expect("paged graph"),
-        );
-        let world = World::new(paged.clone(), points.clone())
-            .with_storage_control(paged as Arc<dyn StorageControl>);
-        assert!(format!("{world:?}").contains("storage: true"));
-        let registry = MetricsRegistry::new();
-        let server = Server::start_observed(
-            world,
-            ServerConfig::default().with_workers(2).with_prefetch(true),
-            Some(counters),
-            &registry,
-        );
-        let ctl = server.storage_control().expect("the world carries a storage handle");
-        assert!(ctl.prefetch_enabled(), "config applied at startup");
-
-        let tickets: Vec<Ticket> = (0..n)
-            .map(|q| server.submit(Request::new(Algorithm::Lazy, NodeId::new(q), 2)).unwrap())
-            .collect();
-        for (q, ticket) in tickets.into_iter().enumerate() {
-            let served = ticket.wait().expect("served");
-            let direct = run_rknn(
-                Algorithm::Lazy,
-                &*graph,
-                &*points,
-                Precomputed::none(),
-                NodeId::new(q),
-                2,
-            );
-            assert_eq!(served.outcome, direct, "prefetch must not change results");
-        }
-
-        let snap = registry.snapshot();
-        assert_eq!(snap.gauge("rnn_server_storage_prefetch_enabled"), Some(1));
-        let issued = snap.counter("rnn_server_storage_prefetch_issued_total").unwrap();
-        let useful = snap.counter("rnn_server_storage_prefetch_useful_total").unwrap();
-        let wasted = snap.counter("rnn_server_storage_prefetch_wasted_total").unwrap();
-        assert!(issued > 0, "expansions over a paged world emit prefetch hints");
-        assert!(useful + wasted <= issued, "each issued page decides at most once");
-        assert!(
-            snap.gauge("rnn_server_storage_shard_hit_rate_permille{shard=\"0\"}").is_some(),
-            "per-shard hit-rate gauge is exported"
-        );
-        server.shutdown();
     }
 
     #[test]

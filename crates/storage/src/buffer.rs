@@ -22,13 +22,12 @@
 //! paper's buffer; with N shards each shard is the same LRU over its slice
 //! of the pages. Shard counts come from [`BufferPoolConfig`].
 //!
-//! Replacement is exact LRU and nothing else: the paper's cost model is
-//! faults against one LRU buffer (Fig. 21 varies its size, never its
-//! policy), so every fault count in the repository is a statement about
-//! this victim order. On top of the demand path the pool supports
-//! best-effort speculative reads ([`BufferPool::prefetch`]) with their own
-//! `prefetch_issued` / `prefetch_useful` / `prefetch_wasted` accounting,
-//! kept strictly out of the demand counters.
+//! Replacement is exact LRU and nothing else, and a page enters the pool
+//! only when a demand access faults it in: the paper's cost model is faults
+//! against one LRU buffer with no read-ahead (Fig. 21 varies its size and
+//! nothing else), so every fault count in the repository is a statement
+//! about this victim order. A shard holds its pages in the workspace's one
+//! [`Lru`] directly.
 //!
 //! Each shard keeps its own hit/fault/eviction counters ([`ShardStats`]),
 //! inside its lock: they are the one place a demand access is counted.
@@ -39,11 +38,11 @@
 use crate::disk::PageStore;
 use crate::error::StorageError;
 use crate::io_stats::{IoCounters, IoStats};
-use crate::lru::mix64;
+use crate::lru::{mix64, Lru};
 use crate::page::{Page, PageId};
-use crate::policy::PageCache;
 use parking_lot::Mutex;
 use rnn_obs::{EventKind, FlightRecorder};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::AddAssign;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -109,14 +108,10 @@ impl Default for BufferPoolConfig {
     }
 }
 
-/// Hit/fault/eviction counters of one buffer shard (or their sum), plus the
-/// shard's prefetch accounting.
+/// Hit/fault/eviction counters of one buffer shard (or their sum).
 ///
-/// `hits + faults` is the shard's **demand** access count; the three
-/// `prefetch_*` counters track speculative reads separately and never leak
-/// into the demand counters (a prefetch is not an access, its read is not a
-/// fault, and a page it displaces is not an eviction — `evictions <= faults
-/// <= accesses` keeps holding with prefetch on). Like [`IoStats`] and the
+/// `hits + faults` is the shard's demand access count, and
+/// `evictions <= faults <= accesses` always holds. Like [`IoStats`] and the
 /// engine's `QueryStats`, snapshots add with `+=` so per-shard breakdowns
 /// fold into totals without ad-hoc summation code.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -127,16 +122,6 @@ pub struct ShardStats {
     pub faults: u64,
     /// Pages evicted to make room for a faulted page.
     pub evictions: u64,
-    /// Pages speculatively read into the shard by [`BufferPool::prefetch`]
-    /// (already-resident hint pages are skipped and not counted).
-    pub prefetch_issued: u64,
-    /// Prefetched pages that later served a demand access — each issued
-    /// page counts at most once, on its first demand hit.
-    pub prefetch_useful: u64,
-    /// Prefetched pages dropped (evicted, drained by a resize) before any
-    /// demand access used them. `useful + wasted <= issued`; the difference
-    /// is still resident and undecided.
-    pub prefetch_wasted: u64,
 }
 
 impl ShardStats {
@@ -145,8 +130,7 @@ impl ShardStats {
         self.hits + self.faults
     }
 
-    /// The demand counts as an [`IoStats`] snapshot (prefetch activity is
-    /// not demand I/O and is left out).
+    /// The counts as an [`IoStats`] snapshot.
     pub fn as_io_stats(&self) -> IoStats {
         IoStats { accesses: self.accesses(), faults: self.faults, evictions: self.evictions }
     }
@@ -162,9 +146,6 @@ impl AddAssign<&ShardStats> for ShardStats {
         self.hits += other.hits;
         self.faults += other.faults;
         self.evictions += other.evictions;
-        self.prefetch_issued += other.prefetch_issued;
-        self.prefetch_useful += other.prefetch_useful;
-        self.prefetch_wasted += other.prefetch_wasted;
     }
 }
 
@@ -185,20 +166,49 @@ pub struct BufferPoolStats {
     pub total: ShardStats,
 }
 
-/// One independently locked slice of the pool: an LRU page cache over the
-/// pages whose mixed id maps here, plus this shard's counters.
+/// Hasher of a shard's resident-page map: page ids are dense `u32`s under no
+/// adversary's control, so one Fibonacci multiply replaces SipHash — the low
+/// bits of the product (the table's bucket) stay distinct for consecutive
+/// ids and the high bits (its control byte) are well mixed. It only decides
+/// where the map keeps an id, never a victim: eviction order lives in the
+/// recency list.
+#[derive(Default, Clone, Copy)]
+struct PageIdHasher(u64);
+
+impl Hasher for PageIdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write_u32(&mut self, id: u32) {
+        self.0 = (self.0 ^ u64::from(id)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    /// `PageId` hashes through `write_u32`; this is only the trait's
+    /// mandatory fallback.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+}
+
+/// One independently locked slice of the pool: the pages whose mixed id maps
+/// here, in exact LRU order, plus this shard's counters.
 /// Counters live *inside* the lock — every read and write happens under the
 /// shard's guard — which is what makes [`BufferPool::clear`] (all guards
 /// held) atomic with the pages by construction.
 pub(crate) struct ShardState {
-    cache: PageCache,
+    cache: Lru<PageId, Page, BuildHasherDefault<PageIdHasher>>,
     stats: ShardStats,
 }
 
 pub(crate) type Shard = Mutex<ShardState>;
 
 fn new_shard(capacity: usize) -> Shard {
-    Mutex::new(ShardState { cache: PageCache::new(capacity), stats: ShardStats::default() })
+    Mutex::new(ShardState { cache: Lru::new(capacity), stats: ShardStats::default() })
 }
 
 /// Locks every shard in index order (the one lock order in this module, so
@@ -339,16 +349,13 @@ impl<S: PageStore> BufferPool<S> {
     /// The new capacity is re-split over the existing shards with the same
     /// remainder-first rule the constructor uses. A shrink drains each
     /// over-full shard in **exact LRU victim order** (the surviving pages
-    /// are precisely the most recently used of each shard, unused
-    /// prefetched pages going first); a grow only adds headroom. With fewer
-    /// pages than shards, the trailing shards get capacity 0 and cache
-    /// nothing (every access to them faults).
+    /// are precisely the most recently used of each shard); a grow only adds
+    /// headroom. With fewer pages than shards, the trailing shards get
+    /// capacity 0 and cache nothing (every access to them faults).
     ///
     /// Pages dropped by a shrink are *not* counted as evictions: eviction
     /// counters mean "evicted to make room for a faulted page", and keeping
-    /// resize out of them preserves `evictions <= faults`. A drained page
-    /// that was prefetched and never used does count as `prefetch_wasted` —
-    /// it genuinely was.
+    /// resize out of them preserves `evictions <= faults`.
     pub fn resize(&self, new_capacity: usize) {
         let mut guards = lock_all(&self.shards);
         let shards = guards.len();
@@ -357,12 +364,8 @@ impl<S: PageStore> BufferPool<S> {
         for (i, guard) in guards.iter_mut().enumerate() {
             let cap = base + usize::from(i < extra);
             guard.cache.set_capacity(cap);
-            while guard.cache.len() > cap {
-                match guard.cache.pop_victim() {
-                    Some(v) if v.prefetched_unused => guard.stats.prefetch_wasted += 1,
-                    Some(_) => {}
-                    None => break,
-                }
+            for _ in cap..guard.cache.len() {
+                guard.cache.pop_lru();
             }
         }
         self.capacity.store(new_capacity, Ordering::Relaxed);
@@ -428,11 +431,8 @@ impl<S: PageStore> BufferPool<S> {
         {
             let mut guard = shard.lock();
             let state = &mut *guard;
-            if let Some((page, first_use)) = state.cache.lookup_ref(page_id) {
+            if let Some(page) = state.cache.get(&page_id) {
                 state.stats.hits += 1;
-                if first_use {
-                    state.stats.prefetch_useful += 1;
-                }
                 return read(page);
             }
         }
@@ -443,82 +443,11 @@ impl<S: PageStore> BufferPool<S> {
             let mut state = shard.lock();
             // Re-check: another thread may have inserted the page meanwhile
             // (then this insert refreshes it and evicts nothing).
-            let victim = state.cache.insert(page_id, page.clone());
+            let evicted = state.cache.insert(page_id, page.clone()).is_some();
             state.stats.faults += 1;
-            if let Some(v) = victim {
-                state.stats.evictions += 1;
-                if v.prefetched_unused {
-                    state.stats.prefetch_wasted += 1;
-                }
-            }
+            state.stats.evictions += u64::from(evicted);
         }
         read(&page)
-    }
-
-    /// Speculatively faults `ids` into the pool, **without** demand
-    /// accounting: no access, no fault, no eviction is recorded (so demand
-    /// I/O numbers and the `evictions <= faults <= accesses` invariant are
-    /// untouched). Each page actually read counts once as `prefetch_issued`;
-    /// a later demand hit turns it `prefetch_useful`, an unused drop turns it
-    /// `prefetch_wasted`.
-    ///
-    /// Best-effort by design: already-resident pages are skipped without
-    /// touching their recency, store errors are swallowed
-    /// (the demand fetch will surface them), a zero-capacity pool ignores
-    /// hints entirely, and admitted pages enter **cold** (first in victim
-    /// order) so a wrong guess costs one page slot for the shortest possible
-    /// time. Pages a speculative admission displaces are not demand
-    /// evictions; if the displaced page was itself an unused prefetch it
-    /// counts as wasted.
-    pub fn prefetch(&self, ids: &[PageId]) {
-        if ids.is_empty() || self.capacity() == 0 {
-            return;
-        }
-        let mut buckets: Vec<Vec<PageId>> = vec![Vec::new(); self.shards.len()];
-        for &id in ids {
-            buckets[self.shard_of(id)].push(id);
-        }
-        for (shard_idx, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let shard = &self.shards[shard_idx];
-            // Pass 1: drop already-resident (and duplicate) hints under one
-            // lock hold, without touching their recency.
-            let mut to_read: Vec<PageId> = Vec::new();
-            {
-                let state = shard.lock();
-                for &id in bucket {
-                    if !state.cache.contains(id) && !to_read.contains(&id) {
-                        to_read.push(id);
-                    }
-                }
-            }
-            if to_read.is_empty() {
-                continue;
-            }
-            let mut pages: Vec<(PageId, Page)> = Vec::with_capacity(to_read.len());
-            for &id in &to_read {
-                if let Ok(page) = self.store.read_page(id) {
-                    pages.push((id, page));
-                }
-            }
-            {
-                let mut state = shard.lock();
-                for (id, page) in pages {
-                    if state.cache.contains(id) {
-                        continue; // a demand fetch won the race
-                    }
-                    let victim = state.cache.insert_prefetched(id, page);
-                    state.stats.prefetch_issued += 1;
-                    if let Some(v) = victim {
-                        if v.prefetched_unused {
-                            state.stats.prefetch_wasted += 1;
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -737,52 +666,18 @@ pub(crate) mod tests {
         assert_eq!(totals(&pool).evictions, 3);
     }
 
-    /// The fixed trace of [`victim_sequence_and_stats_are_pinned_under_every_policy`]:
-    /// 96 steps over 12 pages, every eighth a two-page prefetch, the rest
-    /// demand fetches of the first id.
-    fn pinned_trace() -> impl Iterator<Item = (bool, [PageId; 2])> {
-        (0..96u64).map(|step| {
-            let id = (mix64(step) % 12) as u32;
-            (step % 8 == 7, [PageId(id), PageId((id + 5) % 12)])
-        })
+    /// The fixed demand trace of [`demand_trace_victims_and_counters_are_pinned`]:
+    /// 84 fetches over 12 pages, the 96 steps of a generator less every
+    /// eighth.
+    fn demand_trace() -> impl Iterator<Item = PageId> {
+        (0..96u64).filter(|step| step % 8 != 7).map(|step| PageId((mix64(step) % 12) as u32))
     }
 
     /// Exact accounting is pinned, not assumed: the ids LRU drops, in order,
-    /// and its final counters, as recorded on the commit before the
-    /// resident-page map stopped SipHashing — how a map places an id must
-    /// never reach the victim order or a counter. ("Every policy" is the one
-    /// there is: the Clock and 2Q rows went with those policies.)
-    #[test]
-    fn victim_sequence_and_stats_are_pinned_under_every_policy() {
-        let expected_victims: [u32; 54] = [
-            1, 9, 10, 8, 0, 3, 4, 1, 5, 6, 9, 6, 11, 10, 1, 3, 4, 7, 8, 10, 9, 3, 11, 2, 6, 4, 10,
-            1, 9, 5, 2, 3, 11, 0, 7, 8, 9, 10, 4, 6, 5, 11, 3, 2, 7, 2, 0, 9, 6, 10, 4, 11, 5, 3,
-        ];
-        let expected_stats = ShardStats {
-            hits: 37,
-            faults: 47,
-            evictions: 42,
-            prefetch_issued: 13,
-            prefetch_useful: 2,
-            prefetch_wasted: 10,
-        };
-        for access in [fetch_page, read_page_in_place] {
-            let (victims, stats) = replay_pinned_trace(BufferPoolConfig::new(5), access);
-            assert_eq!(victims, expected_victims, "victim sequence");
-            assert_eq!(stats.total, expected_stats, "counters");
-        }
-    }
-
-    /// The demand steps of [`pinned_trace`] alone: the same generator with
-    /// its prefetch steps skipped, 84 demand fetches over 12 pages.
-    fn demand_trace() -> impl Iterator<Item = PageId> {
-        pinned_trace().filter(|&(prefetch, _)| !prefetch).map(|(_, ids)| ids[0])
-    }
-
-    /// The demand path's victim order is LRU's and nothing else's: the ids
-    /// dropped, in order, the hits / faults / evictions and the per-shard
-    /// accesses of [`demand_trace`], through both access paths, as recorded
-    /// while the pool still carried its speculative-read path.
+    /// the hits / faults / evictions and the per-shard accesses of
+    /// [`demand_trace`], through both access paths, as recorded while the
+    /// pool still had a read-ahead path and a wrapper over its page map. How
+    /// a map places an id must never reach the victim order or a counter.
     #[test]
     fn demand_trace_victims_and_counters_are_pinned() {
         // (pages / shards, victims, [hits, faults, evictions], accesses per shard)
@@ -827,7 +722,7 @@ pub(crate) mod tests {
     ) -> (Vec<u32>, BufferPoolStats) {
         let pool = BufferPool::with_config(disk_with_pages(12), config, IoCounters::new());
         let resident = |pool: &BufferPool<MemoryDisk>| -> Vec<PageId> {
-            pool.shards.iter().flat_map(|shard| shard.lock().cache.victim_order()).collect()
+            pool.shards.iter().flat_map(|shard| shard.lock().cache.keys_mru_to_lru()).collect()
         };
         let mut victims: Vec<u32> = Vec::new();
         for id in demand_trace() {
@@ -852,43 +747,19 @@ pub(crate) mod tests {
         assert_eq!(entries.unwrap(), 1);
     }
 
-    /// Replays [`pinned_trace`] on a fresh pool through `access`; returns the
-    /// ids dropped, in order, and the pool's counters.
-    fn replay_pinned_trace(
-        config: BufferPoolConfig,
-        access: fn(&BufferPool<MemoryDisk>, PageId),
-    ) -> (Vec<u32>, BufferPoolStats) {
-        let pool = BufferPool::with_config(disk_with_pages(12), config, IoCounters::new());
-        let resident = |pool: &BufferPool<MemoryDisk>| -> Vec<PageId> {
-            pool.shards.iter().flat_map(|shard| shard.lock().cache.victim_order()).collect()
-        };
-        let mut victims: Vec<u32> = Vec::new();
-        for (prefetch, ids) in pinned_trace() {
-            let before = resident(&pool);
-            if prefetch {
-                pool.prefetch(&ids);
-            } else {
-                access(&pool, ids[0]);
-            }
-            let after = resident(&pool);
-            victims.extend(before.iter().filter(|id| !after.contains(id)).map(|id| id.0));
-        }
-        (victims, pool.io_stats())
-    }
-
     /// `fetch` is a call to `read_with`, and this is what holds it there:
-    /// beyond the pinned single shard above, the two agree shard by shard on
+    /// beyond the pinned pools above, the two agree shard by shard on
     /// every counter and every victim with the pool striped and with no pool
     /// at all.
     #[test]
     fn read_with_accounts_and_evicts_exactly_like_fetch() {
         for (capacity, shards) in [(8, 8), (0, 1)] {
             let config = BufferPoolConfig::new(capacity).with_shards(shards);
-            let fetched = replay_pinned_trace(config, fetch_page);
-            let read = replay_pinned_trace(config, read_page_in_place);
+            let fetched = replay_demand_trace(config, fetch_page);
+            let read = replay_demand_trace(config, read_page_in_place);
             assert_eq!(read, fetched, "{capacity} pages / {shards} shards");
             assert_eq!(read.1.per_shard.len(), shards);
-            assert_eq!(read.1.total.accesses(), 84, "12 of the 96 steps are prefetches");
+            assert_eq!(read.1.total.accesses(), 84);
         }
     }
 
@@ -952,11 +823,6 @@ pub(crate) mod tests {
                     std::thread::spawn(move || {
                         for i in 0..per_thread {
                             let id = PageId(((t * 3 + i) % 8) as u32);
-                            if i % 7 == 0 {
-                                // Speculative reads race the demand fetches
-                                // and must stay out of their counters.
-                                pool.prefetch(&[PageId(((t * 3 + i + 1) % 8) as u32)]);
-                            }
                             let page = pool.fetch(id).unwrap();
                             let records = page.records(id).unwrap();
                             assert_eq!(records[0].node, NodeId(id.0));
@@ -972,8 +838,6 @@ pub(crate) mod tests {
             assert!(s.faults >= 8, "each of the 8 pages faults at least once");
             assert!(s.faults <= s.accesses);
             assert!(s.evictions <= s.faults);
-            let t = pool.io_stats().total;
-            assert!(t.prefetch_useful + t.prefetch_wasted <= t.prefetch_issued);
             assert!(pool.resident_pages() <= 4);
         }
     }
@@ -1207,74 +1071,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn prefetch_is_invisible_to_demand_accounting() {
-        let pool = BufferPool::new(disk_with_pages(8), 4, IoCounters::new());
-        pool.prefetch(&[PageId(0), PageId(1), PageId(1)]);
-        let t = pool.io_stats().total;
-        assert_eq!(t.as_io_stats(), IoStats::default(), "no demand activity");
-        assert_eq!(t.prefetch_issued, 2, "duplicate hint reads once");
-        assert_eq!(pool.counters().snapshot(), IoStats::default());
-        assert_eq!(pool.resident_pages(), 2);
-
-        // Demand use turns the speculative read useful — and counts as a
-        // hit, not a fault.
-        pool.fetch(PageId(0)).unwrap();
-        let t = pool.io_stats().total;
-        assert_eq!((t.hits, t.faults), (1, 0));
-        assert_eq!(t.prefetch_useful, 1);
-        // Prefetching a resident page is a no-op.
-        pool.prefetch(&[PageId(0)]);
-        assert_eq!(pool.io_stats().total.prefetch_issued, 2);
-        // Out-of-bounds hints are swallowed.
-        pool.prefetch(&[PageId(100)]);
-        assert_eq!(pool.io_stats().total.prefetch_issued, 2);
-
-        // Flood the pool with speculative pages: the unused one from the
-        // start gets displaced eventually and turns wasted; demand
-        // eviction counters stay untouched throughout.
-        pool.prefetch(&[PageId(2), PageId(3), PageId(4), PageId(5), PageId(6)]);
-        let t = pool.io_stats().total;
-        assert_eq!(t.evictions, 0, "speculative displacement is not an eviction");
-        assert!(t.prefetch_wasted >= 1, "the overflow dropped an unused prefetched page");
-        assert!(
-            t.prefetch_useful + t.prefetch_wasted <= t.prefetch_issued,
-            "each issued page decides at most once"
-        );
-    }
-
-    #[test]
-    fn prefetch_on_zero_capacity_pool_is_a_no_op() {
-        let pool = BufferPool::new(disk_with_pages(4), 0, IoCounters::new());
-        pool.prefetch(&[PageId(0), PageId(1)]);
-        assert_eq!(pool.io_stats().total, ShardStats::default());
-        assert_eq!(pool.resident_pages(), 0);
-    }
-
-    #[test]
-    fn resize_shrink_drains_by_the_policy_victim_order() {
-        // The victim order is LRU's with speculative pages admitted cold: a
-        // shrink drops the never-used prefetched page first — and counts it
-        // wasted, which it was — then the least recently used demand page.
-        let pool = BufferPool::new(disk_with_pages(6), 4, IoCounters::new());
-        for i in [0u32, 1, 2] {
-            pool.fetch(PageId(i)).unwrap();
-        }
-        pool.prefetch(&[PageId(5)]);
-        pool.fetch(PageId(0)).unwrap(); // victim order: 5 (cold), 1, 2, 0
-        let before = pool.io_stats().total;
-        pool.resize(2);
-        assert_eq!(pool.resident_pages(), 2);
-        let after = pool.io_stats().total;
-        assert_eq!(after.as_io_stats(), before.as_io_stats(), "resize drains are not evictions");
-        assert_eq!(after.prefetch_wasted, before.prefetch_wasted + 1, "page 5 was never used");
-        pool.fetch(PageId(2)).unwrap();
-        pool.fetch(PageId(0)).unwrap();
-        assert_eq!(totals(&pool).faults, before.faults, "the two most recent demand pages stayed");
-        pool.fetch(PageId(1)).unwrap();
-        assert_eq!(totals(&pool).faults, before.faults + 1, "1 was the LRU demand page");
-    }
-
-    #[test]
     fn clear_is_atomic_under_concurrent_readers() {
         // Regression for the all-shard-locked clear(): fill the pool to
         // capacity, then race one clear() against readers. Within a round the
@@ -1299,7 +1095,6 @@ pub(crate) mod tests {
                 hits: 0,
                 faults: num_pages as u64,
                 evictions: (num_pages as u64) - capacity as u64,
-                ..ShardStats::default()
             };
             assert_eq!(pool.io_stats().total, full_stats, "round {round}");
 

@@ -23,18 +23,17 @@
 //!   result cache.
 //! * [`buffer`] — the striped buffer manager ([`BufferPool`]): capacity
 //!   split over independently locked shards ([`BufferPoolConfig`]) with
-//!   exact per-shard access/fault/eviction accounting ([`ShardStats`])
-//!   and speculative prefetch with its own accounting. Every shard evicts
-//!   in exact LRU order — the paper's buffer, and the only policy there is.
+//!   exact per-shard access/fault/eviction accounting ([`ShardStats`]).
+//!   Every shard faults pages in on demand only and evicts in exact LRU
+//!   order — the paper's buffer, with no read-ahead.
 //! * [`node_index`] — the node-id index ([`NodeIndex`]).
 //! * [`paged_graph`] — [`PagedGraph`], which ties everything together and
 //!   implements [`rnn_graph::Topology`], so every query algorithm of
 //!   `rnn-core` runs unchanged on top of it.
 //! * [`io_stats`] — the I/O triple ([`IoStats`]) and [`IoCounters`], a read
 //!   handle on a pool's shard counters — the one place an access is counted.
-//! * [`metrics`] — registry glue: publishes the I/O counters and the buffer
-//!   pool's per-shard stats as snapshot sources of an
-//!   [`rnn_obs::MetricsRegistry`], preserving each API's own snapshot
+//! * [`metrics`] — registry glue: publishes the I/O counters as a snapshot
+//!   source of an [`rnn_obs::MetricsRegistry`], preserving their snapshot
 //!   consistency in the exported numbers.
 //!
 //! Storage only ever affects *cost*, never query *results*; the property
@@ -53,7 +52,6 @@ pub mod metrics;
 pub mod node_index;
 pub mod page;
 pub mod paged_graph;
-mod policy;
 
 pub use buffer::{BufferPool, BufferPoolConfig, BufferPoolStats, ShardStats};
 pub use disk::{FileDisk, MemoryDisk, PageStore};
@@ -61,7 +59,7 @@ pub use error::StorageError;
 pub use io_stats::{IoCounters, IoStats};
 pub use layout::{LayoutStrategy, PageLayout};
 pub use lru::Lru;
-pub use metrics::{register_buffer_pool, register_io_counters};
+pub use metrics::register_io_counters;
 pub use node_index::{NodeIndex, NodeIndexEntry};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use paged_graph::{PagedGraph, StorageControl};

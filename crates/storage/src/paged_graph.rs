@@ -15,6 +15,11 @@
 //! decodes outside — and the slice is lent only after the lock is released.
 //! [`Topology::adjacency`] stays `None`: a frame can be evicted the moment
 //! the lock drops, so there is nothing here to borrow beyond the call.
+//!
+//! Pages are read on demand only, as in the paper: a fetch that misses
+//! faults its page in, and nothing is read ahead of the expansion.
+//! [`StorageControl`] is the type-erased handle the serving layer keeps on
+//! the pool, for its counters and its control-plane events.
 
 use crate::buffer::{BufferPool, BufferPoolConfig, BufferPoolStats};
 use crate::disk::{MemoryDisk, PageStore};
@@ -22,22 +27,13 @@ use crate::error::StorageError;
 use crate::io_stats::{IoCounters, IoStats};
 use crate::layout::{LayoutStrategy, PageLayout};
 use crate::node_index::NodeIndex;
-use crate::page::{Page, PageEntry, PageId, RecordView};
+use crate::page::{Page, PageEntry, RecordView};
 use rnn_graph::{EdgeId, Graph, Neighbor, NodeId, Topology, Weight};
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Arcs of a record that are copied out under the shard lock, into a buffer
 /// on the fetching thread's stack; a longer record is decoded from a page
 /// handle outside the lock. Grid and road nodes have degree ≤ 8.
 const INLINE_ARCS: usize = 16;
-
-thread_local! {
-    /// Scratch for translating prefetch-hint nodes to page ids, reused so a
-    /// hint costs no allocation. Thread-local so the serving path shares no
-    /// mutable state between worker threads.
-    static HINT_SCRATCH: RefCell<Vec<PageId>> = const { RefCell::new(Vec::new()) };
-}
 
 /// A graph stored on simulated disk pages and read through a striped LRU
 /// page buffer.
@@ -45,11 +41,6 @@ pub struct PagedGraph<S: PageStore = MemoryDisk> {
     buffer: BufferPool<S>,
     index: NodeIndex,
     num_nodes: usize,
-    /// Whether expansion loops should send frontier prefetch hints
-    /// ([`Topology::wants_prefetch_hints`]). Off by default: hints are an
-    /// opt-in speculation knob, and the paper's accounting is exactly
-    /// reproduced with them off.
-    prefetch: AtomicBool,
 }
 
 impl PagedGraph<MemoryDisk> {
@@ -88,12 +79,7 @@ impl PagedGraph<MemoryDisk> {
         let layout = PageLayout::build(graph, strategy)?;
         let disk = MemoryDisk::new(layout.pages);
         let buffer = BufferPool::with_config(disk, config, counters);
-        Ok(PagedGraph {
-            buffer,
-            index: layout.index,
-            num_nodes: graph.num_nodes(),
-            prefetch: AtomicBool::new(false),
-        })
+        Ok(PagedGraph { buffer, index: layout.index, num_nodes: graph.num_nodes() })
     }
 }
 
@@ -101,28 +87,7 @@ impl<S: PageStore> PagedGraph<S> {
     /// Assembles a paged graph from pre-built parts (e.g. a [`crate::FileDisk`]
     /// store opened from an existing page file).
     pub fn from_parts(buffer: BufferPool<S>, index: NodeIndex, num_nodes: usize) -> Self {
-        PagedGraph { buffer, index, num_nodes, prefetch: AtomicBool::new(false) }
-    }
-
-    /// Builder-style [`PagedGraph::set_prefetch`].
-    pub fn with_prefetch(self, enabled: bool) -> Self {
-        self.set_prefetch(enabled);
-        self
-    }
-
-    /// Enables or disables expansion-frontier prefetch hints at runtime.
-    ///
-    /// When enabled, [`Topology::wants_prefetch_hints`] returns `true` and
-    /// hinted nodes' pages are speculatively faulted in through
-    /// [`BufferPool::prefetch`] — never changing results or demand
-    /// accounting, only the pool's separate `prefetch_*` counters.
-    pub fn set_prefetch(&self, enabled: bool) {
-        self.prefetch.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether prefetch hints are currently enabled.
-    pub fn prefetch_enabled(&self) -> bool {
-        self.prefetch.load(Ordering::Relaxed)
+        PagedGraph { buffer, index, num_nodes }
     }
 
     /// The underlying buffer pool.
@@ -261,62 +226,19 @@ impl<S: PageStore> Topology for PagedGraph<S> {
         self.lend_adjacency(node, f)
             .expect("pages built by PageLayout are well formed and in bounds");
     }
-
-    fn wants_prefetch_hints(&self) -> bool {
-        self.prefetch_enabled()
-    }
-
-    fn prefetch_hint(&self, nodes: &[NodeId]) {
-        if nodes.is_empty() || !self.prefetch_enabled() {
-            return;
-        }
-        // Translate hinted nodes to the pages holding their adjacency lists
-        // and fault them in speculatively. Best effort by contract: demand
-        // accounting and results are untouched ([`BufferPool::prefetch`]
-        // only moves `prefetch_*` counters).
-        let mut scratch = HINT_SCRATCH.with(|cell| std::mem::take(&mut *cell.borrow_mut()));
-        scratch.clear();
-        for &node in nodes {
-            if node.index() < self.num_nodes {
-                scratch.extend(self.index.entry(node).pages());
-            }
-        }
-        self.buffer.prefetch(&scratch);
-        HINT_SCRATCH.with(|cell| {
-            let mut slot = cell.borrow_mut();
-            if slot.capacity() < scratch.capacity() {
-                *slot = scratch;
-            }
-        });
-    }
 }
 
-/// Runtime tuning and introspection of a paged storage backend.
+/// Introspection of a paged storage backend.
 ///
 /// The serving layer (`rnn-server`) keeps its storage backend behind this
-/// object-safe trait so frontier prefetch can be switched, and the buffer
-/// inspected, without knowing the concrete [`PageStore`] type, mirroring how
-/// query algorithms only see [`Topology`]. All methods take `&self`: the
-/// handle is shared with live query traffic and every operation is safe to
-/// apply while queries run.
+/// object-safe trait so the buffer's counters can be exported, and its
+/// control-plane events recorded, without knowing the concrete [`PageStore`]
+/// type, mirroring how query algorithms only see [`Topology`]. All methods
+/// take `&self`: the handle is shared with live query traffic and every
+/// operation is safe to apply while queries run.
 pub trait StorageControl: Send + Sync {
-    /// Whether expansion-frontier prefetch hints are enabled.
-    fn prefetch_enabled(&self) -> bool;
-
-    /// Enables or disables expansion-frontier prefetch hints.
-    fn set_prefetch(&self, enabled: bool);
-
     /// Per-shard counter breakdown plus merged totals of the page buffer.
     fn pool_stats(&self) -> BufferPoolStats;
-
-    /// Buffer capacity in pages (summed over shards).
-    fn buffer_capacity(&self) -> usize;
-
-    /// Number of independently locked buffer shards.
-    fn num_shards(&self) -> usize;
-
-    /// Number of pages currently resident in the buffer.
-    fn resident_pages(&self) -> usize;
 
     /// Attaches a flight recorder to the backend's control plane: resize
     /// and clear operations then append structured events
@@ -330,28 +252,8 @@ pub trait StorageControl: Send + Sync {
 }
 
 impl<S: PageStore + Send> StorageControl for PagedGraph<S> {
-    fn prefetch_enabled(&self) -> bool {
-        PagedGraph::prefetch_enabled(self)
-    }
-
-    fn set_prefetch(&self, enabled: bool) {
-        PagedGraph::set_prefetch(self, enabled);
-    }
-
     fn pool_stats(&self) -> BufferPoolStats {
         PagedGraph::pool_stats(self)
-    }
-
-    fn buffer_capacity(&self) -> usize {
-        PagedGraph::buffer_capacity(self)
-    }
-
-    fn num_shards(&self) -> usize {
-        self.buffer.num_shards()
-    }
-
-    fn resident_pages(&self) -> usize {
-        self.buffer.resident_pages()
     }
 
     fn set_event_sink(&self, events: std::sync::Arc<rnn_obs::FlightRecorder>) {
@@ -365,7 +267,6 @@ impl<S: PageStore> std::fmt::Debug for PagedGraph<S> {
             .field("num_nodes", &self.num_nodes)
             .field("num_pages", &self.num_pages())
             .field("buffer_capacity", &self.buffer_capacity())
-            .field("prefetch", &self.prefetch_enabled())
             .field("io", &self.io_stats())
             .finish()
     }
@@ -375,6 +276,7 @@ impl<S: PageStore> std::fmt::Debug for PagedGraph<S> {
 mod tests {
     use super::*;
     use crate::disk::FileDisk;
+    use crate::page::PageId;
     use rnn_graph::GraphBuilder;
 
     fn grid_graph(side: usize) -> Graph {
@@ -501,73 +403,6 @@ mod tests {
         pg.cold_start();
         assert_eq!(pg.io_stats(), IoStats::default());
         assert_eq!(pg.pool_stats().total, crate::ShardStats::default());
-    }
-
-    #[test]
-    fn prefetch_hints_warm_the_buffer_without_demand_accounting() {
-        let g = grid_graph(10);
-        let pg = PagedGraph::build_with(&g, LayoutStrategy::BfsLocality, 16, IoCounters::new())
-            .unwrap()
-            .with_prefetch(true);
-        assert!(Topology::wants_prefetch_hints(&pg));
-
-        let node = NodeId::new(42);
-        Topology::prefetch_hint(&pg, &[node]);
-        let after_hint = pg.pool_stats().total;
-        assert!(after_hint.prefetch_issued >= 1);
-        assert_eq!(after_hint.accesses(), 0, "hints must not count as demand accesses");
-        assert_eq!(after_hint.faults, 0, "hints must not count as demand faults");
-        assert_eq!(pg.io_stats(), IoStats::default());
-
-        // The demand fetch now hits the prefetched page: no fault, and the
-        // speculation is credited as useful.
-        assert_eq!(pg.neighbors_vec(node), g.neighbors_vec(node));
-        let warm = pg.pool_stats().total;
-        assert_eq!(warm.faults, 0, "prefetched page serves the demand fetch");
-        assert!(warm.prefetch_useful >= 1);
-    }
-
-    #[test]
-    fn prefetch_hints_are_a_no_op_when_disabled_or_out_of_range() {
-        let g = grid_graph(6);
-        let pg =
-            PagedGraph::build_with(&g, LayoutStrategy::BfsLocality, 8, IoCounters::new()).unwrap();
-        assert!(!Topology::wants_prefetch_hints(&pg));
-        Topology::prefetch_hint(&pg, &[NodeId::new(0)]);
-        assert_eq!(pg.pool_stats().total.prefetch_issued, 0, "disabled hints do nothing");
-
-        pg.set_prefetch(true);
-        // Out-of-range nodes are silently skipped; in-range ones still land.
-        Topology::prefetch_hint(&pg, &[NodeId::new(1_000_000), NodeId::new(3)]);
-        assert!(pg.pool_stats().total.prefetch_issued >= 1);
-        assert_eq!(pg.io_stats(), IoStats::default());
-    }
-
-    #[test]
-    fn storage_control_tunes_prefetch_through_dyn_handle() {
-        let g = grid_graph(8);
-        let pg =
-            PagedGraph::build_with(&g, LayoutStrategy::BfsLocality, 8, IoCounters::new()).unwrap();
-        for v in g.node_ids() {
-            pg.neighbors_vec(v);
-        }
-        let ctl: &dyn StorageControl = &pg;
-        assert!(!ctl.prefetch_enabled());
-        assert_eq!(ctl.buffer_capacity(), 8);
-        assert_eq!(ctl.num_shards(), 1);
-        assert!(ctl.resident_pages() > 0);
-
-        let before = ctl.pool_stats().total;
-        ctl.set_prefetch(true);
-        assert!(ctl.prefetch_enabled());
-        // The switch itself touches neither residency nor accounting, and
-        // queries still return in-memory-identical results.
-        assert_eq!(ctl.pool_stats().total, before);
-        for v in g.node_ids() {
-            assert_eq!(pg.neighbors_vec(v), g.neighbors_vec(v), "node {v}");
-        }
-        let dbg = format!("{pg:?}");
-        assert!(dbg.contains("prefetch: true"), "Debug shows the switch: {dbg}");
     }
 
     /// A star: the hub's 700-arc adjacency list overflows one 4 KB page.

@@ -6,9 +6,7 @@
 //! behind an LRU buffer) combined with the serving layers built on top: the
 //! workers share one sharded pool, every page access is counted once by the
 //! shard that serves it, and the batch must reproduce the in-memory
-//! sequential results byte for byte. The second half demonstrates
-//! the paged-query fast path: enabling the expansion-frontier prefetcher at
-//! runtime, with the prefetch usefulness accounting printed and asserted.
+//! sequential results byte for byte.
 //!
 //! Run with `cargo run --release --example paged_serving -- [THREADS]`
 //! (default: 2 worker threads).
@@ -91,67 +89,8 @@ fn main() {
         );
     }
 
-    // ------------------------------------------------------------------
-    // The paged-query fast path: frontier prefetch is a runtime switch. It
-    // may not change answers; the prefetcher keeps its own issued / useful /
-    // wasted accounting and is never counted as demand I/O.
-    // ------------------------------------------------------------------
-    let mut scratch = Scratch::new();
-    let sequential: Vec<_> = query_nodes
-        .iter()
-        .map(|&q| {
-            run_rknn_with(Algorithm::Lazy, &graph, &points, Precomputed::none(), q, 1, &mut scratch)
-        })
-        .collect();
-    println!("\nfast path (lazy, cold pool per cell): frontier prefetch off / on");
-    let (mut demand_faults_without_prefetch, mut demand_accesses_without_prefetch) = (0, 0);
-    for prefetch in [false, true] {
-        paged.set_prefetch(prefetch);
-        paged.cold_start();
-        let engine = QueryEngine::new(&paged, &points).with_threads(threads);
-        let workload = Workload::uniform(Algorithm::Lazy, 1, query_nodes.iter().copied());
-        let batch = engine.run_batch(&workload);
-        assert_eq!(
-            batch.results, sequential,
-            "prefetch={prefetch}: prefetch changes cost, never answers"
-        );
-        let total = paged.pool_stats().total;
-        assert!(
-            total.prefetch_useful + total.prefetch_wasted <= total.prefetch_issued,
-            "useful + wasted never exceeds issued"
-        );
-        if prefetch {
-            assert_eq!(
-                total.accesses(),
-                demand_accesses_without_prefetch,
-                "prefetch traffic stays out of the demand counters"
-            );
-            assert!(total.prefetch_issued > 0, "frontier hints must reach the pool");
-            assert!(total.prefetch_useful > 0, "prefetched pages must absorb demand faults");
-            assert!(
-                total.faults < demand_faults_without_prefetch,
-                "prefetch must reduce cold-pool demand faults"
-            );
-            println!(
-                "  prefetch on : {:>5} demand faults | {:>4} issued, {:>4} useful, \
-                 {:>3} wasted (wasted ratio {:.2})",
-                total.faults,
-                total.prefetch_issued,
-                total.prefetch_useful,
-                total.prefetch_wasted,
-                total.prefetch_wasted as f64 / total.prefetch_issued.max(1) as f64,
-            );
-        } else {
-            assert_eq!(total.prefetch_issued, 0, "prefetch off issues nothing");
-            demand_faults_without_prefetch = total.faults;
-            demand_accesses_without_prefetch = total.accesses();
-            println!("  prefetch off: {:>5} demand faults", total.faults);
-        }
-    }
-    paged.set_prefetch(false);
-
     println!(
-        "\nPaged serving is deterministic: sharded buffers, worker threads and the frontier \
-         prefetcher change cost, never answers."
+        "\nPaged serving is deterministic: sharded buffers and worker threads change cost, \
+         never answers."
     );
 }

@@ -149,58 +149,6 @@ fn paged_serving_flow_matches_in_memory_results_on_a_sharded_pool() {
     }
 }
 
-/// Mirrors the fast-path half of `examples/paged_serving.rs`: enabling the
-/// frontier prefetcher at runtime never changes answers, prefetch reduces
-/// cold-pool demand faults with useful prefetches, and the prefetch
-/// accounting stays out of the demand counters.
-#[test]
-fn paged_serving_fast_path_prefetch_changes_cost_never_answers() {
-    let graph = grid_map(&GridConfig::with_nodes(2_000, 4.0, 42));
-    let points = place_points_on_nodes(&graph, 0.01, 43);
-    let query_nodes = sample_node_queries(&points, 12, 44);
-    let paged = PagedGraph::build_with_config(
-        &graph,
-        LayoutStrategy::BfsLocality,
-        BufferPoolConfig::new(128).with_shards(2),
-        IoCounters::new(),
-    )
-    .unwrap();
-
-    let sequential: Vec<_> = query_nodes
-        .iter()
-        .map(|&q| run_rknn(Algorithm::Lazy, &graph, &points, Precomputed::none(), q, 1))
-        .collect();
-    let (mut faults_without_prefetch, mut accesses_without_prefetch) = (0, 0);
-    for prefetch in [false, true] {
-        paged.set_prefetch(prefetch);
-        paged.cold_start();
-        let engine = QueryEngine::new(&paged, &points).with_threads(2);
-        let workload = Workload::uniform(Algorithm::Lazy, 1, query_nodes.iter().copied());
-        let batch = engine.run_batch(&workload);
-        assert_eq!(batch.results, sequential, "prefetch={prefetch}: answers never change");
-        let total = paged.pool_stats().total;
-        assert!(total.prefetch_useful + total.prefetch_wasted <= total.prefetch_issued);
-        if prefetch {
-            assert_eq!(
-                total.accesses(),
-                accesses_without_prefetch,
-                "prefetch traffic stays out of the demand counters"
-            );
-            assert!(total.prefetch_issued > 0, "hints must reach the pool");
-            assert!(total.prefetch_useful > 0, "prefetches must be used");
-            assert!(
-                total.faults < faults_without_prefetch,
-                "prefetch must reduce cold demand faults ({} vs {})",
-                total.faults,
-                faults_without_prefetch
-            );
-        } else {
-            assert_eq!(total.prefetch_issued, 0, "prefetch off issues nothing");
-            (faults_without_prefetch, accesses_without_prefetch) = (total.faults, total.accesses());
-        }
-    }
-}
-
 /// Mirrors `examples/online_serving.rs` on the quickstart network: a mixed
 /// all-algorithm stream through the server equals the sequential loop, a
 /// point-set swap serves the new answers with the cache enabled, and the

@@ -242,9 +242,10 @@ fn one_snapshot_exposes_every_layer_and_exports_deterministically() {
     let standalone_cache = SharedResultCache::new(32, 2);
     standalone_cache.register_metrics(&registry, "adhoc");
 
-    let world = World::new(paged, points.clone())
+    let world = World::new(paged.clone(), points.clone())
         .with_materialized(Arc::clone(&table))
-        .with_hub_labels(hub_index.clone());
+        .with_hub_labels(hub_index.clone())
+        .with_storage_control(paged);
     let server = Server::start_observed(
         world,
         ServerConfig::default()
@@ -285,6 +286,11 @@ fn one_snapshot_exposes_every_layer_and_exports_deterministically() {
         snap.counter("rnn_io_faults_total{pool=\"graph\"}").unwrap()
             <= snap.counter("rnn_io_accesses_total{pool=\"graph\"}").unwrap()
     );
+    // ...and the server source's per-shard hit rate, one gauge per shard.
+    for shard in 0..2 {
+        let name = format!("rnn_server_storage_shard_hit_rate_permille{{shard=\"{shard}\"}}");
+        assert!(snap.gauge(&name).is_some_and(|permille| permille <= 1000), "{name}");
+    }
     // Index layer.
     assert_eq!(snap.gauge("rnn_label_nodes"), Some(n as u64));
     assert_eq!(snap.gauge("rnn_label_points"), Some(points.num_points() as u64));
