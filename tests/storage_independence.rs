@@ -180,27 +180,53 @@ proptest! {
 }
 
 /// The file-backed page store serves the same adjacency data as the in-memory
-/// simulated disk.
+/// simulated disk, and the file `FileDisk::create` writes is pinned byte for
+/// byte: page count, file length and a `mix64` fold over its 8-byte words, for
+/// the grid under every layout strategy and for a hub whose record spills
+/// onto continuation pages.
 #[test]
 fn file_backed_store_matches_memory_store() {
     use rnn_datagen::{grid_map, GridConfig};
     use rnn_graph::NodeId;
+    use rnn_storage::lru::mix64;
 
-    let graph = grid_map(&GridConfig { rows: 12, cols: 12, ..Default::default() });
-    let layout = PageLayout::build(&graph, LayoutStrategy::BfsLocality).expect("layout");
+    let grid = grid_map(&GridConfig { rows: 12, cols: 12, ..Default::default() });
+    let hub_degree = PageRecord::max_entries_per_page() + 45;
+    let mut b = GraphBuilder::new(hub_degree + 1);
+    for leaf in 1..=hub_degree {
+        b.add_edge(0, leaf, 1.0 + (leaf % 5) as f64 * 0.25).expect("hub edge");
+    }
+    let hub = b.build().expect("hub graph");
+    assert!(hub.degree(NodeId::new(0)) >= 256);
 
     let dir = std::env::temp_dir().join(format!("rnn_it_storage_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("graph.pages");
-    let disk = FileDisk::create(&path, &layout.pages).expect("file disk");
-    let pool = BufferPool::new(disk, 16, IoCounters::new());
-    let paged = PagedGraph::from_parts(pool, layout.index, graph.num_nodes());
+    let cases: [(&Graph, LayoutStrategy, (usize, usize, u64)); 4] = [
+        (&grid, LayoutStrategy::BfsLocality, (3, 12_312, 0xaec1_e7a7_22d1_837b)),
+        (&grid, LayoutStrategy::NodeOrder, (3, 12_312, 0x4599_bcd4_6ee0_2307)),
+        (&grid, LayoutStrategy::Shuffled(7), (3, 12_312, 0xaab4_41e3_518d_7ca5)),
+        // 300 entries: a full first page and a continuation page.
+        (&hub, LayoutStrategy::BfsLocality, (4, 16_416, 0x61fc_9b04_6908_095e)),
+    ];
+    for (graph, strategy, pinned) in cases {
+        let layout = PageLayout::build(graph, strategy).expect("layout");
+        let disk = FileDisk::create(&path, &layout.pages).expect("file disk");
+        let file = std::fs::read(&path).expect("page file");
+        let fold = file
+            .chunks_exact(8)
+            .fold(0u64, |h, word| mix64(h ^ u64::from_le_bytes(word.try_into().expect("8 bytes"))));
+        let name = format!("{strategy:?} on {} nodes", graph.num_nodes());
+        assert_eq!((layout.pages.len(), file.len(), fold), pinned, "{name}");
 
-    for v in graph.node_ids() {
-        assert_eq!(paged.neighbors_vec(v), graph.neighbors_vec(v), "node {v}");
+        let pool = BufferPool::new(disk, 16, IoCounters::new());
+        let paged = PagedGraph::from_parts(pool, layout.index, graph.num_nodes());
+        for v in graph.node_ids() {
+            assert_eq!(paged.neighbors_vec(v), graph.neighbors_vec(v), "node {v}");
+        }
+        assert!(paged.io_stats().accesses >= graph.num_nodes() as u64);
+        assert_eq!(paged.neighbors_vec(NodeId::new(0)), graph.neighbors_vec(NodeId::new(0)));
     }
-    assert!(paged.io_stats().accesses >= graph.num_nodes() as u64);
-    assert_eq!(paged.neighbors_vec(NodeId::new(0)), graph.neighbors_vec(NodeId::new(0)));
 
     std::fs::remove_file(&path).ok();
     std::fs::remove_dir(&dir).ok();
