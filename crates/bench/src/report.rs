@@ -1,5 +1,6 @@
 //! Tabular experiment reports.
 
+use rnn_obs::bench_report_json;
 use std::fmt;
 
 /// One reproduced table or figure: a header row plus one labelled row per
@@ -52,68 +53,11 @@ impl Report {
     }
 
     /// Renders the report as machine-readable JSON — the format of the
-    /// committed `BENCH_<experiment>.json` files. Hand-rolled because
-    /// the workspace's serde is a vendored marker stub: the grammar here is
-    /// a flat object with a `schema` tag, so downstream tooling can evolve
-    /// it without guessing. Non-finite values serialize as `null` (JSON has
-    /// no NaN/Inf).
+    /// committed `BENCH_*.json` files, written by `rnn-obs`'s one
+    /// `rnn-bench-report/v1` writer. Non-finite values serialize as `null`
+    /// (JSON has no NaN/Inf).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"rnn-bench-report/v1\",\n");
-        out.push_str(&format!("  \"id\": {},\n", json_string(&self.id)));
-        out.push_str(&format!("  \"title\": {},\n", json_string(&self.title)));
-        out.push_str(&format!("  \"x_label\": {},\n", json_string(&self.x_label)));
-        out.push_str("  \"columns\": [");
-        for (i, c) in self.columns.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_string(c));
-        }
-        out.push_str("],\n");
-        out.push_str("  \"rows\": [\n");
-        for (r, (label, values)) in self.rows.iter().enumerate() {
-            out.push_str(&format!("    {{\"label\": {}, \"values\": [", json_string(label)));
-            for (i, v) in values.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&json_number(*v));
-            }
-            out.push_str(if r + 1 < self.rows.len() { "]},\n" } else { "]}\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-/// Escapes a string into a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A finite f64 as a JSON number; NaN and infinities become `null`.
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        // Shortest round-trip float formatting is JSON-compatible.
-        format!("{v}")
-    } else {
-        "null".to_string()
+        bench_report_json(&self.id, &self.title, &self.x_label, &self.columns, &self.rows)
     }
 }
 
@@ -190,9 +134,5 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.ends_with("}\n"));
-
-        assert_eq!(json_string("a\nb\u{1}"), "\"a\\nb\\u0001\"");
-        assert_eq!(json_number(2.5), "2.5");
-        assert_eq!(json_number(f64::NEG_INFINITY), "null");
     }
 }

@@ -18,12 +18,11 @@ use crate::precomputed::Precomputed;
 use crate::query::RknnOutcome;
 use crate::scratch::Scratch;
 use rnn_graph::{NodeId, PointsOnNodes, Topology};
-use serde::{Deserialize, Serialize};
 
 /// The monochromatic RkNN algorithms: the paper's four (Sections 3–4), the
 /// naive baseline, and the hub-label algorithm served from a precomputed
 /// labeling (`rnn-index`).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Eager (Section 3.2): prunes nodes as soon as they are de-heaped.
     Eager,

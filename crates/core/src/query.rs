@@ -1,7 +1,6 @@
 //! Query results and per-query execution statistics.
 
 use rnn_graph::PointId;
-use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
 
 /// Counters describing how much work a query did.
@@ -10,7 +9,7 @@ use std::ops::AddAssign;
 /// auxiliary queries); the I/O page counters live in
 /// [`rnn_storage::IoStats`] and wall-clock time is measured by the
 /// standalone benchmark (`benchmark/`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Nodes settled (de-heaped with their final distance) by the main
     /// expansion around the query.
@@ -67,7 +66,7 @@ impl AddAssign for QueryStats {
 }
 
 /// The outcome of a reverse k-nearest-neighbor query.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RknnOutcome {
     /// The reverse k nearest neighbors, sorted by point id.
     pub points: Vec<PointId>,

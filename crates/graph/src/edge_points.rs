@@ -16,11 +16,10 @@ use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::ids::{EdgeId, NodeId, PointId};
 use crate::weight::Weight;
-use serde::{Deserialize, Serialize};
 
 /// The location of a point on an edge: the edge id plus the offset from the
 /// lower-id endpoint of that edge.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct EdgeLocation {
     /// The edge the point lies on.
     pub edge: EdgeId,
@@ -31,7 +30,7 @@ pub struct EdgeLocation {
 /// A resolved position on an edge: the canonical endpoints, the edge weight
 /// and the offset from the lower-id endpoint — everything a query needs to
 /// know about where a point or a query location sits, without the graph.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct EdgePosition {
     /// The edge the position lies on.
     pub edge: EdgeId,
@@ -123,7 +122,7 @@ impl EdgePosition {
 }
 
 /// A data point on an edge, as stored in the per-edge lists.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct EdgePoint {
     /// The point id.
     pub point: PointId,
@@ -132,7 +131,7 @@ pub struct EdgePoint {
 }
 
 /// A set of data points placed on the edges of a graph.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EdgePointSet {
     /// Points on each edge, sorted by offset.
     by_edge: Vec<Vec<EdgePoint>>,

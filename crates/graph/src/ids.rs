@@ -5,16 +5,12 @@
 //! platforms, which matters for the paper-scale graphs (hundreds of
 //! thousands of nodes, each appearing in several adjacency lists).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-        )]
-        #[serde(transparent)]
+        #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
         pub struct $name(pub u32);
 
         impl $name {

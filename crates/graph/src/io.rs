@@ -11,8 +11,7 @@
 //!
 //! It is intentionally simple so real datasets (road networks, coauthorship
 //! graphs) can be converted to it with a one-line script and loaded with
-//! [`read_edge_list`]. The CSR [`Graph`] itself also derives `serde`
-//! traits for binary serialization through any serde format.
+//! [`read_edge_list`]. It is the only serialized form of a [`Graph`].
 
 use crate::builder::GraphBuilder;
 use crate::error::GraphError;

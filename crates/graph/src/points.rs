@@ -8,7 +8,6 @@
 //! ad hoc (predicate-filtered) and bichromatic data sets plug in uniformly.
 
 use crate::ids::{NodeId, PointId};
-use serde::{Deserialize, Serialize};
 
 /// Read access to a set of data points placed on nodes.
 ///
@@ -51,7 +50,7 @@ impl<T: PointsOnNodes + ?Sized> PointsOnNodes for &T {
 ///
 /// Point ids are assigned in ascending node order, so the mapping is
 /// deterministic for a given set of occupied nodes.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NodePointSet {
     /// For each node, the point residing on it (if any).
     point_of_node: Vec<Option<PointId>>,

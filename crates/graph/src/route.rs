@@ -9,10 +9,9 @@ use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::ids::NodeId;
 use crate::weight::Weight;
-use serde::{Deserialize, Serialize};
 
 /// A simple path of nodes used as the source of a continuous RNN query.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Route {
     nodes: Vec<NodeId>,
 }

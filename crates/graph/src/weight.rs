@@ -7,7 +7,6 @@
 //! structures. Construction rejects NaN, which is what makes the total order
 //! sound.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::iter::Sum;
@@ -17,8 +16,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 ///
 /// `Weight` is the unit in which all edge weights, network distances, query
 /// ranges and verification bounds are expressed.
-#[derive(Copy, Clone, PartialEq, Serialize, Deserialize, Default)]
-#[serde(transparent)]
+#[derive(Copy, Clone, PartialEq, Default)]
 pub struct Weight(f64);
 
 impl Weight {

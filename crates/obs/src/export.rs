@@ -1,5 +1,7 @@
 //! Snapshot exporters: Prometheus-style text and `rnn-bench-report/v1`
-//! JSON, rendered from the same [`MetricsSnapshot`].
+//! JSON, rendered from the same [`MetricsSnapshot`], plus the one
+//! `rnn-bench-report/v1` writer ([`bench_report_json`]) the bench crate's
+//! `BENCH_*.json` files come from too.
 //!
 //! Both renderings are **byte-deterministic** for a given snapshot: the
 //! snapshot's names are sorted, the formats contain no timestamps, and
@@ -124,8 +126,7 @@ pub fn prometheus_text(snapshot: &MetricsSnapshot) -> String {
     out
 }
 
-/// Escapes a string into a JSON string literal (same grammar as the bench
-/// crate's report writer).
+/// Escapes a string into a JSON string literal.
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -151,6 +152,47 @@ fn json_number(v: f64) -> String {
     } else {
         "null".to_string()
     }
+}
+
+/// Renders one `rnn-bench-report/v1` document: a flat object with a `schema`
+/// tag (so downstream tooling can evolve the format without guessing), the
+/// report's id, title and x-axis name, its column names and one labelled row
+/// of values per x-axis value. Non-finite values serialize as `null` (JSON
+/// has no NaN/Inf).
+pub fn bench_report_json(
+    id: &str,
+    title: &str,
+    x_label: &str,
+    columns: &[impl AsRef<str>],
+    rows: &[(String, Vec<f64>)],
+) -> String {
+    let mut out = String::new();
+    out.push_str("{\n");
+    out.push_str("  \"schema\": \"rnn-bench-report/v1\",\n");
+    out.push_str(&format!("  \"id\": {},\n", json_string(id)));
+    out.push_str(&format!("  \"title\": {},\n", json_string(title)));
+    out.push_str(&format!("  \"x_label\": {},\n", json_string(x_label)));
+    out.push_str("  \"columns\": [");
+    for (i, c) in columns.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(&json_string(c.as_ref()));
+    }
+    out.push_str("],\n");
+    out.push_str("  \"rows\": [\n");
+    for (r, (label, values)) in rows.iter().enumerate() {
+        out.push_str(&format!("    {{\"label\": {}, \"values\": [", json_string(label)));
+        for (i, v) in values.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(&json_number(*v));
+        }
+        out.push_str(if r + 1 < rows.len() { "]},\n" } else { "]}\n" });
+    }
+    out.push_str("  ]\n}\n");
+    out
 }
 
 /// Renders the snapshot as `rnn-bench-report/v1` JSON — the exact grammar
@@ -192,34 +234,13 @@ pub fn report_json(snapshot: &MetricsSnapshot) -> String {
         ));
     }
     rows.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"rnn-bench-report/v1\",\n");
-    out.push_str("  \"id\": \"metrics-snapshot\",\n");
-    out.push_str("  \"title\": \"unified metrics registry snapshot\",\n");
-    out.push_str("  \"x_label\": \"metric\",\n");
-    out.push_str("  \"columns\": [");
-    for (i, c) in columns.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&json_string(c));
-    }
-    out.push_str("],\n");
-    out.push_str("  \"rows\": [\n");
-    for (r, (label, values)) in rows.iter().enumerate() {
-        out.push_str(&format!("    {{\"label\": {}, \"values\": [", json_string(label)));
-        for (i, v) in values.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_number(*v));
-        }
-        out.push_str(if r + 1 < rows.len() { "]},\n" } else { "]}\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    bench_report_json(
+        "metrics-snapshot",
+        "unified metrics registry snapshot",
+        "metric",
+        &columns,
+        &rows,
+    )
 }
 
 /// Microseconds with millisecond-of-a-microsecond precision: the Chrome
@@ -451,6 +472,10 @@ mod tests {
         assert_eq!(a.matches('{').count(), a.matches('}').count());
         assert_eq!(a.matches('[').count(), a.matches(']').count());
         assert!(a.ends_with("}\n"));
+
+        assert_eq!(json_string("a\nb\u{1}"), "\"a\\nb\\u0001\"");
+        assert_eq!(json_number(2.5), "2.5");
+        assert_eq!(json_number(f64::NEG_INFINITY), "null");
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod slowlog;
 pub mod trace;
 pub mod window;
 
-pub use export::{chrome_trace, prometheus_text, report_json};
+pub use export::{bench_report_json, chrome_trace, prometheus_text, report_json};
 pub use histogram::LatencyHistogram;
 pub use json::{JsonError, JsonValue};
 pub use recorder::{Drained, Event, EventKind, FlightRecorder};

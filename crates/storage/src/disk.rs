@@ -8,7 +8,6 @@
 
 use crate::error::StorageError;
 use crate::page::{Page, PageId, PAGE_SIZE};
-use bytes::Bytes;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::os::unix::fs::FileExt;
@@ -131,7 +130,7 @@ impl PageStore for FileDisk {
                 message: format!("recorded length {used} exceeds the page size"),
             });
         }
-        Page::from_bytes(Bytes::from(&body[..used]))
+        Page::from_bytes(&body[..used])
     }
 }
 
@@ -212,6 +211,22 @@ mod tests {
         let path = dir.join("bad.bin");
         std::fs::write(&path, vec![0u8; 100]).unwrap();
         assert!(FileDisk::open(&path).is_err());
+
+        // A slot whose recorded length exceeds the page size fails alone:
+        // its neighbours still read back as written.
+        let pages = sample_pages();
+        let disk = FileDisk::create(&path, &pages).unwrap();
+        let raw = OpenOptions::new().write(true).open(&path).unwrap();
+        for used in [PAGE_SIZE as u64 + 1, u64::MAX] {
+            raw.write_all_at(&used.to_le_bytes(), SLOT_BYTES as u64).unwrap();
+            assert!(matches!(
+                disk.read_page(PageId(1)),
+                Err(StorageError::CorruptPage { page: PageId(1), .. })
+            ));
+            for i in [0, 2] {
+                assert_eq!(disk.read_page(PageId::new(i)).unwrap(), pages[i], "pg{i}");
+            }
+        }
         std::fs::remove_file(&path).ok();
         std::fs::remove_dir(&dir).ok();
     }

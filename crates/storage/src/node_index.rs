@@ -17,11 +17,10 @@
 
 use crate::page::PageId;
 use rnn_graph::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Location of one node's adjacency record(s): the record pointer
 /// `(first_page, offset, span)`.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct NodeIndexEntry {
     /// First page holding (part of) the node's adjacency list.
     pub first_page: PageId,
@@ -47,7 +46,7 @@ impl NodeIndexEntry {
 }
 
 /// Maps every node to the page(s) storing its adjacency record.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NodeIndex {
     entries: Vec<NodeIndexEntry>,
 }

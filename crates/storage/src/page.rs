@@ -19,16 +19,18 @@
 //! the records of the page's other nodes.
 
 use crate::error::StorageError;
-use bytes::{BufMut, Bytes, BytesMut};
 use rnn_graph::{EdgeId, NodeId, Weight};
-use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// The page size in bytes, matching the experimental setup of the paper.
 pub const PAGE_SIZE: usize = 4096;
 
 // Record offsets inside a page are stored as `u16` in the node index.
 const _: () = assert!(PAGE_SIZE <= u16::MAX as usize);
+
+// The handle a resident page costs the buffer pool: one fat pointer.
+const _: () = assert!(std::mem::size_of::<Page>() == 16);
 
 /// Size in bytes of one record header (`node`, `count`).
 pub const RECORD_HEADER_BYTES: usize = 8;
@@ -37,8 +39,7 @@ pub const RECORD_HEADER_BYTES: usize = 8;
 pub const ENTRY_BYTES: usize = 16;
 
 /// Identifier of a disk page.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
-#[serde(transparent)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct PageId(pub u32);
 
 impl PageId {
@@ -96,10 +97,11 @@ impl PageRecord {
     }
 }
 
-/// An immutable 4 KB page of encoded adjacency records.
+/// An immutable 4 KB page of encoded adjacency records, shared by every
+/// clone.
 #[derive(Clone, PartialEq)]
 pub struct Page {
-    bytes: Bytes,
+    bytes: Arc<[u8]>,
 }
 
 impl fmt::Debug for Page {
@@ -169,19 +171,19 @@ fn le_u32(raw: &[u8], at: usize) -> u32 {
 }
 
 impl Page {
-    /// Wraps raw page bytes (at most [`PAGE_SIZE`] bytes).
-    pub fn from_bytes(bytes: Bytes) -> Result<Self, StorageError> {
+    /// Copies raw page bytes (at most [`PAGE_SIZE`] bytes) into a page.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, StorageError> {
         if bytes.len() > PAGE_SIZE {
             return Err(StorageError::CorruptPage {
                 page: PageId(u32::MAX),
                 message: format!("page content of {} bytes exceeds PAGE_SIZE", bytes.len()),
             });
         }
-        Ok(Page { bytes })
+        Ok(Page { bytes: bytes.into() })
     }
 
     /// The raw encoded bytes (without trailing padding).
-    pub fn as_bytes(&self) -> &Bytes {
+    pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
     }
 
@@ -195,7 +197,7 @@ impl Page {
     /// page. Returns the record and the offset just past it.
     #[inline]
     fn parse_record(&self, offset: usize) -> Result<(RecordView<'_>, usize), String> {
-        let bytes = self.bytes.as_slice();
+        let bytes: &[u8] = &self.bytes;
         // Bounds first: `offset` and `count` are data, so no sum or product
         // of them may wrap before it is compared against the page.
         let header_end = offset.checked_add(RECORD_HEADER_BYTES);
@@ -309,13 +311,13 @@ impl Page {
 /// Mutable builder filling one page with adjacency records.
 #[derive(Debug, Default)]
 pub struct PageBuilder {
-    bytes: BytesMut,
+    bytes: Vec<u8>,
 }
 
 impl PageBuilder {
     /// Creates an empty page builder.
     pub fn new() -> Self {
-        PageBuilder { bytes: BytesMut::with_capacity(PAGE_SIZE) }
+        PageBuilder { bytes: Vec::with_capacity(PAGE_SIZE) }
     }
 
     /// Free space remaining in the page, in bytes.
@@ -350,19 +352,19 @@ impl PageBuilder {
             return Err(StorageError::RecordTooLarge { node: node.0, size });
         }
         let offset = self.bytes.len() as u16; // < PAGE_SIZE, checked to fit below
-        self.bytes.put_u32_le(node.0);
-        self.bytes.put_u32_le(entries.len() as u32);
+        self.bytes.extend_from_slice(&node.0.to_le_bytes());
+        self.bytes.extend_from_slice(&(entries.len() as u32).to_le_bytes());
         for e in entries {
-            self.bytes.put_u32_le(e.neighbor.0);
-            self.bytes.put_u32_le(e.edge.0);
-            self.bytes.put_f64_le(e.weight.value());
+            self.bytes.extend_from_slice(&e.neighbor.0.to_le_bytes());
+            self.bytes.extend_from_slice(&e.edge.0.to_le_bytes());
+            self.bytes.extend_from_slice(&e.weight.value().to_le_bytes());
         }
         Ok(offset)
     }
 
     /// Finalizes the page.
     pub fn build(self) -> Page {
-        Page { bytes: self.bytes.freeze() }
+        Page { bytes: self.bytes.into() }
     }
 }
 
@@ -372,6 +374,11 @@ mod tests {
 
     fn entry(n: u32, e: u32, w: f64) -> PageEntry {
         PageEntry { neighbor: NodeId(n), edge: EdgeId(e), weight: Weight::new(w) }
+    }
+
+    /// Raw page bytes: the given little-endian `u32`s, back to back.
+    fn le_words(words: &[u32]) -> Vec<u8> {
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
     }
 
     #[test]
@@ -471,23 +478,14 @@ mod tests {
         // `count` overflowing the page: more entries than bytes remain, and
         // a count whose byte length wraps.
         for count in [2u32, 300, u32::MAX] {
-            let mut raw = BytesMut::new();
-            raw.put_u32_le(9);
-            raw.put_u32_le(count);
-            raw.put_u32_le(1);
-            raw.put_u32_le(1);
-            raw.put_f64_le(1.0); // one whole entry present
-            let page = Page::from_bytes(raw.freeze()).unwrap();
+            let mut raw = le_words(&[9, count, 1, 1]);
+            raw.extend_from_slice(&1.0f64.to_le_bytes()); // one whole entry present
+            let page = Page::from_bytes(&raw).unwrap();
             let m = message_of(page.record_at(PageId(5), NodeId(9), 0));
             assert!(m.contains("node n9") && m.contains(&format!("{count} entries")), "{m}");
         }
         // Truncated body: the last entry is cut short.
-        let mut raw = BytesMut::new();
-        raw.put_u32_le(9);
-        raw.put_u32_le(1);
-        raw.put_u32_le(1);
-        raw.put_u32_le(1); // weight missing
-        let page = Page::from_bytes(raw.freeze()).unwrap();
+        let page = Page::from_bytes(&le_words(&[9, 1, 1, 1])).unwrap(); // weight missing
         let m = message_of(page.record_at(PageId(5), NodeId(9), 0));
         assert!(m.contains("only 8 bytes remain"), "{m}");
     }
@@ -508,10 +506,7 @@ mod tests {
     #[test]
     fn corrupt_pages_are_rejected() {
         // record header declaring more entries than available bytes
-        let mut raw = BytesMut::new();
-        raw.put_u32_le(1);
-        raw.put_u32_le(10); // 10 entries claimed, none present
-        let page = Page::from_bytes(raw.freeze()).unwrap();
+        let page = Page::from_bytes(&le_words(&[1, 10])).unwrap(); // 10 entries, none present
         assert!(matches!(
             page.records(PageId(3)),
             Err(StorageError::CorruptPage { page: PageId(3), .. })
@@ -520,16 +515,13 @@ mod tests {
         assert!(page.entries_of(PageId(3), NodeId(1), &mut out).is_err());
 
         // trailing garbage
-        let mut raw = BytesMut::new();
-        raw.put_u32_le(1);
-        raw.put_u32_le(0);
-        raw.put_u32_le(99); // 4 stray bytes
-        let page = Page::from_bytes(raw.freeze()).unwrap();
+        let page = Page::from_bytes(&le_words(&[1, 0, 99])).unwrap(); // 4 stray bytes
         assert!(page.records(PageId(0)).is_err());
 
-        // oversized content
-        let raw = BytesMut::zeroed(PAGE_SIZE + 1);
-        assert!(Page::from_bytes(raw.freeze()).is_err());
+        // oversized content; a page filled to the last byte is accepted
+        assert!(Page::from_bytes(&[0; PAGE_SIZE + 1]).is_err());
+        let full = Page::from_bytes(&[0; PAGE_SIZE]).unwrap();
+        assert_eq!(full.used_bytes(), PAGE_SIZE);
     }
 
     #[test]
