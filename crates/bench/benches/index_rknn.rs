@@ -1,20 +1,21 @@
 //! Criterion micro-bench for the label-served RkNN query
 //! (`HubLabelIndex::rknn_in`), the layer `labels-churn` spends its index
-//! time in.
+//! time in, and for the point maintenance its swaps run.
 //!
-//! Each row times 256 queries on fixed pseudo-random nodes of the
-//! benchmark's own topology (BRITE, 5×10⁴ nodes, point density 0.01) on a
-//! reused `Scratch`, so a row divided by 256 is the per-query cost: `rknn`
-//! at `k = 1` and `k = 4` over the full-width and the `f32` label stores,
-//! and `k_nearest` — label scans that share nothing with the RkNN fold — as
-//! the control row.
+//! Each row times 256 operations on fixed pseudo-random nodes of the
+//! benchmark's own topology (BRITE, 5×10⁴ nodes, point density 0.01), so a
+//! row divided by 256 is the per-operation cost: `rknn` on a reused `Scratch`
+//! at `k = 1` and `k = 4` over the full-width and the `f32` label stores, and
+//! at `k = 5` over the full store; `insert_remove`, one `insert_point` plus
+//! the `remove_point` that undoes it on an unoccupied node; and `k_nearest`
+//! — label scans that share nothing with the RkNN fold — as the control row.
 
 mod common;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rnn_core::Scratch;
 use rnn_datagen::{brite_topology, place_points_on_nodes, BriteConfig};
-use rnn_graph::NodeId;
+use rnn_graph::{NodeId, PointsOnNodes};
 use rnn_index::{HubLabelIndex, LabelPrecision};
 use rnn_storage::lru::mix64;
 use std::hint::black_box;
@@ -24,15 +25,15 @@ const QUERIES: u64 = 256;
 fn bench(c: &mut Criterion) {
     let graph = brite_topology(&BriteConfig { num_nodes: 50_000, seed: 42, ..Default::default() });
     let points = place_points_on_nodes(&graph, 0.01, 43);
-    let full = HubLabelIndex::build_with_threads(&graph, &points, 2);
+    let mut full = HubLabelIndex::build_with_threads(&graph, &points, 2);
     let f32_store = full.compressed(LabelPrecision::F32);
     let nodes: Vec<NodeId> =
         (0..QUERIES).map(|i| NodeId::new((mix64(i) % graph.num_nodes() as u64) as usize)).collect();
 
     let mut group = c.benchmark_group("index_rknn");
     let mut scratch = Scratch::new();
-    for (store, index) in [("full", &full), ("f32", &f32_store)] {
-        for k in [1usize, 4] {
+    for (store, index, ks) in [("full", &full, &[1usize, 4, 5][..]), ("f32", &f32_store, &[1, 4])] {
+        for &k in ks {
             group.bench_function(format!("rknn/{store}/k{k}"), |b| {
                 b.iter(|| {
                     for &node in &nodes {
@@ -46,6 +47,16 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             for &node in &nodes {
                 black_box(full.k_nearest(node, 4));
+            }
+        })
+    });
+    let free: Vec<NodeId> =
+        nodes.iter().copied().filter(|&n| points.point_at(n).is_none()).collect();
+    group.bench_function("insert_remove/full", |b| {
+        b.iter(|| {
+            for &node in &free {
+                black_box(full.insert_point(node));
+                black_box(full.remove_point(node));
             }
         })
     });

@@ -248,6 +248,7 @@ fn work_counters_on_a_seeded_grid_are_pinned() {
     let hub_pinned = [
         (1, (((18960, 1955, 60828, 1048, 0, 1048), 35), (50308, 62783))),
         (4, (((18960, 23120, 105989, 1243, 0, 1243), 190), (113250, 129109))),
+        (5, (((18960, 36510, 116103, 1243, 0, 1243), 247), (132592, 152613))),
     ];
     for (k, expected) in hub_pinned {
         let outcomes: Vec<RknnOutcome> =

@@ -347,8 +347,10 @@ fn assert_pruned_matches_references(
     indexes: &[(&'static str, HubLabelIndex)],
 ) -> Result<(), TestCaseError> {
     let p = points.num_points();
-    let ks: BTreeSet<usize> =
-        [1, 2, 4, p.saturating_sub(1), p, p + 1].into_iter().filter(|&k| k >= 1).collect();
+    let ks: BTreeSet<usize> = [1, 2, 4, 5, p.saturating_sub(1), p, p + 1, usize::MAX]
+        .into_iter()
+        .filter(|&k| k >= 1)
+        .collect();
     let mut scratch = Scratch::new();
     for query in (0..graph.num_nodes()).map(NodeId::new) {
         for &k in &ks {
