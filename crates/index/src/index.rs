@@ -9,31 +9,48 @@
 //! documented on [`HubLabelIndex::rknn_in`]) as label-scan counts, keeping
 //! the engine's aggregation machinery meaningful without new fields.
 //!
-//! The monochromatic RkNN query runs in two label-only phases, mirroring
-//! ReHub's candidate/verification split:
+//! A point `p` is a reverse `k`-nearest neighbor of `q` iff fewer than `k`
+//! other points lie strictly closer to `p` than `q` does, which is
+//! `d(q, p) <= r_k(p)` for `p`'s *radius* `r_k(p)`: its distance to its
+//! `k`-th nearest other point, `∞` with fewer than `k` others in reach. The
+//! index stores `r_1..r_R` of every point, `R =` [`STORED_RADII`], computed
+//! as the `k`-th smallest `min_h fl(d(p, h) + d(h, o))` over the other
+//! points `o`. The monochromatic RkNN query then runs in two label-only
+//! phases:
 //!
 //! 1. **Candidates.** Scan the buckets of the query's hubs once, folding
 //!    `d(q, h) + d(h, p)` to the minimum per occupied node. By the 2-hop
 //!    cover this minimum is the exact `d(q, p)` for every point in the
 //!    query's component (and only those points are touched). The paper's
-//!    Lemma 1 is applied inside the fold: the shortest path to `p` "runs
-//!    through" the hub attaining the minimum, and that hub's bucket lists
-//!    its nearest points first, so entry `j` of a hub at distance `a` is
-//!    left out when `fl(d_j + d_r) < fl(a + d_j)`, `d_r` being the bucket's
-//!    `k`-th nearest entry other than `j` — `k` points lie strictly closer
-//!    to `p` than the query does. The test is the comparison phase 2 would
-//!    make at that hub, so it removes no reverse neighbor: a point left out
-//!    at its attaining hub is one phase 2 rejects, and if another hub still
-//!    folds it, at a longer sum, phase 2 counts against a larger bound and
-//!    rejects it all the same. Buckets ascend, so once the query is farther
-//!    from the hub than the hub's `k`-th point by more than a rounding
-//!    margin, every entry past the first `k` is skipped without being read.
-//! 2. **Verification.** For each candidate `p` with `d(q, p) > 0`, count
-//!    distinct other points within distance `< d(q, p)` of `p` by scanning
-//!    the bucket *prefixes* of `p`'s hubs (buckets are distance-sorted, so
-//!    each scan stops at the bound), short-circuiting once `k` are found.
-//!    `p` is a reverse neighbor iff fewer than `k` such points exist —
-//!    exactly the semantics of the expansion algorithms, ties included.
+//!    Lemma 1 is applied inside the fold: entry `j` of a hub at distance `a`
+//!    is left out when `fl(d_j + d_r) < fl(a + d_j)`, `d_r` being the
+//!    bucket's `k`-th nearest entry other than `j`. Each of those `k` points
+//!    `o` then has `d(p, o) <= fl(d_j + d_o) < fl(a + d_j)`. If the hub attains
+//!    `p`'s minimum, `fl(a + d_j)` is `d(q, p)`, so `r_k(p) < d(q, p)` and
+//!    the radius test rejects `p`; if another hub still folds `p`, it does
+//!    so at a sum no smaller, which the test rejects all the same. If the
+//!    hub does not attain the minimum, the one that does still folds `p` at
+//!    its exact distance, or leaves it out for the first reason. Buckets
+//!    ascend, so once the query is farther from the hub than the hub's
+//!    `k`-th point by more than a rounding margin, every entry past the
+//!    first `k` is skipped without being read.
+//! 2. **Radius test.** A candidate `p` with `d(q, p) > 0` is a reverse
+//!    neighbor iff `d(q, p) <= r_k(p)` — exactly the semantics of the
+//!    expansion algorithms, ties included, and bit for bit the count of
+//!    strictly closer points it replaces: `r_k(p)` is built from the same
+//!    sums, and the fold's `fl(d(q, h) + d(h, p))` is the same pair of floats
+//!    added in the other order, so a point collocated with the query ties at
+//!    `d(q, p)` and never disqualifies. For `k <= R` the test reads the
+//!    stored radius. For larger `k` the label k-NN scan that fills the table
+//!    answers it on demand, stopping once `k` points closer than `d(q, p)`
+//!    are found; for `k >= |P|` the radius is `∞` without a scan.
+//!
+//! [`HubLabelIndex::insert_point`] and [`HubLabelIndex::remove_point`] keep
+//! the radii exact with the same fold, run from the changed point at
+//! `k = R`: inserting `x` splices `d(x, p)` into the radii of every point
+//! with `d(x, p) < r_R(p)`, and removing `x` recomputes those of every point
+//! with `d(x, p) <= r_R(p)`. A point the fold leaves out already has `R`
+//! points strictly closer than `x`, so its radii cannot change.
 //!
 //! Labels are read through a pooled [`LabelDecoder`], so both label layouts
 //! (full-width and compressed, see [`HubLabeling::compressed`]) serve
@@ -48,18 +65,54 @@ use rnn_core::NodeTable;
 use rnn_graph::{NodeId, NodePointSet, PointId, PointsOnNodes, Topology, Weight};
 use rnn_obs::{MetricsRegistry, Phase};
 
+/// How many nearest-other-point distances the index stores per point: a
+/// query at `k <= STORED_RADII` decides every candidate from the table.
+pub const STORED_RADII: usize = 4;
+
+/// One point's `r_1..r_R`, ascending, padded with [`Weight::INFINITY`].
+type Radii = [Weight; STORED_RADII];
+
 /// A hub labeling bundled with the inverted point table of one data set,
 /// answering distance, k-NN and RkNN queries without graph traversal.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct HubLabelIndex {
     labeling: HubLabeling,
     table: HubPointTable,
+    /// Every point's radii, in point-id order: spliced wherever the table
+    /// splices its point directory, so they take `|P| · R` weights.
+    radii: Vec<Radii>,
+    /// Buffers of point maintenance, reused per update.
+    update: UpdateBuffers,
+}
+
+/// The fold table, decoder and k-NN list of point maintenance, kept inside
+/// the index between updates: a fresh [`NodeTable`] would be sized to the
+/// graph on every call. Not part of the index's value.
+#[derive(Debug, Default)]
+struct UpdateBuffers {
+    dmin: NodeTable<Weight>,
+    dec: LabelDecoder,
+    best: Vec<(NodeId, Weight)>,
+}
+
+impl Clone for UpdateBuffers {
+    /// A clone starts with empty buffers.
+    fn clone(&self) -> Self {
+        UpdateBuffers::default()
+    }
+}
+
+impl PartialEq for HubLabelIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.labeling == other.labeling && self.table == other.table && self.radii == other.radii
+    }
 }
 
 impl HubLabelIndex {
-    /// Builds labeling and point table in one go. Preprocessing cost is one
-    /// pruned Dijkstra per node plus one sort of the inverted entries; query
-    /// cost afterwards is label scans only.
+    /// Builds labeling, point table and radii in one go. Preprocessing cost
+    /// is one pruned Dijkstra per node, one sort of the inverted entries and
+    /// one label k-NN scan per point; query cost afterwards is label scans
+    /// only.
     pub fn build<T, P>(topo: &T, points: &P) -> Self
     where
         T: Topology + ?Sized,
@@ -85,23 +138,29 @@ impl HubLabelIndex {
     /// network shares the expensive half of the preprocessing.
     pub fn from_labeling<P: PointsOnNodes + ?Sized>(labeling: HubLabeling, points: &P) -> Self {
         let table = HubPointTable::build(&labeling, points);
-        HubLabelIndex { labeling, table }
+        let mut index =
+            HubLabelIndex { labeling, table, radii: Vec::new(), update: UpdateBuffers::default() };
+        let mut bufs = std::mem::take(&mut index.update);
+        let UpdateBuffers { dec, best, .. } = &mut bufs;
+        index.radii =
+            index.table.nodes().iter().map(|&node| index.stored_radii(node, dec, best)).collect();
+        index.update = bufs;
+        index
     }
 
     /// Re-encodes the index with compressed labels (see
     /// [`HubLabeling::compressed`]) over the same point set.
     ///
-    /// The point table is rebuilt from the compressed labeling so bucket
-    /// distances and decoded label distances come from the same tier: under
-    /// [`LabelPrecision::F32`] every phase sums identically rounded values
-    /// in both directions, which preserves the exact tie semantics of the
-    /// verification phase.
+    /// The point table and the radii are rebuilt from the compressed
+    /// labeling so bucket distances, radii and decoded label distances come
+    /// from the same tier: under [`LabelPrecision::F32`] every phase sums
+    /// identically rounded values in both directions, which preserves the
+    /// exact tie semantics of the radius test.
     pub fn compressed(&self, precision: LabelPrecision) -> Self {
         let labeling = self.labeling.compressed(precision);
         let points =
             NodePointSet::from_nodes(labeling.num_nodes(), self.table.nodes().iter().copied());
-        let table = HubPointTable::build(&labeling, &points);
-        HubLabelIndex { labeling, table }
+        Self::from_labeling(labeling, &points)
     }
 
     /// The underlying labeling.
@@ -112,6 +171,13 @@ impl HubLabelIndex {
     /// The underlying inverted point table.
     pub fn point_table(&self) -> &HubPointTable {
         &self.table
+    }
+
+    /// Every point's label distances to its [`STORED_RADII`] nearest other
+    /// points, ascending and padded with [`Weight::INFINITY`], in point-id
+    /// order.
+    pub fn radii(&self) -> &[[Weight; STORED_RADII]] {
+        &self.radii
     }
 
     /// Number of labeled graph nodes.
@@ -138,19 +204,54 @@ impl HubLabelIndex {
         registry.gauge("rnn_label_bytes").set(stats.label_bytes() as u64);
     }
 
-    /// Adds a point on `node` by incremental point-table maintenance —
-    /// `O(label size)` bucket splices instead of a rebuild (see
-    /// [`HubPointTable::insert_point`]). Returns the new point's id.
+    /// Adds a point on `node` by incremental maintenance — `O(label size)`
+    /// bucket splices instead of a rebuild (see
+    /// [`HubPointTable::insert_point`]), plus the radius update of the module
+    /// docs. Returns the new point's id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` already holds a point or lies outside the labeled
+    /// graph.
     pub fn insert_point(&mut self, node: NodeId) -> PointId {
-        let HubLabelIndex { labeling, table } = self;
-        table.insert_point(labeling, node)
+        assert!(self.table.point_of(node).is_none(), "node {node} already holds a point");
+        let mut bufs = std::mem::take(&mut self.update);
+        let UpdateBuffers { dmin, dec, best } = &mut bufs;
+        // Before `node` enters the table, so the fold meets only the others
+        // and its distances index the radii by their current point ids.
+        self.fold(node, STORED_RADII, dec, dmin, &mut QueryStats::default());
+        for (other, &d) in dmin.iter() {
+            let radii = &mut self.radii
+                [self.table.point_of(other).expect("folded nodes are occupied").index()];
+            if d < radii[STORED_RADII - 1] {
+                let at = radii.partition_point(|&r| r <= d);
+                radii.copy_within(at..STORED_RADII - 1, at + 1);
+                radii[at] = d;
+            }
+        }
+        let id = self.table.insert_point(&self.labeling, node);
+        let own = self.stored_radii(node, dec, best);
+        self.radii.insert(id.index(), own);
+        self.update = bufs;
+        id
     }
 
-    /// Removes the point on `node`, if any, by incremental point-table
-    /// maintenance (see [`HubPointTable::remove_point`]).
+    /// Removes the point on `node`, if any, by incremental maintenance (see
+    /// [`HubPointTable::remove_point`] and the module docs).
     pub fn remove_point(&mut self, node: NodeId) -> Option<PointId> {
-        let HubLabelIndex { labeling, table } = self;
-        table.remove_point(labeling, node)
+        let id = self.table.remove_point(&self.labeling, node)?;
+        self.radii.remove(id.index());
+        let mut bufs = std::mem::take(&mut self.update);
+        let UpdateBuffers { dmin, dec, best } = &mut bufs;
+        self.fold(node, STORED_RADII, dec, dmin, &mut QueryStats::default());
+        for (other, &d) in dmin.iter() {
+            let p = self.table.point_of(other).expect("folded nodes are occupied").index();
+            if d <= self.radii[p][STORED_RADII - 1] {
+                self.radii[p] = self.stored_radii(other, dec, best);
+            }
+        }
+        self.update = bufs;
+        Some(id)
     }
 
     /// Label-based shortest path distance (see [`HubLabeling::distance`]).
@@ -170,93 +271,137 @@ impl HubLabelIndex {
         assert!(node.index() < self.num_nodes(), "node {node} outside the labeled graph");
         // `k` is request input: reserve for what can be found (plus the one
         // slot `offer` overshoots by), not what is asked.
-        let mut best: Vec<(Weight, NodeId)> = Vec::with_capacity(k.min(self.num_points()) + 1);
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut dec = LabelDecoder::new();
-        let (hubs, hub_dists) = self.labeling.label(node, &mut dec);
-        for (i, &h) in hubs.iter().enumerate() {
-            let dh = hub_dists[i];
-            if best.len() == k && dh > best[k - 1].0 {
-                continue; // every candidate of this bucket is farther
-            }
-            let (dists, nodes) = self.table.bucket(h);
-            for (j, &d) in dists.iter().enumerate() {
-                let cand = dh + d;
-                if best.len() == k && cand > best[k - 1].0 {
-                    break; // bucket ascends: nothing better follows
-                }
-                Self::offer(&mut best, k, cand, nodes[j]);
-            }
-        }
+        let mut best = Vec::with_capacity(k.min(self.num_points()) + 1);
+        self.nearest(
+            node,
+            k,
+            None,
+            &mut LabelDecoder::new(),
+            &mut best,
+            &mut QueryStats::default(),
+        );
         // Node order equals point-id order (the dense-id invariant), so the
         // (distance, node) ranking maps 1:1 onto (distance, point).
         best.into_iter()
-            .map(|(d, n)| (self.table.point_of(n).expect("bucket nodes are occupied"), d))
+            .map(|(n, d)| (self.table.point_of(n).expect("bucket nodes are occupied"), d))
             .collect()
+    }
+
+    /// The label k-NN scan behind [`HubLabelIndex::k_nearest`] and every
+    /// radius: completes `best` to the `k` nearest occupied nodes of `node`,
+    /// a point on `node` itself included, as `(node, distance)` in ascending
+    /// `(distance, node)` order, each node once at its minimum sum. `best`
+    /// comes in empty or holding nodes already known at their minimum.
+    ///
+    /// With a `cutoff`, only sums below it count, and `best` instead lists
+    /// the nodes found below it, each once and unsorted: the scan ends as
+    /// soon as it holds `k`, when the `k`-th distance is known to lie below
+    /// the cutoff, which is all a radius test needs. Each label entry read
+    /// adds to `stats.label_scans`, each bucket entry read to
+    /// `stats.bucket_scans` and `stats.auxiliary_settled`.
+    fn nearest(
+        &self,
+        node: NodeId,
+        k: usize,
+        cutoff: Option<Weight>,
+        dec: &mut LabelDecoder,
+        best: &mut Vec<(NodeId, Weight)>,
+        stats: &mut QueryStats,
+    ) {
+        if k == 0 {
+            return;
+        }
+        let (hubs, hub_dists) = self.labeling.label(node, dec);
+        for (&h, &dh) in hubs.iter().zip(hub_dists) {
+            stats.label_scans += 1;
+            let beyond = |d: Weight, best: &[(NodeId, Weight)]| {
+                cutoff.is_some_and(|c| d >= c) || best.len() == k && d > best[k - 1].1
+            };
+            if beyond(dh, best) {
+                continue; // every candidate of this bucket is farther
+            }
+            let (dists, nodes) = self.table.bucket(h);
+            for (&d, &n) in dists.iter().zip(nodes) {
+                let cand = dh + d;
+                if beyond(cand, best) {
+                    break; // bucket ascends: nothing better follows
+                }
+                stats.bucket_scans += 1;
+                stats.auxiliary_settled += 1;
+                if cutoff.is_none() {
+                    Self::offer(best, k, cand, n);
+                } else if best.iter().all(|&(m, _)| m != n) {
+                    best.push((n, cand));
+                    if best.len() == k {
+                        return;
+                    }
+                }
+            }
+        }
     }
 
     /// Offers a candidate to the running top-k, keeping `best` sorted by
     /// `(distance, node)` and deduplicated by node (minimum distance wins).
-    fn offer(best: &mut Vec<(Weight, NodeId)>, k: usize, cand: Weight, n: NodeId) {
-        if let Some(pos) = best.iter().position(|&(_, m)| m == n) {
-            if best[pos].0 <= cand {
+    fn offer(best: &mut Vec<(NodeId, Weight)>, k: usize, cand: Weight, n: NodeId) {
+        if let Some(pos) = best.iter().position(|&(m, _)| m == n) {
+            if best[pos].1 <= cand {
                 return; // already listed at least as close
             }
             best.remove(pos);
         }
-        let at = best.partition_point(|&e| e < (cand, n));
+        let at = best.partition_point(|&(m, d)| (d, m) < (cand, n));
         if at == best.len() && best.len() >= k {
             return;
         }
-        best.insert(at, (cand, n));
+        best.insert(at, (n, cand));
         best.truncate(k);
     }
 
-    /// [`HubLabelIndex::rknn_in`] on a throwaway scratch arena.
-    pub fn rknn(&self, query: NodeId, k: usize) -> RknnOutcome {
-        self.rknn_in(query, k, &mut Scratch::new())
+    /// Runs [`HubLabelIndex::nearest`] for the `k + 1` nearest of the point
+    /// on `node`, the point itself listed up front: it is its own nearest, at
+    /// distance zero, so `r_j` is the `(j + 1)`-th distance in `best`, `∞`
+    /// where none was found. With a `cutoff`, `best` ends up holding `k + 1`
+    /// entries iff `k` other points lie strictly closer than the cutoff.
+    fn radius_scan(
+        &self,
+        node: NodeId,
+        k: usize,
+        cutoff: Option<Weight>,
+        dec: &mut LabelDecoder,
+        best: &mut Vec<(NodeId, Weight)>,
+        stats: &mut QueryStats,
+    ) {
+        best.clear();
+        best.push((node, Weight::ZERO));
+        self.nearest(node, k + 1, cutoff, dec, best, stats);
     }
 
-    /// Answers a monochromatic RkNN query purely from the labels (the
-    /// two-phase algorithm of the module docs), recycling buffers from
-    /// `scratch` so steady-state queries are allocation-free apart from the
-    /// result vector (like every other algorithm).
-    ///
-    /// [`QueryStats`] fields are label-scan counters here:
-    /// `nodes_settled` = query label entries processed (the "main
-    /// expansion"), `heap_pushes` = bucket entries read in the candidate
-    /// phase (entries Lemma 1 skips unread are not counted), `candidates` /
-    /// `verifications` = points that survive the prune and are counted, and
-    /// `auxiliary_settled` = bucket entries scanned by verifications.
-    /// `range_nn_queries` stays zero — there is no range probe. The
-    /// dedicated hub-label counters report the same work in its own terms:
-    /// `label_scans` = label entries read (the query's label plus one per
-    /// candidate-hub examined while counting) and `bucket_scans` = bucket
-    /// entries read across both phases (`heap_pushes + auxiliary_settled`).
-    ///
-    /// When the scratch's tracer is active (the engine's
-    /// `QueryEngine::with_tracing`), the two phases are reported as
-    /// [`Phase::CandidateGen`] and [`Phase::Counting`] spans.
-    ///
-    /// # Panics
-    /// Panics if `k == 0` or `query` lies outside the labeled graph.
-    pub fn rknn_in(&self, query: NodeId, k: usize, scratch: &mut Scratch) -> RknnOutcome {
-        assert!(k >= 1, "RkNN queries require k >= 1");
-        assert!(query.index() < self.num_nodes(), "query node {query} outside the labeled graph");
-        let mut stats = QueryStats::default();
-        let mut dec = LabelDecoder::from_parts(scratch.take_indices(), scratch.take_weights());
+    /// `r_1..r_R` of the point on `node`.
+    fn stored_radii(
+        &self,
+        node: NodeId,
+        dec: &mut LabelDecoder,
+        best: &mut Vec<(NodeId, Weight)>,
+    ) -> Radii {
+        self.radius_scan(node, STORED_RADII, None, dec, best, &mut QueryStats::default());
+        std::array::from_fn(|j| best.get(j + 1).map_or(Weight::INFINITY, |&(_, d)| d))
+    }
 
-        // Phase 1: fold `d(q, h) + d(h, p)` to the minimum per occupied
-        // node over the buckets of the query's hubs, leaving out the entries
-        // Lemma 1 rejects at the hub (see the module docs). Folding goes
-        // through a pooled `NodeTable`, which clears in O(1), so the
-        // per-query cost stays proportional to the entries read, never to the
-        // total point count or to the largest query the table served.
-        let candidate_span = scratch.tracer().begin();
-        let mut dmin = scratch.take_dist_table();
-        let (hubs, hub_dists) = self.labeling.label(query, &mut dec);
+    /// Folds `d(from, h) + d(h, p)` to the minimum per occupied node over the
+    /// buckets of `from`'s hubs into `dmin`, leaving out the entries Lemma 1
+    /// rejects at the hub for this `k` (see the module docs). The query and
+    /// both point updates run it. `dmin` clears in O(1), so the cost stays
+    /// proportional to the entries read, never to the total point count.
+    fn fold(
+        &self,
+        from: NodeId,
+        k: usize,
+        dec: &mut LabelDecoder,
+        dmin: &mut NodeTable<Weight>,
+        stats: &mut QueryStats,
+    ) {
+        dmin.clear();
+        let (hubs, hub_dists) = self.labeling.label(from, dec);
         for (&h, &a) in hubs.iter().zip(hub_dists) {
             stats.nodes_settled += 1;
             stats.label_scans += 1;
@@ -286,16 +431,57 @@ impl HubLabelIndex {
             stats.heap_pushes += read as u64;
             stats.bucket_scans += read as u64;
         }
+    }
+
+    /// [`HubLabelIndex::rknn_in`] on a throwaway scratch arena.
+    pub fn rknn(&self, query: NodeId, k: usize) -> RknnOutcome {
+        self.rknn_in(query, k, &mut Scratch::new())
+    }
+
+    /// Answers a monochromatic RkNN query purely from the labels (the
+    /// two-phase algorithm of the module docs), recycling buffers from
+    /// `scratch` so steady-state queries are allocation-free apart from the
+    /// result vector (like every other algorithm).
+    ///
+    /// [`QueryStats`] fields are label-scan counters here:
+    /// `nodes_settled` = query label entries processed (the "main
+    /// expansion"), `heap_pushes` = bucket entries read by the fold (entries
+    /// Lemma 1 skips unread are not counted), `candidates` /
+    /// `verifications` = points that survive the prune and are decided.
+    /// `range_nn_queries` stays zero — there is no range probe. The
+    /// dedicated hub-label counters report the same work in its own terms:
+    /// `label_scans` = the query's label entries and `bucket_scans` = the
+    /// fold entries read. For `k <= STORED_RADII` every radius is stored and
+    /// `auxiliary_settled` is zero; above it, the on-demand radius scans add
+    /// their label entries to `label_scans` and their bucket entries to both
+    /// `bucket_scans` and `auxiliary_settled`.
+    ///
+    /// When the scratch's tracer is active (the engine's
+    /// `QueryEngine::with_tracing`), the two phases are reported as
+    /// [`Phase::CandidateGen`] (work = fold entries read) and
+    /// [`Phase::Counting`] (work = candidates decided) spans.
+    ///
+    /// # Panics
+    /// Panics if `k == 0` or `query` lies outside the labeled graph.
+    pub fn rknn_in(&self, query: NodeId, k: usize, scratch: &mut Scratch) -> RknnOutcome {
+        assert!(k >= 1, "RkNN queries require k >= 1");
+        assert!(query.index() < self.num_nodes(), "query node {query} outside the labeled graph");
+        let mut stats = QueryStats::default();
+        let mut dec = LabelDecoder::from_parts(scratch.take_indices(), scratch.take_weights());
+
+        let candidate_span = scratch.tracer().begin();
+        let mut dmin = scratch.take_dist_table();
+        self.fold(query, k, &mut dec, &mut dmin, &mut stats);
         let read = stats.heap_pushes;
         scratch.tracer_mut().end(Phase::CandidateGen, candidate_span, read);
 
-        // Phase 2: verify candidates — in first-fold order, which only
-        // decides the order of the sums in `stats` and of the result before
-        // it is sorted. A point collocated with the query (distance zero) is
-        // trivially a reverse neighbor and not reported, matching the
-        // expansion algorithms.
+        // Decide candidates in first-fold order, which only decides the order
+        // of the sums in `stats` and of the result before it is sorted. A
+        // point collocated with the query (distance zero) is trivially a
+        // reverse neighbor and not reported, matching the expansion
+        // algorithms.
         let counting_span = scratch.tracer().begin();
-        let mut seen = scratch.take_node_marks();
+        let mut best = scratch.take_node_dists();
         let mut result: Vec<PointId> = Vec::new();
         for (node, &dist) in dmin.iter() {
             if dist == Weight::ZERO {
@@ -303,76 +489,39 @@ impl HubLabelIndex {
             }
             stats.candidates += 1;
             stats.verifications += 1;
-            let closer = self.count_strictly_closer(node, dist, k, &mut dec, &mut seen, &mut stats);
-            if closer < k {
-                result.push(self.table.point_of(node).expect("candidate nodes are occupied"));
+            let point = self.table.point_of(node).expect("candidate nodes are occupied");
+            // `dist <= r_k(p)`, read from the table or decided by a scan.
+            let accept = match self.radii[point.index()].get(k - 1) {
+                Some(&radius) => dist <= radius,
+                // Fewer than `k` other points: `r_k` is ∞, and no `k + 1`.
+                None if k >= self.num_points() => true,
+                None => {
+                    self.radius_scan(node, k, Some(dist), &mut dec, &mut best, &mut stats);
+                    best.len() <= k
+                }
+            };
+            if accept {
+                result.push(point);
             }
         }
         let (ranks, weights) = dec.into_parts();
         scratch.put_indices(ranks);
         scratch.put_weights(weights);
         scratch.put_dist_table(dmin);
-        scratch.put_node_marks(seen);
-        let counted = stats.auxiliary_settled;
-        scratch.tracer_mut().end(Phase::Counting, counting_span, counted);
+        scratch.put_node_dists(best);
+        let decided = stats.candidates;
+        scratch.tracer_mut().end(Phase::Counting, counting_span, decided);
         RknnOutcome::from_points(result, stats)
-    }
-
-    /// Counts distinct data points other than the one on `node` with exact
-    /// distance strictly below `bound` from it, stopping at `limit`.
-    ///
-    /// A point qualifies iff *some* hub of `node` certifies a sum below the
-    /// bound (the minimal sum is the exact distance, every other sum only
-    /// overestimates — an overestimate below a bound implies the exact
-    /// distance is too), so scanning each bucket prefix and deduplicating
-    /// into the `seen` table, cleared in O(1) per candidate, is exact. The
-    /// point collocated with the query ties at exactly `bound` (the labels
-    /// produce identical, commuted sums for both directions of a pair) and is
-    /// therefore never counted — ties do not disqualify, as in the paper.
-    fn count_strictly_closer(
-        &self,
-        node: NodeId,
-        bound: Weight,
-        limit: usize,
-        dec: &mut LabelDecoder,
-        seen: &mut NodeTable<()>,
-        stats: &mut QueryStats,
-    ) -> usize {
-        seen.clear();
-        let mut count = 0;
-        let (hubs, hub_dists) = self.labeling.label(node, dec);
-        for (&h, &dh) in hubs.iter().zip(hub_dists) {
-            stats.label_scans += 1;
-            if dh >= bound {
-                continue; // every sum through this hub is >= bound
-            }
-            let (dists, nodes) = self.table.bucket(h);
-            for (j, &d) in dists.iter().enumerate() {
-                if dh + d >= bound {
-                    break; // bucket ascends
-                }
-                stats.auxiliary_settled += 1;
-                stats.bucket_scans += 1;
-                let other = nodes[j];
-                if other != node && !seen.contains(other) {
-                    count += 1;
-                    if count >= limit {
-                        return count; // before the insert: `seen` stays empty at k = 1
-                    }
-                    seen.insert(other, ());
-                }
-            }
-        }
-        count
     }
 }
 
 /// Lemma 1 at a hub at distance `a` from the query, for the bucket entry at
 /// distance `d` whose k-th nearest other bucket entry is at distance `kth`:
-/// `k` points lie strictly closer to the entry than the query does. Both
-/// sides are the sums [`HubLabelIndex::count_strictly_closer`] compares when
-/// it scans this hub with bound `a + d`, so a rejected entry is one the
-/// counting phase would reject.
+/// `k` points lie strictly closer to the entry than the query does, since
+/// each of their label distances to it is at most its sum through this hub.
+/// When the hub attains the entry's minimum, `a + d` is the query distance
+/// the radius test compares, so a rejected entry is one the test would
+/// reject.
 fn lemma1_rejects(a: Weight, d: Weight, kth: Weight) -> bool {
     d + kth < a + d
 }
@@ -500,6 +649,15 @@ mod tests {
         assert_eq!(out.points, naive_out.points);
     }
 
+    /// A unit-weight path over `n` nodes.
+    fn path(n: usize) -> Graph {
+        let mut b = GraphBuilder::new(n);
+        for i in 0..n - 1 {
+            b.add_edge(i, i + 1, 1.0).unwrap();
+        }
+        b.build().unwrap()
+    }
+
     #[test]
     fn rknn_stats_count_label_work() {
         let (g, pts) = cycle();
@@ -510,16 +668,98 @@ mod tests {
         assert_eq!(out.stats.candidates, 3);
         assert_eq!(out.stats.verifications, 3);
         assert_eq!(out.stats.range_nn_queries, 0, "no range probes in label space");
-        // The dedicated hub-label counters: the query's own label plus at
-        // least one candidate-label entry were read, and bucket entries were
-        // examined in both phases (so they exceed the candidate-phase folds
-        // alone whenever a verification scanned anything).
-        assert!(out.stats.label_scans >= out.stats.nodes_settled + out.stats.verifications);
+        // At k <= STORED_RADII every radius is stored: the dedicated counters
+        // are the query's label and the fold, and nothing else is read.
+        assert_eq!(out.stats.label_scans, out.stats.nodes_settled);
+        assert_eq!(out.stats.bucket_scans, out.stats.heap_pushes);
+        assert_eq!(out.stats.auxiliary_settled, 0);
+
+        // Above it, the on-demand radius scans add their reads; at k >= |P|
+        // no scan runs.
+        let g = path(8);
+        let pts = NodePointSet::from_predicate(8, |_| true);
+        let index = HubLabelIndex::build(&g, &pts);
+        let k = STORED_RADII + 1;
+        let out = index.rknn(NodeId::new(0), k);
+        assert_eq!(out.points, naive::naive_rknn(&g, &pts, NodeId::new(0), k).points);
+        assert!(out.stats.auxiliary_settled > 0, "radius scans read bucket entries");
+        assert!(out.stats.label_scans > out.stats.nodes_settled, "and candidate labels");
+        assert_eq!(out.stats.bucket_scans, out.stats.heap_pushes + out.stats.auxiliary_settled);
+        let out = index.rknn(NodeId::new(0), pts.num_points());
         assert_eq!(
-            out.stats.bucket_scans,
-            out.stats.heap_pushes + out.stats.auxiliary_settled,
-            "bucket scans = candidate folds + counting prefix entries"
+            (out.stats.auxiliary_settled, out.stats.label_scans),
+            (0, out.stats.nodes_settled)
         );
+    }
+
+    /// The stored radii of the point on `node`, as plain numbers.
+    fn radii_at(index: &HubLabelIndex, node: usize) -> Vec<f64> {
+        let point = index.point_table().point_of(NodeId::new(node)).expect("occupied");
+        index.radii()[point.index()].iter().map(|r| r.value()).collect()
+    }
+
+    #[test]
+    fn an_insert_at_exactly_the_last_radius_changes_nothing() {
+        // On a unit path, the point on 5 has others at 1, 1, 2 and 3; the
+        // point on 3 at 1, 2, 3 and 5.
+        let g = path(11);
+        let pts = NodePointSet::from_nodes(11, [3, 4, 5, 6, 8].map(NodeId::new));
+        let mut index = HubLabelIndex::build(&g, &pts);
+        assert_eq!(radii_at(&index, 5), [1.0, 1.0, 2.0, 3.0]);
+        assert_eq!(radii_at(&index, 3), [1.0, 2.0, 3.0, 5.0]);
+        // Node 2 lies at exactly r_4 of the point on 5, and closer to 3.
+        index.insert_point(NodeId::new(2));
+        assert_eq!(radii_at(&index, 5), [1.0, 1.0, 2.0, 3.0]);
+        assert_eq!(radii_at(&index, 3), [1.0, 1.0, 2.0, 3.0]);
+        assert_eq!(index, HubLabelIndex::build(&g, &pts.with_point_on(NodeId::new(2))));
+    }
+
+    #[test]
+    fn removing_a_point_tied_with_the_last_radius_recomputes_it() {
+        // The point on 5 has others at 1, 1, 2, then 3 twice (nodes 2 and 8)
+        // and 5 (node 0).
+        let g = path(11);
+        let nodes = [0, 2, 3, 4, 5, 6, 8].map(NodeId::new);
+        let mut index = HubLabelIndex::build(&g, &NodePointSet::from_nodes(11, nodes));
+        assert_eq!(radii_at(&index, 5), [1.0, 1.0, 2.0, 3.0]);
+        index.remove_point(NodeId::new(8));
+        assert_eq!(radii_at(&index, 5), [1.0, 1.0, 2.0, 3.0], "the tie at node 2 remains");
+        let left = NodePointSet::from_nodes(11, [0, 2, 3, 4, 5, 6].map(NodeId::new));
+        assert_eq!(index, HubLabelIndex::build(&g, &left));
+        index.remove_point(NodeId::new(2));
+        assert_eq!(radii_at(&index, 5), [1.0, 1.0, 2.0, 5.0]);
+        let left = NodePointSet::from_nodes(11, [0, 3, 4, 5, 6].map(NodeId::new));
+        assert_eq!(index, HubLabelIndex::build(&g, &left));
+    }
+
+    #[test]
+    fn radii_pad_with_infinity_and_stay_inside_their_component() {
+        // Two components: 0-1-2 (points on 0 and 2) and the path 3..=8
+        // (points on 3, 5, 6 and 8).
+        let mut b = GraphBuilder::new(9);
+        b.add_edge(0, 1, 1.0).unwrap();
+        b.add_edge(1, 2, 1.0).unwrap();
+        for i in 3..8 {
+            b.add_edge(i, i + 1, 1.0).unwrap();
+        }
+        let g = b.build().unwrap();
+        let pts = NodePointSet::from_nodes(9, [0, 2, 3, 5, 6, 8].map(NodeId::new));
+        let mut index = HubLabelIndex::build(&g, &pts);
+        let inf = f64::INFINITY;
+        assert_eq!(radii_at(&index, 0), [2.0, inf, inf, inf]);
+        assert_eq!(radii_at(&index, 3), [2.0, 3.0, 5.0, inf]);
+        for q in 0..9 {
+            for k in 1..=STORED_RADII + 2 {
+                let reference = naive::naive_rknn(&g, &pts, NodeId::new(q), k);
+                assert_eq!(index.rknn(NodeId::new(q), k).points, reference.points, "q={q} k={k}");
+            }
+        }
+        index.insert_point(NodeId::new(1));
+        assert_eq!(radii_at(&index, 0), [1.0, 2.0, inf, inf]);
+        assert_eq!(radii_at(&index, 3), [2.0, 3.0, 5.0, inf], "the other component is untouched");
+        assert_eq!(index, HubLabelIndex::build(&g, &pts.with_point_on(NodeId::new(1))));
+        index.remove_point(NodeId::new(1));
+        assert_eq!(index, HubLabelIndex::build(&g, &pts));
     }
 
     #[test]
@@ -633,7 +873,7 @@ mod tests {
         assert_eq!(gen.calls, 1, "one candidate-generation span per query");
         assert_eq!(gen.work, out.stats.heap_pushes);
         assert_eq!(count.calls, 1, "one counting span per query");
-        assert_eq!(count.work, out.stats.auxiliary_settled);
+        assert_eq!(count.work, out.stats.candidates, "candidates decided");
         assert_eq!(trace.phase(rnn_obs::Phase::Expansion).calls, 0, "no traversal phases");
         // Untraced queries return identical outcomes.
         assert_eq!(index.rknn(NodeId::new(0), 2), out);

@@ -30,9 +30,11 @@
 //!   or verification scan touches label entries, never adjacency lists.
 //!   Point insert/delete is incremental — sorted splices into the affected
 //!   node's hub buckets instead of a rebuild.
-//! * [`HubLabelIndex`] — labeling + point table, answering label-based
+//! * [`HubLabelIndex`] — labeling + point table + every point's distances to
+//!   its [`STORED_RADII`] nearest other points, answering label-based
 //!   distance, k-NN over [`rnn_graph::PointsOnNodes`], and the ReHub-style
-//!   monochromatic RkNN query. It implements
+//!   monochromatic RkNN query, which accepts a candidate `p` iff
+//!   `d(q, p) <= r_k(p)`, its k-th nearest-other-point distance. It implements
 //!   [`rnn_core::precomputed::HubLabelRknn`], so
 //!   [`rnn_core::Algorithm::HubLabel`] runs through `run_rknn`,
 //!   [`rnn_core::engine::QueryEngine`] batches, scratch reuse and
@@ -51,7 +53,7 @@ pub mod index;
 pub mod labeling;
 pub mod point_table;
 
-pub use index::HubLabelIndex;
+pub use index::{HubLabelIndex, STORED_RADII};
 pub use labeling::{
     HubLabeling, LabelBuildProgress, LabelDecoder, LabelPrecision, LabelStats, MAX_LEVEL_WIDTH,
 };

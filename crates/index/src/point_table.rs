@@ -1,7 +1,7 @@
 //! The per-hub inverted point table.
 //!
 //! A [`super::HubLabeling`] answers node-to-node distances; point queries
-//! (k-NN, RkNN verification) additionally need "which data points does hub
+//! (k-NN, the RkNN fold and the radii it is tested against) additionally need "which data points does hub
 //! `h` cover, and how far away are they?". [`HubPointTable`] is that
 //! inverted view: for every hub, the `(distance, node)` pairs of all
 //! occupied nodes whose label contains the hub, sorted by ascending

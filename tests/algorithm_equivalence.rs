@@ -243,11 +243,18 @@ fn work_counters_on_a_seeded_grid_are_pinned() {
 
     // Hub labels on the same queries, through `HubLabelIndex::rknn_in`: the
     // six counters (label-scan counts here), the result points, and the
-    // dedicated (label_scans, bucket_scans), all summed.
+    // dedicated (label_scans, bucket_scans), all summed. At k = 1 and k = 4
+    // every candidate is decided by a stored radius, so nothing past the
+    // fold is read: `auxiliary_settled` is 0, `label_scans` is the query
+    // labels' entries (`nodes_settled`) and `bucket_scans` the fold's
+    // (`heap_pushes`); the per-candidate count they replaced read (1 955;
+    // 31 348, 1 955) at k = 1 and (23 120; 94 290, 23 120) at k = 4 on top.
+    // k = 5 is the first k above the stored radii: its on-demand radius scan
+    // reads exactly what that count read.
     let hub_index = rnn_index::HubLabelIndex::build(&graph, &points);
     let hub_pinned = [
-        (1, (((18960, 1955, 60828, 1048, 0, 1048), 35), (50308, 62783))),
-        (4, (((18960, 23120, 105989, 1243, 0, 1243), 190), (113250, 129109))),
+        (1, (((18960, 0, 60828, 1048, 0, 1048), 35), (18960, 60828))),
+        (4, (((18960, 0, 105989, 1243, 0, 1243), 190), (18960, 105989))),
         (5, (((18960, 36510, 116103, 1243, 0, 1243), 247), (132592, 152613))),
     ];
     for (k, expected) in hub_pinned {

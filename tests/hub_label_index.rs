@@ -10,12 +10,14 @@
 //!   zoo, and `run_batch` with the hub-label algorithm is deterministic at
 //!   1/2/8 threads;
 //! * steady-state label queries are allocation-free on a reused `Scratch`;
-//! * the RkNN query, which applies Lemma 1 inside the candidate fold, answers
-//!   like the unpruned fold it replaced (kept here as [`unpruned_rknn`]) and
-//!   like the naive baseline — on graphs biased to ties, short buckets and
-//!   split components, under all three label stores, before and after a
-//!   random point insert/remove trace — and the unread-tail skip gives way
-//!   to the per-entry test where floating-point sums absorb the gap.
+//! * the RkNN query, which applies Lemma 1 inside the candidate fold and
+//!   tests candidates against stored or scanned k-NN radii, answers like the
+//!   unpruned fold with per-candidate counting it replaced (kept here as
+//!   [`unpruned_rknn`]) and like the naive baseline — on graphs biased to
+//!   ties, short buckets and split components, under all three label stores,
+//!   at `k` up to `usize::MAX`, before and after a random point
+//!   insert/remove trace — and the unread-tail skip gives way to the
+//!   per-entry test where floating-point sums absorb the gap.
 
 mod common;
 

@@ -10,8 +10,9 @@
 //!   `Weight::approx_eq` of exact while producing the *same* k-NN orders and
 //!   RkNN result sets;
 //! * a randomized 500-op insert/remove trace maintained incrementally
-//!   (sorted bucket splices) equals a from-scratch rebuild after every
-//!   single op — table and index alike.
+//!   (sorted bucket splices, radius splices and recomputations) equals a
+//!   from-scratch rebuild after every single op — table, radii and index
+//!   alike.
 
 mod common;
 
@@ -221,6 +222,11 @@ fn randomized_insert_remove_trace_matches_fresh_rebuild_after_every_op() {
             "op {op}: incrementally maintained table must equal a fresh build"
         );
         let fresh_index = HubLabelIndex::from_labeling(labeling.clone(), &points);
+        assert_eq!(
+            index.radii(),
+            fresh_index.radii(),
+            "op {op}: incrementally maintained radii must equal a fresh build's"
+        );
         assert!(
             index == fresh_index,
             "op {op}: incrementally maintained index must equal a fresh build"
