@@ -88,18 +88,11 @@ pub struct HubLabelIndex {
 /// The fold table, decoder and k-NN list of point maintenance, kept inside
 /// the index between updates: a fresh [`NodeTable`] would be sized to the
 /// graph on every call. Not part of the index's value.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct UpdateBuffers {
     dmin: NodeTable<Weight>,
     dec: LabelDecoder,
     best: Vec<(NodeId, Weight)>,
-}
-
-impl Clone for UpdateBuffers {
-    /// A clone starts with empty buffers.
-    fn clone(&self) -> Self {
-        UpdateBuffers::default()
-    }
 }
 
 impl PartialEq for HubLabelIndex {
@@ -140,11 +133,9 @@ impl HubLabelIndex {
         let table = HubPointTable::build(&labeling, points);
         let mut index =
             HubLabelIndex { labeling, table, radii: Vec::new(), update: UpdateBuffers::default() };
-        let mut bufs = std::mem::take(&mut index.update);
-        let UpdateBuffers { dec, best, .. } = &mut bufs;
+        let UpdateBuffers { dec, best, .. } = &mut UpdateBuffers::default();
         index.radii =
             index.table.nodes().iter().map(|&node| index.stored_radii(node, dec, best)).collect();
-        index.update = bufs;
         index
     }
 

@@ -139,7 +139,7 @@ enum CompactDists {
 /// rebuild it from pooled scratch vectors via [`LabelDecoder::from_parts`] /
 /// [`LabelDecoder::into_parts`] so decoding allocates nothing in steady
 /// state.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct LabelDecoder {
     ranks: Vec<u32>,
     dists: Vec<Weight>,

@@ -27,8 +27,10 @@
 //! node's own hubs (one binary search + splice per label entry) plus one
 //! splice of the point directory, instead of rebuilding all
 //! `O(total label entries)` of the table. The mapping back from a bucket
-//! node to its current point id is a binary search over the sorted
-//! directory ([`HubPointTable::point_of`]).
+//! node to its current point id ([`HubPointTable::point_of`]) is one load
+//! from the inverse directory, one `u32` per node, which a splice renumbers
+//! from the splice point on: the RkNN query maps every candidate it folds,
+//! and point maintenance every point it reaches.
 //!
 //! [`NodePointSet`]: rnn_graph::NodePointSet
 
@@ -85,9 +87,15 @@ pub struct HubPointTable {
     /// The node each point resides on, indexed by point id. Strictly
     /// ascending — dense point ids follow node order.
     node_of_point: Vec<NodeId>,
+    /// The inverse of `node_of_point`, indexed by node: the id of the point
+    /// on it, or [`NO_POINT`].
+    point_on: Vec<u32>,
     /// Total bucket entries, maintained across incremental updates.
     entries: usize,
 }
+
+/// `point_on` of an unoccupied node.
+const NO_POINT: u32 = u32::MAX;
 
 impl HubPointTable {
     /// Inverts `labeling` over a point set: every label entry of an occupied
@@ -135,7 +143,11 @@ impl HubPointTable {
                 bucket.nodes[i] = n;
             }
         }
-        HubPointTable { buckets, node_of_point, entries }
+        let mut point_on = vec![NO_POINT; num_hubs];
+        for (p, node) in node_of_point.iter().enumerate() {
+            point_on[node.index()] = p as u32;
+        }
+        HubPointTable { buckets, node_of_point, point_on, entries }
     }
 
     /// The bucket of hub `rank`: parallel slices of distances (ascending)
@@ -157,10 +169,20 @@ impl HubPointTable {
     }
 
     /// The point residing on `node`, if any — the inverse of
-    /// [`HubPointTable::node_of`], by binary search over the sorted point
-    /// directory.
+    /// [`HubPointTable::node_of`].
     pub fn point_of(&self, node: NodeId) -> Option<PointId> {
-        self.node_of_point.binary_search(&node).ok().map(PointId::new)
+        match self.point_on.get(node.index()) {
+            Some(&p) if p != NO_POINT => Some(PointId::new(p as usize)),
+            _ => None,
+        }
+    }
+
+    /// Renumbers `point_on` for the points from `slot` on, after a splice of
+    /// the directory at `slot`.
+    fn renumber_from(&mut self, slot: usize) {
+        for (p, node) in self.node_of_point.iter().enumerate().skip(slot) {
+            self.point_on[node.index()] = p as u32;
+        }
     }
 
     /// The occupied nodes in point-id order (strictly ascending).
@@ -190,6 +212,7 @@ impl HubPointTable {
             Ok(_) => panic!("node {node} already holds a point"),
         };
         self.node_of_point.insert(slot, node);
+        self.renumber_from(slot);
         let mut dec = LabelDecoder::new();
         let (ranks, dists) = labeling.label(node, &mut dec);
         for (i, &rank) in ranks.iter().enumerate() {
@@ -205,6 +228,8 @@ impl HubPointTable {
     pub fn remove_point(&mut self, labeling: &HubLabeling, node: NodeId) -> Option<PointId> {
         let slot = self.node_of_point.binary_search(&node).ok()?;
         self.node_of_point.remove(slot);
+        self.point_on[node.index()] = NO_POINT;
+        self.renumber_from(slot);
         let mut dec = LabelDecoder::new();
         let (ranks, dists) = labeling.label(node, &mut dec);
         for (i, &rank) in ranks.iter().enumerate() {
