@@ -1,11 +1,12 @@
 //! The per-hub inverted point table.
 //!
 //! A [`super::HubLabeling`] answers node-to-node distances; point queries
-//! (k-NN, the RkNN fold and the radii it is tested against) additionally need "which data points does hub
-//! `h` cover, and how far away are they?". [`HubPointTable`] is that
-//! inverted view: for every hub, the `(distance, node)` pairs of all
-//! occupied nodes whose label contains the hub, sorted by ascending
-//! distance (ties by node id, so every scan is deterministic).
+//! (k-NN, the RkNN fold and the radii it is tested against) additionally
+//! need "which data points does hub `h` cover, and how far away are they?".
+//! [`HubPointTable`] is that inverted view: for every hub, the
+//! `(distance, node)` pairs of all occupied nodes whose label contains the
+//! hub, sorted by ascending distance (ties by node id, so every scan is
+//! deterministic).
 //!
 //! By the 2-hop cover property, for any node `v` and point `p` in the same
 //! component there is a common hub `h` on a shortest path, so

@@ -247,10 +247,11 @@ fn work_counters_on_a_seeded_grid_are_pinned() {
     // every candidate is decided by a stored radius, so nothing past the
     // fold is read: `auxiliary_settled` is 0, `label_scans` is the query
     // labels' entries (`nodes_settled`) and `bucket_scans` the fold's
-    // (`heap_pushes`); the per-candidate count they replaced read (1 955;
-    // 31 348, 1 955) at k = 1 and (23 120; 94 290, 23 120) at k = 4 on top.
-    // k = 5 is the first k above the stored radii: its on-demand radius scan
-    // reads exactly what that count read.
+    // (`heap_pushes`). The per-candidate count they replace read 1 955
+    // bucket and 31 348 label entries more at k = 1, and 23 120 and 94 290
+    // at k = 4. k = 5 is the first k above the stored radii: its on-demand
+    // radius scan reads exactly what that count read, so its row is the one
+    // pinned before the change.
     let hub_index = rnn_index::HubLabelIndex::build(&graph, &points);
     let hub_pinned = [
         (1, (((18960, 0, 60828, 1048, 0, 1048), 35), (18960, 60828))),
