@@ -33,11 +33,11 @@
 //!   [`rnn_graph::EdgePointSet`], with a position on an edge as the query);
 //! * a [`naive`] baseline used for correctness cross-checks and as the
 //!   straw-man comparison;
-//! * the [`engine`] serving layer: the [`RknnAlgorithm`] trait behind the
-//!   [`Algorithm`] enum, the reusable [`Scratch`] arena that makes
-//!   steady-state queries allocation-free, an optional bounded-LRU result
-//!   [`cache`], and [`engine::QueryEngine::run_batch`] for multi-threaded
-//!   workloads with deterministic, input-order results;
+//! * the [`engine`] layer a serving worker runs queries through: the
+//!   [`RknnAlgorithm`] trait behind the [`Algorithm`] enum, the reusable
+//!   [`Scratch`] arena that makes steady-state queries allocation-free, and
+//!   the optional bounded-LRU [`SharedResultCache`] ([`cache`]); running
+//!   queries concurrently is `rnn-server`'s job;
 //! * the [`precomputed`] context: the [`Precomputed`] bundle handed to every
 //!   query and the object-safe [`HubLabelRknn`] oracle trait through which
 //!   the `rnn-index` crate's hub-label RkNN ([`Algorithm::HubLabel`]) plugs
@@ -108,11 +108,9 @@ pub mod scratch;
 pub mod unrestricted;
 pub mod verify;
 
-pub use cache::CacheStats;
+pub use cache::{CacheStats, SharedResultCache};
 pub use dispatch::{run_rknn, run_rknn_with, Algorithm};
-pub use engine::{
-    BatchOutcome, QueryEngine, QuerySpec, RknnAlgorithm, SharedResultCache, Workload,
-};
+pub use engine::{QueryEngine, QuerySpec, RknnAlgorithm};
 pub use materialize::MaterializedKnn;
 pub use node_table::NodeTable;
 pub use precomputed::{HubLabelRknn, Precomputed};

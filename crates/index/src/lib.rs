@@ -37,7 +37,7 @@
 //!   `d(q, p) <= r_k(p)`, its k-th nearest-other-point distance. It implements
 //!   [`rnn_core::precomputed::HubLabelRknn`], so
 //!   [`rnn_core::Algorithm::HubLabel`] runs through `run_rknn`,
-//!   [`rnn_core::engine::QueryEngine`] batches, scratch reuse and
+//!   [`rnn_core::engine::QueryEngine`], scratch reuse and
 //!   [`rnn_core::QueryStats`] exactly like the built-in algorithms.
 //!
 //! Result semantics are identical to `rnn-core`'s: a point `p` with

@@ -1,13 +1,12 @@
-//! Online RkNN serving: the subsystem that turns the offline batch engine
-//! into a long-running service.
+//! Online RkNN serving: the subsystem that turns the query engine into a
+//! long-running service, and the workspace's one concurrent executor.
 //!
-//! The layers below this crate answer queries; none of them *accepts* them.
-//! [`rnn_core::QueryEngine::run_batch`] executes a workload that is fully
-//! known up front and returns when the last query finishes — the shape of an
-//! experiment, not of a service. ReHub (Efentakis & Pfoser) frames RkNN as
-//! an **online** problem: requests arrive continuously, with different
-//! algorithms, priorities, deadlines and arrival bursts, and the system must
-//! decide what to admit, when to run it, and how long everything waited.
+//! The layers below this crate answer queries one at a time
+//! ([`rnn_core::QueryEngine::run`]); none of them *accepts* them or runs them
+//! concurrently. ReHub (Efentakis & Pfoser) frames RkNN as an **online**
+//! problem: requests arrive continuously, with different algorithms,
+//! priorities, deadlines and arrival bursts, and the system must decide what
+//! to admit, when to run it, and how long everything waited.
 //! This crate is that missing layer:
 //!
 //! * [`RequestQueue`](queue) — a hand-rolled bounded MPMC queue (mutex +

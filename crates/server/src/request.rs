@@ -1,9 +1,9 @@
 //! Requests, completion handles and serve errors.
 //!
-//! The batch engine's callers hand over a whole [`Workload`] and block until
-//! every query finishes; an online server inverts that: each caller submits
-//! **one** request and gets back a [`Ticket`] — a oneshot completion handle —
-//! to await its own result while other callers' requests interleave freely.
+//! Each caller submits **one** request (or a burst of them through
+//! [`crate::Server::submit_all`]) and gets back a [`Ticket`] per request — a
+//! oneshot completion handle — to await its own result while other callers'
+//! requests interleave freely.
 //! The ticket is a `Mutex<Option<_>>` slot plus a `Condvar`: the worker that
 //! serves the request fills the slot exactly once and wakes the waiter.
 //!
@@ -13,8 +13,6 @@
 //! possible if a worker thread dies mid-batch) the drop itself resolves the
 //! ticket to [`ServeError::Lost`] — a waiter can never hang on a request the
 //! server no longer knows about.
-//!
-//! [`Workload`]: rnn_core::engine::Workload
 
 use rnn_core::engine::QuerySpec;
 use rnn_core::{Algorithm, RknnOutcome};
@@ -112,13 +110,6 @@ impl Request {
         }
     }
 
-    /// A request for one engine-level [`QuerySpec`] (interactive, no
-    /// deadline) — the bridge from a [`rnn_core::Workload`] to the server's
-    /// [`crate::Server::submit_all`].
-    pub fn from_spec(spec: QuerySpec) -> Self {
-        Request::new(spec.algorithm, spec.query, spec.k)
-    }
-
     /// Sets the admission class.
     pub fn with_priority(mut self, priority: Priority) -> Self {
         self.priority = priority;
@@ -140,12 +131,6 @@ impl Request {
     /// The engine-level spec of this request.
     pub fn spec(&self) -> QuerySpec {
         QuerySpec { algorithm: self.algorithm, query: self.query, k: self.k }
-    }
-}
-
-impl From<QuerySpec> for Request {
-    fn from(spec: QuerySpec) -> Self {
-        Request::from_spec(spec)
     }
 }
 
@@ -348,15 +333,6 @@ mod tests {
         assert_eq!(Priority::Interactive.name(), "interactive");
         assert_eq!(Priority::Batch.to_string(), "batch");
         assert_eq!(Priority::default(), Priority::Interactive);
-    }
-
-    #[test]
-    fn request_from_spec_round_trips() {
-        let spec = QuerySpec { algorithm: Algorithm::Lazy, query: NodeId::new(7), k: 3 };
-        let r = Request::from(spec);
-        assert_eq!(r.spec(), spec);
-        assert_eq!(r.priority, Priority::Interactive);
-        assert!(r.deadline.is_none());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! ```
 //!
 //! Each worker owns a [`Scratch`] arena (steady-state queries are
-//! allocation-free, exactly as in the batch engine) and drains the queue in
+//! allocation-free) and drains the queue in
 //! micro-batches of up to B requests per wakeup — interactive before batch
 //! class, earliest-deadline-first under `Shed`. All workers share one
 //! [`SharedResultCache`] and — when the world is a `PagedGraph` — one striped
@@ -146,7 +146,7 @@ impl World {
 
     /// Builds the engine view every worker uses for one micro-batch.
     fn engine_view(&self) -> QueryEngine<'_> {
-        let mut engine = QueryEngine::from_dyn(&*self.topo, &*self.points);
+        let mut engine = QueryEngine::new(&*self.topo, &*self.points);
         if let Some(table) = &self.materialized {
             engine = engine.with_materialized(table);
         }
@@ -770,8 +770,8 @@ impl Server {
     /// one worker wakeup, returning one result per request in order — each
     /// exactly what [`Server::submit`] would have returned, with identical
     /// accounting. This is the cheap way to feed a workload's worth of
-    /// requests (e.g. via [`Request::from_spec`]) into the server: N
-    /// requests cost one lock round-trip instead of N.
+    /// requests into the server: N requests cost one lock round-trip
+    /// instead of N.
     ///
     /// Under [`BackpressurePolicy::Block`], a batch larger than the free
     /// queue space parks the submitter mid-batch until workers drain room

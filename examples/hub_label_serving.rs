@@ -1,27 +1,39 @@
 //! Hub-label serving: answer RkNN queries from a precomputed labeling
-//! through the query engine, with result memoization for repeated queries —
+//! through `rnn-server`, with the shared result cache for repeated queries —
 //! the ReHub-style serving stack end to end. Construction runs on the
 //! requested number of threads (identical output at any count) and the
 //! queries are served from the compressed (delta-rank, f32) label layout.
 //!
 //! Run with `cargo run --release --example hub_label_serving -- [THREADS]`
-//! (default: 2 worker threads). Self-asserting: every hub-label result is
-//! compared against the paper's eager algorithm.
+//! (default: 2 build threads and server workers). Self-asserting: every
+//! hub-label result is compared against the paper's eager algorithm.
 
-use rnn_core::engine::{QueryEngine, Workload};
-use rnn_core::Algorithm;
+use rnn_core::{Algorithm, RknnOutcome};
 use rnn_datagen::{grid_map, place_points_on_nodes, sample_node_queries, GridConfig};
-use rnn_graph::PointsOnNodes;
+use rnn_graph::{NodeId, PointsOnNodes};
 use rnn_index::{HubLabelIndex, LabelPrecision};
+use rnn_server::{Request, Server, ServerConfig, World};
+use std::sync::Arc;
 use std::time::Instant;
+
+/// Submits one burst of `algorithm` queries at `k = 2` and waits on every
+/// ticket; returns the outcomes in query order.
+fn serve(server: &Server, algorithm: Algorithm, nodes: &[NodeId]) -> Vec<RknnOutcome> {
+    let requests: Vec<Request> = nodes.iter().map(|&q| Request::new(algorithm, q, 2)).collect();
+    server
+        .submit_all(&requests)
+        .into_iter()
+        .map(|ticket| ticket.expect("admitted").wait().expect("served").outcome)
+        .collect()
+}
 
 fn main() {
     let threads: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(2).max(1);
 
     // A grid map with data points at density 0.02 — the paper's synthetic
     // road-network setup, on the in-memory backend.
-    let graph = grid_map(&GridConfig::with_nodes(2_500, 4.0, 42));
-    let points = place_points_on_nodes(&graph, 0.02, 43);
+    let graph = Arc::new(grid_map(&GridConfig::with_nodes(2_500, 4.0, 42)));
+    let points = Arc::new(place_points_on_nodes(&graph, 0.02, 43));
     let hot_nodes = sample_node_queries(&points, 50, 44);
     println!(
         "grid map: {} nodes, {} points; {} hot query nodes",
@@ -35,10 +47,10 @@ fn main() {
     // at any thread count), then compressed to delta-varint ranks with f32
     // distances for serving.
     let start = Instant::now();
-    let full = HubLabelIndex::build_with_threads(&graph, &points, threads);
+    let full = HubLabelIndex::build_with_threads(&*graph, &*points, threads);
     let build = start.elapsed();
     let stats = full.labeling().stats();
-    let index = full.compressed(LabelPrecision::F32);
+    let index = Arc::new(full.compressed(LabelPrecision::F32));
     let compressed_bytes = index.labeling().stats().label_bytes();
     const MIB: f64 = 1024.0 * 1024.0;
     println!(
@@ -53,56 +65,56 @@ fn main() {
     );
 
     // A serving workload where every hot query repeats three times — the
-    // repeated-query pattern that motivates the engine's result cache.
+    // repeated-query pattern that motivates the server's result cache.
     let mut serving_nodes = Vec::new();
     for _ in 0..3 {
         serving_nodes.extend(hot_nodes.iter().copied());
     }
 
-    // The cache is striped over one shard per worker thread (same scheme as
-    // the storage layer's buffer pool), so workers serving distinct hot
-    // queries never contend on a cache lock. Capacity is sized per shard:
-    // each shard must hold the whole hot set so the all-hits guarantee
-    // below cannot depend on how the keys happen to hash across shards.
+    // The cache is striped over one shard per worker (same scheme as the
+    // storage layer's buffer pool), so workers serving distinct hot queries
+    // never contend on a cache lock. Capacity is sized per shard: each shard
+    // must hold the whole hot set so the all-hits guarantee below cannot
+    // depend on how the keys happen to hash across shards.
     let cache_shards = threads.next_power_of_two().min(8);
-    let label_engine = QueryEngine::new(&graph, &points)
-        .with_hub_labels(&index)
-        .with_result_cache_sharded(hot_nodes.len() * cache_shards, cache_shards)
-        .with_threads(threads);
-    assert_eq!(label_engine.cache_shards(), cache_shards);
-    // Warm the cache with one batch over the distinct hot nodes. A batch is
-    // a synchronization point, so the measured serving run below is all
-    // cache hits no matter how many workers race (within one batch, workers
-    // hitting the same cold key concurrently may each miss).
-    let warm = label_engine.run_batch(&Workload::uniform(
-        Algorithm::HubLabel,
-        2,
-        hot_nodes.iter().copied(),
-    ));
-    assert_eq!(warm.cache.lookups(), hot_nodes.len() as u64);
-    let label_workload = Workload::uniform(Algorithm::HubLabel, 2, serving_nodes.iter().copied());
+    let label_server = Server::start(
+        World::new(graph.clone(), points.clone()).with_hub_label_index(index),
+        ServerConfig::default()
+            .with_workers(threads)
+            .with_result_cache(hot_nodes.len() * cache_shards, cache_shards),
+    );
+    // Warm the cache with one burst over the distinct hot nodes and wait on
+    // all of its tickets. That wait is the synchronization point, so the
+    // measured burst below is all cache hits no matter how many workers race
+    // (within one burst, workers hitting the same cold key concurrently may
+    // each miss).
+    serve(&label_server, Algorithm::HubLabel, &hot_nodes);
+    let warm = label_server.stats().cache;
+    assert_eq!(warm.lookups(), hot_nodes.len() as u64);
     let start = Instant::now();
-    let label_batch = label_engine.run_batch(&label_workload);
+    let label_results = serve(&label_server, Algorithm::HubLabel, &serving_nodes);
     let label_secs = start.elapsed().as_secs_f64().max(1e-9);
+    let cache = label_server.shutdown().cache.since(&warm);
 
     // The same workload answered by the paper's eager expansion.
-    let eager_engine = QueryEngine::new(&graph, &points).with_threads(threads);
-    let eager_workload = Workload::uniform(Algorithm::Eager, 2, serving_nodes.iter().copied());
+    let eager_server =
+        Server::start(World::new(graph, points), ServerConfig::default().with_workers(threads));
     let start = Instant::now();
-    let eager_batch = eager_engine.run_batch(&eager_workload);
+    let eager_results = serve(&eager_server, Algorithm::Eager, &serving_nodes);
     let eager_secs = start.elapsed().as_secs_f64().max(1e-9);
+    eager_server.shutdown();
 
     // Labels must reproduce the expansion results exactly, query by query.
-    assert_eq!(label_batch.results.len(), eager_batch.results.len());
-    for (i, (hl, e)) in label_batch.results.iter().zip(&eager_batch.results).enumerate() {
+    assert_eq!(label_results.len(), eager_results.len());
+    for (i, (hl, e)) in label_results.iter().zip(&eager_results).enumerate() {
         assert_eq!(hl.points, e.points, "query #{i}: hub-label must agree with eager");
     }
     // Every query went through the cache, and the warmed keys mean every
-    // one was served from it — at any thread count.
-    assert_eq!(label_batch.cache.lookups(), label_workload.len() as u64);
+    // one was served from it — at any worker count.
+    assert_eq!(cache.lookups(), serving_nodes.len() as u64);
     assert_eq!(
-        label_batch.cache.hits,
-        label_workload.len() as u64,
+        cache.hits,
+        serving_nodes.len() as u64,
         "every repeated query must hit the warmed result cache"
     );
 
@@ -113,7 +125,7 @@ fn main() {
         qps(label_secs),
         qps(eager_secs),
         eager_secs / label_secs,
-        100.0 * label_batch.cache.hit_rate(),
+        100.0 * cache.hit_rate(),
     );
-    println!("all {} hub-label results identical to eager expansion.", label_batch.results.len());
+    println!("all {} hub-label results identical to eager expansion.", label_results.len());
 }

@@ -5,7 +5,9 @@
 #![allow(dead_code)]
 
 use proptest::prelude::*;
+use rnn_core::RknnOutcome;
 use rnn_graph::{EdgePointSet, EdgePointSetBuilder, Graph, GraphBuilder, NodeId, NodePointSet};
+use rnn_server::{Request, Server};
 
 /// A randomly generated restricted-network instance.
 #[derive(Debug, Clone)]
@@ -106,4 +108,14 @@ pub fn unrestricted_instance() -> impl Strategy<Value = UnrestrictedInstance> {
             UnrestrictedInstance { graph, points, k }
         })
         .prop_filter("needs at least one data point", |inst| inst.points.num_points() > 0)
+}
+
+/// Submits `requests` to `server` as one `submit_all` burst, waits on every
+/// ticket and returns the outcomes in request order.
+pub fn serve_all(server: &Server, requests: &[Request]) -> Vec<RknnOutcome> {
+    server
+        .submit_all(requests)
+        .into_iter()
+        .map(|ticket| ticket.expect("admitted").wait().expect("served").outcome)
+        .collect()
 }

@@ -3,7 +3,9 @@
 //! (every example additionally compiles as part of `cargo test`; CI runs the
 //! quickstart binary itself on top of this).
 
-use rnn::core::engine::{QueryEngine, Workload};
+mod common;
+
+use common::serve_all;
 use rnn::core::materialize::MaterializedKnn;
 use rnn::core::{run_rknn, Algorithm, Precomputed};
 use rnn::datagen::{grid_map, place_points_on_nodes, sample_node_queries, GridConfig};
@@ -55,28 +57,6 @@ fn quickstart_flow_runs_end_to_end_and_all_algorithms_agree() {
     }
 }
 
-/// Mirrors `examples/batch_throughput.rs` on the quickstart network: the
-/// engine's batch execution reproduces the sequential per-query loop at
-/// every thread count.
-#[test]
-fn batch_throughput_flow_matches_sequential_queries() {
-    let graph = quickstart_network();
-    let cafes = NodePointSet::from_nodes(8, [0, 3, 6].map(NodeId::new));
-
-    for algorithm in [Algorithm::Eager, Algorithm::Lazy] {
-        let workload = Workload::uniform(algorithm, 1, graph.node_ids());
-        let sequential: Vec<_> = graph
-            .node_ids()
-            .map(|q| run_rknn(algorithm, &graph, &cafes, Precomputed::none(), q, 1))
-            .collect();
-        for threads in [1usize, 2, 4] {
-            let engine = QueryEngine::new(&graph, &cafes).with_threads(threads);
-            let batch = engine.run_batch(&workload);
-            assert_eq!(batch.results, sequential, "{algorithm} at {threads} threads");
-        }
-    }
-}
-
 #[test]
 fn quickstart_flow_works_identically_on_the_paged_backend() {
     let graph = quickstart_network();
@@ -108,44 +88,52 @@ fn quickstart_flow_works_identically_on_the_paged_backend() {
     assert!(paged.io_stats().accesses > 0, "the paged run must be accounted");
 }
 
-/// Mirrors `examples/paged_serving.rs` on the quickstart network: the
-/// engine's thread pool over a `PagedGraph` with a *sharded* buffer pool
-/// reproduces the in-memory sequential answers, and a batch's I/O — the
-/// diff of the pool's count around it — is partitioned by its shards.
+/// Mirrors `examples/paged_serving.rs` on the quickstart network: a server
+/// over a `PagedGraph` with a *sharded* buffer pool reproduces the in-memory
+/// sequential answers at every worker count, and a burst's I/O — the
+/// server's rollup of the pool's one count, zeroed by a cold start before
+/// it — is partitioned by the shards.
 #[test]
 fn paged_serving_flow_matches_in_memory_results_on_a_sharded_pool() {
     let graph = quickstart_network();
-    let cafes = NodePointSet::from_nodes(8, [0, 3, 6].map(NodeId::new));
-    let paged = PagedGraph::build_with_config(
-        &graph,
-        LayoutStrategy::BfsLocality,
-        BufferPoolConfig::new(4).with_shards(2),
-        IoCounters::new(),
-    )
-    .unwrap();
+    let cafes = Arc::new(NodePointSet::from_nodes(8, [0, 3, 6].map(NodeId::new)));
+    let paged = Arc::new(
+        PagedGraph::build_with_config(
+            &graph,
+            LayoutStrategy::BfsLocality,
+            BufferPoolConfig::new(4).with_shards(2),
+            IoCounters::new(),
+        )
+        .unwrap(),
+    );
 
-    for algorithm in [Algorithm::Eager, Algorithm::Lazy] {
-        let workload = Workload::uniform(algorithm, 1, graph.node_ids());
-        let sequential: Vec<_> = graph
-            .node_ids()
-            .map(|q| run_rknn(algorithm, &graph, &cafes, Precomputed::none(), q, 1))
-            .collect();
-        for threads in [1usize, 2, 4] {
+    for workers in [1usize, 2, 4] {
+        let server = Server::start_with_io(
+            World::new(paged.clone(), cafes.clone()),
+            ServerConfig::default().with_workers(workers),
+            paged.counters().clone(),
+        );
+        for algorithm in [Algorithm::Eager, Algorithm::Lazy] {
+            let requests: Vec<Request> =
+                graph.node_ids().map(|q| Request::new(algorithm, q, 1)).collect();
+            let sequential: Vec<_> = graph
+                .node_ids()
+                .map(|q| run_rknn(algorithm, &graph, &*cafes, Precomputed::none(), q, 1))
+                .collect();
             paged.cold_start();
-            let engine = QueryEngine::new(&paged, &cafes).with_threads(threads);
-            let before = paged.io_stats();
-            let batch = engine.run_batch(&workload);
-            let io = paged.io_stats().since(&before);
-            assert_eq!(batch.results, sequential, "{algorithm} at {threads} threads");
-            assert!(io.accesses >= workload.len() as u64, "{algorithm}: every query fetched");
+            let served = serve_all(&server, &requests);
+            let io = server.stats().io;
+            assert_eq!(served, sequential, "{algorithm} at {workers} workers");
+            assert!(io.accesses >= requests.len() as u64, "{algorithm}: every query fetched");
             let pool = paged.pool_stats();
             assert_eq!(pool.per_shard.len(), 2);
             assert_eq!(
                 pool.total.as_io_stats(),
                 io,
-                "{algorithm} at {threads} threads: the shards partition the batch's I/O"
+                "{algorithm} at {workers} workers: the shards partition the burst's I/O"
             );
         }
+        server.shutdown();
     }
 }
 
@@ -195,32 +183,33 @@ fn online_serving_flow_matches_sequential_queries_and_conserves_requests() {
 }
 
 /// Mirrors `examples/hub_label_serving.rs` on the quickstart network: the
-/// hub-label engine (with result cache) reproduces the expansion answers,
-/// and repeated queries are served from the cache.
+/// hub-label server (with result cache) reproduces the expansion answers, and
+/// after a warm-up burst whose tickets are all awaited, the repeated burst is
+/// served entirely from the cache.
 #[test]
 fn hub_label_serving_flow_matches_expansion_and_hits_the_cache() {
-    let graph = quickstart_network();
-    let cafes = NodePointSet::from_nodes(8, [0, 3, 6].map(NodeId::new));
-    let hub_index = HubLabelIndex::build(&graph, &cafes);
+    let graph = Arc::new(quickstart_network());
+    let cafes = Arc::new(NodePointSet::from_nodes(8, [0, 3, 6].map(NodeId::new)));
+    let hub_index = Arc::new(HubLabelIndex::build(&*graph, &*cafes));
+    let server = Server::start(
+        World::new(graph.clone(), cafes.clone()).with_hub_label_index(hub_index),
+        ServerConfig::default().with_workers(2).with_result_cache(2 * 8, 2),
+    );
 
-    // Each query node twice: the second round must be pure cache hits on a
-    // single-threaded engine.
-    let mut nodes: Vec<NodeId> = graph.node_ids().collect();
-    nodes.extend(graph.node_ids());
-    let workload = Workload::uniform(Algorithm::HubLabel, 1, nodes.iter().copied());
-    let engine = QueryEngine::new(&graph, &cafes).with_hub_labels(&hub_index).with_result_cache(32);
-    let batch = engine.run_batch(&workload);
+    let requests: Vec<Request> =
+        graph.node_ids().map(|q| Request::new(Algorithm::HubLabel, q, 1)).collect();
+    serve_all(&server, &requests);
+    let warm = server.stats().cache;
+    assert_eq!(warm.lookups(), graph.num_nodes() as u64);
+    let served = serve_all(&server, &requests);
+    let cache = server.shutdown().cache.since(&warm);
 
-    let expansion: Vec<_> = nodes
-        .iter()
-        .map(|&q| run_rknn(Algorithm::Eager, &graph, &cafes, Precomputed::none(), q, 1))
-        .collect();
-    for (hl, e) in batch.results.iter().zip(&expansion) {
-        assert_eq!(hl.points, e.points, "hub-label must agree with eager");
+    for (q, hl) in graph.node_ids().zip(&served) {
+        let e = run_rknn(Algorithm::Eager, &*graph, &*cafes, Precomputed::none(), q, 1);
+        assert_eq!(hl.points, e.points, "hub-label must agree with eager at {q}");
     }
-    assert_eq!(batch.cache.misses, graph.num_nodes() as u64);
-    assert_eq!(batch.cache.hits, graph.num_nodes() as u64, "the repeat round hits the cache");
-    assert_eq!(engine.cache_stats(), batch.cache);
+    assert_eq!(cache.hits, graph.num_nodes() as u64, "the repeat burst hits the cache");
+    assert_eq!(cache.misses, 0);
 }
 
 /// Mirrors `examples/observability.rs` on the quickstart network: one

@@ -7,8 +7,8 @@
 //!   legitimately sum the same path in different orders;
 //! * the label-based k-NN primitive reproduces the expansion-based one;
 //! * hub-label RkNN result sets are byte-identical to eager across the graph
-//!   zoo, and `run_batch` with the hub-label algorithm is deterministic at
-//!   1/2/8 threads;
+//!   zoo, and a `Server` serving the hub-label algorithm is deterministic at
+//!   1/2/8 workers;
 //! * steady-state label queries are allocation-free on a reused `Scratch`;
 //! * the RkNN query, which applies Lemma 1 inside the candidate fold and
 //!   tests candidates against stored or scanned k-NN radii, answers like the
@@ -21,17 +21,18 @@
 
 mod common;
 
-use common::{build_connected_graph, restricted_instance};
+use common::{build_connected_graph, restricted_instance, serve_all};
 use proptest::prelude::*;
-use rnn_core::engine::{QueryEngine, Workload};
 use rnn_core::expansion::network_distance;
-use rnn_core::{eager, knn, naive, Algorithm, Scratch};
+use rnn_core::{eager, knn, naive, run_rknn, Algorithm, Precomputed, Scratch};
 use rnn_datagen::{
     brite_topology, grid_map, place_points_on_nodes, sample_node_queries, BriteConfig, GridConfig,
 };
 use rnn_graph::{Graph, GraphBuilder, NodeId, NodePointSet, PointId, PointsOnNodes, Weight};
 use rnn_index::{HubLabelIndex, HubLabeling, LabelDecoder, LabelPrecision};
+use rnn_server::{Request, Server, ServerConfig, World};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Deterministically samples `count` node pairs of an `n`-node graph.
 fn node_pairs(n: usize, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
@@ -125,26 +126,31 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
 
-    /// `run_batch` with the hub-label algorithm at 1/2/8 threads returns the
-    /// sequential outcome byte for byte (results and per-query stats).
+    /// A `Server` serving the hub-label algorithm at 1/2/8 workers, fed one
+    /// `submit_all` burst, returns the sequential outcome byte for byte
+    /// (results and per-query stats).
     #[test]
     fn hub_label_batches_are_deterministic_across_thread_counts(seed in 0u64..1000) {
-        let graph = grid_map(&GridConfig { rows: 12, cols: 12, seed, ..Default::default() });
-        let points = place_points_on_nodes(&graph, 0.08, seed + 1);
+        let graph =
+            Arc::new(grid_map(&GridConfig { rows: 12, cols: 12, seed, ..Default::default() }));
+        let points = Arc::new(place_points_on_nodes(&graph, 0.08, seed + 1));
         prop_assert!(!points.nodes().is_empty());
-        let index = HubLabelIndex::build(&graph, &points);
+        let index = Arc::new(HubLabelIndex::build(&*graph, &*points));
         let queries = sample_node_queries(&points, 8, seed + 2);
-        let workload = Workload::uniform(Algorithm::HubLabel, 2, queries.iter().copied());
+        let requests: Vec<Request> =
+            queries.iter().map(|&q| Request::new(Algorithm::HubLabel, q, 2)).collect();
+        let pre = Precomputed::hub_labels(&*index);
+        let sequential: Vec<_> = queries
+            .iter()
+            .map(|&q| run_rknn(Algorithm::HubLabel, &*graph, &*points, pre, q, 2))
+            .collect();
 
-        let sequential =
-            QueryEngine::new(&graph, &points).with_hub_labels(&index).run_batch(&workload);
-        for threads in [2usize, 8] {
-            let parallel = QueryEngine::new(&graph, &points)
-                .with_hub_labels(&index)
-                .with_threads(threads)
-                .run_batch(&workload);
-            prop_assert_eq!(&parallel.results, &sequential.results, "threads={}", threads);
-            prop_assert_eq!(parallel.aggregate, sequential.aggregate, "threads={}", threads);
+        for workers in [1usize, 2, 8] {
+            let world =
+                World::new(graph.clone(), points.clone()).with_hub_label_index(index.clone());
+            let server = Server::start(world, ServerConfig::default().with_workers(workers));
+            prop_assert_eq!(&serve_all(&server, &requests), &sequential, "workers={}", workers);
+            server.shutdown();
         }
     }
 }

@@ -1,13 +1,14 @@
 //! The sharded storage serving path: concurrency properties of the striped
 //! buffer pool and its one I/O count.
 //!
-//! Three contracts make the paged backend safe to serve from a thread pool:
+//! Three contracts make the paged backend safe to serve from a worker pool:
 //!
-//! 1. **Determinism** — `QueryEngine::run_batch` over a `PagedGraph` with a
-//!    sharded buffer pool is byte-identical (result sets and per-query
-//!    stats) to the sequential loop at 1, 2 and 8 threads, for all six
-//!    algorithms. Storage and sharding only ever affect *cost*, never
-//!    *results*.
+//! 1. **Determinism** — a `Server` over a `PagedGraph` with a sharded buffer
+//!    pool, fed one `submit_all` burst, is byte-identical (result sets and
+//!    per-query stats) to the sequential in-memory loop at 1, 2 and 8
+//!    workers, for all six algorithms; the burst's page accesses are the
+//!    same at every worker count, and the shards partition them. Storage,
+//!    sharding and worker count only ever affect *cost*, never *results*.
 //! 2. **Accounting** — every access of a multi-thread hammer is counted
 //!    exactly once (none lost, none double-counted) by the shard that
 //!    served it, and the per-shard breakdown partitions the total the
@@ -18,77 +19,78 @@
 
 mod common;
 
-use common::restricted_instance;
+use common::{restricted_instance, serve_all};
 use proptest::prelude::*;
-use rnn_core::engine::{QueryEngine, QuerySpec, Workload};
 use rnn_core::materialize::MaterializedKnn;
-use rnn_core::{run_rknn, Algorithm, Precomputed, QueryStats};
+use rnn_core::{run_rknn, Algorithm, Precomputed};
 use rnn_datagen::{grid_map, place_points_on_nodes, sample_node_queries, GridConfig};
 use rnn_graph::{Graph, NodeId, NodePointSet, Topology};
 use rnn_index::HubLabelIndex;
+use rnn_server::{Request, Server, ServerConfig, World};
 use rnn_storage::{
     BufferPool, BufferPoolConfig, FileDisk, IoCounters, LayoutStrategy, PageLayout, PagedGraph,
     ShardStats,
 };
+use std::sync::Arc;
 
-/// Builds a mixed workload (every algorithm over every query node) against a
-/// paged backend with the given buffer config and asserts `run_batch`
-/// reproduces the sequential in-memory reference exactly at 1, 2 and 8
-/// threads.
+/// Builds a mixed burst (every algorithm over every query node), serves it
+/// from a paged backend with the given buffer config (result cache off) and
+/// asserts the server reproduces the sequential in-memory reference exactly
+/// at 1, 2 and 8 workers, with the same page accesses at each and the shards
+/// partitioning them.
 fn assert_paged_batch_matches_sequential(
     graph: &Graph,
-    points: &NodePointSet,
+    points: NodePointSet,
     queries: &[NodeId],
     k: usize,
     config: BufferPoolConfig,
 ) -> Result<(), TestCaseError> {
     // Precomputed structures are built over the in-memory graph (identical
-    // weights); the engine then serves every query from the paged view.
-    let table = MaterializedKnn::build(graph, points, k);
-    let hub_index = HubLabelIndex::build(graph, points);
-    let pre = Precomputed::materialized(&table).with_hub_labels(&hub_index);
-    let mut specs = Vec::new();
-    for algorithm in Algorithm::ALL {
-        for &query in queries {
-            specs.push(QuerySpec { algorithm, query, k });
-        }
-    }
-    let workload = Workload { queries: specs };
+    // weights); the server then serves every query from the paged view.
+    let table = Arc::new(MaterializedKnn::build(graph, &points, k));
+    let hub_index = Arc::new(HubLabelIndex::build(graph, &points));
+    let pre = Precomputed::materialized(&table).with_hub_labels(&*hub_index);
+    let requests: Vec<Request> = Algorithm::ALL
+        .iter()
+        .flat_map(|&algorithm| queries.iter().map(move |&query| Request::new(algorithm, query, k)))
+        .collect();
 
-    // The reference: one independent single query per spec, in memory.
-    let mut expected = Vec::with_capacity(workload.len());
-    let mut expected_aggregate = QueryStats::default();
-    for spec in &workload.queries {
-        let outcome = run_rknn(spec.algorithm, graph, points, pre, spec.query, spec.k);
-        expected_aggregate += &outcome.stats;
-        expected.push(outcome);
-    }
+    // The reference: one independent single query per request, in memory.
+    let expected: Vec<_> =
+        requests.iter().map(|r| run_rknn(r.algorithm, graph, &points, pre, r.query, r.k)).collect();
 
-    let paged = PagedGraph::build_with_config(
-        graph,
-        LayoutStrategy::BfsLocality,
-        config,
-        IoCounters::new(),
-    )
-    .expect("paged graph");
+    let paged = Arc::new(
+        PagedGraph::build_with_config(
+            graph,
+            LayoutStrategy::BfsLocality,
+            config,
+            IoCounters::new(),
+        )
+        .expect("paged graph"),
+    );
+    let points = Arc::new(points);
     let mut accesses = None;
-    for threads in [1usize, 2, 8] {
-        let engine = QueryEngine::new(&paged, points)
-            .with_materialized(&table)
-            .with_hub_labels(&hub_index)
-            .with_threads(threads);
-        let before = paged.io_stats();
-        let batch = engine.run_batch(&workload);
-        let io = paged.io_stats().since(&before);
-        prop_assert_eq!(&batch.results, &expected, "threads={}", threads);
-        prop_assert_eq!(batch.aggregate, expected_aggregate, "threads={}", threads);
-        // The batch's demand accesses do not depend on the thread count
-        // (only its faults do), and the shards partition them.
-        prop_assert_eq!(*accesses.get_or_insert(io.accesses), io.accesses, "threads={}", threads);
-        let pool = paged.pool_stats();
-        prop_assert_eq!(pool.total.as_io_stats(), io, "threads={}", threads);
-        prop_assert_eq!(pool.per_shard.len(), config.effective_shards());
+    for workers in [1usize, 2, 8] {
+        // A cold start zeroes the pool's count: the server's I/O rollup
+        // then reads exactly this burst's accesses.
         paged.cold_start();
+        let world = World::new(paged.clone(), points.clone())
+            .with_materialized(Arc::clone(&table))
+            .with_hub_labels(hub_index.clone());
+        let server = Server::start_with_io(
+            world,
+            ServerConfig::default().with_workers(workers),
+            paged.counters().clone(),
+        );
+        let served = serve_all(&server, &requests);
+        let io = server.shutdown().io;
+        prop_assert_eq!(&served, &expected, "workers={}", workers);
+        // The burst's demand accesses do not depend on the worker count
+        // (only its faults do), and the shards partition them.
+        prop_assert_eq!(*accesses.get_or_insert(io.accesses), io.accesses, "workers={}", workers);
+        let pool = paged.pool_stats();
+        prop_assert_eq!(pool.total.as_io_stats(), io, "workers={}", workers);
+        prop_assert_eq!(pool.per_shard.len(), config.effective_shards());
     }
     Ok(())
 }
@@ -96,7 +98,7 @@ fn assert_paged_batch_matches_sequential(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
 
-    /// Contract 1: sharded paged serving is deterministic across thread
+    /// Contract 1: sharded paged serving is deterministic across worker
     /// counts for all six algorithms.
     #[test]
     fn paged_batches_are_deterministic_across_thread_counts_and_shard_counts(
@@ -110,7 +112,7 @@ proptest! {
         prop_assert!(!points.nodes().is_empty(), "density 0.08 on 144 nodes yields points");
         let queries = sample_node_queries(&points, 5, seed + 2);
         let config = BufferPoolConfig::new(16).with_shards(shards);
-        assert_paged_batch_matches_sequential(&graph, &points, &queries, k, config)?;
+        assert_paged_batch_matches_sequential(&graph, points, &queries, k, config)?;
     }
 
     /// Contract 1 on arbitrary connected graphs, with a tiny sharded buffer
@@ -119,7 +121,7 @@ proptest! {
     fn random_instance_paged_batches_are_deterministic(inst in restricted_instance()) {
         let queries = [inst.query];
         let config = BufferPoolConfig::new(4).with_shards(4);
-        assert_paged_batch_matches_sequential(&inst.graph, &inst.points, &queries, inst.k, config)?;
+        assert_paged_batch_matches_sequential(&inst.graph, inst.points, &queries, inst.k, config)?;
     }
 
     /// Contract 3: for any access trace, a one-shard pool faults exactly
