@@ -7,6 +7,7 @@
 use proptest::prelude::*;
 use rnn_core::RknnOutcome;
 use rnn_graph::{EdgePointSet, EdgePointSetBuilder, Graph, GraphBuilder, NodeId, NodePointSet};
+use rnn_index::{HubLabeling, LabelDecoder};
 use rnn_server::{Request, Server};
 
 /// A randomly generated restricted-network instance.
@@ -108,6 +109,27 @@ pub fn unrestricted_instance() -> impl Strategy<Value = UnrestrictedInstance> {
             UnrestrictedInstance { graph, points, k }
         })
         .prop_filter("needs at least one data point", |inst| inst.points.num_points() > 0)
+}
+
+/// FNV-1a over every label of `labeling`, node by node: the entry count,
+/// then each hub rank and the bits of its distance, little-endian.
+pub fn label_hash(labeling: &HubLabeling) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut dec = LabelDecoder::new();
+    for v in 0..labeling.num_nodes() {
+        let (ranks, dists) = labeling.label(NodeId::new(v), &mut dec);
+        eat(&(ranks.len() as u64).to_le_bytes());
+        for (&r, d) in ranks.iter().zip(dists) {
+            eat(&r.to_le_bytes());
+            eat(&d.value().to_bits().to_le_bytes());
+        }
+    }
+    hash
 }
 
 /// Submits `requests` to `server` as one `submit_all` burst, waits on every

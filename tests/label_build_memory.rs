@@ -10,7 +10,14 @@
 //! process. Release-only, since the unoptimised build takes minutes at this
 //! size; it reads `VmRSS` / `VmHWM` from `/proc/self/status` and skips where
 //! that file does not exist.
+//!
+//! The same labeling is pinned by hash and entry count: it is the one real
+//! labeling whose ranks pass 2¹⁴, so its varint rank deltas are the only ones
+//! that can take three bytes.
 
+mod common;
+
+use common::label_hash;
 use rnn_datagen::{brite_topology, BriteConfig};
 use rnn_index::HubLabeling;
 
@@ -41,5 +48,9 @@ fn label_build_peak_stays_within_1_4x_the_label_bytes() {
         peak.saturating_sub(before) >> 20,
         before >> 20,
         label_bytes >> 20,
+    );
+    assert_eq!(
+        (format!("{:#018x}", label_hash(&labeling)), labeling.stats().entries),
+        ("0x4400219e33a9db63".to_string(), 8_632_920)
     );
 }

@@ -16,10 +16,10 @@
 
 mod common;
 
-use common::build_connected_graph;
+use common::{build_connected_graph, label_hash};
 use rnn_datagen::{brite_topology, grid_map, place_points_on_nodes, BriteConfig, GridConfig};
 use rnn_graph::{NodeId, NodePointSet};
-use rnn_index::{HubLabelIndex, HubLabeling, HubPointTable, LabelDecoder, LabelPrecision};
+use rnn_index::{HubLabelIndex, HubLabeling, HubPointTable, LabelPrecision};
 
 const SEED: u64 = 7;
 
@@ -75,27 +75,6 @@ fn parallel_build_is_identical_to_sequential_at_1_2_8_threads() {
             assert!(built == reference, "{name}: {threads}-thread index must equal sequential");
         }
     }
-}
-
-/// FNV-1a over every label of `labeling`, node by node: the entry count,
-/// then each hub rank and the bits of its distance, little-endian.
-fn label_hash(labeling: &HubLabeling) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    let mut dec = LabelDecoder::new();
-    for v in 0..labeling.num_nodes() {
-        let (ranks, dists) = labeling.label(NodeId::new(v), &mut dec);
-        eat(&(ranks.len() as u64).to_le_bytes());
-        for (&r, d) in ranks.iter().zip(dists) {
-            eat(&r.to_le_bytes());
-            eat(&d.value().to_bits().to_le_bytes());
-        }
-    }
-    hash
 }
 
 /// Every label byte of the 2-thread build, pinned on the two graphs of
