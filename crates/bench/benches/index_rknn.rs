@@ -5,10 +5,10 @@
 //! Each row times 256 operations on fixed pseudo-random nodes of the
 //! benchmark's own topology (BRITE, 5×10⁴ nodes, point density 0.01), so a
 //! row divided by 256 is the per-operation cost: `rknn` on a reused `Scratch`
-//! at `k = 1` and `k = 4` over the full-width and the `f32` label stores, and
-//! at `k = 5` over the full store; `insert_remove`, one `insert_point` plus
-//! the `remove_point` that undoes it on an unoccupied node; and `k_nearest`
-//! — label scans that share nothing with the RkNN fold — as the control row.
+//! at `k = 1` and `k = 4` over the exact and the `f32` label tiers, and at
+//! `k = 5` over the exact tier; `insert_remove`, one `insert_point` plus the
+//! `remove_point` that undoes it on an unoccupied node; and `k_nearest` —
+//! label scans that share nothing with the RkNN fold — as the control row.
 
 mod common;
 
@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rnn_core::Scratch;
 use rnn_datagen::{brite_topology, place_points_on_nodes, BriteConfig};
 use rnn_graph::{NodeId, PointsOnNodes};
-use rnn_index::{HubLabelIndex, LabelPrecision};
+use rnn_index::HubLabelIndex;
 use rnn_storage::lru::mix64;
 use std::hint::black_box;
 
@@ -25,16 +25,16 @@ const QUERIES: u64 = 256;
 fn bench(c: &mut Criterion) {
     let graph = brite_topology(&BriteConfig { num_nodes: 50_000, seed: 42, ..Default::default() });
     let points = place_points_on_nodes(&graph, 0.01, 43);
-    let mut full = HubLabelIndex::build_with_threads(&graph, &points, 2);
-    let f32_store = full.compressed(LabelPrecision::F32);
+    let mut exact = HubLabelIndex::build_with_threads(&graph, &points, 2);
+    let narrow = exact.with_f32_distances();
     let nodes: Vec<NodeId> =
         (0..QUERIES).map(|i| NodeId::new((mix64(i) % graph.num_nodes() as u64) as usize)).collect();
 
     let mut group = c.benchmark_group("index_rknn");
     let mut scratch = Scratch::new();
-    for (store, index, ks) in [("full", &full, &[1usize, 4, 5][..]), ("f32", &f32_store, &[1, 4])] {
+    for (tier, index, ks) in [("exact", &exact, &[1usize, 4, 5][..]), ("f32", &narrow, &[1, 4])] {
         for &k in ks {
-            group.bench_function(format!("rknn/{store}/k{k}"), |b| {
+            group.bench_function(format!("rknn/{tier}/k{k}"), |b| {
                 b.iter(|| {
                     for &node in &nodes {
                         black_box(index.rknn_in(node, k, &mut scratch));
@@ -43,20 +43,20 @@ fn bench(c: &mut Criterion) {
             });
         }
     }
-    group.bench_function("k_nearest/full/k4", |b| {
+    group.bench_function("k_nearest/exact/k4", |b| {
         b.iter(|| {
             for &node in &nodes {
-                black_box(full.k_nearest(node, 4));
+                black_box(exact.k_nearest(node, 4));
             }
         })
     });
     let free: Vec<NodeId> =
         nodes.iter().copied().filter(|&n| points.point_at(n).is_none()).collect();
-    group.bench_function("insert_remove/full", |b| {
+    group.bench_function("insert_remove/exact", |b| {
         b.iter(|| {
             for &node in &free {
-                black_box(full.insert_point(node));
-                black_box(full.remove_point(node));
+                black_box(exact.insert_point(node));
+                black_box(exact.remove_point(node));
             }
         })
     });

@@ -620,40 +620,38 @@ pub fn index(scale: Scale) -> Report {
 }
 
 /// The hub-label construction pipeline: label size and per-query scan work
-/// of the full-width layout and the two compressed ones (delta-varint ranks
-/// with exact or `f32` distances) on the BRITE instance.
+/// of the two label tiers (delta-varint ranks beside exact or `f32`
+/// distances) on the BRITE instance.
 ///
 /// Not a figure of the paper: this measures the `rnn-index` preprocessing
 /// lever. Before any number is reported, the builds at 1, 2, 4 and 8 threads
 /// are asserted **identical** (level-synchronous construction makes the
 /// labeling a pure function of the graph, whatever the thread count), the
-/// `f32` tier is asserted to cut the label bytes by at least 40 %, and every
-/// tier is asserted to reproduce eager's RkNN result sets query for query.
+/// `f32` tier is asserted to cut the exact tier's label bytes by at least
+/// 40 %, and both tiers are asserted to reproduce eager's RkNN result sets
+/// query for query.
 pub fn label_build(scale: Scale) -> Report {
-    use rnn_index::LabelPrecision;
-
     let nodes = scale.pick(2_000, 8_000);
     let graph = brite_topology(&BriteConfig { num_nodes: nodes, seed: SEED, ..Default::default() });
     let points = place_points_on_nodes(&graph, 0.01, SEED + 1);
     let queries = sample_node_queries(&points, scale.queries(), SEED + 2);
 
-    let reference = HubLabelIndex::build(&graph, &points);
+    let exact = HubLabelIndex::build(&graph, &points);
     for threads in [2usize, 4, 8] {
         assert!(
-            HubLabelIndex::build_with_threads(&graph, &points, threads) == reference,
+            HubLabelIndex::build_with_threads(&graph, &points, threads) == exact,
             "{threads}-thread build must be identical to the sequential build"
         );
     }
-    let exact = reference.compressed(LabelPrecision::Exact);
-    let compact = reference.compressed(LabelPrecision::F32);
+    let narrow = exact.with_f32_distances();
     let bytes = |tier: &HubLabelIndex| tier.labeling().stats().label_bytes() as f64;
-    let (full_bytes, compact_bytes) = (bytes(&reference), bytes(&compact));
+    let (exact_bytes, narrow_bytes) = (bytes(&exact), bytes(&narrow));
     assert!(
-        compact_bytes <= 0.60 * full_bytes,
-        "delta-rank + f32 labels must cut label_bytes() by at least 40% on BRITE \
-         (full {:.2} MiB, compressed {:.2} MiB)",
-        full_bytes / MIB,
-        compact_bytes / MIB
+        narrow_bytes <= 0.60 * exact_bytes,
+        "f32 distances must cut label_bytes() by at least 40% on BRITE \
+         (exact {:.2} MiB, f32 {:.2} MiB)",
+        exact_bytes / MIB,
+        narrow_bytes / MIB
     );
 
     let mut report = Report::new(
@@ -673,15 +671,13 @@ pub fn label_build(scale: Scale) -> Report {
             "results".into(),
         ],
     );
-    // Query every tier against the eager oracle: compression must never
-    // change an answer (the f32 tier re-derives its point table from the
-    // rounded labeling, so both RkNN phases sum identically-rounded values).
+    // Query both tiers against the eager oracle: rounding must never change
+    // an answer (the f32 tier re-derives its point table from the rounded
+    // labeling, so both RkNN phases sum identically-rounded values).
     let mut scratch = Scratch::new();
     let eager =
         run_all(Algorithm::Eager, &graph, &points, Precomputed::none(), &queries, &mut scratch);
-    for (name, tier) in
-        [("full", &reference), ("delta-rank exact", &exact), ("delta-rank f32", &compact)]
-    {
+    for (name, tier) in [("exact", &exact), ("f32", &narrow)] {
         let pre = Precomputed::hub_labels(tier);
         let served = run_all(Algorithm::HubLabel, &graph, &points, pre, &queries, &mut scratch);
         for ((&q, r), e) in queries.iter().zip(&served).zip(&eager) {
@@ -693,7 +689,7 @@ pub fn label_build(scale: Scale) -> Report {
             vec![
                 stats.avg_label(),
                 stats.label_bytes() as f64 / MIB,
-                (1.0 - stats.label_bytes() as f64 / full_bytes) * 100.0,
+                (1.0 - stats.label_bytes() as f64 / exact_bytes) * 100.0,
                 per_query(&served, |o| o.stats.label_scans),
                 per_query(&served, |o| o.stats.bucket_scans),
                 per_query(&served, |o| o.len() as u64),
@@ -770,7 +766,7 @@ pub fn obs_overhead(scale: Scale) {
         // on the box) perturbs adjacent trials, not one whole mode.
         let world = World::new(graph.clone(), points.clone())
             .with_materialized(table.clone())
-            .with_hub_labels(hub_index.clone());
+            .with_hub_label_index(hub_index.clone());
         let server = Server::start(world, config);
         untraced.push(run_trial(&server));
         server.shutdown();
@@ -778,7 +774,7 @@ pub fn obs_overhead(scale: Scale) {
         let registry = MetricsRegistry::new();
         let world = World::new(graph.clone(), points.clone())
             .with_materialized(table.clone())
-            .with_hub_labels(hub_index.clone());
+            .with_hub_label_index(hub_index.clone());
         let server = Server::start_observed(
             world,
             config.with_tracing(true).with_slow_query_log(8, 16, 32, SEED),

@@ -52,11 +52,11 @@
 //! with `d(x, p) <= r_R(p)`. A point the fold leaves out already has `R`
 //! points strictly closer than `x`, so its radii cannot change.
 //!
-//! Labels are read through a pooled [`LabelDecoder`], so both label layouts
-//! (full-width and compressed, see [`HubLabeling::compressed`]) serve
-//! steady-state queries allocation-free.
+//! Labels are decoded into a pooled [`LabelDecoder`] — a query's from its
+//! scratch arena, point maintenance's from the index's update buffers — so
+//! steady-state queries and updates decode without allocating.
 
-use crate::labeling::{HubLabeling, LabelDecoder, LabelPrecision};
+use crate::labeling::{HubLabeling, LabelDecoder};
 use crate::point_table::HubPointTable;
 use rnn_core::precomputed::HubLabelRknn;
 use rnn_core::query::{QueryStats, RknnOutcome};
@@ -133,22 +133,22 @@ impl HubLabelIndex {
         let table = HubPointTable::build(&labeling, points);
         let mut index =
             HubLabelIndex { labeling, table, radii: Vec::new(), update: UpdateBuffers::default() };
-        let UpdateBuffers { dec, best, .. } = &mut UpdateBuffers::default();
+        let best = &mut Vec::new();
         index.radii =
-            index.table.nodes().iter().map(|&node| index.stored_radii(node, dec, best)).collect();
+            index.table.nodes().iter().map(|&node| index.stored_radii(node, best)).collect();
         index
     }
 
-    /// Re-encodes the index with compressed labels (see
-    /// [`HubLabeling::compressed`]) over the same point set.
+    /// The index over the same point set with its label distances rounded
+    /// to `f32` (see [`HubLabeling::with_f32_distances`]).
     ///
-    /// The point table and the radii are rebuilt from the compressed
-    /// labeling so bucket distances, radii and decoded label distances come
-    /// from the same tier: under [`LabelPrecision::F32`] every phase sums
-    /// identically rounded values in both directions, which preserves the
-    /// exact tie semantics of the radius test.
-    pub fn compressed(&self, precision: LabelPrecision) -> Self {
-        let labeling = self.labeling.compressed(precision);
+    /// The point table and the radii are rebuilt from the rounded labeling
+    /// so bucket distances, radii and decoded label distances come from the
+    /// same tier: every phase sums identically rounded values in both
+    /// directions, which preserves the exact tie semantics of the radius
+    /// test.
+    pub fn with_f32_distances(&self) -> Self {
+        let labeling = self.labeling.with_f32_distances();
         let points =
             NodePointSet::from_nodes(labeling.num_nodes(), self.table.nodes().iter().copied());
         Self::from_labeling(labeling, &points)
@@ -220,8 +220,8 @@ impl HubLabelIndex {
                 radii[at] = d;
             }
         }
-        let id = self.table.insert_point(&self.labeling, node);
-        let own = self.stored_radii(node, dec, best);
+        let id = self.table.insert_point(&self.labeling, node, dec);
+        let own = self.stored_radii(node, best);
         self.radii.insert(id.index(), own);
         self.update = bufs;
         id
@@ -230,15 +230,16 @@ impl HubLabelIndex {
     /// Removes the point on `node`, if any, by incremental maintenance (see
     /// [`HubPointTable::remove_point`] and the module docs).
     pub fn remove_point(&mut self, node: NodeId) -> Option<PointId> {
-        let id = self.table.remove_point(&self.labeling, node)?;
-        self.radii.remove(id.index());
+        self.table.point_of(node)?;
         let mut bufs = std::mem::take(&mut self.update);
         let UpdateBuffers { dmin, dec, best } = &mut bufs;
+        let id = self.table.remove_point(&self.labeling, node, dec).expect("occupied");
+        self.radii.remove(id.index());
         self.fold(node, STORED_RADII, dec, dmin, &mut QueryStats::default());
         for (other, &d) in dmin.iter() {
             let p = self.table.point_of(other).expect("folded nodes are occupied").index();
             if d <= self.radii[p][STORED_RADII - 1] {
-                self.radii[p] = self.stored_radii(other, dec, best);
+                self.radii[p] = self.stored_radii(other, best);
             }
         }
         self.update = bufs;
@@ -263,14 +264,7 @@ impl HubLabelIndex {
         // `k` is request input: reserve for what can be found (plus the one
         // slot `offer` overshoots by), not what is asked.
         let mut best = Vec::with_capacity(k.min(self.num_points()) + 1);
-        self.nearest(
-            node,
-            k,
-            None,
-            &mut LabelDecoder::new(),
-            &mut best,
-            &mut QueryStats::default(),
-        );
+        self.nearest(node, k, None, &mut best, &mut QueryStats::default());
         // Node order equals point-id order (the dense-id invariant), so the
         // (distance, node) ranking maps 1:1 onto (distance, point).
         best.into_iter()
@@ -289,21 +283,20 @@ impl HubLabelIndex {
     /// soon as it holds `k`, when the `k`-th distance is known to lie below
     /// the cutoff, which is all a radius test needs. Each label entry read
     /// adds to `stats.label_scans`, each bucket entry read to
-    /// `stats.bucket_scans` and `stats.auxiliary_settled`.
+    /// `stats.bucket_scans` and `stats.auxiliary_settled`. The label is
+    /// decoded as it is read, so a scan that ends early decodes no more.
     fn nearest(
         &self,
         node: NodeId,
         k: usize,
         cutoff: Option<Weight>,
-        dec: &mut LabelDecoder,
         best: &mut Vec<(NodeId, Weight)>,
         stats: &mut QueryStats,
     ) {
         if k == 0 {
             return;
         }
-        let (hubs, hub_dists) = self.labeling.label(node, dec);
-        for (&h, &dh) in hubs.iter().zip(hub_dists) {
+        for (h, dh) in self.labeling.entries(node) {
             stats.label_scans += 1;
             let beyond = |d: Weight, best: &[(NodeId, Weight)]| {
                 cutoff.is_some_and(|c| d >= c) || best.len() == k && d > best[k - 1].1
@@ -358,23 +351,17 @@ impl HubLabelIndex {
         node: NodeId,
         k: usize,
         cutoff: Option<Weight>,
-        dec: &mut LabelDecoder,
         best: &mut Vec<(NodeId, Weight)>,
         stats: &mut QueryStats,
     ) {
         best.clear();
         best.push((node, Weight::ZERO));
-        self.nearest(node, k + 1, cutoff, dec, best, stats);
+        self.nearest(node, k + 1, cutoff, best, stats);
     }
 
     /// `r_1..r_R` of the point on `node`.
-    fn stored_radii(
-        &self,
-        node: NodeId,
-        dec: &mut LabelDecoder,
-        best: &mut Vec<(NodeId, Weight)>,
-    ) -> Radii {
-        self.radius_scan(node, STORED_RADII, None, dec, best, &mut QueryStats::default());
+    fn stored_radii(&self, node: NodeId, best: &mut Vec<(NodeId, Weight)>) -> Radii {
+        self.radius_scan(node, STORED_RADII, None, best, &mut QueryStats::default());
         std::array::from_fn(|j| best.get(j + 1).map_or(Weight::INFINITY, |&(_, d)| d))
     }
 
@@ -487,7 +474,7 @@ impl HubLabelIndex {
                 // Fewer than `k` other points: `r_k` is ∞, and no `k + 1`.
                 None if k >= self.num_points() => true,
                 None => {
-                    self.radius_scan(node, k, Some(dist), &mut dec, &mut best, &mut stats);
+                    self.radius_scan(node, k, Some(dist), &mut best, &mut stats);
                     best.len() <= k
                 }
             };
@@ -902,22 +889,21 @@ mod tests {
     #[test]
     fn compressed_tiers_answer_queries_identically() {
         let (g, pts) = cycle();
-        let full = HubLabelIndex::build(&g, &pts);
+        let exact = HubLabelIndex::build(&g, &pts);
+        let narrow = exact.with_f32_distances();
+        assert_eq!(narrow.labeling(), &exact.labeling().with_f32_distances());
+        assert_eq!(narrow.num_points(), exact.num_points());
         let mut scratch = Scratch::new();
-        for precision in [LabelPrecision::Exact, LabelPrecision::F32] {
-            let compact = full.compressed(precision);
-            assert!(compact.labeling().is_compressed());
-            assert_eq!(compact.num_points(), full.num_points());
-            for q in 0..6 {
-                for k in 1..=3 {
-                    assert_eq!(
-                        compact.rknn_in(NodeId::new(q), k, &mut scratch).points,
-                        full.rknn(NodeId::new(q), k).points,
-                        "{precision:?} q={q} k={k}"
-                    );
-                }
-                assert_eq!(compact.k_nearest(NodeId::new(q), 2), full.k_nearest(NodeId::new(q), 2));
+        for q in 0..6 {
+            for k in 1..=3 {
+                assert_eq!(
+                    narrow.rknn_in(NodeId::new(q), k, &mut scratch).points,
+                    exact.rknn(NodeId::new(q), k).points,
+                    "q={q} k={k}"
+                );
             }
+            // Unit weights round to themselves: the distances agree too.
+            assert_eq!(narrow.k_nearest(NodeId::new(q), 2), exact.k_nearest(NodeId::new(q), 2));
         }
     }
 

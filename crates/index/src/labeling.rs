@@ -51,8 +51,8 @@
 //! permutation moves each block there with at most one block swap per block,
 //! one left-to-right `copy_within` closes each node's unused tail, and the
 //! arrays are truncated and shrunk so their end goes back to the OS. On
-//! BRITE 5×10⁴ (104 MB of labels) that takes the build's rise in peak RSS
-//! from ~3.1× the label bytes to ~1.3×. The block is 64 entries because the
+//! BRITE 5×10⁴ (a 104 MB CSR) that takes the build's rise in peak RSS from
+//! ~3.1× the CSR bytes to ~1.3×. The block is 64 entries because the
 //! covered test walks a label's chain for every settled node: over 12
 //! alternated 2-thread builds of BRITE 5×10⁴ on a 2-vCPU box, 64-entry
 //! blocks took a median 3.62 s, 16-entry blocks 3.91 s and per-node lists
@@ -63,17 +63,21 @@
 //!
 //! Hubs are stored as *ranks* (position in the construction order), so label
 //! lists are naturally sorted by rank as they are appended and intersect by
-//! a linear merge. Two physical layouts sit behind the same API:
+//! a linear merge. A label's ranks are stored delta-encoded as LEB128
+//! varints (the first rank raw, then each gap to the previous one), so most
+//! entries take one or two bytes instead of four. Right after the freeze the
+//! build sizes that stream in one pass, encodes it into a buffer reserved to
+//! exactly that size and drops the `u32` ranks, so the encode never lifts the
+//! peak above the arena's. The frozen `f64` distance array is kept as it is.
+//! [`HubLabeling::with_f32_distances`] gives the one other tier: the same
+//! rank bytes beside distances rounded to `f32`.
 //!
-//! - **Full** (the default built by [`HubLabeling::build`]): plain `u32`
-//!   ranks and `f64` [`Weight`] distances in CSR arrays; `label()` returns
-//!   zero-copy borrowed slices.
-//! - **Compact** ([`HubLabeling::compressed`]): delta-encoded LEB128 varint
-//!   ranks, with distances either exact `f64` ([`LabelPrecision::Exact`]) or
-//!   rounded `f32` ([`LabelPrecision::F32`]). `label()` decodes into a
-//!   caller-provided [`LabelDecoder`], which query paths recycle from their
-//!   [`rnn_core::scratch::Scratch`] arena so steady-state decoding is
-//!   allocation-free.
+//! `label()` decodes a whole label into a caller-provided [`LabelDecoder`],
+//! which query paths recycle from their [`rnn_core::scratch::Scratch`] arena
+//! and point maintenance keeps between updates, so steady-state decoding is
+//! allocation-free. `entries()` decodes one entry at a time instead, for the
+//! scans that may stop after a few entries (the index's k-NN and radius
+//! scans): they decode only what they read.
 
 use rnn_core::expansion::{ExpansionBuffers, NetworkExpansion};
 use rnn_graph::{NodeId, Topology, Weight};
@@ -93,50 +97,20 @@ const BLOCK: usize = 64;
 /// The end of a block chain.
 const NO_BLOCK: u32 = u32::MAX;
 
-/// Distance storage tier for [`HubLabeling::compressed`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum LabelPrecision {
-    /// Keep full `f64` distances: compressed ranks, bit-exact distances.
-    Exact,
-    /// Round distances to `f32`: halves the distance array at the cost of
-    /// ~1e-7 relative error per label entry.
-    F32,
-}
-
-/// Physical layout of the per-node hub lists.
+/// The distance array of a labeling, indexed by the entry offsets.
 #[derive(Clone, Debug, PartialEq)]
-enum LabelStore {
-    /// Plain CSR arrays; `label()` borrows directly.
-    Full {
-        /// Hub lists, as ranks in the construction order, ascending per node.
-        hub_ranks: Vec<u32>,
-        /// Distance to the corresponding hub.
-        hub_dists: Vec<Weight>,
-    },
-    /// Delta-encoded varint ranks with exact or `f32` distances.
-    Compact {
-        /// Byte ranges into `rank_bytes`, one per node; length `n + 1`.
-        byte_offsets: Vec<usize>,
-        /// LEB128 stream: first rank raw, then successive deltas (`>= 1`).
-        rank_bytes: Vec<u8>,
-        /// Distances, indexed by the entry offsets.
-        dists: CompactDists,
-    },
-}
-
-/// Distance array of a compact store.
-#[derive(Clone, Debug, PartialEq)]
-enum CompactDists {
+enum Dists {
+    /// The exact distances the build computed.
     Exact(Vec<Weight>),
+    /// Distances rounded to `f32` ([`HubLabeling::with_f32_distances`]).
     F32(Vec<f32>),
 }
 
 /// Reusable decode buffer for [`HubLabeling::label`].
 ///
-/// On the full layout it is untouched (the call returns borrowed slices);
-/// on the compact layout the ranks — and, for the `f32` tier, the widened
-/// distances — are decoded into it. Query paths keep one per worker and
-/// rebuild it from pooled scratch vectors via [`LabelDecoder::from_parts`] /
+/// The ranks — and, for the `f32` tier, the widened distances — are decoded
+/// into it. Query paths keep one per worker and rebuild it from pooled
+/// scratch vectors via [`LabelDecoder::from_parts`] /
 /// [`LabelDecoder::into_parts`] so decoding allocates nothing in steady
 /// state.
 #[derive(Clone, Debug, Default)]
@@ -146,7 +120,7 @@ pub struct LabelDecoder {
 }
 
 impl LabelDecoder {
-    /// An empty decoder. Decoding grows it; the full layout never does.
+    /// An empty decoder. Decoding grows it.
     pub fn new() -> Self {
         Self::default()
     }
@@ -162,6 +136,37 @@ impl LabelDecoder {
     pub fn into_parts(self) -> (Vec<u32>, Vec<Weight>) {
         (self.ranks, self.dists)
     }
+}
+
+/// Bytes [`write_varint`] takes for `v`.
+fn varint_len(v: u32) -> usize {
+    (32 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// A label's ranks as the varint stream stores them: the first raw (a gap
+/// from 0), then each gap to the previous rank.
+fn rank_gaps(ranks: &[u32]) -> impl Iterator<Item = u32> + '_ {
+    ranks.iter().scan(0, |prev, &r| Some(r - std::mem::replace(prev, r)))
+}
+
+/// Encodes the CSR ranks of the frozen labels as varint gaps: sizes the
+/// stream in one pass, then writes it into a buffer reserved to exactly that
+/// size (see "Label storage"). Returns the per-node byte offsets and the
+/// stream.
+fn encode_ranks(offsets: &[usize], ranks: &[u32]) -> (Vec<usize>, Vec<u8>) {
+    let labels = || offsets.windows(2).map(|w| &ranks[w[0]..w[1]]);
+    let mut byte_offsets = Vec::with_capacity(offsets.len());
+    byte_offsets.push(0);
+    for label in labels() {
+        let len: usize = rank_gaps(label).map(varint_len).sum();
+        byte_offsets.push(byte_offsets[byte_offsets.len() - 1] + len);
+    }
+    let mut bytes = Vec::with_capacity(byte_offsets[byte_offsets.len() - 1]);
+    for label in labels() {
+        rank_gaps(label).for_each(|gap| write_varint(&mut bytes, gap));
+    }
+    debug_assert_eq!(bytes.len(), byte_offsets[byte_offsets.len() - 1], "sized exactly");
+    (byte_offsets, bytes)
 }
 
 /// Appends `v` to `buf` as a LEB128 varint (7 payload bits per byte).
@@ -197,10 +202,14 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> u32 {
 /// Immutable once built; shared by reference across query threads.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HubLabeling {
-    /// CSR entry offsets, length `num_nodes + 1`; shared by both layouts.
+    /// CSR entry offsets into `dists`, length `num_nodes + 1`.
     offsets: Vec<usize>,
-    /// The physical hub-list storage.
-    store: LabelStore,
+    /// Byte offsets into `rank_bytes`, length `num_nodes + 1`.
+    byte_offsets: Vec<usize>,
+    /// Every label's [`rank_gaps`] as LEB128 varints, nodes in id order.
+    rank_bytes: Vec<u8>,
+    /// Distance to each entry's hub.
+    dists: Dists,
     /// The construction order: `node_of_rank[r]` is the node with rank `r`.
     node_of_rank: Vec<NodeId>,
     /// Inverse of `node_of_rank`.
@@ -266,8 +275,8 @@ pub struct LabelStats {
     pub entries: usize,
     /// Largest single label.
     pub max_label: usize,
-    /// Actual bytes held by the label arrays of the current layout
-    /// (ranks + distances + CSR offsets).
+    /// Bytes held by the label arrays: the varint rank stream, the distance
+    /// array and both offset tables.
     pub label_bytes: usize,
 }
 
@@ -280,9 +289,8 @@ impl LabelStats {
         self.entries as f64 / self.nodes as f64
     }
 
-    /// Bytes held by the label arrays under the labeling's actual layout:
-    /// full-width CSR arrays, or the varint rank stream plus the exact/`f32`
-    /// distance array plus both offset tables.
+    /// Bytes held by the label arrays: the varint rank stream, the exact or
+    /// `f32` distance array and both offset tables.
     pub fn label_bytes(&self) -> usize {
         self.label_bytes
     }
@@ -593,58 +601,33 @@ impl HubLabeling {
             offsets.windows(2).all(|w| hub_ranks[w[0]..w[1]].windows(2).all(|r| r[0] < r[1])),
             "ranks ascend"
         );
+        let (byte_offsets, rank_bytes) = encode_ranks(&offsets, &hub_ranks);
         HubLabeling {
             offsets,
-            store: LabelStore::Full { hub_ranks, hub_dists },
+            byte_offsets,
+            rank_bytes,
+            dists: Dists::Exact(hub_dists),
             node_of_rank,
             rank_of_node,
         }
     }
 
-    /// Re-encodes this labeling into the compact layout: delta-encoded
-    /// varint ranks, distances per `precision`. Semantically the same
-    /// labeling — same nodes, hubs and entry order — behind the same API.
-    pub fn compressed(&self, precision: LabelPrecision) -> HubLabeling {
-        let n = self.num_nodes();
-        let entries = self.offsets[n];
-        let mut byte_offsets = Vec::with_capacity(n + 1);
-        let mut rank_bytes = Vec::new();
-        let mut exact = Vec::new();
-        let mut narrow = Vec::new();
-        match precision {
-            LabelPrecision::Exact => exact.reserve(entries),
-            LabelPrecision::F32 => narrow.reserve(entries),
-        }
-        let mut dec = LabelDecoder::new();
-        byte_offsets.push(0);
-        for v in 0..n {
-            let (ranks, dists) = self.label(NodeId::new(v), &mut dec);
-            let mut prev = 0u32;
-            for (i, &r) in ranks.iter().enumerate() {
-                write_varint(&mut rank_bytes, if i == 0 { r } else { r - prev });
-                prev = r;
-            }
-            byte_offsets.push(rank_bytes.len());
-            match precision {
-                LabelPrecision::Exact => exact.extend_from_slice(dists),
-                LabelPrecision::F32 => narrow.extend(dists.iter().map(|d| d.value() as f32)),
-            }
-        }
-        let dists = match precision {
-            LabelPrecision::Exact => CompactDists::Exact(exact),
-            LabelPrecision::F32 => CompactDists::F32(narrow),
+    /// The same labeling — same nodes, hubs and entry order, the same rank
+    /// bytes — with every distance rounded to `f32`: the distance array
+    /// halves at the cost of ~1e-7 relative error per label entry.
+    pub fn with_f32_distances(&self) -> HubLabeling {
+        let narrow = match &self.dists {
+            Dists::Exact(d) => d.iter().map(|d| d.value() as f32).collect(),
+            Dists::F32(d) => d.clone(),
         };
         HubLabeling {
             offsets: self.offsets.clone(),
-            store: LabelStore::Compact { byte_offsets, rank_bytes, dists },
+            byte_offsets: self.byte_offsets.clone(),
+            rank_bytes: self.rank_bytes.clone(),
+            dists: Dists::F32(narrow),
             node_of_rank: self.node_of_rank.clone(),
             rank_of_node: self.rank_of_node.clone(),
         }
-    }
-
-    /// Whether this labeling uses the compact (varint-rank) layout.
-    pub fn is_compressed(&self) -> bool {
-        matches!(self.store, LabelStore::Compact { .. })
     }
 
     /// Number of labeled nodes.
@@ -658,41 +641,51 @@ impl HubLabeling {
     }
 
     /// The label of `node`: parallel slices of hub ranks (ascending) and
-    /// distances to them.
-    ///
-    /// On the full layout the slices borrow the CSR directly and `dec` is
-    /// untouched; on the compact layout they are decoded into `dec`. Either
-    /// way they are valid until the next `label()` call with the same
-    /// decoder.
+    /// distances to them, decoded into `dec` (exact distances are borrowed
+    /// from the labeling). They are valid until the next `label()` call with
+    /// the same decoder.
     pub fn label<'a>(
         &'a self,
         node: NodeId,
         dec: &'a mut LabelDecoder,
     ) -> (&'a [u32], &'a [Weight]) {
         let (lo, hi) = (self.offsets[node.index()], self.offsets[node.index() + 1]);
-        match &self.store {
-            LabelStore::Full { hub_ranks, hub_dists } => (&hub_ranks[lo..hi], &hub_dists[lo..hi]),
-            LabelStore::Compact { byte_offsets, rank_bytes, dists } => {
-                dec.ranks.clear();
-                let mut pos = byte_offsets[node.index()];
-                let end = byte_offsets[node.index() + 1];
-                let mut prev = 0u32;
-                while pos < end {
-                    let delta = read_varint(rank_bytes, &mut pos);
-                    prev = if dec.ranks.is_empty() { delta } else { prev + delta };
-                    dec.ranks.push(prev);
-                }
-                debug_assert_eq!(dec.ranks.len(), hi - lo, "rank stream length matches CSR");
-                match dists {
-                    CompactDists::Exact(d) => (&dec.ranks, &d[lo..hi]),
-                    CompactDists::F32(d) => {
-                        dec.dists.clear();
-                        dec.dists.extend(d[lo..hi].iter().map(|&x| Weight::new(f64::from(x))));
-                        (&dec.ranks, &dec.dists)
-                    }
-                }
+        dec.ranks.clear();
+        dec.ranks.extend(self.ranks(node));
+        debug_assert_eq!(dec.ranks.len(), hi - lo, "rank stream length matches CSR");
+        match &self.dists {
+            Dists::Exact(d) => (&dec.ranks, &d[lo..hi]),
+            Dists::F32(d) => {
+                dec.dists.clear();
+                dec.dists.extend(d[lo..hi].iter().map(|&x| Weight::new(f64::from(x))));
+                (&dec.ranks, &dec.dists)
             }
         }
+    }
+
+    /// The label of `node` as `(rank, distance)` pairs in [`label`] order,
+    /// decoded one entry at a time: a scan that stops early decodes only the
+    /// entries it read.
+    ///
+    /// [`label`]: HubLabeling::label
+    pub fn entries(&self, node: NodeId) -> impl Iterator<Item = (u32, Weight)> + '_ {
+        let dist = move |i: usize| match &self.dists {
+            Dists::Exact(d) => d[i],
+            Dists::F32(d) => Weight::new(f64::from(d[i])),
+        };
+        self.ranks(node).zip(self.offsets[node.index()]..).map(move |(r, i)| (r, dist(i)))
+    }
+
+    /// The hub ranks of `node`'s label, decoded from the varint stream.
+    fn ranks(&self, node: NodeId) -> impl Iterator<Item = u32> + '_ {
+        let (mut pos, end) = (self.byte_offsets[node.index()], self.byte_offsets[node.index() + 1]);
+        let mut rank = 0;
+        std::iter::from_fn(move || {
+            (pos < end).then(|| {
+                rank += read_varint(&self.rank_bytes, &mut pos);
+                rank
+            })
+        })
     }
 
     /// The node acting as the hub with construction rank `rank`.
@@ -732,30 +725,18 @@ impl HubLabeling {
         best
     }
 
-    /// Size statistics of the labeling under its current layout.
+    /// Size statistics of the labeling.
     pub fn stats(&self) -> LabelStats {
         let nodes = self.num_nodes();
         let entries = self.offsets[nodes];
         let max_label =
             (0..nodes).map(|v| self.offsets[v + 1] - self.offsets[v]).max().unwrap_or(0);
-        let offset_bytes = self.offsets.len() * std::mem::size_of::<usize>();
-        let label_bytes = match &self.store {
-            LabelStore::Full { hub_ranks, hub_dists } => {
-                offset_bytes
-                    + hub_ranks.len() * std::mem::size_of::<u32>()
-                    + hub_dists.len() * std::mem::size_of::<Weight>()
-            }
-            LabelStore::Compact { byte_offsets, rank_bytes, dists } => {
-                let dist_bytes = match dists {
-                    CompactDists::Exact(d) => d.len() * std::mem::size_of::<Weight>(),
-                    CompactDists::F32(d) => d.len() * std::mem::size_of::<f32>(),
-                };
-                offset_bytes
-                    + byte_offsets.len() * std::mem::size_of::<usize>()
-                    + rank_bytes.len()
-                    + dist_bytes
-            }
+        let dist_bytes = match &self.dists {
+            Dists::Exact(d) => size_of_val(d.as_slice()),
+            Dists::F32(d) => size_of_val(d.as_slice()),
         };
+        let offset_bytes = (self.offsets.len() + self.byte_offsets.len()) * size_of::<usize>();
+        let label_bytes = offset_bytes + self.rank_bytes.len() + dist_bytes;
         LabelStats { nodes, entries, max_label, label_bytes }
     }
 }
@@ -977,35 +958,48 @@ mod tests {
 
     #[test]
     fn compressed_exact_decodes_identically() {
-        let g = grid4();
-        let full = HubLabeling::build(&g);
-        let compact = full.compressed(LabelPrecision::Exact);
-        assert!(compact.is_compressed() && !full.is_compressed());
-        for v in 0..16 {
-            assert_eq!(label_of(&full, v), label_of(&compact, v), "node {v}");
+        // Gaps of every varint width, up to the largest rank, and a first
+        // rank that takes three bytes on its own.
+        let labels: [&[u32]; 4] =
+            [&[], &[0], &[5, 6, 133, 261, 16_645, 33_029, 2_130_181, u32::MAX], &[16_384]];
+        let mut offsets = vec![0];
+        for label in labels {
+            offsets.push(offsets[offsets.len() - 1] + label.len());
         }
-        // Same ranks, same distances — every distance query agrees bit for
-        // bit with the full layout.
-        for u in 0..16 {
-            for v in 0..16 {
-                assert_eq!(
-                    full.distance(NodeId::new(u), NodeId::new(v)),
-                    compact.distance(NodeId::new(u), NodeId::new(v)),
-                );
-            }
+        let ranks = labels.concat();
+        let dists: Vec<Weight> = (0..ranks.len()).map(|i| Weight::new(i as f64 / 4.0)).collect();
+        let (byte_offsets, rank_bytes) = encode_ranks(&offsets, &ranks);
+        assert_eq!(byte_offsets, [0, 0, 1, 1 + 1 + 1 + 1 + 2 + 3 + 3 + 4 + 5, 24]);
+        assert_eq!((rank_bytes.len(), rank_bytes.capacity()), (24, 24));
+        let labeling = HubLabeling {
+            offsets: offsets.clone(),
+            byte_offsets,
+            rank_bytes,
+            dists: Dists::Exact(dists.clone()),
+            node_of_rank: (0..labels.len()).map(NodeId::new).collect(),
+            rank_of_node: (0..labels.len() as u32).collect(),
+        };
+        for (v, label) in labels.iter().enumerate() {
+            let (lo, hi) = (offsets[v], offsets[v + 1]);
+            assert_eq!(
+                label_of(&labeling, v),
+                (label.to_vec(), dists[lo..hi].to_vec()),
+                "node {v}"
+            );
         }
     }
 
     #[test]
     fn compressed_f32_is_approximately_exact() {
         let g = grid4();
-        let full = HubLabeling::build(&g);
-        let compact = full.compressed(LabelPrecision::F32);
+        let exact = HubLabeling::build(&g);
+        let narrow = exact.with_f32_distances();
+        assert_eq!(narrow.with_f32_distances(), narrow, "narrowing twice changes nothing");
         for v in 0..16 {
-            let (ranks, dists) = label_of(&full, v);
-            let (cranks, cdists) = label_of(&compact, v);
-            assert_eq!(ranks, cranks, "ranks are lossless");
-            for (d, c) in dists.iter().zip(&cdists) {
+            let (ranks, dists) = label_of(&exact, v);
+            let (nranks, ndists) = label_of(&narrow, v);
+            assert_eq!(ranks, nranks, "ranks are lossless");
+            for (d, c) in dists.iter().zip(&ndists) {
                 assert!(d.approx_eq(*c, 1e-6), "node {v}: {d:?} vs {c:?}");
             }
         }
@@ -1014,16 +1008,16 @@ mod tests {
     #[test]
     fn compressed_layouts_shrink_label_bytes() {
         let g = grid4();
-        let full = HubLabeling::build(&g);
-        let exact = full.compressed(LabelPrecision::Exact);
-        let narrow = full.compressed(LabelPrecision::F32);
-        let (fb, eb, nb) =
-            (full.stats().label_bytes(), exact.stats().label_bytes(), narrow.stats().label_bytes());
-        // Entry payload shrinks: 12 bytes/entry -> ~9 (exact) -> ~5 (f32).
-        // The per-node byte-offset table partially offsets that on this tiny
-        // graph; the f32 tier must win outright even here.
-        assert!(nb < eb && nb < fb, "f32 tier is the smallest: {fb} / {eb} / {nb}");
-        assert_eq!(full.stats().entries, narrow.stats().entries);
+        let exact = HubLabeling::build(&g);
+        let stats = exact.stats();
+        // Ranks below 128 take one byte each, against four in a `u32`; the
+        // f32 tier halves the distances.
+        let offsets = 2 * 17 * size_of::<usize>();
+        assert_eq!(exact.rank_bytes.len(), stats.entries);
+        assert_eq!(stats.label_bytes(), offsets + stats.entries * (1 + 8));
+        let narrow = exact.with_f32_distances().stats();
+        assert_eq!(narrow.label_bytes(), offsets + stats.entries * (1 + 4));
+        assert_eq!(narrow.entries, stats.entries);
     }
 
     #[test]
@@ -1033,6 +1027,8 @@ mod tests {
         for &v in &values {
             write_varint(&mut buf, v);
         }
+        assert_eq!(buf.len(), values.iter().map(|&v| varint_len(v)).sum::<usize>());
+        assert_eq!(values.map(varint_len), [1, 1, 1, 2, 2, 2, 3, 5]);
         let mut pos = 0;
         for &v in &values {
             assert_eq!(read_varint(&buf, &mut pos), v);

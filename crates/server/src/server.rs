@@ -52,7 +52,7 @@ use crate::stats::{algorithm_index, ClassStats, PublishedMetrics, ServerStats, W
 use crate::telemetry::{Telemetry, TelemetryConfig};
 use parking_lot::RwLock;
 use rnn_core::engine::QueryEngine;
-use rnn_core::{Algorithm, HubLabelRknn, MaterializedKnn, Scratch, SharedResultCache};
+use rnn_core::{Algorithm, MaterializedKnn, Scratch, SharedResultCache};
 use rnn_graph::{NodeId, PointsOnNodes, Topology};
 use rnn_index::HubLabelIndex;
 use rnn_obs::{
@@ -82,11 +82,8 @@ pub struct World {
     topo: Arc<dyn Topology + Send + Sync>,
     points: Arc<dyn PointsOnNodes + Send + Sync>,
     materialized: Option<Arc<MaterializedKnn>>,
-    hub_labels: Option<Arc<dyn HubLabelRknn + Send + Sync>>,
-    /// The concrete hub-label index, when the world was built with
-    /// [`World::with_hub_label_index`] — what [`Server::swap_points_delta`]
-    /// maintains incrementally (the type-erased `hub_labels` handle cannot
-    /// be mutated through the trait).
+    /// The hub-label index ([`World::with_hub_label_index`]), which
+    /// [`Server::swap_points_delta`] maintains in place.
     hub_index: Option<Arc<HubLabelIndex>>,
     /// Introspection handle of the paged storage behind `topo`, when the
     /// world is disk-resident ([`World::with_storage_control`]): lets the
@@ -104,7 +101,7 @@ impl World {
         topo: Arc<dyn Topology + Send + Sync>,
         points: Arc<dyn PointsOnNodes + Send + Sync>,
     ) -> Self {
-        World { topo, points, materialized: None, hub_labels: None, hub_index: None, storage: None }
+        World { topo, points, materialized: None, hub_index: None, storage: None }
     }
 
     /// Attaches the storage-control handle of a paged topology (typically
@@ -124,22 +121,10 @@ impl World {
         self
     }
 
-    /// Attaches a hub-label index (admits [`Algorithm::HubLabel`] requests).
-    ///
-    /// For an index the server can also maintain *incrementally* under
-    /// point churn, attach the concrete type via
-    /// [`World::with_hub_label_index`] instead.
-    pub fn with_hub_labels(mut self, index: Arc<dyn HubLabelRknn + Send + Sync>) -> Self {
-        self.hub_labels = Some(index);
-        self
-    }
-
-    /// Attaches a concrete [`HubLabelIndex`] (admits
-    /// [`Algorithm::HubLabel`] requests) and keeps hold of the concrete
-    /// handle so [`Server::swap_points_delta`] can update its point table
-    /// in place instead of requiring a full rebuild per swap.
+    /// Attaches a hub-label index (admits [`Algorithm::HubLabel`] requests),
+    /// which [`Server::swap_points_delta`] can update in place instead of
+    /// requiring a full rebuild per swap.
     pub fn with_hub_label_index(mut self, index: Arc<HubLabelIndex>) -> Self {
-        self.hub_labels = Some(Arc::clone(&index) as Arc<dyn HubLabelRknn + Send + Sync>);
         self.hub_index = Some(index);
         self
     }
@@ -150,7 +135,7 @@ impl World {
         if let Some(table) = &self.materialized {
             engine = engine.with_materialized(table);
         }
-        if let Some(index) = &self.hub_labels {
+        if let Some(index) = &self.hub_index {
             engine = engine.with_hub_labels(&**index);
         }
         engine
@@ -166,7 +151,7 @@ impl World {
             && request.query.index() < self.topo.num_nodes()
             && (!algorithm.needs_materialization()
                 || self.materialized.as_ref().is_some_and(|t| request.k <= t.capacity_k()))
-            && (!algorithm.needs_hub_labels() || self.hub_labels.is_some())
+            && (!algorithm.needs_hub_labels() || self.hub_index.is_some())
     }
 }
 
@@ -176,7 +161,6 @@ impl std::fmt::Debug for World {
             .field("num_nodes", &self.topo.num_nodes())
             .field("num_points", &self.points.num_points())
             .field("materialized", &self.materialized.is_some())
-            .field("hub_labels", &self.hub_labels.is_some())
             .field("hub_index", &self.hub_index.is_some())
             .field("storage", &self.storage.is_some())
             .finish()
@@ -815,27 +799,23 @@ impl Server {
         results.into_iter().map(|r| r.expect("every slot resolved exactly once")).collect()
     }
 
-    /// Replaces the point set (and the point-set-derived precomputed
-    /// structures, which are stale by construction) and sweeps the shared
+    /// Replaces the point set and the point-set-derived precomputed
+    /// structures, which are stale by construction, and sweeps the shared
     /// result cache, all under the world write lock: in-flight micro-batches
     /// finish first, and no batch started after the swap can see the old
-    /// points or a stale cached answer.
+    /// points or a stale cached answer. A new `hub_index` is the one
+    /// [`Server::swap_points_delta`] maintains from then on.
     pub fn swap_points(
         &self,
         points: Arc<dyn PointsOnNodes + Send + Sync>,
         materialized: Option<Arc<MaterializedKnn>>,
-        hub_labels: Option<Arc<dyn HubLabelRknn + Send + Sync>>,
+        hub_index: Option<Arc<HubLabelIndex>>,
     ) {
         let mut world = self.shared.world.write();
         let num_points = points.num_points() as u64;
         world.points = points;
         world.materialized = materialized;
-        world.hub_labels = hub_labels;
-        // A wholesale swap invalidates the incrementally maintained handle:
-        // the caller-provided labels are the only truth from here on. Delta
-        // maintenance resumes only from a world rebuilt with
-        // `with_hub_label_index`.
-        world.hub_index = None;
+        world.hub_index = hub_index;
         if let Some(cache) = &self.shared.cache {
             cache.invalidate_all();
         }
@@ -854,10 +834,9 @@ impl Server {
     /// `O(total label entries)` table rebuild a full swap pays. The eager
     /// k-NN materialization, when present, is still replaced wholesale.
     ///
-    /// Returns `false` without touching the world when it holds no concrete
-    /// index (built without [`World::with_hub_label_index`], or invalidated
-    /// by a wholesale [`Server::swap_points`]) — the caller falls back to a
-    /// full swap.
+    /// Returns `false` without touching the world when it holds no index
+    /// (built without [`World::with_hub_label_index`], or swapped to none by
+    /// [`Server::swap_points`]) — the caller falls back to a full swap.
     ///
     /// # Panics
     ///
@@ -873,13 +852,9 @@ impl Server {
     ) -> bool {
         let mut guard = self.shared.world.write();
         let world = &mut *guard;
-        if world.hub_index.is_none() {
+        let Some(shared_index) = world.hub_index.as_mut() else {
             return false;
-        }
-        // Drop the type-erased alias first so the Arc is uniquely held and
-        // `make_mut` mutates in place rather than deep-cloning the index.
-        world.hub_labels = None;
-        let shared_index = world.hub_index.as_mut().expect("checked above");
+        };
         let index = Arc::make_mut(shared_index);
         for &update in updates {
             match update {
@@ -896,7 +871,6 @@ impl Server {
             points.num_points(),
             "updates must reconcile the index with the new point set"
         );
-        world.hub_labels = Some(Arc::clone(shared_index) as Arc<dyn HubLabelRknn + Send + Sync>);
         let num_points = points.num_points() as u64;
         world.points = points;
         world.materialized = materialized;
@@ -1416,8 +1390,8 @@ mod tests {
             );
         }
 
-        // A wholesale swap drops the concrete handle; delta swaps then
-        // report unsupported without touching the world.
+        // A wholesale swap to no index drops it; delta swaps then report
+        // unsupported without touching the world.
         server.swap_points(old_points.clone(), None, None);
         assert!(!server.swap_points_delta(new_points.clone(), None, &updates));
         let served = server.submit(Request::new(Algorithm::Naive, NodeId::new(3), 1)).unwrap();

@@ -2,7 +2,7 @@
 //! through `rnn-server`, with the shared result cache for repeated queries —
 //! the ReHub-style serving stack end to end. Construction runs on the
 //! requested number of threads (identical output at any count) and the
-//! queries are served from the compressed (delta-rank, f32) label layout.
+//! queries are served from the labels with their distances rounded to f32.
 //!
 //! Run with `cargo run --release --example hub_label_serving -- [THREADS]`
 //! (default: 2 build threads and server workers). Self-asserting: every
@@ -11,7 +11,7 @@
 use rnn_core::{Algorithm, RknnOutcome};
 use rnn_datagen::{grid_map, place_points_on_nodes, sample_node_queries, GridConfig};
 use rnn_graph::{NodeId, PointsOnNodes};
-use rnn_index::{HubLabelIndex, LabelPrecision};
+use rnn_index::HubLabelIndex;
 use rnn_server::{Request, Server, ServerConfig, World};
 use std::sync::Arc;
 use std::time::Instant;
@@ -44,23 +44,22 @@ fn main() {
 
     // One-time preprocessing: the pruned landmark labeling + inverted table,
     // built level-parallel on the worker threads (the labeling is identical
-    // at any thread count), then compressed to delta-varint ranks with f32
-    // distances for serving.
+    // at any thread count), then its distances rounded to f32 for serving.
     let start = Instant::now();
-    let full = HubLabelIndex::build_with_threads(&*graph, &*points, threads);
+    let exact = HubLabelIndex::build_with_threads(&*graph, &*points, threads);
     let build = start.elapsed();
-    let stats = full.labeling().stats();
-    let index = Arc::new(full.compressed(LabelPrecision::F32));
-    let compressed_bytes = index.labeling().stats().label_bytes();
+    let stats = exact.labeling().stats();
+    let index = Arc::new(exact.with_f32_distances());
+    let f32_bytes = index.labeling().stats().label_bytes();
     const MIB: f64 = 1024.0 * 1024.0;
     println!(
         "labeling built in {build:.2?} on {threads} thread(s): {:.1} hubs/node (max {}), \
-         {:.2} MiB full -> {:.2} MiB compressed ({:.0}% cut), {} inverted point entries",
+         {:.2} MiB exact -> {:.2} MiB f32 ({:.0}% cut), {} inverted point entries",
         stats.avg_label(),
         stats.max_label,
         stats.label_bytes() as f64 / MIB,
-        compressed_bytes as f64 / MIB,
-        100.0 * (1.0 - compressed_bytes as f64 / stats.label_bytes() as f64),
+        f32_bytes as f64 / MIB,
+        100.0 * (1.0 - f32_bytes as f64 / stats.label_bytes() as f64),
         index.point_table().entries(),
     );
 

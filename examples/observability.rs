@@ -93,7 +93,7 @@ fn main() {
     // A telemetry server over the paged world: phase tracing, worst-8 slow
     // queries, 4-epoch windowed latency views, a latency SLO with 1/4-epoch
     // burn windows, and a flight recorder — all on the same registry.
-    let world = World::new(paged, points.clone()).with_hub_labels(hub_index.clone());
+    let world = World::new(paged, points.clone()).with_hub_label_index(hub_index.clone());
     let mut server = Server::start_with_telemetry(
         world,
         ServerConfig::default()

@@ -59,7 +59,7 @@ fn main() {
     // cache striped one shard per worker.
     let world = World::new(graph.clone(), points.clone())
         .with_materialized(Arc::clone(&table))
-        .with_hub_labels(hub_index.clone());
+        .with_hub_label_index(hub_index.clone());
     let server = Server::start(
         world,
         ServerConfig::default()

@@ -48,7 +48,7 @@ fn assert_batch_matches_sequential(
     for workers in [1usize, 2, 8] {
         let world = World::new(graph.clone(), points.clone())
             .with_materialized(Arc::clone(&table))
-            .with_hub_labels(hub_index.clone());
+            .with_hub_label_index(hub_index.clone());
         let server = Server::start(world, ServerConfig::default().with_workers(workers));
         // Byte-identical outcomes: result sets and per-query stats both.
         prop_assert_eq!(&serve_all(&server, &requests), &expected, "workers={}", workers);

@@ -151,7 +151,7 @@ fn online_serving_flow_matches_sequential_queries_and_conserves_requests() {
     let pre = Precomputed::materialized(&table).with_hub_labels(&*hub_index);
     let world = World::new(graph.clone(), cafes.clone())
         .with_materialized(Arc::clone(&table))
-        .with_hub_labels(hub_index.clone());
+        .with_hub_label_index(hub_index.clone());
     let server =
         Server::start(world, ServerConfig::default().with_workers(2).with_result_cache(16, 0));
 
@@ -226,7 +226,7 @@ fn observability_flow_snapshots_every_layer_deterministically() {
     let hub_index = Arc::new(HubLabelIndex::build(&*graph, &*cafes));
     hub_index.register_metrics(&registry);
 
-    let world = World::new(graph.clone(), cafes.clone()).with_hub_labels(hub_index.clone());
+    let world = World::new(graph.clone(), cafes.clone()).with_hub_label_index(hub_index.clone());
     let server = Server::start_observed(
         world,
         ServerConfig::default().with_workers(2).with_slow_query_log(4, 2, 8, 7),

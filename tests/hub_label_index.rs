@@ -14,7 +14,7 @@
 //!   tests candidates against stored or scanned k-NN radii, answers like the
 //!   unpruned fold with per-candidate counting it replaced (kept here as
 //!   [`unpruned_rknn`]) and like the naive baseline — on graphs biased to
-//!   ties, short buckets and split components, under all three label stores,
+//!   ties, short buckets and split components, under both label tiers,
 //!   at `k` up to `usize::MAX`, before and after a random point
 //!   insert/remove trace — and the unread-tail skip gives way to the
 //!   per-entry test where floating-point sums absorb the gap.
@@ -29,7 +29,7 @@ use rnn_datagen::{
     brite_topology, grid_map, place_points_on_nodes, sample_node_queries, BriteConfig, GridConfig,
 };
 use rnn_graph::{Graph, GraphBuilder, NodeId, NodePointSet, PointId, PointsOnNodes, Weight};
-use rnn_index::{HubLabelIndex, HubLabeling, LabelDecoder, LabelPrecision};
+use rnn_index::{HubLabelIndex, HubLabeling, LabelDecoder};
 use rnn_server::{Request, Server, ServerConfig, World};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -232,13 +232,9 @@ fn unpruned_rknn(index: &HubLabelIndex, query: NodeId, k: usize) -> Vec<PointId>
     result // node order is point-id order
 }
 
-/// The three label stores over one index.
-fn stores(full: &HubLabelIndex) -> [(&'static str, HubLabelIndex); 3] {
-    [
-        ("full", full.clone()),
-        ("compact/exact", full.compressed(LabelPrecision::Exact)),
-        ("compact/f32", full.compressed(LabelPrecision::F32)),
-    ]
+/// The two label tiers over one index.
+fn tiers(exact: &HubLabelIndex) -> [(&'static str, HubLabelIndex); 2] {
+    [("exact", exact.clone()), ("f32", exact.with_f32_distances())]
 }
 
 /// One connected piece of a [`NastyInstance`].
@@ -347,7 +343,7 @@ fn nasty_instance() -> impl Strategy<Value = NastyInstance> {
 }
 
 /// Every query node and every `k` around the interesting sizes: the pruned
-/// query equals the unpruned fold on each store and the naive baseline (the
+/// query equals the unpruned fold on each tier and the naive baseline (the
 /// instance's weights and path sums are exact in `f32` too).
 fn assert_pruned_matches_references(
     graph: &Graph,
@@ -363,18 +359,18 @@ fn assert_pruned_matches_references(
     for query in (0..graph.num_nodes()).map(NodeId::new) {
         for &k in &ks {
             let oracle = naive::naive_rknn(graph, points, query, k).points;
-            for (store, index) in indexes {
+            for (tier, index) in indexes {
                 prop_assert_eq!(index.num_points(), p);
                 let pruned = index.rknn_in(query, k, &mut scratch);
                 prop_assert_eq!(
                     &pruned.points,
                     &unpruned_rknn(index, query, k),
                     "{} q={} k={}",
-                    store,
+                    tier,
                     query,
                     k
                 );
-                prop_assert_eq!(&pruned.points, &oracle, "{} q={} k={} vs naive", store, query, k);
+                prop_assert_eq!(&pruned.points, &oracle, "{} q={} k={} vs naive", tier, query, k);
                 prop_assert_eq!(
                     pruned.stats.bucket_scans,
                     pruned.stats.heap_pushes + pruned.stats.auxiliary_settled
@@ -389,12 +385,12 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     /// Differential test of the Lemma 1 prune, before and after a random
-    /// 200-op insert/remove trace maintained incrementally on each store.
+    /// 200-op insert/remove trace maintained incrementally on each tier.
     #[test]
     fn pruned_rknn_equals_unpruned_fold_and_naive(inst in nasty_instance()) {
         let mut occupied = inst.occupied.clone();
         let points = point_set(&occupied);
-        let mut indexes = stores(&HubLabelIndex::build(&inst.graph, &points));
+        let mut indexes = tiers(&HubLabelIndex::build(&inst.graph, &points));
         assert_pruned_matches_references(&inst.graph, &points, &indexes)?;
 
         let mut state = inst.trace_seed;
@@ -426,8 +422,8 @@ fn star(leaf_weights: &[f64]) -> Graph {
 }
 
 /// Queries leaf 1 of `star(leaf_weights)` with points on every other leaf,
-/// on each store: the pruned answer must equal the unpruned fold, and on the
-/// exact stores the naive baseline. Returns per store the answer (as leaf
+/// on each tier: the pruned answer must equal the unpruned fold, and on the
+/// exact tier the naive baseline. Returns per tier the answer (as leaf
 /// numbers) and the bucket entries the candidate phase read.
 fn query_star(leaf_weights: &[f64], k: usize) -> Vec<(Vec<usize>, u64)> {
     let graph = star(leaf_weights);
@@ -435,13 +431,13 @@ fn query_star(leaf_weights: &[f64], k: usize) -> Vec<(Vec<usize>, u64)> {
     let points =
         NodePointSet::from_nodes(graph.num_nodes(), (2..graph.num_nodes()).map(NodeId::new));
     let oracle = naive::naive_rknn(&graph, &points, query, k).points;
-    stores(&HubLabelIndex::build(&graph, &points))
+    tiers(&HubLabelIndex::build(&graph, &points))
         .iter()
-        .map(|(store, index)| {
+        .map(|(tier, index)| {
             let out = index.rknn(query, k);
-            assert_eq!(out.points, unpruned_rknn(index, query, k), "{store} k={k}");
-            if *store != "compact/f32" {
-                assert_eq!(out.points, oracle, "{store} k={k} vs naive");
+            assert_eq!(out.points, unpruned_rknn(index, query, k), "{tier} k={k}");
+            if *tier == "exact" {
+                assert_eq!(out.points, oracle, "{tier} k={k} vs naive");
             }
             let leaves = out.points.iter().map(|&p| points.node_of(p).index()).collect();
             (leaves, out.stats.heap_pushes)
@@ -480,22 +476,20 @@ fn absorbed_sums_make_the_fold_read_the_bucket_tail() {
 fn min_positive_weights_keep_the_guard_sound() {
     let tiny = f64::MIN_POSITIVE;
     for k in [1, 2] {
-        let results = query_star(&[2.0 * tiny, tiny, 3.0 * tiny, 4.0 * tiny, 5.0 * tiny, 1.0], k);
-        assert_eq!(results[0], results[1], "the exact stores agree");
+        query_star(&[2.0 * tiny, tiny, 3.0 * tiny, 4.0 * tiny, 5.0 * tiny, 1.0], k);
     }
 }
 
 /// The query's distance to the hub exceeds the nearest point's by less than
-/// `f32` resolves: the exact stores see a gap and skip the tail, the `f32`
-/// store sees a tie with every point behind the nearest, reads on, and —
+/// `f32` resolves: the exact tier sees a gap and skips the tail, the `f32`
+/// tier sees a tie with every point behind the nearest, reads on, and —
 /// correctly, on its labels — reports them all.
 #[test]
 fn f32_sums_straddling_a_tie_are_not_skipped() {
     let gap = 1.0 + f64::from(f32::EPSILON) / 8.0;
     assert_eq!(gap as f32, 1.0);
     let results = query_star(&[gap, 1.0, 2.0, 3.0, 5.0], 1);
-    let (full, exact, f32_store) = (&results[0], &results[1], &results[2]);
-    assert_eq!(full, &(vec![2], 3), "gap seen: one reverse neighbor, tail unread");
-    assert_eq!(exact, full);
-    assert_eq!(f32_store, &(vec![2, 3, 4, 5], 4), "ties seen: the whole bucket read");
+    let (exact, f32_tier) = (&results[0], &results[1]);
+    assert_eq!(exact, &(vec![2], 3), "gap seen: one reverse neighbor, tail unread");
+    assert_eq!(f32_tier, &(vec![2, 3, 4, 5], 4), "ties seen: the whole bucket read");
 }

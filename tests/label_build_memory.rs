@@ -1,10 +1,16 @@
 //! Peak memory of the hub-label build at benchmark scale.
 //!
 //! The build appends labels into one block arena and freezes it in place
-//! into the CSR, so building the labels of the `labels-churn` world (BRITE
-//! 5×10⁴, seed 42, 2 threads) may raise the process's resident high-water
-//! mark by at most 1.4× the label bytes it ends up holding. The arena reads
-//! 1.31× here; per-node growable lists copied into the CSR read 3.15×.
+//! into a CSR of `u32` ranks and `f64` distances, then re-encodes the ranks
+//! as varints. The arena, not the final store, sets the high-water mark, so
+//! the bound is stated against the arena's entry payload: `entries × (4 + 8)`
+//! bytes plus the `usize` entry offsets. Building the labels of the
+//! `labels-churn` world (BRITE 5×10⁴, seed 42, 2 threads) may raise the
+//! process's resident high-water mark by at most 1.4× that payload. It reads
+//! 1.34× on a 2-vCPU box, a 139 MB rise, the same as when the CSR itself was
+//! the store: the encode stays under the arena's peak. Against the smaller
+//! varint store the same rise reads 1.76×, and per-node growable lists
+//! copied into the CSR read 3.15× the payload.
 //!
 //! One test in its own binary, so no other test's allocations share the
 //! process. Release-only, since the unoptimised build takes minutes at this
@@ -31,7 +37,7 @@ fn status_bytes(field: &str) -> Option<usize> {
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: the 5x10^4-node build is slow unoptimised")]
-fn label_build_peak_stays_within_1_4x_the_label_bytes() {
+fn label_build_peak_stays_within_1_4x_the_arena_payload() {
     let graph = brite_topology(&BriteConfig { num_nodes: 50_000, seed: 42, ..Default::default() });
     let Some(before) = status_bytes("VmRSS") else {
         eprintln!("skipped: /proc/self/status is not available");
@@ -39,18 +45,23 @@ fn label_build_peak_stays_within_1_4x_the_label_bytes() {
     };
     let labeling = HubLabeling::build_with_threads(&graph, 2);
     let peak = status_bytes("VmHWM").expect("VmHWM is listed beside VmRSS");
-    let label_bytes = labeling.stats().label_bytes();
-    let ratio = peak.saturating_sub(before) as f64 / label_bytes as f64;
+    let stats = labeling.stats();
+    let payload = stats.entries * (size_of::<u32>() + size_of::<f64>())
+        + (stats.nodes + 1) * size_of::<usize>();
+    let rise = peak.saturating_sub(before);
+    let ratio = rise as f64 / payload as f64;
     assert!(
         ratio <= 1.4,
-        "the build raised the peak by {ratio:.2}x the label bytes \
-         ({} MB over {} MB resident before it, {} MB of labels)",
-        peak.saturating_sub(before) >> 20,
+        "the build raised the peak by {ratio:.2}x the arena payload \
+         ({} MB over {} MB resident before it, {} MB of payload, {} MB of labels)",
+        rise >> 20,
         before >> 20,
-        label_bytes >> 20,
+        payload >> 20,
+        stats.label_bytes() >> 20,
     );
+    assert!(stats.label_bytes() < payload, "the varint store is smaller than the arena's CSR");
     assert_eq!(
-        (format!("{:#018x}", label_hash(&labeling)), labeling.stats().entries),
+        (format!("{:#018x}", label_hash(&labeling)), stats.entries),
         ("0x4400219e33a9db63".to_string(), 8_632_920)
     );
 }

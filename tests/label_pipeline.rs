@@ -5,10 +5,9 @@
 //!   BRITE generators and on random zoo graphs;
 //! * every label byte of the 2-thread build is pinned by hash on the BRITE
 //!   2000-node and 2500-node grid graphs;
-//! * the compressed tiers answer like the exact one: delta-varint ranks with
-//!   exact distances decode bit-identically, and the `f32` tier stays within
-//!   `Weight::approx_eq` of exact while producing the *same* k-NN orders and
-//!   RkNN result sets;
+//! * the `f32` tier answers like the exact one: its distances stay within
+//!   `Weight::approx_eq` of exact while it produces the *same* k-NN orders
+//!   and RkNN result sets;
 //! * a randomized 500-op insert/remove trace maintained incrementally
 //!   (sorted bucket splices, radius splices and recomputations) equals a
 //!   from-scratch rebuild after every single op — table, radii and index
@@ -19,7 +18,7 @@ mod common;
 use common::{build_connected_graph, label_hash};
 use rnn_datagen::{brite_topology, grid_map, place_points_on_nodes, BriteConfig, GridConfig};
 use rnn_graph::{NodeId, NodePointSet};
-use rnn_index::{HubLabelIndex, HubLabeling, HubPointTable, LabelPrecision};
+use rnn_index::{HubLabelIndex, HubLabeling, HubPointTable, LabelDecoder};
 
 const SEED: u64 = 7;
 
@@ -96,8 +95,7 @@ fn compressed_tiers_match_exact_answers_and_f32_stays_within_approx_eq() {
     let graph = brite_topology(&BriteConfig { num_nodes: 500, seed: SEED, ..Default::default() });
     let points = place_points_on_nodes(&graph, 0.05, SEED + 1);
     let exact = HubLabelIndex::build(&graph, &points);
-    let compact_exact = exact.compressed(LabelPrecision::Exact);
-    let compact_f32 = exact.compressed(LabelPrecision::F32);
+    let narrow = exact.with_f32_distances();
 
     let mut rng = Lcg(SEED + 2);
     let queries: Vec<NodeId> = (0..64).map(|_| NodeId::new(rng.below(graph.num_nodes()))).collect();
@@ -109,11 +107,9 @@ fn compressed_tiers_match_exact_answers_and_f32_stays_within_approx_eq() {
         ));
     }
 
-    // Distances: exact-compressed is bit-identical, f32 within approx_eq.
+    // Distances: f32 within approx_eq of exact.
     for &(u, v) in &pairs {
-        let full = exact.distance(u, v);
-        assert_eq!(full, compact_exact.distance(u, v), "pair ({u}, {v}): exact tier drifted");
-        match (full, compact_f32.distance(u, v)) {
+        match (exact.distance(u, v), narrow.distance(u, v)) {
             (Some(d), Some(f)) => assert!(
                 d.approx_eq(f, 1e-6),
                 "pair ({u}, {v}): f32 distance {f} too far from exact {d}"
@@ -123,32 +119,22 @@ fn compressed_tiers_match_exact_answers_and_f32_stays_within_approx_eq() {
         }
     }
 
-    // Queries: result sets must be identical across tiers — compression may
-    // round distances but must never change an answer.
+    // Queries: result sets must be identical across tiers — the f32 tier
+    // may round distances but must never change an answer.
     for &q in &queries {
         for k in [1usize, 2, 3] {
             let reference = exact.rknn(q, k);
             assert_eq!(
                 reference.points,
-                compact_exact.rknn(q, k).points,
-                "rknn({q}, {k}): exact-compressed tier drifted"
-            );
-            assert_eq!(
-                reference.points,
-                compact_f32.rknn(q, k).points,
+                narrow.rknn(q, k).points,
                 "rknn({q}, {k}): f32 tier drifted"
             );
 
             let knn = exact.k_nearest(q, k);
-            let knn_f32 = compact_f32.k_nearest(q, k);
+            let knn_f32 = narrow.k_nearest(q, k);
             let ids: Vec<_> = knn.iter().map(|&(p, _)| p).collect();
             let ids_f32: Vec<_> = knn_f32.iter().map(|&(p, _)| p).collect();
             assert_eq!(ids, ids_f32, "k_nearest({q}, {k}): f32 tier reordered the result");
-            assert_eq!(
-                knn,
-                compact_exact.k_nearest(q, k),
-                "k_nearest({q}, {k}): exact-compressed tier drifted"
-            );
             for (&(_, d), &(_, f)) in knn.iter().zip(&knn_f32) {
                 assert!(d.approx_eq(f, 1e-6), "k_nearest({q}, {k}): f32 distance drifted");
             }
@@ -176,16 +162,17 @@ fn randomized_insert_remove_trace_matches_fresh_rebuild_after_every_op() {
     let mut occupied = vec![false; n];
     let mut table = HubPointTable::build(&labeling, &NodePointSet::empty(n));
     let mut index = HubLabelIndex::from_labeling(labeling.clone(), &NodePointSet::empty(n));
+    let dec = &mut LabelDecoder::new();
 
     for op in 0..500 {
         let node = candidates[rng.below(candidates.len())];
         if occupied[node.index()] {
-            let removed = table.remove_point(&labeling, node);
+            let removed = table.remove_point(&labeling, node, dec);
             assert!(removed.is_some(), "op {op}: removing an occupied node must succeed");
             assert_eq!(index.remove_point(node), removed, "op {op}: index/table id mismatch");
             occupied[node.index()] = false;
         } else {
-            let inserted = table.insert_point(&labeling, node);
+            let inserted = table.insert_point(&labeling, node, dec);
             assert_eq!(index.insert_point(node), inserted, "op {op}: index/table id mismatch");
             occupied[node.index()] = true;
             assert_eq!(table.point_of(node), Some(inserted), "op {op}: directory splice");

@@ -244,7 +244,7 @@ fn one_snapshot_exposes_every_layer_and_exports_deterministically() {
 
     let world = World::new(paged.clone(), points.clone())
         .with_materialized(Arc::clone(&table))
-        .with_hub_labels(hub_index.clone())
+        .with_hub_label_index(hub_index.clone())
         .with_storage_control(paged);
     let server = Server::start_observed(
         world,
@@ -436,7 +436,7 @@ fn fully_wired_snapshot() -> MetricsSnapshot {
     SharedResultCache::new(32, 2).register_metrics(&registry, "adhoc");
 
     let world =
-        World::new(paged, points.clone()).with_materialized(table).with_hub_labels(hub_index);
+        World::new(paged, points.clone()).with_materialized(table).with_hub_label_index(hub_index);
     let server = Server::start_with_telemetry(
         world,
         ServerConfig::default()

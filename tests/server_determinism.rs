@@ -95,7 +95,7 @@ fn all_six_algorithms_match_the_sequential_oracle_at_every_worker_count() {
         for workers in [1usize, 2, 8] {
             let world = World::new(graph.clone(), points.clone())
                 .with_materialized(Arc::clone(&table))
-                .with_hub_labels(hub_index.clone());
+                .with_hub_label_index(hub_index.clone());
             let server = Server::start(
                 world,
                 ServerConfig::default()

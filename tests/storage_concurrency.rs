@@ -76,7 +76,7 @@ fn assert_paged_batch_matches_sequential(
         paged.cold_start();
         let world = World::new(paged.clone(), points.clone())
             .with_materialized(Arc::clone(&table))
-            .with_hub_labels(hub_index.clone());
+            .with_hub_label_index(hub_index.clone());
         let server = Server::start_with_io(
             world,
             ServerConfig::default().with_workers(workers),
