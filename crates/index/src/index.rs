@@ -52,9 +52,11 @@
 //! with `d(x, p) <= r_R(p)`. A point the fold leaves out already has `R`
 //! points strictly closer than `x`, so its radii cannot change.
 //!
-//! Labels are decoded into a pooled [`LabelDecoder`] — a query's from its
-//! scratch arena, point maintenance's from the index's update buffers — so
-//! steady-state queries and updates decode without allocating.
+//! The fold decodes a whole label into a pooled [`LabelDecoder`] (a query's
+//! from its scratch arena, point maintenance's from the index's update
+//! buffers); the k-NN and radius scans decode theirs entry by entry
+//! ([`HubLabeling::entries`]) and stop decoding where the scan stops. Neither
+//! allocates in steady state.
 
 use crate::labeling::{HubLabeling, LabelDecoder};
 use crate::point_table::HubPointTable;
@@ -230,11 +232,10 @@ impl HubLabelIndex {
     /// Removes the point on `node`, if any, by incremental maintenance (see
     /// [`HubPointTable::remove_point`] and the module docs).
     pub fn remove_point(&mut self, node: NodeId) -> Option<PointId> {
-        self.table.point_of(node)?;
+        let id = self.table.remove_point(&self.labeling, node, &mut self.update.dec)?;
+        self.radii.remove(id.index());
         let mut bufs = std::mem::take(&mut self.update);
         let UpdateBuffers { dmin, dec, best } = &mut bufs;
-        let id = self.table.remove_point(&self.labeling, node, dec).expect("occupied");
-        self.radii.remove(id.index());
         self.fold(node, STORED_RADII, dec, dmin, &mut QueryStats::default());
         for (other, &d) in dmin.iter() {
             let p = self.table.point_of(other).expect("folded nodes are occupied").index();

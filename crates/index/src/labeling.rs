@@ -651,7 +651,12 @@ impl HubLabeling {
     ) -> (&'a [u32], &'a [Weight]) {
         let (lo, hi) = (self.offsets[node.index()], self.offsets[node.index() + 1]);
         dec.ranks.clear();
-        dec.ranks.extend(self.ranks(node));
+        let (mut pos, end) = (self.byte_offsets[node.index()], self.byte_offsets[node.index() + 1]);
+        let mut rank = 0u32;
+        while pos < end {
+            rank += read_varint(&self.rank_bytes, &mut pos);
+            dec.ranks.push(rank);
+        }
         debug_assert_eq!(dec.ranks.len(), hi - lo, "rank stream length matches CSR");
         match &self.dists {
             Dists::Exact(d) => (&dec.ranks, &d[lo..hi]),
@@ -669,22 +674,15 @@ impl HubLabeling {
     ///
     /// [`label`]: HubLabeling::label
     pub fn entries(&self, node: NodeId) -> impl Iterator<Item = (u32, Weight)> + '_ {
-        let dist = move |i: usize| match &self.dists {
-            Dists::Exact(d) => d[i],
-            Dists::F32(d) => Weight::new(f64::from(d[i])),
-        };
-        self.ranks(node).zip(self.offsets[node.index()]..).map(move |(r, i)| (r, dist(i)))
-    }
-
-    /// The hub ranks of `node`'s label, decoded from the varint stream.
-    fn ranks(&self, node: NodeId) -> impl Iterator<Item = u32> + '_ {
-        let (mut pos, end) = (self.byte_offsets[node.index()], self.byte_offsets[node.index() + 1]);
+        let mut pos = self.byte_offsets[node.index()];
         let mut rank = 0;
-        std::iter::from_fn(move || {
-            (pos < end).then(|| {
-                rank += read_varint(&self.rank_bytes, &mut pos);
-                rank
-            })
+        (self.offsets[node.index()]..self.offsets[node.index() + 1]).map(move |i| {
+            rank += read_varint(&self.rank_bytes, &mut pos);
+            let dist = match &self.dists {
+                Dists::Exact(d) => d[i],
+                Dists::F32(d) => Weight::new(f64::from(d[i])),
+            };
+            (rank, dist)
         })
     }
 
