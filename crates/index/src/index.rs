@@ -55,7 +55,7 @@
 //! The fold decodes a whole label into a pooled [`LabelDecoder`] (a query's
 //! from its scratch arena, point maintenance's from the index's update
 //! buffers); the k-NN and radius scans decode theirs entry by entry
-//! ([`HubLabeling::entries`]) and stop decoding where the scan stops. Neither
+//! (`HubLabeling::entries`) and stop decoding where the scan stops. Neither
 //! allocates in steady state.
 
 use crate::labeling::{HubLabeling, LabelDecoder};

@@ -673,7 +673,7 @@ impl HubLabeling {
     /// entries it read.
     ///
     /// [`label`]: HubLabeling::label
-    pub fn entries(&self, node: NodeId) -> impl Iterator<Item = (u32, Weight)> + '_ {
+    pub(crate) fn entries(&self, node: NodeId) -> impl Iterator<Item = (u32, Weight)> + '_ {
         let mut pos = self.byte_offsets[node.index()];
         let mut rank = 0;
         (self.offsets[node.index()]..self.offsets[node.index() + 1]).map(move |i| {
