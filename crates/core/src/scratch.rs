@@ -78,7 +78,6 @@ pub struct Scratch {
     expansions: Vec<ExpansionBuffers>,
     found: Vec<Vec<(PointId, Weight)>>,
     weights: Vec<Vec<Weight>>,
-    indices: Vec<Vec<u32>>,
     node_dists: Vec<Vec<(NodeId, Weight)>>,
     dist_tables: Vec<NodeTable<Weight>>,
     node_marks: Vec<NodeTable<()>>,
@@ -149,7 +148,6 @@ impl Scratch {
         take_expansion, put_expansion, expansions: ExpansionBuffers;
         take_found, put_found, found: Vec<(PointId, Weight)>;
         take_weights, put_weights, weights: Vec<Weight>;
-        take_indices, put_indices, indices: Vec<u32>;
         take_node_dists, put_node_dists, node_dists: Vec<(NodeId, Weight)>;
         take_dist_table, put_dist_table, dist_tables: NodeTable<Weight>;
         take_node_marks, put_node_marks, node_marks: NodeTable<()>;

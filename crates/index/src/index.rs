@@ -52,13 +52,12 @@
 //! with `d(x, p) <= r_R(p)`. A point the fold leaves out already has `R`
 //! points strictly closer than `x`, so its radii cannot change.
 //!
-//! The fold decodes a whole label into a pooled [`LabelDecoder`] (a query's
-//! from its scratch arena, point maintenance's from the index's update
-//! buffers); the k-NN and radius scans decode theirs entry by entry
-//! (`HubLabeling::entries`) and stop decoding where the scan stops. Neither
-//! allocates in steady state.
+//! Every scan reads its label through [`HubLabeling::entries`], which decodes
+//! one entry at a time into no buffer: the fold and the point-table splices
+//! read the whole label, the k-NN and radius scans stop decoding where the
+//! scan stops.
 
-use crate::labeling::{HubLabeling, LabelDecoder};
+use crate::labeling::HubLabeling;
 use crate::point_table::HubPointTable;
 use rnn_core::precomputed::HubLabelRknn;
 use rnn_core::query::{QueryStats, RknnOutcome};
@@ -87,13 +86,12 @@ pub struct HubLabelIndex {
     update: UpdateBuffers,
 }
 
-/// The fold table, decoder and k-NN list of point maintenance, kept inside
-/// the index between updates: a fresh [`NodeTable`] would be sized to the
-/// graph on every call. Not part of the index's value.
+/// The fold table and k-NN list of point maintenance, kept inside the index
+/// between updates: a fresh [`NodeTable`] would be sized to the graph on
+/// every call. Not part of the index's value.
 #[derive(Clone, Debug, Default)]
 struct UpdateBuffers {
     dmin: NodeTable<Weight>,
-    dec: LabelDecoder,
     best: Vec<(NodeId, Weight)>,
 }
 
@@ -209,10 +207,10 @@ impl HubLabelIndex {
     pub fn insert_point(&mut self, node: NodeId) -> PointId {
         assert!(self.table.point_of(node).is_none(), "node {node} already holds a point");
         let mut bufs = std::mem::take(&mut self.update);
-        let UpdateBuffers { dmin, dec, best } = &mut bufs;
+        let UpdateBuffers { dmin, best } = &mut bufs;
         // Before `node` enters the table, so the fold meets only the others
         // and its distances index the radii by their current point ids.
-        self.fold(node, STORED_RADII, dec, dmin, &mut QueryStats::default());
+        self.fold(node, STORED_RADII, dmin, &mut QueryStats::default());
         for (other, &d) in dmin.iter() {
             let radii = &mut self.radii
                 [self.table.point_of(other).expect("folded nodes are occupied").index()];
@@ -222,7 +220,7 @@ impl HubLabelIndex {
                 radii[at] = d;
             }
         }
-        let id = self.table.insert_point(&self.labeling, node, dec);
+        let id = self.table.insert_point(&self.labeling, node);
         let own = self.stored_radii(node, best);
         self.radii.insert(id.index(), own);
         self.update = bufs;
@@ -232,11 +230,11 @@ impl HubLabelIndex {
     /// Removes the point on `node`, if any, by incremental maintenance (see
     /// [`HubPointTable::remove_point`] and the module docs).
     pub fn remove_point(&mut self, node: NodeId) -> Option<PointId> {
-        let id = self.table.remove_point(&self.labeling, node, &mut self.update.dec)?;
+        let id = self.table.remove_point(&self.labeling, node)?;
         self.radii.remove(id.index());
         let mut bufs = std::mem::take(&mut self.update);
-        let UpdateBuffers { dmin, dec, best } = &mut bufs;
-        self.fold(node, STORED_RADII, dec, dmin, &mut QueryStats::default());
+        let UpdateBuffers { dmin, best } = &mut bufs;
+        self.fold(node, STORED_RADII, dmin, &mut QueryStats::default());
         for (other, &d) in dmin.iter() {
             let p = self.table.point_of(other).expect("folded nodes are occupied").index();
             if d <= self.radii[p][STORED_RADII - 1] {
@@ -371,17 +369,9 @@ impl HubLabelIndex {
     /// rejects at the hub for this `k` (see the module docs). The query and
     /// both point updates run it. `dmin` clears in O(1), so the cost stays
     /// proportional to the entries read, never to the total point count.
-    fn fold(
-        &self,
-        from: NodeId,
-        k: usize,
-        dec: &mut LabelDecoder,
-        dmin: &mut NodeTable<Weight>,
-        stats: &mut QueryStats,
-    ) {
+    fn fold(&self, from: NodeId, k: usize, dmin: &mut NodeTable<Weight>, stats: &mut QueryStats) {
         dmin.clear();
-        let (hubs, hub_dists) = self.labeling.label(from, dec);
-        for (&h, &a) in hubs.iter().zip(hub_dists) {
+        for (h, a) in self.labeling.entries(from) {
             stats.nodes_settled += 1;
             stats.label_scans += 1;
             let (dists, nodes) = self.table.bucket(h);
@@ -446,11 +436,10 @@ impl HubLabelIndex {
         assert!(k >= 1, "RkNN queries require k >= 1");
         assert!(query.index() < self.num_nodes(), "query node {query} outside the labeled graph");
         let mut stats = QueryStats::default();
-        let mut dec = LabelDecoder::from_parts(scratch.take_indices(), scratch.take_weights());
 
         let candidate_span = scratch.tracer().begin();
         let mut dmin = scratch.take_dist_table();
-        self.fold(query, k, &mut dec, &mut dmin, &mut stats);
+        self.fold(query, k, &mut dmin, &mut stats);
         let read = stats.heap_pushes;
         scratch.tracer_mut().end(Phase::CandidateGen, candidate_span, read);
 
@@ -483,9 +472,6 @@ impl HubLabelIndex {
                 result.push(point);
             }
         }
-        let (ranks, weights) = dec.into_parts();
-        scratch.put_indices(ranks);
-        scratch.put_weights(weights);
         scratch.put_dist_table(dmin);
         scratch.put_node_dists(best);
         let decided = stats.candidates;
@@ -759,9 +745,11 @@ mod tests {
         assert_eq!(out.points, naive::naive_rknn(&g, &pts, query, 1).points);
         assert_eq!(out.points, vec![pts.point_at(NodeId::new(6)).unwrap()]);
 
-        let mut dec = LabelDecoder::new();
-        let (hubs, _) = index.labeling().label(query, &mut dec);
-        let listed: usize = hubs.iter().map(|&h| index.point_table().bucket(h).0.len()).sum();
+        let listed: usize = index
+            .labeling()
+            .entries(query)
+            .map(|(h, _)| index.point_table().bucket(h).0.len())
+            .sum();
         assert!(listed > 4, "some point is listed under several of the query's hubs");
         assert!(
             out.stats.heap_pushes < listed as u64,

@@ -72,12 +72,9 @@
 //! [`HubLabeling::with_f32_distances`] gives the one other tier: the same
 //! rank bytes beside distances rounded to `f32`.
 //!
-//! `label()` decodes a whole label into a caller-provided [`LabelDecoder`],
-//! which query paths recycle from their [`rnn_core::scratch::Scratch`] arena
-//! and point maintenance keeps between updates, so steady-state decoding is
-//! allocation-free. `entries()` decodes one entry at a time instead, for the
-//! scans that may stop after a few entries (the index's k-NN and radius
-//! scans): they decode only what they read.
+//! [`HubLabeling::entries`] is the one way to read a label: it decodes one
+//! `(rank, distance)` entry at a time into no buffer, so reading allocates
+//! nothing and a scan that stops early decodes only what it read.
 
 use rnn_core::expansion::{ExpansionBuffers, NetworkExpansion};
 use rnn_graph::{NodeId, Topology, Weight};
@@ -104,38 +101,6 @@ enum Dists {
     Exact(Vec<Weight>),
     /// Distances rounded to `f32` ([`HubLabeling::with_f32_distances`]).
     F32(Vec<f32>),
-}
-
-/// Reusable decode buffer for [`HubLabeling::label`].
-///
-/// The ranks — and, for the `f32` tier, the widened distances — are decoded
-/// into it. Query paths keep one per worker and rebuild it from pooled
-/// scratch vectors via [`LabelDecoder::from_parts`] /
-/// [`LabelDecoder::into_parts`] so decoding allocates nothing in steady
-/// state.
-#[derive(Clone, Debug, Default)]
-pub struct LabelDecoder {
-    ranks: Vec<u32>,
-    dists: Vec<Weight>,
-}
-
-impl LabelDecoder {
-    /// An empty decoder. Decoding grows it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builds a decoder around existing (e.g. pooled) buffers. Contents are
-    /// cleared on the next decode, capacity is kept.
-    pub fn from_parts(ranks: Vec<u32>, dists: Vec<Weight>) -> Self {
-        LabelDecoder { ranks, dists }
-    }
-
-    /// Takes the backing buffers apart, e.g. to return them to a scratch
-    /// pool.
-    pub fn into_parts(self) -> (Vec<u32>, Vec<Weight>) {
-        (self.ranks, self.dists)
-    }
 }
 
 /// Bytes [`write_varint`] takes for `v`.
@@ -640,40 +605,10 @@ impl HubLabeling {
         self.offsets[node.index() + 1] - self.offsets[node.index()]
     }
 
-    /// The label of `node`: parallel slices of hub ranks (ascending) and
-    /// distances to them, decoded into `dec` (exact distances are borrowed
-    /// from the labeling). They are valid until the next `label()` call with
-    /// the same decoder.
-    pub fn label<'a>(
-        &'a self,
-        node: NodeId,
-        dec: &'a mut LabelDecoder,
-    ) -> (&'a [u32], &'a [Weight]) {
-        let (lo, hi) = (self.offsets[node.index()], self.offsets[node.index() + 1]);
-        dec.ranks.clear();
-        let (mut pos, end) = (self.byte_offsets[node.index()], self.byte_offsets[node.index() + 1]);
-        let mut rank = 0u32;
-        while pos < end {
-            rank += read_varint(&self.rank_bytes, &mut pos);
-            dec.ranks.push(rank);
-        }
-        debug_assert_eq!(dec.ranks.len(), hi - lo, "rank stream length matches CSR");
-        match &self.dists {
-            Dists::Exact(d) => (&dec.ranks, &d[lo..hi]),
-            Dists::F32(d) => {
-                dec.dists.clear();
-                dec.dists.extend(d[lo..hi].iter().map(|&x| Weight::new(f64::from(x))));
-                (&dec.ranks, &dec.dists)
-            }
-        }
-    }
-
-    /// The label of `node` as `(rank, distance)` pairs in [`label`] order,
-    /// decoded one entry at a time: a scan that stops early decodes only the
-    /// entries it read.
-    ///
-    /// [`label`]: HubLabeling::label
-    pub(crate) fn entries(&self, node: NodeId) -> impl Iterator<Item = (u32, Weight)> + '_ {
+    /// The label of `node`: its hubs' ranks, ascending, each with the
+    /// distance to that hub. Decoded one entry at a time, so a scan that
+    /// stops early decodes only the entries it read.
+    pub fn entries(&self, node: NodeId) -> impl Iterator<Item = (u32, Weight)> + '_ {
         let mut pos = self.byte_offsets[node.index()];
         let mut rank = 0;
         (self.offsets[node.index()]..self.offsets[node.index() + 1]).map(move |i| {
@@ -702,21 +637,17 @@ impl HubLabeling {
     /// Symmetric by construction: the same hub set and the same commutative
     /// sums are considered for `(u, v)` and `(v, u)`.
     pub fn distance(&self, u: NodeId, v: NodeId) -> Option<Weight> {
-        let mut dec_u = LabelDecoder::new();
-        let mut dec_v = LabelDecoder::new();
-        let (hu, du) = self.label(u, &mut dec_u);
-        let (hv, dv) = self.label(v, &mut dec_v);
+        let (mut lu, mut lv) = (self.entries(u), self.entries(v));
+        let (mut eu, mut ev) = (lu.next(), lv.next());
         let mut best: Option<Weight> = None;
-        let (mut i, mut j) = (0, 0);
-        while i < hu.len() && j < hv.len() {
-            match hu[i].cmp(&hv[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
+        while let (Some((hu, du)), Some((hv, dv))) = (eu, ev) {
+            match hu.cmp(&hv) {
+                std::cmp::Ordering::Less => eu = lu.next(),
+                std::cmp::Ordering::Greater => ev = lv.next(),
                 std::cmp::Ordering::Equal => {
-                    let through = du[i] + dv[j];
+                    let through = du + dv;
                     best = Some(best.map_or(through, |b| b.min(through)));
-                    i += 1;
-                    j += 1;
+                    (eu, ev) = (lu.next(), lv.next());
                 }
             }
         }
@@ -772,9 +703,7 @@ mod tests {
     }
 
     fn label_of(labeling: &HubLabeling, v: usize) -> (Vec<u32>, Vec<Weight>) {
-        let mut dec = LabelDecoder::new();
-        let (r, d) = labeling.label(NodeId::new(v), &mut dec);
-        (r.to_vec(), d.to_vec())
+        labeling.entries(NodeId::new(v)).unzip()
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!   compact per-node sorted hub list with exact distances:
 //!   `d(u, v) = min over common hubs h of d(u, h) + d(h, v)` — stored as
 //!   delta-varint ranks beside `f64` distances, or `f32` ones
-//!   ([`HubLabeling::with_f32_distances`]), and read through a reusable
-//!   [`LabelDecoder`].
+//!   ([`HubLabeling::with_f32_distances`]), and read one entry at a time
+//!   through [`HubLabeling::entries`].
 //! * [`HubPointTable`] — the inverted view of a labeling restricted to a
 //!   data point set: for every hub, the occupied nodes it covers sorted by
 //!   distance. This is what makes point queries *output-sensitive*: a k-NN
@@ -54,5 +54,5 @@ pub mod labeling;
 pub mod point_table;
 
 pub use index::{HubLabelIndex, STORED_RADII};
-pub use labeling::{HubLabeling, LabelBuildProgress, LabelDecoder, LabelStats, MAX_LEVEL_WIDTH};
+pub use labeling::{HubLabeling, LabelBuildProgress, LabelStats, MAX_LEVEL_WIDTH};
 pub use point_table::HubPointTable;

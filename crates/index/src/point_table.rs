@@ -35,7 +35,7 @@
 //!
 //! [`NodePointSet`]: rnn_graph::NodePointSet
 
-use crate::labeling::{HubLabeling, LabelDecoder};
+use crate::labeling::HubLabeling;
 use rnn_graph::{NodeId, PointId, PointsOnNodes, Weight};
 
 /// One hub's sorted `(distance, node)` entries.
@@ -113,7 +113,6 @@ impl HubPointTable {
         let mut node_of_point = Vec::with_capacity(num_points);
         let mut buckets = vec![Bucket::default(); num_hubs];
         let mut entries = 0;
-        let mut dec = LabelDecoder::new();
         for p in 0..num_points {
             let point = PointId::new(p);
             let node = points.node_of(point);
@@ -126,9 +125,8 @@ impl HubPointTable {
                 "point ids must ascend with node ids (got {point} on {node})"
             );
             node_of_point.push(node);
-            let (ranks, dists) = labeling.label(node, &mut dec);
-            for (i, &rank) in ranks.iter().enumerate() {
-                buckets[rank as usize].dists.push(dists[i]);
+            for (rank, dist) in labeling.entries(node) {
+                buckets[rank as usize].dists.push(dist);
                 buckets[rank as usize].nodes.push(node);
                 entries += 1;
             }
@@ -200,19 +198,13 @@ impl HubPointTable {
     /// node's hubs — `O(label size)` bucket updates instead of a full
     /// rebuild. Returns the new point's id; every point on a higher node
     /// implicitly shifts up by one, exactly as a fresh
-    /// [`HubPointTable::build`] over the grown set would number them. The
-    /// node's label is decoded into `dec`, which callers keep across updates.
+    /// [`HubPointTable::build`] over the grown set would number them.
     ///
     /// # Panics
     ///
     /// Panics if `node` already holds a point or lies outside the labeled
     /// graph.
-    pub fn insert_point(
-        &mut self,
-        labeling: &HubLabeling,
-        node: NodeId,
-        dec: &mut LabelDecoder,
-    ) -> PointId {
+    pub fn insert_point(&mut self, labeling: &HubLabeling, node: NodeId) -> PointId {
         assert!(node.index() < self.buckets.len(), "node {node} outside the labeled graph");
         let slot = match self.node_of_point.binary_search(&node) {
             Err(slot) => slot,
@@ -220,34 +212,25 @@ impl HubPointTable {
         };
         self.node_of_point.insert(slot, node);
         self.renumber_from(slot);
-        let (ranks, dists) = labeling.label(node, dec);
-        for (i, &rank) in ranks.iter().enumerate() {
-            self.buckets[rank as usize].insert(dists[i], node);
+        for (rank, dist) in labeling.entries(node) {
+            self.buckets[rank as usize].insert(dist, node);
         }
-        self.entries += ranks.len();
+        self.entries += labeling.label_len(node);
         PointId::new(slot)
     }
 
     /// Removes the point on `node`, splicing one entry out of each bucket
     /// of the node's hubs. Returns the removed point's id (every higher
-    /// point shifts down by one), or `None` if the node holds no point. The
-    /// node's label is decoded into `dec`, as in
-    /// [`HubPointTable::insert_point`].
-    pub fn remove_point(
-        &mut self,
-        labeling: &HubLabeling,
-        node: NodeId,
-        dec: &mut LabelDecoder,
-    ) -> Option<PointId> {
+    /// point shifts down by one), or `None` if the node holds no point.
+    pub fn remove_point(&mut self, labeling: &HubLabeling, node: NodeId) -> Option<PointId> {
         let slot = self.node_of_point.binary_search(&node).ok()?;
         self.node_of_point.remove(slot);
         self.point_on[node.index()] = NO_POINT;
         self.renumber_from(slot);
-        let (ranks, dists) = labeling.label(node, dec);
-        for (i, &rank) in ranks.iter().enumerate() {
-            self.buckets[rank as usize].remove(dists[i], node);
+        for (rank, dist) in labeling.entries(node) {
+            self.buckets[rank as usize].remove(dist, node);
         }
-        self.entries -= ranks.len();
+        self.entries -= labeling.label_len(node);
         Some(PointId::new(slot))
     }
 }
@@ -268,9 +251,7 @@ mod tests {
     }
 
     fn label_of(labeling: &HubLabeling, node: NodeId) -> (Vec<u32>, Vec<Weight>) {
-        let mut dec = LabelDecoder::new();
-        let (r, d) = labeling.label(node, &mut dec);
-        (r.to_vec(), d.to_vec())
+        labeling.entries(node).unzip()
     }
 
     #[test]
@@ -343,26 +324,25 @@ mod tests {
         let (g, pts) = path5();
         let labeling = HubLabeling::build(&g);
         let mut table = HubPointTable::build(&labeling, &pts);
-        let dec = &mut LabelDecoder::new();
 
         // Insert on node 1: identical to building over the grown set, and
         // the new point takes id 1 (between nodes 0 and 2).
         let added = pts.with_point_on(NodeId::new(1));
-        let id = table.insert_point(&labeling, NodeId::new(1), dec);
+        let id = table.insert_point(&labeling, NodeId::new(1));
         assert_eq!(id, PointId::new(1));
         assert_eq!(table, HubPointTable::build(&labeling, &added));
 
         // Remove it again: back to the original table exactly.
-        assert_eq!(table.remove_point(&labeling, NodeId::new(1), dec), Some(PointId::new(1)));
+        assert_eq!(table.remove_point(&labeling, NodeId::new(1)), Some(PointId::new(1)));
         assert_eq!(table, HubPointTable::build(&labeling, &pts));
 
         // Removing an unoccupied node is a no-op.
-        assert_eq!(table.remove_point(&labeling, NodeId::new(3), dec), None);
+        assert_eq!(table.remove_point(&labeling, NodeId::new(3)), None);
         assert_eq!(table, HubPointTable::build(&labeling, &pts));
 
         // Drain everything; the empty table matches an empty fresh build.
         for &n in pts.nodes() {
-            assert!(table.remove_point(&labeling, n, dec).is_some());
+            assert!(table.remove_point(&labeling, n).is_some());
         }
         assert_eq!(table.entries(), 0);
         assert_eq!(table, HubPointTable::build(&labeling, &NodePointSet::empty(5)));
@@ -374,6 +354,6 @@ mod tests {
         let (g, pts) = path5();
         let labeling = HubLabeling::build(&g);
         let mut table = HubPointTable::build(&labeling, &pts);
-        table.insert_point(&labeling, NodeId::new(0), &mut LabelDecoder::new());
+        table.insert_point(&labeling, NodeId::new(0));
     }
 }

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use rnn_core::RknnOutcome;
 use rnn_graph::{EdgePointSet, EdgePointSetBuilder, Graph, GraphBuilder, NodeId, NodePointSet};
-use rnn_index::{HubLabeling, LabelDecoder};
+use rnn_index::HubLabeling;
 use rnn_server::{Request, Server};
 
 /// A randomly generated restricted-network instance.
@@ -120,11 +120,10 @@ pub fn label_hash(labeling: &HubLabeling) -> u64 {
             hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    let mut dec = LabelDecoder::new();
     for v in 0..labeling.num_nodes() {
-        let (ranks, dists) = labeling.label(NodeId::new(v), &mut dec);
-        eat(&(ranks.len() as u64).to_le_bytes());
-        for (&r, d) in ranks.iter().zip(dists) {
+        let node = NodeId::new(v);
+        eat(&(labeling.label_len(node) as u64).to_le_bytes());
+        for (r, d) in labeling.entries(node) {
             eat(&r.to_le_bytes());
             eat(&d.value().to_bits().to_le_bytes());
         }

@@ -29,7 +29,7 @@ use rnn_datagen::{
     brite_topology, grid_map, place_points_on_nodes, sample_node_queries, BriteConfig, GridConfig,
 };
 use rnn_graph::{Graph, GraphBuilder, NodeId, NodePointSet, PointId, PointsOnNodes, Weight};
-use rnn_index::{HubLabelIndex, HubLabeling, LabelDecoder};
+use rnn_index::{HubLabelIndex, HubLabeling};
 use rnn_server::{Request, Server, ServerConfig, World};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -200,10 +200,8 @@ fn labeling_reuse_across_point_sets_stays_correct() {
 /// its hubs. The reference the pruned query must agree with on any index.
 fn unpruned_rknn(index: &HubLabelIndex, query: NodeId, k: usize) -> Vec<PointId> {
     let (labeling, table) = (index.labeling(), index.point_table());
-    let mut dec = LabelDecoder::new();
     let mut dmin: BTreeMap<NodeId, Weight> = BTreeMap::new();
-    let (hubs, hub_dists) = labeling.label(query, &mut dec);
-    for (&h, &a) in hubs.iter().zip(hub_dists) {
+    for (h, a) in labeling.entries(query) {
         let (dists, nodes) = table.bucket(h);
         for (&d, &node) in dists.iter().zip(nodes) {
             let through = a + d;
@@ -213,8 +211,7 @@ fn unpruned_rknn(index: &HubLabelIndex, query: NodeId, k: usize) -> Vec<PointId>
     let mut result = Vec::new();
     for (&node, &bound) in dmin.iter().filter(|&(_, &bound)| bound > Weight::ZERO) {
         let mut closer = BTreeSet::new();
-        let (hubs, hub_dists) = labeling.label(node, &mut dec);
-        for (&h, &dh) in hubs.iter().zip(hub_dists) {
+        for (h, dh) in labeling.entries(node) {
             let (dists, nodes) = table.bucket(h);
             closer.extend(
                 dists

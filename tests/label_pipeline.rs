@@ -18,7 +18,7 @@ mod common;
 use common::{build_connected_graph, label_hash};
 use rnn_datagen::{brite_topology, grid_map, place_points_on_nodes, BriteConfig, GridConfig};
 use rnn_graph::{NodeId, NodePointSet};
-use rnn_index::{HubLabelIndex, HubLabeling, HubPointTable, LabelDecoder};
+use rnn_index::{HubLabelIndex, HubLabeling, HubPointTable};
 
 const SEED: u64 = 7;
 
@@ -162,17 +162,16 @@ fn randomized_insert_remove_trace_matches_fresh_rebuild_after_every_op() {
     let mut occupied = vec![false; n];
     let mut table = HubPointTable::build(&labeling, &NodePointSet::empty(n));
     let mut index = HubLabelIndex::from_labeling(labeling.clone(), &NodePointSet::empty(n));
-    let dec = &mut LabelDecoder::new();
 
     for op in 0..500 {
         let node = candidates[rng.below(candidates.len())];
         if occupied[node.index()] {
-            let removed = table.remove_point(&labeling, node, dec);
+            let removed = table.remove_point(&labeling, node);
             assert!(removed.is_some(), "op {op}: removing an occupied node must succeed");
             assert_eq!(index.remove_point(node), removed, "op {op}: index/table id mismatch");
             occupied[node.index()] = false;
         } else {
-            let inserted = table.insert_point(&labeling, node, dec);
+            let inserted = table.insert_point(&labeling, node);
             assert_eq!(index.insert_point(node), inserted, "op {op}: index/table id mismatch");
             occupied[node.index()] = true;
             assert_eq!(table.point_of(node), Some(inserted), "op {op}: directory splice");
