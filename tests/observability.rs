@@ -31,7 +31,8 @@ use rnn::obs::{
     QueryTrace, SlowQueryLog, WindowedHistogram,
 };
 use rnn::server::{
-    EventKind, Priority, Request, Server, ServerConfig, SloSpec, TelemetryConfig, World,
+    BackpressurePolicy, EventKind, PointUpdate, Priority, Request, ServeError, Server,
+    ServerConfig, SloSpec, TelemetryConfig, World,
 };
 use rnn::storage::{
     register_io_counters, BufferPoolConfig, IoCounters, LayoutStrategy, PagedGraph,
@@ -569,4 +570,108 @@ fn slow_queries_and_flight_recorder_drain_from_a_joined_server() {
     // A second drain finds the ring empty; submissions are refused.
     assert!(server.drain_events().events.is_empty());
     assert!(server.submit(Request::new(Algorithm::Eager, queries[0], 1)).is_err());
+}
+
+// ---------------------------------------------------------------------------
+// 8. The flight recorder's event vocabulary, pinned on one scripted run
+// ---------------------------------------------------------------------------
+
+/// One scripted run through every server and storage path that records an
+/// event — worker lifecycle, slow-query captures, an admission shed at the
+/// full edge and one at dequeue, both point-swap kinds, a pool resize and a
+/// clear — pinned as the multiset of `(kind, payload)`. Sequence numbers,
+/// timestamps and a captured query's service time are left out: admission
+/// sheds run on the submitter thread, so cross-thread order (and any
+/// clock) is not fixed by the script.
+#[test]
+fn flight_recorder_pins_the_events_of_a_scripted_run() {
+    let registry = MetricsRegistry::new();
+    let graph = Arc::new(grid_map(&GridConfig { rows: 9, cols: 9, seed: 7, ..Default::default() }));
+    let n = graph.num_nodes();
+    let points = Arc::new(NodePointSet::from_nodes(n, (0..n).step_by(5).map(NodeId::new)));
+    let hub_index = Arc::new(HubLabelIndex::build(&*graph, &*points));
+    let paged = Arc::new(
+        PagedGraph::build_with_config(
+            &graph,
+            LayoutStrategy::BfsLocality,
+            BufferPoolConfig::new(64).with_shards(2),
+            IoCounters::new(),
+        )
+        .expect("paged graph"),
+    );
+    let world = World::new(paged.clone(), points.clone())
+        .with_storage_control(paged.clone())
+        .with_hub_label_index(hub_index.clone());
+    let mut server = Server::start_with_telemetry(
+        world,
+        ServerConfig::default()
+            .with_workers(1)
+            .with_queue_capacity(1)
+            .with_policy(BackpressurePolicy::Shed)
+            .with_slow_query_log(8, 0, 0, 3),
+        TelemetryConfig::new(),
+        None,
+        &registry,
+    );
+    let q = |i: usize| points.nodes()[i];
+    let expired = |node| Request::new(Algorithm::Eager, node, 1).with_deadline_in(Duration::ZERO);
+
+    // Two served queries; with room in the worst-N set, each is captured.
+    for (algorithm, node) in [(Algorithm::Eager, q(0)), (Algorithm::HubLabel, q(1))] {
+        server.submit(Request::new(algorithm, node, 1)).unwrap().wait().unwrap();
+    }
+    // The queue (capacity 1) is empty: one batch fills it with a served
+    // request, and the expired request behind it is shed at the full edge.
+    let tickets = server.submit_all(&[Request::new(Algorithm::HubLabel, q(2), 1), expired(q(3))]);
+    let outcomes: Vec<_> = tickets.into_iter().map(|t| t.unwrap().wait()).collect();
+    assert!(outcomes[0].is_ok());
+    assert_eq!(outcomes[1].as_ref().unwrap_err(), &ServeError::Shed);
+    // Alone in an empty queue, an expired request is shed at dequeue.
+    assert_eq!(server.submit(expired(q(4))).unwrap().wait().unwrap_err(), ServeError::Shed);
+    let stats = server.stats();
+    assert_eq!((stats.shed, stats.shed_at_dequeue), (2, 1));
+
+    // Both swap kinds: the full swap keeps the index the delta swap updates.
+    server.swap_points(points.clone(), None, Some(hub_index));
+    let free = (0..n).map(NodeId::new).find(|&v| points.point_at(v).is_none()).unwrap();
+    let grown = Arc::new(points.with_point_on(free));
+    assert!(server.swap_points_delta(grown, None, &[PointUpdate::Insert(free)]));
+
+    // Storage control-plane mutations land on the same recorder.
+    paged.buffer().resize(32);
+    paged.buffer().clear();
+
+    server.join();
+    let drained = server.drain_events();
+    assert_eq!(drained.dropped, 0);
+    let mut kinds: Vec<String> = drained
+        .events
+        .iter()
+        .map(|e| match e.kind {
+            EventKind::SlowQuery { query, algorithm, .. } => {
+                format!("{:?}", EventKind::SlowQuery { query, service_nanos: 0, algorithm })
+            }
+            kind => format!("{kind:?}"),
+        })
+        .collect();
+    kinds.sort_unstable();
+    let p = points.num_points() as u64;
+    let mut expected: Vec<String> = [
+        EventKind::WorkerStart { worker: 0 },
+        EventKind::SlowQuery { query: q(0).index() as u64, service_nanos: 0, algorithm: 0 },
+        EventKind::SlowQuery { query: q(1).index() as u64, service_nanos: 0, algorithm: 5 },
+        EventKind::SlowQuery { query: q(2).index() as u64, service_nanos: 0, algorithm: 5 },
+        EventKind::AdmissionShed { class: 0, count: 1 },
+        EventKind::AdmissionShed { class: 0, count: 1 },
+        EventKind::PointsSwap { points: p, delta: false },
+        EventKind::PointsSwap { points: p + 1, delta: true },
+        EventKind::PoolResize { pages: 32 },
+        EventKind::PoolClear,
+        EventKind::WorkerStop { worker: 0, served: 3 },
+    ]
+    .iter()
+    .map(|k| format!("{k:?}"))
+    .collect();
+    expected.sort_unstable();
+    assert_eq!(kinds, expected);
 }
