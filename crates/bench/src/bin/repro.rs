@@ -8,7 +8,7 @@
 //!
 //! EXPERIMENT   one or more of: table1 table2 fig15 fig16 fig17 fig18 fig19
 //!              fig20a fig20b fig21 fig22a fig22b paging index label-build
-//!              bichromatic obs-overhead slo all (default: all)
+//!              bichromatic obs-overhead all (default: all)
 //! --full       use the paper's graph cardinalities instead of the quick,
 //!              laptop-friendly sizes
 //! --json DIR   additionally write each report as DIR/BENCH_<experiment>.json
@@ -17,8 +17,8 @@
 //!
 //! Every report column is a count, so `--json .` at the repository root must
 //! reproduce the committed `BENCH_*.json` byte for byte; CI runs exactly that
-//! and then `git diff --exit-code -- 'BENCH_*.json'`. The two drills
-//! (`obs-overhead`, `slo`) assert timing relations and write nothing.
+//! and then `git diff --exit-code -- 'BENCH_*.json'`. The one drill,
+//! `obs-overhead`, asserts a timing relation and writes nothing.
 
 use rnn_bench::experiments::{experiment, Experiment, EXPERIMENTS};
 use rnn_bench::Scale;

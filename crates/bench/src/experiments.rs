@@ -8,8 +8,8 @@
 //! machine. The `repro` binary runs them by name ([`EXPERIMENTS`] is the
 //! index; the README's "Build, test, bench" section shows the invocations).
 //! Time is measured elsewhere: end to end by `benchmark/`, per kernel by the
-//! criterion benches. The two [`Experiment::Drill`]s at the end are the
-//! exception — they assert a timing relation and leave no artifact.
+//! criterion benches. The one [`Experiment::Drill`] at the end is the
+//! exception — it asserts a timing relation and leaves no artifact.
 
 use crate::harness::{
     measure_bichromatic, measure_continuous, measure_restricted, measure_unrestricted,
@@ -702,7 +702,7 @@ pub fn label_build(scale: Scale) -> Report {
 /// Tracing overhead on the serving path: the same closed-loop mixed stream
 /// of **all six** algorithms is pushed through an untraced server and a
 /// fully observed one (phase tracing + trace recorder + slow-query log +
-/// registry source), interleaved best-of-N so machine noise hits both modes
+/// flight recorder + registry source), interleaved best-of-N so machine noise hits both modes
 /// alike, and the traced throughput is asserted to stay within 5% of the
 /// untraced best.
 ///
@@ -835,276 +835,6 @@ pub fn obs_overhead(scale: Scale) {
     }
 }
 
-/// SLO burn-rate detection latency: a calibrated overload burst through a
-/// telemetry-enabled server must flip the per-class latency SLO from `ok`
-/// to `critical` within **one** epoch window, and the system must recover
-/// to `ok` after the burst — all oracle-asserted, with windowed vs
-/// cumulative p99 reported per phase of the run.
-///
-/// Epochs are ticked manually between phases (`Server::advance_epoch`, the
-/// evaluate-then-advance driver), so window boundaries — and therefore the
-/// detection latency — are exact functions of the run script, not of wall
-/// time. The latency threshold is calibrated from a sequential pass: far
-/// above any lone request's latency (32x the sequential mean, floored at
-/// 10ms so scheduler hiccups on a loaded 1-CPU runner cannot breach it),
-/// yet far below the queue-wait tail of the burst, which carries 40
-/// threshold-multiples of work so the flip survives multi-x machine-speed
-/// variation in either direction. A drop-ratio SLO rides along and must
-/// stay `ok` throughout (the Block policy never drops). The drained flight
-/// recorder must carry the critical and recovery transitions in order, and
-/// the Chrome-trace export of the slow-query spans plus those events must
-/// parse back as JSON.
-///
-/// A drill, not a report: the latencies it prints are wall-clock and the
-/// states beside them are asserted here, so nothing is written.
-pub fn slo(scale: Scale) {
-    use rnn_obs::{chrome_trace, JsonValue, LatencyHistogram};
-    use rnn_server::{
-        EventKind, MetricsRegistry, Priority, Request, Server, ServerConfig, SloSpec, SloState,
-        TelemetryConfig, World,
-    };
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    let nodes = scale.pick(4_000, 16_000);
-    let graph = Arc::new(grid_map(&GridConfig::with_nodes(nodes, 4.0, SEED)));
-    let points = Arc::new(place_points_on_nodes(&graph, 0.02, SEED + 1));
-    let query_nodes = sample_node_queries(&points, scale.pick(24, 48), SEED + 2);
-    let workers = 2;
-    let warmup_n = scale.pick(32, 48);
-    let recovery_n = 16;
-
-    // Sequential oracle + mean-service calibration (one thread, one scratch).
-    let mut scratch = Scratch::new();
-    let started = Instant::now();
-    let oracle: Vec<_> = query_nodes
-        .iter()
-        .map(|&q| {
-            run_rknn_with(
-                Algorithm::Eager,
-                &*graph,
-                &*points,
-                Precomputed::none(),
-                q,
-                1,
-                &mut scratch,
-            )
-        })
-        .collect();
-    let mean_nanos = (started.elapsed().as_nanos() as f64 / oracle.len() as f64).max(1.0);
-    let threshold_nanos = (32.0 * mean_nanos).max(10_000_000.0);
-    let threshold = Duration::from_nanos(threshold_nanos as u64);
-    let burst_len = ((40.0 * threshold_nanos / mean_nanos).ceil() as usize).clamp(256, 20_000);
-
-    let registry = MetricsRegistry::new();
-    let server = Server::start_with_telemetry(
-        World::new(graph.clone(), points.clone()),
-        ServerConfig::default()
-            .with_workers(workers)
-            .with_queue_capacity(burst_len)
-            .with_tracing(true)
-            .with_slow_query_log(8, 16, 32, SEED),
-        TelemetryConfig::new()
-            .with_window_epochs(4)
-            .with_recorder_capacity(4096)
-            .with_latency_slo(
-                Priority::Interactive,
-                // Burns (5, 10) instead of the default (2, 10): a single
-                // scheduler hiccup in a small healthy epoch must not read
-                // as a warning on a noisy CI runner.
-                SloSpec::latency("interactive_p99", 0.99, threshold)
-                    .with_windows(1, 4)
-                    .with_burns(5.0, 10.0),
-            )
-            .with_dropped_slo(
-                Priority::Interactive,
-                SloSpec::error_ratio("interactive_drops", 0.05),
-            ),
-        None,
-        &registry,
-    );
-    let engine = server.slo().expect("telemetry server carries an SLO engine");
-
-    println!(
-        "== SLO — burn-rate detection latency (grid map, |V|={nodes}, D=0.02, k=1, {workers} \
-         workers; p99 objective {:.1}ms = 32x the {:.0}us sequential mean, short/long windows \
-         1/4 epochs, burns 5/10; overload burst of {burst_len} requests in one submit_all)",
-        threshold_nanos / 1e6,
-        mean_nanos / 1e3,
-    );
-
-    let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    // One closed-loop request at a time: latency ~= service time, far under
-    // the calibrated threshold. Returns the phase's own latency histogram
-    // (built from the server's per-request measurements).
-    let run_closed = |n: usize| -> LatencyHistogram {
-        let mut h = LatencyHistogram::new();
-        for i in 0..n {
-            let q = query_nodes[i % query_nodes.len()];
-            let served = server
-                .submit(Request::new(Algorithm::Eager, q, 1))
-                .expect("admitted under Block")
-                .wait()
-                .expect("served");
-            assert_eq!(
-                served.outcome,
-                oracle[i % oracle.len()],
-                "closed-loop request {i} must equal the sequential oracle"
-            );
-            h.record(served.queue_wait + served.service_time);
-        }
-        h
-    };
-    // Snapshot-derived readings; taken right after the phase's
-    // evaluate-then-advance so the burn/state gauges reflect the epoch that
-    // just ended while the 4-epoch window view still contains it.
-    let print_phase = |label: &str, phase: &LatencyHistogram| {
-        let snap = registry.snapshot();
-        let win = snap
-            .histogram("rnn_server_latency_nanos_window{class=\"interactive\"}")
-            .expect("windowed latency view");
-        let cum = snap
-            .histogram("rnn_server_latency_nanos{class=\"interactive\"}")
-            .expect("cumulative latency view");
-        let gauge = |name: &str| snap.gauge(name).unwrap_or(0) as f64;
-        println!(
-            "{label:>18}  completed {:>6}  p99 {:.2}ms  win4 p99 {:.2}ms  cum p99 {:.2}ms  \
-             state {}  burn short {:.1} long {:.1}",
-            phase.count(),
-            ms(phase.p99()),
-            ms(win.p99()),
-            ms(cum.p99()),
-            gauge("rnn_slo_state{slo=\"interactive_p99\"}"),
-            gauge("rnn_slo_burn_short_permille{slo=\"interactive_p99\"}") / 1000.0,
-            gauge("rnn_slo_burn_long_permille{slo=\"interactive_p99\"}") / 1000.0,
-        );
-    };
-
-    // Two healthy warmup epochs: the latency SLO must not read critical.
-    for label in ["warmup-1", "warmup-2"] {
-        let h = run_closed(warmup_n);
-        let transitions = server.advance_epoch();
-        assert!(
-            transitions.iter().all(|t| t.to != SloState::Critical),
-            "{label}: healthy closed-loop traffic must not read critical"
-        );
-        assert_ne!(engine.state(0), Some(SloState::Critical), "{label}: latency SLO");
-        print_phase(label, &h);
-    }
-
-    // The overload burst: one submit_all, queue wait grows linearly through
-    // the burst, so the total-latency tail dwarfs the threshold.
-    let requests: Vec<Request> = (0..burst_len)
-        .map(|i| Request::new(Algorithm::Eager, query_nodes[i % query_nodes.len()], 1))
-        .collect();
-    let tickets: Vec<_> = server
-        .submit_all(&requests)
-        .into_iter()
-        .map(|r| r.expect("admitted under Block"))
-        .collect();
-    let mut burst = LatencyHistogram::new();
-    for (i, ticket) in tickets.into_iter().enumerate() {
-        let served = ticket.wait().expect("served");
-        assert_eq!(
-            served.outcome,
-            oracle[i % oracle.len()],
-            "burst request {i} must equal the sequential oracle"
-        );
-        burst.record(served.queue_wait + served.service_time);
-    }
-    let transitions = server.advance_epoch();
-    let detected = transitions
-        .iter()
-        .find(|t| t.name == "interactive_p99" && t.to == SloState::Critical)
-        .expect("the overload burst must flip the latency SLO to critical within one window");
-    assert!(
-        detected.short_burn >= 10.0 && detected.long_burn >= 10.0,
-        "critical means both windows burn at or above the critical rate \
-         (short {:.1}, long {:.1})",
-        detected.short_burn,
-        detected.long_burn
-    );
-    assert_eq!(engine.state(0), Some(SloState::Critical), "detection latency: one epoch");
-    print_phase("overload", &burst);
-
-    // Recovery: four healthy epochs (one long window). The short window
-    // clears immediately, so the state must leave critical at the first
-    // evaluation and be ok by the end; by the last rows the burst epoch has
-    // left the 4-epoch window view while the cumulative p99 stays
-    // burst-dominated — the contrast windowed telemetry exists for.
-    for (i, label) in ["recovery-1", "recovery-2", "recovery-3", "recovery-4"].iter().enumerate() {
-        let h = run_closed(recovery_n);
-        server.advance_epoch();
-        if i == 0 {
-            assert_ne!(
-                engine.state(0),
-                Some(SloState::Critical),
-                "one healthy epoch must clear the short window and leave critical"
-            );
-        }
-        print_phase(label, &h);
-    }
-    assert_eq!(engine.state(0), Some(SloState::Ok), "recovered to ok after the burst");
-    assert_eq!(engine.state(1), Some(SloState::Ok), "Block never drops: ratio SLO stays ok");
-
-    // Quiesce, then pull the evidence from the joined (not yet dropped)
-    // server: deterministic window contents, ordered transition events, and
-    // a Chrome trace that parses back.
-    let total = (2 * warmup_n + burst_len + 4 * recovery_n) as u64;
-    let mut server = server;
-    server.join();
-    assert_eq!(server.stats().completed, total, "everything served");
-    let snap = registry.snapshot();
-    let win = snap
-        .histogram("rnn_server_latency_nanos_window{class=\"interactive\"}")
-        .expect("windowed latency view");
-    assert_eq!(
-        win.count(),
-        3 * recovery_n as u64,
-        "the 4-epoch window holds exactly the last three recovery epochs (plus the empty \
-         current epoch); the burst expired"
-    );
-    let cum = snap.histogram("rnn_server_latency_nanos{class=\"interactive\"}").unwrap();
-    assert_eq!(cum.count(), total);
-    assert!(cum.p99() >= threshold, "the cumulative p99 never forgets the burst");
-
-    let slow = server.drain_slow_queries();
-    assert!(!slow.worst.is_empty(), "the slow-query log must capture the burst");
-    let drained = server.drain_events();
-    assert_eq!(drained.dropped, 0, "the 4096-event ring must hold the whole run");
-    assert!(drained.events.windows(2).all(|w| w[0].seq < w[1].seq), "drain order is by seq");
-    let slo_events: Vec<(u64, u64)> = drained
-        .events
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::SloTransition { slo: 0, from, to } => Some((from, to)),
-            _ => None,
-        })
-        .collect();
-    let crit = SloState::Critical.code();
-    let ok = SloState::Ok.code();
-    let flip = slo_events.iter().position(|&(_, to)| to == crit);
-    assert!(flip.is_some(), "the critical transition must reach the flight recorder");
-    assert!(
-        slo_events[flip.unwrap() + 1..].iter().any(|&(from, to)| from != ok && to == ok),
-        "the recovery transition must follow it"
-    );
-    assert!(
-        drained.events.iter().any(|e| matches!(e.kind, EventKind::SlowQuery { .. })),
-        "slow-query captures must reach the flight recorder"
-    );
-
-    let trace = chrome_trace(&slow.worst, &drained.events);
-    let parsed = JsonValue::parse(&trace).expect("the Chrome trace must parse back as JSON");
-    let spans =
-        parsed.get("traceEvents").and_then(|v| v.as_array()).expect("traceEvents array present");
-    let instants = |name: &str| {
-        spans.iter().filter(|e| e.get("name").and_then(|n| n.as_str()) == Some(name)).count()
-    };
-    assert_eq!(instants("slo_transition"), slo_events.len(), "transitions render as instants");
-    assert!(instants("slow_query") > 0 && spans.len() > slow.worst.len());
-}
-
 /// How the `repro` binary runs an experiment.
 #[derive(Clone, Copy)]
 pub enum Experiment {
@@ -1116,8 +846,8 @@ pub enum Experiment {
 }
 
 /// Every experiment by id: the paper's tables and figures, the three count
-/// reports added on top, then the two drills.
-pub const EXPERIMENTS: [(&str, Experiment); 18] = [
+/// reports added on top, then the drill.
+pub const EXPERIMENTS: [(&str, Experiment); 17] = [
     ("table1", Experiment::Report(table1_adhoc)),
     ("table2", Experiment::Report(table2_density)),
     ("fig15", Experiment::Report(fig15_brite_size)),
@@ -1135,7 +865,6 @@ pub const EXPERIMENTS: [(&str, Experiment); 18] = [
     ("label-build", Experiment::Report(label_build)),
     ("bichromatic", Experiment::Report(bichromatic)),
     ("obs-overhead", Experiment::Drill(obs_overhead)),
-    ("slo", Experiment::Drill(slo)),
 ];
 
 /// Looks an [`EXPERIMENTS`] entry up by id.
@@ -1169,14 +898,13 @@ mod tests {
                 "index",
                 "label-build",
                 "bichromatic",
-                "obs-overhead",
-                "slo"
+                "obs-overhead"
             ]
         );
-        // Only the two timing drills go without an artifact.
+        // Only the timing drill goes without an artifact.
         for (name, e) in EXPERIMENTS {
             let drill = matches!(e, Experiment::Drill(_));
-            assert_eq!(drill, name == "obs-overhead" || name == "slo", "{name}");
+            assert_eq!(drill, name == "obs-overhead", "{name}");
             assert!(experiment(name).is_some());
         }
         assert!(experiment("nonsense").is_none());

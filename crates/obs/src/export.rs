@@ -295,8 +295,8 @@ fn push_args(out: &mut String, args: &[(&str, u64)]) {
 /// it (phases are accumulated, not timestamped — the trace stores only
 /// per-phase totals, so spans show proportion, in recorded phase order).
 /// Flight-recorder events render as instant events on `tid` 0, named by
-/// [`EventKind::name`](crate::recorder::EventKind::name) with their payload,
-/// `seq` and `epoch` in `args`. Traces without a stamped
+/// [`EventKind::name`](crate::recorder::EventKind::name) with their payload
+/// and `seq` in `args`. Traces without a stamped
 /// [`start_nanos`](crate::QueryTrace::start_nanos) are placed at their queue
 /// wait's length, so standalone traces still render.
 ///
@@ -352,7 +352,7 @@ pub fn chrome_trace(traces: &[QueryTrace], events: &[Event]) -> String {
             json_string(event.kind.name()),
             micros(event.nanos),
         ));
-        let mut args: Vec<(&str, u64)> = vec![("seq", event.seq), ("epoch", event.epoch)];
+        let mut args: Vec<(&str, u64)> = vec![("seq", event.seq)];
         match event.kind {
             EventKind::AdmissionShed { class, count } => {
                 args.push(("class", class));
@@ -368,11 +368,6 @@ pub fn chrome_trace(traces: &[QueryTrace], events: &[Event]) -> String {
             EventKind::WorkerStop { worker, served } => {
                 args.push(("worker", worker));
                 args.push(("served", served));
-            }
-            EventKind::SloTransition { slo, from, to } => {
-                args.push(("slo", slo));
-                args.push(("from", from));
-                args.push(("to", to));
             }
             EventKind::SlowQuery { query, service_nanos, algorithm } => {
                 args.push(("query", query));
@@ -504,18 +499,8 @@ mod tests {
         trace.phases[Phase::Expansion.index()] = PhaseRecord { nanos: 6_000, calls: 1, work: 30 };
         trace.phases[Phase::RangeNn.index()] = PhaseRecord { nanos: 4_000, calls: 5, work: 12 };
         let events = vec![
-            Event {
-                seq: 0,
-                epoch: 2,
-                nanos: 55_000,
-                kind: EventKind::AdmissionShed { class: 0, count: 7 },
-            },
-            Event {
-                seq: 1,
-                epoch: 3,
-                nanos: 60_000,
-                kind: EventKind::SloTransition { slo: 0, from: 0, to: 2 },
-            },
+            Event { seq: 0, nanos: 55_000, kind: EventKind::AdmissionShed { class: 0, count: 7 } },
+            Event { seq: 1, nanos: 60_000, kind: EventKind::PointsSwap { points: 9, delta: true } },
         ];
 
         let text = chrome_trace(&[trace], &events);
@@ -542,14 +527,15 @@ mod tests {
         assert_eq!(p1.get("name").unwrap().as_str(), Some("range_nn"));
         assert_eq!(p1.get("ts").unwrap().as_f64(), Some(56.0));
         assert_eq!(p1.get("args").unwrap().get("calls").unwrap().as_f64(), Some(5.0));
-        // Instants carry seq/epoch plus the payload on the event track.
+        // Instants carry seq plus the payload on the event track.
         let shed = &records[4];
         assert_eq!(shed.get("ph").unwrap().as_str(), Some("i"));
         assert_eq!(shed.get("tid").unwrap().as_f64(), Some(0.0));
         assert_eq!(shed.get("args").unwrap().get("count").unwrap().as_f64(), Some(7.0));
-        let slo = &records[5];
-        assert_eq!(slo.get("name").unwrap().as_str(), Some("slo_transition"));
-        assert_eq!(slo.get("args").unwrap().get("to").unwrap().as_f64(), Some(2.0));
+        let swap = &records[5];
+        assert_eq!(swap.get("name").unwrap().as_str(), Some("points_swap"));
+        assert_eq!(swap.get("args").unwrap().get("seq").unwrap().as_f64(), Some(1.0));
+        assert_eq!(swap.get("args").unwrap().get("points").unwrap().as_f64(), Some(9.0));
     }
 
     #[test]

@@ -181,18 +181,6 @@ impl LatencyHistogram {
         self.max()
     }
 
-    /// Number of samples strictly above `threshold`, at bucket resolution:
-    /// the threshold rounds **up** to the inclusive upper bound of its own
-    /// bucket, so a sample only counts as over when it landed in a strictly
-    /// higher bucket. Deterministic for a given bucket layout — the SLO
-    /// engine ([`crate::slo`]) builds burn rates from this, and calibrating
-    /// a threshold from a reported quantile (itself a bucket upper bound)
-    /// composes exactly.
-    pub fn count_over(&self, threshold: Duration) -> u64 {
-        let nanos = u64::try_from(threshold.as_nanos()).unwrap_or(u64::MAX);
-        self.buckets.iter().skip(bucket_of(nanos) + 1).sum()
-    }
-
     /// Median (see [`LatencyHistogram::quantile`] for the error bound).
     pub fn p50(&self) -> Duration {
         self.quantile(0.50)
@@ -208,8 +196,7 @@ impl LatencyHistogram {
         self.quantile(0.99)
     }
 
-    /// 99.9th percentile — the tail the serving roadmap's SLO work budgets
-    /// for.
+    /// 99.9th percentile.
     pub fn p999(&self) -> Duration {
         self.quantile(0.999)
     }

@@ -2,9 +2,9 @@
 //!
 //! The exporters in this crate and the bench crate's `BENCH_*.json` reports
 //! are all *written* by hand-rolled, byte-deterministic writers; this module
-//! is the matching *reader*, so the exporter tests, the `slo` drill and the
-//! observability example can assert that what was written parses back, with
-//! nothing beyond std.
+//! is the matching *reader*, so the exporter tests and the observability
+//! example can assert that what was written parses back, with nothing beyond
+//! std.
 //!
 //! Full JSON per RFC 8259 minus two deliberate simplifications: numbers are
 //! parsed through `f64` (fine for metric values — the writers emit nothing

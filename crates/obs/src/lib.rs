@@ -28,9 +28,14 @@
 //!   the N worst traces by service time plus 1-in-M uniform samples from a
 //!   seeded deterministic sampler; the common case (fast, unsampled query)
 //!   never takes its lock.
+//! * [`FlightRecorder`] — a fixed-capacity lock-free ring of structured
+//!   events (admission sheds, point swaps, buffer-pool resizes and clears,
+//!   worker lifecycle, slow-query captures) that answers "what happened, in
+//!   what order"; the server and the buffer pool record into one.
 //! * [`export`] — a Prometheus-style text format and the workspace's
-//!   `rnn-bench-report/v1` JSON, rendered from the same snapshot. Both are
-//!   byte-deterministic for a given snapshot (names are sorted).
+//!   `rnn-bench-report/v1` JSON, rendered from the same snapshot, plus a
+//!   Chrome trace of slow-query spans and recorder events. All are
+//!   byte-deterministic for given inputs (metric names are sorted).
 //!
 //! The crate sits at the bottom of the workspace dependency graph (std
 //! only), so `rnn-storage`, `rnn-core`, `rnn-index`, `rnn-server` and
@@ -44,17 +49,13 @@ pub mod histogram;
 pub mod json;
 pub mod recorder;
 pub mod registry;
-pub mod slo;
 pub mod slowlog;
 pub mod trace;
-pub mod window;
 
 pub use export::{bench_report_json, chrome_trace, prometheus_text, report_json};
 pub use histogram::LatencyHistogram;
 pub use json::{JsonError, JsonValue};
 pub use recorder::{Drained, Event, EventKind, FlightRecorder};
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, SampleSet};
-pub use slo::{SloEngine, SloEngineBuilder, SloObjective, SloSpec, SloState, SloTransition};
 pub use slowlog::{SlowQueryLog, SlowQueryReport};
 pub use trace::{Phase, PhaseRecord, PhaseTimer, QueryTrace, TraceRecorder, Tracer};
-pub use window::{Clock, WindowedCounter, WindowedHistogram};

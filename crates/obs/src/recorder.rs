@@ -4,7 +4,7 @@
 //! Metrics answer "how much"; the flight recorder answers "what happened,
 //! in what order". Layers append compact [`EventKind`]s — admission sheds,
 //! point-set swaps, buffer-pool resizes and clears, worker lifecycle,
-//! SLO transitions, slow-query captures — and a later
+//! slow-query captures — and a later
 //! [`drain`](FlightRecorder::drain) recovers them in deterministic sequence
 //! order for inspection, structured logging, or the Chrome-trace exporter
 //! ([`crate::export::chrome_trace`]).
@@ -16,39 +16,40 @@
 //! sequence number with one `fetch_add`, then publishes into slot
 //! `seq % capacity` under a per-slot version protocol:
 //!
-//! * store `2*seq + 1` (odd: write in progress), `Release`-ordered after
-//!   nothing — claims the slot;
+//! * store `2*seq + 1` (odd: write in progress), then a `Release` fence, so
+//!   no payload store below can become visible before the odd version;
 //! * write the payload words (relaxed);
 //! * store `2*seq + 2` (even: published), `Release`.
 //!
-//! A drain reads the version (`Acquire`), the payload, then the version
-//! again: any torn or overwritten slot fails the `2*seq + 2` check and is
-//! counted in [`Drained::dropped`] instead of being misreported. When the
+//! A drain loads the version (`Acquire`), loads the payload (relaxed), then
+//! issues an `Acquire` fence before loading the version again, so none of
+//! the payload loads can be satisfied after that re-check. Any torn or
+//! overwritten slot fails the `2*seq + 2` check and is counted in
+//! [`Drained::dropped`] instead of being misreported. This is the seqlock
+//! protocol of the server's stats cells. When the
 //! ring laps (more than `capacity` events between drains), the oldest
 //! events are overwritten and counted as dropped — the recorder is a bounded
 //! black box, honest about what it lost, never a backpressure source.
 //!
-//! Record cost: one `fetch_add` + six stores, no locks, no allocation.
+//! Record cost: one `fetch_add`, six stores and a fence, no locks, no
+//! allocation.
 //! Draining takes a mutex (it tracks a cursor so each event is returned
 //! once), which only drains contend on.
 
 use crate::trace::lock;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Words per ring slot: `[version, epoch, nanos, tag, w0, w1, w2]`.
-const SLOT_WORDS: usize = 7;
+/// Words per ring slot: `[version, nanos, tag, w0, w1, w2]`.
+const SLOT_WORDS: usize = 6;
 
 /// One structured event, as drained: the claim sequence number (global,
-/// gap-free per recorder), the logical epoch it was stamped with, a
-/// caller-supplied nanosecond timestamp (0 when the emitting layer keeps no
-/// clock), and the payload.
+/// gap-free per recorder), a caller-supplied nanosecond timestamp (0 when
+/// the emitting layer keeps no clock), and the payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Event {
     /// Global sequence number; drains return ascending `seq`.
     pub seq: u64,
-    /// The [`crate::window::Clock`] epoch at record time (0 without a clock).
-    pub epoch: u64,
     /// Caller-supplied monotonic nanoseconds (0 when not stamped).
     pub nanos: u64,
     /// What happened.
@@ -96,16 +97,6 @@ pub enum EventKind {
         /// Requests served over the worker's lifetime.
         served: u64,
     },
-    /// An SLO changed alert state (codes are [`crate::slo::SloState`] as
-    /// `u64`).
-    SloTransition {
-        /// Index of the spec in its [`crate::slo::SloEngine`].
-        slo: u64,
-        /// Previous state code.
-        from: u64,
-        /// New state code.
-        to: u64,
-    },
     /// The slow-query log captured a query into its worst-N set.
     SlowQuery {
         /// Query identifier (node id).
@@ -127,13 +118,13 @@ impl EventKind {
             EventKind::PoolClear => "pool_clear",
             EventKind::WorkerStart { .. } => "worker_start",
             EventKind::WorkerStop { .. } => "worker_stop",
-            EventKind::SloTransition { .. } => "slo_transition",
             EventKind::SlowQuery { .. } => "slow_query",
         }
     }
 
-    /// `(tag, w0, w1, w2)` wire form. Tag 3 belonged to a kind that no
-    /// longer exists; the others keep their codes and 3 decodes as unknown.
+    /// `(tag, w0, w1, w2)` wire form. Tags 3 and 7 belonged to kinds that
+    /// no longer exist; the others keep their codes and 3 and 7 decode as
+    /// unknown.
     fn encode(&self) -> (u64, u64, u64, u64) {
         match *self {
             EventKind::AdmissionShed { class, count } => (0, class, count, 0),
@@ -142,7 +133,6 @@ impl EventKind {
             EventKind::PoolClear => (4, 0, 0, 0),
             EventKind::WorkerStart { worker } => (5, worker, 0, 0),
             EventKind::WorkerStop { worker, served } => (6, worker, served, 0),
-            EventKind::SloTransition { slo, from, to } => (7, slo, from, to),
             EventKind::SlowQuery { query, service_nanos, algorithm } => {
                 (8, query, service_nanos, algorithm)
             }
@@ -157,7 +147,6 @@ impl EventKind {
             4 => EventKind::PoolClear,
             5 => EventKind::WorkerStart { worker: w0 },
             6 => EventKind::WorkerStop { worker: w0, served: w1 },
-            7 => EventKind::SloTransition { slo: w0, from: w1, to: w2 },
             8 => EventKind::SlowQuery { query: w0, service_nanos: w1, algorithm: w2 },
             _ => return None,
         })
@@ -178,9 +167,8 @@ pub struct Drained {
 /// lives in shares the ring; see the module docs for the slot protocol.
 pub struct FlightRecorder {
     head: AtomicU64,
-    epoch: Option<crate::window::Clock>,
     /// `capacity * SLOT_WORDS` atomics; slot `i` owns words
-    /// `[i*SLOT_WORDS, (i+1)*SLOT_WORDS)` as `[version, epoch, nanos, tag, w0, w1, w2]`.
+    /// `[i*SLOT_WORDS, (i+1)*SLOT_WORDS)` as `[version, nanos, tag, w0, w1, w2]`.
     words: Vec<AtomicU64>,
     /// Next sequence number a drain should return; also serializes drains.
     cursor: Mutex<u64>,
@@ -189,23 +177,15 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// A recorder holding the most recent `capacity` events (rounded up to
-    /// at least 1). Without a clock every event carries epoch 0; see
-    /// [`with_clock`](Self::with_clock).
+    /// at least 1).
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1) as u64;
         FlightRecorder {
             head: AtomicU64::new(0),
-            epoch: None,
             words: (0..capacity as usize * SLOT_WORDS).map(|_| AtomicU64::new(0)).collect(),
             cursor: Mutex::new(0),
             capacity,
         }
-    }
-
-    /// Stamps every event with the clock's current epoch at record time.
-    pub fn with_clock(mut self, clock: crate::window::Clock) -> Self {
-        self.epoch = Some(clock);
-        self
     }
 
     /// Records one event with no timestamp. Lock-free.
@@ -214,20 +194,22 @@ impl FlightRecorder {
     }
 
     /// Records one event stamped with caller-supplied monotonic
-    /// nanoseconds. Lock-free: one `fetch_add` plus seven stores.
+    /// nanoseconds. Lock-free: one `fetch_add`, six stores and a fence.
     pub fn record_at(&self, nanos: u64, kind: EventKind) {
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let epoch = self.epoch.as_ref().map_or(0, |c| c.now());
         let base = ((seq % self.capacity) as usize) * SLOT_WORDS;
         let (tag, w0, w1, w2) = kind.encode();
         let version = &self.words[base];
-        version.store(2 * seq + 1, Ordering::Release);
-        self.words[base + 1].store(epoch, Ordering::Relaxed);
-        self.words[base + 2].store(nanos, Ordering::Relaxed);
-        self.words[base + 3].store(tag, Ordering::Relaxed);
-        self.words[base + 4].store(w0, Ordering::Relaxed);
-        self.words[base + 5].store(w1, Ordering::Relaxed);
-        self.words[base + 6].store(w2, Ordering::Relaxed);
+        version.store(2 * seq + 1, Ordering::Relaxed);
+        // A Release *store* orders only what precedes it; the fence keeps
+        // the payload stores below from becoming visible before the odd
+        // version, so a reader never pairs new words with an old version.
+        fence(Ordering::Release);
+        self.words[base + 1].store(nanos, Ordering::Relaxed);
+        self.words[base + 2].store(tag, Ordering::Relaxed);
+        self.words[base + 3].store(w0, Ordering::Relaxed);
+        self.words[base + 4].store(w1, Ordering::Relaxed);
+        self.words[base + 5].store(w2, Ordering::Relaxed);
         version.store(2 * seq + 2, Ordering::Release);
     }
 
@@ -256,18 +238,21 @@ impl FlightRecorder {
                 out.dropped += 1;
                 continue;
             }
-            let epoch = self.words[base + 1].load(Ordering::Relaxed);
-            let nanos = self.words[base + 2].load(Ordering::Relaxed);
-            let tag = self.words[base + 3].load(Ordering::Relaxed);
-            let w0 = self.words[base + 4].load(Ordering::Relaxed);
-            let w1 = self.words[base + 5].load(Ordering::Relaxed);
-            let w2 = self.words[base + 6].load(Ordering::Relaxed);
-            if version.load(Ordering::Acquire) != 2 * seq + 2 {
+            let nanos = self.words[base + 1].load(Ordering::Relaxed);
+            let tag = self.words[base + 2].load(Ordering::Relaxed);
+            let w0 = self.words[base + 3].load(Ordering::Relaxed);
+            let w1 = self.words[base + 4].load(Ordering::Relaxed);
+            let w2 = self.words[base + 5].load(Ordering::Relaxed);
+            // An Acquire *load* orders only what follows it; the fence keeps
+            // the payload loads above from being satisfied after the
+            // re-check, so a torn slot cannot pass it.
+            fence(Ordering::Acquire);
+            if version.load(Ordering::Relaxed) != 2 * seq + 2 {
                 out.dropped += 1;
                 continue;
             }
             match EventKind::decode(tag, w0, w1, w2) {
-                Some(kind) => out.events.push(Event { seq, epoch, nanos, kind }),
+                Some(kind) => out.events.push(Event { seq, nanos, kind }),
                 None => out.dropped += 1,
             }
         }
@@ -288,14 +273,15 @@ impl std::fmt::Debug for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::Clock;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
 
     #[test]
     fn events_round_trip_in_sequence_order() {
         let rec = FlightRecorder::new(16);
         rec.record(EventKind::WorkerStart { worker: 0 });
         rec.record_at(500, EventKind::AdmissionShed { class: 1, count: 3 });
-        rec.record(EventKind::SloTransition { slo: 2, from: 0, to: 2 });
+        rec.record(EventKind::PointsSwap { points: 12, delta: true });
         let d = rec.drain();
         assert_eq!(d.dropped, 0);
         assert_eq!(d.events.len(), 3);
@@ -303,7 +289,7 @@ mod tests {
         assert_eq!(d.events[0].kind, EventKind::WorkerStart { worker: 0 });
         assert_eq!(d.events[1].nanos, 500);
         assert_eq!(d.events[1].kind, EventKind::AdmissionShed { class: 1, count: 3 });
-        assert_eq!(d.events[2].kind, EventKind::SloTransition { slo: 2, from: 0, to: 2 });
+        assert_eq!(d.events[2].kind, EventKind::PointsSwap { points: 12, delta: true });
         // A second drain returns nothing new.
         assert!(rec.drain().events.is_empty());
         rec.record(EventKind::PoolResize { pages: 64 });
@@ -332,24 +318,11 @@ mod tests {
     }
 
     #[test]
-    fn clock_epochs_stamp_events() {
-        let clock = Clock::new();
-        let rec = FlightRecorder::new(8).with_clock(clock.clone());
-        rec.record(EventKind::PoolResize { pages: 1 });
-        clock.advance();
-        clock.advance();
-        rec.record(EventKind::PoolClear);
-        let d = rec.drain();
-        assert_eq!(d.events[0].epoch, 0);
-        assert_eq!(d.events[1].epoch, 2);
-    }
-
-    #[test]
     fn concurrent_writers_never_produce_garbage() {
-        let rec = std::sync::Arc::new(FlightRecorder::new(64));
+        let rec = Arc::new(FlightRecorder::new(64));
         std::thread::scope(|s| {
             for t in 0..4u64 {
-                let rec = std::sync::Arc::clone(&rec);
+                let rec = Arc::clone(&rec);
                 s.spawn(move || {
                     for i in 0..1_000u64 {
                         rec.record(EventKind::SlowQuery {
@@ -377,6 +350,62 @@ mod tests {
     }
 
     #[test]
+    fn draining_while_writers_record_never_yields_a_torn_event() {
+        // The seqlock under contention: drains race four writers lapping a
+        // small ring, so slots are read while being rewritten. A torn read
+        // would pair one writer's `query` with another's `algorithm`.
+        let rec = Arc::new(FlightRecorder::new(16));
+        let done = AtomicBool::new(false);
+        let (mut events, mut dropped) = (0u64, 0u64);
+        std::thread::scope(|s| {
+            let writers: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let rec = Arc::clone(&rec);
+                    s.spawn(move || {
+                        for i in 0..20_000u64 {
+                            rec.record(EventKind::SlowQuery {
+                                query: t,
+                                service_nanos: i,
+                                algorithm: t,
+                            });
+                        }
+                    })
+                })
+                .collect();
+            let reader = s.spawn(|| {
+                let mut tally = (0u64, 0u64);
+                loop {
+                    let finished = done.load(Ordering::Acquire);
+                    let d = rec.drain();
+                    for w in d.events.windows(2) {
+                        assert!(w[0].seq < w[1].seq);
+                    }
+                    for e in &d.events {
+                        match e.kind {
+                            EventKind::SlowQuery { query, algorithm, .. } => {
+                                assert_eq!(query, algorithm, "torn slot at seq {}", e.seq)
+                            }
+                            _ => panic!("decoded a kind nobody recorded"),
+                        }
+                    }
+                    tally.0 += d.events.len() as u64;
+                    tally.1 += d.dropped;
+                    if finished {
+                        return tally;
+                    }
+                }
+            });
+            for w in writers {
+                w.join().unwrap();
+            }
+            done.store(true, Ordering::Release);
+            (events, dropped) = reader.join().unwrap();
+        });
+        assert_eq!(rec.recorded(), 80_000);
+        assert_eq!(events + dropped, rec.recorded(), "every event is returned or counted");
+    }
+
+    #[test]
     fn every_kind_name_is_stable() {
         let kinds = [
             EventKind::AdmissionShed { class: 0, count: 0 },
@@ -385,19 +414,19 @@ mod tests {
             EventKind::PoolClear,
             EventKind::WorkerStart { worker: 0 },
             EventKind::WorkerStop { worker: 0, served: 0 },
-            EventKind::SloTransition { slo: 0, from: 0, to: 0 },
             EventKind::SlowQuery { query: 0, service_nanos: 0, algorithm: 0 },
         ];
         let mut names: Vec<&str> = kinds.iter().map(|k| k.name()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), kinds.len(), "event names are unique");
-        for (k, code) in kinds.iter().zip([0u64, 1, 2, 4, 5, 6, 7, 8]) {
+        for (k, code) in kinds.iter().zip([0u64, 1, 2, 4, 5, 6, 8]) {
             let (tag, w0, w1, w2) = k.encode();
             assert_eq!(tag, code);
             assert_eq!(EventKind::decode(tag, w0, w1, w2), Some(*k), "encode/decode round trip");
         }
-        assert_eq!(EventKind::decode(3, 0, 0, 0), None, "the retired code is unknown");
+        assert_eq!(EventKind::decode(3, 0, 0, 0), None, "a retired code is unknown");
+        assert_eq!(EventKind::decode(7, 0, 0, 0), None, "a retired code is unknown");
         assert_eq!(EventKind::decode(99, 0, 0, 0), None);
     }
 }

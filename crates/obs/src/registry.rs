@@ -141,9 +141,8 @@ impl std::fmt::Debug for Gauge {
 }
 
 /// The concurrent form of [`LatencyHistogram`]: the same log-scale buckets,
-/// recorded with relaxed atomics from any thread. Crate-visible so the
-/// windowed instruments ([`crate::window`]) can ring-buffer it per epoch.
-pub(crate) struct HistogramCell {
+/// recorded with relaxed atomics from any thread.
+struct HistogramCell {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum_lo: AtomicU64,
@@ -166,7 +165,7 @@ impl Default for HistogramCell {
 }
 
 impl HistogramCell {
-    pub(crate) fn record(&self, nanos: u64) {
+    fn record(&self, nanos: u64) {
         self.buckets[bucket_of(nanos)].fetch_add(1, Ordering::Relaxed);
         // 128-bit sum out of two 64-bit words: carry into `hi` when `lo`
         // wraps. A reader racing the carry sees the sum off by 2^64 for one
@@ -180,26 +179,10 @@ impl HistogramCell {
         self.count.fetch_add(1, Ordering::Release);
     }
 
-    /// Clears every word back to the empty state. Only the windowed ring
-    /// rotation uses this, and only on a slot whose epoch is about to be
-    /// republished — concurrent recorders into a slot being reset are the
-    /// documented ring-lap hazard of [`crate::window`], not a memory-safety
-    /// concern (every word is an independent atomic).
-    pub(crate) fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.sum_lo.store(0, Ordering::Relaxed);
-        self.sum_hi.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Release);
-    }
-
     /// A point-in-time read. `count` is loaded first (`Acquire`, matching
     /// the `Release` bump that ends every record) so a mid-record snapshot
     /// under-counts rather than showing buckets that sum below `count`.
-    pub(crate) fn load(&self) -> LatencyHistogram {
+    fn load(&self) -> LatencyHistogram {
         let count = self.count.load(Ordering::Acquire);
         let mut buckets = [0u64; BUCKETS];
         for (b, cell) in buckets.iter_mut().zip(&self.buckets) {

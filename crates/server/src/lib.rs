@@ -45,19 +45,11 @@
 //!   [`ServerConfig::with_slow_query_log`] captures the worst-N traces plus
 //!   a deterministic uniform sample, drained via
 //!   [`Server::drain_slow_queries`].
-//! * **Time-aware telemetry** — [`Server::start_with_telemetry`] adds the
-//!   windowed half of the stack ([`telemetry`]): per-class
-//!   rate-over-window and quantile-over-window instruments on a logical
-//!   clock ticked by the server's micro-batch loop (or manually via
-//!   [`Server::advance_epoch`]), an [`SloEngine`] evaluating latency and
-//!   drop-ratio objectives with multi-window burn rates at every tick, and
-//!   a flight recorder of structured serving events drained through
-//!   [`Server::drain_events`] — exportable as a Chrome trace together with
-//!   the slow-query spans ([`rnn_obs::chrome_trace`]).
-//!
-//! [`Server::start_with_telemetry`]: server::Server::start_with_telemetry
-//! [`Server::advance_epoch`]: server::Server::advance_epoch
-//! [`Server::drain_events`]: server::Server::drain_events
+//!   The same server keeps a flight recorder of structured serving events
+//!   (admission sheds, point swaps, worker lifecycle, slow-query captures,
+//!   and the buffer pool's resizes and clears), drained through
+//!   [`Server::drain_events`] and exportable as a Chrome trace together
+//!   with the slow-query spans ([`rnn_obs::chrome_trace`]).
 //!
 //! Serving never changes answers: for any admitted request the outcome is
 //! byte-identical to the sequential [`rnn_core::run_rknn`] call against the
@@ -74,14 +66,11 @@ pub mod queue;
 pub mod request;
 pub mod server;
 pub mod stats;
-pub mod telemetry;
 
 pub use queue::BackpressurePolicy;
 pub use request::{Priority, Request, ServeError, ServeResult, ServedQuery, Ticket};
 pub use rnn_obs::{
-    Drained, Event, EventKind, LatencyHistogram, MetricsRegistry, QueryTrace, SloEngine, SloSpec,
-    SloState, SloTransition, SlowQueryReport,
+    Drained, Event, EventKind, LatencyHistogram, MetricsRegistry, QueryTrace, SlowQueryReport,
 };
 pub use server::{PointUpdate, Server, ServerConfig, World};
 pub use stats::{ClassStats, ServerStats};
-pub use telemetry::TelemetryConfig;

@@ -49,21 +49,24 @@
 use crate::queue::{Admission, BackpressurePolicy, RequestQueue};
 use crate::request::{Priority, Queued, Request, ServeError, ServedQuery, Ticket};
 use crate::stats::{algorithm_index, ClassStats, PublishedMetrics, ServerStats, WorkerMetrics};
-use crate::telemetry::{Telemetry, TelemetryConfig};
 use parking_lot::RwLock;
 use rnn_core::engine::QueryEngine;
 use rnn_core::{Algorithm, MaterializedKnn, Scratch, SharedResultCache};
 use rnn_graph::{NodeId, PointsOnNodes, Topology};
 use rnn_index::HubLabelIndex;
 use rnn_obs::{
-    Drained, EventKind, FlightRecorder, LatencyHistogram, MetricsRegistry, SloEngine,
-    SloTransition, SlowQueryLog, SlowQueryReport, TraceRecorder,
+    Drained, EventKind, FlightRecorder, LatencyHistogram, MetricsRegistry, SlowQueryLog,
+    SlowQueryReport, TraceRecorder,
 };
 use rnn_storage::{IoCounters, StorageControl};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// Events an observed server's flight recorder holds between drains; older
+/// ones are overwritten and counted in [`Drained::dropped`].
+const RECORDER_CAPACITY: usize = 4_096;
 
 /// One point mutation of a delta-shaped swap (see
 /// [`Server::swap_points_delta`]).
@@ -107,8 +110,8 @@ impl World {
     /// Attaches the storage-control handle of a paged topology (typically
     /// the same `Arc<PagedGraph<_>>` passed as `topo`, re-cast): the server
     /// then exports the buffer pool's per-shard hit rates through its
-    /// metrics source and, with telemetry on, records the pool's resize and
-    /// clear events.
+    /// metrics source and, on an observed server ([`Server::start_observed`]),
+    /// records the pool's resize and clear events.
     pub fn with_storage_control(mut self, storage: Arc<dyn StorageControl>) -> Self {
         self.storage = Some(storage);
         self
@@ -355,10 +358,9 @@ struct Shared {
     /// Worst-N + uniform-sample trace capture, drained through
     /// [`Server::drain_slow_queries`].
     slow_log: Option<SlowQueryLog>,
-    /// The time-aware half of the observability stack — windowed
-    /// instruments, SLO engine and flight recorder (present only under
-    /// [`Server::start_with_telemetry`]).
-    telemetry: Option<Telemetry>,
+    /// The flight recorder of structured serving events (present only
+    /// under [`Server::start_observed`]).
+    events: Option<Arc<FlightRecorder>>,
     /// When the server started: the zero point of every
     /// [`rnn_obs::QueryTrace::start_nanos`] stamp and flight-recorder event
     /// timestamp, so one serving run shares one trace timeline.
@@ -370,6 +372,20 @@ impl Shared {
     /// `start_nanos` stamps and flight-recorder event timestamps.
     fn nanos_since_start(&self) -> u64 {
         u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    /// Appends `kind` to the flight recorder, stamped now; a no-op on a
+    /// server started without a registry.
+    fn record_event(&self, kind: EventKind) {
+        if let Some(events) = &self.events {
+            events.record_at(self.nanos_since_start(), kind);
+        }
+    }
+
+    /// Records one request of `class` shed past its deadline, at either
+    /// admission edge.
+    fn record_shed(&self, class: Priority) {
+        self.record_event(EventKind::AdmissionShed { class: class.index() as u64, count: 1 });
     }
 
     /// Resolves one admission decision into the caller-visible result,
@@ -395,9 +411,7 @@ impl Shared {
                 // submitter's.
                 let victim_class = victim.request.priority;
                 self.counts.class(victim_class).shed.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &self.telemetry {
-                    t.on_dropped(victim_class, true, self.nanos_since_start());
-                }
+                self.record_shed(victim_class);
                 victim.fail(ServeError::Shed);
                 Ok(ticket)
             }
@@ -406,26 +420,18 @@ impl Shared {
                 // was never enqueued, and resolves through its ticket like
                 // every other shed.
                 class.shed.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &self.telemetry {
-                    t.on_dropped(priority, true, self.nanos_since_start());
-                }
+                self.record_shed(priority);
                 newcomer.fail(ServeError::Shed);
                 Ok(ticket)
             }
             Admission::Rejected(unadmitted) => {
                 class.rejected.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &self.telemetry {
-                    t.on_dropped(priority, false, self.nanos_since_start());
-                }
                 // The drop resolves the never-handed-out ticket (Lost).
                 drop(unadmitted);
                 Err(ServeError::QueueFull)
             }
             Admission::Closed(unadmitted) => {
                 class.rejected.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &self.telemetry {
-                    t.on_dropped(priority, false, self.nanos_since_start());
-                }
                 drop(unadmitted);
                 Err(ServeError::ShuttingDown)
             }
@@ -573,6 +579,10 @@ fn register_server_source(registry: &MetricsRegistry, shared: &Arc<Shared>) {
         set.counter("rnn_server_io_accesses_total", s.io.accesses);
         set.counter("rnn_server_io_faults_total", s.io.faults);
         set.counter("rnn_server_io_evictions_total", s.io.evictions);
+        if let Some(events) = &shared.events {
+            set.counter("rnn_recorder_recorded_total", events.recorded());
+            set.gauge("rnn_recorder_capacity", events.capacity() as u64);
+        }
         if let Some(storage) = &storage {
             for (i, shard) in storage.pool_stats().per_shard.iter().enumerate() {
                 set.gauge(
@@ -599,14 +609,14 @@ impl Server {
     /// To serve a disk-resident world with I/O accounting, pass the paged
     /// graph's counters via [`Server::start_with_io`].
     pub fn start(world: World, config: ServerConfig) -> Server {
-        Self::start_inner(world, config, None, None, None)
+        Self::start_inner(world, config, None, None)
     }
 
     /// [`Server::start`] plus I/O accounting: every stats poll reads
     /// `counters` (e.g. a clone of `PagedGraph::counters()`) into
     /// [`ServerStats::io`].
     pub fn start_with_io(world: World, config: ServerConfig, counters: IoCounters) -> Server {
-        Self::start_inner(world, config, Some(counters), None, None)
+        Self::start_inner(world, config, Some(counters), None)
     }
 
     /// [`Server::start_with_io`] (with `io` optional) plus observability:
@@ -616,32 +626,19 @@ impl Server {
     /// cache / I/O rollups — and, when [`ServerConfig::tracing`] is on,
     /// folds every served query's phase trace into the registry's
     /// `algorithm x phase` aggregates.
+    ///
+    /// An observed server also keeps a flight recorder of the last 4 096
+    /// structured events — admission sheds, point
+    /// swaps, worker lifecycle, slow-query captures and, when the world
+    /// carries a storage-control handle, buffer-pool resizes and clears —
+    /// drained through [`Server::drain_events`].
     pub fn start_observed(
         world: World,
         config: ServerConfig,
         io: Option<IoCounters>,
         registry: &MetricsRegistry,
     ) -> Server {
-        Self::start_inner(world, config, io, Some(registry), None)
-    }
-
-    /// [`Server::start_observed`] plus the time-aware telemetry stack:
-    /// windowed per-class latency and admission instruments on a logical
-    /// clock, an SLO engine evaluated at every epoch tick, and a flight
-    /// recorder of structured serving events (admission sheds, point
-    /// swaps, worker lifecycle, slow-query captures, SLO transitions —
-    /// and, when the world carries a storage-control handle, buffer-pool
-    /// resize / clear events). See [`TelemetryConfig`] for the
-    /// clock-driving options and [`Server::advance_epoch`] for the manual
-    /// driver.
-    pub fn start_with_telemetry(
-        world: World,
-        config: ServerConfig,
-        telemetry: TelemetryConfig,
-        io: Option<IoCounters>,
-        registry: &MetricsRegistry,
-    ) -> Server {
-        Self::start_inner(world, config, io, Some(registry), Some(telemetry))
+        Self::start_inner(world, config, io, Some(registry))
     }
 
     fn start_inner(
@@ -649,7 +646,6 @@ impl Server {
         config: ServerConfig,
         io: Option<IoCounters>,
         registry: Option<&MetricsRegistry>,
-        telemetry: Option<TelemetryConfig>,
     ) -> Server {
         let workers = config.workers.max(1);
         let cache = (config.cache_capacity > 0).then(|| {
@@ -674,17 +670,12 @@ impl Server {
                     config.slow_seed,
                 )
             });
-        let telemetry = match (telemetry, registry) {
-            (Some(t), Some(registry)) => Some(Telemetry::new(t, registry)),
-            _ => None,
-        };
+        let events = registry.map(|_| Arc::new(FlightRecorder::new(RECORDER_CAPACITY)));
         // Hand the flight recorder to the storage layer's control paths, so
-        // runtime resize / policy / clear actions land on the same event
-        // timeline as the serving events.
-        if let (Some(t), Some(storage)) = (&telemetry, &world.storage) {
-            if let Some(events) = t.recorder() {
-                storage.set_event_sink(events);
-            }
+        // runtime resize / clear actions land on the same event timeline as
+        // the serving events.
+        if let (Some(events), Some(storage)) = (&events, &world.storage) {
+            storage.set_event_sink(Arc::clone(events));
         }
         let shared = Arc::new(Shared {
             queue: RequestQueue::new(
@@ -701,7 +692,7 @@ impl Server {
             tracing: config.tracing,
             recorder,
             slow_log,
-            telemetry,
+            events,
             started: Instant::now(),
         });
         if let Some(registry) = registry {
@@ -733,16 +724,10 @@ impl Server {
     pub fn submit(&self, request: Request) -> Result<Ticket, ServeError> {
         let class = self.shared.counts.class(request.priority);
         class.submitted.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = &self.shared.telemetry {
-            t.on_arrival(request.priority);
-        }
         // Admission validation: refuse now what no worker could ever serve
         // (panicking a worker thread instead would poison the whole pool).
         if !self.shared.world.read().can_serve(&request) {
             class.rejected.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = &self.shared.telemetry {
-                t.on_dropped(request.priority, false, self.shared.nanos_since_start());
-            }
             return Err(ServeError::Unservable);
         }
         let (queued, ticket) = Queued::new(request);
@@ -773,14 +758,8 @@ impl Server {
             for (slot, &request) in requests.iter().enumerate() {
                 let class = counts.class(request.priority);
                 class.submitted.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &self.shared.telemetry {
-                    t.on_arrival(request.priority);
-                }
                 if !world.can_serve(&request) {
                     class.rejected.fetch_add(1, Ordering::Relaxed);
-                    if let Some(t) = &self.shared.telemetry {
-                        t.on_dropped(request.priority, false, self.shared.nanos_since_start());
-                    }
                     results.push(Some(Err(ServeError::Unservable)));
                 } else {
                     let (queued, ticket) = Queued::new(request);
@@ -819,12 +798,7 @@ impl Server {
         if let Some(cache) = &self.shared.cache {
             cache.invalidate_all();
         }
-        if let Some(t) = &self.shared.telemetry {
-            t.record_event(
-                self.shared.nanos_since_start(),
-                EventKind::PointsSwap { points: num_points, delta: false },
-            );
-        }
+        self.shared.record_event(EventKind::PointsSwap { points: num_points, delta: false });
     }
 
     /// The delta-shaped [`Server::swap_points`]: installs the new point set
@@ -879,12 +853,7 @@ impl Server {
         if let Some(cache) = &self.shared.cache {
             cache.invalidate_all();
         }
-        if let Some(t) = &self.shared.telemetry {
-            t.record_event(
-                self.shared.nanos_since_start(),
-                EventKind::PointsSwap { points: num_points, delta: true },
-            );
-        }
+        self.shared.record_event(EventKind::PointsSwap { points: num_points, delta: true });
         true
     }
 
@@ -914,41 +883,18 @@ impl Server {
 
     /// Takes everything the flight recorder captured since the last drain
     /// (ascending sequence order, plus the count of events lost to ring
-    /// lapping). Empty without telemetry
-    /// ([`Server::start_with_telemetry`]). Like
-    /// [`Server::drain_slow_queries`], this works on a [`Server::close`]d
-    /// or [`Server::join`]ed server — drain *after* joining to be sure the
-    /// worker-stop events are in.
+    /// lapping). Empty on a server started without a registry
+    /// ([`Server::start_observed`]). Like [`Server::drain_slow_queries`],
+    /// this works on a [`Server::close`]d or [`Server::join`]ed server —
+    /// drain *after* joining to be sure the worker-stop events are in.
     pub fn drain_events(&self) -> Drained {
-        self.shared.telemetry.as_ref().map(|t| t.drain_events()).unwrap_or_default()
+        self.shared.events.as_ref().map(|r| r.drain()).unwrap_or_default()
     }
 
-    /// The flight recorder itself, when telemetry is on — for handing to
+    /// The flight recorder itself, on an observed server — for handing to
     /// other emitting layers or exporters.
     pub fn flight_recorder(&self) -> Option<Arc<FlightRecorder>> {
-        self.shared.telemetry.as_ref().and_then(|t| t.recorder())
-    }
-
-    /// The current logical telemetry epoch (0 without telemetry).
-    pub fn epoch(&self) -> u64 {
-        self.shared.telemetry.as_ref().map(|t| t.epoch()).unwrap_or(0)
-    }
-
-    /// The SLO engine, when telemetry is on (a clone sharing state — poll
-    /// [`SloEngine::state`] from anywhere).
-    pub fn slo(&self) -> Option<SloEngine> {
-        self.shared.telemetry.as_ref().map(|t| t.slo())
-    }
-
-    /// Manually ends the current telemetry epoch: evaluates every SLO
-    /// against the epoch's traffic (appending
-    /// [`rnn_obs::EventKind::SloTransition`] events), *then* advances the
-    /// clock, and returns the transitions. This is the deterministic
-    /// driver benchmarks and tests use; the automatic micro-batch tick
-    /// ([`TelemetryConfig::with_tick_micro_batches`]) does exactly the
-    /// same. Empty without telemetry.
-    pub fn advance_epoch(&self) -> Vec<SloTransition> {
-        self.shared.telemetry.as_ref().map(|t| t.advance_epoch()).unwrap_or_default()
+        self.shared.events.clone()
     }
 
     /// A point-in-time snapshot of counters, latency histograms and the
@@ -1028,12 +974,7 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
     let mut metrics = WorkerMetrics::default();
     let mut served: u64 = 0;
     let shedding = shared.queue.policy() == BackpressurePolicy::Shed;
-    if let Some(t) = &shared.telemetry {
-        t.record_event(
-            shared.nanos_since_start(),
-            EventKind::WorkerStart { worker: worker_id as u64 },
-        );
-    }
+    shared.record_event(EventKind::WorkerStart { worker: worker_id as u64 });
     loop {
         batch.clear();
         shared.queue.pop_batch(&mut batch, shared.micro_batch);
@@ -1059,9 +1000,6 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
             // letting the engine panic (which would kill the worker for good).
             if !world.can_serve(&queued.request) {
                 class.rejected.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &shared.telemetry {
-                    t.on_dropped(priority, false, shared.nanos_since_start());
-                }
                 queued.fail(ServeError::Unservable);
                 continue;
             }
@@ -1072,9 +1010,7 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
                 latencies.queue_wait.record(queue_wait);
                 class.shed.fetch_add(1, Ordering::Relaxed);
                 class.shed_at_dequeue.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &shared.telemetry {
-                    t.on_dropped(priority, true, shared.nanos_since_start());
-                }
+                shared.record_shed(priority);
                 queued.fail(ServeError::Shed);
                 continue;
             }
@@ -1096,18 +1032,15 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
                         recorder.record(algorithm_index(queued.request.algorithm), &trace);
                     }
                     if let Some(log) = &shared.slow_log {
-                        let captured = log.observe(&trace);
-                        if captured {
-                            if let Some(t) = &shared.telemetry {
-                                t.record_event(
-                                    trace.start_nanos,
-                                    EventKind::SlowQuery {
-                                        query: trace.query,
-                                        service_nanos: trace.service_nanos,
-                                        algorithm: algorithm_index(queued.request.algorithm) as u64,
-                                    },
-                                );
-                            }
+                        if let (true, Some(events)) = (log.observe(&trace), &shared.events) {
+                            events.record_at(
+                                trace.start_nanos,
+                                EventKind::SlowQuery {
+                                    query: trace.query,
+                                    service_nanos: trace.service_nanos,
+                                    algorithm: algorithm_index(queued.request.algorithm) as u64,
+                                },
+                            );
                         }
                     }
                 }
@@ -1116,27 +1049,14 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
             latencies.service.record(service_time);
             class.completed.fetch_add(1, Ordering::Relaxed);
             served += 1;
-            if let Some(t) = &shared.telemetry {
-                t.on_completed(priority, queue_wait + service_time);
-            }
             shared.counts.per_algorithm[algorithm_index(queued.request.algorithm)]
                 .fetch_add(1, Ordering::Relaxed);
             queued.complete(ServedQuery { outcome, queue_wait, service_time, worker: worker_id });
         }
         metrics.micro_batches += 1;
         shared.metrics[worker_id].publish(&metrics);
-        // The automatic clock driver: the worker that completes the Nth
-        // micro-batch evaluates the SLOs and advances the epoch.
-        if let Some(t) = &shared.telemetry {
-            t.on_micro_batch();
-        }
     }
-    if let Some(t) = &shared.telemetry {
-        t.record_event(
-            shared.nanos_since_start(),
-            EventKind::WorkerStop { worker: worker_id as u64, served },
-        );
-    }
+    shared.record_event(EventKind::WorkerStop { worker: worker_id as u64, served });
 }
 
 #[cfg(test)]
@@ -1773,120 +1693,16 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_windows_slos_and_flight_recorder_work_end_to_end() {
-        use crate::telemetry::TelemetryConfig;
-        use rnn_obs::{SloSpec, SloState};
-
-        let (_, points, w) = world(9, 7);
-        let registry = MetricsRegistry::new();
-        // Threshold ZERO makes every completed request an SLO violation:
-        // burn = 1.0 / 0.01 = 100 >> critical. Windows of (1, 2) epochs.
-        let telemetry = TelemetryConfig::new()
-            .with_window_epochs(8)
-            .with_recorder_capacity(128)
-            .with_latency_slo(
-                Priority::Interactive,
-                SloSpec::latency("interactive_latency", 0.99, Duration::ZERO).with_windows(1, 2),
-            )
-            .with_dropped_slo(
-                Priority::Interactive,
-                SloSpec::error_ratio("interactive_drops", 0.05).with_windows(1, 2),
-            );
-        let mut server = Server::start_with_telemetry(
-            w,
-            ServerConfig::default().with_workers(2).with_slow_query_log(3, 0, 0, 7),
-            telemetry,
-            None,
-            &registry,
-        );
-        assert_eq!(server.epoch(), 0);
-        let slo = server.slo().expect("telemetry carries an SLO engine");
-        assert_eq!(slo.len(), 2);
-
-        for q in 0..30 {
-            server
-                .submit(Request::new(Algorithm::Eager, NodeId::new(q), 2))
-                .unwrap()
-                .wait()
-                .unwrap();
-        }
-        // Evaluate-then-advance: epoch 0's traffic flips the latency SLO.
-        let transitions = server.advance_epoch();
-        assert_eq!(server.epoch(), 1);
-        assert_eq!(transitions.len(), 1, "only the latency SLO transitions");
-        assert_eq!(transitions[0].name, "interactive_latency");
-        assert_eq!(transitions[0].from, SloState::Ok);
-        assert_eq!(transitions[0].to, SloState::Critical);
-        assert_eq!(slo.state(0), Some(SloState::Critical));
-        assert_eq!(slo.state(1), Some(SloState::Ok), "no drops: the ratio SLO stays ok");
-
-        // An empty epoch recovers: the 1-epoch short window stops burning.
-        let transitions = server.advance_epoch();
-        assert_eq!(transitions.len(), 1);
-        assert_eq!(transitions[0].to, SloState::Ok);
-
-        // A swap lands on the event timeline.
-        server.swap_points(points.clone(), None, None);
-
-        // Windowed instruments exported alongside the cumulative values.
-        let snap = registry.snapshot();
-        let cumulative = snap.histogram("rnn_server_latency_nanos{class=\"interactive\"}").unwrap();
-        assert_eq!(cumulative.count(), 30);
-        let window =
-            snap.histogram("rnn_server_latency_nanos_window{class=\"interactive\"}").unwrap();
-        assert_eq!(window.count(), 30, "the 8-epoch ring still holds epoch 0");
-        assert_eq!(snap.counter("rnn_server_arrivals_total{class=\"interactive\"}"), Some(30));
-        assert_eq!(snap.gauge("rnn_server_dropped_total_window{class=\"interactive\"}"), Some(0));
-        assert_eq!(snap.gauge("rnn_telemetry_epoch"), Some(2));
-        assert_eq!(snap.gauge("rnn_slo_state{slo=\"interactive_latency\"}"), Some(0));
-        assert_eq!(snap.gauge("rnn_recorder_capacity"), Some(128));
-
-        // Quiesce without consuming the handle, then pull the evidence.
-        server.join();
-        let drained = server.drain_events();
-        assert_eq!(drained.dropped, 0);
-        let names: Vec<&str> = drained.events.iter().map(|e| e.kind.name()).collect();
-        assert_eq!(names.iter().filter(|n| **n == "worker_start").count(), 2);
-        assert_eq!(names.iter().filter(|n| **n == "worker_stop").count(), 2);
-        assert_eq!(names.iter().filter(|n| **n == "slo_transition").count(), 2);
-        assert_eq!(names.iter().filter(|n| **n == "points_swap").count(), 1);
-        assert!(names.contains(&"slow_query"), "worst-N captures become events");
-        let served: u64 = drained
-            .events
-            .iter()
-            .filter_map(|e| match e.kind {
-                rnn_obs::EventKind::WorkerStop { served, .. } => Some(served),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(served, 30, "worker-stop events account for every completion");
-        assert!(
-            drained.events.windows(2).all(|w| w[0].seq < w[1].seq),
-            "drain returns ascending sequence order"
-        );
-        let report = server.drain_slow_queries();
-        assert_eq!(report.worst.len(), 3, "slow-query drain still works after join()");
-        for trace in &report.worst {
-            assert!(trace.start_nanos > 0, "server stamps the trace timeline");
-        }
-        assert_eq!(server.stats().completed, 30);
-        assert!(server.drain_events().events.is_empty(), "a second drain starts empty");
-    }
-
-    #[test]
-    fn telemetry_counts_sheds_in_windows_and_events() {
-        use crate::telemetry::TelemetryConfig;
-
+    fn observed_server_records_every_shed_as_an_event() {
         let (_, _, w) = world(9, 7);
         let registry = MetricsRegistry::new();
-        let server = Server::start_with_telemetry(
+        let server = Server::start_observed(
             w,
             ServerConfig::default()
                 .with_workers(1)
                 .with_queue_capacity(2)
                 .with_micro_batch(1)
                 .with_policy(BackpressurePolicy::Shed),
-            TelemetryConfig::new(),
             None,
             &registry,
         );
@@ -1905,11 +1721,7 @@ mod tests {
         server.join();
         let stats = server.stats();
         assert!(stats.shed > 0, "this workload sheds");
-        // Every shed (either admission edge) and rejection lands in the
-        // windowed drop counter and — for sheds — on the event timeline.
-        let snap = registry.snapshot();
-        let dropped = snap.counter("rnn_server_dropped_total{class=\"interactive\"}").unwrap_or(0);
-        assert_eq!(dropped, stats.shed + stats.rejected);
+        // Every shed, at either admission edge, lands on the event timeline.
         let drained = server.drain_events();
         let shed_events: u64 = drained
             .events
@@ -1923,6 +1735,9 @@ mod tests {
             })
             .sum();
         assert_eq!(shed_events, stats.shed, "one admission-shed event per shed request");
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("rnn_recorder_recorded_total"), Some(shed_events + 2));
+        assert_eq!(snap.gauge("rnn_recorder_capacity"), Some(RECORDER_CAPACITY as u64));
     }
 
     #[test]

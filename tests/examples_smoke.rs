@@ -8,7 +8,6 @@ mod common;
 use common::serve_all;
 use rnn::core::materialize::MaterializedKnn;
 use rnn::core::{run_rknn, Algorithm, Precomputed};
-use rnn::datagen::{grid_map, place_points_on_nodes, sample_node_queries, GridConfig};
 use rnn::graph::{GraphBuilder, NodeId, NodePointSet};
 use rnn::index::HubLabelIndex;
 use rnn::server::{Request, Server, ServerConfig, World};
@@ -256,130 +255,4 @@ fn observability_flow_snapshots_every_layer_deterministically() {
     let json = report_json(&snap);
     assert_eq!(json, report_json(&snap));
     assert!(json.contains("\"schema\": \"rnn-bench-report/v1\""));
-}
-
-/// Mirrors the time-aware act of `examples/observability.rs` at reduced
-/// scale: a calibrated latency SLO stays ok through healthy closed-loop
-/// epochs, flips to critical within one epoch of an open-loop overload
-/// burst, recovers after a full long window, and the evidence — windowed
-/// vs cumulative p99, slow queries, the flight recorder, a Chrome trace
-/// that parses back — all drains from the joined server.
-#[test]
-fn observability_time_aware_flow_detects_overload_and_recovers() {
-    use rnn::obs::{chrome_trace, JsonValue, MetricsRegistry};
-    use rnn::server::{EventKind, Priority, SloSpec, SloState, TelemetryConfig};
-    use std::time::{Duration, Instant};
-
-    let graph = Arc::new(grid_map(&GridConfig::with_nodes(1_200, 4.0, 42)));
-    let points = Arc::new(place_points_on_nodes(&graph, 0.02, 43));
-    let query_nodes = sample_node_queries(&points, 24, 44);
-
-    // The example's calibration, scaled down: objective = 32x the
-    // sequential mean (floored at 10ms), burst = 40 threshold-multiples of
-    // work, capped to keep the debug-build test quick — the cap still
-    // leaves the burst's tail queue wait far over the objective.
-    let started = Instant::now();
-    for &q in &query_nodes {
-        run_rknn(Algorithm::Eager, &*graph, &*points, Precomputed::none(), q, 1);
-    }
-    let mean_nanos = (started.elapsed().as_nanos() as f64 / query_nodes.len() as f64).max(1.0);
-    let threshold_nanos = (32.0 * mean_nanos).max(10_000_000.0);
-    let threshold = Duration::from_nanos(threshold_nanos as u64);
-    let burst_len = ((40.0 * threshold_nanos / mean_nanos).ceil() as usize).clamp(512, 4_000);
-
-    let registry = MetricsRegistry::new();
-    let mut server = Server::start_with_telemetry(
-        World::new(graph.clone(), points.clone()),
-        ServerConfig::default()
-            .with_workers(2)
-            .with_queue_capacity(burst_len)
-            .with_tracing(true)
-            .with_slow_query_log(4, 0, 0, 3),
-        TelemetryConfig::new().with_window_epochs(4).with_recorder_capacity(2048).with_latency_slo(
-            Priority::Interactive,
-            SloSpec::latency("interactive_p99", 0.99, threshold)
-                .with_windows(1, 4)
-                .with_burns(5.0, 10.0),
-        ),
-        None,
-        &registry,
-    );
-    let engine = server.slo().expect("telemetry server carries an SLO engine");
-
-    // Two healthy closed-loop epochs.
-    let mut served = 0u64;
-    for _ in 0..2 {
-        for &q in &query_nodes {
-            server.submit(Request::new(Algorithm::Eager, q, 1)).unwrap().wait().unwrap();
-            served += 1;
-        }
-        let transitions = server.advance_epoch();
-        assert!(transitions.iter().all(|t| t.to != SloState::Critical));
-    }
-    assert_eq!(engine.state(0), Some(SloState::Ok));
-
-    // The overload burst flips the SLO within one epoch.
-    let requests: Vec<Request> = (0..burst_len)
-        .map(|i| Request::new(Algorithm::Eager, query_nodes[i % query_nodes.len()], 1))
-        .collect();
-    for ticket in server.submit_all(&requests) {
-        ticket.expect("admitted under Block").wait().expect("served");
-        served += 1;
-    }
-    let transitions = server.advance_epoch();
-    assert!(
-        transitions.iter().any(|t| t.name == "interactive_p99" && t.to == SloState::Critical),
-        "the overload burst must flip the latency SLO to critical within one epoch"
-    );
-
-    // Recovery: one full long window of healthy epochs.
-    for _ in 0..4 {
-        for &q in query_nodes.iter().take(8) {
-            server.submit(Request::new(Algorithm::Eager, q, 1)).unwrap().wait().unwrap();
-            served += 1;
-        }
-        server.advance_epoch();
-    }
-    assert_eq!(engine.state(0), Some(SloState::Ok), "recovered after a full long window");
-
-    // The evidence survives the join: windowed-vs-cumulative contrast,
-    // slow queries, the ordered flight recorder, a Chrome trace.
-    server.join();
-    assert_eq!(server.stats().completed, served);
-    let snap = registry.snapshot();
-    let win = snap.histogram("rnn_server_latency_nanos_window{class=\"interactive\"}").unwrap();
-    let cum = snap.histogram("rnn_server_latency_nanos{class=\"interactive\"}").unwrap();
-    assert_eq!(win.count(), 3 * 8, "the burst epoch has left the 4-epoch window");
-    assert!(win.p99() < threshold);
-    assert!(cum.p99() >= threshold, "the cumulative p99 never forgets the burst");
-    assert_eq!(cum.count(), served);
-
-    let slow = server.drain_slow_queries();
-    assert_eq!(slow.worst.len(), 4);
-    let drained = server.drain_events();
-    assert_eq!(drained.dropped, 0);
-    assert!(drained.events.windows(2).all(|w| w[0].seq < w[1].seq));
-    let slo_events: Vec<(u64, u64)> = drained
-        .events
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::SloTransition { slo: 0, from, to } => Some((from, to)),
-            _ => None,
-        })
-        .collect();
-    let flip = slo_events
-        .iter()
-        .position(|&(_, to)| to == SloState::Critical.code())
-        .expect("the flip reaches the flight recorder");
-    assert!(slo_events[flip + 1..].iter().any(|&(_, to)| to == SloState::Ok.code()));
-
-    let trace = chrome_trace(&slow.worst, &drained.events);
-    let parsed = JsonValue::parse(&trace).expect("the Chrome trace parses back");
-    let spans = parsed.get("traceEvents").and_then(|v| v.as_array()).unwrap();
-    let transitions_rendered = spans
-        .iter()
-        .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("slo_transition"))
-        .count();
-    assert_eq!(transitions_rendered, slo_events.len());
-    assert!(spans.len() > slow.worst.len());
 }

@@ -27,12 +27,11 @@ use rnn::datagen::{grid_map, GridConfig};
 use rnn::graph::{NodeId, NodePointSet, PointsOnNodes};
 use rnn::index::HubLabelIndex;
 use rnn::obs::{
-    prometheus_text, report_json, Clock, LatencyHistogram, MetricsRegistry, MetricsSnapshot, Phase,
-    QueryTrace, SlowQueryLog, WindowedHistogram,
+    prometheus_text, report_json, LatencyHistogram, MetricsRegistry, MetricsSnapshot, Phase,
+    QueryTrace, SlowQueryLog,
 };
 use rnn::server::{
-    BackpressurePolicy, EventKind, PointUpdate, Priority, Request, ServeError, Server,
-    ServerConfig, SloSpec, TelemetryConfig, World,
+    BackpressurePolicy, EventKind, PointUpdate, Request, ServeError, Server, ServerConfig, World,
 };
 use rnn::storage::{
     register_io_counters, BufferPoolConfig, IoCounters, LayoutStrategy, PagedGraph,
@@ -336,84 +335,13 @@ fn one_snapshot_exposes_every_layer_and_exports_deterministically() {
 }
 
 // ---------------------------------------------------------------------------
-// 5. Windowed quantiles vs. a sorted-vector reference model
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    /// Two workers record into separate windowed histograms sharing one
-    /// clock; over an arbitrary record/advance interleaving, every merged
-    /// window view must equal a sorted-vector reference built from the
-    /// samples whose epoch is still inside the window — including views
-    /// wider than the ring (capped) and bucket-expiry boundaries.
-    #[test]
-    fn windowed_histogram_views_match_the_reference_model(
-        windows in 1usize..5,
-        ops in proptest::collection::vec((0u8..8, 0u64..4_000_000_000), 1..120),
-    ) {
-        let clock = Clock::new();
-        let shards =
-            [WindowedHistogram::new(&clock, windows), WindowedHistogram::new(&clock, windows)];
-        // The model: every recorded sample tagged with its record epoch.
-        let mut recorded: Vec<(u64, u64)> = Vec::new();
-        let mut epoch = 0u64;
-        for &(tag, value) in &ops {
-            if tag == 7 {
-                epoch = clock.advance();
-            } else {
-                shards[usize::from(tag % 2)].record_nanos(value);
-                recorded.push((epoch, value));
-            }
-        }
-        prop_assert_eq!(epoch, clock.now());
-
-        for w in 1..=(windows as u64 + 2) {
-            let mut view = shards[0].window_histogram(w);
-            view.merge(&shards[1].window_histogram(w));
-            // In-window samples: the last min(w, windows) epochs.
-            let oldest = epoch.saturating_sub(w.min(windows as u64) - 1);
-            let mut inside: Vec<u64> =
-                recorded.iter().filter(|&&(e, _)| e >= oldest).map(|&(_, v)| v).collect();
-            inside.sort_unstable();
-            prop_assert_eq!(view.count(), inside.len() as u64);
-            if inside.is_empty() {
-                prop_assert!(view.is_empty());
-                continue;
-            }
-            prop_assert_eq!(view.min().as_nanos(), u128::from(inside[0]));
-            prop_assert_eq!(view.max().as_nanos(), u128::from(*inside.last().unwrap()));
-            let (_, _, sum, _, _) = view.raw();
-            prop_assert_eq!(sum, inside.iter().map(|&s| u128::from(s)).sum::<u128>());
-            // Same quantile-bucket property as the cumulative histograms:
-            // the reported value is the upper bound of the reference order
-            // statistic's power-of-two bucket.
-            for q in [0.5, 0.99, 1.0] {
-                let rank = ((q * inside.len() as f64).ceil() as usize).clamp(1, inside.len());
-                let reference = inside[rank - 1];
-                let reported = view.quantile(q).as_nanos() as u64;
-                prop_assert!(reported >= reference, "q={q}: {reported} < ref {reference}");
-                prop_assert!(
-                    u128::from(reported) < 2 * u128::from(reference.max(1)),
-                    "q={q}: {reported} not in ref {reference}'s bucket"
-                );
-            }
-        }
-        // Cumulative views never expire, no matter the interleaving.
-        let total = shards[0].cumulative().count() + shards[1].cumulative().count();
-        prop_assert_eq!(total, recorded.len() as u64);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// 6. Metric-name hygiene and the golden exporter layout
+// 5. Metric-name hygiene and the golden exporter layout
 // ---------------------------------------------------------------------------
 
 /// Builds the fully-wired registry: every layer of the stack — paged
-/// storage, hub labels, result caches, the traced server — plus the
-/// time-aware telemetry (windowed instruments, SLO gauges, flight-recorder
-/// counters), with traffic from all six algorithms and one epoch tick so
-/// every aggregate is live.
+/// storage, hub labels, result caches, the traced server and its flight
+/// recorder — with traffic from all six algorithms so every aggregate is
+/// live.
 fn fully_wired_snapshot() -> MetricsSnapshot {
     let registry = MetricsRegistry::new();
     let graph =
@@ -438,18 +366,12 @@ fn fully_wired_snapshot() -> MetricsSnapshot {
 
     let world =
         World::new(paged, points.clone()).with_materialized(table).with_hub_label_index(hub_index);
-    let server = Server::start_with_telemetry(
+    let server = Server::start_observed(
         world,
         ServerConfig::default()
             .with_workers(2)
             .with_result_cache(64, 0)
             .with_slow_query_log(4, 4, 16, 9),
-        TelemetryConfig::new()
-            .with_latency_slo(
-                Priority::Interactive,
-                SloSpec::latency("interactive_p99", 0.99, Duration::from_millis(50)),
-            )
-            .with_dropped_slo(Priority::Batch, SloSpec::error_ratio("batch_drops", 0.05)),
         Some(counters),
         &registry,
     );
@@ -459,7 +381,6 @@ fn fully_wired_snapshot() -> MetricsSnapshot {
             server.submit(Request::new(algorithm, q, 2)).unwrap().wait().unwrap();
         }
     }
-    server.advance_epoch();
     server.shutdown();
     registry.snapshot()
 }
@@ -531,7 +452,7 @@ fn prometheus_text_layout_is_pinned_by_a_golden_file() {
 }
 
 // ---------------------------------------------------------------------------
-// 7. Telemetry evidence survives close (join), before drop
+// 6. Serving evidence survives close (join), before drop
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -540,10 +461,9 @@ fn slow_queries_and_flight_recorder_drain_from_a_joined_server() {
     let graph = Arc::new(grid_map(&GridConfig { rows: 9, cols: 9, seed: 7, ..Default::default() }));
     let n = graph.num_nodes();
     let points = Arc::new(NodePointSet::from_nodes(n, (0..n).step_by(5).map(NodeId::new)));
-    let mut server = Server::start_with_telemetry(
+    let mut server = Server::start_observed(
         World::new(graph, points.clone()),
         ServerConfig::default().with_workers(2).with_tracing(true).with_slow_query_log(4, 0, 0, 3),
-        TelemetryConfig::new(),
         None,
         &registry,
     );
@@ -573,7 +493,7 @@ fn slow_queries_and_flight_recorder_drain_from_a_joined_server() {
 }
 
 // ---------------------------------------------------------------------------
-// 8. The flight recorder's event vocabulary, pinned on one scripted run
+// 7. The flight recorder's event vocabulary, pinned on one scripted run
 // ---------------------------------------------------------------------------
 
 /// One scripted run through every server and storage path that records an
@@ -602,14 +522,13 @@ fn flight_recorder_pins_the_events_of_a_scripted_run() {
     let world = World::new(paged.clone(), points.clone())
         .with_storage_control(paged.clone())
         .with_hub_label_index(hub_index.clone());
-    let mut server = Server::start_with_telemetry(
+    let mut server = Server::start_observed(
         world,
         ServerConfig::default()
             .with_workers(1)
             .with_queue_capacity(1)
             .with_policy(BackpressurePolicy::Shed)
             .with_slow_query_log(8, 0, 0, 3),
-        TelemetryConfig::new(),
         None,
         &registry,
     );
