@@ -26,15 +26,14 @@
 //! the payload loads can be satisfied after that re-check. Any torn or
 //! overwritten slot fails the `2*seq + 2` check and is counted in
 //! [`Drained::dropped`] instead of being misreported. This is the seqlock
-//! protocol of the server's stats cells. When the
-//! ring laps (more than `capacity` events between drains), the oldest
-//! events are overwritten and counted as dropped — the recorder is a bounded
-//! black box, honest about what it lost, never a backpressure source.
+//! protocol of the server's stats cells. When the ring laps (more than
+//! `capacity` events between drains), the oldest events are overwritten and
+//! counted as dropped — the recorder is a bounded black box, honest about
+//! what it lost, never a backpressure source.
 //!
 //! Record cost: one `fetch_add`, six stores and a fence, no locks, no
-//! allocation.
-//! Draining takes a mutex (it tracks a cursor so each event is returned
-//! once), which only drains contend on.
+//! allocation. Draining takes a mutex (it tracks a cursor so each event is
+//! returned once), which only drains contend on.
 
 use crate::trace::lock;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
