@@ -594,6 +594,130 @@ mod tests {
         assert_eq!(pop_all(&queue), vec![0, 1]);
     }
 
+    /// The admission kind and victim of one `try_admit` call: the victim is
+    /// the evicted resident, or the newcomer itself when it is shed.
+    fn describe(step: AdmitStep) -> (&'static str, Option<usize>) {
+        match step {
+            AdmitStep::Wait(_) => ("Wait", None),
+            AdmitStep::Done(Admission::Enqueued) => ("Enqueued", None),
+            AdmitStep::Done(Admission::EnqueuedAfterShed(victim)) => {
+                ("EnqueuedAfterShed", Some(node_of(&victim)))
+            }
+            AdmitStep::Done(Admission::ShedNewcomer(newcomer)) => {
+                ("ShedNewcomer", Some(node_of(&newcomer)))
+            }
+            AdmitStep::Done(Admission::Rejected(_)) => ("Rejected", None),
+            AdmitStep::Done(Admission::Closed(_)) => ("Closed", None),
+        }
+    }
+
+    #[test]
+    fn full_edge_admission_table_pins_kind_victim_and_pop_order() {
+        // Newcomer {no deadline, fresh deadline, expired} x residents at the
+        // full edge {all fresh, one expired batch, one expired interactive,
+        // one expired in each class}. Every queue holds four residents
+        // submitted in id order: interactive 0 and 1, batch 2 and 3. The
+        // newcomer is interactive node 9 with a fresh deadline earlier than
+        // any resident's, so an admitted one pops first in its class.
+        //
+        // The one row whose outcome is `Wait` (no deadline, nothing expired)
+        // parks the submitter. A newcomer without a deadline that meets an
+        // expired resident evicts it, exactly like a deadline-bearing one:
+        // before deadlines became live on every queue, the default `Block`
+        // queue parked that newcomer instead. The "all fresh" residents are
+        // chosen so that their pop order is the same whether deadlines route
+        // to the EDF heap or ride the FIFO ring.
+        let now = Instant::now();
+        let ago = |secs| now.checked_sub(Duration::from_secs(secs)).unwrap_or(now);
+        let ahead = |secs| now + Duration::from_secs(secs);
+        let fresh_newcomer = ahead(5);
+
+        // Per-resident deadlines in id order: interactive 0, 1; batch 2, 3.
+        let all_fresh = [Some(ahead(10)), None, Some(ahead(20)), None];
+        let expired_batch = [Some(ahead(10)), None, Some(ahead(20)), Some(ago(1))];
+        let expired_interactive = [Some(ahead(10)), Some(ago(1)), Some(ahead(20)), None];
+        let expired_each = [Some(ago(2)), None, Some(ago(1)), None];
+
+        type Row = (Option<Instant>, [Option<Instant>; 4], &'static str, Option<usize>, [usize; 4]);
+        let rows: [(&str, Row); 12] = [
+            ("none / all fresh", (None, all_fresh, "Wait", None, [0, 1, 2, 3])),
+            (
+                "fresh / all fresh",
+                (Some(fresh_newcomer), all_fresh, "Rejected", None, [0, 1, 2, 3]),
+            ),
+            (
+                "expired / all fresh",
+                (Some(ago(3)), all_fresh, "ShedNewcomer", Some(9), [0, 1, 2, 3]),
+            ),
+            (
+                "none / expired batch",
+                (None, expired_batch, "EnqueuedAfterShed", Some(3), [0, 1, 9, 2]),
+            ),
+            (
+                "fresh / expired batch",
+                (Some(fresh_newcomer), expired_batch, "EnqueuedAfterShed", Some(3), [9, 0, 1, 2]),
+            ),
+            (
+                "expired / expired batch",
+                (Some(ago(3)), expired_batch, "ShedNewcomer", Some(9), [0, 1, 3, 2]),
+            ),
+            (
+                "none / expired interactive",
+                (None, expired_interactive, "EnqueuedAfterShed", Some(1), [0, 9, 2, 3]),
+            ),
+            (
+                "fresh / expired interactive",
+                (
+                    Some(fresh_newcomer),
+                    expired_interactive,
+                    "EnqueuedAfterShed",
+                    Some(1),
+                    [9, 0, 2, 3],
+                ),
+            ),
+            (
+                "expired / expired interactive",
+                (Some(ago(3)), expired_interactive, "ShedNewcomer", Some(9), [1, 0, 2, 3]),
+            ),
+            (
+                "none / expired each",
+                (None, expired_each, "EnqueuedAfterShed", Some(2), [0, 1, 9, 3]),
+            ),
+            (
+                "fresh / expired each",
+                (Some(fresh_newcomer), expired_each, "EnqueuedAfterShed", Some(2), [0, 9, 1, 3]),
+            ),
+            (
+                "expired / expired each",
+                (Some(ago(3)), expired_each, "ShedNewcomer", Some(9), [0, 1, 2, 3]),
+            ),
+        ];
+
+        for (name, (newcomer, residents, kind, victim, pops)) in rows {
+            let queue = RequestQueue::new(
+                4,
+                if kind == "Wait" { BackpressurePolicy::Block } else { BackpressurePolicy::Shed },
+                4,
+            );
+            let mut tickets = Vec::new();
+            for (id, deadline) in residents.into_iter().enumerate() {
+                let priority = if id < 2 { Priority::Interactive } else { Priority::Batch };
+                let mut request =
+                    Request::new(Algorithm::Eager, NodeId::new(id), 1).with_priority(priority);
+                request.deadline = deadline;
+                let (item, t) = Queued::new(request);
+                tickets.push(t);
+                assert!(matches!(queue.submit(item), Admission::Enqueued), "{name}: resident {id}");
+            }
+            let mut request = Request::new(Algorithm::Eager, NodeId::new(9), 1);
+            request.deadline = newcomer;
+            let (item, _t) = Queued::new(request);
+            let step = queue.try_admit(&mut lock(&queue.state), item);
+            assert_eq!(describe(step), (kind, victim), "{name}: admission");
+            assert_eq!(pop_all(&queue), pops.to_vec(), "{name}: pop order");
+        }
+    }
+
     #[test]
     fn edf_orders_pops_by_deadline_with_fifo_tie_break() {
         let queue = queue(8, BackpressurePolicy::Shed);
