@@ -10,15 +10,15 @@
 //! This crate is that missing layer:
 //!
 //! * [`RequestQueue`](queue) — a hand-rolled bounded MPMC queue (mutex +
-//!   two condvars) with one sub-queue per [`Priority`] class and three
-//!   admission policies at the full-queue edge:
-//!   [`Block`](BackpressurePolicy::Block),
-//!   [`Reject`](BackpressurePolicy::Reject), and
-//!   [`Shed`](BackpressurePolicy::Shed) (shed an expired newcomer
-//!   directly, else drop the earliest-deadline expired resident). Under
-//!   `Shed`, deadline-bearing requests are served
-//!   **earliest-deadline-first** from a binary heap; workers drain
-//!   interactive before batch traffic, with a starvation-ratio bound.
+//!   two condvars) with one sub-queue per [`Priority`] class and one
+//!   admission rule at the full-queue edge, read from the request's own
+//!   deadline: an expired newcomer is shed directly, else the
+//!   earliest-deadline expired resident is dropped to make room, else a
+//!   request with a deadline gets `QueueFull` and one without parks until
+//!   space frees. Deadline-bearing requests are served
+//!   **earliest-deadline-first** from a binary heap, ahead of the FIFO
+//!   ring; workers drain interactive before batch traffic, forcing one
+//!   batch pop after four interactive ones while batch work waits.
 //! * [`Ticket`] — a oneshot completion handle per request: callers submit
 //!   (singly, or batched via [`Server::submit_all`] for one lock round-trip
 //!   per burst), then await their own result while other traffic
@@ -53,9 +53,9 @@
 //!
 //! Serving never changes answers: for any admitted request the outcome is
 //! byte-identical to the sequential [`rnn_core::run_rknn`] call against the
-//! same world, regardless of worker count, micro-batch size, policy or
-//! priority class — the `server_determinism` integration suite pins this
-//! down for all six algorithms.
+//! same world, regardless of worker count, deadlines or priority class — the
+//! `server_determinism` integration suite pins this down for all six
+//! algorithms.
 //!
 //! [`Scratch`]: rnn_core::Scratch
 
@@ -67,7 +67,6 @@ pub mod request;
 pub mod server;
 pub mod stats;
 
-pub use queue::BackpressurePolicy;
 pub use request::{Priority, Request, ServeError, ServeResult, ServedQuery, Ticket};
 pub use rnn_obs::{
     Drained, Event, EventKind, LatencyHistogram, MetricsRegistry, QueryTrace, SlowQueryReport,

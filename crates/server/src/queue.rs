@@ -1,9 +1,9 @@
-//! The bounded MPMC request queue: admission policies, priority classes and
-//! EDF shedding.
+//! The bounded MPMC request queue: priority classes, EDF order and one
+//! admission rule read from the request's own deadline.
 //!
 //! This is the hand-rolled heart of the server: a fixed total capacity
 //! guarded by one mutex and two condvars (`not_empty` for consumers,
-//! `not_full` for blocked producers), holding **one sub-queue per
+//! `not_full` for parked producers), holding **one sub-queue per
 //! [`Priority`] class**. Many submitter threads push — singly or in batches
 //! (`RequestQueue::submit_batch` pays one lock acquisition and one
 //! `not_empty` notification for N requests) — and many worker threads pop in
@@ -11,35 +11,32 @@
 //! per wakeup).
 //!
 //! **Pop order.** Workers drain [`Priority::Interactive`] before
-//! [`Priority::Batch`], except that after `starvation_ratio` consecutive
-//! interactive pops while batch work waits, the next pop is forced from the
-//! batch class — a saturating interactive stream delays batch work by a
-//! bounded factor instead of forever. Within a class the order depends on
-//! the policy: under [`Shed`](BackpressurePolicy::Shed), deadline-bearing
-//! requests live in a binary heap and pop **earliest-deadline-first** (ties
-//! broken by submission order, so equal deadlines stay FIFO and results stay
-//! deterministic), ahead of the FIFO ring holding deadline-free requests;
-//! under `Block` / `Reject` — which never act on deadlines — everything
-//! rides the ring in pure FIFO order, exactly the pre-QoS behavior.
+//! [`Priority::Batch`], except that after four consecutive interactive pops
+//! while batch work waits, the next pop is forced from the batch class — a
+//! saturating interactive stream delays batch work by a bounded factor
+//! instead of forever. Within a class, deadline-bearing requests live in a
+//! binary heap and pop **earliest-deadline-first** (ties broken by
+//! submission order, so equal deadlines stay FIFO and results stay
+//! deterministic), ahead of the FIFO ring holding deadline-free requests.
+//! Traffic without deadlines therefore rides the ring in pure FIFO order.
 //!
-//! Admission control happens at the full-queue edge and is the
-//! [`BackpressurePolicy`]'s choice:
+//! **Admission.** Below capacity every request is admitted. At the full
+//! edge the request's deadline decides, in this order:
 //!
-//! * [`Block`](BackpressurePolicy::Block) — the submitter waits for space.
-//!   Nothing is ever dropped; overload turns into submitter back-pressure
-//!   (closed-loop clients slow down).
-//! * [`Reject`](BackpressurePolicy::Reject) — the submitter gets
-//!   `QueueFull` immediately. Overload turns into fast failures the client
-//!   can retry elsewhere; queue wait stays bounded.
-//! * [`Shed`](BackpressurePolicy::Shed) — an already-expired *newcomer* is
-//!   resolved as shed on the spot (it could never be served in time;
-//!   evicting a resident for it would spend a slot on dead work); otherwise
-//!   the **earliest-deadline expired resident** is dropped to make room
-//!   (batch class searched before interactive, heap peek + pop: O(log n)
-//!   per shed), and with nothing expired the newcomer is rejected. Overload
-//!   spends the queue's capacity on requests that can still make their
-//!   deadlines, which maximizes useful goodput for deadline-bearing
-//!   traffic.
+//! 1. An already-expired newcomer is resolved as shed on the spot (it could
+//!    never be served in time; evicting a resident for it would spend a
+//!    slot on dead work).
+//! 2. Otherwise the **earliest-deadline expired resident** is dropped to
+//!    make room (batch class searched before interactive, heap peek + pop:
+//!    O(log n) per shed) and the newcomer is admitted.
+//! 3. Otherwise a newcomer with a deadline gets `QueueFull` at once: it
+//!    would spend its budget waiting, and the caller can retry elsewhere.
+//! 4. Otherwise — no deadline, nothing expired — the submitter parks until
+//!    a worker frees space. Nothing without a deadline is ever dropped;
+//!    overload turns into back-pressure (closed-loop clients slow down).
+//!
+//! A request without a deadline never expires, so on deadline-free traffic
+//! only step 4 ever fires.
 //!
 //! The queue never drops silently: every admission decision either hands the
 //! request to a worker, hands it back to the caller, or names a victim whose
@@ -53,22 +50,9 @@ use std::collections::BinaryHeap;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-/// What to do with a new request when the queue is full.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum BackpressurePolicy {
-    /// Block the submitter until a worker frees space (the default; never
-    /// drops work).
-    #[default]
-    Block,
-    /// Turn the request away immediately with `QueueFull`.
-    Reject,
-    /// Shed an expired newcomer directly; otherwise drop the earliest-
-    /// deadline already-expired resident to make room, and reject the
-    /// newcomer if nothing queued is past its deadline. Workers also drop
-    /// expired requests at dequeue under this policy, and deadline-bearing
-    /// requests are served earliest-deadline-first.
-    Shed,
-}
+/// After this many consecutive interactive pops with batch work waiting,
+/// one batch pop is forced.
+const STARVATION_RATIO: u64 = 4;
 
 /// The outcome of one admission decision.
 pub(crate) enum Admission {
@@ -81,7 +65,8 @@ pub(crate) enum Admission {
     /// full-queue edge: it was not admitted and the caller must resolve its
     /// ticket as shed. Residents are untouched.
     ShedNewcomer(Queued),
-    /// The queue is full and the policy chose not to admit.
+    /// The queue is full, nothing queued has expired, and the request
+    /// carries a deadline: it is turned away instead of waiting for space.
     Rejected(Queued),
     /// The queue is closed (server shutting down).
     Closed(Queued),
@@ -158,7 +143,7 @@ impl Ord for EdfEntry {
 }
 
 /// One priority class's storage: the EDF heap for deadline-bearing requests
-/// (only populated under `Shed`) and the FIFO ring for the rest.
+/// and the FIFO ring for the rest.
 struct ClassQueue {
     edf: BinaryHeap<Reverse<EdfEntry>>,
     ring: Ring,
@@ -174,8 +159,7 @@ impl ClassQueue {
     }
 
     /// The next request of this class: earliest deadline first, then the
-    /// deadline-free FIFO ring. (Under `Block`/`Reject` the heap is always
-    /// empty, so this is plain FIFO.)
+    /// deadline-free FIFO ring.
     fn pop_next(&mut self) -> Option<Queued> {
         if let Some(Reverse(entry)) = self.edf.pop() {
             return Some(entry.queued);
@@ -206,36 +190,68 @@ struct QueueState {
     closed: bool,
 }
 
-/// The bounded MPMC queue between submitters and workers. Policy and
-/// starvation ratio are fixed at construction — they shape the queue's
-/// internal routing (which requests ride the EDF heap) and must not change
-/// per submission.
+impl QueueState {
+    /// Routes an admitted request into its class's heap or ring.
+    fn enqueue(&mut self, queued: Queued) {
+        let class = &mut self.classes[queued.request.priority.index()];
+        match queued.request.deadline {
+            Some(deadline) => {
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                class.edf.push(Reverse(EdfEntry { deadline, seq, queued }));
+            }
+            None => class.ring.push_back(queued),
+        }
+        self.len += 1;
+    }
+
+    /// The next request in service order: interactive before batch, bounded
+    /// by [`STARVATION_RATIO`]; EDF before FIFO within a class.
+    fn pop_one(&mut self) -> Option<Queued> {
+        let interactive = self.classes[Priority::Interactive.index()].len();
+        let batch = self.classes[Priority::Batch.index()].len();
+        let force_batch =
+            batch > 0 && (interactive == 0 || self.interactive_streak >= STARVATION_RATIO);
+        let item = if force_batch {
+            self.interactive_streak = 0;
+            self.classes[Priority::Batch.index()].pop_next()
+        } else if interactive > 0 {
+            // The streak only counts pops that made batch work wait; once
+            // the batch class drains, interactive starves nobody.
+            self.interactive_streak = if batch > 0 { self.interactive_streak + 1 } else { 0 };
+            self.classes[Priority::Interactive.index()].pop_next()
+        } else {
+            None
+        };
+        if item.is_some() {
+            self.len -= 1;
+        }
+        item
+    }
+}
+
+/// The bounded MPMC queue between submitters and workers.
 pub(crate) struct RequestQueue {
     state: Mutex<QueueState>,
     capacity: usize,
-    policy: BackpressurePolicy,
-    starvation_ratio: u64,
     not_empty: Condvar,
     not_full: Condvar,
 }
 
-/// What one locked admission attempt decided; `Wait` is the `Block` policy
-/// asking the caller to park on `not_full` and retry.
+/// What one locked admission attempt decided; `Wait` asks the caller of a
+/// deadline-free request to park on `not_full` and retry.
 enum AdmitStep {
     Done(Admission),
     Wait(Queued),
 }
 
 impl RequestQueue {
-    /// A queue holding at most `capacity` requests across both classes,
-    /// applying `policy` at the full edge; after `starvation_ratio`
-    /// consecutive interactive pops with batch work waiting, one batch pop
-    /// is forced (`0` disables the bound: strict priority).
+    /// A queue holding at most `capacity` requests across both classes.
     ///
     /// # Panics
     /// Panics if `capacity == 0` — a server with nowhere to put a request
-    /// is a configuration error, not a policy.
-    pub(crate) fn new(capacity: usize, policy: BackpressurePolicy, starvation_ratio: u64) -> Self {
+    /// is a configuration error.
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "the request queue needs capacity >= 1");
         RequestQueue {
             state: Mutex::new(QueueState {
@@ -246,71 +262,48 @@ impl RequestQueue {
                 closed: false,
             }),
             capacity,
-            policy,
-            starvation_ratio,
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
         }
     }
 
-    /// The policy fixed at construction.
-    pub(crate) fn policy(&self) -> BackpressurePolicy {
-        self.policy
-    }
-
-    /// Routes an admitted request into its class's heap or ring.
-    fn enqueue(&self, state: &mut QueueState, queued: Queued) {
-        let class = queued.request.priority.index();
-        match queued.request.deadline {
-            // Only Shed acts on deadlines; under Block/Reject a deadline is
-            // inert metadata and the request keeps pure FIFO order.
-            Some(deadline) if self.policy == BackpressurePolicy::Shed => {
-                let seq = state.next_seq;
-                state.next_seq += 1;
-                state.classes[class].edf.push(Reverse(EdfEntry { deadline, seq, queued }));
-            }
-            _ => state.classes[class].ring.push_back(queued),
-        }
-        state.len += 1;
-    }
-
-    /// One admission attempt under the lock. Never waits — `Block` at the
-    /// full edge comes back as [`AdmitStep::Wait`] for the caller's loop.
+    /// One admission attempt under the lock (the module docs' four steps at
+    /// the full edge). Never waits — a deadline-free request at a full edge
+    /// with nothing expired comes back as [`AdmitStep::Wait`] for the
+    /// caller's loop.
     fn try_admit(&self, state: &mut QueueState, queued: Queued) -> AdmitStep {
         if state.closed {
             return AdmitStep::Done(Admission::Closed(queued));
         }
         if state.len < self.capacity {
-            self.enqueue(state, queued);
+            state.enqueue(queued);
             return AdmitStep::Done(Admission::Enqueued);
         }
-        match self.policy {
-            BackpressurePolicy::Block => AdmitStep::Wait(queued),
-            BackpressurePolicy::Reject => AdmitStep::Done(Admission::Rejected(queued)),
-            BackpressurePolicy::Shed => {
-                let now = Instant::now();
-                // An expired newcomer is dead on arrival: admitting it would
-                // evict a resident only for the dequeue check to drop the
-                // newcomer anyway — a wasted slot and a wasted shed.
-                if queued.request.deadline.is_some_and(|d| d <= now) {
-                    return AdmitStep::Done(Admission::ShedNewcomer(queued));
-                }
-                // Shed the lowest class first: an expired batch request dies
-                // before an expired interactive one.
-                for class in Priority::ALL.iter().rev() {
-                    if let Some(victim) = state.classes[class.index()].pop_expired(now) {
-                        state.len -= 1;
-                        self.enqueue(state, queued);
-                        return AdmitStep::Done(Admission::EnqueuedAfterShed(victim));
-                    }
-                }
-                AdmitStep::Done(Admission::Rejected(queued))
+        let now = Instant::now();
+        // An expired newcomer is dead on arrival: admitting it would evict a
+        // resident only for the dequeue check to drop the newcomer anyway —
+        // a wasted slot and a wasted shed.
+        if queued.request.deadline.is_some_and(|d| d <= now) {
+            return AdmitStep::Done(Admission::ShedNewcomer(queued));
+        }
+        // Shed the lowest class first: an expired batch request dies before
+        // an expired interactive one.
+        for class in Priority::ALL.iter().rev() {
+            if let Some(victim) = state.classes[class.index()].pop_expired(now) {
+                state.len -= 1;
+                state.enqueue(queued);
+                return AdmitStep::Done(Admission::EnqueuedAfterShed(victim));
             }
+        }
+        if queued.request.deadline.is_some() {
+            AdmitStep::Done(Admission::Rejected(queued))
+        } else {
+            AdmitStep::Wait(queued)
         }
     }
 
-    /// Admits `queued` under the queue's policy (see the module docs for
-    /// the per-policy behavior at the full-queue edge).
+    /// Admits `queued`, parking while a deadline-free request meets a full
+    /// queue (see the module docs for the rule at the full-queue edge).
     pub(crate) fn submit(&self, mut queued: Queued) -> Admission {
         let mut state = lock(&self.state);
         loop {
@@ -332,10 +325,10 @@ impl RequestQueue {
     /// Admits a batch under one lock acquisition, with one `not_empty`
     /// notification for the whole batch. Each item gets exactly the
     /// admission decision N single [`RequestQueue::submit`] calls would
-    /// have produced, in order; under `Block`, a full queue parks the
-    /// submitter mid-batch (after waking workers for what is already in —
-    /// otherwise a batch larger than the capacity would deadlock against
-    /// sleeping workers).
+    /// have produced, in order; a deadline-free request at a full queue
+    /// parks the submitter mid-batch (after waking workers for what is
+    /// already in — otherwise a batch larger than the capacity would
+    /// deadlock against sleeping workers).
     pub(crate) fn submit_batch(&self, items: Vec<Queued>) -> Vec<Admission> {
         let mut admissions = Vec::with_capacity(items.len());
         let mut pending_notify = false;
@@ -365,32 +358,6 @@ impl RequestQueue {
         admissions
     }
 
-    /// The next request in service order: interactive before batch, bounded
-    /// by the starvation ratio; EDF before FIFO within a class.
-    fn pop_one(&self, state: &mut QueueState) -> Option<Queued> {
-        let interactive = state.classes[Priority::Interactive.index()].len();
-        let batch = state.classes[Priority::Batch.index()].len();
-        let force_batch = batch > 0
-            && (interactive == 0
-                || (self.starvation_ratio > 0
-                    && state.interactive_streak >= self.starvation_ratio));
-        let item = if force_batch {
-            state.interactive_streak = 0;
-            state.classes[Priority::Batch.index()].pop_next()
-        } else if interactive > 0 {
-            // The streak only counts pops that made batch work wait; once
-            // the batch class drains, interactive starves nobody.
-            state.interactive_streak = if batch > 0 { state.interactive_streak + 1 } else { 0 };
-            state.classes[Priority::Interactive.index()].pop_next()
-        } else {
-            None
-        };
-        if item.is_some() {
-            state.len -= 1;
-        }
-        item
-    }
-
     /// Pops up to `max` requests into `out`, blocking while the queue is
     /// empty and open. Returns with `out` untouched exactly when the queue
     /// is closed **and** drained — the worker's signal to exit. Never waits
@@ -404,7 +371,7 @@ impl RequestQueue {
         }
         let take = max.min(state.len);
         for _ in 0..take {
-            out.push(self.pop_one(&mut state).expect("len was checked"));
+            out.push(state.pop_one().expect("len was checked"));
         }
         if take > 0 {
             // A batch frees several slots at once: wake every blocked
@@ -437,10 +404,6 @@ mod tests {
     use rnn_core::Algorithm;
     use rnn_graph::NodeId;
     use std::time::Duration;
-
-    fn queue(capacity: usize, policy: BackpressurePolicy) -> RequestQueue {
-        RequestQueue::new(capacity, policy, 0)
-    }
 
     fn queued(q: usize) -> (Queued, Ticket) {
         Queued::new(Request::new(Algorithm::Eager, NodeId::new(q), 1))
@@ -475,7 +438,7 @@ mod tests {
 
     #[test]
     fn fifo_order_through_wraparound() {
-        let queue = queue(3, BackpressurePolicy::Block);
+        let queue = RequestQueue::new(3);
         let mut out = Vec::new();
         let mut tickets = Vec::new();
         for round in 0..4 {
@@ -496,27 +459,14 @@ mod tests {
     }
 
     #[test]
-    fn deadlines_are_inert_under_block_and_reject() {
-        // Only Shed reorders by deadline: under Reject, deadline-bearing
-        // requests keep FIFO order and are never dropped.
-        let queue = queue(4, BackpressurePolicy::Reject);
-        let now = Instant::now();
-        let past = now.checked_sub(Duration::from_secs(40)).unwrap_or(now);
-        for (i, deadline) in [now + Duration::from_secs(40), past].into_iter().enumerate() {
-            let (item, _t) = queued_deadline(i, deadline);
-            assert!(matches!(queue.submit(item), Admission::Enqueued));
-        }
-        let (plain, _t) = queued(2);
-        queue.submit(plain);
-        assert_eq!(pop_all(&queue), vec![0, 1, 2], "pure FIFO, expired entry included");
-    }
-
-    #[test]
     fn reject_policy_turns_away_at_the_full_edge() {
-        let queue = queue(2, BackpressurePolicy::Reject);
-        let (a, _ta) = queued(0);
-        let (b, _tb) = queued(1);
-        let (c, tc) = queued(2);
+        // A deadline-bearing newcomer at a full queue with nothing expired
+        // is turned away at once instead of parking.
+        let queue = RequestQueue::new(2);
+        let far = Instant::now() + Duration::from_secs(3600);
+        let (a, _ta) = queued_deadline(0, far);
+        let (b, _tb) = queued_deadline(1, far);
+        let (c, tc) = queued_deadline(2, far);
         assert!(matches!(queue.submit(a), Admission::Enqueued));
         assert!(matches!(queue.submit(b), Admission::Enqueued));
         match queue.submit(c) {
@@ -531,7 +481,7 @@ mod tests {
 
     #[test]
     fn shed_policy_evicts_the_earliest_deadline_expired_resident() {
-        let queue = queue(3, BackpressurePolicy::Shed);
+        let queue = RequestQueue::new(3);
         let (fresh, _t0) = queued(0);
         let (expired_old, t_old) = queued_expired(1);
         let (expired_young, t_young) = queued_expired(2);
@@ -554,12 +504,13 @@ mod tests {
         // deadline-free ring in FIFO order.
         assert_eq!(pop_all(&queue), vec![2, 0, 3]);
 
-        // With nothing expired, shed degrades to reject for a fresh
-        // newcomer.
-        let (a, _ta) = queued(10);
-        let (b, _tb) = queued(11);
-        let (c, _tc) = queued(12);
-        let (d, _td) = queued(13);
+        // With nothing expired, a newcomer with a fresh deadline is
+        // rejected.
+        let fresh = Instant::now() + Duration::from_secs(60);
+        let (a, _ta) = queued_deadline(10, fresh);
+        let (b, _tb) = queued_deadline(11, fresh);
+        let (c, _tc) = queued_deadline(12, fresh);
+        let (d, _td) = queued_deadline(13, fresh);
         queue.submit(a);
         queue.submit(b);
         queue.submit(c);
@@ -572,7 +523,7 @@ mod tests {
         // to evict an expired *resident* and admit the newcomer — which the
         // dequeue check would then drop anyway, wasting a slot and shedding
         // the wrong request. The newcomer must die; residents stay.
-        let queue = queue(2, BackpressurePolicy::Shed);
+        let queue = RequestQueue::new(2);
         let fresh_deadline = Instant::now() + Duration::from_secs(60);
         let (a, ta) = queued_deadline(0, fresh_deadline);
         let (b, tb) = queued_deadline(1, fresh_deadline);
@@ -694,11 +645,7 @@ mod tests {
         ];
 
         for (name, (newcomer, residents, kind, victim, pops)) in rows {
-            let queue = RequestQueue::new(
-                4,
-                if kind == "Wait" { BackpressurePolicy::Block } else { BackpressurePolicy::Shed },
-                4,
-            );
+            let queue = RequestQueue::new(4);
             let mut tickets = Vec::new();
             for (id, deadline) in residents.into_iter().enumerate() {
                 let priority = if id < 2 { Priority::Interactive } else { Priority::Batch };
@@ -720,7 +667,7 @@ mod tests {
 
     #[test]
     fn edf_orders_pops_by_deadline_with_fifo_tie_break() {
-        let queue = queue(8, BackpressurePolicy::Shed);
+        let queue = RequestQueue::new(8);
         let base = Instant::now() + Duration::from_secs(100);
         let step = Duration::from_secs(1);
         // Submission order 0..5; deadlines deliberately out of order, with
@@ -740,7 +687,7 @@ mod tests {
 
     #[test]
     fn deadline_exactly_now_and_zero_budget_count_as_expired() {
-        let queue = queue(2, BackpressurePolicy::Shed);
+        let queue = RequestQueue::new(2);
         // `deadline <= now` is the expiry test, so a deadline stamped "now"
         // and a zero-duration budget are both already dead at the edge.
         let at_now =
@@ -770,11 +717,11 @@ mod tests {
 
     #[test]
     fn interactive_pops_first_with_a_bounded_starvation_streak() {
-        // Ratio 2: after two consecutive interactive pops with batch work
-        // waiting, the third pop is forced from the batch class.
-        let queue = RequestQueue::new(8, BackpressurePolicy::Block, 2);
+        // After four consecutive interactive pops with batch work waiting,
+        // the fifth pop is forced from the batch class.
+        let queue = RequestQueue::new(12);
         let mut tickets = Vec::new();
-        for i in 0..5 {
+        for i in 0..9 {
             let (item, t) = queued(i);
             tickets.push(t);
             queue.submit(item);
@@ -793,31 +740,19 @@ mod tests {
         }
         assert_eq!(
             order,
-            vec![0, 1, 100, 2, 3, 101, 4, 102],
-            "two interactive, one forced batch, repeat; tail drains batch"
+            vec![0, 1, 2, 3, 100, 4, 5, 6, 7, 101, 8, 102],
+            "four interactive, one forced batch, repeat; tail drains batch"
         );
-
-        // Ratio 0 disables the bound: strict priority.
-        let strict = RequestQueue::new(8, BackpressurePolicy::Block, 0);
-        let mut tickets = Vec::new();
-        for i in 0..3 {
-            let (b, t) = queued_batch(200 + i);
-            tickets.push(t);
-            strict.submit(b);
-            let (a, t) = queued(i);
-            tickets.push(t);
-            strict.submit(a);
-        }
-        assert_eq!(pop_all(&strict), vec![0, 1, 2, 200, 201, 202]);
     }
 
     #[test]
     fn submit_batch_matches_single_submits_and_wakes_consumers_once() {
-        let queue = queue(4, BackpressurePolicy::Reject);
+        let queue = RequestQueue::new(4);
+        let far = Instant::now() + Duration::from_secs(3600);
         let mut items = Vec::new();
         let mut tickets = Vec::new();
         for i in 0..6 {
-            let (item, t) = queued(i);
+            let (item, t) = queued_deadline(i, far);
             items.push(item);
             tickets.push(t);
         }
@@ -839,10 +774,10 @@ mod tests {
 
     #[test]
     fn submit_batch_larger_than_capacity_blocks_and_completes() {
-        // Under Block, a batch bigger than the whole queue must wake the
+        // A deadline-free batch bigger than the whole queue must wake the
         // consumer for its enqueued prefix before parking — otherwise both
         // sides sleep forever.
-        let queue = std::sync::Arc::new(RequestQueue::new(2, BackpressurePolicy::Block, 0));
+        let queue = std::sync::Arc::new(RequestQueue::new(2));
         let consumer = {
             let queue = std::sync::Arc::clone(&queue);
             std::thread::spawn(move || {
@@ -870,7 +805,7 @@ mod tests {
 
     #[test]
     fn block_policy_waits_for_space_and_wakes_on_pop() {
-        let queue = std::sync::Arc::new(queue(1, BackpressurePolicy::Block));
+        let queue = std::sync::Arc::new(RequestQueue::new(1));
         let (first, _t1) = queued(0);
         queue.submit(first);
 
@@ -893,7 +828,7 @@ mod tests {
 
     #[test]
     fn close_wakes_blocked_submitters_and_lets_workers_drain() {
-        let queue = std::sync::Arc::new(queue(1, BackpressurePolicy::Block));
+        let queue = std::sync::Arc::new(RequestQueue::new(1));
         let (resident, _tr) = queued(0);
         queue.submit(resident);
 
@@ -915,8 +850,8 @@ mod tests {
         queue.pop_batch(&mut out, 4);
         assert!(out.is_empty(), "closed + drained returns an empty batch");
 
-        // Submissions after close fail regardless of policy, singly or in a
-        // batch.
+        // Submissions after close fail regardless of deadline, singly or in
+        // a batch.
         let (late, _tl) = queued(2);
         assert!(matches!(queue.submit(late), Admission::Closed(_)));
         let (late2, _tl2) = queued(3);
@@ -927,7 +862,7 @@ mod tests {
 
     #[test]
     fn concurrent_producers_and_consumers_lose_nothing() {
-        let queue = std::sync::Arc::new(queue(8, BackpressurePolicy::Block));
+        let queue = std::sync::Arc::new(RequestQueue::new(8));
         let produced = 4 * 100;
         let consumed = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
         std::thread::scope(|scope| {
@@ -1039,7 +974,7 @@ mod tests {
         // and spend O(log n), not O(n), per eviction doing it.
         const CAPACITY: usize = 8;
         const ROUNDS: usize = 10_000;
-        let queue = queue(CAPACITY, BackpressurePolicy::Shed);
+        let queue = RequestQueue::new(CAPACITY);
         let mut model = SeedModel { fifo: std::collections::VecDeque::new(), capacity: CAPACITY };
 
         let now = Instant::now();
@@ -1116,6 +1051,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_capacity_queue_panics() {
-        let _ = queue(0, BackpressurePolicy::Block);
+        let _ = RequestQueue::new(0);
     }
 }

@@ -25,10 +25,9 @@ use std::time::{Duration, Instant};
 ///
 /// Workers drain [`Interactive`](Priority::Interactive) requests first;
 /// [`Batch`](Priority::Batch) requests are served from a separate queue
-/// whenever no interactive work waits, plus a guaranteed slot every
-/// `starvation_ratio` interactive pops (see
-/// [`crate::ServerConfig::with_starvation_ratio`]) so a saturating
-/// interactive stream can never starve batch work forever. Priority affects
+/// whenever no interactive work waits, plus a guaranteed slot after every
+/// four interactive pops, so a saturating interactive stream can never
+/// starve batch work forever. Priority affects
 /// *ordering and admission accounting only* — never answers: a request
 /// returns byte-identical results in either class.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
@@ -84,15 +83,18 @@ pub struct Request {
     /// queue order and per-class accounting, never the answer.
     pub priority: Priority,
     /// The instant after which the request is no longer worth serving.
-    /// Only the `Shed` backpressure policy acts on it (expired requests are
-    /// dropped at admission or dequeue, and deadline-bearing requests are
-    /// served earliest-deadline-first); `Block` and `Reject` never drop
-    /// accepted work and keep pure FIFO order per class.
+    /// Every server acts on it: an expired request is shed at the full-queue
+    /// edge or at dequeue, an expired resident is evicted to admit a
+    /// newcomer, deadline-bearing requests are served
+    /// earliest-deadline-first within their class, and a full queue with
+    /// nothing expired answers `QueueFull` instead of parking the caller.
+    /// `None` (the default) never expires: the request keeps FIFO order in
+    /// its class, is never dropped, and parks its caller at a full queue.
     pub deadline: Option<Instant>,
     /// When the request entered the system (stamped by [`Request::new`]).
-    /// Queue wait is measured from here, so time spent blocked in a full
-    /// `Block`-policy queue counts as waiting — which is what an end-to-end
-    /// latency account must show.
+    /// Queue wait is measured from here, so time spent parked at a full
+    /// queue counts as waiting — which is what an end-to-end latency account
+    /// must show.
     pub submit_instant: Instant,
 }
 
@@ -138,13 +140,13 @@ impl Request {
 /// variants surface where (synchronously vs. through the ticket).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
-    /// Admission control turned the request away: the queue was full and the
-    /// policy was `Reject`, or `Shed` found no expired request to drop.
+    /// Admission control turned the request away: it carries a deadline and
+    /// met a full queue in which nothing had expired.
     QueueFull,
     /// The server is shutting down and accepts no new requests.
     ShuttingDown,
-    /// The request was accepted, then dropped past its deadline by the
-    /// `Shed` policy (at admission, to make room, or at dequeue).
+    /// The request was accepted, then dropped past its deadline (at
+    /// admission, to make room, or at dequeue).
     Shed,
     /// The request cannot be served: `k == 0`, or the algorithm needs a
     /// precomputed structure (materialized table, hub labels) the world

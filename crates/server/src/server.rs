@@ -10,15 +10,15 @@
 //! ```text
 //! submit() ──admission──▶ RequestQueue ──micro-batch──▶ worker ──▶ Ticket
 //!    │                    (per-class,                     │
-//!    │                     EDF under Shed)                └── QueryEngine
+//!    │                     EDF, then FIFO)                └── QueryEngine
 //!    └── Err(QueueFull / ShuttingDown / Unservable)           view over the
 //!        (synchronous rejection)                              current World
 //! ```
 //!
 //! Each worker owns a [`Scratch`] arena (steady-state queries are
 //! allocation-free) and drains the queue in
-//! micro-batches of up to B requests per wakeup — interactive before batch
-//! class, earliest-deadline-first under `Shed`. All workers share one
+//! micro-batches of up to 8 requests per wakeup — interactive before batch
+//! class, earliest-deadline-first within a class. All workers share one
 //! [`SharedResultCache`] and — when the world is a `PagedGraph` — one striped
 //! buffer pool and its I/O count, so the serving path reuses every
 //! concurrency layer built underneath it.
@@ -46,7 +46,7 @@
 //! on a server started with I/O accounting, the buffer shard locks its I/O
 //! rollup reads the pool's one count under.
 
-use crate::queue::{Admission, BackpressurePolicy, RequestQueue};
+use crate::queue::{Admission, RequestQueue};
 use crate::request::{Priority, Queued, Request, ServeError, ServedQuery, Ticket};
 use crate::stats::{algorithm_index, ClassStats, PublishedMetrics, ServerStats, WorkerMetrics};
 use parking_lot::RwLock;
@@ -67,6 +67,11 @@ use std::time::Instant;
 /// Events an observed server's flight recorder holds between drains; older
 /// ones are overwritten and counted in [`Drained::dropped`].
 const RECORDER_CAPACITY: usize = 4_096;
+
+/// Maximum requests a worker takes per wakeup. Micro-batching amortizes lock
+/// acquisitions and condvar wakeups when the queue runs deep; it never waits
+/// for a full batch, so it adds no latency when the queue is shallow.
+const MICRO_BATCH: usize = 8;
 
 /// One point mutation of a delta-shaped swap (see
 /// [`Server::swap_points_delta`]).
@@ -170,55 +175,37 @@ impl std::fmt::Debug for World {
     }
 }
 
-/// Server sizing and policy — the engine config the constructor consumes.
+/// Server sizing, caching and tracing — the config the constructor
+/// consumes, set through its `with_*` methods.
 #[derive(Copy, Clone, Debug)]
 pub struct ServerConfig {
     /// Number of worker threads (at least 1).
-    pub workers: usize,
+    workers: usize,
     /// Request-queue capacity (at least 1), shared across priority classes.
-    pub queue_capacity: usize,
-    /// Maximum requests a worker takes per wakeup (at least 1). Micro-
-    /// batching amortizes lock acquisitions and condvar wakeups when the
-    /// queue runs deep; it never waits for a full batch, so it adds no
-    /// latency when the queue is shallow.
-    pub micro_batch: usize,
-    /// What to do with a new request when the queue is full.
-    pub policy: BackpressurePolicy,
-    /// After this many consecutive interactive pops with batch work
-    /// waiting, one batch pop is forced — the bound that keeps a saturating
-    /// interactive stream from starving the batch class forever. `0`
-    /// disables the bound (strict priority).
-    pub starvation_ratio: u64,
+    queue_capacity: usize,
     /// Result-cache entries shared by all workers (0 disables caching).
-    pub cache_capacity: usize,
+    cache_capacity: usize,
     /// Result-cache shards (0 means one per worker, the rule of thumb).
-    pub cache_shards: usize,
-    /// Per-query phase tracing on the serving path. Off by default; when
-    /// on, every served query produces a [`rnn_obs::QueryTrace`] that is
-    /// folded into the registry's `algorithm x phase` aggregates (under
-    /// [`Server::start_observed`]) and offered to the slow-query log.
-    pub tracing: bool,
+    cache_shards: usize,
+    /// Per-query phase tracing on the serving path.
+    tracing: bool,
     /// Worst-N capacity of the slow-query log (0 disables worst capture).
-    pub slow_worst: usize,
+    slow_worst: usize,
     /// Uniform-sample rate of the slow-query log: one trace per this many
     /// arrivals on average (0 disables sampling).
-    pub slow_sample_every: u64,
+    slow_sample_every: u64,
     /// Sample-ring capacity of the slow-query log.
-    pub slow_samples: usize,
+    slow_samples: usize,
     /// Seed of the slow-query log's deterministic sampler.
-    pub slow_seed: u64,
+    slow_seed: u64,
 }
 
 impl Default for ServerConfig {
-    /// Two workers, a 1024-deep queue, micro-batches of 8, blocking
-    /// admission, a starvation ratio of 4, no result cache.
+    /// Two workers, a 1024-deep queue, no result cache, no tracing.
     fn default() -> Self {
         ServerConfig {
             workers: 2,
             queue_capacity: 1024,
-            micro_batch: 8,
-            policy: BackpressurePolicy::Block,
-            starvation_ratio: 4,
             cache_capacity: 0,
             cache_shards: 0,
             tracing: false,
@@ -237,28 +224,10 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the queue capacity (clamped to at least 1).
+    /// Sets the queue capacity (clamped to at least 1), shared across
+    /// priority classes.
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Sets the micro-batch size (clamped to at least 1).
-    pub fn with_micro_batch(mut self, micro_batch: usize) -> Self {
-        self.micro_batch = micro_batch.max(1);
-        self
-    }
-
-    /// Sets the backpressure policy.
-    pub fn with_policy(mut self, policy: BackpressurePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the batch-starvation bound (see
-    /// [`ServerConfig::starvation_ratio`]; `0` = strict priority).
-    pub fn with_starvation_ratio(mut self, ratio: u64) -> Self {
-        self.starvation_ratio = ratio;
         self
     }
 
@@ -270,7 +239,11 @@ impl ServerConfig {
         self
     }
 
-    /// Enables or disables per-query phase tracing on the serving path.
+    /// Enables or disables per-query phase tracing on the serving path. Off
+    /// by default; when on, every served query produces a
+    /// [`rnn_obs::QueryTrace`] that is folded into the registry's
+    /// `algorithm x phase` aggregates (under [`Server::start_observed`]) and
+    /// offered to the slow-query log.
     pub fn with_tracing(mut self, enabled: bool) -> Self {
         self.tracing = enabled;
         self
@@ -343,7 +316,6 @@ impl Counts {
 /// Everything the workers and the handle share.
 struct Shared {
     queue: RequestQueue,
-    micro_batch: usize,
     world: RwLock<World>,
     cache: Option<SharedResultCache>,
     io: Option<IoCounters>,
@@ -623,7 +595,7 @@ impl Server {
     /// registers the server as a pollable source of `registry` — every
     /// [`MetricsRegistry::snapshot`] then carries the admission counters,
     /// per-class latency histograms, per-algorithm serve counts and the
-    /// cache / I/O rollups — and, when [`ServerConfig::tracing`] is on,
+    /// cache / I/O rollups — and, when [`ServerConfig::with_tracing`] is on,
     /// folds every served query's phase trace into the registry's
     /// `algorithm x phase` aggregates.
     ///
@@ -647,7 +619,7 @@ impl Server {
         io: Option<IoCounters>,
         registry: Option<&MetricsRegistry>,
     ) -> Server {
-        let workers = config.workers.max(1);
+        let workers = config.workers;
         let cache = (config.cache_capacity > 0).then(|| {
             let shards = if config.cache_shards == 0 { workers } else { config.cache_shards };
             SharedResultCache::new(config.cache_capacity, shards)
@@ -678,12 +650,7 @@ impl Server {
             storage.set_event_sink(Arc::clone(events));
         }
         let shared = Arc::new(Shared {
-            queue: RequestQueue::new(
-                config.queue_capacity.max(1),
-                config.policy,
-                config.starvation_ratio,
-            ),
-            micro_batch: config.micro_batch.max(1),
+            queue: RequestQueue::new(config.queue_capacity),
             world: RwLock::new(world),
             cache,
             io,
@@ -713,14 +680,18 @@ impl Server {
     /// Submits one request.
     ///
     /// Returns a [`Ticket`] when the request was admitted — the ticket
-    /// resolves to the served result, to [`ServeError::Shed`] if the `Shed`
-    /// policy drops it past its deadline (at the full-queue edge, or at
-    /// dequeue), or to [`ServeError::Unservable`] if a
-    /// [`Server::swap_points`] removed the precomputed structure it needs
-    /// before a worker reached it. Synchronous errors mean the request
-    /// never entered the queue: [`ServeError::Unservable`] (failed
-    /// admission validation), [`ServeError::QueueFull`], or
-    /// [`ServeError::ShuttingDown`].
+    /// resolves to the served result, to [`ServeError::Shed`] if the request
+    /// is dropped past its deadline (at the full-queue edge, or at dequeue),
+    /// or to [`ServeError::Unservable`] if a [`Server::swap_points`] removed
+    /// the precomputed structure it needs before a worker reached it.
+    /// Synchronous errors mean the request never entered the queue:
+    /// [`ServeError::Unservable`] (failed admission validation),
+    /// [`ServeError::QueueFull`] (a request with a deadline met a full queue
+    /// with nothing expired), or [`ServeError::ShuttingDown`].
+    ///
+    /// A request without a deadline that meets a full queue with nothing
+    /// expired parks the caller until a worker frees space; one with a
+    /// deadline never parks.
     pub fn submit(&self, request: Request) -> Result<Ticket, ServeError> {
         let class = self.shared.counts.class(request.priority);
         class.submitted.fetch_add(1, Ordering::Relaxed);
@@ -742,10 +713,11 @@ impl Server {
     /// requests into the server: N requests cost one lock round-trip
     /// instead of N.
     ///
-    /// Under [`BackpressurePolicy::Block`], a batch larger than the free
-    /// queue space parks the submitter mid-batch until workers drain room
-    /// (workers are woken for the already-enqueued prefix first, so this
-    /// cannot deadlock).
+    /// A batch larger than the free queue space parks the submitter at each
+    /// deadline-free request that meets the full queue, until workers drain
+    /// room (workers are woken for the already-enqueued prefix first, so this
+    /// cannot deadlock); requests with deadlines there get
+    /// [`ServeError::QueueFull`] at once.
     pub fn submit_all(&self, requests: &[Request]) -> Vec<Result<Ticket, ServeError>> {
         let counts = &self.shared.counts;
         let mut results: Vec<Option<Result<Ticket, ServeError>>> =
@@ -955,8 +927,6 @@ impl std::fmt::Debug for Server {
         f.debug_struct("Server")
             .field("workers", &self.workers())
             .field("queue_depth", &self.queue_depth())
-            .field("policy", &self.shared.queue.policy())
-            .field("micro_batch", &self.shared.micro_batch)
             .field("result_cache", &self.shared.cache.is_some())
             .field("tracing", &self.shared.tracing)
             .finish()
@@ -967,17 +937,16 @@ impl std::fmt::Debug for Server {
 /// metrics, repeat until the queue is closed and drained.
 fn worker_loop(shared: &Shared, worker_id: usize) {
     let mut scratch = Scratch::new();
-    let mut batch: Vec<Queued> = Vec::with_capacity(shared.micro_batch);
+    let mut batch: Vec<Queued> = Vec::with_capacity(MICRO_BATCH);
     // The worker's cumulative metrics live on its own stack; after every
     // micro-batch they are published wait-free through the seqlock snapshot
     // (never a lock a stats() poll could contend on).
     let mut metrics = WorkerMetrics::default();
     let mut served: u64 = 0;
-    let shedding = shared.queue.policy() == BackpressurePolicy::Shed;
     shared.record_event(EventKind::WorkerStart { worker: worker_id as u64 });
     loop {
         batch.clear();
-        shared.queue.pop_batch(&mut batch, shared.micro_batch);
+        shared.queue.pop_batch(&mut batch, MICRO_BATCH);
         if batch.is_empty() {
             break; // closed and drained
         }
@@ -1003,7 +972,7 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
                 queued.fail(ServeError::Unservable);
                 continue;
             }
-            if shedding && queued.request.deadline.is_some_and(|d| d <= start) {
+            if queued.request.deadline.is_some_and(|d| d <= start) {
                 // A shed request waited too: drop it from the histogram and
                 // overload telemetry reads healthy exactly when the queue
                 // drowns (survivorship bias). Count it and record its wait.
@@ -1202,8 +1171,7 @@ mod tests {
         // hammer one worker with repeats and check the cache-less path stays
         // correct and the latency split is recorded for every request.
         let (graph, points, world) = world(7, 5);
-        let server =
-            Server::start(world, ServerConfig::default().with_workers(1).with_micro_batch(4));
+        let server = Server::start(world, ServerConfig::default().with_workers(1));
         let expected =
             run_rknn(Algorithm::Lazy, &*graph, &*points, Precomputed::none(), NodeId::new(10), 1);
         for _ in 0..50 {
@@ -1322,31 +1290,29 @@ mod tests {
     #[test]
     fn reject_policy_fails_fast_on_a_tiny_queue() {
         let (_, _, w) = world(9, 7);
-        // One worker, queue of 1, and a pile of synchronous submissions:
-        // some must be rejected, and everything accepted completes.
-        let server = Server::start(
-            w,
-            ServerConfig::default()
-                .with_workers(1)
-                .with_queue_capacity(1)
-                .with_policy(BackpressurePolicy::Reject),
-        );
+        // One worker, queue of 1, and a pile of synchronous submissions with
+        // an hour of budget each: some must be rejected, and everything
+        // accepted completes.
+        let server =
+            Server::start(w, ServerConfig::default().with_workers(1).with_queue_capacity(1));
         let mut tickets = Vec::new();
         let mut rejected = 0u64;
         for q in 0..200 {
-            match server.submit(Request::new(Algorithm::Eager, NodeId::new(q % 81), 1)) {
+            let request = Request::new(Algorithm::Eager, NodeId::new(q % 81), 1)
+                .with_deadline_in(Duration::from_secs(3600));
+            match server.submit(request) {
                 Ok(t) => tickets.push(t),
                 Err(ServeError::QueueFull) => rejected += 1,
                 Err(other) => panic!("unexpected {other:?}"),
             }
         }
         for t in tickets {
-            assert!(t.wait().is_ok(), "accepted requests always complete under Reject");
+            assert!(t.wait().is_ok(), "accepted requests with live deadlines complete");
         }
         let stats = server.shutdown();
         assert_eq!(stats.rejected, rejected);
         assert_eq!(stats.completed + stats.rejected, 200);
-        assert_eq!(stats.shed, 0, "Reject never drops accepted work");
+        assert_eq!(stats.shed, 0, "nothing expired, so nothing accepted was dropped");
         assert_eq!(stats.accounted(), stats.submitted);
     }
 
@@ -1355,10 +1321,7 @@ mod tests {
         let (_, _, w) = world(9, 7);
         let server = Arc::new(Server::start(
             w,
-            ServerConfig::default()
-                .with_workers(2)
-                .with_queue_capacity(4)
-                .with_policy(BackpressurePolicy::Block),
+            ServerConfig::default().with_workers(2).with_queue_capacity(4),
         ));
         let submitted = Arc::new(AtomicU64::new(0));
         let sync_rejected = Arc::new(AtomicU64::new(0));
@@ -1424,14 +1387,8 @@ mod tests {
         // Single worker, tiny queue: park the worker on a first slow-ish
         // request wave, then overfill with already-expired requests so both
         // shed paths (admission-edge and dequeue-time) trigger.
-        let server = Server::start(
-            w,
-            ServerConfig::default()
-                .with_workers(1)
-                .with_queue_capacity(2)
-                .with_micro_batch(1)
-                .with_policy(BackpressurePolicy::Shed),
-        );
+        let server =
+            Server::start(w, ServerConfig::default().with_workers(1).with_queue_capacity(2));
         let expired =
             || Request::new(Algorithm::Eager, NodeId::new(40), 1).with_deadline_in(Duration::ZERO);
         let mut tickets = Vec::new();
@@ -1457,7 +1414,7 @@ mod tests {
         assert_eq!(stats.completed, completed);
         assert_eq!(stats.rejected, rejected);
         assert_eq!(stats.accounted(), stats.submitted);
-        assert!(stats.shed > 0, "expired requests under Shed must actually be dropped");
+        assert!(stats.shed > 0, "expired requests must actually be dropped");
         // The telemetry bugfix: requests shed at dequeue waited in the
         // queue, and that wait is *in* the histogram — the count covers
         // completions plus dequeue sheds, not survivors only.
@@ -1480,14 +1437,8 @@ mod tests {
         // after evicting a resident. Post-fix it is accepted-and-shed on
         // the spot: Ok(ticket) resolving to Err(Shed), residents untouched.
         let (_, _, w) = world(9, 7);
-        let server = Server::start(
-            w,
-            ServerConfig::default()
-                .with_workers(1)
-                .with_queue_capacity(2)
-                .with_micro_batch(1)
-                .with_policy(BackpressurePolicy::Shed),
-        );
+        let server =
+            Server::start(w, ServerConfig::default().with_workers(1).with_queue_capacity(2));
         // Keep the queue pressed full with fresh-deadline requests (these
         // may legitimately bounce with QueueFull — nothing queued is ever
         // expired when only fresh requests are resident) while interleaving
@@ -1698,11 +1649,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let server = Server::start_observed(
             w,
-            ServerConfig::default()
-                .with_workers(1)
-                .with_queue_capacity(2)
-                .with_micro_batch(1)
-                .with_policy(BackpressurePolicy::Shed),
+            ServerConfig::default().with_workers(1).with_queue_capacity(2),
             None,
             &registry,
         );
@@ -1743,8 +1690,7 @@ mod tests {
     #[test]
     fn batch_class_is_served_and_cannot_be_starved_forever() {
         let (graph, points, w) = world(9, 7);
-        let server =
-            Server::start(w, ServerConfig::default().with_workers(1).with_starvation_ratio(2));
+        let server = Server::start(w, ServerConfig::default().with_workers(1));
         let expected =
             run_rknn(Algorithm::Eager, &*graph, &*points, Precomputed::none(), NodeId::new(5), 1);
         // Interleave: batch requests among a heavier interactive stream.

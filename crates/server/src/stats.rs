@@ -207,8 +207,8 @@ pub struct ClassStats {
     /// Requests of this class turned away without being served (queue full,
     /// unservable, shutting down — at admission or at dequeue after a swap).
     pub rejected: u64,
-    /// Requests of this class dropped past their deadline by the `Shed`
-    /// policy (at admission or at dequeue).
+    /// Requests of this class dropped past their deadline (at admission or
+    /// at dequeue).
     pub shed: u64,
     /// The subset of `shed` dropped at *dequeue* — these have a recorded
     /// queue wait: `queue_wait.count() == completed + shed_at_dequeue`.
@@ -247,8 +247,8 @@ pub struct ServerStats {
     /// already-queued request needs (its ticket resolves to
     /// [`crate::ServeError::Unservable`]).
     pub rejected: u64,
-    /// Accepted requests dropped past their deadline by the `Shed` policy,
-    /// plus expired newcomers resolved as shed at the full-queue edge.
+    /// Accepted requests dropped past their deadline, plus expired
+    /// newcomers resolved as shed at the full-queue edge.
     pub shed: u64,
     /// The subset of `shed` dropped at dequeue (their queue waits are in the
     /// histograms; admission-edge sheds never waited in the queue).

@@ -18,7 +18,7 @@ use rnn::core::{run_rknn_with, Algorithm, MaterializedKnn, Precomputed, Scratch}
 use rnn::datagen::{grid_map, place_points_on_nodes, sample_node_queries, GridConfig};
 use rnn::graph::PointsOnNodes;
 use rnn::index::HubLabelIndex;
-use rnn::server::{BackpressurePolicy, Priority, Request, ServeError, Server, ServerConfig, World};
+use rnn::server::{Priority, Request, ServeError, Server, ServerConfig, World};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -55,25 +55,24 @@ fn main() {
         }
     }
 
-    // The server: blocking admission, micro-batches of 8, a shared result
-    // cache striped one shard per worker.
+    // The server: a shared result cache striped one shard per worker. None
+    // of the stream below carries a deadline, so a full queue would park the
+    // submitter rather than drop anything.
     let world = World::new(graph.clone(), points.clone())
         .with_materialized(Arc::clone(&table))
         .with_hub_label_index(hub_index.clone());
     let server = Server::start(
         world,
-        ServerConfig::default()
-            .with_workers(workers)
-            .with_policy(BackpressurePolicy::Block)
-            .with_result_cache(256, 0),
+        ServerConfig::default().with_workers(workers).with_result_cache(256, 0),
     );
 
     // Submit the whole mixed stream, then await each ticket: submission
     // order and completion order are decoupled — that is the point of the
     // ticket handle. Every fourth request rides the batch class (workers
-    // drain interactive first, bounded by the starvation ratio), and the
-    // stream goes in as submit_all bursts of 8 — one queue lock round-trip
-    // per burst instead of eight.
+    // drain interactive first, with one batch pop forced after four
+    // interactive ones while batch work waits), and the stream goes in as
+    // submit_all bursts of 8 — one queue lock round-trip per burst instead
+    // of eight.
     let requests: Vec<Request> = oracle
         .iter()
         .enumerate()
@@ -165,7 +164,8 @@ fn main() {
     println!("\npoint-set swap: cache swept, new answers served, stale algorithms turned away");
 
     // Graceful shutdown: drain, join, and account for every request. The
-    // deadline is inert under the Block policy — only Shed acts on it.
+    // last request carries a live 5 s deadline; the idle queue serves it long
+    // before that, so it completes instead of being shed.
     let last = server
         .submit(
             Request::new(Algorithm::Lazy, swap_query, 2).with_deadline_in(Duration::from_secs(5)),

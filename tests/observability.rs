@@ -30,9 +30,7 @@ use rnn::obs::{
     prometheus_text, report_json, LatencyHistogram, MetricsRegistry, MetricsSnapshot, Phase,
     QueryTrace, SlowQueryLog,
 };
-use rnn::server::{
-    BackpressurePolicy, EventKind, PointUpdate, Request, ServeError, Server, ServerConfig, World,
-};
+use rnn::server::{EventKind, PointUpdate, Request, ServeError, Server, ServerConfig, World};
 use rnn::storage::{
     register_io_counters, BufferPoolConfig, IoCounters, LayoutStrategy, PagedGraph,
 };
@@ -527,7 +525,6 @@ fn flight_recorder_pins_the_events_of_a_scripted_run() {
         ServerConfig::default()
             .with_workers(1)
             .with_queue_capacity(1)
-            .with_policy(BackpressurePolicy::Shed)
             .with_slow_query_log(8, 0, 0, 3),
         None,
         &registry,

@@ -3,17 +3,20 @@
 //! Four pinned properties of `rnn-server`:
 //!
 //! 1. **Determinism** — for all six algorithms, a mixed-priority workload
-//!    submitted through the server at 1, 2 and 8 workers (Block policy, no
-//!    deadlines) yields results byte-identical to the sequential `run_rknn`
-//!    loop: worker count, micro-batching, priority classes and queue
-//!    interleaving affect latency, never answers — and the per-class
-//!    counters account for every request.
+//!    submitted through the server at 1, 2 and 8 workers (no deadlines)
+//!    yields results byte-identical to the sequential `run_rknn` loop:
+//!    worker count, micro-batching, priority classes and queue interleaving
+//!    affect latency, never answers — and the per-class counters account for
+//!    every request.
 //! 2. **Conservation** — shutting down under load loses nothing:
 //!    `completed + rejected + shed == submitted`, per class and in total,
 //!    and every accepted ticket resolves. `submit_all` bursts account
 //!    identically to the same requests submitted one at a time.
-//! 3. **Admission policies** — a tiny queue under `Reject` fails fast while
-//!    completing everything it accepted; under `Shed` expired requests are
+//! 3. **Admission** — the request's own deadline decides at the full edge.
+//!    A tiny queue turns deadline-bearing overflow away with `QueueFull`
+//!    while completing everything it accepted; a `submit_all` burst larger
+//!    than the free space parks at its deadline-free requests and turns its
+//!    deadline-bearing ones away, without deadlock; expired requests are
 //!    dropped and accounted (including boundary deadlines: exactly-now and
 //!    zero-budget), queue waits include dequeue-shed victims, and a
 //!    point-set swap with the result cache enabled serves the new world's
@@ -26,9 +29,7 @@ use rnn::core::{run_rknn_with, Algorithm, MaterializedKnn, Precomputed, Scratch}
 use rnn::datagen::{grid_map, GridConfig};
 use rnn::graph::{Graph, NodeId, NodePointSet};
 use rnn::index::HubLabelIndex;
-use rnn::server::{
-    BackpressurePolicy, Priority, Request, ServeError, Server, ServerConfig, Ticket, World,
-};
+use rnn::server::{Priority, Request, ServeError, Server, ServerConfig, Ticket, World};
 use rnn::storage::{BufferPoolConfig, IoCounters, LayoutStrategy, PagedGraph};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -96,13 +97,7 @@ fn all_six_algorithms_match_the_sequential_oracle_at_every_worker_count() {
             let world = World::new(graph.clone(), points.clone())
                 .with_materialized(Arc::clone(&table))
                 .with_hub_label_index(hub_index.clone());
-            let server = Server::start(
-                world,
-                ServerConfig::default()
-                    .with_workers(workers)
-                    .with_policy(BackpressurePolicy::Block)
-                    .with_micro_batch(4),
-            );
+            let server = Server::start(world, ServerConfig::default().with_workers(workers));
             let submitted: Vec<Result<Ticket, ServeError>> = requests
                 .iter()
                 .enumerate()
@@ -216,10 +211,7 @@ fn shutdown_under_load_loses_no_request() {
     let queries: Vec<NodeId> = points.nodes().to_vec();
     let server = Arc::new(Server::start(
         World::new(graph, points.clone()),
-        ServerConfig::default()
-            .with_workers(2)
-            .with_queue_capacity(4)
-            .with_policy(BackpressurePolicy::Block),
+        ServerConfig::default().with_workers(2).with_queue_capacity(4),
     ));
 
     let submitted = Arc::new(AtomicU64::new(0));
@@ -238,8 +230,8 @@ fn shutdown_under_load_loses_no_request() {
                     submitted.fetch_add(1, Ordering::Relaxed);
                     match server.submit(Request::new(Algorithm::Eager, q, 1)) {
                         Ok(ticket) => {
-                            // Block policy, no deadlines: every accepted
-                            // request must resolve Ok even across shutdown.
+                            // No deadlines: every accepted request must
+                            // resolve Ok even across shutdown.
                             assert!(ticket.wait().is_ok(), "accepted requests are drained");
                             completed.fetch_add(1, Ordering::Relaxed);
                         }
@@ -275,20 +267,19 @@ fn shutdown_under_load_loses_no_request() {
 fn tiny_queue_reject_and_shed_policies_account_every_request() {
     let (graph, points) = grid_world();
 
-    // Reject: a 2-slot queue with one worker; over-submission fails fast,
-    // accepted requests all complete.
+    // Far-future deadlines: a 2-slot queue with one worker; over-submission
+    // fails fast, accepted requests all complete.
     let server = Server::start(
         World::new(graph.clone(), points.clone()),
-        ServerConfig::default()
-            .with_workers(1)
-            .with_queue_capacity(2)
-            .with_policy(BackpressurePolicy::Reject),
+        ServerConfig::default().with_workers(1).with_queue_capacity(2),
     );
     let mut tickets = Vec::new();
     let mut queue_full = 0u64;
     for i in 0..300usize {
         let q = points.nodes()[i % points.nodes().len()];
-        match server.submit(Request::new(Algorithm::Eager, q, 1)) {
+        let request =
+            Request::new(Algorithm::Eager, q, 1).with_deadline_in(Duration::from_secs(3600));
+        match server.submit(request) {
             Ok(t) => tickets.push(t),
             Err(ServeError::QueueFull) => queue_full += 1,
             Err(other) => panic!("unexpected {other:?}"),
@@ -296,7 +287,7 @@ fn tiny_queue_reject_and_shed_policies_account_every_request() {
     }
     let accepted = tickets.len() as u64;
     for t in tickets {
-        assert!(t.wait().is_ok(), "Reject never drops accepted work");
+        assert!(t.wait().is_ok(), "nothing expires, so no accepted work is dropped");
     }
     let stats = server.shutdown();
     assert_eq!(stats.submitted, 300);
@@ -305,15 +296,11 @@ fn tiny_queue_reject_and_shed_policies_account_every_request() {
     assert_eq!(stats.shed, 0);
     assert_eq!(stats.accounted(), stats.submitted);
 
-    // Shed: the same tiny queue with instantly-expired deadlines; victims
-    // resolve their tickets as Shed and are counted.
+    // The same tiny queue with instantly-expired deadlines; victims resolve
+    // their tickets as Shed and are counted.
     let server = Server::start(
         World::new(graph, points.clone()),
-        ServerConfig::default()
-            .with_workers(1)
-            .with_queue_capacity(2)
-            .with_micro_batch(1)
-            .with_policy(BackpressurePolicy::Shed),
+        ServerConfig::default().with_workers(1).with_queue_capacity(2),
     );
     let mut tickets = Vec::new();
     let mut rejected = 0u64;
@@ -351,10 +338,8 @@ fn swap_that_drops_precomputed_structures_fails_queued_requests_without_killing_
     let (graph, points) = grid_world();
     let table = Arc::new(MaterializedKnn::build(&*graph, &*points, 2));
     let world = World::new(graph.clone(), points.clone()).with_materialized(Arc::clone(&table));
-    let server = Server::start(
-        world,
-        ServerConfig::default().with_workers(1).with_micro_batch(1).with_result_cache(16, 1),
-    );
+    let server =
+        Server::start(world, ServerConfig::default().with_workers(1).with_result_cache(16, 1));
     let mut scratch = Scratch::new();
     let pre = Precomputed::materialized(&table);
 
@@ -465,18 +450,18 @@ fn submit_all_bursts_account_identically_to_single_submits() {
     let run = |batched: bool| {
         let server = Server::start(
             World::new(graph.clone(), points.clone()),
-            ServerConfig::default().with_workers(2).with_policy(BackpressurePolicy::Block),
+            ServerConfig::default().with_workers(2),
         );
         let mut tickets = Vec::with_capacity(stream.len());
         if batched {
             for chunk in stream.chunks(5) {
                 for result in server.submit_all(chunk) {
-                    tickets.push(result.expect("admitted under Block"));
+                    tickets.push(result.expect("admitted"));
                 }
             }
         } else {
             for &request in &stream {
-                tickets.push(server.submit(request).expect("admitted under Block"));
+                tickets.push(server.submit(request).expect("admitted"));
             }
         }
         let outcomes: Vec<_> =
@@ -510,7 +495,7 @@ fn stats_polling_is_consistent_and_monotone_while_serving() {
     let (graph, points) = grid_world();
     let server = Arc::new(Server::start(
         World::new(graph, points.clone()),
-        ServerConfig::default().with_workers(2).with_policy(BackpressurePolicy::Block),
+        ServerConfig::default().with_workers(2),
     ));
     let queries: Vec<NodeId> = points.nodes().to_vec();
     let total = 240usize;
@@ -570,19 +555,14 @@ fn stats_polling_is_consistent_and_monotone_while_serving() {
 #[test]
 fn boundary_deadlines_shed_at_dequeue_and_land_in_the_queue_wait_histogram() {
     // Deadline boundary semantics end to end: "due exactly now" and "zero
-    // time budget" both count as expired — under Shed they are dropped at
-    // dequeue (when admitted below the full edge), the victims' queue waits
-    // still land in the per-class histogram, and fresh traffic is
-    // unaffected. Pins the telemetry invariant
+    // time budget" both count as expired — they are dropped at dequeue (when
+    // admitted below the full edge), the victims' queue waits still land in
+    // the per-class histogram, and fresh traffic is unaffected. Pins the telemetry invariant
     // `queue_wait.count() == completed + shed_at_dequeue` exactly.
     let (graph, points) = grid_world();
     let server = Server::start(
         World::new(graph, points.clone()),
-        ServerConfig::default()
-            .with_workers(1)
-            .with_micro_batch(1)
-            .with_queue_capacity(512)
-            .with_policy(BackpressurePolicy::Shed),
+        ServerConfig::default().with_workers(1).with_queue_capacity(512),
     );
     let queries: Vec<NodeId> = points.nodes().to_vec();
 
@@ -634,4 +614,76 @@ fn boundary_deadlines_shed_at_dequeue_and_land_in_the_queue_wait_histogram() {
     let batch = stats.class(Priority::Batch);
     assert_eq!(batch.shed, 0, "the batch class never expired");
     assert_eq!(batch.queue_wait.count(), batch.completed);
+}
+
+#[test]
+fn submit_all_burst_mixing_deadlines_parks_the_deadline_free_and_turns_away_the_rest() {
+    // One worker, a 2-slot queue, and one burst of eight. The burst holds
+    // the queue lock until it parks, so the first two requests fill the
+    // queue and the deadline-bearing ones behind them meet it full with
+    // nothing expired: `QueueFull` at once. The next deadline-free request
+    // parks until the worker drains both slots; the burst then fills them
+    // again, and the deadline-bearing request after that is turned away
+    // too. Everything admitted is served, and nothing deadlocks.
+    let (graph, points) = grid_world();
+    let server = Server::start(
+        World::new(graph.clone(), points.clone()),
+        ServerConfig::default().with_workers(1).with_queue_capacity(2),
+    );
+    let hour = Duration::from_secs(3600);
+    // (priority, has a deadline, expected to be admitted)
+    let plan = [
+        (Priority::Interactive, false, true),
+        (Priority::Batch, false, true),
+        (Priority::Interactive, true, false),
+        (Priority::Batch, true, false),
+        (Priority::Interactive, false, true),
+        (Priority::Batch, false, true),
+        (Priority::Interactive, true, false),
+        (Priority::Batch, false, true),
+    ];
+    let queries: Vec<NodeId> = points.nodes().iter().copied().take(plan.len()).collect();
+    let burst: Vec<Request> = plan
+        .iter()
+        .zip(&queries)
+        .map(|(&(priority, deadline, _), &q)| {
+            let request = Request::new(Algorithm::Eager, q, 1).with_priority(priority);
+            if deadline {
+                request.with_deadline_in(hour)
+            } else {
+                request
+            }
+        })
+        .collect();
+    let results = server.submit_all(&burst);
+    let mut scratch = Scratch::new();
+    for (i, (result, &(_, deadline, admitted))) in results.into_iter().zip(&plan).enumerate() {
+        if admitted {
+            let expected = run_rknn_with(
+                Algorithm::Eager,
+                &*graph,
+                &*points,
+                Precomputed::none(),
+                queries[i],
+                1,
+                &mut scratch,
+            );
+            let served = result.expect("admitted").wait().expect("served");
+            assert_eq!(served.outcome, expected, "request {i}");
+        } else {
+            assert!(deadline, "request {i}: only deadline-bearing requests are turned away");
+            assert_eq!(result.err(), Some(ServeError::QueueFull), "request {i}");
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!((stats.submitted, stats.completed, stats.rejected, stats.shed), (8, 5, 3, 0));
+    for priority in Priority::ALL {
+        let class = stats.class(priority);
+        let planned = plan.iter().filter(|p| p.0 == priority);
+        let admitted = planned.clone().filter(|p| p.2).count() as u64;
+        assert_eq!(class.submitted, planned.count() as u64, "{priority}");
+        assert_eq!(class.completed, admitted, "{priority}");
+        assert_eq!(class.rejected, class.submitted - admitted, "{priority}");
+        assert_eq!(class.accounted(), class.submitted, "{priority}: per-class conservation");
+    }
 }
