@@ -124,9 +124,11 @@ impl Request {
         self
     }
 
-    /// Sets the deadline `budget` after the submit instant.
+    /// Sets the deadline `budget` after the submit instant. A budget that
+    /// reaches past what an [`Instant`] can represent sets no deadline: such
+    /// a request could never expire.
     pub fn with_deadline_in(mut self, budget: Duration) -> Self {
-        self.deadline = Some(self.submit_instant + budget);
+        self.deadline = self.submit_instant.checked_add(budget);
         self
     }
 
@@ -324,6 +326,16 @@ mod tests {
         let at = Instant::now();
         assert_eq!(request().with_deadline(at).deadline, Some(at));
         assert_eq!(request().with_priority(Priority::Batch).priority, Priority::Batch);
+    }
+
+    #[test]
+    fn a_budget_past_the_instant_range_sets_no_deadline() {
+        // `submit_instant + Duration::MAX` overflows `Instant`; a request
+        // that can never expire carries no deadline.
+        assert_eq!(request().with_deadline_in(Duration::MAX).deadline, None);
+        let huge = Duration::from_secs(u64::MAX / 2);
+        let r = request();
+        assert_eq!(r.with_deadline_in(huge).deadline, r.submit_instant.checked_add(huge));
     }
 
     #[test]
