@@ -746,11 +746,8 @@ pub fn obs_overhead(scale: Scale) {
     let run_trial = |server: &Server| -> f64 {
         let requests: Vec<Request> = stream.iter().map(|&(a, q)| Request::new(a, q, 2)).collect();
         let started = Instant::now();
-        let tickets: Vec<_> = server
-            .submit_all(&requests)
-            .into_iter()
-            .map(|r| r.expect("admitted under Block"))
-            .collect();
+        let tickets: Vec<_> =
+            server.submit_all(&requests).into_iter().map(|r| r.expect("admitted")).collect();
         for (i, (ticket, expected)) in tickets.into_iter().zip(&oracle).enumerate() {
             let served = ticket.wait().expect("served");
             assert_eq!(served.outcome, *expected, "request {i} must equal the sequential oracle");

@@ -687,11 +687,8 @@ impl Server {
     /// Synchronous errors mean the request never entered the queue:
     /// [`ServeError::Unservable`] (failed admission validation),
     /// [`ServeError::QueueFull`] (a request with a deadline met a full queue
-    /// with nothing expired), or [`ServeError::ShuttingDown`].
-    ///
-    /// A request without a deadline that meets a full queue with nothing
-    /// expired parks the caller until a worker frees space; one with a
-    /// deadline never parks.
+    /// with nothing expired; one without a deadline parks the caller until a
+    /// worker frees space instead), or [`ServeError::ShuttingDown`].
     pub fn submit(&self, request: Request) -> Result<Ticket, ServeError> {
         let class = self.shared.counts.class(request.priority);
         class.submitted.fetch_add(1, Ordering::Relaxed);
