@@ -27,9 +27,9 @@ use std::time::{Duration, Instant};
 /// [`Batch`](Priority::Batch) requests are served from a separate queue
 /// whenever no interactive work waits, plus a guaranteed slot after every
 /// four interactive pops, so a saturating interactive stream can never
-/// starve batch work forever. Priority affects
-/// *ordering and admission accounting only* — never answers: a request
-/// returns byte-identical results in either class.
+/// starve batch work forever. Priority affects *ordering and admission
+/// accounting only* — never answers: a request returns byte-identical
+/// results in either class.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Priority {
     /// Latency-sensitive traffic (the default): a user is waiting on the
