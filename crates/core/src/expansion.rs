@@ -26,7 +26,8 @@
 //! * the frontier is the crate's flat heap of packed keys (`flat_heap.rs`):
 //!   `(distance, node)` as one integer, compared without a NaN branch, in
 //!   the order the tuple had — so the settle order, and with it every work
-//!   counter, is that of a binary heap of tuples;
+//!   counter, is that of a binary heap of tuples. The key's low word carries
+//!   the node whose expansion pushed the entry, which the veto is handed;
 //! * a node's label is one `f64`: a tentative distance `d` is stored as `d`,
 //!   a settled one as `-d` (`-0.0` at a source). Distances are non-negative,
 //!   so no offer is below a settled label and relaxing is the single test
@@ -47,11 +48,12 @@ use rnn_graph::{
 /// Buffers outlive individual expansions: an expansion built with
 /// [`NetworkExpansion::reusing`] starts from recycled (empty but still
 /// allocated) buffers, and [`NetworkExpansion::into_buffers`] recovers them
-/// afterwards — this is how the query engine's `Scratch` arena keeps
-/// steady-state queries allocation-free.
+/// afterwards — this is how the `Scratch` arena keeps steady-state queries
+/// allocation-free.
 #[derive(Debug, Default)]
 pub struct ExpansionBuffers {
-    /// `(distance, node, 0)` entries; stale ones are skipped when popped.
+    /// `(distance, node, pusher)` entries, the pusher [`NO_PUSHER`] for a
+    /// source; stale ones are skipped when popped.
     heap: FlatHeap,
     /// Tentative distance `d` as `d`, settled distance `d` as `-d`.
     labels: NodeTable<f64>,
@@ -73,10 +75,11 @@ impl ExpansionBuffers {
         self.arc_events.emitted.clear();
     }
 
-    /// Offers a (possibly better) tentative distance for `node`; returns
-    /// whether it was taken, i.e. labelled and pushed onto the frontier.
+    /// Offers a (possibly better) tentative distance for `node` from
+    /// `pusher`; returns whether it was taken, i.e. labelled and pushed onto
+    /// the frontier.
     #[inline]
-    fn relax(&mut self, node: NodeId, dist: Weight) -> bool {
+    fn relax(&mut self, node: NodeId, dist: Weight, pusher: u32) -> bool {
         // `+ 0.0` folds a `-0.0` offer into `+0.0`: a negative zero label
         // would read as settled.
         let offer = dist.value() + 0.0;
@@ -88,10 +91,15 @@ impl ExpansionBuffers {
                 self.labels.insert(node, offer);
             }
         }
-        self.heap.push(dist, node.0, 0);
+        // Only a strictly better offer is pushed, so no two entries share
+        // `(dist, node)` and the pusher never decides the pop order.
+        self.heap.push(dist, node.0, pusher);
         true
     }
 }
+
+/// The pusher word of a source's frontier entry: no node pushed it.
+const NO_PUSHER: u32 = u32::MAX;
 
 /// Whether a frontier entry popped at `dist` is live, given its node's label:
 /// it is while the label is still the tentative distance the entry was pushed
@@ -141,7 +149,7 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
         bufs.clear();
         let mut exp = NetworkExpansion { topo, bufs, settled_count: 0, pushes: 0 };
         for (node, dist) in sources {
-            if exp.bufs.relax(node, dist) {
+            if exp.bufs.relax(node, dist, NO_PUSHER) {
                 exp.pushes += 1;
             }
         }
@@ -170,24 +178,27 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
     /// is how the eager algorithm applies Lemma 1 to stop the expansion at
     /// pruned nodes.
     pub fn next_settled_unexpanded(&mut self) -> Option<(NodeId, Weight)> {
-        self.next_settled_unexpanded_if(|_| true)
+        self.next_settled_unexpanded_if(|_, _| true)
     }
 
     /// [`NetworkExpansion::next_settled_unexpanded`] with a veto: the frontier
-    /// entry of a node for which `keep` returns `false` is dropped instead of
-    /// settled. The node stays tentative at the refused distance, so only a
-    /// strictly better offer would bring it back onto the frontier; one at
-    /// the same distance or beyond does not. This is how the lazy algorithm
-    /// removes the heap entries a pruned node inserted.
+    /// entry of a node for which `keep(node, pusher)` returns `false` is
+    /// dropped instead of settled. `pusher` is the node whose expansion
+    /// offered the entry's distance, `None` for a source. The node stays
+    /// tentative at the refused distance, so only a strictly better offer
+    /// would bring it back onto the frontier; one at the same distance or
+    /// beyond does not. This is how the lazy algorithm removes the heap
+    /// entries a pruned node inserted.
     pub fn next_settled_unexpanded_if(
         &mut self,
-        mut keep: impl FnMut(NodeId) -> bool,
+        mut keep: impl FnMut(NodeId, Option<NodeId>) -> bool,
     ) -> Option<(NodeId, Weight)> {
-        while let Some((dist, node, _)) = self.bufs.heap.pop() {
+        while let Some((dist, node, pusher)) = self.bufs.heap.pop() {
             let node = NodeId(node);
             let label =
                 self.bufs.labels.get_mut(node).expect("every heap entry was labelled when pushed");
-            if !is_live(*label, dist) || !keep(node) {
+            let pusher = (pusher != NO_PUSHER).then_some(NodeId(pusher));
+            if !is_live(*label, dist) || !keep(node, pusher) {
                 continue;
             }
             *label = -dist.value();
@@ -218,26 +229,19 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
     /// Relaxes the neighbors of a node previously returned by
     /// [`NetworkExpansion::next_settled_unexpanded`].
     pub fn expand_from(&mut self, node: NodeId, dist: Weight) {
-        self.expand_from_each(node, dist, |_, _| {});
+        self.expand_from_each(node, dist, |_| {});
     }
 
     /// [`NetworkExpansion::expand_from`] with a per-arc hook: `each` sees
-    /// every neighbor of `node` once, after its relaxation, together with
-    /// whether the offer was taken (labelled and pushed onto the frontier).
-    pub fn expand_from_each(
-        &mut self,
-        node: NodeId,
-        dist: Weight,
-        mut each: impl FnMut(Neighbor, bool),
-    ) {
+    /// every neighbor of `node` once, after its relaxation.
+    pub fn expand_from_each(&mut self, node: NodeId, dist: Weight, mut each: impl FnMut(Neighbor)) {
         let bufs = &mut self.bufs;
         let pushes = &mut self.pushes;
         for_each_neighbor(self.topo, node, |nb| {
-            let taken = bufs.relax(nb.node, dist + nb.weight);
-            if taken {
+            if bufs.relax(nb.node, dist + nb.weight, node.0) {
                 *pushes += 1;
             }
-            each(nb, taken);
+            each(nb);
         });
     }
 
@@ -482,7 +486,7 @@ impl<'a, T: Topology + ?Sized, S: PointSource + ?Sized> PointExpansion<'a, T, S>
         }
         let Self { nodes, source, target, arc_events, arc_pushes, target_emitted } = self;
         let target = target.filter(|_| !*target_emitted);
-        nodes.expand_from_each(node, dist, |arc, _| {
+        nodes.expand_from_each(node, dist, |arc| {
             source.on_arc(node, &arc, target, |what, along| {
                 *arc_pushes += u64::from(arc_events.offer(dist + along, what));
             });
@@ -587,19 +591,25 @@ mod tests {
         let g = b.build().unwrap();
         let mut exp = NetworkExpansion::new(&g, NodeId::new(0));
         let mut settled = Vec::new();
-        let mut asked = 0;
+        let mut asked = Vec::new();
         // Node 3 is refused when its entry (pushed by node 1) comes up: the
         // equal offer of node 2 was not taken before, and the worse one of
         // node 4 is not taken afterwards.
-        while let Some((n, d)) = exp.next_settled_unexpanded_if(|n| {
-            asked += u32::from(n == NodeId::new(3));
+        while let Some((n, d)) = exp.next_settled_unexpanded_if(|n, pusher| {
+            if n == NodeId::new(3) {
+                asked.push(pusher);
+            }
             n != NodeId::new(3)
         }) {
             settled.push((n.index(), d.value()));
             exp.expand_from(n, d);
         }
         assert_eq!(settled, vec![(0, 0.0), (1, 1.0), (2, 1.0), (4, 3.0)]);
-        assert_eq!(asked, 1, "one live entry, refused once, never pushed again");
+        assert_eq!(
+            asked,
+            vec![Some(NodeId::new(1))],
+            "one live entry, pushed by node 1, refused once, never pushed again"
+        );
         assert_eq!(exp.settled_distance(NodeId::new(3)), None);
         assert_eq!(exp.settled_count(), 4);
     }
@@ -626,34 +636,21 @@ mod tests {
     }
 
     #[test]
-    fn per_arc_hook_sees_every_neighbor_once_with_its_taken_flag() {
+    fn per_arc_hook_sees_every_neighbor_once_and_the_veto_its_pusher() {
         let g = diamond();
         let mut exp = NetworkExpansion::new(&g, NodeId::new(0));
-        let mut arcs = Vec::new();
-        while let Some((n, d)) = exp.next_settled_unexpanded() {
+        let mut asked = Vec::new();
+        while let Some((n, d)) = exp.next_settled_unexpanded_if(|n, pusher| {
+            asked.push((n.index(), pusher.map(NodeId::index)));
+            true
+        }) {
             let mut seen = Vec::new();
-            exp.expand_from_each(n, d, |nb, taken| {
-                seen.push(nb);
-                arcs.push((n.index(), nb.node.index(), taken));
-            });
+            exp.expand_from_each(n, d, |nb| seen.push(nb));
             assert_eq!(seen, g.neighbors(n).collect::<Vec<_>>(), "adjacency of {n}");
         }
-        // Taken: a first label (0->1, 0->2, 1->3) or a strictly better one
-        // (3->2 at 3 against 4). Not taken: settled or no better.
-        arcs.sort_unstable();
-        assert_eq!(
-            arcs,
-            vec![
-                (0, 1, true),
-                (0, 2, true),
-                (1, 0, false),
-                (1, 3, true),
-                (2, 0, false),
-                (2, 3, false),
-                (3, 1, false),
-                (3, 2, true),
-            ]
-        );
+        // Only live entries are asked about: node 2's entry at 4, pushed by
+        // node 0, was superseded by node 3's offer at 3.
+        assert_eq!(asked, vec![(0, None), (1, Some(0)), (3, Some(1)), (2, Some(3))]);
         assert_eq!(exp.pushes(), 5, "the source and the four taken offers");
     }
 
@@ -703,26 +700,19 @@ mod tests {
             }
         }
         let mut exp = NetworkExpansion::new(&ZeroArcs, NodeId::new(0));
-        let mut taken = Vec::new();
+        let mut pushers = Vec::new();
         let mut settled = Vec::new();
-        while let Some((n, d)) = exp.next_settled_unexpanded() {
+        while let Some((n, d)) = exp.next_settled_unexpanded_if(|_, pusher| {
+            pushers.push(pusher.map(NodeId::index));
+            true
+        }) {
             settled.push((n.index(), d.value()));
-            exp.expand_from_each(n, d, |nb, t| taken.push((n.index(), nb.node.index(), t)));
+            exp.expand_from(n, d);
         }
         assert_eq!(settled, vec![(0, 0.0), (1, 0.0), (2, 0.0), (3, 1.0)]);
+        assert_eq!(pushers, vec![None, Some(0), Some(1), Some(2)]);
         // Every offer back to a node settled at zero is `0.0` against a
-        // label of `-0.0`: equal as floats, and refused.
-        assert_eq!(
-            taken,
-            vec![
-                (0, 1, true),
-                (1, 0, false),
-                (1, 2, true),
-                (2, 1, false),
-                (2, 3, true),
-                (3, 2, false)
-            ]
-        );
+        // label of `-0.0`: equal as floats, and refused — one push per node.
         assert_eq!((exp.pushes(), exp.settled_count()), (4, 4));
         assert!(exp.frontier_is_empty());
     }

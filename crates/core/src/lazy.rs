@@ -5,11 +5,11 @@
 //! is de-heaped, a verification query is issued. The nodes visited by that
 //! verification are closer to the discovered point than to the query, so they
 //! cannot lead to reverse neighbors: already-visited nodes have the heap
-//! entries created during their processing removed (through a table of
-//! back-pointers), and not-yet-visited nodes are remembered in a counter so
-//! they are discarded when they are eventually de-heaped. For RkNN with
-//! `k > 1` a node is only discarded once `k` distinct points have been
-//! counted against it.
+//! entries created during their processing removed (through the back-pointer
+//! every frontier entry carries to the node that pushed it), and
+//! not-yet-visited nodes are remembered in a counter so they are discarded
+//! when they are eventually de-heaped. For RkNN with `k > 1` a node is only
+//! discarded once `k` distinct points have been counted against it.
 
 use crate::candidates::Candidates;
 use crate::expansion::{for_each_candidate_at, NetworkExpansion};
@@ -23,11 +23,6 @@ use rnn_graph::{NodeId, PointId, PointSource, PointsOnNodes, Revealed, Topology,
 /// pooled by [`Scratch`].
 #[derive(Debug, Default)]
 pub(crate) struct LazyBuffers {
-    /// Back-pointers: the node whose expansion pushed the live frontier entry
-    /// of a node. An entry is removed "through" its back-pointer: it is
-    /// refused when de-heaped if the node that pushed it has been pruned
-    /// since.
-    via: NodeTable<NodeId>,
     /// Verification counters: how many distinct data points are known to be
     /// strictly closer to the node than the query.
     counters: NodeTable<usize>,
@@ -35,7 +30,6 @@ pub(crate) struct LazyBuffers {
 
 impl Reset for LazyBuffers {
     fn reset(&mut self) {
-        self.via.clear();
         self.counters.clear();
     }
 }
@@ -92,7 +86,7 @@ where
     let mut stats = QueryStats::default();
     let mut cands = Candidates::new(VerifyParams { k, collect_visited: true }, scratch);
     let mut bufs = scratch.take_lazy();
-    let LazyBuffers { via, counters } = &mut bufs;
+    let LazyBuffers { counters } = &mut bufs;
     let pruned = |counters: &NodeTable<usize>, n: NodeId| counters.get(n).is_some_and(|c| *c >= k);
 
     // Verifies a discovered point (once), then counts it against every node
@@ -137,7 +131,7 @@ where
     // k points since is removed from the heap (the paper's hash-table based
     // deletion): it is refused here, and its node stays unvisited.
     while let Some((node, dist)) =
-        exp.next_settled_unexpanded_if(|n| !via.get(n).is_some_and(|&m| pruned(counters, m)))
+        exp.next_settled_unexpanded_if(|_, pusher| !pusher.is_some_and(|m| pruned(counters, m)))
     {
         stats.nodes_settled += 1;
 
@@ -160,12 +154,8 @@ where
             continue;
         }
 
-        // Expand the node, remembering which heap entries it created.
-        exp.expand_from_each(node, dist, |nb, taken| {
-            if taken {
-                via.insert(nb.node, node);
-            }
-        });
+        // Expand the node; the entries it pushes carry it as their pusher.
+        exp.expand_from(node, dist);
     }
 
     stats.heap_pushes = exp.pushes();
