@@ -1,10 +1,10 @@
 //! The hasher of the few hash tables left in the crate, none of them a
 //! query's per-node or per-point state (that lives in [`crate::NodeTable`]):
-//! the result cache's LRU (`cache.rs`), the engine's pick of a cache shard
-//! (`engine.rs`) and the LRU of eager-M's simulated table pages
-//! (`materialize/mod.rs`). Their keys are small integers or tuples of them,
-//! for which the standard library's SipHash is overkill, so this is a small
-//! multiplicative hasher in the spirit of `FxHash`, without a dependency.
+//! the result cache's LRU and its pick of a shard (`cache.rs`) and the LRU
+//! of eager-M's simulated table pages (`materialize/mod.rs`). Their keys are
+//! small integers or tuples of them, for which the standard library's
+//! SipHash is overkill, so this is a small multiplicative hasher in the
+//! spirit of `FxHash`, without a dependency.
 //! HashDoS resistance is irrelevant: keys are internal ids, not
 //! attacker-controlled input.
 

@@ -33,11 +33,11 @@
 //!   [`rnn_graph::EdgePointSet`], with a position on an edge as the query);
 //! * a [`naive`] baseline used for correctness cross-checks and as the
 //!   straw-man comparison;
-//! * the [`engine`] layer a serving worker runs queries through: the
-//!   [`RknnAlgorithm`] trait behind the [`Algorithm`] enum, the reusable
+//! * the [`dispatch`] a serving worker runs queries through:
+//!   [`run_rknn_with`], one match on the [`Algorithm`] enum, on a reusable
 //!   [`Scratch`] arena that makes steady-state queries allocation-free, and
-//!   the optional bounded-LRU [`SharedResultCache`] ([`cache`]); running
-//!   queries concurrently is `rnn-server`'s job;
+//!   the optional bounded-LRU [`SharedResultCache`] ([`cache`]) in front of
+//!   it; running queries concurrently is `rnn-server`'s job;
 //! * the [`precomputed`] context: the [`Precomputed`] bundle handed to every
 //!   query and the object-safe [`HubLabelRknn`] oracle trait through which
 //!   the `rnn-index` crate's hub-label RkNN ([`Algorithm::HubLabel`]) plugs
@@ -92,7 +92,6 @@ mod candidates;
 pub mod continuous;
 pub mod dispatch;
 pub mod eager;
-pub mod engine;
 pub mod expansion;
 mod fast_hash;
 mod flat_heap;
@@ -110,7 +109,6 @@ pub mod verify;
 
 pub use cache::{CacheStats, SharedResultCache};
 pub use dispatch::{run_rknn, run_rknn_with, Algorithm};
-pub use engine::{QueryEngine, QuerySpec, RknnAlgorithm};
 pub use materialize::MaterializedKnn;
 pub use node_table::NodeTable;
 pub use precomputed::{HubLabelRknn, Precomputed};

@@ -4,14 +4,13 @@
 //! eager-M consults a [`MaterializedKnn`] table, and the hub-label algorithm
 //! ([`crate::Algorithm::HubLabel`]) answers entirely from a precomputed
 //! labeling (built by the `rnn-index` crate). [`Precomputed`] bundles the
-//! optional references to both so the dispatch layer — [`crate::run_rknn`],
-//! the [`crate::engine::RknnAlgorithm`] trait and
-//! [`crate::engine::QueryEngine`] — has one uniform context instead of one
+//! optional references to both so the dispatch — [`crate::run_rknn`] and
+//! [`crate::run_rknn_with`] — has one uniform context instead of one
 //! parameter per auxiliary structure.
 //!
 //! The hub-label index itself lives *above* this crate (`rnn-index` depends
-//! on `rnn-core`, not the other way around), which is why the engine sees it
-//! only through the object-safe [`HubLabelRknn`] trait: any labeling scheme
+//! on `rnn-core`, not the other way around), which is why the dispatch sees
+//! it only through the object-safe [`HubLabelRknn`] trait: any labeling scheme
 //! that can answer a monochromatic RkNN query from its own precomputed state
 //! plugs into the dispatch without `rnn-core` knowing its layout.
 

@@ -17,9 +17,8 @@
 //! however many keys the largest query so far touched, so the ~80 small
 //! probes of one eager query do not each pay for the biggest one.
 //!
-//! One `Scratch` belongs to one worker (it is deliberately not `Sync`); the
-//! query engine keeps one per thread, and a server worker keeps its own
-//! across point-set and topology swaps: the node tables size themselves to
+//! One `Scratch` belongs to one worker (it is deliberately not `Sync`): a
+//! server worker keeps its own across point-set and topology swaps: the node tables size themselves to
 //! the graph they are used on and never trust a slot left by another one.
 //! Buffer reuse never changes results: every buffer is reset before it is
 //! used again, which the batch determinism tests verify end to end.
@@ -128,14 +127,14 @@ impl Scratch {
     }
 
     /// The per-query phase tracer riding along with the arena. Inactive by
-    /// default (every span is a no-op branch); the query engine activates it
-    /// per query when tracing is enabled, and the algorithms mark their
-    /// phases through it.
+    /// default (every span is a no-op branch); a tracing server worker
+    /// activates it per query, and the algorithms mark their phases through
+    /// it.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
 
-    /// Mutable access to the tracer — used by the engine to start/finish
+    /// Mutable access to the tracer — used by a server worker to start/finish
     /// query traces and by instrumentation points to close phase spans.
     pub fn tracer_mut(&mut self) -> &mut Tracer {
         &mut self.tracer

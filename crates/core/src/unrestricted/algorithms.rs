@@ -113,7 +113,7 @@ mod tests {
         }
     }
 
-    /// The twin of the engine's scratch-reuse test for restricted queries:
+    /// The twin of the dispatch's scratch-reuse test for restricted queries:
     /// after one warm-up query, further queries on the same arena — also from
     /// other positions — create no buffer and only reset pooled ones.
     #[test]

@@ -257,7 +257,7 @@ mod tests {
     #[test]
     fn a_node_source_reveals_by_settling_and_locates_by_node_sets() {
         let points = NodePointSet::from_nodes(8, [NodeId::new(1), NodeId::new(5)]);
-        // Through the trait object: that is how the engine holds it.
+        // Through the trait object: that is how the server holds it.
         let source: &dyn PointsOnNodes = &points;
         let p5 = PointId::new(1);
         assert_eq!(PointSource::on_node(source, NodeId::new(5)), Some(p5));

@@ -42,7 +42,7 @@ const INLINE_ARCS: usize = 16;
 /// counters), which is why the visitor style method takes `&self`.
 ///
 /// `Sync` is a supertrait because topologies are shared by reference across
-/// the worker threads of batched query execution (`rnn-core`'s query engine):
+/// the worker threads of batched query execution (`rnn-server`'s workers):
 /// any interior mutability must already be thread-safe.
 pub trait Topology: Sync {
     /// Number of nodes `|V|` of the graph.

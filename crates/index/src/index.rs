@@ -7,7 +7,7 @@
 //! scans whose length is bounded by the label size. The
 //! [`rnn_core::QueryStats`] counters are therefore reinterpreted (and
 //! documented on [`HubLabelIndex::rknn_in`]) as label-scan counts, keeping
-//! the engine's aggregation machinery meaningful without new fields.
+//! `rnn-core`'s aggregation machinery meaningful without new fields.
 //!
 //! A point `p` is a reverse `k`-nearest neighbor of `q` iff fewer than `k`
 //! other points lie strictly closer to `p` than `q` does, which is
@@ -425,8 +425,8 @@ impl HubLabelIndex {
     /// their label entries to `label_scans` and their bucket entries to both
     /// `bucket_scans` and `auxiliary_settled`.
     ///
-    /// When the scratch's tracer is active (the engine's
-    /// `QueryEngine::with_tracing`), the two phases are reported as
+    /// When the scratch's tracer is active (a tracing `rnn-server` worker
+    /// starts it per query), the two phases are reported as
     /// [`Phase::CandidateGen`] (work = fold entries read) and
     /// [`Phase::Counting`] (work = candidates decided) spans.
     ///

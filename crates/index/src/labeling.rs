@@ -454,8 +454,8 @@ fn run_level<T: Topology + ?Sized>(
         let scratch = &mut scratches[0];
         return roots.iter().map(|&root| scratch.search(topo, labels, root)).collect();
     }
-    // The engine's worker pattern: scoped threads pull root indices off a
-    // shared cursor and return (index, result) pairs merged into root order.
+    // Scoped worker threads pull root indices off a shared cursor and return
+    // (index, result) pairs merged into root order.
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<Vec<(NodeId, Weight)>>> = (0..roots.len()).map(|_| None).collect();
     std::thread::scope(|s| {

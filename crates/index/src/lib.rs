@@ -36,9 +36,9 @@
 //!   monochromatic RkNN query, which accepts a candidate `p` iff
 //!   `d(q, p) <= r_k(p)`, its k-th nearest-other-point distance. It implements
 //!   [`rnn_core::precomputed::HubLabelRknn`], so
-//!   [`rnn_core::Algorithm::HubLabel`] runs through `run_rknn`,
-//!   [`rnn_core::engine::QueryEngine`], scratch reuse and
-//!   [`rnn_core::QueryStats`] exactly like the built-in algorithms.
+//!   [`rnn_core::Algorithm::HubLabel`] runs through `run_rknn_with`, the
+//!   server's result cache, scratch reuse and [`rnn_core::QueryStats`]
+//!   exactly like the built-in algorithms.
 //!
 //! Result semantics are identical to `rnn-core`'s: a point `p` with
 //! `d(p, q) > 0` is reported iff fewer than `k` *other* points are strictly

@@ -3,7 +3,7 @@
 //!
 //! Before this crate the system had four disconnected telemetry islands —
 //! the server's `ServerStats`, the storage layer's I/O counters, the
-//! engine's cache statistics and the per-query `QueryStats` — none of which
+//! result cache's statistics and the per-query `QueryStats` — none of which
 //! could answer "why was *this* query slow?" or be scraped as one snapshot.
 //! This crate unifies them:
 //!
@@ -21,7 +21,7 @@
 //!   lightweight per-query span record capturing queue wait, service time
 //!   and per-phase timings + work counters (expansion vs. range-NN vs.
 //!   verification for the traversal algorithms, candidate generation vs.
-//!   counting for hub-label). The tracer lives in the engine's `Scratch`
+//!   counting for hub-label). The tracer lives in `rnn-core`'s `Scratch`
 //!   arena, so the steady state stays allocation-free and tracing off costs
 //!   one branch per instrumentation point.
 //! * [`SlowQueryLog`] — a fixed-capacity record of

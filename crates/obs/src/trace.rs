@@ -8,7 +8,7 @@
 //! per phase the wall time, the number of spans and an algorithm-specific
 //! work counter (nodes settled, bucket entries scanned, ...).
 //!
-//! The [`Tracer`] is embedded in the engine's `Scratch` arena: a fixed-size
+//! The [`Tracer`] is embedded in `rnn-core`'s `Scratch` arena: a fixed-size
 //! value, no allocation, owned by exactly one worker. Instrumentation points
 //! call [`Tracer::begin`] / [`Tracer::end`] around a phase; when no trace is
 //! active both are a branch on a `None` — the steady-state cost of compiled-
@@ -168,11 +168,11 @@ impl QueryTrace {
 #[derive(Copy, Clone, Debug)]
 pub struct PhaseTimer(Option<Instant>);
 
-/// The per-worker trace collector, embedded in the engine's `Scratch`.
+/// The per-worker trace collector, embedded in `rnn-core`'s `Scratch`.
 ///
 /// Inactive (the default) it records nothing and costs one branch per
-/// instrumentation point. The engine activates it per query with
-/// [`Tracer::start`]; the algorithms mark phases with [`Tracer::begin`] /
+/// instrumentation point. A tracing server worker activates it per query
+/// with [`Tracer::start`]; the algorithms mark phases with [`Tracer::begin`] /
 /// [`Tracer::end`]; [`Tracer::finish`] closes the query, attributing
 /// untimed residual service time to the query's designated remainder phase,
 /// and parks the trace for [`Tracer::take_completed`].

@@ -1,8 +1,8 @@
-//! Online RkNN serving: the subsystem that turns the query engine into a
+//! Online RkNN serving: the subsystem that turns the RkNN dispatch into a
 //! long-running service, and the workspace's one concurrent executor.
 //!
 //! The layers below this crate answer queries one at a time
-//! ([`rnn_core::QueryEngine::run`]); none of them *accepts* them or runs them
+//! ([`rnn_core::run_rknn_with`]); none of them *accepts* them or runs them
 //! concurrently. ReHub (Efentakis & Pfoser) frames RkNN as an **online**
 //! problem: requests arrive continuously, with different algorithms,
 //! priorities, deadlines and arrival bursts, and the system must decide what
@@ -24,10 +24,12 @@
 //!   per burst), then await their own result while other traffic
 //!   interleaves. Every accepted request resolves its ticket exactly once.
 //! * [`Server`] — N long-lived workers, each with its own [`Scratch`]
-//!   arena, draining the queue in micro-batches, sharing one result cache
-//!   (and, on paged worlds, one striped buffer pool that counts each page
-//!   access once); graceful drain-then-join shutdown; atomic
-//!   point-set swaps that sweep the cache.
+//!   arena, draining the queue in micro-batches and answering each request
+//!   from the result cache or else through [`rnn_core::run_rknn_with`]
+//!   (tracing it when asked to), sharing one result cache (and, on paged
+//!   worlds, one striped buffer pool that counts each page access once);
+//!   graceful drain-then-join shutdown; atomic point-set swaps that sweep
+//!   the cache.
 //! * [`ServerStats`] — **wait-free** runtime snapshots: global and
 //!   per-class ([`ClassStats`]) admission counters and latency histograms,
 //!   published by workers through seqlock-style double-buffered cells

@@ -14,7 +14,6 @@
 //! ticket to [`ServeError::Lost`] — a waiter can never hang on a request the
 //! server no longer knows about.
 
-use rnn_core::engine::QuerySpec;
 use rnn_core::{Algorithm, RknnOutcome};
 use rnn_graph::NodeId;
 use std::sync::{Arc, Condvar, Mutex};
@@ -130,11 +129,6 @@ impl Request {
     pub fn with_deadline_in(mut self, budget: Duration) -> Self {
         self.deadline = self.submit_instant.checked_add(budget);
         self
-    }
-
-    /// The engine-level spec of this request.
-    pub fn spec(&self) -> QuerySpec {
-        QuerySpec { algorithm: self.algorithm, query: self.query, k: self.k }
     }
 }
 
@@ -315,10 +309,7 @@ mod tests {
     #[test]
     fn request_builders_and_spec() {
         let r = request();
-        assert_eq!(
-            r.spec(),
-            QuerySpec { algorithm: Algorithm::Eager, query: NodeId::new(3), k: 2 }
-        );
+        assert_eq!((r.algorithm, r.query, r.k), (Algorithm::Eager, NodeId::new(3), 2));
         assert!(r.deadline.is_none());
         assert_eq!(r.priority, Priority::Interactive, "interactive is the default class");
         let d = r.with_deadline_in(Duration::from_millis(10));

@@ -10,13 +10,14 @@
 //! ```text
 //! submit() ──admission──▶ RequestQueue ──micro-batch──▶ worker ──▶ Ticket
 //!    │                    (per-class,                     │
-//!    │                     EDF, then FIFO)                └── QueryEngine
-//!    └── Err(QueueFull / ShuttingDown / Unservable)           view over the
-//!        (synchronous rejection)                              current World
+//!    │                     EDF, then FIFO)                └── result cache,
+//!    └── Err(QueueFull / ShuttingDown / Unservable)           else run_rknn_with
+//!        (synchronous rejection)                              on the current World
 //! ```
 //!
 //! Each worker owns a [`Scratch`] arena (steady-state queries are
-//! allocation-free) and drains the queue in
+//! allocation-free), calls [`rnn_core::run_rknn_with`] — the one dispatch
+//! every caller shares — behind the result cache, and drains the queue in
 //! micro-batches of up to 8 requests per wakeup — interactive before batch
 //! class, earliest-deadline-first within a class. All workers share one
 //! [`SharedResultCache`] and — when the world is a `PagedGraph` — one striped
@@ -50,13 +51,15 @@ use crate::queue::{Admission, RequestQueue};
 use crate::request::{Priority, Queued, Request, ServeError, ServedQuery, Ticket};
 use crate::stats::{algorithm_index, ClassStats, PublishedMetrics, ServerStats, WorkerMetrics};
 use parking_lot::RwLock;
-use rnn_core::engine::QueryEngine;
-use rnn_core::{Algorithm, MaterializedKnn, Scratch, SharedResultCache};
+use rnn_core::{
+    run_rknn_with, Algorithm, HubLabelRknn, MaterializedKnn, Precomputed, RknnOutcome, Scratch,
+    SharedResultCache,
+};
 use rnn_graph::{NodeId, PointsOnNodes, Topology};
 use rnn_index::HubLabelIndex;
 use rnn_obs::{
-    Drained, EventKind, FlightRecorder, LatencyHistogram, MetricsRegistry, SlowQueryLog,
-    SlowQueryReport, TraceRecorder,
+    Drained, EventKind, FlightRecorder, LatencyHistogram, MetricsRegistry, Phase, QueryTrace,
+    SlowQueryLog, SlowQueryReport, TraceRecorder,
 };
 use rnn_storage::{IoCounters, StorageControl};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,8 +87,8 @@ pub enum PointUpdate {
 }
 
 /// The graph, point set and precomputed structures a server answers from —
-/// everything a [`QueryEngine`] view borrows, owned behind `Arc`s so worker
-/// threads outlive any one caller's stack frame.
+/// everything [`rnn_core::run_rknn_with`] borrows, owned behind `Arc`s so
+/// worker threads outlive any one caller's stack frame.
 pub struct World {
     topo: Arc<dyn Topology + Send + Sync>,
     points: Arc<dyn PointsOnNodes + Send + Sync>,
@@ -137,29 +140,25 @@ impl World {
         self
     }
 
-    /// Builds the engine view every worker uses for one micro-batch.
-    fn engine_view(&self) -> QueryEngine<'_> {
-        let mut engine = QueryEngine::new(&*self.topo, &*self.points);
-        if let Some(table) = &self.materialized {
-            engine = engine.with_materialized(table);
-        }
-        if let Some(index) = &self.hub_index {
-            engine = engine.with_hub_labels(&**index);
-        }
-        engine
-    }
-
     /// `true` if a worker can serve `request` on this world: `k` is at least
     /// 1, the query is a node of the topology, and the precomputed structure
-    /// the algorithm needs is attached (for eager-M, a table materialized for
-    /// at least `k` neighbors). Anything else would panic inside the engine.
+    /// the algorithm needs is attached and was built over this world (for
+    /// eager-M, a table over as many nodes, materialized for at least `k`
+    /// neighbors; for hub-label, an index over as many nodes and points).
+    /// Anything else would panic inside the dispatch.
     fn can_serve(&self, request: &Request) -> bool {
         let algorithm = request.algorithm;
+        let nodes = self.topo.num_nodes();
         request.k >= 1
-            && request.query.index() < self.topo.num_nodes()
+            && request.query.index() < nodes
             && (!algorithm.needs_materialization()
-                || self.materialized.as_ref().is_some_and(|t| request.k <= t.capacity_k()))
-            && (!algorithm.needs_hub_labels() || self.hub_index.is_some())
+                || self.materialized.as_ref().is_some_and(|table| {
+                    request.k <= table.capacity_k() && table.num_nodes() == nodes
+                }))
+            && (!algorithm.needs_hub_labels()
+                || self.hub_index.as_ref().is_some_and(|index| {
+                    index.num_nodes() == nodes && index.num_points() == self.points.num_points()
+                }))
     }
 }
 
@@ -321,7 +320,7 @@ struct Shared {
     io: Option<IoCounters>,
     counts: Counts,
     metrics: Vec<PublishedMetrics>,
-    /// Per-query phase tracing: workers enable the engine's tracer and
+    /// Per-query phase tracing: workers start their scratch's tracer and
     /// harvest one trace per served query.
     tracing: bool,
     /// Pre-resolved `algorithm x phase` registry handles (present only
@@ -950,10 +949,10 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
         // The read lock is held for the whole micro-batch: this is what
         // lets swap_points guarantee no stale cache insert after its sweep.
         let world = shared.world.read();
-        let mut engine = world.engine_view().with_tracing(shared.tracing);
-        if let Some(cache) = &shared.cache {
-            engine = engine.with_shared_result_cache(cache);
-        }
+        let pre = Precomputed {
+            materialized: world.materialized.as_deref(),
+            hub_labels: world.hub_index.as_deref().map(|index| index as &dyn HubLabelRknn),
+        };
         for queued in batch.drain(..) {
             let priority = queued.request.priority;
             let class = shared.counts.class(priority);
@@ -963,7 +962,7 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
             // Re-check serveability at dequeue: a swap_points() between
             // admission and now may have dropped (or shrunk) the precomputed
             // structure this request needs — fail its ticket instead of
-            // letting the engine panic (which would kill the worker for good).
+            // letting the dispatch panic (which would kill the worker for good).
             if !world.can_serve(&queued.request) {
                 class.rejected.fetch_add(1, Ordering::Relaxed);
                 queued.fail(ServeError::Unservable);
@@ -980,34 +979,29 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
                 queued.fail(ServeError::Shed);
                 continue;
             }
-            let outcome = engine.run(&queued.request.spec(), &mut scratch);
+            let (outcome, trace) = serve(shared, &world, pre, &queued.request, &mut scratch);
             let service_time = start.elapsed();
-            if shared.tracing {
-                if let Some(mut trace) = scratch.tracer_mut().take_completed() {
-                    // The engine stamped the compute-side split; the server
-                    // adds what only it knows — the queue wait, the worker,
-                    // and where the service span sits on the shared
-                    // timeline.
-                    trace.queue_wait_nanos =
-                        u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX);
-                    trace.worker = worker_id as u32;
-                    trace.start_nanos =
-                        u64::try_from(start.duration_since(shared.started).as_nanos())
-                            .unwrap_or(u64::MAX);
-                    if let Some(recorder) = &shared.recorder {
-                        recorder.record(algorithm_index(queued.request.algorithm), &trace);
-                    }
-                    if let Some(log) = &shared.slow_log {
-                        if let (true, Some(events)) = (log.observe(&trace), &shared.events) {
-                            events.record_at(
-                                trace.start_nanos,
-                                EventKind::SlowQuery {
-                                    query: trace.query,
-                                    service_nanos: trace.service_nanos,
-                                    algorithm: algorithm_index(queued.request.algorithm) as u64,
-                                },
-                            );
-                        }
+            if let Some(mut trace) = trace {
+                // The trace holds the compute-side split; the worker adds
+                // what only it knows — the queue wait, the worker, and where
+                // the service span sits on the shared timeline.
+                trace.queue_wait_nanos = u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX);
+                trace.worker = worker_id as u32;
+                trace.start_nanos = u64::try_from(start.duration_since(shared.started).as_nanos())
+                    .unwrap_or(u64::MAX);
+                if let Some(recorder) = &shared.recorder {
+                    recorder.record(algorithm_index(queued.request.algorithm), &trace);
+                }
+                if let Some(log) = &shared.slow_log {
+                    if let (true, Some(events)) = (log.observe(&trace), &shared.events) {
+                        events.record_at(
+                            trace.start_nanos,
+                            EventKind::SlowQuery {
+                                query: trace.query,
+                                service_nanos: trace.service_nanos,
+                                algorithm: algorithm_index(queued.request.algorithm) as u64,
+                            },
+                        );
                     }
                 }
             }
@@ -1023,6 +1017,61 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
         shared.metrics[worker_id].publish(&metrics);
     }
     shared.record_event(EventKind::WorkerStop { worker: worker_id as u64, served });
+}
+
+/// Answers one request on `world`: from the result cache when it holds the
+/// answer, else through the dispatch (memoizing the outcome when there is a
+/// cache). With tracing on, also returns the request's one trace; a cache
+/// hit's has no phase spans.
+fn serve(
+    shared: &Shared,
+    world: &World,
+    pre: Precomputed<'_>,
+    request: &Request,
+    scratch: &mut Scratch,
+) -> (RknnOutcome, Option<QueryTrace>) {
+    let (algorithm, query, k) = (request.algorithm, request.query, request.k);
+    // The main expansion absorbs the residual service time for the traversal
+    // family; hub-label covers its whole runtime with explicit
+    // candidate-generation / counting spans instead.
+    let remainder = match algorithm {
+        Algorithm::Eager
+        | Algorithm::EagerMaterialized
+        | Algorithm::Lazy
+        | Algorithm::LazyExtendedPruning
+        | Algorithm::Naive => Some(Phase::Expansion),
+        Algorithm::HubLabel => None,
+    };
+    let run = |scratch: &mut Scratch| {
+        if shared.tracing {
+            scratch.tracer_mut().start(algorithm.name(), query.index() as u64, k as u32, remainder);
+        }
+        let outcome =
+            run_rknn_with(algorithm, &*world.topo, &*world.points, pre, query, k, scratch);
+        if shared.tracing {
+            let tracer = scratch.tracer_mut();
+            if let Some(phase) = remainder {
+                tracer.add_work(phase, outcome.stats.nodes_settled);
+            }
+            tracer.finish();
+        }
+        outcome
+    };
+    let (outcome, hit) = match &shared.cache {
+        Some(cache) => cache.get_or_run(algorithm, query, k, || run(scratch)),
+        None => (run(scratch), false),
+    };
+    if !shared.tracing {
+        return (outcome, None);
+    }
+    let tracer = scratch.tracer_mut();
+    if hit {
+        // A hit still yields a trace: pure service time, no phase spans, no
+        // remainder.
+        tracer.start(algorithm.name(), query.index() as u64, k as u32, None);
+        tracer.finish();
+    }
+    (outcome, tracer.take_completed())
 }
 
 #[cfg(test)]
@@ -1143,6 +1192,41 @@ mod tests {
     }
 
     #[test]
+    fn a_precomputed_structure_over_another_world_is_unservable_not_fatal() {
+        // One worker: had a request panicked it, nothing would serve the
+        // eager request that follows.
+        let (graph, points, _) = world(5, 12); // points on nodes 0, 12, 24
+        let two = Arc::new(NodePointSet::from_nodes(25, [NodeId::new(0), NodeId::new(12)]));
+        let index = Arc::new(HubLabelIndex::build(&*graph, &*points));
+        let server = Server::start(
+            World::new(graph.clone(), two.clone()).with_hub_label_index(index),
+            ServerConfig::default().with_workers(1),
+        );
+        let outcome = |request: Request| match server.submit(request) {
+            Ok(ticket) => ticket.wait().map(|served| served.outcome),
+            Err(e) => Err(e),
+        };
+        let q = NodeId::new(6);
+        let hub_label = Request::new(Algorithm::HubLabel, q, 1);
+        assert_eq!(outcome(hub_label), Err(ServeError::Unservable), "3-point index, 2 points");
+        let expected = run_rknn(Algorithm::Eager, &*graph, &*two, Precomputed::none(), q, 1);
+        assert_eq!(outcome(Request::new(Algorithm::Eager, q, 1)), Ok(expected));
+
+        // The same through a swap: a 2-point index for a 3-point world, and
+        // a k-NN table over a 16-node grid.
+        let small = Arc::new(MaterializedKnn::build(&grid(4), &*points, 1));
+        let index = Arc::new(HubLabelIndex::build(&*graph, &*two));
+        server.swap_points(points.clone(), Some(small), Some(index));
+        assert_eq!(outcome(hub_label), Err(ServeError::Unservable));
+        let eager_m = Request::new(Algorithm::EagerMaterialized, q, 1);
+        assert_eq!(outcome(eager_m), Err(ServeError::Unservable), "16-node table, 25 nodes");
+        let expected = run_rknn(Algorithm::Eager, &*graph, &*points, Precomputed::none(), q, 1);
+        assert_eq!(outcome(Request::new(Algorithm::Eager, q, 1)), Ok(expected));
+        let stats = server.shutdown();
+        assert_eq!((stats.rejected, stats.completed), (3, 2));
+    }
+
+    #[test]
     fn submitting_after_shutdown_is_rejected() {
         let (_, _, w) = world(5, 3);
         let server = Server::start(w, ServerConfig::default().with_workers(1));
@@ -1163,8 +1247,8 @@ mod tests {
     #[test]
     fn per_worker_scratch_is_reused_across_requests() {
         // Not directly observable from outside the worker, but the serving
-        // path goes through QueryEngine::run on a per-worker Scratch — the
-        // engine's own tests pin the allocation-free property. Here we just
+        // path goes through run_rknn_with on a per-worker Scratch — the
+        // dispatch's own tests pin the allocation-free property. Here we just
         // hammer one worker with repeats and check the cache-less path stays
         // correct and the latency split is recorded for every request.
         let (graph, points, world) = world(7, 5);
@@ -1588,6 +1672,58 @@ mod tests {
             "rnn_trace_phase_calls_total{algorithm=\"hub-label\",phase=\"candidate_gen\"}",
         );
         assert_eq!(candidate_gen, Some(40), "one candidate-generation span per hub-label query");
+    }
+
+    #[test]
+    fn tracing_yields_one_trace_per_query_without_changing_results() {
+        let (graph, points, world) = world(9, 7);
+        let table = Arc::new(MaterializedKnn::build(&*graph, &*points, 2));
+        let index = Arc::new(HubLabelIndex::build(&*graph, &*points));
+        let pre = Precomputed::materialized(&table).with_hub_labels(&*index);
+        let world = world.with_materialized(table.clone()).with_hub_label_index(index.clone());
+        // One worker and one request at a time: the log samples every
+        // request, in order.
+        let requests: Vec<Request> = Algorithm::ALL
+            .iter()
+            .flat_map(|&a| points.nodes().iter().map(move |&q| Request::new(a, q, 2)))
+            .collect();
+        let traced = ServerConfig::default().with_workers(1).with_slow_query_log(0, 1, 1024, 7);
+        let server = Server::start(world, traced);
+        for request in &requests {
+            let (algorithm, query, k) = (request.algorithm, request.query, request.k);
+            let served = server.submit(*request).unwrap().wait().unwrap();
+            let direct = run_rknn(algorithm, &*graph, &*points, pre, query, k);
+            assert_eq!(served.outcome, direct, "tracing must not change results");
+        }
+        let traces = server.drain_slow_queries().samples;
+        assert_eq!(traces.len(), requests.len(), "one trace per query");
+        for (request, trace) in requests.iter().zip(&traces) {
+            assert_eq!(trace.algorithm, request.algorithm.name());
+            assert_eq!(trace.query, request.query.index() as u64);
+            assert_eq!(trace.k, request.k as u32);
+            assert!(trace.service_nanos >= trace.phase_nanos(), "phases fit in service time");
+            // The traversal family attributes main-expansion work and absorbs
+            // residual time in the expansion phase; every algorithm's traces
+            // carry *some* phase activity.
+            let active = trace.phases.iter().any(|p| p.calls > 0 || p.work > 0 || p.nanos > 0);
+            assert!(active, "{}: phase counters must not be empty", trace.algorithm);
+        }
+        server.shutdown();
+
+        // Cache hits still yield traces, with no phase spans.
+        let (_, _, world) = self::world(9, 7);
+        let cached = traced.with_result_cache(64, 1);
+        let server = Server::start(world, cached);
+        let request = Request::new(Algorithm::Eager, NodeId::new(40), 2);
+        let miss = server.submit(request).unwrap().wait().unwrap().outcome;
+        let hit = server.submit(request).unwrap().wait().unwrap().outcome;
+        assert_eq!(hit, miss);
+        let traces = server.drain_slow_queries().samples;
+        assert_eq!(traces.len(), 2, "miss trace, then hit trace");
+        assert!(traces[0].phases.iter().any(|p| p.calls > 0));
+        assert!(traces[1].phases.iter().all(|p| p.calls == 0 && p.work == 0));
+        let stats = server.shutdown();
+        assert_eq!((stats.cache.hits, stats.cache.misses), (1, 1));
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl Default for BufferPoolConfig {
 ///
 /// `hits + faults` is the shard's demand access count, and
 /// `evictions <= faults <= accesses` always holds. Like [`IoStats`] and the
-/// engine's `QueryStats`, snapshots add with `+=` so per-shard breakdowns
+/// `rnn-core`'s `QueryStats`, snapshots add with `+=` so per-shard breakdowns
 /// fold into totals without ad-hoc summation code.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {

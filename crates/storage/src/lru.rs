@@ -36,7 +36,7 @@ pub fn mix64(mut x: u64) -> u64 {
 /// independently locked [`Lru`]s: rounded up to a power of two (so a shard
 /// is one mask of a mixed key hash), then halved until every shard gets at
 /// least one entry — always at least 1. The one rule both the buffer pool
-/// and the engine's result cache stripe by.
+/// and `rnn-core`'s result cache stripe by.
 pub fn normalized_shards(capacity: usize, requested: usize) -> usize {
     let mut shards = requested.max(1).next_power_of_two();
     while shards > 1 && shards > capacity {
