@@ -257,14 +257,13 @@ mod tests {
     fn eager_m_without_table_panics() {
         let g = GraphBuilder::new(2).build().unwrap();
         let pts = NodePointSet::empty(2);
-        let _ = run_rknn_with(
+        let _ = run_rknn(
             Algorithm::EagerMaterialized,
             &g,
             &pts,
             Precomputed::none(),
             NodeId::new(0),
             1,
-            &mut Scratch::new(),
         );
     }
 
@@ -352,6 +351,40 @@ mod tests {
                 assert_eq!(via_dyn, direct, "{algorithm} q={q}");
             }
         }
+    }
+
+    #[test]
+    fn run_rknn_with_works_over_unsized_trait_objects() {
+        // The server holds its world as Arc<dyn Topology> / Arc<dyn
+        // PointsOnNodes>; the dispatch must accept the unsized targets
+        // directly.
+        let (g, pts, _) = setup();
+        let topo: Arc<dyn Topology + Send + Sync> = Arc::new(g.clone());
+        let points: Arc<dyn PointsOnNodes + Send + Sync> = Arc::new(pts.clone());
+        let (q, pre) = (NodeId::new(40), Precomputed::none());
+        let via_dyn =
+            run_rknn_with(Algorithm::Lazy, &*topo, &*points, pre, q, 1, &mut Scratch::new());
+        assert!(!via_dyn.points.is_empty());
+        assert_eq!(via_dyn, run_rknn(Algorithm::Lazy, &g, &pts, pre, q, 1));
+    }
+
+    #[test]
+    #[should_panic]
+    fn eager_m_without_table_panics_through_run_rknn_with() {
+        // As the server would call it: over a dyn world, on a caller's
+        // scratch, with no table attached.
+        let (g, pts, _) = setup();
+        let topo: Arc<dyn Topology + Send + Sync> = Arc::new(g);
+        let points: Arc<dyn PointsOnNodes + Send + Sync> = Arc::new(pts);
+        let _ = run_rknn_with(
+            Algorithm::EagerMaterialized,
+            &*topo,
+            &*points,
+            Precomputed::none(),
+            NodeId::new(0),
+            1,
+            &mut Scratch::new(),
+        );
     }
 
     #[test]

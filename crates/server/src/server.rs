@@ -1608,6 +1608,36 @@ mod tests {
     }
 
     #[test]
+    fn batch_results_are_input_ordered_and_match_single_queries() {
+        // Every algorithm over every data-point node in one submit_all, on a
+        // world that carries both precomputed structures: each ticket, in
+        // input order, holds what the single direct call returns.
+        let (graph, points, w) = world(9, 7);
+        let table = Arc::new(MaterializedKnn::build(&*graph, &*points, 2));
+        let index = Arc::new(HubLabelIndex::build(&*graph, &*points));
+        let pre = Precomputed::materialized(&table).with_hub_labels(&*index);
+        let w = w.with_materialized(table.clone()).with_hub_label_index(index.clone());
+        let server = Server::start(w, ServerConfig::default().with_workers(2));
+        let requests: Vec<Request> = Algorithm::ALL
+            .iter()
+            .flat_map(|&a| points.nodes().iter().map(move |&q| Request::new(a, q, 2)))
+            .collect();
+        let results = server.submit_all(&requests);
+        assert_eq!(results.len(), requests.len());
+        for (request, result) in requests.iter().zip(results) {
+            let (algorithm, query, k) = (request.algorithm, request.query, request.k);
+            let served = result.expect("admitted").wait().expect("served");
+            let single = run_rknn(algorithm, &*graph, &*points, pre, query, k);
+            assert_eq!(served.outcome, single, "{algorithm} at {query}");
+        }
+        let stats = server.shutdown();
+        assert_eq!(stats.completed, requests.len() as u64);
+        for algorithm in Algorithm::ALL {
+            assert_eq!(stats.algorithm_count(algorithm), points.num_points() as u64, "{algorithm}");
+        }
+    }
+
+    #[test]
     fn traced_serving_matches_the_direct_call_and_aggregates_phases() {
         // Tracing must never change answers, and every served query must
         // land in the registry's algorithm x phase aggregates with
