@@ -41,23 +41,41 @@
 //! doubling, and a full copy into the CSR while the lists are still alive;
 //! the allocator then keeps the freed small buffers, so the process would
 //! peak near three times the label bytes. Instead the build appends into one
-//! arena: fixed blocks of 64 entries, ranks and distances in two flat arrays,
-//! each node's blocks chained head to tail. The slack is under one block per
-//! node, and the pruned searches read a label block by block.
+//! arena: blocks of up to 64 entries, rank offsets and distances in two flat
+//! arrays, each node's blocks chained head to tail. A slot holds its hub's
+//! rank as a `u16` offset from the block's *base* (the rank of its first
+//! entry), so it takes 10 bytes, not 12; each block keeps its base and fill
+//! beside its chain link. A label's ranks ascend, so `push` opens a fresh
+//! block when the last one is full or the new rank lies more than
+//! `u16::MAX` past its base. On a graph of at most 65 536 nodes every rank
+//! fits in 16 bits and no block closes early. The slack is under one block
+//! per node plus the early-closed tails, and the pruned searches read a label
+//! block by block, each hub's rank as `base + offset`.
 //!
-//! When the last level has committed, the arena is frozen *in place* into
-//! the CSR: one pass over the chains gives every block its final position
-//! (a node's blocks side by side, nodes in id order), a swap-cycle
-//! permutation moves each block there with at most one block swap per block,
-//! one left-to-right `copy_within` closes each node's unused tail, and the
-//! arrays are truncated and shrunk so their end goes back to the OS. On
-//! BRITE 5×10⁴ (a 104 MB CSR) that takes the build's rise in peak RSS from
-//! ~3.1× the CSR bytes to ~1.3×. The block is 64 entries because the
-//! covered test walks a label's chain for every settled node: over 12
-//! alternated 2-thread builds of BRITE 5×10⁴ on a 2-vCPU box, 64-entry
-//! blocks took a median 3.62 s, 16-entry blocks 3.91 s and per-node lists
-//! 4.06 s, while the slack (half a block per node on average) stays small
-//! beside labels of ~170 entries.
+//! A level's results wait for the commit pass: on BRITE 5×10⁴ the widest
+//! level holds 1.3 M entries. Each root's search collects its entries in a
+//! buffer its worker reuses and hands them out as one exactly sized copy.
+//! Grown in place instead, one vector per root, they reached 1.9 M entries
+//! of capacity, and on 7 of 49 runs of `tests/label_build_memory.rs` (2-vCPU
+//! box) the allocator kept another 16 MB of their freed growth copies
+//! resident in a worker's heap up to the build's peak; it did on none of 48
+//! runs with the exact copies.
+//!
+//! When the last level has committed, the arena is frozen *in place*: one
+//! pass over the chains gives every block its final position (a node's
+//! blocks side by side, nodes in id order), a swap-cycle permutation moves
+//! each block's offsets, distances, base and fill there with at most one
+//! block swap per block, one left-to-right `copy_within` closes each block's
+//! unused tail, and both arrays are truncated and shrunk so their end goes
+//! back to the OS. On BRITE 5×10⁴ (8.63 M entries in 10.22 M slots) the
+//! build's rise in peak RSS is ~1.1× the `entries × (4 + 8)` bytes a `u32`
+//! rank CSR would take, against ~1.35× with `u32` ranks in the arena and
+//! ~3.1× with per-node lists. The block is 64 entries because the covered
+//! test walks a label's chain for every settled node: over 12 alternated
+//! 2-thread builds of BRITE 5×10⁴ on a 2-vCPU box, 64-entry blocks took a
+//! median 3.62 s, 16-entry blocks 3.91 s and per-node lists 4.06 s, while
+//! the slack (half a block per node on average) stays small beside labels of
+//! ~170 entries.
 //!
 //! # Label storage
 //!
@@ -65,9 +83,10 @@
 //! lists are naturally sorted by rank as they are appended and intersect by
 //! a linear merge. A label's ranks are stored delta-encoded as LEB128
 //! varints (the first rank raw, then each gap to the previous one), so most
-//! entries take one or two bytes instead of four. Right after the freeze the
-//! build sizes that stream in one pass, encodes it into a buffer reserved to
-//! exactly that size and drops the `u32` ranks, so the encode never lifts the
+//! entries take one or two bytes instead of four. Right after the freeze has
+//! shrunk the arena the build sizes that stream in one pass over the frozen
+//! `base + offset` ranks, writes it in a second into a buffer reserved to
+//! exactly that size and drops the offsets, so the encode never lifts the
 //! peak above the arena's. The frozen `f64` distance array is kept as it is.
 //! [`HubLabeling::with_f32_distances`] gives the one other tier: the same
 //! rank bytes beside distances rounded to `f32`.
@@ -108,32 +127,6 @@ fn varint_len(v: u32) -> usize {
     (32 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
-/// A label's ranks as the varint stream stores them: the first raw (a gap
-/// from 0), then each gap to the previous rank.
-fn rank_gaps(ranks: &[u32]) -> impl Iterator<Item = u32> + '_ {
-    ranks.iter().scan(0, |prev, &r| Some(r - std::mem::replace(prev, r)))
-}
-
-/// Encodes the CSR ranks of the frozen labels as varint gaps: sizes the
-/// stream in one pass, then writes it into a buffer reserved to exactly that
-/// size (see "Label storage"). Returns the per-node byte offsets and the
-/// stream.
-fn encode_ranks(offsets: &[usize], ranks: &[u32]) -> (Vec<usize>, Vec<u8>) {
-    let labels = || offsets.windows(2).map(|w| &ranks[w[0]..w[1]]);
-    let mut byte_offsets = Vec::with_capacity(offsets.len());
-    byte_offsets.push(0);
-    for label in labels() {
-        let len: usize = rank_gaps(label).map(varint_len).sum();
-        byte_offsets.push(byte_offsets[byte_offsets.len() - 1] + len);
-    }
-    let mut bytes = Vec::with_capacity(byte_offsets[byte_offsets.len() - 1]);
-    for label in labels() {
-        rank_gaps(label).for_each(|gap| write_varint(&mut bytes, gap));
-    }
-    debug_assert_eq!(bytes.len(), byte_offsets[byte_offsets.len() - 1], "sized exactly");
-    (byte_offsets, bytes)
-}
-
 /// Appends `v` to `buf` as a LEB128 varint (7 payload bits per byte).
 fn write_varint(buf: &mut Vec<u8>, mut v: u32) {
     loop {
@@ -171,7 +164,8 @@ pub struct HubLabeling {
     offsets: Vec<usize>,
     /// Byte offsets into `rank_bytes`, length `num_nodes + 1`.
     byte_offsets: Vec<usize>,
-    /// Every label's [`rank_gaps`] as LEB128 varints, nodes in id order.
+    /// Every label's ranks as LEB128 varints, nodes in id order: the first
+    /// rank raw (a gap from 0), then each gap to the previous rank.
     rank_bytes: Vec<u8>,
     /// Distance to each entry's hub.
     dists: Dists,
@@ -261,78 +255,90 @@ impl LabelStats {
     }
 }
 
-/// The labels under construction: blocks of [`BLOCK`] entries in two flat
-/// arrays, each node's blocks chained in push order (see "Construction
-/// memory").
+/// The labels under construction: blocks of up to [`BLOCK`] entries in two
+/// flat arrays, each node's blocks chained in push order (see "Construction
+/// memory"). A slot holds its hub's rank as a `u16` offset from its block's
+/// base rank.
 struct LabelArena {
-    /// Hub ranks, [`BLOCK`] slots per block.
-    ranks: Vec<u32>,
-    /// Hub distances, parallel to `ranks`.
+    /// Hub ranks less their block's base, [`BLOCK`] slots per block.
+    offs: Vec<u16>,
+    /// Hub distances, parallel to `offs`.
     dists: Vec<Weight>,
+    /// Per block: the rank of its first entry.
+    base: Vec<u32>,
+    /// Per block: entries pushed.
+    fill: Vec<u8>,
     /// Per block: the node's next block, or [`NO_BLOCK`].
     next: Vec<u32>,
     /// Per node: first block, or [`NO_BLOCK`] while the label is empty.
     head: Vec<u32>,
     /// Per node: last block, the one `push` appends to.
     tail: Vec<u32>,
-    /// Per node: entries pushed.
-    len: Vec<u32>,
 }
 
 impl LabelArena {
     fn new(n: usize) -> Self {
         LabelArena {
-            ranks: Vec::new(),
+            offs: Vec::new(),
             dists: Vec::new(),
+            base: Vec::new(),
+            fill: Vec::new(),
             next: Vec::new(),
             head: vec![NO_BLOCK; n],
             tail: vec![NO_BLOCK; n],
-            len: vec![0; n],
         }
     }
 
     /// Appends `(rank, dist)` to the label of `node`, chaining a fresh block
-    /// at the arena's end when the node's last block is full.
+    /// at the arena's end when the node's last block is full or `rank` lies
+    /// more than `u16::MAX` past its base. A label's ranks ascend, so `rank`
+    /// is at least the last block's base.
     fn push(&mut self, node: usize, rank: u32, dist: Weight) {
-        let len = self.len[node] as usize;
-        if len.is_multiple_of(BLOCK) {
+        let tail = self.tail[node];
+        let fits = tail != NO_BLOCK
+            && usize::from(self.fill[tail as usize]) < BLOCK
+            && rank - self.base[tail as usize] <= u32::from(u16::MAX);
+        if !fits {
             let block = self.next.len() as u32;
             self.next.push(NO_BLOCK);
-            self.ranks.resize(self.ranks.len() + BLOCK, 0);
+            self.base.push(rank);
+            self.fill.push(0);
+            self.offs.resize(self.offs.len() + BLOCK, 0);
             self.dists.resize(self.dists.len() + BLOCK, Weight::ZERO);
-            match self.tail[node] {
+            match tail {
                 NO_BLOCK => self.head[node] = block,
                 tail => self.next[tail as usize] = block,
             }
             self.tail[node] = block;
         }
-        let slot = self.tail[node] as usize * BLOCK + len % BLOCK;
-        self.ranks[slot] = rank;
+        let block = self.tail[node] as usize;
+        let slot = block * BLOCK + usize::from(self.fill[block]);
+        self.offs[slot] = (rank - self.base[block]) as u16;
         self.dists[slot] = dist;
-        self.len[node] += 1;
+        self.fill[block] += 1;
     }
 
-    /// The label of `node` in push order, as one `(ranks, dists)` slice pair
-    /// per block.
-    fn chunks(&self, node: usize) -> impl Iterator<Item = (&[u32], &[Weight])> {
-        let (mut block, mut left) = (self.head[node], self.len[node] as usize);
+    /// The label of `node` in push order, as one `(base, offsets, dists)`
+    /// triple per block: the block's hubs have ranks `base + offset`.
+    fn chunks(&self, node: usize) -> impl Iterator<Item = (usize, &[u16], &[Weight])> {
+        let mut block = self.head[node];
         std::iter::from_fn(move || {
-            if left == 0 {
+            if block == NO_BLOCK {
                 return None;
             }
-            let lo = block as usize * BLOCK;
-            let take = left.min(BLOCK);
-            left -= take;
-            block = self.next[block as usize];
-            Some((&self.ranks[lo..lo + take], &self.dists[lo..lo + take]))
+            let b = block as usize;
+            let (lo, take) = (b * BLOCK, usize::from(self.fill[b]));
+            block = self.next[b];
+            Some((self.base[b] as usize, &self.offs[lo..lo + take], &self.dists[lo..lo + take]))
         })
     }
 
-    /// Freezes the arena in place into CSR `(offsets, ranks, dists)`: every
-    /// node's entries in push order, nodes in id order, with both arrays'
-    /// length and capacity equal to the entry count.
-    fn freeze(self) -> (Vec<usize>, Vec<u32>, Vec<Weight>) {
-        let LabelArena { mut ranks, mut dists, next, head, len, .. } = self;
+    /// Freezes the arena in place into the labeling: every node's entries
+    /// in push order, nodes in id order, the distances in an array whose
+    /// length and capacity equal the entry count and the ranks written
+    /// straight from the frozen offsets as the varint stream.
+    fn freeze(self, node_of_rank: Vec<NodeId>, rank_of_node: Vec<u32>) -> HubLabeling {
+        let LabelArena { mut offs, mut dists, mut base, mut fill, next, head, .. } = self;
         // 1. Final block positions: a node's blocks side by side, nodes in id
         //    order. `start` takes each node's first final block.
         let mut dest = vec![NO_BLOCK; next.len()];
@@ -346,35 +352,68 @@ impl LabelArena {
                 block = next[block as usize];
             }
         }
+        start.push(cursor);
         // 2. Swap cycles: each swap puts the block at `b` where it belongs.
         //    Slots before `b` already hold their final blocks, so `to > b`.
         for b in 0..dest.len() {
             while dest[b] as usize != b {
                 let to = dest[b] as usize;
-                swap_blocks(&mut ranks, b, to);
+                swap_blocks(&mut offs, b, to);
                 swap_blocks(&mut dists, b, to);
+                base.swap(b, to);
+                fill.swap(b, to);
                 dest.swap(b, to);
             }
         }
-        // 3. Close each node's unused tail. A node's entries never move
-        //    right, so one left-to-right pass overwrites only what is done.
-        let mut offsets = Vec::with_capacity(len.len() + 1);
-        offsets.push(0);
+        // 3. Close each block's unused tail. Entries never move right, so
+        //    one left-to-right pass overwrites only what is done.
         let mut end = 0;
-        for (&first, &count) in start.iter().zip(&len) {
-            let from = first as usize * BLOCK;
-            let count = count as usize;
-            ranks.copy_within(from..from + count, end);
+        for (b, &count) in fill.iter().enumerate() {
+            let (from, count) = (b * BLOCK, usize::from(count));
+            offs.copy_within(from..from + count, end);
             dists.copy_within(from..from + count, end);
             end += count;
-            offsets.push(end);
         }
         // 4. Hand the arena's end back.
-        ranks.truncate(end);
-        ranks.shrink_to_fit();
+        offs.truncate(end);
+        offs.shrink_to_fit();
         dists.truncate(end);
         dists.shrink_to_fit();
-        (offsets, ranks, dists)
+        // 5. The varint stream (see "Label storage"), sized in one pass and
+        //    written in a second into a buffer reserved to exactly that size.
+        //    Node `v`'s blocks are `start[v]..start[v + 1]`, its entries from
+        //    `at` on.
+        let (offs, base, fill) = (&offs, &base, &fill);
+        let gaps = |v: usize, at: usize| {
+            (start[v] as usize..start[v + 1] as usize)
+                .scan(at, move |at, b| {
+                    let lo = std::mem::replace(at, *at + usize::from(fill[b]));
+                    Some(offs[lo..*at].iter().map(move |&o| base[b] + u32::from(o)))
+                })
+                .flatten()
+                .scan(0, |prev, rank| Some(rank - std::mem::replace(prev, rank)))
+        };
+        let n = start.len() - 1;
+        let (mut offsets, mut byte_offsets) = (vec![0], vec![0]);
+        for v in 0..n {
+            let blocks = &fill[start[v] as usize..start[v + 1] as usize];
+            offsets.push(offsets[v] + blocks.iter().map(|&f| usize::from(f)).sum::<usize>());
+            debug_assert!(gaps(v, offsets[v]).skip(1).all(|gap| gap > 0), "ranks ascend");
+            byte_offsets.push(byte_offsets[v] + gaps(v, offsets[v]).map(varint_len).sum::<usize>());
+        }
+        let mut rank_bytes = Vec::with_capacity(byte_offsets[n]);
+        for (v, &at) in offsets[..n].iter().enumerate() {
+            gaps(v, at).for_each(|gap| write_varint(&mut rank_bytes, gap));
+        }
+        debug_assert_eq!(rank_bytes.len(), byte_offsets[n], "sized exactly");
+        HubLabeling {
+            offsets,
+            byte_offsets,
+            rank_bytes,
+            dists: Dists::Exact(dists),
+            node_of_rank,
+            rank_of_node,
+        }
     }
 }
 
@@ -385,18 +424,25 @@ fn swap_blocks<T>(v: &mut [T], a: usize, b: usize) {
 }
 
 /// Per-worker state for the pruned per-root Dijkstras: the rank-indexed
-/// root-distance table and the reusable expansion buffers. Built once per
-/// build and reused by every level.
+/// root-distance table, the reusable expansion buffers and the entry buffer.
+/// Built once per build and reused by every level.
 struct RootScratch {
     /// Distances from the current root to its hubs, indexed by rank; only
     /// the entries of the root's committed label are populated at any time.
     root_dist: Vec<Weight>,
     bufs: ExpansionBuffers,
+    /// The current root's entries as they settle. [`RootScratch::search`]
+    /// hands them out as one exactly sized copy (see "Construction memory").
+    out: Vec<(NodeId, Weight)>,
 }
 
 impl RootScratch {
     fn new(n: usize) -> Self {
-        RootScratch { root_dist: vec![Weight::INFINITY; n], bufs: ExpansionBuffers::new() }
+        RootScratch {
+            root_dist: vec![Weight::INFINITY; n],
+            bufs: ExpansionBuffers::new(),
+            out: Vec::new(),
+        }
     }
 
     /// One pruned Dijkstra from `root` against the committed `labels`,
@@ -409,34 +455,35 @@ impl RootScratch {
         labels: &LabelArena,
         root: NodeId,
     ) -> Vec<(NodeId, Weight)> {
-        for (hubs, dists) in labels.chunks(root.index()) {
-            for (&h, &d) in hubs.iter().zip(dists) {
-                self.root_dist[h as usize] = d;
+        for (base, offs, dists) in labels.chunks(root.index()) {
+            for (&o, &d) in offs.iter().zip(dists) {
+                self.root_dist[base + usize::from(o)] = d;
             }
         }
-        let mut out = Vec::new();
+        self.out.clear();
         let bufs = std::mem::replace(&mut self.bufs, ExpansionBuffers::new());
         let mut exp = NetworkExpansion::reusing(topo, bufs, std::iter::once((root, Weight::ZERO)));
         while let Some((u, d)) = exp.next_settled_unexpanded() {
             // Prune: if committed higher-ranked hubs already certify
             // d(root, u) <= d, this shortest path is covered — no label, and
             // no expansion through u (everything beyond is covered too).
-            let covered = labels.chunks(u.index()).any(|(hubs, dists)| {
-                hubs.iter().zip(dists).any(|(&h, &d2)| self.root_dist[h as usize] + d2 <= d)
+            let covered = labels.chunks(u.index()).any(|(base, offs, dists)| {
+                let root_dist = &self.root_dist[base..];
+                offs.iter().zip(dists).any(|(&o, &d2)| root_dist[usize::from(o)] + d2 <= d)
             });
             if covered {
                 continue;
             }
-            out.push((u, d));
+            self.out.push((u, d));
             exp.expand_from(u, d);
         }
         self.bufs = exp.into_buffers();
-        for (hubs, _) in labels.chunks(root.index()) {
-            for &h in hubs {
-                self.root_dist[h as usize] = Weight::INFINITY;
+        for (base, offs, _) in labels.chunks(root.index()) {
+            for &o in offs {
+                self.root_dist[base + usize::from(o)] = Weight::INFINITY;
             }
         }
-        out
+        self.out.to_vec()
     }
 }
 
@@ -561,20 +608,7 @@ impl HubLabeling {
             width_cap = width_cap.saturating_mul(2);
         }
 
-        let (offsets, hub_ranks, hub_dists) = labels.freeze();
-        debug_assert!(
-            offsets.windows(2).all(|w| hub_ranks[w[0]..w[1]].windows(2).all(|r| r[0] < r[1])),
-            "ranks ascend"
-        );
-        let (byte_offsets, rank_bytes) = encode_ranks(&offsets, &hub_ranks);
-        HubLabeling {
-            offsets,
-            byte_offsets,
-            rank_bytes,
-            dists: Dists::Exact(hub_dists),
-            node_of_rank,
-            rank_of_node,
-        }
+        labels.freeze(node_of_rank, rank_of_node)
     }
 
     /// The same labeling — same nodes, hubs and entry order, the same rank
@@ -729,15 +763,25 @@ mod tests {
         assert_eq!(detached.roots_done(), 16);
     }
 
+    /// Freezes `arena` into a labeling with placeholder hub nodes.
+    fn freeze(arena: LabelArena) -> HubLabeling {
+        let n = arena.head.len();
+        arena.freeze((0..n).map(NodeId::new).collect(), (0..n as u32).collect())
+    }
+
     #[test]
     fn freeze_lays_scattered_blocks_out_as_each_nodes_push_order() {
         // Labels straddling the block boundaries, grown a few entries per
         // round in reverse node order so their blocks interleave out of node
         // order; the last node's only entry is pushed after all of them.
+        // Nodes 5 and 6 jump 70 000 ranks at entries 40 and 110, so a block
+        // closes early in the middle of their labels.
         let sizes = [0usize, 1, 63, 64, 65, 128, 129, 1];
         let last = sizes.len() - 1;
-        let entry =
-            |v: usize, i: usize| ((v * 1000 + i) as u32, Weight::new(i as f64 + v as f64 / 8.0));
+        let entry = |v: usize, i: usize| {
+            let jumps = if v >= 5 { usize::from(i >= 40) + usize::from(i >= 110) } else { 0 };
+            ((v * 1000 + i + jumps * 70_000) as u32, Weight::new(i as f64 + v as f64 / 8.0))
+        };
         let mut arena = LabelArena::new(sizes.len());
         let mut pushed = vec![0; sizes.len()];
         for round in 0.. {
@@ -763,18 +807,36 @@ mod tests {
             arena.next.len() - 1,
             "last node owns the last block"
         );
-
-        let (offsets, ranks, dists) = arena.freeze();
-        let entries: usize = sizes.iter().sum();
-        assert_eq!(offsets.len(), sizes.len() + 1);
-        for (v, &size) in sizes.iter().enumerate() {
-            assert_eq!(offsets[v + 1] - offsets[v], size, "node {v}");
-            for i in 0..size {
-                assert_eq!((ranks[offsets[v] + i], dists[offsets[v] + i]), entry(v, i), "node {v}");
+        let chain = |v: usize| {
+            let mut blocks = vec![arena.head[v]];
+            while arena.next[blocks[blocks.len() - 1] as usize] != NO_BLOCK {
+                blocks.push(arena.next[blocks[blocks.len() - 1] as usize]);
             }
+            blocks
+                .iter()
+                .map(|&b| (arena.base[b as usize], arena.fill[b as usize]))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(chain(4), [(4000, 64), (4064, 1)], "a full block closes");
+        assert_eq!(
+            chain(6),
+            [(6000, 40), (76_040, 64), (76_104, 6), (146_110, 19)],
+            "a jump past u16::MAX closes a block early"
+        );
+        assert_eq!(arena.next.len(), 14);
+
+        let labeling = freeze(arena);
+        let entries: usize = sizes.iter().sum();
+        assert_eq!(labeling.offsets.len(), sizes.len() + 1);
+        for (v, &size) in sizes.iter().enumerate() {
+            assert_eq!(labeling.label_len(NodeId::new(v)), size, "node {v}");
+            let expected: Vec<_> = (0..size).map(|i| entry(v, i)).collect();
+            assert_eq!(labeling.entries(NodeId::new(v)).collect::<Vec<_>>(), expected, "node {v}");
         }
-        assert_eq!((ranks.len(), ranks.capacity()), (entries, entries));
+        let Dists::Exact(dists) = &labeling.dists else { unreachable!("the build's tier") };
         assert_eq!((dists.len(), dists.capacity()), (entries, entries));
+        let bytes = labeling.byte_offsets[sizes.len()];
+        assert_eq!((labeling.rank_bytes.len(), labeling.rank_bytes.capacity()), (bytes, bytes));
     }
 
     #[test]
@@ -884,35 +946,63 @@ mod tests {
     }
 
     #[test]
+    fn ranks_past_u16_open_fresh_blocks_mid_label() {
+        // A star of 70 000 leaves: the centre is rank 0 and leaf `v` rank
+        // `v`, so every leaf's label is `[(0, w), (v, 0)]`, and for the
+        // leaves ranked above u16::MAX the second entry opens a fresh block.
+        let leaves = 70_000;
+        let w = |leaf: usize| 1.0 + (leaf % 7) as f64 / 4.0;
+        let mut b = GraphBuilder::new(leaves + 1);
+        for leaf in 1..=leaves {
+            b.add_edge(0, leaf, w(leaf)).unwrap();
+        }
+        let g = b.build().unwrap();
+        let labeling = HubLabeling::build_with_threads(&g, 1);
+        assert_eq!(labeling.stats().entries, 1 + 2 * leaves);
+        assert_eq!(label_of(&labeling, 0), (vec![0], vec![Weight::ZERO]));
+        for leaf in 1..=leaves {
+            assert_eq!(labeling.rank_of(NodeId::new(leaf)), leaf as u32);
+            assert_eq!(
+                label_of(&labeling, leaf),
+                (vec![0, leaf as u32], vec![Weight::new(w(leaf)), Weight::ZERO]),
+                "leaf {leaf}"
+            );
+        }
+        assert_eq!(labeling, HubLabeling::build_with_threads(&g, 2));
+        for i in 0..300usize {
+            let (u, v) = ((i * 7_919) % (leaves + 1), (i * 104_729 + 65_000) % (leaves + 1));
+            let (u, v) = (NodeId::new(u), NodeId::new(v));
+            assert_eq!(labeling.distance(u, v), network_distance(&g, u, v), "pair {u:?}, {v:?}");
+        }
+    }
+
+    #[test]
     fn compressed_exact_decodes_identically() {
         // Gaps of every varint width, up to the largest rank, and a first
-        // rank that takes three bytes on its own.
+        // rank that takes three bytes on its own. The two widest gaps pass
+        // u16::MAX, so node 2's second and third blocks open early, and node
+        // 3's one block lands between them.
         let labels: [&[u32]; 4] =
             [&[], &[0], &[5, 6, 133, 261, 16_645, 33_029, 2_130_181, u32::MAX], &[16_384]];
-        let mut offsets = vec![0];
-        for label in labels {
-            offsets.push(offsets[offsets.len() - 1] + label.len());
+        let dist = |v: usize, i: usize| Weight::new((v * 8 + i) as f64 / 4.0);
+        let mut arena = LabelArena::new(labels.len());
+        for (v, label) in labels.iter().enumerate().take(3) {
+            for (i, &rank) in label.iter().enumerate().take(7) {
+                arena.push(v, rank, dist(v, i));
+            }
         }
-        let ranks = labels.concat();
-        let dists: Vec<Weight> = (0..ranks.len()).map(|i| Weight::new(i as f64 / 4.0)).collect();
-        let (byte_offsets, rank_bytes) = encode_ranks(&offsets, &ranks);
-        assert_eq!(byte_offsets, [0, 0, 1, 1 + 1 + 1 + 1 + 2 + 3 + 3 + 4 + 5, 24]);
-        assert_eq!((rank_bytes.len(), rank_bytes.capacity()), (24, 24));
-        let labeling = HubLabeling {
-            offsets: offsets.clone(),
-            byte_offsets,
-            rank_bytes,
-            dists: Dists::Exact(dists.clone()),
-            node_of_rank: (0..labels.len()).map(NodeId::new).collect(),
-            rank_of_node: (0..labels.len() as u32).collect(),
-        };
+        arena.push(3, 16_384, dist(3, 0));
+        arena.push(2, u32::MAX, dist(2, 7));
+        assert_eq!(arena.base, [0, 5, 2_130_181, 16_384, u32::MAX]);
+        assert_eq!(arena.fill, [1, 6, 1, 1, 1]);
+
+        let labeling = freeze(arena);
+        assert_eq!(labeling.byte_offsets, [0, 0, 1, 1 + 1 + 1 + 1 + 2 + 3 + 3 + 4 + 5, 24]);
+        assert_eq!((labeling.rank_bytes.len(), labeling.rank_bytes.capacity()), (24, 24));
         for (v, label) in labels.iter().enumerate() {
-            let (lo, hi) = (offsets[v], offsets[v + 1]);
-            assert_eq!(
-                label_of(&labeling, v),
-                (label.to_vec(), dists[lo..hi].to_vec()),
-                "node {v}"
-            );
+            let expected: Vec<_> =
+                label.iter().enumerate().map(|(i, &r)| (r, dist(v, i))).collect();
+            assert_eq!(labeling.entries(NodeId::new(v)).collect::<Vec<_>>(), expected, "node {v}");
         }
     }
 
