@@ -5,10 +5,10 @@
 //! Each row times 256 operations on fixed pseudo-random nodes of the
 //! benchmark's own topology (BRITE, 5×10⁴ nodes, point density 0.01), so a
 //! row divided by 256 is the per-operation cost: `rknn` on a reused `Scratch`
-//! at `k = 1` and `k = 4` over the exact and the `f32` label tiers, and at
-//! `k = 5` over the exact tier; `insert_remove`, one `insert_point` plus the
-//! `remove_point` that undoes it on an unoccupied node; and `k_nearest` —
-//! label scans that share nothing with the RkNN fold — as the control row.
+//! at `k = 1`, `k = 4` and `k = 5` (the first `k` above the stored radii);
+//! `insert_remove`, one `insert_point` plus the `remove_point` that undoes it
+//! on an unoccupied node; and `k_nearest` — label scans that share nothing
+//! with the RkNN fold — as the control row.
 
 mod common;
 
@@ -26,22 +26,19 @@ fn bench(c: &mut Criterion) {
     let graph = brite_topology(&BriteConfig { num_nodes: 50_000, seed: 42, ..Default::default() });
     let points = place_points_on_nodes(&graph, 0.01, 43);
     let mut exact = HubLabelIndex::build_with_threads(&graph, &points, 2);
-    let narrow = exact.with_f32_distances();
     let nodes: Vec<NodeId> =
         (0..QUERIES).map(|i| NodeId::new((mix64(i) % graph.num_nodes() as u64) as usize)).collect();
 
     let mut group = c.benchmark_group("index_rknn");
     let mut scratch = Scratch::new();
-    for (tier, index, ks) in [("exact", &exact, &[1usize, 4, 5][..]), ("f32", &narrow, &[1, 4])] {
-        for &k in ks {
-            group.bench_function(format!("rknn/{tier}/k{k}"), |b| {
-                b.iter(|| {
-                    for &node in &nodes {
-                        black_box(index.rknn_in(node, k, &mut scratch));
-                    }
-                })
-            });
-        }
+    for k in [1usize, 4, 5] {
+        group.bench_function(format!("rknn/exact/k{k}"), |b| {
+            b.iter(|| {
+                for &node in &nodes {
+                    black_box(exact.rknn_in(node, k, &mut scratch));
+                }
+            })
+        });
     }
     group.bench_function("k_nearest/exact/k4", |b| {
         b.iter(|| {

@@ -7,8 +7,8 @@
 //! repro [EXPERIMENT ...] [--full] [--json DIR]
 //!
 //! EXPERIMENT   one or more of: table1 table2 fig15 fig16 fig17 fig18 fig19
-//!              fig20a fig20b fig21 fig22a fig22b paging index label-build
-//!              bichromatic obs-overhead all (default: all)
+//!              fig20a fig20b fig21 fig22a fig22b paging index bichromatic
+//!              obs-overhead all (default: all)
 //! --full       use the paper's graph cardinalities instead of the quick,
 //!              laptop-friendly sizes
 //! --json DIR   additionally write each report as DIR/BENCH_<experiment>.json

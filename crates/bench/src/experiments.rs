@@ -619,86 +619,6 @@ pub fn index(scale: Scale) -> Report {
     report
 }
 
-/// The hub-label construction pipeline: label size and per-query scan work
-/// of the two label tiers (delta-varint ranks beside exact or `f32`
-/// distances) on the BRITE instance.
-///
-/// Not a figure of the paper: this measures the `rnn-index` preprocessing
-/// lever. Before any number is reported, the builds at 1, 2, 4 and 8 threads
-/// are asserted **identical** (level-synchronous construction makes the
-/// labeling a pure function of the graph, whatever the thread count), the
-/// `f32` tier is asserted to cut the exact tier's label bytes by at least
-/// 40 %, and both tiers are asserted to reproduce eager's RkNN result sets
-/// query for query.
-pub fn label_build(scale: Scale) -> Report {
-    let nodes = scale.pick(2_000, 8_000);
-    let graph = brite_topology(&BriteConfig { num_nodes: nodes, seed: SEED, ..Default::default() });
-    let points = place_points_on_nodes(&graph, 0.01, SEED + 1);
-    let queries = sample_node_queries(&points, scale.queries(), SEED + 2);
-
-    let exact = HubLabelIndex::build(&graph, &points);
-    for threads in [2usize, 4, 8] {
-        assert!(
-            HubLabelIndex::build_with_threads(&graph, &points, threads) == exact,
-            "{threads}-thread build must be identical to the sequential build"
-        );
-    }
-    let narrow = exact.with_f32_distances();
-    let bytes = |tier: &HubLabelIndex| tier.labeling().stats().label_bytes() as f64;
-    let (exact_bytes, narrow_bytes) = (bytes(&exact), bytes(&narrow));
-    assert!(
-        narrow_bytes <= 0.60 * exact_bytes,
-        "f32 distances must cut label_bytes() by at least 40% on BRITE \
-         (exact {:.2} MiB, f32 {:.2} MiB)",
-        exact_bytes / MIB,
-        narrow_bytes / MIB
-    );
-
-    let mut report = Report::new(
-        "Label build",
-        format!(
-            "parallel + compressed hub-label pipeline (BRITE |V|={nodes}, D=0.01, k=1; builds at \
-             1/2/4/8 threads asserted identical, every tier's result sets asserted equal to \
-             eager's)"
-        ),
-        "label tier",
-        vec![
-            "hubs/node".into(),
-            "label MiB".into(),
-            "cut %".into(),
-            "label scans".into(),
-            "bucket scans".into(),
-            "results".into(),
-        ],
-    );
-    // Query both tiers against the eager oracle: rounding must never change
-    // an answer (the f32 tier re-derives its point table from the rounded
-    // labeling, so both RkNN phases sum identically-rounded values).
-    let mut scratch = Scratch::new();
-    let eager =
-        run_all(Algorithm::Eager, &graph, &points, Precomputed::none(), &queries, &mut scratch);
-    for (name, tier) in [("exact", &exact), ("f32", &narrow)] {
-        let pre = Precomputed::hub_labels(tier);
-        let served = run_all(Algorithm::HubLabel, &graph, &points, pre, &queries, &mut scratch);
-        for ((&q, r), e) in queries.iter().zip(&served).zip(&eager) {
-            assert_eq!(r.points, e.points, "query {q:?}: the {name} tier must reproduce eager");
-        }
-        let stats = tier.labeling().stats();
-        report.push_row(
-            name,
-            vec![
-                stats.avg_label(),
-                stats.label_bytes() as f64 / MIB,
-                (1.0 - stats.label_bytes() as f64 / exact_bytes) * 100.0,
-                per_query(&served, |o| o.stats.label_scans),
-                per_query(&served, |o| o.stats.bucket_scans),
-                per_query(&served, |o| o.len() as u64),
-            ],
-        );
-    }
-    report
-}
-
 /// Tracing overhead on the serving path: the same closed-loop mixed stream
 /// of **all six** algorithms is pushed through an untraced server and a
 /// fully observed one (phase tracing + trace recorder + slow-query log +
@@ -844,7 +764,7 @@ pub enum Experiment {
 
 /// Every experiment by id: the paper's tables and figures, the three count
 /// reports added on top, then the drill.
-pub const EXPERIMENTS: [(&str, Experiment); 17] = [
+pub const EXPERIMENTS: [(&str, Experiment); 16] = [
     ("table1", Experiment::Report(table1_adhoc)),
     ("table2", Experiment::Report(table2_density)),
     ("fig15", Experiment::Report(fig15_brite_size)),
@@ -859,7 +779,6 @@ pub const EXPERIMENTS: [(&str, Experiment); 17] = [
     ("fig22b", Experiment::Report(fig22b_update_k)),
     ("paging", Experiment::Report(paging)),
     ("index", Experiment::Report(index)),
-    ("label-build", Experiment::Report(label_build)),
     ("bichromatic", Experiment::Report(bichromatic)),
     ("obs-overhead", Experiment::Drill(obs_overhead)),
 ];
@@ -893,7 +812,6 @@ mod tests {
                 "fig22b",
                 "paging",
                 "index",
-                "label-build",
                 "bichromatic",
                 "obs-overhead"
             ]

@@ -63,7 +63,7 @@ use rnn_core::precomputed::HubLabelRknn;
 use rnn_core::query::{QueryStats, RknnOutcome};
 use rnn_core::scratch::Scratch;
 use rnn_core::NodeTable;
-use rnn_graph::{NodeId, NodePointSet, PointId, PointsOnNodes, Topology, Weight};
+use rnn_graph::{NodeId, PointId, PointsOnNodes, Topology, Weight};
 use rnn_obs::{MetricsRegistry, Phase};
 
 /// How many nearest-other-point distances the index stores per point: a
@@ -137,21 +137,6 @@ impl HubLabelIndex {
         index.radii =
             index.table.nodes().iter().map(|&node| index.stored_radii(node, best)).collect();
         index
-    }
-
-    /// The index over the same point set with its label distances rounded
-    /// to `f32` (see [`HubLabeling::with_f32_distances`]).
-    ///
-    /// The point table and the radii are rebuilt from the rounded labeling
-    /// so bucket distances, radii and decoded label distances come from the
-    /// same tier: every phase sums identically rounded values in both
-    /// directions, which preserves the exact tie semantics of the radius
-    /// test.
-    pub fn with_f32_distances(&self) -> Self {
-        let labeling = self.labeling.with_f32_distances();
-        let points =
-            NodePointSet::from_nodes(labeling.num_nodes(), self.table.nodes().iter().copied());
-        Self::from_labeling(labeling, &points)
     }
 
     /// The underlying labeling.
@@ -873,27 +858,6 @@ mod tests {
         }
         assert_eq!(scratch.created(), created, "steady state allocates no new buffers");
         assert!(scratch.reuses() >= 20);
-    }
-
-    #[test]
-    fn compressed_tiers_answer_queries_identically() {
-        let (g, pts) = cycle();
-        let exact = HubLabelIndex::build(&g, &pts);
-        let narrow = exact.with_f32_distances();
-        assert_eq!(narrow.labeling(), &exact.labeling().with_f32_distances());
-        assert_eq!(narrow.num_points(), exact.num_points());
-        let mut scratch = Scratch::new();
-        for q in 0..6 {
-            for k in 1..=3 {
-                assert_eq!(
-                    narrow.rknn_in(NodeId::new(q), k, &mut scratch).points,
-                    exact.rknn(NodeId::new(q), k).points,
-                    "q={q} k={k}"
-                );
-            }
-            // Unit weights round to themselves: the distances agree too.
-            assert_eq!(narrow.k_nearest(NodeId::new(q), 2), exact.k_nearest(NodeId::new(q), 2));
-        }
     }
 
     #[test]

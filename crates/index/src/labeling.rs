@@ -87,9 +87,8 @@
 //! shrunk the arena the build sizes that stream in one pass over the frozen
 //! `base + offset` ranks, writes it in a second into a buffer reserved to
 //! exactly that size and drops the offsets, so the encode never lifts the
-//! peak above the arena's. The frozen `f64` distance array is kept as it is.
-//! [`HubLabeling::with_f32_distances`] gives the one other tier: the same
-//! rank bytes beside distances rounded to `f32`.
+//! peak above the arena's. The frozen `f64` distance array is kept as it is:
+//! labels hold exact distances, which the RkNN answers built on them need.
 //!
 //! [`HubLabeling::entries`] is the one way to read a label: it decodes one
 //! `(rank, distance)` entry at a time into no buffer, so reading allocates
@@ -112,15 +111,6 @@ const BLOCK: usize = 64;
 
 /// The end of a block chain.
 const NO_BLOCK: u32 = u32::MAX;
-
-/// The distance array of a labeling, indexed by the entry offsets.
-#[derive(Clone, Debug, PartialEq)]
-enum Dists {
-    /// The exact distances the build computed.
-    Exact(Vec<Weight>),
-    /// Distances rounded to `f32` ([`HubLabeling::with_f32_distances`]).
-    F32(Vec<f32>),
-}
 
 /// Bytes [`write_varint`] takes for `v`.
 fn varint_len(v: u32) -> usize {
@@ -167,12 +157,8 @@ pub struct HubLabeling {
     /// Every label's ranks as LEB128 varints, nodes in id order: the first
     /// rank raw (a gap from 0), then each gap to the previous rank.
     rank_bytes: Vec<u8>,
-    /// Distance to each entry's hub.
-    dists: Dists,
-    /// The construction order: `node_of_rank[r]` is the node with rank `r`.
-    node_of_rank: Vec<NodeId>,
-    /// Inverse of `node_of_rank`.
-    rank_of_node: Vec<u32>,
+    /// Distance to each entry's hub, exactly as the build computed it.
+    dists: Vec<Weight>,
 }
 
 /// Wait-free build-progress counters for the label construction, so a
@@ -234,9 +220,7 @@ pub struct LabelStats {
     pub entries: usize,
     /// Largest single label.
     pub max_label: usize,
-    /// Bytes held by the label arrays: the varint rank stream, the distance
-    /// array and both offset tables.
-    pub label_bytes: usize,
+    label_bytes: usize,
 }
 
 impl LabelStats {
@@ -248,8 +232,8 @@ impl LabelStats {
         self.entries as f64 / self.nodes as f64
     }
 
-    /// Bytes held by the label arrays: the varint rank stream, the exact or
-    /// `f32` distance array and both offset tables.
+    /// Bytes held by the label arrays: the varint rank stream, the distance
+    /// array and both offset tables.
     pub fn label_bytes(&self) -> usize {
         self.label_bytes
     }
@@ -337,7 +321,7 @@ impl LabelArena {
     /// in push order, nodes in id order, the distances in an array whose
     /// length and capacity equal the entry count and the ranks written
     /// straight from the frozen offsets as the varint stream.
-    fn freeze(self, node_of_rank: Vec<NodeId>, rank_of_node: Vec<u32>) -> HubLabeling {
+    fn freeze(self) -> HubLabeling {
         let LabelArena { mut offs, mut dists, mut base, mut fill, next, head, .. } = self;
         // 1. Final block positions: a node's blocks side by side, nodes in id
         //    order. `start` takes each node's first final block.
@@ -406,14 +390,7 @@ impl LabelArena {
             gaps(v, at).for_each(|gap| write_varint(&mut rank_bytes, gap));
         }
         debug_assert_eq!(rank_bytes.len(), byte_offsets[n], "sized exactly");
-        HubLabeling {
-            offsets,
-            byte_offsets,
-            rank_bytes,
-            dists: Dists::Exact(dists),
-            node_of_rank,
-            rank_of_node,
-        }
+        HubLabeling { offsets, byte_offsets, rank_bytes, dists }
     }
 }
 
@@ -576,13 +553,8 @@ impl HubLabeling {
         for (v, slot) in degree.iter_mut().enumerate() {
             topo.with_adjacency(NodeId::new(v), &mut |arcs| *slot = arcs.len() as u32);
         }
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by(|&a, &b| degree[b as usize].cmp(&degree[a as usize]).then(a.cmp(&b)));
-        let node_of_rank: Vec<NodeId> = order.iter().map(|&v| NodeId::new(v as usize)).collect();
-        let mut rank_of_node = vec![0u32; n];
-        for (rank, &v) in order.iter().enumerate() {
-            rank_of_node[v as usize] = rank as u32;
-        }
+        let mut order: Vec<NodeId> = (0..n).map(NodeId::new).collect();
+        order.sort_by(|&a, &b| degree[b.index()].cmp(&degree[a.index()]).then(a.cmp(&b)));
 
         // Per-node labels, grown level by level; entries end up in ascending
         // rank order because levels commit in rank order.
@@ -593,7 +565,7 @@ impl HubLabeling {
         let mut width_cap = 1usize;
         while level_start < n {
             let width = width_cap.min(MAX_LEVEL_WIDTH).min(n - level_start);
-            let roots = &node_of_rank[level_start..level_start + width];
+            let roots = &order[level_start..level_start + width];
             let results = run_level(topo, &labels, roots, &mut scratches);
             // Sequential commit pass, in rank order within the level.
             for (i, entries) in results.into_iter().enumerate() {
@@ -608,30 +580,12 @@ impl HubLabeling {
             width_cap = width_cap.saturating_mul(2);
         }
 
-        labels.freeze(node_of_rank, rank_of_node)
-    }
-
-    /// The same labeling — same nodes, hubs and entry order, the same rank
-    /// bytes — with every distance rounded to `f32`: the distance array
-    /// halves at the cost of ~1e-7 relative error per label entry.
-    pub fn with_f32_distances(&self) -> HubLabeling {
-        let narrow = match &self.dists {
-            Dists::Exact(d) => d.iter().map(|d| d.value() as f32).collect(),
-            Dists::F32(d) => d.clone(),
-        };
-        HubLabeling {
-            offsets: self.offsets.clone(),
-            byte_offsets: self.byte_offsets.clone(),
-            rank_bytes: self.rank_bytes.clone(),
-            dists: Dists::F32(narrow),
-            node_of_rank: self.node_of_rank.clone(),
-            rank_of_node: self.rank_of_node.clone(),
-        }
+        labels.freeze()
     }
 
     /// Number of labeled nodes.
     pub fn num_nodes(&self) -> usize {
-        self.node_of_rank.len()
+        self.offsets.len() - 1
     }
 
     /// Number of entries in the label of `node`.
@@ -647,22 +601,8 @@ impl HubLabeling {
         let mut rank = 0;
         (self.offsets[node.index()]..self.offsets[node.index() + 1]).map(move |i| {
             rank += read_varint(&self.rank_bytes, &mut pos);
-            let dist = match &self.dists {
-                Dists::Exact(d) => d[i],
-                Dists::F32(d) => Weight::new(f64::from(d[i])),
-            };
-            (rank, dist)
+            (rank, self.dists[i])
         })
-    }
-
-    /// The node acting as the hub with construction rank `rank`.
-    pub fn hub_node(&self, rank: u32) -> NodeId {
-        self.node_of_rank[rank as usize]
-    }
-
-    /// The construction rank of `node` (0 = first / highest degree).
-    pub fn rank_of(&self, node: NodeId) -> u32 {
-        self.rank_of_node[node.index()]
     }
 
     /// The label-based shortest path distance between two nodes, or `None`
@@ -694,12 +634,8 @@ impl HubLabeling {
         let entries = self.offsets[nodes];
         let max_label =
             (0..nodes).map(|v| self.offsets[v + 1] - self.offsets[v]).max().unwrap_or(0);
-        let dist_bytes = match &self.dists {
-            Dists::Exact(d) => size_of_val(d.as_slice()),
-            Dists::F32(d) => size_of_val(d.as_slice()),
-        };
         let offset_bytes = (self.offsets.len() + self.byte_offsets.len()) * size_of::<usize>();
-        let label_bytes = offset_bytes + self.rank_bytes.len() + dist_bytes;
+        let label_bytes = offset_bytes + self.rank_bytes.len() + size_of_val(self.dists.as_slice());
         LabelStats { nodes, entries, max_label, label_bytes }
     }
 }
@@ -740,6 +676,14 @@ mod tests {
         labeling.entries(NodeId::new(v)).unzip()
     }
 
+    /// The build's construction order, derived independently: nodes by
+    /// descending degree, ties by ascending id. `order[r]` has rank `r`.
+    fn degree_order(g: &Graph) -> Vec<NodeId> {
+        let mut order: Vec<NodeId> = g.node_ids().collect();
+        order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
+        order
+    }
+
     #[test]
     fn build_progress_counts_roots_and_entries() {
         let g = grid4();
@@ -761,12 +705,6 @@ mod tests {
         let detached = LabelBuildProgress::detached();
         let _ = HubLabeling::build_with_threads_observed(&g, 1, &detached);
         assert_eq!(detached.roots_done(), 16);
-    }
-
-    /// Freezes `arena` into a labeling with placeholder hub nodes.
-    fn freeze(arena: LabelArena) -> HubLabeling {
-        let n = arena.head.len();
-        arena.freeze((0..n).map(NodeId::new).collect(), (0..n as u32).collect())
     }
 
     #[test]
@@ -825,7 +763,7 @@ mod tests {
         );
         assert_eq!(arena.next.len(), 14);
 
-        let labeling = freeze(arena);
+        let labeling = arena.freeze();
         let entries: usize = sizes.iter().sum();
         assert_eq!(labeling.offsets.len(), sizes.len() + 1);
         for (v, &size) in sizes.iter().enumerate() {
@@ -833,7 +771,7 @@ mod tests {
             let expected: Vec<_> = (0..size).map(|i| entry(v, i)).collect();
             assert_eq!(labeling.entries(NodeId::new(v)).collect::<Vec<_>>(), expected, "node {v}");
         }
-        let Dists::Exact(dists) = &labeling.dists else { unreachable!("the build's tier") };
+        let dists = &labeling.dists;
         assert_eq!((dists.len(), dists.capacity()), (entries, entries));
         let bytes = labeling.byte_offsets[sizes.len()];
         assert_eq!((labeling.rank_bytes.len(), labeling.rank_bytes.capacity()), (bytes, bytes));
@@ -896,15 +834,20 @@ mod tests {
         assert!(stats.max_label >= 1 && stats.max_label <= 16);
         assert!(stats.avg_label() >= 1.0);
         assert!(stats.label_bytes() > 0);
+        let order = degree_order(&g);
         for v in 0..16 {
             let node = NodeId::new(v);
             let (ranks, dists) = label_of(&labeling, v);
             assert!(!ranks.is_empty());
             assert!(ranks.windows(2).all(|w| w[0] < w[1]), "ranks strictly ascend");
             // Every node's label contains itself at distance zero.
-            let own = ranks.iter().position(|&r| r == labeling.rank_of(node)).unwrap();
-            assert_eq!(dists[own], Weight::ZERO);
-            assert_eq!(labeling.hub_node(labeling.rank_of(node)), node);
+            let own = order.iter().position(|&u| u == node).unwrap() as u32;
+            let at = ranks.iter().position(|&r| r == own).unwrap();
+            assert_eq!(dists[at], Weight::ZERO);
+            // Each entry is the distance to the node of the hub's rank.
+            for (&r, &d) in ranks.iter().zip(&dists) {
+                assert_eq!(Some(d), network_distance(&g, node, order[r as usize]), "node {v}");
+            }
             assert_eq!(ranks.len(), labeling.label_len(node));
         }
     }
@@ -936,7 +879,8 @@ mod tests {
         }
         let g = b.build().unwrap();
         let labeling = HubLabeling::build(&g);
-        assert_eq!(labeling.rank_of(NodeId::new(0)), 0);
+        assert_eq!(degree_order(&g)[0], NodeId::new(0));
+        assert_eq!(label_of(&labeling, 0), (vec![0], vec![Weight::ZERO]), "the center's own label");
         for v in 0..5 {
             let (ranks, _) = label_of(&labeling, v);
             assert_eq!(ranks[0], 0, "node {v} is covered by the center hub");
@@ -960,8 +904,9 @@ mod tests {
         let labeling = HubLabeling::build_with_threads(&g, 1);
         assert_eq!(labeling.stats().entries, 1 + 2 * leaves);
         assert_eq!(label_of(&labeling, 0), (vec![0], vec![Weight::ZERO]));
+        let ranks_by_id: Vec<NodeId> = (0..=leaves).map(NodeId::new).collect();
+        assert_eq!(degree_order(&g), ranks_by_id, "leaf `v` has rank `v`");
         for leaf in 1..=leaves {
-            assert_eq!(labeling.rank_of(NodeId::new(leaf)), leaf as u32);
             assert_eq!(
                 label_of(&labeling, leaf),
                 (vec![0, leaf as u32], vec![Weight::new(w(leaf)), Weight::ZERO]),
@@ -996,7 +941,7 @@ mod tests {
         assert_eq!(arena.base, [0, 5, 2_130_181, 16_384, u32::MAX]);
         assert_eq!(arena.fill, [1, 6, 1, 1, 1]);
 
-        let labeling = freeze(arena);
+        let labeling = arena.freeze();
         assert_eq!(labeling.byte_offsets, [0, 0, 1, 1 + 1 + 1 + 1 + 2 + 3 + 3 + 4 + 5, 24]);
         assert_eq!((labeling.rank_bytes.len(), labeling.rank_bytes.capacity()), (24, 24));
         for (v, label) in labels.iter().enumerate() {
@@ -1007,34 +952,14 @@ mod tests {
     }
 
     #[test]
-    fn compressed_f32_is_approximately_exact() {
-        let g = grid4();
-        let exact = HubLabeling::build(&g);
-        let narrow = exact.with_f32_distances();
-        assert_eq!(narrow.with_f32_distances(), narrow, "narrowing twice changes nothing");
-        for v in 0..16 {
-            let (ranks, dists) = label_of(&exact, v);
-            let (nranks, ndists) = label_of(&narrow, v);
-            assert_eq!(ranks, nranks, "ranks are lossless");
-            for (d, c) in dists.iter().zip(&ndists) {
-                assert!(d.approx_eq(*c, 1e-6), "node {v}: {d:?} vs {c:?}");
-            }
-        }
-    }
-
-    #[test]
     fn compressed_layouts_shrink_label_bytes() {
         let g = grid4();
         let exact = HubLabeling::build(&g);
         let stats = exact.stats();
-        // Ranks below 128 take one byte each, against four in a `u32`; the
-        // f32 tier halves the distances.
+        // Ranks below 128 take one byte each, against four in a `u32`.
         let offsets = 2 * 17 * size_of::<usize>();
         assert_eq!(exact.rank_bytes.len(), stats.entries);
         assert_eq!(stats.label_bytes(), offsets + stats.entries * (1 + 8));
-        let narrow = exact.with_f32_distances().stats();
-        assert_eq!(narrow.label_bytes(), offsets + stats.entries * (1 + 4));
-        assert_eq!(narrow.entries, stats.entries);
     }
 
     #[test]

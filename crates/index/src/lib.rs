@@ -21,9 +21,8 @@
 //!   thread-count-independent, byte-identical output. The result is a
 //!   compact per-node sorted hub list with exact distances:
 //!   `d(u, v) = min over common hubs h of d(u, h) + d(h, v)` — stored as
-//!   delta-varint ranks beside `f64` distances, or `f32` ones
-//!   ([`HubLabeling::with_f32_distances`]), and read one entry at a time
-//!   through [`HubLabeling::entries`].
+//!   delta-varint ranks beside exact `f64` distances, and read one entry at
+//!   a time through [`HubLabeling::entries`].
 //! * [`HubPointTable`] — the inverted view of a labeling restricted to a
 //!   data point set: for every hub, the occupied nodes it covers sorted by
 //!   distance. This is what makes point queries *output-sensitive*: a k-NN

@@ -443,13 +443,18 @@ impl Shared {
                 let c = counts.class(p);
                 (
                     p,
+                    // `submitted` is read last (fields evaluate in the order
+                    // written): a request is submitted before it is
+                    // accepted, rejected, shed or completed, so a count read
+                    // after those covers every request they count, and
+                    // `accounted() <= submitted` holds in every snapshot.
                     ClassStats {
-                        submitted: c.submitted.load(Ordering::Relaxed),
                         accepted: c.accepted.load(Ordering::Relaxed),
                         rejected: c.rejected.load(Ordering::Relaxed),
                         shed: c.shed.load(Ordering::Relaxed),
                         shed_at_dequeue: c.shed_at_dequeue.load(Ordering::Relaxed),
                         completed: c.completed.load(Ordering::Relaxed),
+                        submitted: c.submitted.load(Ordering::Relaxed),
                         queue_wait,
                         service,
                     },

@@ -2,7 +2,7 @@
 //! through `rnn-server`, with the shared result cache for repeated queries —
 //! the ReHub-style serving stack end to end. Construction runs on the
 //! requested number of threads (identical output at any count) and the
-//! queries are served from the labels with their distances rounded to f32.
+//! queries are served from the exact label distances.
 //!
 //! Run with `cargo run --release --example hub_label_serving -- [THREADS]`
 //! (default: 2 build threads and server workers). Self-asserting: every
@@ -44,22 +44,18 @@ fn main() {
 
     // One-time preprocessing: the pruned landmark labeling + inverted table,
     // built level-parallel on the worker threads (the labeling is identical
-    // at any thread count), then its distances rounded to f32 for serving.
+    // at any thread count).
     let start = Instant::now();
-    let exact = HubLabelIndex::build_with_threads(&*graph, &*points, threads);
+    let index = Arc::new(HubLabelIndex::build_with_threads(&*graph, &*points, threads));
     let build = start.elapsed();
-    let stats = exact.labeling().stats();
-    let index = Arc::new(exact.with_f32_distances());
-    let f32_bytes = index.labeling().stats().label_bytes();
+    let stats = index.labeling().stats();
     const MIB: f64 = 1024.0 * 1024.0;
     println!(
         "labeling built in {build:.2?} on {threads} thread(s): {:.1} hubs/node (max {}), \
-         {:.2} MiB exact -> {:.2} MiB f32 ({:.0}% cut), {} inverted point entries",
+         {:.2} MiB of labels, {} inverted point entries",
         stats.avg_label(),
         stats.max_label,
         stats.label_bytes() as f64 / MIB,
-        f32_bytes as f64 / MIB,
-        100.0 * (1.0 - f32_bytes as f64 / stats.label_bytes() as f64),
         index.point_table().entries(),
     );
 

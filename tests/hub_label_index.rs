@@ -14,10 +14,10 @@
 //!   tests candidates against stored or scanned k-NN radii, answers like the
 //!   unpruned fold with per-candidate counting it replaced (kept here as
 //!   [`unpruned_rknn`]) and like the naive baseline — on graphs biased to
-//!   ties, short buckets and split components, under both label tiers,
-//!   at `k` up to `usize::MAX`, before and after a random point
-//!   insert/remove trace — and the unread-tail skip gives way to the
-//!   per-entry test where floating-point sums absorb the gap.
+//!   ties, short buckets and split components, at `k` up to `usize::MAX`,
+//!   before and after a random point insert/remove trace — and the
+//!   unread-tail skip gives way to the per-entry test where floating-point
+//!   sums absorb the gap or tie.
 
 mod common;
 
@@ -229,11 +229,6 @@ fn unpruned_rknn(index: &HubLabelIndex, query: NodeId, k: usize) -> Vec<PointId>
     result // node order is point-id order
 }
 
-/// The two label tiers over one index.
-fn tiers(exact: &HubLabelIndex) -> [(&'static str, HubLabelIndex); 2] {
-    [("exact", exact.clone()), ("f32", exact.with_f32_distances())]
-}
-
 /// One connected piece of a [`NastyInstance`].
 #[derive(Debug, Clone)]
 enum Shape {
@@ -340,14 +335,14 @@ fn nasty_instance() -> impl Strategy<Value = NastyInstance> {
 }
 
 /// Every query node and every `k` around the interesting sizes: the pruned
-/// query equals the unpruned fold on each tier and the naive baseline (the
-/// instance's weights and path sums are exact in `f32` too).
+/// query equals the unpruned fold and the naive baseline.
 fn assert_pruned_matches_references(
     graph: &Graph,
     points: &NodePointSet,
-    indexes: &[(&'static str, HubLabelIndex)],
+    index: &HubLabelIndex,
 ) -> Result<(), TestCaseError> {
     let p = points.num_points();
+    prop_assert_eq!(index.num_points(), p);
     let ks: BTreeSet<usize> = [1, 2, 4, 5, p.saturating_sub(1), p, p + 1, usize::MAX]
         .into_iter()
         .filter(|&k| k >= 1)
@@ -356,23 +351,13 @@ fn assert_pruned_matches_references(
     for query in (0..graph.num_nodes()).map(NodeId::new) {
         for &k in &ks {
             let oracle = naive::naive_rknn(graph, points, query, k).points;
-            for (tier, index) in indexes {
-                prop_assert_eq!(index.num_points(), p);
-                let pruned = index.rknn_in(query, k, &mut scratch);
-                prop_assert_eq!(
-                    &pruned.points,
-                    &unpruned_rknn(index, query, k),
-                    "{} q={} k={}",
-                    tier,
-                    query,
-                    k
-                );
-                prop_assert_eq!(&pruned.points, &oracle, "{} q={} k={} vs naive", tier, query, k);
-                prop_assert_eq!(
-                    pruned.stats.bucket_scans,
-                    pruned.stats.heap_pushes + pruned.stats.auxiliary_settled
-                );
-            }
+            let pruned = index.rknn_in(query, k, &mut scratch);
+            prop_assert_eq!(&pruned.points, &unpruned_rknn(index, query, k), "q={} k={}", query, k);
+            prop_assert_eq!(&pruned.points, &oracle, "q={} k={} vs naive", query, k);
+            prop_assert_eq!(
+                pruned.stats.bucket_scans,
+                pruned.stats.heap_pushes + pruned.stats.auxiliary_settled
+            );
         }
     }
     Ok(())
@@ -382,28 +367,26 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     /// Differential test of the Lemma 1 prune, before and after a random
-    /// 200-op insert/remove trace maintained incrementally on each tier.
+    /// 200-op insert/remove trace maintained incrementally.
     #[test]
     fn pruned_rknn_equals_unpruned_fold_and_naive(inst in nasty_instance()) {
         let mut occupied = inst.occupied.clone();
         let points = point_set(&occupied);
-        let mut indexes = tiers(&HubLabelIndex::build(&inst.graph, &points));
-        assert_pruned_matches_references(&inst.graph, &points, &indexes)?;
+        let mut index = HubLabelIndex::build(&inst.graph, &points);
+        assert_pruned_matches_references(&inst.graph, &points, &index)?;
 
         let mut state = inst.trace_seed;
         for _ in 0..200 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let node = NodeId::new((state >> 33) as usize % occupied.len());
             occupied[node.index()] = !occupied[node.index()];
-            for (_, index) in &mut indexes {
-                if occupied[node.index()] {
-                    index.insert_point(node);
-                } else {
-                    prop_assert!(index.remove_point(node).is_some());
-                }
+            if occupied[node.index()] {
+                index.insert_point(node);
+            } else {
+                prop_assert!(index.remove_point(node).is_some());
             }
         }
-        assert_pruned_matches_references(&inst.graph, &point_set(&occupied), &indexes)?;
+        assert_pruned_matches_references(&inst.graph, &point_set(&occupied), &index)?;
     }
 }
 
@@ -418,28 +401,21 @@ fn star(leaf_weights: &[f64]) -> Graph {
     b.build().expect("valid star")
 }
 
-/// Queries leaf 1 of `star(leaf_weights)` with points on every other leaf,
-/// on each tier: the pruned answer must equal the unpruned fold, and on the
-/// exact tier the naive baseline. Returns per tier the answer (as leaf
-/// numbers) and the bucket entries the candidate phase read.
-fn query_star(leaf_weights: &[f64], k: usize) -> Vec<(Vec<usize>, u64)> {
+/// Queries leaf 1 of `star(leaf_weights)` with points on every other leaf:
+/// the pruned answer must equal the unpruned fold and the naive baseline.
+/// Returns the answer (as leaf numbers) and the bucket entries the
+/// candidate phase read.
+fn query_star(leaf_weights: &[f64], k: usize) -> (Vec<usize>, u64) {
     let graph = star(leaf_weights);
     let query = NodeId::new(1);
     let points =
         NodePointSet::from_nodes(graph.num_nodes(), (2..graph.num_nodes()).map(NodeId::new));
-    let oracle = naive::naive_rknn(&graph, &points, query, k).points;
-    tiers(&HubLabelIndex::build(&graph, &points))
-        .iter()
-        .map(|(tier, index)| {
-            let out = index.rknn(query, k);
-            assert_eq!(out.points, unpruned_rknn(index, query, k), "{tier} k={k}");
-            if *tier == "exact" {
-                assert_eq!(out.points, oracle, "{tier} k={k} vs naive");
-            }
-            let leaves = out.points.iter().map(|&p| points.node_of(p).index()).collect();
-            (leaves, out.stats.heap_pushes)
-        })
-        .collect()
+    let index = HubLabelIndex::build(&graph, &points);
+    let out = index.rknn(query, k);
+    assert_eq!(out.points, unpruned_rknn(&index, query, k), "k={k}");
+    assert_eq!(out.points, naive::naive_rknn(&graph, &points, query, k).points, "k={k} vs naive");
+    let leaves = out.points.iter().map(|&p| points.node_of(p).index()).collect();
+    (leaves, out.stats.heap_pushes)
 }
 
 /// `d_{k-1} < a`, but the far entries are so large that `fl(d_j + d_{k-1})`
@@ -453,22 +429,19 @@ fn absorbed_sums_make_the_fold_read_the_bucket_tail() {
         let last_leaf = 1 + near.len() + 3;
         // Well separated: the far points are rejected unread — the head, entry
         // `k` and the last entry are all the candidate phase looks at.
-        for (answer, read) in query_star(&leaves([8.0, 8.0, 16.0]), k) {
-            assert_eq!(answer, (2..2 + near.len()).collect::<Vec<_>>(), "k={k}");
-            assert_eq!(read, k as u64 + 2, "k={k}");
-        }
+        let (answer, read) = query_star(&leaves([8.0, 8.0, 16.0]), k);
+        assert_eq!(answer, (2..2 + near.len()).collect::<Vec<_>>(), "k={k}");
+        assert_eq!(read, k as u64 + 2, "k={k}");
         // Absorbed: every far point is as close to the query as to anything
         // else, so all of them are reverse neighbors and all were read.
-        for (answer, read) in query_star(&leaves([two53, two53, 2.0 * two53]), k) {
-            assert_eq!(answer, (2..=last_leaf).collect::<Vec<_>>(), "k={k}");
-            assert_eq!(read, (near.len() + 3) as u64, "k={k}");
-        }
+        let (answer, read) = query_star(&leaves([two53, two53, 2.0 * two53]), k);
+        assert_eq!(answer, (2..=last_leaf).collect::<Vec<_>>(), "k={k}");
+        assert_eq!(read, (near.len() + 3) as u64, "k={k}");
     }
 }
 
 /// Smallest normal weights: the guard's scaled margin underflows while the
-/// sums it bounds are exact. (`f32` labels flush these distances to zero, so
-/// only the unpruned fold on the same labels is the reference there.)
+/// sums it bounds are exact, and the answer still equals naive's.
 #[test]
 fn min_positive_weights_keep_the_guard_sound() {
     let tiny = f64::MIN_POSITIVE;
@@ -478,15 +451,22 @@ fn min_positive_weights_keep_the_guard_sound() {
 }
 
 /// The query's distance to the hub exceeds the nearest point's by less than
-/// `f32` resolves: the exact tier sees a gap and skips the tail, the `f32`
-/// tier sees a tie with every point behind the nearest, reads on, and —
-/// correctly, on its labels — reports them all.
+/// `f32` resolves, and far more than the margin: the guard sees the gap and
+/// reads no tail entry. The same star with the gap closed is a real tie:
+/// every point behind the nearest ties its radius, stays a reverse
+/// neighbor, and the whole bucket is read.
 #[test]
-fn f32_sums_straddling_a_tie_are_not_skipped() {
+fn a_near_tie_skips_the_tail_and_a_real_tie_reads_it() {
     let gap = 1.0 + f64::from(f32::EPSILON) / 8.0;
     assert_eq!(gap as f32, 1.0);
-    let results = query_star(&[gap, 1.0, 2.0, 3.0, 5.0], 1);
-    let (exact, f32_tier) = (&results[0], &results[1]);
-    assert_eq!(exact, &(vec![2], 3), "gap seen: one reverse neighbor, tail unread");
-    assert_eq!(f32_tier, &(vec![2, 3, 4, 5], 4), "ties seen: the whole bucket read");
+    assert_eq!(
+        query_star(&[gap, 1.0, 2.0, 3.0, 5.0], 1),
+        (vec![2], 3),
+        "gap seen: one reverse neighbor, tail unread"
+    );
+    assert_eq!(
+        query_star(&[1.0, 1.0, 2.0, 3.0, 5.0], 1),
+        (vec![2, 3, 4, 5], 4),
+        "ties seen: the whole bucket read"
+    );
 }
