@@ -14,8 +14,10 @@
 //!   tests candidates against stored or scanned k-NN radii, answers like the
 //!   unpruned fold with per-candidate counting it replaced (kept here as
 //!   [`unpruned_rknn`]) and like the naive baseline — on graphs biased to
-//!   ties, short buckets and split components, at `k` up to `usize::MAX`,
-//!   before and after a random point insert/remove trace — and the
+//!   ties, short buckets and split components, at weights scaled down to
+//!   `f64::MIN_POSITIVE` and up to 2^52, where sums absorb, at `k` up to
+//!   `usize::MAX`, before and after a random point insert/remove trace —
+//!   with queries at exactly a point's `k`-th radius and on a point — and the
 //!   unread-tail skip gives way to the per-entry test where floating-point
 //!   sums absorb the gap or tie.
 
@@ -242,6 +244,39 @@ enum Shape {
     Random(Graph),
 }
 
+/// The magnitude of a [`Shape`]'s weights.
+#[derive(Debug, Clone, Copy)]
+enum Scale {
+    /// The generated weights.
+    One,
+    /// The generated weights times `f64::MIN_POSITIVE`: every sum is still
+    /// exact, but rounding margins scaled from the sums underflow.
+    MinPositive,
+    /// Weights near 2^52, where a float's ulp is 1 and sums absorb. A star's
+    /// leaves take the weights of [`ABSORBING`] in turn, so odd sums and sums
+    /// with the 0.5 leaf round. Only a path of at most two edges is summed in
+    /// the same order by the labels as by a Dijkstra expansion, so the other
+    /// shapes are scaled by 2^52, which keeps their sums exact and equal to
+    /// naive's.
+    TwoPow52,
+}
+
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+
+/// The leaf weights of a star at [`Scale::TwoPow52`], leaf `i` taking entry
+/// `i % 5`.
+const ABSORBING: [f64; 5] = [0.5, TWO_POW_52, TWO_POW_52 + 1.0, TWO_POW_52 + 2.0, 2.0 * TWO_POW_52];
+
+impl Scale {
+    fn of(self, weight: f64) -> f64 {
+        match self {
+            Scale::One => weight,
+            Scale::MinPositive => weight * f64::MIN_POSITIVE,
+            Scale::TwoPow52 => weight * TWO_POW_52,
+        }
+    }
+}
+
 impl Shape {
     fn num_nodes(&self) -> usize {
         match *self {
@@ -251,35 +286,39 @@ impl Shape {
         }
     }
 
-    /// Adds the shape's edges over nodes `base..base + num_nodes()`.
-    fn add_to(&self, b: &mut GraphBuilder, base: usize) {
+    /// Adds the shape's edges at `scale` over nodes `base..base + num_nodes()`.
+    fn add_to(&self, scale: Scale, b: &mut GraphBuilder, base: usize) {
         let mut edge = |u: usize, v: usize, w: f64| {
             b.add_edge(base + u, base + v, w).expect("valid edge");
         };
+        let unit = scale.of(1.0);
         match self {
             &Shape::Grid { rows, cols } => {
                 for r in 0..rows {
                     for c in 0..cols {
                         if c + 1 < cols {
-                            edge(r * cols + c, r * cols + c + 1, 1.0);
+                            edge(r * cols + c, r * cols + c + 1, unit);
                         }
                         if r + 1 < rows {
-                            edge(r * cols + c, (r + 1) * cols + c, 1.0);
+                            edge(r * cols + c, (r + 1) * cols + c, unit);
                         }
                     }
                 }
             }
-            &Shape::Cycle(n) => (0..n).for_each(|i| edge(i, (i + 1) % n, 1.0)),
-            &Shape::Star(n) => (1..n).for_each(|leaf| edge(0, leaf, 1.0)),
-            Shape::Random(graph) => {
-                graph.edges().for_each(|(_, u, v, w)| edge(u.index(), v.index(), w.value()))
-            }
+            &Shape::Cycle(n) => (0..n).for_each(|i| edge(i, (i + 1) % n, unit)),
+            &Shape::Star(n) => (1..n).for_each(|leaf| {
+                let w = if let Scale::TwoPow52 = scale { ABSORBING[leaf % 5] } else { unit };
+                edge(0, leaf, w)
+            }),
+            Shape::Random(graph) => graph
+                .edges()
+                .for_each(|(_, u, v, w)| edge(u.index(), v.index(), scale.of(w.value()))),
         }
     }
 }
 
-fn shape() -> impl Strategy<Value = Shape> {
-    prop_oneof![
+fn shape() -> impl Strategy<Value = (Shape, Scale)> {
+    let shape = prop_oneof![
         (2usize..6, 2usize..6).prop_map(|(rows, cols)| Shape::Grid { rows, cols }),
         (3usize..18).prop_map(Shape::Cycle),
         (3usize..12).prop_map(Shape::Star),
@@ -294,7 +333,9 @@ fn shape() -> impl Strategy<Value = Shape> {
                     Shape::Random(build_connected_graph(n, &parents, &extra, &steps))
                 })
         }),
-    ]
+    ];
+    let scale = prop_oneof![Just(Scale::One), Just(Scale::MinPositive), Just(Scale::TwoPow52)];
+    (shape, scale)
 }
 
 /// A graph of one or two components and a point set of chosen density,
@@ -319,11 +360,11 @@ fn nasty_instance() -> impl Strategy<Value = NastyInstance> {
         any::<u64>(),
     )
         .prop_map(|(first, second, picks, one_in, trace_seed)| {
-            let n = first.num_nodes() + second.as_ref().map_or(0, Shape::num_nodes);
+            let n = first.0.num_nodes() + second.as_ref().map_or(0, |(s, _)| s.num_nodes());
             let mut b = GraphBuilder::new(n);
-            first.add_to(&mut b, 0);
-            if let Some(second) = &second {
-                second.add_to(&mut b, first.num_nodes());
+            first.0.add_to(first.1, &mut b, 0);
+            if let Some((second, scale)) = &second {
+                second.add_to(*scale, &mut b, first.0.num_nodes());
             }
             let mut occupied: Vec<bool> =
                 (0..n).map(|node| picks[node % picks.len()] % one_in == 0).collect();
@@ -343,7 +384,7 @@ fn assert_pruned_matches_references(
 ) -> Result<(), TestCaseError> {
     let p = points.num_points();
     prop_assert_eq!(index.num_points(), p);
-    let ks: BTreeSet<usize> = [1, 2, 4, 5, p.saturating_sub(1), p, p + 1, usize::MAX]
+    let ks: BTreeSet<usize> = [1, 2, 3, 4, 5, p.saturating_sub(1), p, p + 1, usize::MAX]
         .into_iter()
         .filter(|&k| k >= 1)
         .collect();
@@ -469,4 +510,69 @@ fn a_near_tie_skips_the_tail_and_a_real_tie_reads_it() {
         (vec![2, 3, 4, 5], 4),
         "ties seen: the whole bucket read"
     );
+}
+
+/// `index.rknn(query, k)` at every `k` in `1..=5`, the first `k` above the
+/// stored radii included, each answer checked against the unpruned fold
+/// and the naive baseline.
+fn answers_up_to_k5(graph: &Graph, points: &NodePointSet, query: NodeId) -> Vec<Vec<PointId>> {
+    let index = HubLabelIndex::build(graph, points);
+    (1..=5)
+        .map(|k| {
+            let out = index.rknn(query, k).points;
+            assert_eq!(out, unpruned_rknn(&index, query, k), "q={query} k={k}");
+            assert_eq!(out, naive::naive_rknn(graph, points, query, k).points, "q={query} k={k}");
+            out
+        })
+        .collect()
+}
+
+/// On a path, the point on node 5 has its `k`-th nearest other point at
+/// exactly `k` for `k <= 4`, and the query at distance `k` from it ties
+/// that radius: the point answers at `k` and not at `k - 1`. At every
+/// scale the tie is exact.
+#[test]
+fn a_query_at_exactly_the_kth_radius_is_answered() {
+    for scale in [Scale::One, Scale::MinPositive, Scale::TwoPow52] {
+        let mut b = GraphBuilder::new(11);
+        Shape::Grid { rows: 1, cols: 11 }.add_to(scale, &mut b, 0);
+        let graph = b.build().expect("valid path");
+        let points = NodePointSet::from_nodes(11, [2, 4, 5, 7, 9].map(NodeId::new));
+        let index = HubLabelIndex::build(&graph, &points);
+        let tied = points.point_at(NodeId::new(5)).expect("occupied");
+        for (k, query) in [(1, 6), (2, 3), (3, 8), (4, 1)] {
+            let query = NodeId::new(query);
+            let radius = index.radii()[tied.index()][k - 1];
+            assert_eq!(index.distance(query, NodeId::new(5)), Some(radius), "{scale:?} k={k}");
+            assert_eq!(radius.value(), scale.of(k as f64), "{scale:?} k={k}");
+            let answers = answers_up_to_k5(&graph, &points, query);
+            assert!(answers[k - 1].contains(&tied), "{scale:?} k={k}: a tie never disqualifies");
+            if k > 1 {
+                assert!(!answers[k - 2].contains(&tied), "{scale:?} k={k}: r_(k-1) is closer");
+            }
+        }
+    }
+}
+
+/// With a point on every node, each query sits on a point. That point is
+/// never answered, and the rest of the answer equals the references at
+/// every `k` and every scale.
+#[test]
+fn points_on_the_query_node_are_never_answered() {
+    let shapes = [Shape::Grid { rows: 3, cols: 4 }, Shape::Cycle(7), Shape::Star(11)];
+    for scale in [Scale::One, Scale::MinPositive, Scale::TwoPow52] {
+        for shape in &shapes {
+            let n = shape.num_nodes();
+            let mut b = GraphBuilder::new(n);
+            shape.add_to(scale, &mut b, 0);
+            let graph = b.build().expect("valid graph");
+            let points = NodePointSet::from_predicate(n, |_| true);
+            for query in (0..n).map(NodeId::new) {
+                let own = points.point_at(query).expect("every node is occupied");
+                for (k, answer) in answers_up_to_k5(&graph, &points, query).iter().enumerate() {
+                    assert!(!answer.contains(&own), "{shape:?} {scale:?} q={query} k={}", k + 1);
+                }
+            }
+        }
+    }
 }
