@@ -15,12 +15,22 @@
 //! `k`-th nearest other point, `∞` with fewer than `k` others in reach. The
 //! index stores `r_1..r_R` of every point, `R =` [`STORED_RADII`], computed
 //! as the `k`-th smallest `min_h fl(d(p, h) + d(h, o))` over the other
-//! points `o`. The monochromatic RkNN query then runs in two label-only
+//! points `o`, and for every hub `h` and `k <= R` the largest *slack*
+//! `r_k(p) - d(h, p)` over `h`'s bucket, beside the distance of the bucket's
+//! last entry. The monochromatic RkNN query then runs in two label-only
 //! phases:
 //!
-//! 1. **Candidates.** Scan the buckets of the query's hubs once, folding
-//!    `d(q, h) + d(h, p)` to the minimum per occupied node. By the 2-hop
-//!    cover this minimum is the exact `d(q, p)` for every point in the
+//! 1. **Candidates.** For `k <= R`, the *gate* (ReHub's slack test, reduced
+//!    to one maximum per hub) reads the buckets of the query's hubs: some
+//!    common hub `h` has `fl(d(q, h) + d(h, p)) <= r_k(p)` iff `p` passes the
+//!    radius test, so a hub whose `d(q, h)` exceeds its bucket's largest
+//!    slack by more than a rounding margin (scaled by `d(q, h)` and the
+//!    bucket's last distance) is skipped unread, and every entry
+//!    of the other buckets is tested with the radius test itself. The passing
+//!    sums are kept to the minimum per node, which is the exact `d(q, p)`:
+//!    the hub attaining it passes too. For `k > R` the buckets are instead
+//!    folded, `d(q, h) + d(h, p)` to the minimum per occupied node. By the
+//!    2-hop cover this minimum is the exact `d(q, p)` for every point in the
 //!    query's component (and only those points are touched). The paper's
 //!    Lemma 1 is applied inside the fold: entry `j` of a hub at distance `a`
 //!    is left out when `fl(d_j + d_r) < fl(a + d_j)`, `d_r` being the
@@ -38,19 +48,26 @@
 //!    neighbor iff `d(q, p) <= r_k(p)` — exactly the semantics of the
 //!    expansion algorithms, ties included, and bit for bit the count of
 //!    strictly closer points it replaces: `r_k(p)` is built from the same
-//!    sums, and the fold's `fl(d(q, h) + d(h, p))` is the same pair of floats
-//!    added in the other order, so a point collocated with the query ties at
-//!    `d(q, p)` and never disqualifies. For `k <= R` the test reads the
-//!    stored radius. For larger `k` the label k-NN scan that fills the table
-//!    answers it on demand, stopping once `k` points closer than `d(q, p)`
-//!    are found; for `k >= |P|` the radius is `∞` without a scan.
+//!    sums, and the query's `fl(d(q, h) + d(h, p))` is the same pair of
+//!    floats added in the other order, so a point collocated with the query
+//!    ties at `d(q, p)` and never disqualifies. For `k <= R` the gate has
+//!    already applied the test to every candidate against the stored radius.
+//!    For larger `k` the label k-NN scan that fills the table answers it on
+//!    demand, stopping once `k` points closer than `d(q, p)` are found; for
+//!    `k >= |P|` the radius is `∞` without a scan.
 //!
 //! [`HubLabelIndex::insert_point`] and [`HubLabelIndex::remove_point`] keep
-//! the radii exact with the same fold, run from the changed point at
+//! the radii exact with the same gate, run from the changed point at
 //! `k = R`: inserting `x` splices `d(x, p)` into the radii of every point
 //! with `d(x, p) < r_R(p)`, and removing `x` recomputes those of every point
-//! with `d(x, p) <= r_R(p)`. A point the fold leaves out already has `R`
-//! points strictly closer than `x`, so its radii cannot change.
+//! with `d(x, p) <= r_R(p)`. A point the gate leaves out already has `R`
+//! points strictly closer than `x`, so its radii cannot change. They keep
+//! the maxima exact too. A removal only raises slacks, so it raises the
+//! maxima of the changed points' hubs in place, and rescans only the hubs
+//! where the removed point held a maximum. An insert raises the maxima of
+//! the new point's hubs with its slacks, and rescans only the hubs where a
+//! point whose radii fell held a maximum. Each keeps the last distances of
+//! the changed point's buckets.
 //!
 //! Every scan reads its label through [`HubLabeling::entries`], which decodes
 //! one entry at a time into no buffer: the fold and the point-table splices
@@ -82,22 +99,35 @@ pub struct HubLabelIndex {
     /// Every point's radii, in point-id order: spliced wherever the table
     /// splices its point directory, so they take `|P| · R` weights.
     radii: Vec<Radii>,
+    /// `max_slack[k - 1][h]`: the largest slack `r_k(p) - d(h, p)` over the
+    /// bucket of hub rank `h`, `-∞` for an empty bucket. One array per `k`,
+    /// so a query reads one.
+    max_slack: [Vec<f64>; STORED_RADII],
+    /// `last[h]`: the distance of the last entry of hub rank `h`'s bucket,
+    /// zero for an empty bucket. The gate's rounding margin scales with it,
+    /// so a skipped hub's bucket is never touched.
+    last: Vec<Weight>,
     /// Buffers of point maintenance, reused per update.
     update: UpdateBuffers,
 }
 
-/// The fold table and k-NN list of point maintenance, kept inside the index
-/// between updates: a fresh [`NodeTable`] would be sized to the graph on
-/// every call. Not part of the index's value.
+/// The scan table, k-NN list and hub list of point maintenance, kept inside
+/// the index between updates: a fresh [`NodeTable`] would be sized to the
+/// graph on every call. Not part of the index's value.
 #[derive(Clone, Debug, Default)]
 struct UpdateBuffers {
     dmin: NodeTable<Weight>,
     best: Vec<(NodeId, Weight)>,
+    hubs: Vec<u32>,
 }
 
 impl PartialEq for HubLabelIndex {
     fn eq(&self, other: &Self) -> bool {
-        self.labeling == other.labeling && self.table == other.table && self.radii == other.radii
+        self.labeling == other.labeling
+            && self.table == other.table
+            && self.radii == other.radii
+            && self.max_slack == other.max_slack
+            && self.last == other.last
     }
 }
 
@@ -131,11 +161,19 @@ impl HubLabelIndex {
     /// network shares the expensive half of the preprocessing.
     pub fn from_labeling<P: PointsOnNodes + ?Sized>(labeling: HubLabeling, points: &P) -> Self {
         let table = HubPointTable::build(&labeling, points);
-        let mut index =
-            HubLabelIndex { labeling, table, radii: Vec::new(), update: UpdateBuffers::default() };
+        let hubs = labeling.num_nodes();
+        let mut index = HubLabelIndex {
+            labeling,
+            table,
+            radii: Vec::new(),
+            max_slack: std::array::from_fn(|_| vec![f64::NEG_INFINITY; hubs]),
+            last: vec![Weight::ZERO; hubs],
+            update: UpdateBuffers::default(),
+        };
         let best = &mut Vec::new();
         index.radii =
             index.table.nodes().iter().map(|&node| index.stored_radii(node, best)).collect();
+        (0..hubs as u32).for_each(|h| index.rescan_max_slack(h));
         index
     }
 
@@ -192,22 +230,34 @@ impl HubLabelIndex {
     pub fn insert_point(&mut self, node: NodeId) -> PointId {
         assert!(self.table.point_of(node).is_none(), "node {node} already holds a point");
         let mut bufs = std::mem::take(&mut self.update);
-        let UpdateBuffers { dmin, best } = &mut bufs;
-        // Before `node` enters the table, so the fold meets only the others
+        let UpdateBuffers { dmin, best, hubs } = &mut bufs;
+        hubs.clear();
+        // Before `node` enters the table, so the scan meets only the others
         // and its distances index the radii by their current point ids.
-        self.fold(node, STORED_RADII, dmin, &mut QueryStats::default());
+        self.gated_scan(node, STORED_RADII, dmin, &mut QueryStats::default());
         for (other, &d) in dmin.iter() {
-            let radii = &mut self.radii
-                [self.table.point_of(other).expect("folded nodes are occupied").index()];
-            if d < radii[STORED_RADII - 1] {
+            let p = self.table.point_of(other).expect("scanned nodes are occupied").index();
+            let old = self.radii[p];
+            if d < old[STORED_RADII - 1] {
+                let radii = &mut self.radii[p];
                 let at = radii.partition_point(|&r| r <= d);
                 radii.copy_within(at..STORED_RADII - 1, at + 1);
                 radii[at] = d;
+                // Its slacks fall with its radii: where it held a maximum at
+                // a `k` whose radius fell, the maximum must be found again.
+                let fell = std::array::from_fn(|k| radii[k] < old[k]);
+                self.push_held_maxima(other, &old, fell, hubs);
             }
         }
         let id = self.table.insert_point(&self.labeling, node);
         let own = self.stored_radii(node, best);
         self.radii.insert(id.index(), own);
+        self.raise_max_slack(node, &own, [true; STORED_RADII]);
+        for (h, d) in self.labeling.entries(node) {
+            let last = &mut self.last[h as usize];
+            *last = d.max(*last);
+        }
+        self.rescan_hubs(hubs);
         self.update = bufs;
         id
     }
@@ -216,18 +266,86 @@ impl HubLabelIndex {
     /// [`HubPointTable::remove_point`] and the module docs).
     pub fn remove_point(&mut self, node: NodeId) -> Option<PointId> {
         let id = self.table.remove_point(&self.labeling, node)?;
-        self.radii.remove(id.index());
+        let gone = self.radii.remove(id.index());
         let mut bufs = std::mem::take(&mut self.update);
-        let UpdateBuffers { dmin, best } = &mut bufs;
-        self.fold(node, STORED_RADII, dmin, &mut QueryStats::default());
-        for (other, &d) in dmin.iter() {
-            let p = self.table.point_of(other).expect("folded nodes are occupied").index();
-            if d <= self.radii[p][STORED_RADII - 1] {
-                self.radii[p] = self.stored_radii(other, best);
+        let UpdateBuffers { dmin, best, hubs } = &mut bufs;
+        hubs.clear();
+        // Its entries left the buckets: where it held a maximum, the maximum
+        // must be found again, and where it was last, the last entry moved.
+        self.push_held_maxima(node, &gone, [true; STORED_RADII], hubs);
+        for (h, d) in self.labeling.entries(node) {
+            if d == self.last[h as usize] {
+                self.last[h as usize] = self.table.bucket(h).0.last().map_or(Weight::ZERO, |&l| l);
             }
         }
+        self.gated_scan(node, STORED_RADII, dmin, &mut QueryStats::default());
+        for (other, &d) in dmin.iter() {
+            let p = self.table.point_of(other).expect("scanned nodes are occupied").index();
+            let old = self.radii[p];
+            if d <= old[STORED_RADII - 1] {
+                let radii = self.stored_radii(other, best);
+                self.radii[p] = radii;
+                let rose = std::array::from_fn(|k| radii[k] > old[k]);
+                self.raise_max_slack(other, &radii, rose);
+            }
+        }
+        self.rescan_hubs(hubs);
         self.update = bufs;
         Some(id)
+    }
+
+    /// Pushes onto `hubs` every hub of `node`'s label where the point on
+    /// `node`, at `radii`, attains the stored maximum slack at some `k` with
+    /// `fell[k]`.
+    fn push_held_maxima(
+        &self,
+        node: NodeId,
+        radii: &Radii,
+        fell: [bool; STORED_RADII],
+        hubs: &mut Vec<u32>,
+    ) {
+        for (h, d) in self.labeling.entries(node) {
+            let held = |k: usize| slack(radii[k], d) == self.max_slack[k][h as usize];
+            if (0..STORED_RADII).any(|k| fell[k] && held(k)) {
+                hubs.push(h);
+            }
+        }
+    }
+
+    /// Raises the maxima of `node`'s hubs to the slacks of the point on
+    /// `node` at `radii`, at every `k` with `rose[k]`.
+    fn raise_max_slack(&mut self, node: NodeId, radii: &Radii, rose: [bool; STORED_RADII]) {
+        for (h, d) in self.labeling.entries(node) {
+            for k in (0..STORED_RADII).filter(|&k| rose[k]) {
+                let max = &mut self.max_slack[k][h as usize];
+                *max = max.max(slack(radii[k], d));
+            }
+        }
+    }
+
+    /// Recomputes the maxima of every hub in `hubs` from its bucket.
+    fn rescan_hubs(&mut self, hubs: &mut Vec<u32>) {
+        hubs.sort_unstable();
+        hubs.dedup();
+        hubs.iter().for_each(|&h| self.rescan_max_slack(h));
+    }
+
+    /// Recomputes hub `h`'s maxima and last entry from its bucket and the
+    /// current radii.
+    fn rescan_max_slack(&mut self, h: u32) {
+        let mut max = [f64::NEG_INFINITY; STORED_RADII];
+        let (dists, nodes) = self.table.bucket(h);
+        for (&d, &n) in dists.iter().zip(nodes) {
+            let radii =
+                &self.radii[self.table.point_of(n).expect("bucket nodes are occupied").index()];
+            for (max, &r) in max.iter_mut().zip(radii) {
+                *max = max.max(slack(r, d));
+            }
+        }
+        for (max_slack, max) in self.max_slack.iter_mut().zip(max) {
+            max_slack[h as usize] = max;
+        }
+        self.last[h as usize] = dists.last().map_or(Weight::ZERO, |&l| l);
     }
 
     /// Label-based shortest path distance (see [`HubLabeling::distance`]).
@@ -349,11 +467,47 @@ impl HubLabelIndex {
         std::array::from_fn(|j| best.get(j + 1).map_or(Weight::INFINITY, |&(_, d)| d))
     }
 
+    /// Collects into `dmin`, per occupied node `p`, the minimum of
+    /// `fl(d(from, h) + d(h, p))` over the bucket entries that pass the
+    /// radius test against `r_k(p)`, `k <= R`, reading only the buckets of
+    /// the hubs [`gate_skips`] lets through (see the module docs). The query
+    /// at `k <= R` and both point updates run it. `dmin` clears in O(1), so
+    /// the cost stays proportional to the entries read, never to the total
+    /// point count.
+    fn gated_scan(
+        &self,
+        from: NodeId,
+        k: usize,
+        dmin: &mut NodeTable<Weight>,
+        stats: &mut QueryStats,
+    ) {
+        dmin.clear();
+        let max_slack = &self.max_slack[k - 1];
+        for (h, a) in self.labeling.entries(from) {
+            stats.nodes_settled += 1;
+            stats.label_scans += 1;
+            if gate_skips(a, max_slack[h as usize], self.last[h as usize]) {
+                continue; // an empty bucket's maximum is -∞
+            }
+            let (dists, nodes) = self.table.bucket(h);
+            for (&d, &n) in dists.iter().zip(nodes) {
+                let through = a + d;
+                let p = self.table.point_of(n).expect("bucket nodes are occupied");
+                if through <= self.radii[p.index()][k - 1] {
+                    let d = dmin.entry(n, through);
+                    *d = through.min(*d);
+                }
+            }
+            stats.heap_pushes += dists.len() as u64;
+            stats.bucket_scans += dists.len() as u64;
+        }
+    }
+
     /// Folds `d(from, h) + d(h, p)` to the minimum per occupied node over the
     /// buckets of `from`'s hubs into `dmin`, leaving out the entries Lemma 1
-    /// rejects at the hub for this `k` (see the module docs). The query and
-    /// both point updates run it. `dmin` clears in O(1), so the cost stays
-    /// proportional to the entries read, never to the total point count.
+    /// rejects at the hub for this `k` (see the module docs). The query runs
+    /// it at `k > R`. `dmin` clears in O(1), so the cost stays proportional to
+    /// the entries read, never to the total point count.
     fn fold(&self, from: NodeId, k: usize, dmin: &mut NodeTable<Weight>, stats: &mut QueryStats) {
         dmin.clear();
         for (h, a) in self.labeling.entries(from) {
@@ -399,20 +553,23 @@ impl HubLabelIndex {
     ///
     /// [`QueryStats`] fields are label-scan counters here:
     /// `nodes_settled` = query label entries processed (the "main
-    /// expansion"), `heap_pushes` = bucket entries read by the fold (entries
-    /// Lemma 1 skips unread are not counted), `candidates` /
-    /// `verifications` = points that survive the prune and are decided.
-    /// `range_nn_queries` stays zero — there is no range probe. The
-    /// dedicated hub-label counters report the same work in its own terms:
-    /// `label_scans` = the query's label entries and `bucket_scans` = the
-    /// fold entries read. For `k <= STORED_RADII` every radius is stored and
-    /// `auxiliary_settled` is zero; above it, the on-demand radius scans add
-    /// their label entries to `label_scans` and their bucket entries to both
-    /// `bucket_scans` and `auxiliary_settled`.
+    /// expansion"), `heap_pushes` = bucket entries read in the candidate
+    /// phase (for `k <= STORED_RADII`, every entry of the buckets the gate
+    /// does not skip; above it, the fold's reads, not counting the entries
+    /// Lemma 1 skips unread), `candidates` / `verifications` = points decided
+    /// (for `k <= STORED_RADII`, the points that pass the gate's radius test;
+    /// above it, those that survive the prune). `range_nn_queries` stays zero
+    /// — there is no range probe. The dedicated hub-label counters report the
+    /// same work in its own terms: `label_scans` = the query's label entries
+    /// and `bucket_scans` = the candidate phase's entries read. For
+    /// `k <= STORED_RADII` every radius is stored and `auxiliary_settled` is
+    /// zero; above it, the on-demand radius scans add their label entries to
+    /// `label_scans` and their bucket entries to both `bucket_scans` and
+    /// `auxiliary_settled`.
     ///
     /// When the scratch's tracer is active (a tracing `rnn-server` worker
     /// starts it per query), the two phases are reported as
-    /// [`Phase::CandidateGen`] (work = fold entries read) and
+    /// [`Phase::CandidateGen`] (work = bucket entries read) and
     /// [`Phase::Counting`] (work = candidates decided) spans.
     ///
     /// # Panics
@@ -424,15 +581,19 @@ impl HubLabelIndex {
 
         let candidate_span = scratch.tracer().begin();
         let mut dmin = scratch.take_dist_table();
-        self.fold(query, k, &mut dmin, &mut stats);
+        if k <= STORED_RADII {
+            self.gated_scan(query, k, &mut dmin, &mut stats);
+        } else {
+            self.fold(query, k, &mut dmin, &mut stats);
+        }
         let read = stats.heap_pushes;
         scratch.tracer_mut().end(Phase::CandidateGen, candidate_span, read);
 
-        // Decide candidates in first-fold order, which only decides the order
-        // of the sums in `stats` and of the result before it is sorted. A
-        // point collocated with the query (distance zero) is trivially a
-        // reverse neighbor and not reported, matching the expansion
-        // algorithms.
+        // Decide candidates in the order the candidate phase first met them,
+        // which only decides the order of the sums in `stats` and of the
+        // result before it is sorted. A point collocated with the query
+        // (distance zero) is trivially a reverse neighbor and not reported,
+        // matching the expansion algorithms.
         let counting_span = scratch.tracer().begin();
         let mut best = scratch.take_node_dists();
         let mut result: Vec<PointId> = Vec::new();
@@ -496,6 +657,42 @@ fn lemma1_rejects(a: Weight, d: Weight, kth: Weight) -> bool {
 fn tail_is_rejected(a: Weight, kth: Weight, last: Weight) -> bool {
     let (a, kth, last) = (a.value(), kth.value(), last.value());
     a - kth > 4.0 * f64::EPSILON * (a + last)
+}
+
+/// The slack of a bucket entry at distance `d` whose point has radius `r`:
+/// how far the query may lie from the hub for the entry to pass the radius
+/// test through it.
+fn slack(r: Weight, d: Weight) -> f64 {
+    r.value() - d.value()
+}
+
+/// Whether the radius test `fl(a + d) <= r` fails for *every* entry of a
+/// bucket whose largest [`slack`] is `max_slack` and whose last entry is at
+/// `last`, for a query at distance `a` from the hub — decided without
+/// reading the bucket.
+///
+/// Take an entry at distance `d <= last` with radius `r`, so
+/// `fl(r - d) <= max_slack`, and suppose the guard holds while
+/// `fl(a + d) <= r`. A floating-point sum or difference is off by at most
+/// half an ulp, `|fl(s) - s| <= |s| * EPSILON / 2` (subnormal results are
+/// exact), so `r - d >= a - EPSILON / 2 * (a + last)`. The guard's rounded
+/// difference and sum cost it a factor below `1 + 2 * EPSILON`, and its
+/// scaling by a power of two is exact or, if it underflows, off by at most
+/// `2^-1075`, so it gives `r - d - max_slack > 3 * EPSILON * (a + last) -
+/// 2^-1075`. Now `max_slack` lies in `[-last, a)`: it is at least
+/// `fl(r - d) >= -d`, and below `a` by the guard. So the float just above it
+/// is within `max(EPSILON * (a + last), 2^-1074)`. If
+/// `EPSILON * (a + last) >= 2^-1074`, `r - d` lies at or beyond that float
+/// and, rounding being monotone, `fl(r - d) > max_slack` — a contradiction.
+/// Otherwise `a + last < 2^-1022`, where `a + d` and `a - max_slack` are
+/// exact: the guard says `a > max_slack`, and `r >= a + d` gives
+/// `fl(r - d) >= a > max_slack` all the same. Asking for `4 * EPSILON`
+/// leaves the slack above. An `∞` radius makes `max_slack` `∞`, and an
+/// overflowing `a + last` makes the margin `∞`: such a hub is never
+/// skipped.
+fn gate_skips(a: Weight, max_slack: f64, last: Weight) -> bool {
+    let (a, last) = (a.value(), last.value());
+    a - max_slack > 4.0 * f64::EPSILON * (a + last)
 }
 
 impl HubLabelRknn for HubLabelIndex {
@@ -612,14 +809,30 @@ mod tests {
     fn rknn_stats_count_label_work() {
         let (g, pts) = cycle();
         let index = HubLabelIndex::build(&g, &pts);
-        let out = index.rknn(NodeId::new(0), 1);
+        // Above the stored radii the fold reads every bucket entry of these
+        // short buckets and decides every point it reaches; at k >= |P| each
+        // radius is ∞ without a scan, so nothing else is read.
+        let out = index.rknn(NodeId::new(0), STORED_RADII + 1);
         assert!(out.stats.nodes_settled > 0, "query label entries were processed");
         assert!(out.stats.heap_pushes > 0, "candidate-phase bucket entries were folded");
         assert_eq!(out.stats.candidates, 3);
         assert_eq!(out.stats.verifications, 3);
         assert_eq!(out.stats.range_nn_queries, 0, "no range probes in label space");
-        // At k <= STORED_RADII every radius is stored: the dedicated counters
-        // are the query's label and the fold, and nothing else is read.
+        assert_eq!(out.stats.label_scans, out.stats.nodes_settled);
+        assert_eq!(out.stats.bucket_scans, out.stats.heap_pushes);
+        assert_eq!(out.stats.auxiliary_settled, 0);
+        let folded = out.stats.heap_pushes;
+
+        // At k <= STORED_RADII the gate reads the buckets it lets through,
+        // here the one bucket of the query's label (node 0 is the top hub, at
+        // distance 0), and only the points that pass their radius test become
+        // candidates: the point on 1 (at 1, its r_1 is 2), not those on 3 and
+        // 4 (at 3 and 2, each 1 from the other). Nothing past the query's
+        // label and that bucket is read.
+        let out = index.rknn(NodeId::new(0), 1);
+        assert_eq!(out.points, vec![pts.point_at(NodeId::new(1)).unwrap()]);
+        assert_eq!((out.stats.candidates, out.stats.verifications), (1, 1));
+        assert_eq!(out.stats.heap_pushes, folded);
         assert_eq!(out.stats.label_scans, out.stats.nodes_settled);
         assert_eq!(out.stats.bucket_scans, out.stats.heap_pushes);
         assert_eq!(out.stats.auxiliary_settled, 0);
@@ -714,21 +927,18 @@ mod tests {
 
     #[test]
     fn lemma1_skips_sorted_bucket_tails_unread() {
-        // Path 0-1-...-9 with unit weights, points on 0, 1, 2 and 6, query
-        // on 9: the hubs the far points share with the query are farther
-        // from it than from their nearest point, so their buckets are cut
-        // off after the head and the far points are never verified.
-        let mut b = GraphBuilder::new(10);
-        for i in 0..9 {
-            b.add_edge(i, i + 1, 1.0).unwrap();
-        }
-        let g = b.build().unwrap();
-        let pts = NodePointSet::from_nodes(10, [0, 1, 2, 6].map(NodeId::new));
+        // Unit path 0-1-...-19, points on 0..=9 and 14, query on 19, k = 5:
+        // the hubs the far points share with the query are farther from it
+        // than from their fifth nearest point, so their buckets are cut off
+        // after the head and the far points are never verified.
+        let g = path(20);
+        let pts = NodePointSet::from_nodes(20, (0..10).chain([14]).map(NodeId::new));
         let index = HubLabelIndex::build(&g, &pts);
-        let query = NodeId::new(9);
-        let out = index.rknn(query, 1);
-        assert_eq!(out.points, naive::naive_rknn(&g, &pts, query, 1).points);
-        assert_eq!(out.points, vec![pts.point_at(NodeId::new(6)).unwrap()]);
+        let query = NodeId::new(19);
+        let k = STORED_RADII + 1;
+        let out = index.rknn(query, k);
+        assert_eq!(out.points, naive::naive_rknn(&g, &pts, query, k).points);
+        assert_eq!(out.points, vec![pts.point_at(NodeId::new(14)).unwrap()]);
 
         let listed: usize = index
             .labeling()
@@ -741,8 +951,40 @@ mod tests {
             "read {} of {listed} listed entries",
             out.stats.heap_pushes
         );
-        assert!(out.stats.candidates < 4, "Lemma 1 rejected a point inside the fold");
+        assert!(out.stats.candidates < 11, "Lemma 1 rejected a point inside the fold");
         assert_eq!(out.stats.bucket_scans, out.stats.heap_pushes + out.stats.auxiliary_settled);
+    }
+
+    #[test]
+    fn the_gate_skips_hubs_whose_points_are_all_nearer_each_other() {
+        // Unit path 0-1-...-9, points on 0, 1, 2 and 6, query on 9, k = 1:
+        // every point on 0..=2 is 1 from another, and the query is farther
+        // from each of their hubs than that, so the gate reads only buckets
+        // that list the point on 6: 2 of the 12 entries the query's hubs
+        // list, against 11 for the fold. It decides that point alone.
+        let g = path(10);
+        let pts = NodePointSet::from_nodes(10, [0, 1, 2, 6].map(NodeId::new));
+        let index = HubLabelIndex::build(&g, &pts);
+        let query = NodeId::new(9);
+        let out = index.rknn(query, 1);
+        assert_eq!(out.points, naive::naive_rknn(&g, &pts, query, 1).points);
+        assert_eq!(out.points, vec![pts.point_at(NodeId::new(6)).unwrap()]);
+        assert_eq!((out.stats.candidates, out.stats.heap_pushes), (1, 2));
+        let listed: usize = index
+            .labeling()
+            .entries(query)
+            .map(|(h, _)| index.point_table().bucket(h).0.len())
+            .sum();
+        let mut fold = QueryStats::default();
+        index.fold(query, 1, &mut NodeTable::default(), &mut fold);
+        assert_eq!((listed, fold.heap_pushes), (12, 11));
+        let six = NodeId::new(6);
+        for (h, a) in index.labeling().entries(query) {
+            let (dists, nodes) = index.point_table().bucket(h);
+            if !nodes.contains(&six) && !dists.is_empty() {
+                assert!(gate_skips(a, index.max_slack[0][h as usize], dists[dists.len() - 1]));
+            }
+        }
     }
 
     /// Magnitudes chosen to force absorption, underflow and overflow in the
@@ -788,6 +1030,50 @@ mod tests {
             }
         }
         assert!(skipped > 100, "the guard fires on the well-separated triples ({skipped})");
+    }
+
+    #[test]
+    fn gate_skip_implies_the_radius_test() {
+        let values = nasty_weights();
+        let radii: Vec<Weight> =
+            [Weight::ZERO, Weight::INFINITY].into_iter().chain(values.iter().copied()).collect();
+        let mut skipped = 0;
+        for &a in &values {
+            for &last in &values {
+                for &d in values.iter().filter(|&&d| d <= last) {
+                    for &r in &radii {
+                        let own = slack(r, d);
+                        let maxima = std::iter::once(own)
+                            .chain(values.iter().map(|w| w.value()).filter(|&m| m >= own));
+                        for max_slack in maxima {
+                            if gate_skips(a, max_slack, last) {
+                                skipped += 1;
+                                assert!(a + d > r, "a={a} max={max_slack} d={d} r={r} last={last}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(skipped > 1000, "the gate fires on the well-separated tuples ({skipped})");
+    }
+
+    #[test]
+    fn absorbed_sums_and_infinite_radii_keep_the_gate_open() {
+        let w = Weight::new;
+        let two53 = 9_007_199_254_740_992.0;
+        // The query is 0.5 farther from the hub than the slack allows, yet
+        // the sum rounds to 2^53 and ties the radius: the gate must read.
+        let (a, d, r) = (w(0.5), w(two53), w(two53));
+        assert!(a + d <= r);
+        assert!(!gate_skips(a, slack(r, d), d));
+        // The same gap below a short bucket is far outside the margin.
+        assert!(w(0.5) + w(8.0) > w(8.0));
+        assert!(gate_skips(w(0.5), slack(w(8.0), w(8.0)), w(8.0)));
+        // An ∞ radius is never skipped, however far the hub.
+        for &a in &nasty_weights() {
+            assert!(!gate_skips(a, slack(Weight::INFINITY, w(1.0)), w(1.0)), "a={a}");
+        }
     }
 
     #[test]

@@ -10,16 +10,17 @@
 //!   zoo, and a `Server` serving the hub-label algorithm is deterministic at
 //!   1/2/8 workers;
 //! * steady-state label queries are allocation-free on a reused `Scratch`;
-//! * the RkNN query, which applies Lemma 1 inside the candidate fold and
-//!   tests candidates against stored or scanned k-NN radii, answers like the
-//!   unpruned fold with per-candidate counting it replaced (kept here as
+//! * the RkNN query, which skips the buckets of hubs beyond their largest
+//!   slack at `k <= 4` and applies Lemma 1 inside the candidate fold above,
+//!   testing candidates against stored or scanned k-NN radii, answers like
+//!   the unpruned fold with per-candidate counting it replaced (kept here as
 //!   [`unpruned_rknn`]) and like the naive baseline — on graphs biased to
 //!   ties, short buckets and split components, at weights scaled down to
 //!   `f64::MIN_POSITIVE` and up to 2^52, where sums absorb, at `k` up to
 //!   `usize::MAX`, before and after a random point insert/remove trace —
-//!   with queries at exactly a point's `k`-th radius and on a point — and the
-//!   unread-tail skip gives way to the per-entry test where floating-point
-//!   sums absorb the gap or tie.
+//!   with queries at exactly a point's `k`-th radius and on a point — and
+//!   both the gate and the unread-tail skip give way to the per-entry test
+//!   where floating-point sums absorb the gap or tie.
 
 mod common;
 
@@ -31,7 +32,7 @@ use rnn_datagen::{
     brite_topology, grid_map, place_points_on_nodes, sample_node_queries, BriteConfig, GridConfig,
 };
 use rnn_graph::{Graph, GraphBuilder, NodeId, NodePointSet, PointId, PointsOnNodes, Weight};
-use rnn_index::{HubLabelIndex, HubLabeling};
+use rnn_index::{HubLabelIndex, HubLabeling, STORED_RADII};
 use rnn_server::{Request, Server, ServerConfig, World};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -407,8 +408,10 @@ fn assert_pruned_matches_references(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// Differential test of the Lemma 1 prune, before and after a random
-    /// 200-op insert/remove trace maintained incrementally.
+    /// Differential test of the max-slack gate (k <= 4) and the Lemma 1
+    /// prune (k > 4), before and after a random 200-op insert/remove trace
+    /// maintained incrementally, with the index equal to a fresh one, radii
+    /// and maxima included, after every op.
     #[test]
     fn pruned_rknn_equals_unpruned_fold_and_naive(inst in nasty_instance()) {
         let mut occupied = inst.occupied.clone();
@@ -426,6 +429,8 @@ proptest! {
             } else {
                 prop_assert!(index.remove_point(node).is_some());
             }
+            let fresh = HubLabelIndex::from_labeling(index.labeling().clone(), &point_set(&occupied));
+            prop_assert!(index == fresh, "after toggling {}", node);
         }
         assert_pruned_matches_references(&inst.graph, &point_set(&occupied), &index)?;
     }
@@ -462,23 +467,38 @@ fn query_star(leaf_weights: &[f64], k: usize) -> (Vec<usize>, u64) {
 /// `d_{k-1} < a`, but the far entries are so large that `fl(d_j + d_{k-1})`
 /// and `fl(a + d_j)` are the same float: they tie with the query, Lemma 1
 /// does not reject them, and the margin guard must make the fold read them.
+/// The fold runs above the stored radii, so at `k = 5`, with five near
+/// points.
 #[test]
 fn absorbed_sums_make_the_fold_read_the_bucket_tail() {
     let two53 = 9_007_199_254_740_992.0;
-    for (k, near) in [(1, vec![0.25]), (2, vec![0.125, 0.25])] {
-        let leaves = |far: [f64; 3]| [vec![0.5], near.clone(), far.to_vec()].concat();
-        let last_leaf = 1 + near.len() + 3;
-        // Well separated: the far points are rejected unread — the head, entry
-        // `k` and the last entry are all the candidate phase looks at.
-        let (answer, read) = query_star(&leaves([8.0, 8.0, 16.0]), k);
-        assert_eq!(answer, (2..2 + near.len()).collect::<Vec<_>>(), "k={k}");
-        assert_eq!(read, k as u64 + 2, "k={k}");
-        // Absorbed: every far point is as close to the query as to anything
-        // else, so all of them are reverse neighbors and all were read.
-        let (answer, read) = query_star(&leaves([two53, two53, 2.0 * two53]), k);
-        assert_eq!(answer, (2..=last_leaf).collect::<Vec<_>>(), "k={k}");
-        assert_eq!(read, (near.len() + 3) as u64, "k={k}");
-    }
+    let k = STORED_RADII + 1;
+    let near = [0.0625, 0.125, 0.1875, 0.25, 0.3125];
+    let leaves = |far: [f64; 3]| [&[0.5][..], &near, &far].concat();
+    // Well separated: the far points are rejected unread — the head, entry
+    // `k` and the last entry are all the candidate phase looks at.
+    let (answer, read) = query_star(&leaves([8.0, 8.0, 16.0]), k);
+    assert_eq!(answer, (2..2 + k).collect::<Vec<_>>());
+    assert_eq!(read, k as u64 + 2);
+    // Absorbed: every far point is as close to the query as to anything
+    // else, so all of them are reverse neighbors and all were read.
+    let (answer, read) = query_star(&leaves([two53, two53, 2.0 * two53]), k);
+    assert_eq!(answer, (2..2 + k + 3).collect::<Vec<_>>());
+    assert_eq!(read, k as u64 + 3);
+}
+
+/// The gate's own margin at `k = 1`: the two points on 0.5-leaves are 1
+/// apart and the query is 1.25 from each, so the largest slack is 0.5, and
+/// 0.75 from the hub the query lies beyond it. With the third point at 8
+/// the gap is far outside the margin and the hub is skipped unread. At
+/// 2^53 the query's sum rounds to 2^53, which ties that point's radius
+/// (its nearest point is absorbed too): the margin must open the hub, and
+/// the point answers.
+#[test]
+fn absorbed_sums_make_the_gate_read_the_bucket() {
+    let two53 = 9_007_199_254_740_992.0;
+    assert_eq!(query_star(&[0.75, 0.5, 0.5, 8.0], 1), (vec![], 0), "skipped unread");
+    assert_eq!(query_star(&[0.75, 0.5, 0.5, two53], 1), (vec![4], 3), "absorbed: read");
 }
 
 /// Smallest normal weights: the guard's scaled margin underflows while the
@@ -491,25 +511,38 @@ fn min_positive_weights_keep_the_guard_sound() {
     }
 }
 
-/// The query's distance to the hub exceeds the nearest point's by less than
-/// `f32` resolves, and far more than the margin: the guard sees the gap and
-/// reads no tail entry. The same star with the gap closed is a real tie:
-/// every point behind the nearest ties its radius, stays a reverse
-/// neighbor, and the whole bucket is read.
+/// The query's distance to the hub exceeds the fifth nearest point's by less
+/// than `f32` resolves, and far more than the margin: the fold's guard sees
+/// the gap and reads no tail entry. The same star with the gap closed is a
+/// real tie: every point behind the nearest five ties its radius, stays a
+/// reverse neighbor, and the whole bucket is read.
 #[test]
 fn a_near_tie_skips_the_tail_and_a_real_tie_reads_it() {
     let gap = 1.0 + f64::from(f32::EPSILON) / 8.0;
     assert_eq!(gap as f32, 1.0);
+    let k = STORED_RADII + 1;
+    let leaves = |query: f64| [query, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 3.0, 5.0];
     assert_eq!(
-        query_star(&[gap, 1.0, 2.0, 3.0, 5.0], 1),
-        (vec![2], 3),
-        "gap seen: one reverse neighbor, tail unread"
+        query_star(&leaves(gap), k),
+        ((2..7).collect(), 7),
+        "gap seen: the five near points answer, tail unread"
     );
     assert_eq!(
-        query_star(&[1.0, 1.0, 2.0, 3.0, 5.0], 1),
-        (vec![2, 3, 4, 5], 4),
+        query_star(&leaves(1.0), k),
+        ((2..10).collect(), 8),
         "ties seen: the whole bucket read"
     );
+}
+
+/// The same near tie at the gate: two points 2 apart, the query just over 1
+/// from the hub they share, so just past their slack of 1, and skipped
+/// unread. At exactly 1 the query ties both radii: the hub is read and both
+/// answer.
+#[test]
+fn a_near_tie_is_skipped_by_the_gate_and_a_real_tie_is_read() {
+    let gap = 1.0 + f64::from(f32::EPSILON) / 8.0;
+    assert_eq!(query_star(&[gap, 1.0, 1.0], 1), (vec![], 0), "gap seen: skipped unread");
+    assert_eq!(query_star(&[1.0, 1.0, 1.0], 1), (vec![2, 3], 2), "ties seen: read");
 }
 
 /// `index.rknn(query, k)` at every `k` in `1..=5`, the first `k` above the
