@@ -494,8 +494,8 @@ impl HubLabelIndex {
                 let through = a + d;
                 let p = self.table.point_of(n).expect("bucket nodes are occupied");
                 if through <= self.radii[p.index()][k - 1] {
-                    let d = dmin.entry(n, through);
-                    *d = through.min(*d);
+                    let best = dmin.entry(n, through);
+                    *best = through.min(*best);
                 }
             }
             stats.heap_pushes += dists.len() as u64;
