@@ -1,10 +1,9 @@
-//! The hasher of the few hash tables left in the crate, none of them a
+//! The hasher of the one hash table left in the crate, which is not a
 //! query's per-node or per-point state (that lives in [`crate::NodeTable`]):
-//! the result cache's LRU and its pick of a shard (`cache.rs`) and the LRU
-//! of eager-M's simulated table pages (`materialize/mod.rs`). Their keys are
-//! small integers or tuples of them, for which the standard library's
-//! SipHash is overkill, so this is a small multiplicative hasher in the
-//! spirit of `FxHash`, without a dependency.
+//! the LRU of eager-M's simulated table pages (`materialize/mod.rs`). Its
+//! keys are small integers, for which the standard library's SipHash is
+//! overkill, so this is a small multiplicative hasher in the spirit of
+//! `FxHash`, without a dependency.
 //! HashDoS resistance is irrelevant: keys are internal ids, not
 //! attacker-controlled input.
 

@@ -35,9 +35,10 @@
 //!   straw-man comparison;
 //! * the [`dispatch`] a serving worker runs queries through:
 //!   [`run_rknn_with`], one match on the [`Algorithm`] enum, on a reusable
-//!   [`Scratch`] arena that makes steady-state queries allocation-free, and
-//!   the optional bounded-LRU [`SharedResultCache`] ([`cache`]) in front of
-//!   it; running queries concurrently is `rnn-server`'s job;
+//!   [`Scratch`] arena that makes steady-state queries allocation-free; it
+//!   memoizes nothing, so every call prices its own work (the paper's page
+//!   accesses and CPU time per query), and running queries concurrently is
+//!   `rnn-server`'s job;
 //! * the [`precomputed`] context: the [`Precomputed`] bundle handed to every
 //!   query and the object-safe [`HubLabelRknn`] oracle trait through which
 //!   the `rnn-index` crate's hub-label RkNN ([`Algorithm::HubLabel`]) plugs
@@ -87,7 +88,6 @@
 #![warn(missing_docs)]
 
 pub mod bichromatic;
-pub mod cache;
 mod candidates;
 pub mod continuous;
 pub mod dispatch;
@@ -107,7 +107,6 @@ pub mod scratch;
 pub mod unrestricted;
 pub mod verify;
 
-pub use cache::{CacheStats, SharedResultCache};
 pub use dispatch::{run_rknn, run_rknn_with, Algorithm};
 pub use materialize::MaterializedKnn;
 pub use node_table::NodeTable;

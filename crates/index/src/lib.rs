@@ -36,8 +36,8 @@
 //!   `d(q, p) <= r_k(p)`, its k-th nearest-other-point distance. It implements
 //!   [`rnn_core::precomputed::HubLabelRknn`], so
 //!   [`rnn_core::Algorithm::HubLabel`] runs through `run_rknn_with`, the
-//!   server's result cache, scratch reuse and [`rnn_core::QueryStats`]
-//!   exactly like the built-in algorithms.
+//!   server, scratch reuse and [`rnn_core::QueryStats`] exactly like the
+//!   built-in algorithms.
 //!
 //! Result semantics are identical to `rnn-core`'s: a point `p` with
 //! `d(p, q) > 0` is reported iff fewer than `k` *other* points are strictly

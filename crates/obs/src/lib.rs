@@ -1,18 +1,18 @@
 //! Observability for the RkNN workspace: one place to record, aggregate and
 //! export what every other layer measures.
 //!
-//! Before this crate the system had four disconnected telemetry islands —
-//! the server's `ServerStats`, the storage layer's I/O counters, the
-//! result cache's statistics and the per-query `QueryStats` — none of which
-//! could answer "why was *this* query slow?" or be scraped as one snapshot.
+//! Before this crate the system had disconnected telemetry islands — the
+//! server's `ServerStats`, the storage layer's I/O counters and the
+//! per-query `QueryStats` — none of which could answer "why was *this*
+//! query slow?" or be scraped as one snapshot.
 //! This crate unifies them:
 //!
 //! * [`MetricsRegistry`] — named counters, gauges
 //!   and histograms with wait-free record paths (striped relaxed atomics),
-//!   plus pollable *sources* through which the server, buffer pool, result
-//!   cache and hub-label index contribute their own internally consistent
-//!   counter groups. One [`snapshot`](registry::MetricsRegistry::snapshot)
-//!   replaces ad-hoc polling of four APIs.
+//!   plus pollable *sources* through which the server, buffer pool and
+//!   hub-label index contribute their own internally consistent counter
+//!   groups. One [`snapshot`](registry::MetricsRegistry::snapshot) replaces
+//!   ad-hoc polling of each API.
 //! * [`LatencyHistogram`] — the fixed-bucket
 //!   log-scale latency distribution (moved here from `rnn-server` so every
 //!   layer can use it), now with an exact minimum, p99.9 and zero-copy

@@ -4,8 +4,8 @@
 //! [`Histogram`]s whose record paths are **wait-free** — a fixed number of
 //! atomic operations, no locks, no allocation — and produces one
 //! [`MetricsSnapshot`] covering everything, including the *sources*
-//! (server stats, buffer-pool counters, result-cache stats, hub-label
-//! telemetry) registered by the other crates.
+//! (server stats, buffer-pool counters, hub-label telemetry) registered by
+//! the other crates.
 //!
 //! # Consistency discipline
 //!
@@ -354,9 +354,8 @@ impl MetricsRegistry {
 
     /// Registers a pollable source: at snapshot time `collect` is called
     /// with a [`SampleSet`] to fill. Use this to bridge an existing
-    /// consistent-snapshot API (server stats, I/O counters, cache stats)
-    /// into the registry without double-maintaining counters on the hot
-    /// path.
+    /// consistent-snapshot API (server stats, I/O counters) into the
+    /// registry without double-maintaining counters on the hot path.
     pub fn register_source(
         &self,
         name: &str,

@@ -25,11 +25,10 @@
 //!   interleaves. Every accepted request resolves its ticket exactly once.
 //! * [`Server`] — N long-lived workers, each with its own [`Scratch`]
 //!   arena, draining the queue in micro-batches and answering each request
-//!   from the result cache or else through [`rnn_core::run_rknn_with`]
-//!   (tracing it when asked to), sharing one result cache (and, on paged
-//!   worlds, one striped buffer pool that counts each page access once);
-//!   graceful drain-then-join shutdown; atomic point-set swaps that sweep
-//!   the cache.
+//!   through [`rnn_core::run_rknn_with`] (tracing it when asked to); on
+//!   paged worlds they share one striped buffer pool that counts each page
+//!   access once. No answer is memoized: every request prices its own work.
+//!   Graceful drain-then-join shutdown; atomic point-set swaps.
 //! * [`ServerStats`] — **wait-free** runtime snapshots: global and
 //!   per-class ([`ClassStats`]) admission counters and latency histograms,
 //!   published by workers through seqlock-style double-buffered cells
@@ -40,8 +39,8 @@
 //!   so overload telemetry is not survivorship-biased.
 //! * **Observability** — [`Server::start_observed`] registers the server as
 //!   a pollable source of an [`rnn_obs::MetricsRegistry`] (admission
-//!   counters, per-class histograms, per-algorithm serve counts, cache /
-//!   I/O rollups, all from one wait-free stats poll);
+//!   counters, per-class histograms, per-algorithm serve counts, the I/O
+//!   rollup, all from one wait-free stats poll);
 //!   [`ServerConfig::with_tracing`] turns on per-query phase tracing
 //!   (folded into `algorithm x phase` registry aggregates), and
 //!   [`ServerConfig::with_slow_query_log`] captures the worst-N traces plus

@@ -10,28 +10,27 @@
 //! ```text
 //! submit() ──admission──▶ RequestQueue ──micro-batch──▶ worker ──▶ Ticket
 //!    │                    (per-class,                     │
-//!    │                     EDF, then FIFO)                └── result cache,
-//!    └── Err(QueueFull / ShuttingDown / Unservable)           else run_rknn_with
-//!        (synchronous rejection)                              on the current World
+//!    │                     EDF, then FIFO)                └── run_rknn_with
+//!    └── Err(QueueFull / ShuttingDown / Unservable)           on the current World
+//!        (synchronous rejection)
 //! ```
 //!
 //! Each worker owns a [`Scratch`] arena (steady-state queries are
-//! allocation-free), calls [`rnn_core::run_rknn_with`] — the one dispatch
-//! every caller shares — behind the result cache, and drains the queue in
-//! micro-batches of up to 8 requests per wakeup — interactive before batch
-//! class, earliest-deadline-first within a class. All workers share one
-//! [`SharedResultCache`] and — when the world is a `PagedGraph` — one striped
-//! buffer pool and its I/O count, so the serving path reuses every
-//! concurrency layer built underneath it.
+//! allocation-free), answers every request through
+//! [`rnn_core::run_rknn_with`] — the one dispatch every caller shares — and
+//! drains the queue in micro-batches of up to 8 requests per wakeup —
+//! interactive before batch class, earliest-deadline-first within a class.
+//! When the world is a `PagedGraph`, all workers share one striped buffer
+//! pool and its I/O count, so the serving path reuses every concurrency
+//! layer built underneath it.
 //!
 //! **World swaps.** The topology and precomputed structures live in a
 //! [`World`] behind an RwLock. A worker holds the *read* lock for the
 //! duration of one micro-batch; [`Server::swap_points`] takes the *write*
-//! lock, installs the new point set and sweeps the result cache before
-//! releasing. The lock order makes the swap airtight: no in-flight batch can
-//! insert a stale answer after the sweep, because the sweep does not start
-//! until every in-flight batch has finished, and every later batch sees the
-//! new world.
+//! lock and installs the new point set before releasing. So a micro-batch
+//! answers every one of its requests from one consistent world: a swap waits
+//! for every in-flight batch to finish, and every later batch sees the new
+//! world.
 //!
 //! **Accounting.** Every submitted request lands in exactly one of
 //! `rejected` (synchronous), `completed`, or `shed` (asynchronous, via its
@@ -49,11 +48,12 @@
 
 use crate::queue::{Admission, RequestQueue};
 use crate::request::{Priority, Queued, Request, ServeError, ServedQuery, Ticket};
-use crate::stats::{algorithm_index, ClassStats, PublishedMetrics, ServerStats, WorkerMetrics};
+use crate::stats::{
+    algorithm_index, CacheStats, ClassStats, PublishedMetrics, ServerStats, WorkerMetrics,
+};
 use parking_lot::RwLock;
 use rnn_core::{
     run_rknn_with, Algorithm, HubLabelRknn, MaterializedKnn, Precomputed, RknnOutcome, Scratch,
-    SharedResultCache,
 };
 use rnn_graph::{NodeId, PointsOnNodes, Topology};
 use rnn_index::HubLabelIndex;
@@ -174,18 +174,14 @@ impl std::fmt::Debug for World {
     }
 }
 
-/// Server sizing, caching and tracing — the config the constructor
-/// consumes, set through its `with_*` methods.
+/// Server sizing and tracing — the config the constructor consumes, set
+/// through its `with_*` methods.
 #[derive(Copy, Clone, Debug)]
 pub struct ServerConfig {
     /// Number of worker threads (at least 1).
     workers: usize,
     /// Request-queue capacity (at least 1), shared across priority classes.
     queue_capacity: usize,
-    /// Result-cache entries shared by all workers (0 disables caching).
-    cache_capacity: usize,
-    /// Result-cache shards (0 means one per worker, the rule of thumb).
-    cache_shards: usize,
     /// Per-query phase tracing on the serving path.
     tracing: bool,
     /// Worst-N capacity of the slow-query log (0 disables worst capture).
@@ -200,13 +196,11 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    /// Two workers, a 1024-deep queue, no result cache, no tracing.
+    /// Two workers, a 1024-deep queue, no tracing.
     fn default() -> Self {
         ServerConfig {
             workers: 2,
             queue_capacity: 1024,
-            cache_capacity: 0,
-            cache_shards: 0,
             tracing: false,
             slow_worst: 0,
             slow_sample_every: 0,
@@ -230,11 +224,11 @@ impl ServerConfig {
         self
     }
 
-    /// Enables the shared result cache: `capacity` entries over `shards`
-    /// independently locked shards (0 shards = one per worker).
-    pub fn with_result_cache(mut self, capacity: usize, shards: usize) -> Self {
-        self.cache_capacity = capacity;
-        self.cache_shards = shards;
+    /// Does nothing: the server has no result cache. Kept only because the
+    /// standalone benchmark still calls it; it goes once ROADMAP item 10
+    /// drops that call.
+    #[doc(hidden)]
+    pub fn with_result_cache(self, _capacity: usize, _shards: usize) -> Self {
         self
     }
 
@@ -316,7 +310,6 @@ impl Counts {
 struct Shared {
     queue: RequestQueue,
     world: RwLock<World>,
-    cache: Option<SharedResultCache>,
     io: Option<IoCounters>,
     counts: Counts,
     metrics: Vec<PublishedMetrics>,
@@ -491,7 +484,7 @@ impl Shared {
             micro_batches,
             queue_wait,
             service,
-            cache: self.cache.as_ref().map(|c| c.stats()).unwrap_or_default(),
+            cache: CacheStats::default(),
             io: self.io.as_ref().map(|c| c.snapshot()).unwrap_or_default(),
         }
     }
@@ -500,8 +493,8 @@ impl Shared {
 /// Registers the server as one metrics source named `server`: every
 /// registry snapshot polls one [`Shared::stats_snapshot`] and emits the
 /// admission counters (totals and per class), per-algorithm serve counts,
-/// queue depth, micro-batch count, the latency histograms, and the cache /
-/// I/O rollups — all from that single poll, so the exported numbers keep
+/// queue depth, micro-batch count, the latency histograms, and the I/O
+/// rollup — all from that single poll, so the exported numbers keep
 /// the snapshot's internal consistency (per-class counts sum to the totals,
 /// `queue_wait.count() <= completed + shed_at_dequeue`).
 ///
@@ -550,8 +543,6 @@ fn register_server_source(registry: &MetricsRegistry, shared: &Arc<Shared>) {
             let a = algorithm.name();
             set.counter(&format!("rnn_server_served_total{{algorithm=\"{a}\"}}"), served);
         }
-        set.counter("rnn_server_cache_hits_total", s.cache.hits);
-        set.counter("rnn_server_cache_misses_total", s.cache.misses);
         set.counter("rnn_server_io_accesses_total", s.io.accesses);
         set.counter("rnn_server_io_faults_total", s.io.faults);
         set.counter("rnn_server_io_evictions_total", s.io.evictions);
@@ -598,8 +589,8 @@ impl Server {
     /// [`Server::start_with_io`] (with `io` optional) plus observability:
     /// registers the server as a pollable source of `registry` — every
     /// [`MetricsRegistry::snapshot`] then carries the admission counters,
-    /// per-class latency histograms, per-algorithm serve counts and the
-    /// cache / I/O rollups — and, when [`ServerConfig::with_tracing`] is on,
+    /// per-class latency histograms, per-algorithm serve counts and the I/O
+    /// rollup — and, when [`ServerConfig::with_tracing`] is on,
     /// folds every served query's phase trace into the registry's
     /// `algorithm x phase` aggregates.
     ///
@@ -624,10 +615,6 @@ impl Server {
         registry: Option<&MetricsRegistry>,
     ) -> Server {
         let workers = config.workers;
-        let cache = (config.cache_capacity > 0).then(|| {
-            let shards = if config.cache_shards == 0 { workers } else { config.cache_shards };
-            SharedResultCache::new(config.cache_capacity, shards)
-        });
         let recorder = match registry {
             Some(registry) if config.tracing => {
                 let names: Vec<&str> = Algorithm::ALL.iter().map(|a| a.name()).collect();
@@ -656,7 +643,6 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: RequestQueue::new(config.queue_capacity),
             world: RwLock::new(world),
-            cache,
             io,
             counts: Counts::new(),
             metrics: (0..workers).map(|_| PublishedMetrics::new()).collect(),
@@ -752,10 +738,9 @@ impl Server {
     }
 
     /// Replaces the point set and the point-set-derived precomputed
-    /// structures, which are stale by construction, and sweeps the shared
-    /// result cache, all under the world write lock: in-flight micro-batches
-    /// finish first, and no batch started after the swap can see the old
-    /// points or a stale cached answer. A new `hub_index` is the one
+    /// structures, which are stale by construction, under the world write
+    /// lock: in-flight micro-batches finish first, and no batch started
+    /// after the swap can see the old points. A new `hub_index` is the one
     /// [`Server::swap_points_delta`] maintains from then on.
     pub fn swap_points(
         &self,
@@ -768,9 +753,6 @@ impl Server {
         world.points = points;
         world.materialized = materialized;
         world.hub_index = hub_index;
-        if let Some(cache) = &self.shared.cache {
-            cache.invalidate_all();
-        }
         self.shared.record_event(EventKind::PointsSwap { points: num_points, delta: false });
     }
 
@@ -821,11 +803,6 @@ impl Server {
         let num_points = points.num_points() as u64;
         world.points = points;
         world.materialized = materialized;
-        // Sweep under the write lock, like the full swap: no in-flight
-        // micro-batch can insert a stale answer after this.
-        if let Some(cache) = &self.shared.cache {
-            cache.invalidate_all();
-        }
         self.shared.record_event(EventKind::PointsSwap { points: num_points, delta: true });
         true
     }
@@ -870,8 +847,8 @@ impl Server {
         self.shared.events.clone()
     }
 
-    /// A point-in-time snapshot of counters, latency histograms and the
-    /// cache / I/O rollups. The server's own counters are **wait-free**:
+    /// A point-in-time snapshot of counters, latency histograms and the I/O
+    /// rollup. The server's own counters are **wait-free**:
     /// atomic loads plus one seqlock snapshot read per worker, so that part
     /// of a poll never contends with an in-flight micro-batch. The I/O
     /// rollup (with [`Server::start_with_io`]) is the buffer pool's count
@@ -928,7 +905,6 @@ impl std::fmt::Debug for Server {
         f.debug_struct("Server")
             .field("workers", &self.workers())
             .field("queue_depth", &self.queue_depth())
-            .field("result_cache", &self.shared.cache.is_some())
             .field("tracing", &self.shared.tracing)
             .finish()
     }
@@ -951,8 +927,9 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
         if batch.is_empty() {
             break; // closed and drained
         }
-        // The read lock is held for the whole micro-batch: this is what
-        // lets swap_points guarantee no stale cache insert after its sweep.
+        // The read lock is held for the whole micro-batch, so the batch
+        // answers every request from one consistent world: a swap waits for
+        // it to finish.
         let world = shared.world.read();
         let pre = Precomputed {
             materialized: world.materialized.as_deref(),
@@ -1024,10 +1001,8 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
     shared.record_event(EventKind::WorkerStop { worker: worker_id as u64, served });
 }
 
-/// Answers one request on `world`: from the result cache when it holds the
-/// answer, else through the dispatch (memoizing the outcome when there is a
-/// cache). With tracing on, also returns the request's one trace; a cache
-/// hit's has no phase spans.
+/// Answers one request on `world` through the dispatch. With tracing on,
+/// also returns the request's one trace.
 fn serve(
     shared: &Shared,
     world: &World,
@@ -1036,6 +1011,12 @@ fn serve(
     scratch: &mut Scratch,
 ) -> (RknnOutcome, Option<QueryTrace>) {
     let (algorithm, query, k) = (request.algorithm, request.query, request.k);
+    let run = |scratch: &mut Scratch| {
+        run_rknn_with(algorithm, &*world.topo, &*world.points, pre, query, k, scratch)
+    };
+    if !shared.tracing {
+        return (run(scratch), None);
+    }
     // The main expansion absorbs the residual service time for the traversal
     // family; hub-label covers its whole runtime with explicit
     // candidate-generation / counting spans instead.
@@ -1047,35 +1028,15 @@ fn serve(
         | Algorithm::Naive => Some(Phase::Expansion),
         Algorithm::HubLabel => None,
     };
-    let run = |scratch: &mut Scratch| {
-        if shared.tracing {
-            scratch.tracer_mut().start(algorithm.name(), query.index() as u64, k as u32, remainder);
-        }
-        let outcome =
-            run_rknn_with(algorithm, &*world.topo, &*world.points, pre, query, k, scratch);
-        if shared.tracing {
-            let tracer = scratch.tracer_mut();
-            if let Some(phase) = remainder {
-                tracer.add_work(phase, outcome.stats.nodes_settled);
-            }
-            tracer.finish();
-        }
-        outcome
-    };
-    let (outcome, hit) = match &shared.cache {
-        Some(cache) => cache.get_or_run(algorithm, query, k, || run(scratch)),
-        None => (run(scratch), false),
-    };
-    if !shared.tracing {
-        return (outcome, None);
-    }
+    // `k` is request input, unbounded at admission: the trace saturates it.
+    let traced_k = u32::try_from(k).unwrap_or(u32::MAX);
+    scratch.tracer_mut().start(algorithm.name(), query.index() as u64, traced_k, remainder);
+    let outcome = run(scratch);
     let tracer = scratch.tracer_mut();
-    if hit {
-        // A hit still yields a trace: pure service time, no phase spans, no
-        // remainder.
-        tracer.start(algorithm.name(), query.index() as u64, k as u32, None);
-        tracer.finish();
+    if let Some(phase) = remainder {
+        tracer.add_work(phase, outcome.stats.nodes_settled);
     }
+    tracer.finish();
     (outcome, tracer.take_completed())
 }
 
@@ -1254,7 +1215,7 @@ mod tests {
         // Not directly observable from outside the worker, but the serving
         // path goes through run_rknn_with on a per-worker Scratch — the
         // dispatch's own tests pin the allocation-free property. Here we just
-        // hammer one worker with repeats and check the cache-less path stays
+        // hammer one worker with repeats and check every repeat stays
         // correct and the latency split is recorded for every request.
         let (graph, points, world) = world(7, 5);
         let server = Server::start(world, ServerConfig::default().with_workers(1));
@@ -1275,14 +1236,13 @@ mod tests {
     }
 
     #[test]
-    fn result_cache_serves_repeats_and_swap_points_invalidates() {
+    fn repeats_before_and_after_swap_points_answer_from_their_own_point_set() {
         let (graph, _, _) = world(9, 7);
         let n = 81;
         let old_points = Arc::new(NodePointSet::from_nodes(n, (0..n).step_by(7).map(NodeId::new)));
         let new_points = Arc::new(NodePointSet::from_nodes(n, (0..n).step_by(13).map(NodeId::new)));
         let w = World::new(graph.clone(), old_points.clone());
-        let server =
-            Server::start(w, ServerConfig::default().with_workers(2).with_result_cache(64, 0));
+        let server = Server::start(w, ServerConfig::default().with_workers(2));
         let request = || Request::new(Algorithm::Eager, NodeId::new(40), 2);
 
         let old_expected = run_rknn(
@@ -1307,18 +1267,17 @@ mod tests {
             let served = server.submit(request()).unwrap().wait().unwrap();
             assert_eq!(served.outcome, old_expected);
         }
-        let stats = server.stats();
-        assert_eq!(stats.cache.lookups(), 10);
-        assert!(stats.cache.hits >= 9, "repeats are served from the shared cache");
-
-        // The swap sweeps the cache under the world write lock: the next
-        // query computes (a miss) and returns the *new* answer.
+        // The swap installs the new points under the world write lock: the
+        // very next query, and every repeat, answers from them.
         server.swap_points(new_points.clone(), None, None);
-        let served = server.submit(request()).unwrap().wait().unwrap();
-        assert_eq!(served.outcome, new_expected, "no stale RkNN set after the swap");
-        let served = server.submit(request()).unwrap().wait().unwrap();
-        assert_eq!(served.outcome, new_expected);
-        server.shutdown();
+        for _ in 0..10 {
+            let served = server.submit(request()).unwrap().wait().unwrap();
+            assert_eq!(served.outcome, new_expected, "no old RkNN set after the swap");
+        }
+        let stats = server.shutdown();
+        assert_eq!(stats.cache, CacheStats::default(), "the server memoizes nothing");
+        // What the standalone benchmark reads: a zero rate, never NaN.
+        assert_eq!(stats.cache.since(&CacheStats::default()).hit_rate(), 0.0);
     }
 
     #[test]
@@ -1343,8 +1302,7 @@ mod tests {
         ];
         let index = Arc::new(rnn_index::HubLabelIndex::build(&*graph, &*old_points));
         let w = World::new(graph.clone(), old_points.clone()).with_hub_label_index(index);
-        let server =
-            Server::start(w, ServerConfig::default().with_workers(2).with_result_cache(64, 0));
+        let server = Server::start(w, ServerConfig::default().with_workers(2));
         let request = |q: usize| Request::new(Algorithm::HubLabel, NodeId::new(q), 2);
 
         let old_index = rnn_index::HubLabelIndex::build(&*graph, &*old_points);
@@ -1745,20 +1703,40 @@ mod tests {
         }
         server.shutdown();
 
-        // Cache hits still yield traces, with no phase spans.
+        // A repeated request runs again: its trace has phase spans and the
+        // same work as the first.
         let (_, _, world) = self::world(9, 7);
-        let cached = traced.with_result_cache(64, 1);
-        let server = Server::start(world, cached);
+        let server = Server::start(world, traced);
         let request = Request::new(Algorithm::Eager, NodeId::new(40), 2);
-        let miss = server.submit(request).unwrap().wait().unwrap().outcome;
-        let hit = server.submit(request).unwrap().wait().unwrap().outcome;
-        assert_eq!(hit, miss);
+        let first = server.submit(request).unwrap().wait().unwrap().outcome;
+        let repeat = server.submit(request).unwrap().wait().unwrap().outcome;
+        assert_eq!(repeat, first);
         let traces = server.drain_slow_queries().samples;
-        assert_eq!(traces.len(), 2, "miss trace, then hit trace");
-        assert!(traces[0].phases.iter().any(|p| p.calls > 0));
-        assert!(traces[1].phases.iter().all(|p| p.calls == 0 && p.work == 0));
-        let stats = server.shutdown();
-        assert_eq!((stats.cache.hits, stats.cache.misses), (1, 1));
+        assert_eq!(traces.len(), 2, "one trace per request");
+        for trace in &traces {
+            assert!(trace.phases.iter().any(|p| p.calls > 0), "a real trace, with phases");
+        }
+        let work = |t: &QueryTrace| t.phases.iter().map(|p| p.work).collect::<Vec<_>>();
+        assert_eq!(work(&traces[0]), work(&traces[1]));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_trace_saturates_a_k_past_u32() {
+        // `k` is not bounded at admission; a trace must not wrap it
+        // (`2^32 + 1` once read as 1).
+        let (graph, points, world) = world(9, 7);
+        let k = u32::MAX as usize + 2;
+        let query = NodeId::new(40);
+        let traced = ServerConfig::default().with_workers(1).with_slow_query_log(0, 1, 16, 7);
+        let server = Server::start(world, traced);
+        let served = server.submit(Request::new(Algorithm::Eager, query, k)).unwrap().wait();
+        let direct = run_rknn(Algorithm::Eager, &*graph, &*points, Precomputed::none(), query, k);
+        assert_eq!(served.unwrap().outcome, direct);
+        let traces = server.drain_slow_queries().samples;
+        assert_eq!(traces.len(), 1);
+        assert_eq!(traces[0].k, u32::MAX);
+        server.shutdown();
     }
 
     #[test]

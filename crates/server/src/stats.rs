@@ -27,15 +27,14 @@
 //! writer always has a free buffer to publish into.
 //!
 //! The rest of the server's own counters are already wait-free: admission
-//! counters are relaxed atomics and the shared result cache keeps its
-//! hit/miss counters outside the shard locks, so a `stats()` poll never
-//! contends with an in-flight micro-batch over them — pinned by the
+//! counters are relaxed atomics, so a `stats()` poll never contends with an
+//! in-flight micro-batch over them — pinned by the
 //! `polling_stats_never_blocks_and_never_tears` test. The one exception is
 //! the I/O rollup of a server given a paged world's counters: it is the
 //! buffer pool's own count, read under the pool's shard locks.
 
 use crate::request::Priority;
-use rnn_core::{Algorithm, CacheStats};
+use rnn_core::Algorithm;
 use rnn_obs::histogram::{LatencyHistogram, BUCKETS};
 use rnn_storage::IoStats;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
@@ -268,11 +267,48 @@ pub struct ServerStats {
     pub queue_wait: LatencyHistogram,
     /// Dequeue-to-completion latency, merged across workers and classes.
     pub service: LatencyHistogram,
-    /// Result-cache hits/misses (zeros when caching is disabled).
+    /// Always zero: the server memoizes no answers. Kept only because the
+    /// standalone benchmark still reads it; it goes once ROADMAP item 10
+    /// drops that read.
     pub cache: CacheStats,
     /// The paged world's buffer-pool count, read through the handle the
     /// server was started with (zeros without one).
     pub io: IoStats,
+}
+
+/// Result-cache hit/miss counters, always zero: the server has no result
+/// cache. Kept only as the type of [`ServerStats::cache`], which the
+/// standalone benchmark still reads; it goes once ROADMAP item 10 drops that
+/// read.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Queries answered from a cache.
+    pub hits: u64,
+    /// Queries that were executed.
+    pub misses: u64,
+}
+
+impl CacheStats {
+    /// Total lookups (hits + misses).
+    pub fn lookups(&self) -> u64 {
+        self.hits + self.misses
+    }
+
+    /// Fraction of lookups that hit (0.0 when there were none).
+    pub fn hit_rate(&self) -> f64 {
+        if self.lookups() == 0 {
+            return 0.0;
+        }
+        self.hits as f64 / self.lookups() as f64
+    }
+
+    /// The difference `self - earlier`, saturating at zero.
+    pub fn since(&self, earlier: &CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits.saturating_sub(earlier.hits),
+            misses: self.misses.saturating_sub(earlier.misses),
+        }
+    }
 }
 
 impl ServerStats {

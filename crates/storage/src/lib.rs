@@ -20,7 +20,7 @@
 //!   disk and a real file-backed implementation.
 //! * [`lru`] — the workspace's one generic LRU ([`Lru`]): slot vector plus
 //!   intrusive recency list, shared by the buffer pool and `rnn-core`'s
-//!   result cache.
+//!   eager-M table pager.
 //! * [`buffer`] — the striped buffer manager ([`BufferPool`]): capacity
 //!   split over independently locked shards ([`BufferPoolConfig`]) with
 //!   exact per-shard access/fault/eviction accounting ([`ShardStats`]).

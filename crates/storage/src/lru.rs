@@ -1,7 +1,7 @@
 //! The workspace's one LRU implementation.
 //!
 //! Both the buffer pool (pages keyed by [`crate::PageId`]) and `rnn-core`'s
-//! result cache (outcomes keyed by `(algorithm, query, k)`) need the same
+//! eager-M table (simulated table pages keyed by their number) need the same
 //! structure: a bounded map with O(1) lookup that evicts the least recently
 //! used entry when full. [`Lru`] is that structure, extracted so it is written
 //! — and unit-tested for its exact victim order — exactly once.
@@ -22,9 +22,9 @@ use std::hash::{BuildHasher, Hash};
 const NIL: usize = usize::MAX;
 
 /// Mixes a 64-bit value so that sequential keys spread over the whole space
-/// (the SplitMix64 finalizer). Shard selection in the striped buffer pool and
-/// result cache uses this to map a key hash to `hash & (shards - 1)` without
-/// the low bits of dense ids aliasing onto a single shard.
+/// (the SplitMix64 finalizer). Shard selection in the striped buffer pool
+/// uses this to map a key hash to `hash & (shards - 1)` without the low bits
+/// of dense ids aliasing onto a single shard.
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -35,8 +35,8 @@ pub fn mix64(mut x: u64) -> u64 {
 /// Normalizes a requested shard count for striping `capacity` entries over
 /// independently locked [`Lru`]s: rounded up to a power of two (so a shard
 /// is one mask of a mixed key hash), then halved until every shard gets at
-/// least one entry — always at least 1. The one rule both the buffer pool
-/// and `rnn-core`'s result cache stripe by.
+/// least one entry — always at least 1. The rule the buffer pool stripes
+/// by.
 pub fn normalized_shards(capacity: usize, requested: usize) -> usize {
     let mut shards = requested.max(1).next_power_of_two();
     while shards > 1 && shards > capacity {
@@ -66,14 +66,13 @@ struct Slot<K, V> {
 /// A bounded least-recently-used map from `K` to `V`.
 ///
 /// Generic over the hash builder `S` so callers keep their preferred hasher
-/// (`rnn-core` uses its `FastHasher` for small tuple keys; the buffer pool
+/// (`rnn-core` uses its `FastHasher` for small integer keys; the buffer pool
 /// a one-multiply hasher for its dense page ids). The hasher only places
 /// keys in the map; the victim order never depends on it.
 ///
 /// A capacity of zero is allowed and caches nothing: every `insert` is
 /// dropped and every `get` misses. Callers that consider an empty cache a
-/// configuration error (e.g. the result cache, where zero means "disabled")
-/// enforce that themselves.
+/// configuration error enforce that themselves.
 #[derive(Debug)]
 pub struct Lru<K, V, S = std::collections::hash_map::RandomState> {
     capacity: usize,

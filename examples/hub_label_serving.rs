@@ -1,6 +1,5 @@
 //! Hub-label serving: answer RkNN queries from a precomputed labeling
-//! through `rnn-server`, with the shared result cache for repeated queries —
-//! the ReHub-style serving stack end to end. Construction runs on the
+//! through `rnn-server` — the ReHub-style serving stack end to end. Construction runs on the
 //! requested number of threads (identical output at any count) and the
 //! queries are served from the exact label distances.
 //!
@@ -59,37 +58,24 @@ fn main() {
         index.point_table().entries(),
     );
 
-    // A serving workload where every hot query repeats three times — the
-    // repeated-query pattern that motivates the server's result cache.
+    // A serving workload where every hot query repeats three times.
     let mut serving_nodes = Vec::new();
     for _ in 0..3 {
         serving_nodes.extend(hot_nodes.iter().copied());
     }
 
-    // The cache is striped over one shard per worker (same scheme as the
-    // storage layer's buffer pool), so workers serving distinct hot queries
-    // never contend on a cache lock. Capacity is sized per shard: each shard
-    // must hold the whole hot set so the all-hits guarantee below cannot
-    // depend on how the keys happen to hash across shards.
-    let cache_shards = threads.next_power_of_two().min(8);
     let label_server = Server::start(
         World::new(graph.clone(), points.clone()).with_hub_label_index(index),
-        ServerConfig::default()
-            .with_workers(threads)
-            .with_result_cache(hot_nodes.len() * cache_shards, cache_shards),
+        ServerConfig::default().with_workers(threads),
     );
-    // Warm the cache with one burst over the distinct hot nodes and wait on
-    // all of its tickets. That wait is the synchronization point, so the
-    // measured burst below is all cache hits no matter how many workers race
-    // (within one burst, workers hitting the same cold key concurrently may
-    // each miss).
-    serve(&label_server, Algorithm::HubLabel, &hot_nodes);
-    let warm = label_server.stats().cache;
-    assert_eq!(warm.lookups(), hot_nodes.len() as u64);
+    // A first burst over the distinct hot nodes, then the measured repeated
+    // burst. The server memoizes nothing: every repeat runs the label query
+    // again.
+    let first_results = serve(&label_server, Algorithm::HubLabel, &hot_nodes);
     let start = Instant::now();
     let label_results = serve(&label_server, Algorithm::HubLabel, &serving_nodes);
     let label_secs = start.elapsed().as_secs_f64().max(1e-9);
-    let cache = label_server.shutdown().cache.since(&warm);
+    label_server.shutdown();
 
     // The same workload answered by the paper's eager expansion.
     let eager_server =
@@ -104,23 +90,19 @@ fn main() {
     for (i, (hl, e)) in label_results.iter().zip(&eager_results).enumerate() {
         assert_eq!(hl.points, e.points, "query #{i}: hub-label must agree with eager");
     }
-    // Every query went through the cache, and the warmed keys mean every
-    // one was served from it — at any worker count.
-    assert_eq!(cache.lookups(), serving_nodes.len() as u64);
-    assert_eq!(
-        cache.hits,
-        serving_nodes.len() as u64,
-        "every repeated query must hit the warmed result cache"
-    );
+    // ...and every repeat reproduces the first burst's outcome for its node,
+    // at any worker count.
+    for (i, repeat) in label_results.iter().enumerate() {
+        let first = &first_results[i % hot_nodes.len()];
+        assert_eq!(repeat, first, "query #{i}: a repeat must answer as the first burst did");
+    }
 
     let qps = |secs: f64| serving_nodes.len() as f64 / secs;
     println!(
-        "hub-label + cache: {:>9.0} q/s | eager expansion: {:>8.0} q/s | speedup x{:.1} | \
-         cache hit rate {:.0}%",
+        "hub-label: {:>9.0} q/s | eager expansion: {:>8.0} q/s | speedup x{:.1}",
         qps(label_secs),
         qps(eager_secs),
         eager_secs / label_secs,
-        100.0 * cache.hit_rate(),
     );
     println!("all {} hub-label results identical to eager expansion.", label_results.len());
 }

@@ -71,7 +71,6 @@ fn main() {
         world,
         ServerConfig::default()
             .with_workers(workers)
-            .with_result_cache(64, 0)
             .with_tracing(true)
             .with_slow_query_log(8, 4, 32, 9),
         Some(counters),

@@ -6,8 +6,8 @@
 //! priority classes — single submits and `submit_all` bursts — each caller
 //! awaiting its own [`Ticket`], every served result asserted byte-identical
 //! to the sequential `run_rknn` loop, per-class latency accounting printed
-//! from a wait-free `stats()` snapshot, a point-set swap that sweeps the
-//! shared result cache, and a graceful drain-then-join shutdown whose final
+//! from a wait-free `stats()` snapshot, a point-set swap whose next answer
+//! comes from the new points, and a graceful drain-then-join shutdown whose final
 //! accounting must conserve every request, per class and in total
 //! (`completed + rejected + shed == submitted`).
 //!
@@ -55,16 +55,12 @@ fn main() {
         }
     }
 
-    // The server: a shared result cache striped one shard per worker. None
-    // of the stream below carries a deadline, so a full queue would park the
-    // submitter rather than drop anything.
+    // The server. None of the stream below carries a deadline, so a full
+    // queue would park the submitter rather than drop anything.
     let world = World::new(graph.clone(), points.clone())
         .with_materialized(Arc::clone(&table))
         .with_hub_label_index(hub_index.clone());
-    let server = Server::start(
-        world,
-        ServerConfig::default().with_workers(workers).with_result_cache(256, 0),
-    );
+    let server = Server::start(world, ServerConfig::default().with_workers(workers));
 
     // Submit the whole mixed stream, then await each ticket: submission
     // order and completion order are decoupled — that is the point of the
@@ -128,15 +124,9 @@ fn main() {
         stats.service.p99(),
         stats.service.max(),
     );
-    println!(
-        "result cache: {} hits / {} lookups (hit rate {:.3})",
-        stats.cache.hits,
-        stats.cache.lookups(),
-        stats.cache.hit_rate(),
-    );
 
-    // A point-set swap sweeps the cache under the world write lock: the
-    // server must serve the *new* answers immediately afterwards.
+    // A point-set swap installs the new points under the world write lock:
+    // the server must serve the *new* answers immediately afterwards.
     let new_points = Arc::new(place_points_on_nodes(&graph, 0.02, 45));
     let swap_query = query_nodes[0];
     let expected_after = run_rknn_with(
@@ -161,7 +151,7 @@ fn main() {
         server.submit(Request::new(Algorithm::EagerMaterialized, swap_query, 2)).err(),
         Some(ServeError::Unservable),
     );
-    println!("\npoint-set swap: cache swept, new answers served, stale algorithms turned away");
+    println!("\npoint-set swap: new answers served, stale algorithms turned away");
 
     // Graceful shutdown: drain, join, and account for every request. The
     // last request carries a live 5 s deadline; the idle queue serves it long

@@ -93,29 +93,3 @@ proptest! {
         assert_batch_matches_sequential(inst.graph, inst.points, &queries, inst.k)?;
     }
 }
-
-/// A tiny striped result cache under 8 racing workers evicts constantly and
-/// never changes an answer; every request is one lookup.
-#[test]
-fn a_tiny_result_cache_never_changes_answers_at_eight_workers() {
-    let graph =
-        Arc::new(grid_map(&GridConfig { rows: 12, cols: 12, seed: 5, ..Default::default() }));
-    let points = Arc::new(place_points_on_nodes(&graph, 0.08, 6));
-    let requests: Vec<Request> = (0..4)
-        .flat_map(|_| points.nodes().iter().map(|&q| Request::new(Algorithm::Lazy, q, 1)))
-        .collect();
-    let expected: Vec<_> = requests
-        .iter()
-        .map(|r| run_rknn(r.algorithm, &*graph, &*points, Precomputed::none(), r.query, r.k))
-        .collect();
-    // 2 entries over one shard per worker (capped at 2), and 16 over 8.
-    for (capacity, shards) in [(2usize, 0usize), (16, 8)] {
-        let server = Server::start(
-            World::new(graph.clone(), points.clone()),
-            ServerConfig::default().with_workers(8).with_result_cache(capacity, shards),
-        );
-        assert_eq!(serve_all(&server, &requests), expected, "{capacity} entries, {shards} shards");
-        let stats = server.shutdown();
-        assert_eq!(stats.cache.lookups(), requests.len() as u64);
-    }
-}

@@ -15,14 +15,14 @@
 //!    by service time, and the uniform sample is a deterministic function
 //!    of the seed.
 //! 4. **One snapshot, whole stack** — a traced server over a paged world
-//!    with hub labels exposes server admission counters, storage I/O,
-//!    result-cache and label-index metrics plus non-trivial per-algorithm
+//!    with hub labels exposes server admission counters, storage I/O and
+//!    label-index metrics plus non-trivial per-algorithm
 //!    phase aggregates for **all six algorithms** in a single
 //!    [`MetricsRegistry::snapshot`], and both exporters render it
 //!    byte-deterministically.
 
 use proptest::prelude::*;
-use rnn::core::{Algorithm, MaterializedKnn, SharedResultCache};
+use rnn::core::{Algorithm, MaterializedKnn};
 use rnn::datagen::{grid_map, GridConfig};
 use rnn::graph::{NodeId, NodePointSet, PointsOnNodes};
 use rnn::index::HubLabelIndex;
@@ -237,8 +237,6 @@ fn one_snapshot_exposes_every_layer_and_exports_deterministically() {
     // Register every layer into the one registry.
     register_io_counters(&registry, "graph", &counters);
     hub_index.register_metrics(&registry);
-    let standalone_cache = SharedResultCache::new(32, 2);
-    standalone_cache.register_metrics(&registry, "adhoc");
 
     let world = World::new(paged.clone(), points.clone())
         .with_materialized(Arc::clone(&table))
@@ -246,10 +244,7 @@ fn one_snapshot_exposes_every_layer_and_exports_deterministically() {
         .with_storage_control(paged);
     let server = Server::start_observed(
         world,
-        ServerConfig::default()
-            .with_workers(2)
-            .with_result_cache(64, 0)
-            .with_slow_query_log(8, 4, 32, 9),
+        ServerConfig::default().with_workers(2).with_slow_query_log(8, 4, 32, 9),
         Some(counters),
         &registry,
     );
@@ -292,8 +287,6 @@ fn one_snapshot_exposes_every_layer_and_exports_deterministically() {
     // Index layer.
     assert_eq!(snap.gauge("rnn_label_nodes"), Some(n as u64));
     assert_eq!(snap.gauge("rnn_label_points"), Some(points.num_points() as u64));
-    // Cache layer (the ad-hoc cache is registered but untouched: zeros).
-    assert_eq!(snap.counter("rnn_result_cache_hits_total{cache=\"adhoc\"}"), Some(0));
 
     // Per-algorithm phase aggregates: every algorithm traced every query,
     // and every algorithm spent time in at least one phase.
@@ -337,9 +330,8 @@ fn one_snapshot_exposes_every_layer_and_exports_deterministically() {
 // ---------------------------------------------------------------------------
 
 /// Builds the fully-wired registry: every layer of the stack — paged
-/// storage, hub labels, result caches, the traced server and its flight
-/// recorder — with traffic from all six algorithms so every aggregate is
-/// live.
+/// storage, hub labels, the traced server and its flight recorder — with
+/// traffic from all six algorithms so every aggregate is live.
 fn fully_wired_snapshot() -> MetricsSnapshot {
     let registry = MetricsRegistry::new();
     let graph =
@@ -360,16 +352,12 @@ fn fully_wired_snapshot() -> MetricsSnapshot {
     );
     register_io_counters(&registry, "graph", &counters);
     hub_index.register_metrics(&registry);
-    SharedResultCache::new(32, 2).register_metrics(&registry, "adhoc");
 
     let world =
         World::new(paged, points.clone()).with_materialized(table).with_hub_label_index(hub_index);
     let server = Server::start_observed(
         world,
-        ServerConfig::default()
-            .with_workers(2)
-            .with_result_cache(64, 0)
-            .with_slow_query_log(4, 4, 16, 9),
+        ServerConfig::default().with_workers(2).with_slow_query_log(4, 4, 16, 9),
         Some(counters),
         &registry,
     );

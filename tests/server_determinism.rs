@@ -19,8 +19,8 @@
 //!    deadline-bearing ones away, without deadlock; expired requests are
 //!    dropped and accounted (including boundary deadlines: exactly-now and
 //!    zero-budget), queue waits include dequeue-shed victims, and a
-//!    point-set swap with the result cache enabled serves the new world's
-//!    answers immediately.
+//!    point-set swap, full or delta, serves the new world's answers
+//!    immediately.
 //! 4. **Wait-free telemetry** — `stats()` snapshots taken concurrently with
 //!    serving are internally consistent (histogram counts never exceed the
 //!    work accounted) and monotone, and polling never blocks the workers.
@@ -29,7 +29,9 @@ use rnn::core::{run_rknn_with, Algorithm, MaterializedKnn, Precomputed, Scratch}
 use rnn::datagen::{grid_map, GridConfig};
 use rnn::graph::{Graph, NodeId, NodePointSet};
 use rnn::index::HubLabelIndex;
-use rnn::server::{Priority, Request, ServeError, Server, ServerConfig, Ticket, World};
+use rnn::server::{
+    PointUpdate, Priority, Request, ServeError, Server, ServerConfig, Ticket, World,
+};
 use rnn::storage::{BufferPoolConfig, IoCounters, LayoutStrategy, PagedGraph};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -152,8 +154,9 @@ fn all_six_algorithms_match_the_sequential_oracle_at_every_worker_count() {
 
 #[test]
 fn paged_world_with_shared_cache_matches_the_in_memory_oracle() {
-    // The full serving stack: paged topology behind a striped buffer pool,
-    // its I/O count read through a handle, shared result cache, 4 workers.
+    // The full serving stack: paged topology behind a striped buffer pool
+    // (the page cache all 4 workers share), its I/O count read through a
+    // handle.
     let (graph, points) = grid_world();
     let counters = IoCounters::new();
     let paged = Arc::new(
@@ -183,12 +186,8 @@ fn paged_world_with_shared_cache_matches_the_in_memory_oracle() {
         .collect();
 
     let world = World::new(paged, points.clone());
-    let server = Server::start_with_io(
-        world,
-        ServerConfig::default().with_workers(4).with_result_cache(32, 0),
-        counters,
-    );
-    // Two rounds: the second is served from the shared cache — same bytes.
+    let server = Server::start_with_io(world, ServerConfig::default().with_workers(4), counters);
+    // Two rounds: the second runs on a warm pool — same bytes.
     for round in 0..2 {
         let tickets: Vec<Ticket> = queries
             .iter()
@@ -201,8 +200,6 @@ fn paged_world_with_shared_cache_matches_the_in_memory_oracle() {
     let stats = server.shutdown();
     assert_eq!(stats.completed, 2 * queries.len() as u64);
     assert!(stats.io.accesses > 0, "the paged world's I/O rolled up into the stats");
-    assert!(stats.cache.hits > 0, "the repeat round hit the shared cache");
-    assert_eq!(stats.cache.lookups(), stats.completed);
 }
 
 #[test]
@@ -338,8 +335,7 @@ fn swap_that_drops_precomputed_structures_fails_queued_requests_without_killing_
     let (graph, points) = grid_world();
     let table = Arc::new(MaterializedKnn::build(&*graph, &*points, 2));
     let world = World::new(graph.clone(), points.clone()).with_materialized(Arc::clone(&table));
-    let server =
-        Server::start(world, ServerConfig::default().with_workers(1).with_result_cache(16, 1));
+    let server = Server::start(world, ServerConfig::default().with_workers(1));
     let mut scratch = Scratch::new();
     let pre = Precomputed::materialized(&table);
 
@@ -381,52 +377,48 @@ fn swap_that_drops_precomputed_structures_fails_queued_requests_without_killing_
 }
 
 #[test]
-fn point_set_swap_with_cache_enabled_serves_the_new_answers() {
+fn point_set_swaps_serve_each_point_sets_own_answers() {
+    // The same query, asked repeatedly before a full swap, between it and a
+    // delta swap, and after both, must equal the oracle of the point set
+    // installed at that moment, served by expansion and by hub labels alike.
     let (graph, points) = grid_world();
     let n = graph.num_nodes();
-    let new_points = Arc::new(NodePointSet::from_nodes(n, (0..n).step_by(11).map(NodeId::new)));
     let query = points.nodes()[points.nodes().len() / 2];
+    let oracle = |points: &NodePointSet, algorithm: Algorithm| {
+        let index = HubLabelIndex::build(&*graph, points);
+        let pre = Precomputed::hub_labels(&index);
+        run_rknn_with(algorithm, &*graph, points, pre, query, 2, &mut Scratch::new())
+    };
+    let full = Arc::new(NodePointSet::from_nodes(n, (0..n).step_by(11).map(NodeId::new)));
+    // The delta drops a reverse neighbour of the query, so it must move the
+    // answer too.
+    let dropped = oracle(&full, Algorithm::Eager).points[0];
+    let (_, dropped_node) = full.iter().find(|&(p, _)| p == dropped).unwrap();
+    let delta = Arc::new(full.without_point_on(dropped_node));
+    assert_ne!(oracle(&points, Algorithm::Eager), oracle(&full, Algorithm::Eager));
+    assert_ne!(oracle(&full, Algorithm::Eager), oracle(&delta, Algorithm::Eager));
 
-    let mut scratch = Scratch::new();
-    let old_expected = run_rknn_with(
-        Algorithm::Eager,
-        &*graph,
-        &*points,
-        Precomputed::none(),
-        query,
-        2,
-        &mut scratch,
-    );
-    let new_expected = run_rknn_with(
-        Algorithm::Eager,
-        &*graph,
-        &*new_points,
-        Precomputed::none(),
-        query,
-        2,
-        &mut scratch,
-    );
-    assert_ne!(old_expected, new_expected, "the swap must change this query's answer");
-
+    let index = Arc::new(HubLabelIndex::build(&*graph, &*points));
     let server = Server::start(
-        World::new(graph, points.clone()),
-        ServerConfig::default().with_workers(2).with_result_cache(128, 2),
+        World::new(graph.clone(), points.clone()).with_hub_label_index(index),
+        ServerConfig::default().with_workers(2),
     );
-    let request = || Request::new(Algorithm::Eager, query, 2);
-    for _ in 0..5 {
-        let served = server.submit(request()).unwrap().wait().unwrap();
-        assert_eq!(served.outcome, old_expected);
-    }
-    assert!(server.stats().cache.hits >= 4, "repeats were memoized before the swap");
-
-    server.swap_points(new_points, None, None);
-    for round in 0..3 {
-        let served = server.submit(request()).unwrap().wait().unwrap();
-        assert_eq!(
-            served.outcome, new_expected,
-            "round {round}: a swapped server must never serve the old point set's RkNN"
-        );
-    }
+    let assert_served = |points: &NodePointSet, stage: &str| {
+        for algorithm in [Algorithm::Eager, Algorithm::HubLabel] {
+            let expected = oracle(points, algorithm);
+            for round in 0..3 {
+                let request = Request::new(algorithm, query, 2);
+                let served = server.submit(request).unwrap().wait().unwrap();
+                assert_eq!(served.outcome, expected, "{stage}, {algorithm}, round {round}");
+            }
+        }
+    };
+    assert_served(&points, "before the swaps");
+    let full_index = Arc::new(HubLabelIndex::build(&*graph, &*full));
+    server.swap_points(full.clone(), None, Some(full_index));
+    assert_served(&full, "after swap_points");
+    assert!(server.swap_points_delta(delta.clone(), None, &[PointUpdate::Remove(dropped_node)]));
+    assert_served(&delta, "after swap_points_delta");
     server.shutdown();
 }
 

@@ -34,8 +34,7 @@ use rnn_storage::{
 use std::sync::Arc;
 
 /// Builds a mixed burst (every algorithm over every query node), serves it
-/// from a paged backend with the given buffer config (result cache off) and
-/// asserts the server reproduces the sequential in-memory reference exactly
+/// from a paged backend with the given buffer config and asserts the server reproduces the sequential in-memory reference exactly
 /// at 1, 2 and 8 workers, with the same page accesses at each and the shards
 /// partitioning them.
 fn assert_paged_batch_matches_sequential(
