@@ -1723,8 +1723,8 @@ mod tests {
 
     #[test]
     fn a_trace_saturates_a_k_past_u32() {
-        // `k` is not bounded at admission; a trace must not wrap it
-        // (`2^32 + 1` once read as 1).
+        // `k` is not bounded at admission; a trace must not wrap it (a
+        // truncating cast reads `2^32 + 1` as 1).
         let (graph, points, world) = world(9, 7);
         let k = u32::MAX as usize + 2;
         let query = NodeId::new(40);
