@@ -8,7 +8,7 @@
 //! at `k = 1`, `k = 4` and `k = 5` (the first `k` above the stored radii);
 //! `insert_remove`, one `insert_point` plus the `remove_point` that undoes it
 //! on an unoccupied node; and `k_nearest` — label scans that share nothing
-//! with the RkNN fold — as the control row.
+//! with the RkNN gated scan — as the control row.
 
 mod common;
 

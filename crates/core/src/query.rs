@@ -31,8 +31,8 @@ pub struct QueryStats {
     /// the traversal algorithms).
     pub label_scans: u64,
     /// Hub-label only: hub-bucket entries actually read — those of the
-    /// candidate phase (`heap_pushes`; entries Lemma 1 skips unread are not
-    /// counted) plus the bucket-prefix entries examined while counting
+    /// candidate phase (`heap_pushes`; the entries of the buckets the gate
+    /// skips unread are not counted) plus the bucket-prefix entries examined while counting
     /// (`auxiliary_settled`). Zero for the traversal algorithms.
     pub bucket_scans: u64,
 }

@@ -20,30 +20,22 @@
 //! last entry. The monochromatic RkNN query then runs in two label-only
 //! phases:
 //!
-//! 1. **Candidates.** For `k <= R`, the *gate* (ReHub's slack test, reduced
-//!    to one maximum per hub) reads the buckets of the query's hubs: some
-//!    common hub `h` has `fl(d(q, h) + d(h, p)) <= r_k(p)` iff `p` passes the
-//!    radius test, so a hub whose `d(q, h)` exceeds its bucket's largest
-//!    slack by more than a rounding margin (scaled by `d(q, h)` and the
-//!    bucket's last distance) is skipped unread, and every entry
-//!    of the other buckets is tested with the radius test itself. The passing
-//!    sums are kept to the minimum per node, which is the exact `d(q, p)`:
-//!    the hub attaining it passes too. For `k > R` the buckets are instead
-//!    folded, `d(q, h) + d(h, p)` to the minimum per occupied node. By the
-//!    2-hop cover this minimum is the exact `d(q, p)` for every point in the
-//!    query's component (and only those points are touched). The paper's
-//!    Lemma 1 is applied inside the fold: entry `j` of a hub at distance `a`
-//!    is left out when `fl(d_j + d_r) < fl(a + d_j)`, `d_r` being the
-//!    bucket's `k`-th nearest entry other than `j`. Each of those `k` points
-//!    `o` then has `d(p, o) <= fl(d_j + d_o) < fl(a + d_j)`. If the hub attains
-//!    `p`'s minimum, `fl(a + d_j)` is `d(q, p)`, so `r_k(p) < d(q, p)` and
-//!    the radius test rejects `p`; if another hub still folds `p`, it does
-//!    so at a sum no smaller, which the test rejects all the same. If the
-//!    hub does not attain the minimum, the one that does still folds `p` at
-//!    its exact distance, or leaves it out for the first reason. Buckets
-//!    ascend, so once the query is farther from the hub than the hub's
-//!    `k`-th point by more than a rounding margin, every entry past the
-//!    first `k` is skipped without being read.
+//! 1. **Candidates.** The *gate* (ReHub's slack test, reduced to one bound
+//!    per hub) reads the buckets of the query's hubs. It skips a hub unread
+//!    when `d(q, h)` exceeds a bound on its bucket's slacks `r_k(p) - d(h, p)`
+//!    by more than a rounding margin (scaled by `d(q, h)` and the bucket's
+//!    last distance), so that `fl(d(q, h) + d(h, p)) > r_k(p)` for every
+//!    entry. The bound is the stored largest slack for `k <= R`, and above
+//!    that the distance of the bucket's entry `k`: through the hub, every
+//!    entry has `k` other entries no farther from the hub than entry `k`,
+//!    which is the paper's Lemma 1 at the hub. A bucket without an entry `k`
+//!    is never skipped. Every entry of the other buckets is read, and its sum
+//!    kept to the minimum per node: for `k <= R` only if it passes the radius
+//!    test against the stored radius, above that always. The hub attaining a
+//!    reverse neighbor's `d(q, p)` (2-hop cover) is never skipped, so every
+//!    reverse neighbor is kept at its exact distance. A point kept only at a
+//!    larger sum is one whose attaining hub was skipped or failed the test,
+//!    so `r_k(p) < d(q, p)` and phase 2 rejects it all the same.
 //! 2. **Radius test.** A candidate `p` with `d(q, p) > 0` is a reverse
 //!    neighbor iff `d(q, p) <= r_k(p)` — exactly the semantics of the
 //!    expansion algorithms, ties included, and bit for bit the count of
@@ -70,9 +62,9 @@
 //! the changed point's buckets.
 //!
 //! Every scan reads its label through [`HubLabeling::entries`], which decodes
-//! one entry at a time into no buffer: the fold and the point-table splices
-//! read the whole label, the k-NN and radius scans stop decoding where the
-//! scan stops.
+//! one entry at a time into no buffer: the gated scan and the point-table
+//! splices read the whole label, the k-NN and radius scans stop decoding
+//! where the scan stops.
 
 use crate::labeling::HubLabeling;
 use crate::point_table::HubPointTable;
@@ -468,12 +460,12 @@ impl HubLabelIndex {
     }
 
     /// Collects into `dmin`, per occupied node `p`, the minimum of
-    /// `fl(d(from, h) + d(h, p))` over the bucket entries that pass the
-    /// radius test against `r_k(p)`, `k <= R`, reading only the buckets of
-    /// the hubs [`gate_skips`] lets through (see the module docs). The query
-    /// at `k <= R` and both point updates run it. `dmin` clears in O(1), so
-    /// the cost stays proportional to the entries read, never to the total
-    /// point count.
+    /// `fl(d(from, h) + d(h, p))` over the entries of the buckets whose hubs
+    /// [`gate_skips`] lets through, for `k <= R` only over the entries that
+    /// pass the radius test against `r_k(p)` (see the module docs). The query
+    /// and both point updates run it. The bound and the entry test are chosen
+    /// here, once per call. `dmin` clears in O(1), so the cost stays
+    /// proportional to the entries read, never to the total point count.
     fn gated_scan(
         &self,
         from: NodeId,
@@ -481,63 +473,53 @@ impl HubLabelIndex {
         dmin: &mut NodeTable<Weight>,
         stats: &mut QueryStats,
     ) {
+        match self.max_slack.get(k - 1) {
+            // An empty bucket's maximum is -∞.
+            Some(max_slack) => {
+                let radius = |n| {
+                    let p = self.table.point_of(n).expect("bucket nodes are occupied");
+                    self.radii[p.index()][k - 1]
+                };
+                self.scan(from, dmin, stats, |h| max_slack[h as usize], |n, s| s <= radius(n))
+            }
+            // Entry `k` bounds every entry's slack; a bucket without one is read.
+            None => {
+                let entry_k =
+                    |h| self.table.bucket(h).0.get(k).map_or(f64::INFINITY, |d| d.value());
+                self.scan(from, dmin, stats, entry_k, |_, _| true)
+            }
+        }
+    }
+
+    /// The loop of [`HubLabelIndex::gated_scan`]: skips hub `h` when
+    /// [`gate_skips`] holds at `bound(h)`, and keeps the sums through the
+    /// other hubs' entries for which `keep(node, sum)` holds. Counts every
+    /// entry of every hub it does not skip.
+    fn scan(
+        &self,
+        from: NodeId,
+        dmin: &mut NodeTable<Weight>,
+        stats: &mut QueryStats,
+        bound: impl Fn(u32) -> f64,
+        keep: impl Fn(NodeId, Weight) -> bool,
+    ) {
         dmin.clear();
-        let max_slack = &self.max_slack[k - 1];
         for (h, a) in self.labeling.entries(from) {
             stats.nodes_settled += 1;
             stats.label_scans += 1;
-            if gate_skips(a, max_slack[h as usize], self.last[h as usize]) {
-                continue; // an empty bucket's maximum is -∞
+            if gate_skips(a, bound(h), self.last[h as usize]) {
+                continue;
             }
             let (dists, nodes) = self.table.bucket(h);
             for (&d, &n) in dists.iter().zip(nodes) {
                 let through = a + d;
-                let p = self.table.point_of(n).expect("bucket nodes are occupied");
-                if through <= self.radii[p.index()][k - 1] {
+                if keep(n, through) {
                     let best = dmin.entry(n, through);
                     *best = through.min(*best);
                 }
             }
             stats.heap_pushes += dists.len() as u64;
             stats.bucket_scans += dists.len() as u64;
-        }
-    }
-
-    /// Folds `d(from, h) + d(h, p)` to the minimum per occupied node over the
-    /// buckets of `from`'s hubs into `dmin`, leaving out the entries Lemma 1
-    /// rejects at the hub for this `k` (see the module docs). The query runs
-    /// it at `k > R`. `dmin` clears in O(1), so the cost stays proportional to
-    /// the entries read, never to the total point count.
-    fn fold(&self, from: NodeId, k: usize, dmin: &mut NodeTable<Weight>, stats: &mut QueryStats) {
-        dmin.clear();
-        for (h, a) in self.labeling.entries(from) {
-            stats.nodes_settled += 1;
-            stats.label_scans += 1;
-            let (dists, nodes) = self.table.bucket(h);
-            let mut fold = |j: usize| {
-                let through = a + dists[j];
-                let d = dmin.entry(nodes[j], through);
-                *d = through.min(*d);
-            };
-            let len = dists.len();
-            let read = if len <= k {
-                // Fewer than `k` other points: nothing to prune with.
-                (0..len).for_each(&mut fold);
-                len
-            } else {
-                // The k-th nearest *other* point of the bucket is entry `k`
-                // for the first `k` entries and entry `k - 1` for the rest.
-                let (kth_of_tail, kth_of_head) = (dists[k - 1], dists[k]);
-                (0..k).filter(|&j| !lemma1_rejects(a, dists[j], kth_of_head)).for_each(&mut fold);
-                if tail_is_rejected(a, kth_of_tail, dists[len - 1]) {
-                    (k + 2).min(len) // the head, entry `k` and the last one
-                } else {
-                    (k..len).filter(|&j| !lemma1_rejects(a, dists[j], kth_of_tail)).for_each(fold);
-                    len
-                }
-            };
-            stats.heap_pushes += read as u64;
-            stats.bucket_scans += read as u64;
         }
     }
 
@@ -554,12 +536,11 @@ impl HubLabelIndex {
     /// [`QueryStats`] fields are label-scan counters here:
     /// `nodes_settled` = query label entries processed (the "main
     /// expansion"), `heap_pushes` = bucket entries read in the candidate
-    /// phase (for `k <= STORED_RADII`, every entry of the buckets the gate
-    /// does not skip; above it, the fold's reads, not counting the entries
-    /// Lemma 1 skips unread), `candidates` / `verifications` = points decided
-    /// (for `k <= STORED_RADII`, the points that pass the gate's radius test;
-    /// above it, those that survive the prune). `range_nn_queries` stays zero
-    /// — there is no range probe. The dedicated hub-label counters report the
+    /// phase (every entry of every bucket the gate does not skip, at every
+    /// `k`), `candidates` / `verifications` = points decided, none on the
+    /// query node (for `k <= STORED_RADII`, the points with an entry that
+    /// passes the radius test; above it, every point read).
+    /// `range_nn_queries` stays zero — there is no range probe. The dedicated hub-label counters report the
     /// same work in its own terms: `label_scans` = the query's label entries
     /// and `bucket_scans` = the candidate phase's entries read. For
     /// `k <= STORED_RADII` every radius is stored and `auxiliary_settled` is
@@ -581,11 +562,7 @@ impl HubLabelIndex {
 
         let candidate_span = scratch.tracer().begin();
         let mut dmin = scratch.take_dist_table();
-        if k <= STORED_RADII {
-            self.gated_scan(query, k, &mut dmin, &mut stats);
-        } else {
-            self.fold(query, k, &mut dmin, &mut stats);
-        }
+        self.gated_scan(query, k, &mut dmin, &mut stats);
         let read = stats.heap_pushes;
         scratch.tracer_mut().end(Phase::CandidateGen, candidate_span, read);
 
@@ -626,39 +603,6 @@ impl HubLabelIndex {
     }
 }
 
-/// Lemma 1 at a hub at distance `a` from the query, for the bucket entry at
-/// distance `d` whose k-th nearest other bucket entry is at distance `kth`:
-/// `k` points lie strictly closer to the entry than the query does, since
-/// each of their label distances to it is at most its sum through this hub.
-/// When the hub attains the entry's minimum, `a + d` is the query distance
-/// the radius test compares, so a rejected entry is one the test would
-/// reject.
-fn lemma1_rejects(a: Weight, d: Weight, kth: Weight) -> bool {
-    d + kth < a + d
-}
-
-/// Whether [`lemma1_rejects`] holds for *every* entry past the first `k` of a
-/// bucket whose `k`-th entry is at distance `kth` and whose last is at
-/// `last` — decided without reading them.
-///
-/// For such an entry at distance `d <= last`, let `x = d + kth` and
-/// `y = a + d` be the exact sums, so `y - x = a - kth`. A floating-point sum
-/// is off by at most half an ulp, `fl(s) = s(1 + e)` with `|e| <= EPSILON / 2`
-/// (subnormal sums are exact), hence for `x < y`
-/// `fl(y) - fl(x) >= (y - x) - EPSILON / 2 * (x + y) > (a - kth) - EPSILON * y`
-/// and `fl(x) < fl(y)` follows from `a - kth >= EPSILON * (a + last)`. The
-/// guard is itself computed in floating point: its rounded difference and
-/// rounded sum cost a factor below `1 + 2 * EPSILON`, and the scaling by a
-/// power of two is exact unless it underflows, when rounding it still cannot
-/// move it past the float on the other side of the comparison. Asking for
-/// `4 * EPSILON` leaves that slack four times over. Inside the margin —
-/// absorbed sums, where `kth < a` but `fl(x) == fl(y)` — and when `a + last`
-/// overflows, the caller tests entry by entry.
-fn tail_is_rejected(a: Weight, kth: Weight, last: Weight) -> bool {
-    let (a, kth, last) = (a.value(), kth.value(), last.value());
-    a - kth > 4.0 * f64::EPSILON * (a + last)
-}
-
 /// The slack of a bucket entry at distance `d` whose point has radius `r`:
 /// how far the query may lie from the hub for the entry to pass the radius
 /// test through it.
@@ -667,32 +611,44 @@ fn slack(r: Weight, d: Weight) -> f64 {
 }
 
 /// Whether the radius test `fl(a + d) <= r` fails for *every* entry of a
-/// bucket whose largest [`slack`] is `max_slack` and whose last entry is at
-/// `last`, for a query at distance `a` from the hub — decided without
-/// reading the bucket.
+/// bucket whose last entry is at `last`, for a query at distance `a` from
+/// the hub — decided without reading the bucket. `bound` bounds the
+/// entries' slacks in one of two ways, and the guard is the same for both.
 ///
-/// Take an entry at distance `d <= last` with radius `r`, so
-/// `fl(r - d) <= max_slack`, and suppose the guard holds while
-/// `fl(a + d) <= r`. A floating-point sum or difference is off by at most
-/// half an ulp, `|fl(s) - s| <= |s| * EPSILON / 2` (subnormal results are
-/// exact), so `r - d >= a - EPSILON / 2 * (a + last)`. The guard's rounded
-/// difference and sum cost it a factor below `1 + 2 * EPSILON`, and its
-/// scaling by a power of two is exact or, if it underflows, off by at most
-/// `2^-1075`, so it gives `r - d - max_slack > 3 * EPSILON * (a + last) -
-/// 2^-1075`. Now `max_slack` lies in `[-last, a)`: it is at least
-/// `fl(r - d) >= -d`, and below `a` by the guard. So the float just above it
-/// is within `max(EPSILON * (a + last), 2^-1074)`. If
-/// `EPSILON * (a + last) >= 2^-1074`, `r - d` lies at or beyond that float
-/// and, rounding being monotone, `fl(r - d) > max_slack` — a contradiction.
-/// Otherwise `a + last < 2^-1022`, where `a + d` and `a - max_slack` are
-/// exact: the guard says `a > max_slack`, and `r >= a + d` gives
-/// `fl(r - d) >= a > max_slack` all the same. Asking for `4 * EPSILON`
-/// leaves the slack above. An `∞` radius makes `max_slack` `∞`, and an
-/// overflowing `a + last` makes the margin `∞`: such a hub is never
-/// skipped.
-fn gate_skips(a: Weight, max_slack: f64, last: Weight) -> bool {
+/// *The largest [`slack`] (`k <= R`).* Take an entry at distance
+/// `d <= last` with radius `r`, so `fl(r - d) <= bound`, and suppose the
+/// guard holds while `fl(a + d) <= r`. A floating-point sum or difference is
+/// off by at most half an ulp, `|fl(s) - s| <= |s| * EPSILON / 2` (subnormal
+/// results are exact), so `r - d >= a - EPSILON / 2 * (a + last)`. The
+/// guard's rounded difference and sum cost it a factor below
+/// `1 + 2 * EPSILON`, and its scaling by a power of two is exact or, if it
+/// underflows, off by at most `2^-1075`, so it gives
+/// `r - d - bound > 3 * EPSILON * (a + last) - 2^-1075`. Now `bound` lies in
+/// `[-last, a)`: it is at least `fl(r - d) >= -d`, and below `a` by the
+/// guard. So the float just above it is within
+/// `max(EPSILON * (a + last), 2^-1074)`. If `EPSILON * (a + last) >= 2^-1074`,
+/// `r - d` lies at or beyond that float and, rounding being monotone,
+/// `fl(r - d) > bound` — a contradiction. Otherwise `a + last < 2^-1022`,
+/// where `a + d` and `a - bound` are exact: the guard says `a > bound`, and
+/// `r >= a + d` gives `fl(r - d) >= a > bound` all the same.
+///
+/// *The distance of the bucket's entry `k` (`k > R`).* Every entry has `k`
+/// other entries among the bucket's first `k + 1`, each at most `bound` from
+/// the hub, and the label distance to each is at most its sum through this
+/// hub, so an entry at `d` has `r <= fl(d + bound)`. With `x = d + bound`
+/// and `y = a + d` the exact sums, `y - x = a - bound`, and `x + y < 2 *
+/// (a + last)` as `bound < a` by the guard, so
+/// `fl(y) - fl(x) >= (y - x) - EPSILON / 2 * (x + y) > (a - bound) - EPSILON
+/// * (a + last)`. The guard gives `a - bound >= EPSILON * (a + last)` as
+/// above, and where its scaled margin underflows, rounding it cannot move it
+/// past `fl(a - bound)`, a float. So `r <= fl(x) < fl(y)`.
+///
+/// Asking for `4 * EPSILON` leaves slack in both. An `∞` bound (an `∞`
+/// radius, or a bucket without entry `k`) and an overflowing `a + last`,
+/// which makes the margin `∞`, never skip the hub.
+fn gate_skips(a: Weight, bound: f64, last: Weight) -> bool {
     let (a, last) = (a.value(), last.value());
-    a - max_slack > 4.0 * f64::EPSILON * (a + last)
+    a - bound > 4.0 * f64::EPSILON * (a + last)
 }
 
 impl HubLabelRknn for HubLabelIndex {
@@ -809,30 +765,31 @@ mod tests {
     fn rknn_stats_count_label_work() {
         let (g, pts) = cycle();
         let index = HubLabelIndex::build(&g, &pts);
-        // Above the stored radii the fold reads every bucket entry of these
-        // short buckets and decides every point it reaches; at k >= |P| each
-        // radius is ∞ without a scan, so nothing else is read.
+        // Above the stored radii no bucket of these short ones has an entry
+        // `k`, so the gate reads them all and every point it reaches is
+        // decided; at k >= |P| each radius is ∞ without a scan, so nothing
+        // else is read.
         let out = index.rknn(NodeId::new(0), STORED_RADII + 1);
         assert!(out.stats.nodes_settled > 0, "query label entries were processed");
-        assert!(out.stats.heap_pushes > 0, "candidate-phase bucket entries were folded");
+        assert!(out.stats.heap_pushes > 0, "candidate-phase bucket entries were read");
         assert_eq!(out.stats.candidates, 3);
         assert_eq!(out.stats.verifications, 3);
         assert_eq!(out.stats.range_nn_queries, 0, "no range probes in label space");
         assert_eq!(out.stats.label_scans, out.stats.nodes_settled);
         assert_eq!(out.stats.bucket_scans, out.stats.heap_pushes);
         assert_eq!(out.stats.auxiliary_settled, 0);
-        let folded = out.stats.heap_pushes;
+        let read = out.stats.heap_pushes;
 
-        // At k <= STORED_RADII the gate reads the buckets it lets through,
-        // here the one bucket of the query's label (node 0 is the top hub, at
-        // distance 0), and only the points that pass their radius test become
-        // candidates: the point on 1 (at 1, its r_1 is 2), not those on 3 and
-        // 4 (at 3 and 2, each 1 from the other). Nothing past the query's
-        // label and that bucket is read.
+        // At k = 1 the gate reads the same buckets, here the one bucket of
+        // the query's label (node 0 is the top hub, at distance 0), and only
+        // the points that pass their radius test become candidates: the point
+        // on 1 (at 1, its r_1 is 2), not those on 3 and 4 (at 3 and 2, each 1
+        // from the other). Nothing past the query's label and that bucket is
+        // read.
         let out = index.rknn(NodeId::new(0), 1);
         assert_eq!(out.points, vec![pts.point_at(NodeId::new(1)).unwrap()]);
         assert_eq!((out.stats.candidates, out.stats.verifications), (1, 1));
-        assert_eq!(out.stats.heap_pushes, folded);
+        assert_eq!(out.stats.heap_pushes, read);
         assert_eq!(out.stats.label_scans, out.stats.nodes_settled);
         assert_eq!(out.stats.bucket_scans, out.stats.heap_pushes);
         assert_eq!(out.stats.auxiliary_settled, 0);
@@ -926,11 +883,11 @@ mod tests {
     }
 
     #[test]
-    fn lemma1_skips_sorted_bucket_tails_unread() {
+    fn the_gate_skips_whole_hubs_above_the_stored_radii() {
         // Unit path 0-1-...-19, points on 0..=9 and 14, query on 19, k = 5:
         // the hubs the far points share with the query are farther from it
-        // than from their fifth nearest point, so their buckets are cut off
-        // after the head and the far points are never verified.
+        // than their bucket's entry k, so they are skipped unread, every
+        // other bucket is read whole, and the far points are never decided.
         let g = path(20);
         let pts = NodePointSet::from_nodes(20, (0..10).chain([14]).map(NodeId::new));
         let index = HubLabelIndex::build(&g, &pts);
@@ -940,18 +897,18 @@ mod tests {
         assert_eq!(out.points, naive::naive_rknn(&g, &pts, query, k).points);
         assert_eq!(out.points, vec![pts.point_at(NodeId::new(14)).unwrap()]);
 
-        let listed: usize = index
-            .labeling()
-            .entries(query)
-            .map(|(h, _)| index.point_table().bucket(h).0.len())
-            .sum();
-        assert!(listed > 4, "some point is listed under several of the query's hubs");
-        assert!(
-            out.stats.heap_pushes < listed as u64,
-            "read {} of {listed} listed entries",
-            out.stats.heap_pushes
-        );
-        assert!(out.stats.candidates < 11, "Lemma 1 rejected a point inside the fold");
+        let (mut listed, mut read, mut skipped) = (0, 0, 0);
+        for (h, a) in index.labeling().entries(query) {
+            let dists = index.point_table().bucket(h).0;
+            listed += dists.len();
+            match dists.get(k) {
+                Some(&kth) if gate_skips(a, kth.value(), index.last[h as usize]) => skipped += 1,
+                _ => read += dists.len(),
+            }
+        }
+        assert!(skipped > 0 && read < listed, "read {read} of {listed} listed entries");
+        assert_eq!(out.stats.heap_pushes, read as u64);
+        assert!(out.stats.candidates < 11, "the gate left far points undecided");
         assert_eq!(out.stats.bucket_scans, out.stats.heap_pushes + out.stats.auxiliary_settled);
     }
 
@@ -961,7 +918,7 @@ mod tests {
         // every point on 0..=2 is 1 from another, and the query is farther
         // from each of their hubs than that, so the gate reads only buckets
         // that list the point on 6: 2 of the 12 entries the query's hubs
-        // list, against 11 for the fold. It decides that point alone.
+        // list. It decides that point alone.
         let g = path(10);
         let pts = NodePointSet::from_nodes(10, [0, 1, 2, 6].map(NodeId::new));
         let index = HubLabelIndex::build(&g, &pts);
@@ -975,9 +932,7 @@ mod tests {
             .entries(query)
             .map(|(h, _)| index.point_table().bucket(h).0.len())
             .sum();
-        let mut fold = QueryStats::default();
-        index.fold(query, 1, &mut NodeTable::default(), &mut fold);
-        assert_eq!((listed, fold.heap_pushes), (12, 11));
+        assert_eq!(listed, 12);
         let six = NodeId::new(6);
         for (h, a) in index.labeling().entries(query) {
             let (dists, nodes) = index.point_table().bucket(h);
@@ -1013,23 +968,25 @@ mod tests {
     }
 
     #[test]
-    fn unread_tail_skip_implies_the_per_entry_test() {
+    fn a_skip_at_entry_k_implies_the_radius_test() {
+        // Every entry at `d <= last` of a bucket whose entry `k` is at `kth`
+        // has a radius of at most `fl(d + kth)`, which a skip must reject.
         let values = nasty_weights();
         let mut skipped = 0;
         for &a in &values {
             for &kth in &values {
                 for &last in values.iter().filter(|&&last| last >= kth) {
-                    if !tail_is_rejected(a, kth, last) {
+                    if !gate_skips(a, kth.value(), last) {
                         continue;
                     }
                     skipped += 1;
-                    for &d in values.iter().filter(|&&d| kth <= d && d <= last) {
-                        assert!(lemma1_rejects(a, d, kth), "a={a} kth={kth} d={d} last={last}");
+                    for &d in values.iter().filter(|&&d| d <= last) {
+                        assert!(d + kth < a + d, "a={a} kth={kth} d={d} last={last}");
                     }
                 }
             }
         }
-        assert!(skipped > 100, "the guard fires on the well-separated triples ({skipped})");
+        assert!(skipped > 100, "the gate fires on the well-separated triples ({skipped})");
     }
 
     #[test]
@@ -1080,21 +1037,22 @@ mod tests {
     fn absorbed_sums_fall_back_to_the_per_entry_test() {
         let w = Weight::new;
         let two53 = 9_007_199_254_740_992.0;
-        // kth < a, yet both sums round to 2^53: the entry ties, Lemma 1 does
-        // not reject it, and the guard must not claim it does.
-        assert!(!lemma1_rejects(w(0.5), w(two53), w(0.25)));
-        assert!(!tail_is_rejected(w(0.5), w(0.25), w(two53)));
+        // Entry k at 0.25 is nearer the hub than the query, yet both sums
+        // round to 2^53: the entry ties with the query, so the gate must read
+        // the hub and leave the entry to the radius test.
+        assert_eq!(w(two53) + w(0.25), w(0.5) + w(two53));
+        assert!(!gate_skips(w(0.5), 0.25, w(two53)));
         // The same gap below a short bucket is far outside the margin.
-        assert!(lemma1_rejects(w(0.5), w(8.0), w(0.25)));
-        assert!(tail_is_rejected(w(0.5), w(0.25), w(8.0)));
+        assert!(w(8.0) + w(0.25) < w(0.5) + w(8.0));
+        assert!(gate_skips(w(0.5), 0.25, w(8.0)));
         // Smallest normal weights: the scaled margin underflows, the sums
         // are exact, and the guard still agrees with the test.
         let tiny = f64::MIN_POSITIVE;
-        assert!(lemma1_rejects(w(2.0 * tiny), w(tiny), w(tiny)));
-        assert!(tail_is_rejected(w(2.0 * tiny), w(tiny), w(tiny)));
+        assert!(w(tiny) + w(tiny) < w(2.0 * tiny) + w(tiny));
+        assert!(gate_skips(w(2.0 * tiny), tiny, w(tiny)));
         // No gap, and an overflowing `a + last`, never skip.
-        assert!(!tail_is_rejected(w(1.0), w(1.0), w(2.0)));
-        assert!(!tail_is_rejected(w(f64::MAX), w(1.0), w(f64::MAX)));
+        assert!(!gate_skips(w(1.0), 1.0, w(2.0)));
+        assert!(!gate_skips(w(f64::MAX), 1.0, w(f64::MAX)));
     }
 
     #[test]

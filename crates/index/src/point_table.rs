@@ -1,7 +1,7 @@
 //! The per-hub inverted point table.
 //!
 //! A [`super::HubLabeling`] answers node-to-node distances; point queries
-//! (k-NN, the RkNN fold and the radii it is tested against) additionally
+//! (k-NN, the RkNN gated scan and the radii it is tested against) additionally
 //! need "which data points does hub `h` cover, and how far away are they?".
 //! [`HubPointTable`] is that inverted view: for every hub, the
 //! `(distance, node)` pairs of all occupied nodes whose label contains the
@@ -30,8 +30,8 @@
 //! `O(total label entries)` of the table. The mapping back from a bucket
 //! node to its current point id ([`HubPointTable::point_of`]) is one load
 //! from the inverse directory, one `u32` per node, which a splice renumbers
-//! from the splice point on: the RkNN query maps every candidate it folds,
-//! and point maintenance every point it reaches.
+//! from the splice point on: the RkNN query maps every entry it reads at
+//! `k <= 4`, and point maintenance every point it reaches.
 //!
 //! [`NodePointSet`]: rnn_graph::NodePointSet
 

@@ -154,10 +154,11 @@ fn generated_workload_equivalence_smoke_test() {
 /// decoded from pool frames by the paged graph's — the same counters.
 /// Eager-M, naive and the hub-label fold were pinned on the same queries
 /// before their verify-once bookkeeping and their hash sets and maps moved
-/// to dense tables; those rows may not move either. The hub-label rows at
-/// k = 1 and k = 4 moved once since, when the max-slack gate took over from
-/// the fold there: in the counts of entries read and candidates decided,
-/// with every result unchanged (see the comment at those rows).
+/// to dense tables; those rows may not move either. The hub-label rows moved
+/// since, each once, when the max-slack gate took over from the fold: at
+/// k = 1 and k = 4 in the counts of entries read and candidates decided, at
+/// k = 5 in the counts of entries read, with every result unchanged (see the
+/// comment at those rows).
 #[test]
 fn work_counters_on_a_seeded_grid_are_pinned() {
     use rnn_core::{Algorithm, Precomputed, QueryStats, RknnOutcome, Scratch};
@@ -246,24 +247,29 @@ fn work_counters_on_a_seeded_grid_are_pinned() {
 
     // Hub labels on the same queries, through `HubLabelIndex::rknn_in`: the
     // six counters (label-scan counts here), the result points, and the
-    // dedicated (label_scans, bucket_scans), all summed. At k = 1 and k = 4
-    // the max-slack gate reads only the buckets of hubs within their largest
-    // slack and decides every entry by its stored radius, so nothing past the
-    // gate is read: `auxiliary_settled` is 0, `label_scans` is the query
-    // labels' entries (`nodes_settled`), `bucket_scans` the gate's reads
+    // dedicated (label_scans, bucket_scans), all summed. The gate reads every
+    // entry of the buckets of hubs within their bound and skips the others
+    // whole. At k = 1 and k = 4 the bound is the largest slack and every
+    // entry is decided by its stored radius, so nothing past the gate is
+    // read: `auxiliary_settled` is 0, `label_scans` is the query labels'
+    // entries (`nodes_settled`), `bucket_scans` the gate's reads
     // (`heap_pushes`), and the candidates are exactly the result points. The
     // Lemma-1 fold it replaced there read 60 828 bucket entries and decided
     // 1 048 candidates at k = 1, and 105 989 and 1 243 at k = 4, for the same
     // 35 and 190 results. The per-candidate count before it read 1 955 bucket
     // and 31 348 label entries more at k = 1, and 23 120 and 94 290 at k = 4.
-    // k = 5 is the first k above the stored radii, so the fold still runs:
-    // its on-demand radius scan reads exactly what that count read, so its
-    // row is the one pinned before either change.
+    // k = 5 is the first k above the stored radii: the bound is the bucket's
+    // entry k, and every point read is decided by an on-demand radius scan.
+    // The fold's per-entry Lemma 1 and tail skip read 116 103 entries there,
+    // against 87 313 for the whole-hub skip, for the same 1 243 candidates and
+    // 247 results. The radius scans read 9 label and 16 bucket entries more:
+    // a point whose nearest hub is skipped is met through another hub at a
+    // larger sum, and its scan runs up to that larger cutoff.
     let hub_index = rnn_index::HubLabelIndex::build(&graph, &points);
     let hub_pinned = [
         (1, (((18960, 0, 5012, 35, 0, 35), 35), (18960, 5012))),
         (4, (((18960, 0, 21262, 190, 0, 190), 190), (18960, 21262))),
-        (5, (((18960, 36510, 116103, 1243, 0, 1243), 247), (132592, 152613))),
+        (5, (((18960, 36526, 87313, 1243, 0, 1243), 247), (132601, 123839))),
     ];
     for (k, expected) in hub_pinned {
         let outcomes: Vec<RknnOutcome> =

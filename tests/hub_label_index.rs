@@ -10,17 +10,17 @@
 //!   zoo, and a `Server` serving the hub-label algorithm is deterministic at
 //!   1/2/8 workers;
 //! * steady-state label queries are allocation-free on a reused `Scratch`;
-//! * the RkNN query, which skips the buckets of hubs beyond their largest
-//!   slack at `k <= 4` and applies Lemma 1 inside the candidate fold above,
-//!   testing candidates against stored or scanned k-NN radii, answers like
-//!   the unpruned fold with per-candidate counting it replaced (kept here as
-//!   [`unpruned_rknn`]) and like the naive baseline — on graphs biased to
-//!   ties, short buckets and split components, at weights scaled down to
-//!   `f64::MIN_POSITIVE` and up to 2^52, where sums absorb, at `k` up to
-//!   `usize::MAX`, before and after a random point insert/remove trace —
+//! * the RkNN query, which skips the buckets of hubs beyond a bound on
+//!   their slacks (the largest slack at `k <= 4`, the bucket's entry `k`
+//!   above), testing candidates against stored or scanned k-NN radii,
+//!   answers like the unpruned fold with per-candidate counting it replaced
+//!   (kept here as [`unpruned_rknn`]) and like the naive baseline — on graphs
+//!   biased to ties, short buckets and split components, at weights scaled
+//!   down to `f64::MIN_POSITIVE` and up to 2^52, where sums absorb, at `k` up
+//!   to `usize::MAX`, before and after a random point insert/remove trace —
 //!   with queries at exactly a point's `k`-th radius and on a point — and
-//!   both the gate and the unread-tail skip give way to the per-entry test
-//!   where floating-point sums absorb the gap or tie.
+//!   the gate reads the hub at either bound where floating-point sums absorb
+//!   the gap or tie.
 
 mod common;
 
@@ -197,7 +197,7 @@ fn labeling_reuse_across_point_sets_stays_correct() {
     }
 }
 
-/// The hub-label RkNN query as it was before Lemma 1 moved into the fold:
+/// The hub-label RkNN query as it was before any pruning at the hub:
 /// every entry of every bucket of the query's hubs is folded to the minimum
 /// per node, and every reachable point is verified by counting over all of
 /// its hubs. The reference the pruned query must agree with on any index.
@@ -408,8 +408,8 @@ fn assert_pruned_matches_references(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// Differential test of the max-slack gate (k <= 4) and the Lemma 1
-    /// prune (k > 4), before and after a random 200-op insert/remove trace
+    /// Differential test of the gate at its two bounds (the largest slack at
+    /// k <= 4, the bucket's entry k above), before and after a random 200-op insert/remove trace
     /// maintained incrementally, with the index equal to a fresh one, radii
     /// and maxima included, after every op.
     #[test]
@@ -464,27 +464,26 @@ fn query_star(leaf_weights: &[f64], k: usize) -> (Vec<usize>, u64) {
     (leaves, out.stats.heap_pushes)
 }
 
-/// `d_{k-1} < a`, but the far entries are so large that `fl(d_j + d_{k-1})`
-/// and `fl(a + d_j)` are the same float: they tie with the query, Lemma 1
-/// does not reject them, and the margin guard must make the fold read them.
-/// The fold runs above the stored radii, so at `k = 5`, with five near
-/// points.
+/// Above the stored radii the gate's bound is the bucket's entry `k`. With
+/// five near points, entry `k = 5` is the first far point, beyond the query,
+/// so the hub is read whole: all 8 entries, where the fold read 7 (the head,
+/// entry `k` and the last one). With a sixth near point, entry `k` lies 0.125
+/// nearer the hub than the query. Well separated, the hub is skipped unread
+/// and nothing answers. Absorbed, the far entries are so large that
+/// `fl(d_j + d_k)` and `fl(a + d_j)` are the same float: they tie with the
+/// query and answer, and the margin must make the gate read the hub.
 #[test]
-fn absorbed_sums_make_the_fold_read_the_bucket_tail() {
+fn absorbed_sums_make_the_gate_read_the_hub_at_entry_k() {
     let two53 = 9_007_199_254_740_992.0;
     let k = STORED_RADII + 1;
-    let near = [0.0625, 0.125, 0.1875, 0.25, 0.3125];
-    let leaves = |far: [f64; 3]| [&[0.5][..], &near, &far].concat();
-    // Well separated: the far points are rejected unread — the head, entry
-    // `k` and the last entry are all the candidate phase looks at.
-    let (answer, read) = query_star(&leaves([8.0, 8.0, 16.0]), k);
-    assert_eq!(answer, (2..2 + k).collect::<Vec<_>>());
-    assert_eq!(read, k as u64 + 2);
-    // Absorbed: every far point is as close to the query as to anything
-    // else, so all of them are reverse neighbors and all were read.
-    let (answer, read) = query_star(&leaves([two53, two53, 2.0 * two53]), k);
-    assert_eq!(answer, (2..2 + k + 3).collect::<Vec<_>>());
-    assert_eq!(read, k as u64 + 3);
+    let five = [0.0625, 0.125, 0.1875, 0.25, 0.3125];
+    let six = [0.0625, 0.125, 0.1875, 0.25, 0.3125, 0.375];
+    let leaves = |near: &[f64], far: [f64; 3]| [&[0.5][..], near, &far].concat();
+    let (separated, absorbed) = ([8.0, 8.0, 16.0], [two53, two53, 2.0 * two53]);
+    assert_eq!(query_star(&leaves(&five, separated), k), ((2..7).collect(), 8));
+    assert_eq!(query_star(&leaves(&five, absorbed), k), ((2..10).collect(), 8));
+    assert_eq!(query_star(&leaves(&six, separated), k), (vec![], 0), "skipped unread");
+    assert_eq!(query_star(&leaves(&six, absorbed), k), ((8..11).collect(), 9), "absorbed: read");
 }
 
 /// The gate's own margin at `k = 1`: the two points on 0.5-leaves are 1
@@ -511,27 +510,24 @@ fn min_positive_weights_keep_the_guard_sound() {
     }
 }
 
-/// The query's distance to the hub exceeds the fifth nearest point's by less
-/// than `f32` resolves, and far more than the margin: the fold's guard sees
-/// the gap and reads no tail entry. The same star with the gap closed is a
-/// real tie: every point behind the nearest five ties its radius, stays a
-/// reverse neighbor, and the whole bucket is read.
+/// The near tie at `k = 5`. With five points at 1, entry `k` is the point
+/// at 2, beyond the query, so the hub is read whole (8 entries, where the
+/// fold's tail skip read 7) and the five near points answer. With six, entry
+/// `k` is at 1, and the query lies past it by less than `f32` resolves and
+/// far more than the margin: the hub is skipped unread. With the gap closed
+/// the tie is real: every point ties its radius, stays a reverse neighbor,
+/// and the hub is read whole.
 #[test]
-fn a_near_tie_skips_the_tail_and_a_real_tie_reads_it() {
+fn a_near_tie_skips_the_hub_and_a_real_tie_reads_it() {
     let gap = 1.0 + f64::from(f32::EPSILON) / 8.0;
     assert_eq!(gap as f32, 1.0);
     let k = STORED_RADII + 1;
-    let leaves = |query: f64| [query, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 3.0, 5.0];
-    assert_eq!(
-        query_star(&leaves(gap), k),
-        ((2..7).collect(), 7),
-        "gap seen: the five near points answer, tail unread"
-    );
-    assert_eq!(
-        query_star(&leaves(1.0), k),
-        ((2..10).collect(), 8),
-        "ties seen: the whole bucket read"
-    );
+    let five = |query: f64| [query, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 3.0, 5.0];
+    assert_eq!(query_star(&five(gap), k), ((2..7).collect(), 8), "entry k beyond the query");
+    assert_eq!(query_star(&five(1.0), k), ((2..10).collect(), 8), "ties seen");
+    let six = |query: f64| [query, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 3.0, 5.0];
+    assert_eq!(query_star(&six(gap), k), (vec![], 0), "gap seen: skipped unread");
+    assert_eq!(query_star(&six(1.0), k), ((2..11).collect(), 9), "ties seen: read whole");
 }
 
 /// The same near tie at the gate: two points 2 apart, the query just over 1
