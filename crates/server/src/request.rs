@@ -224,7 +224,7 @@ impl Completion {
 }
 
 /// Locks ignoring poison: a panicking worker must not cascade into every
-/// caller that touches the same slot (parking_lot semantics, on std types).
+/// caller that touches the same slot.
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }

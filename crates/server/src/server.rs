@@ -51,7 +51,6 @@ use crate::request::{Priority, Queued, Request, ServeError, ServedQuery, Ticket}
 use crate::stats::{
     algorithm_index, CacheStats, ClassStats, PublishedMetrics, ServerStats, WorkerMetrics,
 };
-use parking_lot::RwLock;
 use rnn_core::{
     run_rknn_with, Algorithm, HubLabelRknn, MaterializedKnn, Precomputed, RknnOutcome, Scratch,
 };
@@ -63,7 +62,7 @@ use rnn_obs::{
 };
 use rnn_storage::{IoCounters, StorageControl};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -332,6 +331,18 @@ struct Shared {
 }
 
 impl Shared {
+    /// The world, read-locked. Poison is ignored, as by `request.rs`'s
+    /// `lock`: a worker that panicked under the lock must not fail every
+    /// later request.
+    fn world(&self) -> RwLockReadGuard<'_, World> {
+        self.world.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The world, write-locked, ignoring poison likewise.
+    fn world_mut(&self) -> RwLockWriteGuard<'_, World> {
+        self.world.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Nanoseconds since the server started — the shared timeline of trace
     /// `start_nanos` stamps and flight-recorder event timestamps.
     fn nanos_since_start(&self) -> u64 {
@@ -504,7 +515,7 @@ impl Shared {
 /// call. The handle is captured at registration (point swaps never replace
 /// the storage), so polling stays lock-free with respect to the world lock.
 fn register_server_source(registry: &MetricsRegistry, shared: &Arc<Shared>) {
-    let storage = shared.world.read().storage.clone();
+    let storage = shared.world().storage.clone();
     let shared = Arc::clone(shared);
     registry.register_source("server", move |set| {
         let s = shared.stats_snapshot();
@@ -684,7 +695,7 @@ impl Server {
         class.submitted.fetch_add(1, Ordering::Relaxed);
         // Admission validation: refuse now what no worker could ever serve
         // (panicking a worker thread instead would poison the whole pool).
-        if !self.shared.world.read().can_serve(&request) {
+        if !self.shared.world().can_serve(&request) {
             class.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::Unservable);
         }
@@ -713,7 +724,7 @@ impl Server {
         let mut admitted_slots: Vec<(usize, Ticket)> = Vec::with_capacity(requests.len());
         {
             // One world read lock validates the whole batch.
-            let world = self.shared.world.read();
+            let world = self.shared.world();
             for (slot, &request) in requests.iter().enumerate() {
                 let class = counts.class(request.priority);
                 class.submitted.fetch_add(1, Ordering::Relaxed);
@@ -748,7 +759,7 @@ impl Server {
         materialized: Option<Arc<MaterializedKnn>>,
         hub_index: Option<Arc<HubLabelIndex>>,
     ) {
-        let mut world = self.shared.world.write();
+        let mut world = self.shared.world_mut();
         let num_points = points.num_points() as u64;
         world.points = points;
         world.materialized = materialized;
@@ -779,7 +790,7 @@ impl Server {
         materialized: Option<Arc<MaterializedKnn>>,
         updates: &[PointUpdate],
     ) -> bool {
-        let mut guard = self.shared.world.write();
+        let mut guard = self.shared.world_mut();
         let world = &mut *guard;
         let Some(shared_index) = world.hub_index.as_mut() else {
             return false;
@@ -930,7 +941,7 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
         // The read lock is held for the whole micro-batch, so the batch
         // answers every request from one consistent world: a swap waits for
         // it to finish.
-        let world = shared.world.read();
+        let world = shared.world();
         let pre = Precomputed {
             materialized: world.materialized.as_deref(),
             hub_labels: world.hub_index.as_deref().map(|index| index as &dyn HubLabelRknn),

@@ -40,12 +40,11 @@ use crate::error::StorageError;
 use crate::io_stats::{IoCounters, IoStats};
 use crate::lru::{mix64, Lru};
 use crate::page::{Page, PageId};
-use parking_lot::Mutex;
 use rnn_obs::{EventKind, FlightRecorder};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::AddAssign;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Number of pages in the paper's default 1 MB buffer.
 pub const DEFAULT_BUFFER_PAGES: usize = 256;
@@ -211,10 +210,16 @@ fn new_shard(capacity: usize) -> Shard {
     Mutex::new(ShardState { cache: Lru::new(capacity), stats: ShardStats::default() })
 }
 
+/// Locks `mutex`, ignoring poison: a reader whose closure panicked under a
+/// shard lock must not fail every later fetch from that shard.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Locks every shard in index order (the one lock order in this module, so
 /// multi-shard operations cannot deadlock against each other).
-fn lock_all(shards: &[Shard]) -> Vec<std::sync::MutexGuard<'_, ShardState>> {
-    shards.iter().map(|s| s.lock()).collect()
+fn lock_all(shards: &[Shard]) -> Vec<MutexGuard<'_, ShardState>> {
+    shards.iter().map(lock).collect()
 }
 
 /// The counters of every shard plus their sum, read with every shard lock
@@ -282,12 +287,12 @@ impl<S: PageStore> BufferPool<S> {
     /// so runtime tuning actions land on the same timeline as the serving
     /// events. Replaces any previous sink.
     pub fn set_event_sink(&self, recorder: Arc<FlightRecorder>) {
-        *self.events.lock() = Some(recorder);
+        *lock(&self.events) = Some(recorder);
     }
 
     /// Appends `kind` to the attached flight recorder, if any.
     fn emit(&self, kind: EventKind) {
-        let sink = self.events.lock().clone();
+        let sink = lock(&self.events).clone();
         if let Some(recorder) = sink {
             recorder.record(kind);
         }
@@ -424,12 +429,12 @@ impl<S: PageStore> BufferPool<S> {
             // No buffer at all: every access is a fault and nothing is
             // cached. Counted against the page's nominal shard.
             let page = self.store.read_page(page_id)?;
-            shard.lock().stats.faults += 1;
+            lock(shard).stats.faults += 1;
             return read(&page);
         }
 
         {
-            let mut guard = shard.lock();
+            let mut guard = lock(shard);
             let state = &mut *guard;
             if let Some(page) = state.cache.get(&page_id) {
                 state.stats.hits += 1;
@@ -440,7 +445,7 @@ impl<S: PageStore> BufferPool<S> {
         // Miss: read from the store outside the lock, then insert.
         let page = self.store.read_page(page_id)?;
         {
-            let mut state = shard.lock();
+            let mut state = lock(shard);
             // Re-check: another thread may have inserted the page meanwhile
             // (then this insert refreshes it and evicts nothing).
             let evicted = state.cache.insert(page_id, page.clone()).is_some();
@@ -722,7 +727,7 @@ pub(crate) mod tests {
     ) -> (Vec<u32>, BufferPoolStats) {
         let pool = BufferPool::with_config(disk_with_pages(12), config, IoCounters::new());
         let resident = |pool: &BufferPool<MemoryDisk>| -> Vec<PageId> {
-            pool.shards.iter().flat_map(|shard| shard.lock().cache.keys_mru_to_lru()).collect()
+            pool.shards.iter().flat_map(|shard| lock(shard).cache.keys_mru_to_lru()).collect()
         };
         let mut victims: Vec<u32> = Vec::new();
         for id in demand_trace() {
