@@ -37,13 +37,15 @@ use rnn_core::continuous::continuous_lazy_rknn;
 use rnn_core::expansion::{ExpansionBuffers, NetworkExpansion};
 use rnn_core::knn::range_nn_into;
 use rnn_core::materialize::MaterializedKnn;
-use rnn_core::unrestricted::{unrestricted_eager_rknn, unrestricted_lazy_rknn, EdgePosition};
+use rnn_core::unrestricted::{unrestricted_eager_rknn, unrestricted_lazy_rknn};
 use rnn_core::{run_rknn_with, Algorithm, NodeTable, Precomputed, Scratch};
 use rnn_datagen::{
     grid_map, place_points_on_edges, place_points_on_nodes, sample_edge_queries,
     sample_node_queries, sample_routes, GridConfig,
 };
-use rnn_graph::{EdgeId, Graph, Neighbor, NodeId, PointId, PointsOnNodes, Topology, Weight};
+use rnn_graph::{
+    EdgeId, EdgePosition, Graph, Neighbor, NodeId, PointId, PointsOnNodes, Topology, Weight,
+};
 use rnn_storage::lru::mix64;
 use std::hint::black_box;
 

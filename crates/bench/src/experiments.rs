@@ -51,7 +51,7 @@ fn count_values(ms: &[Measurement]) -> Vec<f64> {
 /// Table 1: ad hoc queries on the coauthorship graph (k = 1). The data set is
 /// defined at query time by "at least N SIGMOD papers", so materialization is
 /// not applicable and the paper compares eager with lazy.
-pub fn table1_adhoc(scale: Scale) -> Report {
+fn table1_adhoc(scale: Scale) -> Report {
     let co = coauthorship_graph(&CoauthorConfig::default());
     let algos = [Algorithm::Eager, Algorithm::Lazy];
     let mut report = Report::new(
@@ -82,7 +82,7 @@ pub fn table1_adhoc(scale: Scale) -> Report {
 }
 
 /// Table 2: cost versus data density on the coauthorship graph (k = 1).
-pub fn table2_density(scale: Scale) -> Report {
+fn table2_density(scale: Scale) -> Report {
     let co = coauthorship_graph(&CoauthorConfig::default());
     let algos = [Algorithm::Eager, Algorithm::Lazy];
     let mut report = Report::new(
@@ -129,7 +129,7 @@ fn measure_brite(
 
 /// Fig. 15: cost versus network size on BRITE-like topologies
 /// (D = 0.01, k = 1).
-pub fn fig15_brite_size(scale: Scale) -> Report {
+fn fig15_brite_size(scale: Scale) -> Report {
     let sizes: &[usize] = match scale {
         Scale::Quick => &[20_000, 40_000, 80_000],
         Scale::Full => &[90_000, 180_000, 270_000, 360_000],
@@ -148,7 +148,7 @@ pub fn fig15_brite_size(scale: Scale) -> Report {
 }
 
 /// Fig. 16: cost versus density on a BRITE-like topology (k = 1).
-pub fn fig16_brite_density(scale: Scale) -> Report {
+fn fig16_brite_density(scale: Scale) -> Report {
     let nodes = scale.pick(40_000, 160_000);
     let mut report = Report::new(
         "Fig 16",
@@ -181,7 +181,7 @@ fn sf_workload(scale: Scale, density: f64, seed: u64) -> UnrestrictedWorkload {
 /// Fig. 17: cost versus density on the road network (unrestricted points,
 /// k = 1). Eager and lazy run natively on the unrestricted network; eager-M
 /// and lazy-EP run on the equivalent restricted transformation.
-pub fn fig17_sf_density(scale: Scale) -> Report {
+fn fig17_sf_density(scale: Scale) -> Report {
     let mut report = Report::new(
         "Fig 17",
         format!("cost vs density (SF-like road network, |V|≈{}, k=1)", scale.pick(20_000, 175_000)),
@@ -198,7 +198,7 @@ pub fn fig17_sf_density(scale: Scale) -> Report {
 }
 
 /// Fig. 18: cost versus k on the road network (D = 0.01).
-pub fn fig18_sf_k(scale: Scale) -> Report {
+fn fig18_sf_k(scale: Scale) -> Report {
     let workload = sf_workload(scale, 0.01, SEED);
     let mut report = Report::new(
         "Fig 18",
@@ -221,7 +221,7 @@ pub fn fig18_sf_k(scale: Scale) -> Report {
 /// Fig. 19: continuous RNN queries versus route size on the road network
 /// (D = 0.01, k = 1). The paper evaluates all four variants; this harness
 /// reports the eager and lazy continuous algorithms (Section 5.1).
-pub fn fig19_continuous(scale: Scale) -> Report {
+fn fig19_continuous(scale: Scale) -> Report {
     let net = spatial_road_network(&SpatialConfig {
         num_nodes: scale.pick(20_000, 175_000),
         seed: SEED,
@@ -268,7 +268,7 @@ fn measure_grid(nodes: usize, degree: f64, scale: Scale) -> Vec<Measurement> {
 }
 
 /// Fig. 20a: grid maps, cost versus network size (degree 4, D = 0.01, k = 1).
-pub fn fig20a_grid_size(scale: Scale) -> Report {
+fn fig20a_grid_size(scale: Scale) -> Report {
     let sizes: &[usize] = match scale {
         Scale::Quick => &[10_000, 22_500, 40_000],
         Scale::Full => &[40_000, 90_000, 160_000, 250_000],
@@ -287,7 +287,7 @@ pub fn fig20a_grid_size(scale: Scale) -> Report {
 }
 
 /// Fig. 20b: grid maps, cost versus average degree (D = 0.01, k = 1).
-pub fn fig20b_grid_degree(scale: Scale) -> Report {
+fn fig20b_grid_degree(scale: Scale) -> Report {
     let nodes = scale.pick(40_000, 160_000);
     let mut report = Report::new(
         "Fig 20b",
@@ -309,7 +309,7 @@ pub fn fig20b_grid_degree(scale: Scale) -> Report {
 /// Fig. 21: cost versus buffer size on the road network (D = 0.01, k = 1).
 /// Restricted view of the spatial graph, matching the eager/lazy comparison
 /// of the paper.
-pub fn fig21_buffer(scale: Scale) -> Report {
+fn fig21_buffer(scale: Scale) -> Report {
     let net = spatial_road_network(&SpatialConfig {
         num_nodes: scale.pick(20_000, 175_000),
         seed: SEED,
@@ -368,7 +368,7 @@ fn update_values(inserts: &UpdateMeasurement, deletes: &UpdateMeasurement) -> Ve
 }
 
 /// Fig. 22a: maintenance cost versus density (K = 1).
-pub fn fig22a_update_density(scale: Scale) -> Report {
+fn fig22a_update_density(scale: Scale) -> Report {
     let mut report = Report::new(
         "Fig 22a",
         "materialization maintenance: cost vs density (SF-like road network, K=1)",
@@ -385,7 +385,7 @@ pub fn fig22a_update_density(scale: Scale) -> Report {
 
 /// Fig. 22b: maintenance cost versus the number K of materialized neighbors
 /// (D = 0.01).
-pub fn fig22b_update_k(scale: Scale) -> Report {
+fn fig22b_update_k(scale: Scale) -> Report {
     let mut report = Report::new(
         "Fig 22b",
         "materialization maintenance: cost vs K (SF-like road network, D=0.01)",
@@ -411,7 +411,7 @@ pub fn fig22b_update_k(scale: Scale) -> Report {
 /// sites. The paper evaluates no bichromatic workload; this report puts the
 /// path's counts under the same exact gate as the figures. The two
 /// algorithms' result columns are asserted equal row by row.
-pub fn bichromatic(scale: Scale) -> Report {
+fn bichromatic(scale: Scale) -> Report {
     let nodes = scale.pick(20_000, 90_000);
     let graph = brite_topology(&BriteConfig { num_nodes: nodes, seed: SEED, ..Default::default() });
     let targets = place_points_on_nodes(&graph, 0.04, SEED + 1);
@@ -447,7 +447,7 @@ pub fn bichromatic(scale: Scale) -> Report {
 /// Every cell's result sets — cold pass and warm pass — are asserted
 /// byte-identical to the in-memory oracle before any number is reported:
 /// sharding changes cost, never answers.
-pub fn paging(scale: Scale) -> Report {
+fn paging(scale: Scale) -> Report {
     let k = 1usize;
     let instances = [
         (
@@ -556,7 +556,7 @@ const MIB: f64 = 1024.0 * 1024.0;
 /// Not a figure of the paper: this measures the preprocessing/work trade the
 /// `rnn-index` subsystem makes. Every hub-label result set is asserted
 /// byte-identical to eager's before any number is reported.
-pub fn index(scale: Scale) -> Report {
+fn index(scale: Scale) -> Report {
     let grid_nodes = scale.pick(2_500, 10_000);
     let brite_nodes = scale.pick(2_000, 8_000);
     let mut report = Report::new(
@@ -635,7 +635,7 @@ pub fn index(scale: Scale) -> Report {
 ///
 /// A drill, not a report: both readings are wall-clock throughput, so they
 /// are printed and asserted here and written nowhere.
-pub fn obs_overhead(scale: Scale) {
+fn obs_overhead(scale: Scale) {
     use rnn_obs::{prometheus_text, report_json, MetricsRegistry, Phase};
     use rnn_server::{Request, Server, ServerConfig, World};
     use std::sync::Arc;
@@ -849,9 +849,8 @@ mod tests {
         // higher density means cheaper queries: what eager settles per query
         // must not increase from the lowest to the highest density
         for column in ["E settled", "E aux settled"] {
-            let col = report.column_index(column).unwrap();
-            let first = report.value(0, col).unwrap();
-            let last = report.value(3, col).unwrap();
+            let col = report.columns.iter().position(|c| c == column).unwrap();
+            let (first, last) = (report.rows[0].1[col], report.rows[3].1[col]);
             assert!(last <= first, "{column}: density 0.1 must not cost more than 0.0125");
         }
     }

@@ -24,7 +24,7 @@ pub enum Scale {
 
 impl Scale {
     /// Picks `quick` or `full` depending on the scale.
-    pub fn pick<T: Copy>(self, quick: T, full: T) -> T {
+    pub(crate) fn pick<T: Copy>(self, quick: T, full: T) -> T {
         match self {
             Scale::Quick => quick,
             Scale::Full => full,
@@ -32,7 +32,7 @@ impl Scale {
     }
 
     /// Number of queries per workload (the paper uses 50).
-    pub fn queries(self) -> usize {
+    pub(crate) fn queries(self) -> usize {
         self.pick(20, 50)
     }
 }

@@ -3,7 +3,7 @@
 //! Section 6 of the paper reports two tables and eight figures. Every one of
 //! them is implemented as a function in [`experiments`] that builds the
 //! corresponding workload with `rnn-datagen`, runs the algorithms over the
-//! disk-page backed graph of `rnn-storage`, and returns a [`report::Report`]
+//! disk-page backed graph of `rnn-storage`, and returns a [`Report`]
 //! whose rows mirror the rows/series of the original table or figure and
 //! whose columns are machine-independent counts: buffer faults, page
 //! accesses and the work counters every query returns.
@@ -25,8 +25,8 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod harness;
-pub mod report;
+mod harness;
+mod report;
 
-pub use harness::{Measurement, Scale, Workload};
+pub use harness::Scale;
 pub use report::Report;

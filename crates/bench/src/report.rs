@@ -21,7 +21,7 @@ pub struct Report {
 
 impl Report {
     /// Creates an empty report.
-    pub fn new(
+    pub(crate) fn new(
         id: impl Into<String>,
         title: impl Into<String>,
         x_label: impl Into<String>,
@@ -37,19 +37,9 @@ impl Report {
     }
 
     /// Appends a row; the number of values must match the number of columns.
-    pub fn push_row(&mut self, label: impl Into<String>, values: Vec<f64>) {
+    pub(crate) fn push_row(&mut self, label: impl Into<String>, values: Vec<f64>) {
         debug_assert_eq!(values.len(), self.columns.len());
         self.rows.push((label.into(), values));
-    }
-
-    /// Returns the value at (row, column) if present.
-    pub fn value(&self, row: usize, column: usize) -> Option<f64> {
-        self.rows.get(row).and_then(|(_, v)| v.get(column)).copied()
-    }
-
-    /// Looks up a column index by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c == name)
     }
 
     /// Renders the report as machine-readable JSON — the format of the
@@ -101,10 +91,6 @@ mod tests {
         let mut r = Report::new("Fig X", "test", "D", vec!["eager".into(), "lazy".into()]);
         r.push_row("0.01", vec![1.5, 1234.0]);
         r.push_row("0.1", vec![0.25, 0.0]);
-        assert_eq!(r.value(0, 1), Some(1234.0));
-        assert_eq!(r.value(5, 0), None);
-        assert_eq!(r.column_index("lazy"), Some(1));
-        assert_eq!(r.column_index("nope"), None);
 
         let text = r.to_string();
         assert!(text.contains("Fig X"));

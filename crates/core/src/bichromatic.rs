@@ -42,7 +42,7 @@ where
 /// [`bichromatic_rknn`] on the recycled buffers of `scratch`: the main
 /// expansion and every range-NN probe run allocation-free in the steady
 /// state.
-pub fn bichromatic_rknn_in<T, P, Q>(
+pub(crate) fn bichromatic_rknn_in<T, P, Q>(
     topo: &T,
     targets: &P,
     sites: &Q,

@@ -162,16 +162,16 @@ where
     P: PointsOnNodes + ?Sized,
 {
     match algorithm {
-        Algorithm::Eager => eager::eager_rknn_in(topo, points, query, k, scratch),
+        Algorithm::Eager => eager::eager_rknn_from(topo, points, &query.into(), k, scratch),
         Algorithm::EagerMaterialized => {
             let table = pre.materialized.expect(
                 "eager-M requires a materialized k-NN table (Algorithm::needs_materialization)",
             );
             materialize::eager_m_rknn_in(topo, points, table, query, k, scratch)
         }
-        Algorithm::Lazy => lazy::lazy_rknn_in(topo, points, query, k, scratch),
+        Algorithm::Lazy => lazy::lazy_rknn_from(topo, points, &query.into(), k, scratch),
         Algorithm::LazyExtendedPruning => lazy_ep::lazy_ep_rknn_in(topo, points, query, k, scratch),
-        Algorithm::Naive => naive::naive_rknn_in(topo, points, query, k, scratch),
+        Algorithm::Naive => naive::naive_rknn_from(topo, points, &query.into(), k, scratch),
         Algorithm::HubLabel => {
             let index = pre
                 .hub_labels
@@ -316,7 +316,7 @@ mod tests {
             self.points.num_points()
         }
         fn rknn_from_labels(&self, query: NodeId, k: usize, scratch: &mut Scratch) -> RknnOutcome {
-            naive::naive_rknn_in(self.topo, self.points, query, k, scratch)
+            naive::naive_rknn_from(self.topo, self.points, &query.into(), k, scratch)
         }
     }
 

@@ -28,35 +28,20 @@ where
     T: Topology + ?Sized,
     P: PointsOnNodes + ?Sized,
 {
-    eager_rknn_in(topo, points, query, k, &mut Scratch::new())
-}
-
-/// [`eager_rknn`] on the recycled buffers of `scratch`: the main expansion,
-/// every range-NN probe and every verification run allocation-free in the
-/// steady state.
-pub fn eager_rknn_in<T, P>(
-    topo: &T,
-    points: &P,
-    query: NodeId,
-    k: usize,
-    scratch: &mut Scratch,
-) -> RknnOutcome
-where
-    T: Topology + ?Sized,
-    P: PointsOnNodes + ?Sized,
-{
-    eager_rknn_from(topo, points, &query.into(), k, scratch)
+    eager_rknn_from(topo, points, &query.into(), k, &mut Scratch::new())
 }
 
 /// The eager algorithm for a query at any location of any [`PointSource`]:
 /// a node or the nodes of a route over points on nodes (the distance of a
 /// node from a route is its distance from the nearest route node), a position
 /// on an edge over points on edges. Points at the query location are not
-/// reported.
+/// reported. The main expansion, every range-NN probe and every verification
+/// run on the recycled buffers of `scratch`, allocation-free in the steady
+/// state.
 ///
 /// # Panics
 /// Panics if `k == 0`.
-pub fn eager_rknn_from<T, S>(
+pub(crate) fn eager_rknn_from<T, S>(
     topo: &T,
     points: &S,
     query: &S::Location,

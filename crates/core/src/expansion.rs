@@ -8,9 +8,9 @@
 //! verification queries, the main loops of eager, lazy and lazy-EP, the
 //! materialized-table updates and the unrestricted expansion all drive it.
 //! A caller shapes the traversal through three entry points — a veto on
-//! settling ([`NetworkExpansion::next_settled_unexpanded_if`]), the choice of
+//! settling (`NetworkExpansion::next_settled_unexpanded_if`), the choice of
 //! whether to expand a settled node, and a per-arc hook on expanding
-//! ([`NetworkExpansion::expand_from_each`]).
+//! (`NetworkExpansion::expand_from_each`).
 //!
 //! [`PointExpansion`] is the form the query algorithms drive: the kernel plus
 //! what a [`PointSource`] reveals on the way. The points on nodes come with
@@ -68,7 +68,7 @@ impl ExpansionBuffers {
     }
 
     /// Empties the buffers, retaining their capacity.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.heap.clear();
         self.labels.clear();
         self.arc_events.heap.clear();
@@ -126,14 +126,14 @@ pub struct NetworkExpansion<'a, T: Topology + ?Sized> {
 
 impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
     /// Starts an expansion from a single source node at distance zero.
-    pub fn new(topo: &'a T, source: NodeId) -> Self {
+    pub(crate) fn new(topo: &'a T, source: NodeId) -> Self {
         Self::with_sources(topo, std::iter::once((source, Weight::ZERO)))
     }
 
     /// Starts an expansion from several sources with given initial distances
     /// (used for continuous queries over a route and for query points lying
     /// on an edge).
-    pub fn with_sources<I>(topo: &'a T, sources: I) -> Self
+    pub(crate) fn with_sources<I>(topo: &'a T, sources: I) -> Self
     where
         I: IntoIterator<Item = (NodeId, Weight)>,
     {
@@ -189,7 +189,7 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
     /// would bring it back onto the frontier; one at the same distance or
     /// beyond does not. This is how the lazy algorithm removes the heap
     /// entries a pruned node inserted.
-    pub fn next_settled_unexpanded_if(
+    pub(crate) fn next_settled_unexpanded_if(
         &mut self,
         mut keep: impl FnMut(NodeId, Option<NodeId>) -> bool,
     ) -> Option<(NodeId, Weight)> {
@@ -211,7 +211,7 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
     /// The distance at which the next node settles (unless vetoed), or `None`
     /// when the frontier holds no live entry. Stale and superseded entries on
     /// top of the heap are discarded on the way.
-    pub fn peek_dist(&mut self) -> Option<Weight> {
+    pub(crate) fn peek_dist(&mut self) -> Option<Weight> {
         while let Some((dist, node, _)) = self.bufs.heap.peek() {
             if self.bufs.labels.get(NodeId(node)).is_some_and(|&label| is_live(label, dist)) {
                 return Some(dist);
@@ -234,7 +234,12 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
 
     /// [`NetworkExpansion::expand_from`] with a per-arc hook: `each` sees
     /// every neighbor of `node` once, after its relaxation.
-    pub fn expand_from_each(&mut self, node: NodeId, dist: Weight, mut each: impl FnMut(Neighbor)) {
+    pub(crate) fn expand_from_each(
+        &mut self,
+        node: NodeId,
+        dist: Weight,
+        mut each: impl FnMut(Neighbor),
+    ) {
         let bufs = &mut self.bufs;
         let pushes = &mut self.pushes;
         for_each_neighbor(self.topo, node, |nb| {
@@ -246,18 +251,18 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
     }
 
     /// Returns the settled distance of `node`, if it has been settled.
-    pub fn settled_distance(&self, node: NodeId) -> Option<Weight> {
+    pub(crate) fn settled_distance(&self, node: NodeId) -> Option<Weight> {
         let label = *self.bufs.labels.get(node)?;
         label.is_sign_negative().then(|| Weight::new(-label))
     }
 
     /// Number of nodes settled so far.
-    pub fn settled_count(&self) -> u64 {
+    pub(crate) fn settled_count(&self) -> u64 {
         self.settled_count
     }
 
     /// Number of heap pushes performed so far.
-    pub fn pushes(&self) -> u64 {
+    pub(crate) fn pushes(&self) -> u64 {
         self.pushes
     }
 }
@@ -322,7 +327,7 @@ pub enum Event {
 impl Event {
     /// The distance of the event from the start of the expansion.
     #[inline]
-    pub fn dist(&self) -> Weight {
+    pub(crate) fn dist(&self) -> Weight {
         match *self {
             Event::Node(_, dist) | Event::Point(_, dist) | Event::Target(dist) => dist,
         }
@@ -368,7 +373,12 @@ pub struct PointExpansion<'a, T: Topology + ?Sized, S: PointSource + ?Sized> {
 
 impl<'a, T: Topology + ?Sized, S: PointSource + ?Sized> PointExpansion<'a, T, S> {
     /// Starts an expansion from a graph node, on recycled buffers.
-    pub fn from_node(topo: &'a T, source: &'a S, node: NodeId, bufs: ExpansionBuffers) -> Self {
+    pub(crate) fn from_node(
+        topo: &'a T,
+        source: &'a S,
+        node: NodeId,
+        bufs: ExpansionBuffers,
+    ) -> Self {
         Self::start(topo, source, std::iter::once((node, Weight::ZERO)), None, bufs)
     }
 
@@ -406,26 +416,26 @@ impl<'a, T: Topology + ?Sized, S: PointSource + ?Sized> PointExpansion<'a, T, S>
     }
 
     /// Consumes the expansion, releasing its buffers for reuse.
-    pub fn into_buffers(self) -> ExpansionBuffers {
+    pub(crate) fn into_buffers(self) -> ExpansionBuffers {
         let mut bufs = self.nodes.into_buffers();
         bufs.arc_events = self.arc_events;
         bufs
     }
 
     /// Number of nodes settled so far (the work/cost proxy).
-    pub fn settled_count(&self) -> u64 {
+    pub(crate) fn settled_count(&self) -> u64 {
         self.nodes.settled_count()
     }
 
     /// Number of heap pushes so far, node entries and arc events alike.
-    pub fn pushes(&self) -> u64 {
+    pub(crate) fn pushes(&self) -> u64 {
         self.nodes.pushes() + self.arc_pushes
     }
 
     /// The data point `event` reveals, if any: the point of a point event, or
     /// the one that settling the node of a node event reveals.
     #[inline]
-    pub fn revealed(&self, event: &Event) -> Option<PointId> {
+    pub(crate) fn revealed(&self, event: &Event) -> Option<PointId> {
         match *event {
             Event::Node(node, _) => self.source.on_node(node),
             Event::Point(p, _) => Some(p),
@@ -437,7 +447,7 @@ impl<'a, T: Topology + ?Sized, S: PointSource + ?Sized> PointExpansion<'a, T, S>
     /// expanding a settled node; the caller decides whether to go on through
     /// it with [`PointExpansion::expand`].
     #[inline]
-    pub fn next_event_unexpanded(&mut self) -> Option<Event> {
+    pub(crate) fn next_event_unexpanded(&mut self) -> Option<Event> {
         if S::REVEALS_ON_ARCS {
             if let Some(event) = self.next_arc_event() {
                 return Some(event);
@@ -480,7 +490,7 @@ impl<'a, T: Topology + ?Sized, S: PointSource + ?Sized> PointExpansion<'a, T, S>
     /// Expands a settled node: relaxes its neighbors and queues what the
     /// source reveals on the arcs out of it.
     #[inline]
-    pub fn expand(&mut self, node: NodeId, dist: Weight) {
+    pub(crate) fn expand(&mut self, node: NodeId, dist: Weight) {
         if !S::REVEALS_ON_ARCS {
             return self.nodes.expand_from(node, dist);
         }

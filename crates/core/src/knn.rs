@@ -43,31 +43,12 @@ where
     T: Topology + ?Sized,
     P: PointsOnNodes + ?Sized,
 {
-    k_nearest_in(topo, points, source, k, &mut Scratch::new())
-}
-
-/// [`k_nearest`] on recycled expansion buffers from `scratch`.
-pub fn k_nearest_in<T, P>(
-    topo: &T,
-    points: &P,
-    source: NodeId,
-    k: usize,
-    scratch: &mut Scratch,
-) -> NnProbe
-where
-    T: Topology + ?Sized,
-    P: PointsOnNodes + ?Sized,
-{
     // `k` is request input: reserve for what can be found, not what is asked.
     let mut found = Vec::with_capacity(k.min(points.num_points()));
     if k == 0 {
         return NnProbe { found, settled: 0 };
     }
-    let mut exp = NetworkExpansion::reusing(
-        topo,
-        scratch.take_expansion(),
-        std::iter::once((source, Weight::ZERO)),
-    );
+    let mut exp = NetworkExpansion::new(topo, source);
     while let Some((node, dist)) = exp.next_settled() {
         if let Some(p) = points.point_at(node) {
             found.push((p, dist));
@@ -76,9 +57,7 @@ where
             }
         }
     }
-    let settled = exp.settled_count();
-    scratch.put_expansion(exp.into_buffers());
-    NnProbe { found, settled }
+    NnProbe { found, settled: exp.settled_count() }
 }
 
 /// The paper's `range-NN(n, k, e)` query: the `k` nearest data points of
@@ -152,16 +131,6 @@ where
     scratch.put_expansion(exp.into_buffers());
     scratch.tracer_mut().end(Phase::RangeNn, probe, settled);
     settled
-}
-
-/// Distance from `source` to its nearest data point, or `None` if no data
-/// point is reachable.
-pub fn nearest_neighbor_distance<T, P>(topo: &T, points: &P, source: NodeId) -> Option<Weight>
-where
-    T: Topology + ?Sized,
-    P: PointsOnNodes + ?Sized,
-{
-    k_nearest(topo, points, source, 1).found.first().map(|&(_, d)| d)
 }
 
 #[cfg(test)]
@@ -278,19 +247,6 @@ mod tests {
             assert_eq!(out, fresh.found, "k={k} range={range}");
             assert_eq!(settled, fresh.settled, "k={k} range={range}");
         }
-        let a = k_nearest_in(&g, &pts, NodeId::new(1), 2, &mut scratch);
-        assert_eq!(a, k_nearest(&g, &pts, NodeId::new(1), 2));
         assert!(scratch.reuses() > 0, "the expansion buffers must be recycled");
-    }
-
-    #[test]
-    fn nearest_neighbor_distance_handles_unreachable_points() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1, 1.0).unwrap();
-        b.add_edge(2, 3, 1.0).unwrap();
-        let g = b.build().unwrap();
-        let pts = NodePointSet::from_nodes(4, [NodeId::new(3)]);
-        assert_eq!(nearest_neighbor_distance(&g, &pts, NodeId::new(0)), None);
-        assert_eq!(nearest_neighbor_distance(&g, &pts, NodeId::new(2)).unwrap().value(), 1.0);
     }
 }

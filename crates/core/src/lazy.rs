@@ -46,32 +46,17 @@ where
     T: Topology + ?Sized,
     P: PointsOnNodes + ?Sized,
 {
-    lazy_rknn_in(topo, points, query, k, &mut Scratch::new())
-}
-
-/// [`lazy_rknn`] on the recycled buffers of `scratch`: the main expansion,
-/// every node table and every verification expansion run allocation-free in
-/// the steady state.
-pub fn lazy_rknn_in<T, P>(
-    topo: &T,
-    points: &P,
-    query: NodeId,
-    k: usize,
-    scratch: &mut Scratch,
-) -> RknnOutcome
-where
-    T: Topology + ?Sized,
-    P: PointsOnNodes + ?Sized,
-{
-    lazy_rknn_from(topo, points, &query.into(), k, scratch)
+    lazy_rknn_from(topo, points, &query.into(), k, &mut Scratch::new())
 }
 
 /// The lazy algorithm for a query at any location of any [`PointSource`],
-/// as for [`crate::eager::eager_rknn_from`].
+/// as for [`crate::eager::eager_rknn_from`]. The main expansion, every node
+/// table and every verification expansion run on the recycled buffers of
+/// `scratch`, allocation-free in the steady state.
 ///
 /// # Panics
 /// Panics if `k == 0`.
-pub fn lazy_rknn_from<T, S>(
+pub(crate) fn lazy_rknn_from<T, S>(
     topo: &T,
     points: &S,
     query: &S::Location,

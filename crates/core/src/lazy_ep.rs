@@ -142,7 +142,7 @@ where
 /// [`lazy_ep_rknn`] on the recycled buffers of `scratch`: both expansions,
 /// the found-lists and every verification expansion run allocation-free in
 /// the steady state.
-pub fn lazy_ep_rknn_in<T, P>(
+pub(crate) fn lazy_ep_rknn_in<T, P>(
     topo: &T,
     points: &P,
     query: NodeId,

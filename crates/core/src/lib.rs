@@ -112,5 +112,4 @@ pub use materialize::MaterializedKnn;
 pub use node_table::NodeTable;
 pub use precomputed::{HubLabelRknn, Precomputed};
 pub use query::{QueryStats, RknnOutcome};
-pub use rnn_obs::{Phase, PhaseRecord, QueryTrace, Tracer};
 pub use scratch::Scratch;

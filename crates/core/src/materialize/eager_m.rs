@@ -35,7 +35,7 @@ where
 }
 
 /// [`eager_m_rknn`] on the recycled buffers of `scratch`.
-pub fn eager_m_rknn_in<T, P>(
+pub(crate) fn eager_m_rknn_in<T, P>(
     topo: &T,
     points: &P,
     table: &MaterializedKnn,

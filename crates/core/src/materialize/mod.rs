@@ -17,7 +17,8 @@
 mod eager_m;
 mod update;
 
-pub use eager_m::{eager_m_rknn, eager_m_rknn_in};
+pub use eager_m::eager_m_rknn;
+pub(crate) use eager_m::eager_m_rknn_in;
 
 use crate::fast_hash::FastHasher;
 use crate::flat_heap::FlatHeap;
@@ -33,7 +34,7 @@ use std::sync::{Mutex, MutexGuard};
 /// [`rnn_graph::PointId`], so the table stays valid when point ids are
 /// re-assigned after insertions and deletions (in a restricted network a node
 /// holds at most one data point, so the location identifies the point).
-pub type KnnEntry = (NodeId, Weight);
+pub(crate) type KnnEntry = (NodeId, Weight);
 
 /// Size of a serialized list entry in bytes (node id + distance), used to
 /// size the simulated pages.
@@ -133,7 +134,7 @@ impl MaterializedKnn {
     }
 
     /// Reads the materialized list of `node`, recording the page access.
-    pub fn knn_of(&self, node: NodeId) -> &[KnnEntry] {
+    pub(crate) fn knn_of(&self, node: NodeId) -> &[KnnEntry] {
         self.touch(node);
         &self.lists[node.index()]
     }
@@ -149,7 +150,7 @@ impl MaterializedKnn {
     ///
     /// Returns `None` when the (truncated) list cannot answer the question —
     /// the caller must fall back to an explicit verification query.
-    pub fn kth_other_distance(
+    pub(crate) fn kth_other_distance(
         &self,
         node: NodeId,
         exclude_location: NodeId,
@@ -188,14 +189,6 @@ impl MaterializedKnn {
         let mut buffer = self.buffer();
         buffer.pages.clear();
         buffer.io = IoStats::default();
-    }
-
-    /// Sets the number of buffered table pages (0 disables buffering) and
-    /// empties the buffer; the counts go on.
-    pub fn set_buffer_pages(&self, pages: usize) {
-        let mut buffer = self.buffer();
-        buffer.pages.set_capacity(pages);
-        buffer.pages.clear();
     }
 
     fn buffer(&self) -> MutexGuard<'_, TableBuffer> {
@@ -351,10 +344,8 @@ mod tests {
         assert_eq!(s.faults, 1);
 
         table.reset_io();
-        table.set_buffer_pages(0);
         table.knn_of(NodeId::new(0));
-        table.knn_of(NodeId::new(0));
-        assert_eq!(table.io_stats().faults, 2, "no buffer -> every access faults");
+        assert_eq!(table.io_stats().faults, 1, "reset_io empties the buffer");
     }
 
     #[test]

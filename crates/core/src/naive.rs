@@ -25,30 +25,16 @@ where
     T: Topology + ?Sized,
     P: PointsOnNodes + ?Sized,
 {
-    naive_rknn_in(topo, points, query, k, &mut Scratch::new())
-}
-
-/// [`naive_rknn`] on the recycled buffers of `scratch`.
-pub fn naive_rknn_in<T, P>(
-    topo: &T,
-    points: &P,
-    query: NodeId,
-    k: usize,
-    scratch: &mut Scratch,
-) -> RknnOutcome
-where
-    T: Topology + ?Sized,
-    P: PointsOnNodes + ?Sized,
-{
-    naive_rknn_from(topo, points, &query.into(), k, scratch)
+    naive_rknn_from(topo, points, &query.into(), k, &mut Scratch::new())
 }
 
 /// The naive baseline for a query at any location of any [`PointSource`], as
-/// for [`crate::eager::eager_rknn_from`].
+/// for [`crate::eager::eager_rknn_from`], on the recycled buffers of
+/// `scratch`.
 ///
 /// # Panics
 /// Panics if `k == 0`.
-pub fn naive_rknn_from<T, S>(
+pub(crate) fn naive_rknn_from<T, S>(
     topo: &T,
     points: &S,
     query: &S::Location,

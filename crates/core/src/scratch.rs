@@ -79,7 +79,6 @@ pub struct Scratch {
     weights: Vec<Vec<Weight>>,
     node_dists: Vec<Vec<(NodeId, Weight)>>,
     dist_tables: Vec<NodeTable<Weight>>,
-    node_marks: Vec<NodeTable<()>>,
     point_marks: Vec<NodeTable<(), PointId>>,
     lazy: Vec<crate::lazy::LazyBuffers>,
     lazy_ep: Vec<crate::lazy_ep::LazyEpBuffers>,
@@ -140,21 +139,21 @@ impl Scratch {
         &mut self.tracer
     }
 
-    // Public pools: generic buffers that algorithm crates layered on top of
-    // `rnn-core` (e.g. `rnn-index`'s hub-label RkNN) recycle the same way the
+    // Public pools: the buffers that algorithm crates layered on top of
+    // `rnn-core` (`rnn-index`'s hub-label RkNN) recycle the same way the
     // built-in algorithms do.
     pool_accessors! { pub,
+        take_node_dists, put_node_dists, node_dists: Vec<(NodeId, Weight)>;
+        take_dist_table, put_dist_table, dist_tables: NodeTable<Weight>;
+    }
+
+    // Crate-private pools: the drivers' expansions and probe buffers, the
+    // verify-once marks and the buffer bundles whose types are internal to
+    // the lazy / lazy-EP implementations.
+    pool_accessors! { pub(crate),
         take_expansion, put_expansion, expansions: ExpansionBuffers;
         take_found, put_found, found: Vec<(PointId, Weight)>;
         take_weights, put_weights, weights: Vec<Weight>;
-        take_node_dists, put_node_dists, node_dists: Vec<(NodeId, Weight)>;
-        take_dist_table, put_dist_table, dist_tables: NodeTable<Weight>;
-        take_node_marks, put_node_marks, node_marks: NodeTable<()>;
-    }
-
-    // Crate-private pools: the verify-once marks and the buffer bundles whose
-    // types are internal to the lazy / lazy-EP implementations.
-    pool_accessors! { pub(crate),
         take_point_marks, put_point_marks, point_marks: NodeTable<(), PointId>;
         take_lazy, put_lazy, lazy: crate::lazy::LazyBuffers;
         take_lazy_ep, put_lazy_ep, lazy_ep: crate::lazy_ep::LazyEpBuffers;

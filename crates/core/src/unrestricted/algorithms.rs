@@ -9,10 +9,9 @@
 //! edge. `topo` is the traversed topology, in memory or paged; nothing else
 //! of the graph is needed, the point set knows the edges its points lie on.
 
-use super::EdgePosition;
 use crate::query::RknnOutcome;
 use crate::scratch::Scratch;
-use rnn_graph::{EdgePointSet, Topology};
+use rnn_graph::{EdgePointSet, EdgePosition, Topology};
 
 /// Eager RkNN on an unrestricted network. Points coinciding with the query
 /// position are not reported.

@@ -10,14 +10,13 @@
 //! this crate — range-NN, verification, eager, lazy, naive — are written once
 //! over that trait. This module holds what is left:
 //!
-//! * [`EdgePosition`] — a resolved location on an edge (both endpoints, the
-//!   edge weight and the offset), which is what a query on an unrestricted
-//!   network is; the position of a data point is read from its set
-//!   ([`rnn_graph::EdgePointSet::position`]), so no function here needs the
-//!   in-memory graph beside the traversed topology;
 //! * [`unrestricted_eager_rknn`], [`unrestricted_lazy_rknn`] and
 //!   [`unrestricted_naive_rknn`] — the entry points, each a call of the
-//!   shared driver with an edge point set and a position;
+//!   shared driver with an edge point set and a query position, a
+//!   [`rnn_graph::EdgePosition`] (both endpoints, the edge weight and the
+//!   offset); the position of a data point is read from its set
+//!   ([`rnn_graph::EdgePointSet::position`]), so no function here needs the
+//!   in-memory graph beside the traversed topology;
 //! * [`transform_to_restricted`] — the classical transformation that splits
 //!   every edge at its data points, turning an unrestricted instance into a
 //!   restricted one (the paper mentions it as the alternative it does not
@@ -26,11 +25,10 @@
 //!   be evaluated on unrestricted workloads, and as a correctness
 //!   cross-check).
 
-pub mod algorithms;
+mod algorithms;
 #[cfg(test)]
 mod expansion;
 mod transform;
 
 pub use algorithms::{unrestricted_eager_rknn, unrestricted_lazy_rknn, unrestricted_naive_rknn};
-pub use rnn_graph::EdgePosition;
 pub use transform::{transform_to_restricted, RestrictedView};

@@ -24,17 +24,6 @@ pub struct RestrictedView {
 }
 
 impl RestrictedView {
-    /// The transformed point id corresponding to an original point id.
-    ///
-    /// Point ids are re-assigned by [`NodePointSet`]; this helper maps an
-    /// original unrestricted [`PointId`] to the id used in the view.
-    pub fn point_in_view(&self, original: PointId) -> PointId {
-        use rnn_graph::PointsOnNodes;
-        self.points
-            .point_at(self.node_of_point[original.index()])
-            .expect("every transformed point node holds a point")
-    }
-
     /// Maps a point id of the view back to the original unrestricted id:
     /// the point nodes are appended after the original nodes in point-id
     /// order. `None` for an id the view does not hold, or whose node is not
@@ -175,7 +164,7 @@ mod tests {
         let view = transform_to_restricted(&g, &pts).unwrap();
         for i in 0..pts.num_points() {
             let original = PointId::new(i);
-            let in_view = view.point_in_view(original);
+            let in_view = view.points.point_at(view.node_of_point[i]).expect("a point node");
             assert_eq!(view.original_point(in_view), Some(original));
         }
         assert_eq!(view.original_point(PointId::new(pts.num_points())), None, "no such point");

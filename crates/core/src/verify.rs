@@ -128,7 +128,7 @@ where
 /// Counts data points other than `exclude` with distance strictly smaller
 /// than `bound` from `source`, stopping early once `limit` such points have
 /// been found. Used by the bichromatic driver.
-pub fn count_points_strictly_within<T, P>(
+pub(crate) fn count_points_strictly_within<T, P>(
     topo: &T,
     points: &P,
     source: NodeId,

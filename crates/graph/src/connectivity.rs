@@ -12,7 +12,7 @@ use crate::ids::NodeId;
 /// Assigns a component id to every node (0-based, in order of discovery) and
 /// returns the vector of component ids together with the number of
 /// components.
-pub fn connected_components(graph: &Graph) -> (Vec<usize>, usize) {
+pub(crate) fn connected_components(graph: &Graph) -> (Vec<usize>, usize) {
     const UNVISITED: usize = usize::MAX;
     let n = graph.num_nodes();
     let mut component = vec![UNVISITED; n];

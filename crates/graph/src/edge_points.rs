@@ -68,18 +68,6 @@ impl EdgePosition {
         self.edge_weight.saturating_sub(self.offset)
     }
 
-    /// The *direct distance* `d_L(p, n)` to `node`, if it is one of the
-    /// edge's endpoints.
-    pub fn dist_to_endpoint(&self, node: NodeId) -> Option<Weight> {
-        if node == self.lo {
-            Some(self.dist_to_lo())
-        } else if node == self.hi {
-            Some(self.dist_to_hi())
-        } else {
-            None
-        }
-    }
-
     /// Direct (same-edge) distance to another position, or `None` if the two
     /// positions lie on different edges.
     pub fn direct_distance(&self, other: &EdgePosition) -> Option<Weight> {
@@ -91,13 +79,13 @@ impl EdgePosition {
     }
 
     /// Returns `true` if the two positions coincide (same edge, same offset).
-    pub fn coincides_with(&self, other: &EdgePosition) -> bool {
+    pub(crate) fn coincides_with(&self, other: &EdgePosition) -> bool {
         self.edge == other.edge && self.offset == other.offset
     }
 
     /// The node this position sits on, if its offset lands exactly on an
     /// endpoint (boundary offsets are valid placements).
-    pub fn node_location(&self) -> Option<NodeId> {
+    pub(crate) fn node_location(&self) -> Option<NodeId> {
         if self.offset == Weight::ZERO {
             Some(self.lo)
         } else if self.offset == self.edge_weight {
@@ -307,9 +295,9 @@ mod tests {
         let mut b = EdgePointSetBuilder::new(&g);
         b.add_point(e, 4.0).unwrap(); // 4 from n1, 2 from n2
         let p = b.build().position(PointId::new(0));
-        assert_eq!(p.dist_to_endpoint(NodeId::new(1)).unwrap().value(), 4.0);
-        assert_eq!(p.dist_to_endpoint(NodeId::new(2)).unwrap().value(), 2.0);
-        assert_eq!(p.dist_to_endpoint(NodeId::new(0)), None);
+        assert_eq!((p.lo, p.hi), (NodeId::new(1), NodeId::new(2)));
+        assert_eq!(p.dist_to_lo().value(), 4.0);
+        assert_eq!(p.dist_to_hi().value(), 2.0);
     }
 
     /// Points at 1 and 5 on the edge (1, 2) of weight 6, and one at the far

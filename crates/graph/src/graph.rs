@@ -115,7 +115,7 @@ impl Graph {
 
     /// Returns `true` if `a` and `b` are connected by an edge.
     #[inline]
-    pub fn are_adjacent(&self, a: NodeId, b: NodeId) -> bool {
+    pub(crate) fn are_adjacent(&self, a: NodeId, b: NodeId) -> bool {
         self.edge_between(a, b).is_some()
     }
 
@@ -145,11 +145,6 @@ impl Graph {
             return 0.0;
         }
         2.0 * self.num_edges() as f64 / self.num_nodes() as f64
-    }
-
-    /// Total weight of all edges.
-    pub fn total_edge_weight(&self) -> Weight {
-        self.edge_weights.iter().copied().sum()
     }
 }
 
@@ -236,8 +231,6 @@ mod tests {
         let g = paper_fig3_graph();
         let edges: Vec<_> = g.edges().collect();
         assert_eq!(edges.len(), 9);
-        let total: f64 = edges.iter().map(|(_, _, _, w)| w.value()).sum();
-        assert_eq!(total, g.total_edge_weight().value());
         for (e, lo, hi, w) in edges {
             assert!(lo < hi);
             assert_eq!(g.edge_weight(e), w);

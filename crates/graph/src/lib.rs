@@ -40,7 +40,7 @@ pub mod topology;
 pub mod weight;
 
 pub use builder::GraphBuilder;
-pub use connectivity::{connected_components, is_connected, largest_connected_component};
+pub use connectivity::{is_connected, largest_connected_component};
 pub use edge_points::{EdgeLocation, EdgePoint, EdgePointSet, EdgePointSetBuilder, EdgePosition};
 pub use error::GraphError;
 pub use graph::{Graph, Neighbor};

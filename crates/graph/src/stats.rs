@@ -65,20 +65,6 @@ impl GraphStats {
             mean_weight: if num_edges == 0 { 0.0 } else { sum_weight / num_edges as f64 },
         }
     }
-
-    /// Returns the degree histogram of `graph`: `hist[d]` is the number of
-    /// nodes with degree `d`.
-    pub fn degree_histogram(graph: &Graph) -> Vec<usize> {
-        let mut hist = Vec::new();
-        for v in graph.node_ids() {
-            let d = graph.degree(v);
-            if d >= hist.len() {
-                hist.resize(d + 1, 0);
-            }
-            hist[d] += 1;
-        }
-        hist
-    }
 }
 
 #[cfg(test)]
@@ -103,17 +89,6 @@ mod tests {
         assert_eq!(s.min_weight, 1.0);
         assert_eq!(s.max_weight, 3.0);
         assert!((s.mean_weight - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degree_histogram_counts_nodes() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1, 1.0).unwrap();
-        b.add_edge(0, 2, 1.0).unwrap();
-        b.add_edge(0, 3, 1.0).unwrap();
-        let g = b.build().unwrap();
-        let h = GraphStats::degree_histogram(&g);
-        assert_eq!(h, vec![0, 3, 0, 1]); // three leaves, one hub of degree 3
     }
 
     #[test]

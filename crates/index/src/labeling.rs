@@ -21,7 +21,7 @@
 //! # Level-synchronous construction
 //!
 //! Roots are batched into *levels* of geometrically growing width (1, 2, 4,
-//! …, capped at [`MAX_LEVEL_WIDTH`]), a fixed function of the node count.
+//! …, capped at `MAX_LEVEL_WIDTH`), a fixed function of the node count.
 //! Within a level every root's pruned Dijkstra sees only the labels
 //! committed by strictly earlier levels, which makes the per-root searches
 //! independent pure functions of the committed state: they can run on any
@@ -104,7 +104,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Width grows geometrically from 1 so the highest-ranked hubs (whose labels
 /// prune everything downstream) are committed almost one at a time, then
 /// saturates here to expose enough parallelism on large graphs.
-pub const MAX_LEVEL_WIDTH: usize = 512;
+pub(crate) const MAX_LEVEL_WIDTH: usize = 512;
 
 /// Entries per block of the construction arena (see "Construction memory").
 const BLOCK: usize = 64;

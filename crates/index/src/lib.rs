@@ -53,5 +53,5 @@ pub mod labeling;
 pub mod point_table;
 
 pub use index::{HubLabelIndex, STORED_RADII};
-pub use labeling::{HubLabeling, LabelBuildProgress, LabelStats, MAX_LEVEL_WIDTH};
+pub use labeling::{HubLabeling, LabelBuildProgress, LabelStats};
 pub use point_table::HubPointTable;

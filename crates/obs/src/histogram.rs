@@ -63,7 +63,7 @@ pub(crate) fn bucket_of(nanos: u64) -> usize {
 }
 
 /// The inclusive upper bound of bucket `i`, in nanoseconds.
-pub fn bucket_upper(i: usize) -> u64 {
+pub(crate) fn bucket_upper(i: usize) -> u64 {
     if i == 0 {
         0
     } else if i >= 63 {
@@ -197,7 +197,7 @@ impl LatencyHistogram {
     }
 
     /// 99.9th percentile.
-    pub fn p999(&self) -> Duration {
+    pub(crate) fn p999(&self) -> Duration {
         self.quantile(0.999)
     }
 }

@@ -78,14 +78,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// The members, if this is an object.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, JsonValue>> {
-        match self {
-            JsonValue::Object(m) => Some(m),
-            _ => None,
-        }
-    }
 }
 
 /// A parse failure: what went wrong and the byte offset it went wrong at.
@@ -372,7 +364,6 @@ mod tests {
         assert!(v.get("x").is_none());
         assert!(v.as_f64().is_none());
         assert!(v.as_str().is_none());
-        assert!(v.as_object().is_none());
         assert_eq!(v.as_array().unwrap().len(), 1);
     }
 }

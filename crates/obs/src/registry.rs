@@ -28,7 +28,7 @@
 //!   *every* snapshot, concurrent recorders notwithstanding (the
 //!   `observability` integration suite hammers exactly this).
 //!
-//! Counters are striped over [`STRIPES`] cache-line-padded atomics with a
+//! Counters are striped over `STRIPES` cache-line-padded atomics with a
 //! per-thread stripe assignment, so concurrent recorders do not contend on
 //! one line; a counter's value is the stripe sum. Per-stripe values are
 //! monotone and read coherently, so successive snapshots never go backwards.
@@ -43,7 +43,7 @@ use std::time::Duration;
 /// Number of counter stripes. Enough that a handful of worker threads land
 /// on distinct cache lines with high probability; snapshot cost stays
 /// trivial (a 16-element sum).
-pub const STRIPES: usize = 16;
+pub(crate) const STRIPES: usize = 16;
 
 /// One cache line per stripe so concurrent recorders do not false-share.
 #[repr(align(64))]
@@ -209,7 +209,7 @@ impl Histogram {
     }
 
     /// Records a sample already expressed in nanoseconds.
-    pub fn record_nanos(&self, nanos: u64) {
+    pub(crate) fn record_nanos(&self, nanos: u64) {
         self.0.record(nanos);
     }
 

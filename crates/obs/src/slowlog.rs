@@ -88,7 +88,7 @@ impl SlowQueryLog {
 
     /// Number of arrivals observed since construction (drains do not reset
     /// it — the sampler sequence keeps advancing deterministically).
-    pub fn observed(&self) -> u64 {
+    pub(crate) fn observed(&self) -> u64 {
         self.seq.load(Ordering::Relaxed)
     }
 

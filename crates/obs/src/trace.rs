@@ -190,11 +190,6 @@ impl Tracer {
         Tracer::default()
     }
 
-    /// Returns `true` while a query trace is being collected.
-    pub fn is_active(&self) -> bool {
-        self.started.is_some()
-    }
-
     /// Opens a trace for one query. `remainder` names the phase that
     /// absorbs service time not covered by explicit spans (the expansion
     /// phase for traversal algorithms; `None` drops the residual).
@@ -352,7 +347,7 @@ mod tests {
     #[test]
     fn inactive_tracer_is_a_no_op() {
         let mut t = Tracer::new();
-        assert!(!t.is_active());
+        assert!(t.started.is_none());
         let timer = t.begin();
         t.end(Phase::RangeNn, timer, 10);
         t.add_work(Phase::Expansion, 5);
@@ -364,14 +359,14 @@ mod tests {
     fn trace_collects_phases_and_remainder() {
         let mut t = Tracer::new();
         t.start("eager", 42, 2, Some(Phase::Expansion));
-        assert!(t.is_active());
+        assert!(t.started.is_some());
         let timer = t.begin();
         std::thread::sleep(Duration::from_millis(2));
         t.end(Phase::RangeNn, timer, 7);
         t.add_work(Phase::Expansion, 3);
         std::thread::sleep(Duration::from_millis(1));
         t.finish();
-        assert!(!t.is_active());
+        assert!(t.started.is_none());
         let trace = t.take_completed().expect("finished trace");
         assert!(t.take_completed().is_none(), "taken once");
         assert_eq!(trace.algorithm, "eager");

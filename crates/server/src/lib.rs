@@ -33,7 +33,7 @@
 //!   per-class ([`ClassStats`]) admission counters and latency histograms,
 //!   published by workers through seqlock-style double-buffered cells
 //!   ([`stats`]) so a poll never contends with an in-flight micro-batch.
-//! * [`LatencyHistogram`] (re-exported from [`rnn_obs`]) — fixed-bucket
+//! * [`rnn_obs::LatencyHistogram`] — fixed-bucket
 //!   log-scale latency accounting with the queue-wait / service-time split,
 //!   mergeable across workers. Queue waits include requests shed at dequeue,
 //!   so overload telemetry is not survivorship-biased.
@@ -69,8 +69,5 @@ pub mod server;
 pub mod stats;
 
 pub use request::{Priority, Request, ServeError, ServeResult, ServedQuery, Ticket};
-pub use rnn_obs::{
-    Drained, Event, EventKind, LatencyHistogram, MetricsRegistry, QueryTrace, SlowQueryReport,
-};
 pub use server::{PointUpdate, Server, ServerConfig, World};
 pub use stats::{ClassStats, ServerStats};

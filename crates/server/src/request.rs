@@ -245,7 +245,7 @@ impl Ticket {
 
     /// Returns `true` once the result is available ([`Ticket::wait`] will
     /// not block).
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.completion.is_done()
     }
 }

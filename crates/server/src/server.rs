@@ -828,12 +828,6 @@ impl Server {
         self.shared.queue.len()
     }
 
-    /// `true` when the serving path traces queries (see
-    /// [`ServerConfig::with_tracing`]).
-    pub fn tracing(&self) -> bool {
-        self.shared.tracing
-    }
-
     /// Takes everything the slow-query log captured since the last drain:
     /// the worst traces slowest-first plus the deterministic uniform
     /// samples. Empty when no log is configured
@@ -850,12 +844,6 @@ impl Server {
     /// drain *after* joining to be sure the worker-stop events are in.
     pub fn drain_events(&self) -> Drained {
         self.shared.events.as_ref().map(|r| r.drain()).unwrap_or_default()
-    }
-
-    /// The flight recorder itself, on an observed server — for handing to
-    /// other emitting layers or exporters.
-    pub fn flight_recorder(&self) -> Option<Arc<FlightRecorder>> {
-        self.shared.events.clone()
     }
 
     /// A point-in-time snapshot of counters, latency histograms and the I/O
@@ -1628,7 +1616,7 @@ mod tests {
             None,
             &registry,
         );
-        assert!(server.tracing());
+        assert!(server.shared.tracing);
         for q in 0..40 {
             let served = server
                 .submit(Request::new(Algorithm::Eager, NodeId::new(q), 2))
@@ -1760,7 +1748,7 @@ mod tests {
             None,
             &registry,
         );
-        assert!(server.tracing(), "a slow-query log implies tracing");
+        assert!(server.shared.tracing, "a slow-query log implies tracing");
         let requests: Vec<Request> =
             (0..60).map(|q| Request::new(Algorithm::Lazy, NodeId::new(q % 81), 2)).collect();
         for result in server.submit_all(&requests) {
@@ -1791,7 +1779,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let server =
             Server::start_observed(w, ServerConfig::default().with_workers(1), None, &registry);
-        assert!(!server.tracing());
+        assert!(!server.shared.tracing);
         server.submit(Request::new(Algorithm::Naive, NodeId::new(0), 1)).unwrap().wait().unwrap();
         assert!(server.drain_slow_queries().worst.is_empty(), "no log configured");
         server.shutdown();

@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Number of pages in the paper's default 1 MB buffer.
-pub const DEFAULT_BUFFER_PAGES: usize = 256;
+pub(crate) const DEFAULT_BUFFER_PAGES: usize = 256;
 
 /// Configuration of a [`BufferPool`]: total capacity and shard count.
 ///
@@ -309,7 +309,7 @@ impl<S: PageStore> BufferPool<S> {
     }
 
     /// The shard index `page_id` maps to.
-    pub fn shard_of(&self, page_id: PageId) -> usize {
+    pub(crate) fn shard_of(&self, page_id: PageId) -> usize {
         (mix64(page_id.0 as u64) as usize) & self.mask
     }
 

@@ -40,16 +40,6 @@ impl MemoryDisk {
     pub fn new(pages: Vec<Page>) -> Self {
         MemoryDisk { pages }
     }
-
-    /// Total bytes used by the encoded pages (without padding).
-    pub fn used_bytes(&self) -> usize {
-        self.pages.iter().map(|p| p.used_bytes()).sum()
-    }
-
-    /// Total bytes the store would occupy on disk (pages are fixed size).
-    pub fn disk_bytes(&self) -> usize {
-        self.pages.len() * PAGE_SIZE
-    }
 }
 
 impl PageStore for MemoryDisk {
@@ -163,8 +153,6 @@ mod tests {
         let pages = sample_pages();
         let disk = MemoryDisk::new(pages.clone());
         assert_eq!(disk.num_pages(), 3);
-        assert_eq!(disk.used_bytes(), 3 * 24);
-        assert_eq!(disk.disk_bytes(), 3 * PAGE_SIZE);
         for (i, expected) in pages.iter().enumerate() {
             let got = disk.read_page(PageId::new(i)).unwrap();
             assert_eq!(&got, expected);

@@ -50,7 +50,10 @@ impl PageLayout {
 
     /// Lays out `graph` with an explicit node packing order (every node must
     /// appear exactly once).
-    pub fn build_with_order(graph: &Graph, order: Vec<NodeId>) -> Result<Self, StorageError> {
+    pub(crate) fn build_with_order(
+        graph: &Graph,
+        order: Vec<NodeId>,
+    ) -> Result<Self, StorageError> {
         debug_assert_eq!(order.len(), graph.num_nodes());
         let max_entries = PageRecord::max_entries_per_page();
 
@@ -107,7 +110,7 @@ impl PageLayout {
 }
 
 /// Computes the node packing order for a strategy.
-pub fn packing_order(graph: &Graph, strategy: LayoutStrategy) -> Vec<NodeId> {
+pub(crate) fn packing_order(graph: &Graph, strategy: LayoutStrategy) -> Vec<NodeId> {
     match strategy {
         LayoutStrategy::NodeOrder => graph.node_ids().collect(),
         LayoutStrategy::BfsLocality => bfs_order(graph),

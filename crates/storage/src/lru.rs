@@ -37,7 +37,7 @@ pub fn mix64(mut x: u64) -> u64 {
 /// is one mask of a mixed key hash), then halved until every shard gets at
 /// least one entry — always at least 1. The rule the buffer pool stripes
 /// by.
-pub fn normalized_shards(capacity: usize, requested: usize) -> usize {
+pub(crate) fn normalized_shards(capacity: usize, requested: usize) -> usize {
     let mut shards = requested.max(1).next_power_of_two();
     while shards > 1 && shards > capacity {
         shards /= 2;
@@ -48,7 +48,7 @@ pub fn normalized_shards(capacity: usize, requested: usize) -> usize {
 /// Splits `capacity` over [`normalized_shards`]`(capacity, requested)`
 /// shards as evenly as the count allows: the first `capacity % shards`
 /// shards get one extra entry.
-pub fn split_capacity(capacity: usize, requested: usize) -> Vec<usize> {
+pub(crate) fn split_capacity(capacity: usize, requested: usize) -> Vec<usize> {
     let shards = normalized_shards(capacity, requested);
     let base = capacity / shards;
     let extra = capacity % shards;
@@ -150,7 +150,7 @@ impl<K: Eq + Hash + Clone, V, S: BuildHasher> Lru<K, V, S> {
 
     /// Removes and returns the least recently used entry, or `None` when
     /// empty.
-    pub fn pop_lru(&mut self) -> Option<(K, V)> {
+    pub(crate) fn pop_lru(&mut self) -> Option<(K, V)> {
         if self.tail == NIL {
             return None;
         }
@@ -184,7 +184,7 @@ impl<K: Eq + Hash + Clone, V, S: BuildHasher> Lru<K, V, S> {
     /// exactly that — and deliberately keeps the drained entries out of its
     /// eviction counters; see `BufferPool::resize`). A grow simply leaves
     /// headroom for future inserts.
-    pub fn set_capacity(&mut self, capacity: usize) {
+    pub(crate) fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
     }
 
@@ -197,8 +197,9 @@ impl<K: Eq + Hash + Clone, V, S: BuildHasher> Lru<K, V, S> {
     }
 
     /// The resident keys from most to least recently used (the reverse of
-    /// the victim order). For assertions and debugging; O(len).
-    pub fn keys_mru_to_lru(&self) -> Vec<K> {
+    /// the victim order), for the tests' assertions; O(len).
+    #[cfg(test)]
+    pub(crate) fn keys_mru_to_lru(&self) -> Vec<K> {
         let mut keys = Vec::with_capacity(self.slots.len());
         let mut i = self.head;
         while i != NIL {

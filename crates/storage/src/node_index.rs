@@ -53,7 +53,7 @@ pub struct NodeIndex {
 
 impl NodeIndex {
     /// Creates an index from per-node entries (indexed by node id).
-    pub fn new(entries: Vec<NodeIndexEntry>) -> Self {
+    pub(crate) fn new(entries: Vec<NodeIndexEntry>) -> Self {
         NodeIndex { entries }
     }
 
@@ -71,11 +71,6 @@ impl NodeIndex {
     /// Iterates over all entries in node id order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeIndexEntry)> + '_ {
         self.entries.iter().enumerate().map(|(i, &e)| (NodeId::new(i), e))
-    }
-
-    /// Approximate in-memory size of the index in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.entries.len() * std::mem::size_of::<NodeIndexEntry>()
     }
 }
 
@@ -95,7 +90,6 @@ mod tests {
         let pages: Vec<_> = idx.entry(NodeId::new(2)).pages().collect();
         assert_eq!(pages, vec![PageId(1), PageId(2)]);
         assert_eq!(idx.iter().count(), 3);
-        assert!(idx.size_bytes() >= 3 * std::mem::size_of::<NodeIndexEntry>());
     }
 
     #[test]

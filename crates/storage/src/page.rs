@@ -33,7 +33,7 @@ const _: () = assert!(PAGE_SIZE <= u16::MAX as usize);
 const _: () = assert!(std::mem::size_of::<Page>() == 16);
 
 /// Size in bytes of one record header (`node`, `count`).
-pub const RECORD_HEADER_BYTES: usize = 8;
+pub(crate) const RECORD_HEADER_BYTES: usize = 8;
 
 /// Size in bytes of one adjacency entry (`neighbor`, `edge`, `weight`).
 pub const ENTRY_BYTES: usize = 16;
@@ -85,7 +85,7 @@ pub struct PageRecord {
 impl PageRecord {
     /// Encoded size of a record with `degree` entries.
     #[inline]
-    pub fn encoded_size(degree: usize) -> usize {
+    pub(crate) fn encoded_size(degree: usize) -> usize {
         RECORD_HEADER_BYTES + ENTRY_BYTES * degree
     }
 
@@ -126,14 +126,8 @@ pub struct RecordView<'a> {
 impl<'a> RecordView<'a> {
     /// Number of adjacency entries in the record.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.body.len() / ENTRY_BYTES
-    }
-
-    /// Returns `true` for the record of an isolated node.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.body.is_empty()
     }
 
     /// Decodes the entries one by one, without copying them anywhere.
@@ -172,7 +166,7 @@ fn le_u32(raw: &[u8], at: usize) -> u32 {
 
 impl Page {
     /// Copies raw page bytes (at most [`PAGE_SIZE`] bytes) into a page.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, StorageError> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<Self, StorageError> {
         if bytes.len() > PAGE_SIZE {
             return Err(StorageError::CorruptPage {
                 page: PageId(u32::MAX),
@@ -188,7 +182,7 @@ impl Page {
     }
 
     /// Number of used bytes in the page.
-    pub fn used_bytes(&self) -> usize {
+    pub(crate) fn used_bytes(&self) -> usize {
         self.bytes.len()
     }
 
@@ -321,7 +315,7 @@ impl PageBuilder {
     }
 
     /// Free space remaining in the page, in bytes.
-    pub fn free_bytes(&self) -> usize {
+    pub(crate) fn free_bytes(&self) -> usize {
         PAGE_SIZE - self.bytes.len()
     }
 
@@ -332,7 +326,7 @@ impl PageBuilder {
 
     /// Returns `true` if a record with `degree` entries fits in the remaining
     /// free space.
-    pub fn fits(&self, degree: usize) -> bool {
+    pub(crate) fn fits(&self, degree: usize) -> bool {
         PageRecord::encoded_size(degree) <= self.free_bytes()
     }
 
@@ -340,7 +334,7 @@ impl PageBuilder {
     /// byte offset of its header in the page — the `offset` half of the
     /// node index's record pointer.
     ///
-    /// Callers must check [`PageBuilder::fits`] first; records never straddle
+    /// Callers must check `PageBuilder::fits` first; records never straddle
     /// a page boundary.
     pub fn push_record(
         &mut self,
@@ -435,10 +429,10 @@ mod tests {
         let page = b.build();
 
         let r = page.record_at(PageId(0), NodeId(9), usize::from(last)).unwrap();
-        assert_eq!((r.node, r.len(), r.is_empty()), (NodeId(9), 3, false));
+        assert_eq!((r.node, r.len()), (NodeId(9), 3));
         assert_eq!(r.entries().collect::<Vec<_>>(), multi);
         let r = page.record_at(PageId(0), NodeId(4), usize::from(empty)).unwrap();
-        assert!(r.is_empty(), "an isolated node has a header and no entries");
+        assert_eq!(r.len(), 0, "an isolated node has a header and no entries");
         // The in-place view and the scan-based reference agree.
         for (node, offset) in [(7, first), (4, empty), (9, last)] {
             let mut scanned = Vec::new();

@@ -22,8 +22,10 @@ use rnn::core::{run_rknn, Algorithm, Precomputed};
 use rnn::datagen::{grid_map, place_points_on_nodes, sample_node_queries, GridConfig};
 use rnn::graph::PointsOnNodes;
 use rnn::index::{HubLabelIndex, HubLabeling, LabelBuildProgress};
-use rnn::obs::{chrome_trace, prometheus_text, report_json, JsonValue, MetricsRegistry, Phase};
-use rnn::server::{EventKind, Request, Server, ServerConfig, World};
+use rnn::obs::{
+    chrome_trace, prometheus_text, report_json, EventKind, JsonValue, MetricsRegistry, Phase,
+};
+use rnn::server::{Request, Server, ServerConfig, World};
 use rnn::storage::{
     register_io_counters, BufferPoolConfig, IoCounters, LayoutStrategy, PagedGraph,
 };

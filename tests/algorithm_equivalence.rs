@@ -10,10 +10,10 @@ use rnn_core::bichromatic::{bichromatic_rknn, naive_bichromatic_rknn};
 use rnn_core::continuous::{continuous_eager_rknn, continuous_lazy_rknn, naive_continuous_rknn};
 use rnn_core::materialize::MaterializedKnn;
 use rnn_core::unrestricted::{
-    unrestricted_eager_rknn, unrestricted_lazy_rknn, unrestricted_naive_rknn, EdgePosition,
+    unrestricted_eager_rknn, unrestricted_lazy_rknn, unrestricted_naive_rknn,
 };
 use rnn_core::{eager, lazy, lazy_ep, naive};
-use rnn_graph::{NodePointSet, PointsOnNodes, Route};
+use rnn_graph::{EdgePosition, NodePointSet, PointsOnNodes, Route};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]

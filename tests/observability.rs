@@ -27,10 +27,10 @@ use rnn::datagen::{grid_map, GridConfig};
 use rnn::graph::{NodeId, NodePointSet, PointsOnNodes};
 use rnn::index::HubLabelIndex;
 use rnn::obs::{
-    prometheus_text, report_json, LatencyHistogram, MetricsRegistry, MetricsSnapshot, Phase,
-    QueryTrace, SlowQueryLog,
+    prometheus_text, report_json, EventKind, LatencyHistogram, MetricsRegistry, MetricsSnapshot,
+    Phase, QueryTrace, SlowQueryLog,
 };
-use rnn::server::{EventKind, PointUpdate, Request, ServeError, Server, ServerConfig, World};
+use rnn::server::{PointUpdate, Request, ServeError, Server, ServerConfig, World};
 use rnn::storage::{
     register_io_counters, BufferPoolConfig, IoCounters, LayoutStrategy, PagedGraph,
 };

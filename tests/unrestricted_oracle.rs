@@ -15,9 +15,11 @@
 //! query at arbitrary positions as well as at data points.
 
 use rnn_core::unrestricted::{
-    unrestricted_eager_rknn, unrestricted_lazy_rknn, unrestricted_naive_rknn, EdgePosition,
+    unrestricted_eager_rknn, unrestricted_lazy_rknn, unrestricted_naive_rknn,
 };
-use rnn_graph::{EdgeId, EdgeLocation, EdgePointSetBuilder, Graph, GraphBuilder, PointId, Weight};
+use rnn_graph::{
+    EdgeId, EdgeLocation, EdgePointSetBuilder, EdgePosition, Graph, GraphBuilder, PointId, Weight,
+};
 
 const INSTANCES: u64 = 4_000;
 

@@ -9,9 +9,9 @@ use proptest::prelude::*;
 use rnn_core::expansion::network_distance;
 use rnn_core::unrestricted::{
     transform_to_restricted, unrestricted_eager_rknn, unrestricted_lazy_rknn,
-    unrestricted_naive_rknn, EdgePosition,
+    unrestricted_naive_rknn,
 };
-use rnn_graph::PointId;
+use rnn_graph::{EdgePosition, PointId};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
