@@ -25,7 +25,7 @@ use crate::flat_heap::FlatHeap;
 use rnn_graph::{for_each_neighbor, NodeId, PointsOnNodes, Topology, Weight};
 use rnn_storage::{IoStats, Lru};
 use std::hash::BuildHasherDefault;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One materialized entry: the node on which a data point resides, and the
 /// network distance from the list's owner to that point.
@@ -191,8 +191,11 @@ impl MaterializedKnn {
         buffer.io = IoStats::default();
     }
 
+    /// The buffer and its counts. A panic while the lock was held leaves
+    /// both consistent (each access updates them before it returns), so a
+    /// poisoned lock is taken as it stands.
     fn buffer(&self) -> MutexGuard<'_, TableBuffer> {
-        self.buffer.lock().expect("table buffer lock")
+        self.buffer.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Records an access to the page holding `node`'s list.
@@ -346,6 +349,21 @@ mod tests {
         table.reset_io();
         table.knn_of(NodeId::new(0));
         assert_eq!(table.io_stats().faults, 1, "reset_io empties the buffer");
+    }
+
+    #[test]
+    fn a_panic_under_the_buffer_lock_leaves_the_table_readable() {
+        let g = grid(4);
+        let pts = points_every(16, 3);
+        let table = MaterializedKnn::build(&g, &pts, 2);
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = table.buffer.lock();
+            panic!("reader panics while holding the table buffer");
+        }));
+        assert!(poisoned.is_err() && table.buffer.is_poisoned());
+        assert_eq!(table.knn_of(NodeId::new(5)), table.knn_of_untracked(NodeId::new(5)));
+        let s = table.io_stats();
+        assert_eq!((s.accesses, s.faults), (1, 1));
     }
 
     #[test]
