@@ -61,10 +61,46 @@ use rnn_obs::{
     SlowQueryLog, SlowQueryReport, TraceRecorder,
 };
 use rnn_storage::{IoCounters, StorageControl};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// Panics unless `updates`, applied in order, take `index` to `points`:
+/// each insert on a node free in the index (after the updates before it),
+/// each removal on one occupied, every touched node ending as `points` has
+/// it (a batch may insert a point and remove it again), and the count ending
+/// at `points.num_points()`. `O(#updates)`: only the nodes the batch touches
+/// can differ from what the index holds.
+fn check_point_updates(index: &HubLabelIndex, points: &dyn PointsOnNodes, updates: &[PointUpdate]) {
+    let mut touched: HashMap<NodeId, bool> = HashMap::with_capacity(updates.len());
+    let mut count = index.num_points();
+    for &update in updates {
+        let (node, insert) = match update {
+            PointUpdate::Insert(node) => (node, true),
+            PointUpdate::Remove(node) => (node, false),
+        };
+        assert!(node.index() < index.num_nodes(), "{update:?} lies outside the indexed graph");
+        let held = touched.get(&node).copied();
+        let held = held.unwrap_or_else(|| index.point_table().point_of(node).is_some());
+        assert_ne!(held, insert, "{update:?} does not apply to the index");
+        touched.insert(node, insert);
+        count = if insert { count + 1 } else { count - 1 };
+    }
+    for (&node, &held) in &touched {
+        assert_eq!(
+            held,
+            points.point_at(node).is_some(),
+            "the updates leave {node} unlike the new set"
+        );
+    }
+    assert_eq!(
+        count,
+        points.num_points(),
+        "updates must reconcile the index with the new point set"
+    );
+}
 
 /// Events an observed server's flight recorder holds between drains; older
 /// ones are overwritten and counted in [`Drained::dropped`].
@@ -81,7 +117,7 @@ const MICRO_BATCH: usize = 8;
 pub enum PointUpdate {
     /// Place a point on this (currently unoccupied) node.
     Insert(NodeId),
-    /// Remove the point on this node, if any.
+    /// Remove the point on this (currently occupied) node.
     Remove(NodeId),
 }
 
@@ -781,9 +817,12 @@ impl Server {
     /// # Panics
     ///
     /// Panics if the updates do not reconcile the index with `points`
-    /// (inserting on an occupied node, or ending at a different point
-    /// count) — the same contract violation a stale full swap would hide
-    /// until query time.
+    /// (inserting on a node the index already occupies, removing from one it
+    /// leaves free, or ending with a touched node or the point count unlike
+    /// `points`) —
+    /// the same contract violation a stale full swap would hide until query
+    /// time. The whole batch is checked before anything changes, so after
+    /// the panic the server still answers from the old point set and index.
     pub fn swap_points_delta(
         &self,
         points: Arc<dyn PointsOnNodes + Send + Sync>,
@@ -795,6 +834,7 @@ impl Server {
         let Some(shared_index) = world.hub_index.as_mut() else {
             return false;
         };
+        check_point_updates(shared_index, &*points, updates);
         let index = Arc::make_mut(shared_index);
         for &update in updates {
             match update {
@@ -806,11 +846,6 @@ impl Server {
                 }
             }
         }
-        assert_eq!(
-            index.num_points(),
-            points.num_points(),
-            "updates must reconcile the index with the new point set"
-        );
         let num_points = points.num_points() as u64;
         world.points = points;
         world.materialized = materialized;
@@ -1327,6 +1362,67 @@ mod tests {
         assert!(!server.swap_points_delta(new_points.clone(), None, &updates));
         let served = server.submit(Request::new(Algorithm::Naive, NodeId::new(3), 1)).unwrap();
         assert!(served.wait().is_ok(), "world stays intact after a refused delta swap");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_bad_delta_batch_panics_before_it_changes_the_world() {
+        let graph = Arc::new(grid(9));
+        let n = 81;
+        let old_points = Arc::new(NodePointSet::from_nodes(n, (0..n).step_by(7).map(NodeId::new)));
+        let new_points = Arc::new(NodePointSet::from_nodes(
+            n,
+            (0..n).step_by(7).filter(|&v| v != 7).chain([11, 40]).map(NodeId::new),
+        ));
+        let (remove_7, insert) = (PointUpdate::Remove(NodeId::new(7)), PointUpdate::Insert);
+        let bad_batches = [
+            // Node 0 already holds a point: the last update is the bad one.
+            vec![remove_7, insert(NodeId::new(11)), insert(NodeId::new(0))],
+            // Node 12 holds no point in the new set.
+            vec![remove_7, insert(NodeId::new(11)), insert(NodeId::new(12))],
+            // Node 8 holds no point in the index.
+            vec![
+                insert(NodeId::new(11)),
+                insert(NodeId::new(40)),
+                PointUpdate::Remove(NodeId::new(8)),
+            ],
+            // Every update is sound, but the count ends one short.
+            vec![remove_7, insert(NodeId::new(11))],
+        ];
+        let index = Arc::new(rnn_index::HubLabelIndex::build(&*graph, &*old_points));
+        let w = World::new(graph.clone(), old_points.clone()).with_hub_label_index(index);
+        let server = Server::start(w, ServerConfig::default().with_workers(2));
+        let oracle = rnn_index::HubLabelIndex::build(&*graph, &*old_points);
+        for updates in &bad_batches {
+            let swap = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                server.swap_points_delta(new_points.clone(), None, updates)
+            }));
+            assert!(swap.is_err(), "{updates:?} must be refused");
+            for q in 0..n {
+                let query = NodeId::new(q);
+                for algorithm in [Algorithm::HubLabel, Algorithm::Eager] {
+                    let served = server.submit(Request::new(algorithm, query, 2)).unwrap();
+                    let points = served.wait().unwrap().outcome.points;
+                    assert_eq!(points, oracle.rknn(query, 2).points, "{algorithm} q={q}");
+                }
+            }
+        }
+        // The refusals left the index whole: the sound batch applies, with a
+        // point inserted and removed again on the way, as the standalone
+        // benchmark's removal swaps do.
+        let updates = [
+            remove_7,
+            insert(NodeId::new(12)),
+            insert(NodeId::new(11)),
+            insert(NodeId::new(40)),
+            PointUpdate::Remove(NodeId::new(12)),
+        ];
+        assert!(server.swap_points_delta(new_points.clone(), None, &updates));
+        let new_index = rnn_index::HubLabelIndex::build(&*graph, &*new_points);
+        for q in (0..n).map(NodeId::new) {
+            let served = server.submit(Request::new(Algorithm::HubLabel, q, 2)).unwrap();
+            assert_eq!(served.wait().unwrap().outcome.points, new_index.rknn(q, 2).points);
+        }
         server.shutdown();
     }
 
