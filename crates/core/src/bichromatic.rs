@@ -36,26 +36,9 @@ where
     P: PointsOnNodes + ?Sized,
     Q: PointsOnNodes + ?Sized,
 {
-    bichromatic_rknn_in(topo, targets, sites, query, k, &mut Scratch::new())
-}
-
-/// [`bichromatic_rknn`] on the recycled buffers of `scratch`: the main
-/// expansion and every range-NN probe run allocation-free in the steady
-/// state.
-pub(crate) fn bichromatic_rknn_in<T, P, Q>(
-    topo: &T,
-    targets: &P,
-    sites: &Q,
-    query: NodeId,
-    k: usize,
-    scratch: &mut Scratch,
-) -> RknnOutcome
-where
-    T: Topology + ?Sized,
-    P: PointsOnNodes + ?Sized,
-    Q: PointsOnNodes + ?Sized,
-{
     assert!(k >= 1, "bichromatic RkNN queries require k >= 1");
+    // The main expansion and every range-NN probe share one arena.
+    let scratch = &mut Scratch::new();
     let mut stats = QueryStats::default();
     let mut result: Vec<PointId> = Vec::new();
     let mut probe_found = scratch.take_found();

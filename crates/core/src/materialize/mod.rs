@@ -191,9 +191,9 @@ impl MaterializedKnn {
         buffer.io = IoStats::default();
     }
 
-    /// The buffer and its counts. A panic while the lock was held leaves
-    /// both consistent (each access updates them before it returns), so a
-    /// poisoned lock is taken as it stands.
+    /// The buffer and its counts. An update under the lock bumps counters
+    /// and moves at most one LRU entry, so a panic that poisoned the lock
+    /// leaves them readable: the guard is taken as it stands.
     fn buffer(&self) -> MutexGuard<'_, TableBuffer> {
         self.buffer.lock().unwrap_or_else(PoisonError::into_inner)
     }
