@@ -10,9 +10,10 @@
 //! the next probe of the same query) *resets* the buffer — clears it while
 //! keeping its capacity — instead of allocating a new one.
 //!
-//! The public pools (expansions, `Vec`s, and [`NodeTable`]s of node distances
-//! and node marks) also serve `rnn-index`'s hub-label RkNN; the crate-private
-//! ones hold the verify-once point marks and lazy's and lazy-EP's bundles.
+//! The public pools (the `(node, distance)` lists and the [`NodeTable`]s of
+//! node distances) also serve `rnn-index`'s hub-label RkNN; the
+//! crate-private ones hold the drivers' expansions and probe buffers, the
+//! verify-once point marks and lazy's and lazy-EP's bundles.
 //! All per-node and per-point state is a [`NodeTable`], whose reset is O(1)
 //! however many keys the largest query so far touched, so the ~80 small
 //! probes of one eager query do not each pay for the biggest one.
