@@ -26,7 +26,7 @@ use std::time::Duration;
 /// One bucket per power of two of nanoseconds. Bucket 0 holds zero-duration
 /// samples; bucket `i >= 1` holds `[2^(i-1), 2^i - 1]` ns, with the last
 /// bucket absorbing everything from `2^62` ns (~146 years) up.
-pub const BUCKETS: usize = 64;
+pub(crate) const BUCKETS: usize = 64;
 
 /// A bounded-memory latency distribution: counts in log-scale buckets plus
 /// an exact count, sum, minimum and maximum.
@@ -102,17 +102,16 @@ impl LatencyHistogram {
         self.min_nanos = self.min_nanos.min(other.min_nanos);
     }
 
-    /// The raw state `(buckets, count, sum_nanos, max_nanos, min_nanos)` —
-    /// what seqlock snapshot cells (the server's `stats` module, the
-    /// registry's concurrent histograms) publish word by word. `min_nanos`
-    /// is `u64::MAX` while the histogram is empty.
+    /// The raw state `(buckets, count, sum_nanos, max_nanos, min_nanos)`,
+    /// which the exporters read the exact sum from. `min_nanos` is
+    /// `u64::MAX` while the histogram is empty.
     pub fn raw(&self) -> (&[u64; BUCKETS], u64, u128, u64, u64) {
         (&self.buckets, self.count, self.sum_nanos, self.max_nanos, self.min_nanos)
     }
 
-    /// Rebuilds a histogram from raw state read back out of a snapshot cell
-    /// (inverse of [`LatencyHistogram::raw`]).
-    pub fn from_raw(
+    /// Rebuilds a histogram from raw state read back out of the registry's
+    /// concurrent cell (inverse of [`LatencyHistogram::raw`]).
+    pub(crate) fn from_raw(
         buckets: [u64; BUCKETS],
         count: u64,
         sum_nanos: u128,

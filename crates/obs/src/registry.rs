@@ -13,11 +13,12 @@
 //! already proved out:
 //!
 //! * **Within a source** (`register_source`): the closure polls one
-//!   underlying API — the server's seqlock-published `ServerStats`, the
-//!   storage layer's `IoCounters`, which sums its pool's shard counters with
-//!   every shard lock held — whose snapshot is internally consistent by
-//!   that API's own construction. The registry never mixes a source's
-//!   values with a second read.
+//!   underlying API — the server's `ServerStats`, read from its detached
+//!   counters and per-worker histograms in the order below; the storage
+//!   layer's `IoCounters`, which sums its pool's shard counters with every
+//!   shard lock held — whose snapshot is internally consistent by that
+//!   API's own construction. The registry never mixes a source's values
+//!   with a second read.
 //! * **Across the registry's own counters**: [`Counter::add`] publishes with
 //!   `Release` and the snapshot reads with `Acquire`, walking counters in
 //!   **reverse registration order**. Register coarse counters first and bump
@@ -26,7 +27,10 @@
 //!   every observed fine increment implies its earlier coarse increment is
 //!   visible — so invariants like `evictions <= faults <= accesses` hold in
 //!   *every* snapshot, concurrent recorders notwithstanding (the
-//!   `observability` integration suite hammers exactly this).
+//!   `observability` integration suite hammers exactly this). A
+//!   [`Histogram`]'s record ends with a `Release` bump of its count, and
+//!   its load starts with an `Acquire` read of it, so the same rule orders
+//!   a histogram after the counters its recorder bumped first.
 //!
 //! Counters are striped over `STRIPES` cache-line-padded atomics with a
 //! per-thread stripe assignment, so concurrent recorders do not contend on
@@ -202,6 +206,12 @@ impl HistogramCell {
 pub struct Histogram(Arc<HistogramCell>);
 
 impl Histogram {
+    /// A histogram not attached to any registry (the server's per-worker
+    /// latency cells, which it exports through its own source).
+    pub fn detached() -> Self {
+        Histogram(Arc::new(HistogramCell::default()))
+    }
+
     /// Records one sample. Wait-free: a handful of relaxed atomics.
     pub fn record(&self, sample: Duration) {
         let nanos = u64::try_from(sample.as_nanos()).unwrap_or(u64::MAX);
@@ -539,5 +549,17 @@ mod tests {
         c.add(2);
         c.inc();
         assert_eq!(c.value(), 3);
+    }
+
+    #[test]
+    fn detached_histogram_records() {
+        let h = Histogram::detached();
+        h.record(Duration::from_nanos(5));
+        h.record(Duration::from_nanos(9));
+        let loaded = h.load();
+        assert_eq!(
+            (loaded.count(), loaded.min(), loaded.max()),
+            (2, Duration::from_nanos(5), Duration::from_nanos(9))
+        );
     }
 }

@@ -31,8 +31,9 @@
 //!   Graceful drain-then-join shutdown; atomic point-set swaps.
 //! * [`ServerStats`] — **wait-free** runtime snapshots: global and
 //!   per-class ([`ClassStats`]) admission counters and latency histograms,
-//!   published by workers through seqlock-style double-buffered cells
-//!   ([`stats`]) so a poll never contends with an in-flight micro-batch.
+//!   counted through `rnn-obs` counters and per-worker histograms
+//!   ([`stats`]) so a poll never contends with an in-flight micro-batch,
+//!   and a request is counted by the time its ticket resolves.
 //! * [`rnn_obs::LatencyHistogram`] — fixed-bucket
 //!   log-scale latency accounting with the queue-wait / service-time split,
 //!   mergeable across workers. Queue waits include requests shed at dequeue,

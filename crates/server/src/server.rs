@@ -40,29 +40,30 @@
 //! counted survivors would look healthiest exactly when the server drowns),
 //! and `queue_wait.count() == completed + shed_at_dequeue` per class.
 //!
-//! **Stats are wait-free.** Workers publish their latency histograms
-//! through a per-worker seqlock snapshot ([`crate::stats`]); a
-//! [`Server::stats`] poll never takes a lock a worker might hold — except,
-//! on a server started with I/O accounting, the buffer shard locks its I/O
-//! rollup reads the pool's one count under.
+//! **Stats are wait-free.** Submitters and workers count through
+//! `rnn-obs` counters, and each worker records its latencies into its own
+//! histograms ([`crate::stats`]); a [`Server::stats`] poll takes no lock a
+//! worker holds while it serves — only the queue lock for the depth, which
+//! a worker holds just to pop a batch, and, on a server started with I/O
+//! accounting, the buffer shard locks its I/O rollup reads the pool's one
+//! count under.
 
 use crate::queue::{Admission, RequestQueue};
 use crate::request::{Priority, Queued, Request, ServeError, ServedQuery, Ticket};
 use crate::stats::{
-    algorithm_index, CacheStats, ClassStats, PublishedMetrics, ServerStats, WorkerMetrics,
+    algorithm_index, CacheStats, ClassCounters, ClassStats, LatencyPair, ServerStats,
 };
 use rnn_core::{
     run_rknn_with, Algorithm, HubLabelRknn, MaterializedKnn, Precomputed, RknnOutcome, Scratch,
 };
-use rnn_graph::{NodeId, PointsOnNodes, Topology};
+use rnn_graph::{NodeId, PointsOnNodes, Topology, Weight};
 use rnn_index::HubLabelIndex;
 use rnn_obs::{
-    Drained, EventKind, FlightRecorder, LatencyHistogram, MetricsRegistry, Phase, QueryTrace,
-    SlowQueryLog, SlowQueryReport, TraceRecorder,
+    Counter, Drained, EventKind, FlightRecorder, LatencyHistogram, MetricsRegistry, Phase,
+    QueryTrace, SlowQueryLog, SlowQueryReport, TraceRecorder,
 };
 use rnn_storage::{IoCounters, StorageControl};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -161,39 +162,60 @@ impl World {
     }
 
     /// Attaches a materialized k-NN table (admits
-    /// [`Algorithm::EagerMaterialized`] requests).
+    /// [`Algorithm::EagerMaterialized`] requests) if it was built over this
+    /// world's nodes and points; a table over other points is left off, so
+    /// its requests are [`ServeError::Unservable`].
     pub fn with_materialized(mut self, table: Arc<MaterializedKnn>) -> Self {
-        self.materialized = Some(table);
+        self.materialized = self.table_matches(&table).then_some(table);
         self
     }
 
-    /// Attaches a hub-label index (admits [`Algorithm::HubLabel`] requests),
-    /// which [`Server::swap_points_delta`] can update in place instead of
-    /// requiring a full rebuild per swap.
+    /// Attaches a hub-label index (admits [`Algorithm::HubLabel`] requests)
+    /// if it was built over this world's nodes and points, as
+    /// [`World::with_materialized`] does a table.
+    /// [`Server::swap_points_delta`] updates an attached index in place
+    /// instead of requiring a full rebuild per swap.
     pub fn with_hub_label_index(mut self, index: Arc<HubLabelIndex>) -> Self {
-        self.hub_index = Some(index);
+        self.hub_index = self.index_matches(&index).then_some(index);
         self
+    }
+
+    /// `true` if `table` covers every node and lists a node first, at
+    /// distance 0, exactly when the node holds a point — as a table built
+    /// over this world's points does, edge weights being positive. `O(|V|)`,
+    /// once per attach: comparing counts alone passes a table over as many
+    /// other points, which answers wrong without failing.
+    fn table_matches(&self, table: &MaterializedKnn) -> bool {
+        table.num_nodes() == self.topo.num_nodes()
+            && (0..table.num_nodes()).map(NodeId::new).all(|v| {
+                let first = table.knn_of_untracked(v).first();
+                let own = first.is_some_and(|&(u, d)| u == v && d == Weight::ZERO);
+                own == self.points.contains_node(v)
+            })
+    }
+
+    /// `true` if `index` labels every node and holds a point on exactly the
+    /// nodes this world does. `O(|V|)`, once per attach, as
+    /// [`World::table_matches`].
+    fn index_matches(&self, index: &HubLabelIndex) -> bool {
+        let owners = index.point_table();
+        index.num_nodes() == self.topo.num_nodes()
+            && (0..index.num_nodes())
+                .map(NodeId::new)
+                .all(|v| owners.point_of(v).is_some() == self.points.contains_node(v))
     }
 
     /// `true` if a worker can serve `request` on this world: `k` is at least
     /// 1, the query is a node of the topology, and the precomputed structure
-    /// the algorithm needs is attached and was built over this world (for
-    /// eager-M, a table over as many nodes, materialized for at least `k`
-    /// neighbors; for hub-label, an index over as many nodes and points).
-    /// Anything else would panic inside the dispatch.
+    /// the algorithm needs is attached (for eager-M, materialized for at
+    /// least `k` neighbors). Anything else would panic inside the dispatch.
     fn can_serve(&self, request: &Request) -> bool {
         let algorithm = request.algorithm;
-        let nodes = self.topo.num_nodes();
         request.k >= 1
-            && request.query.index() < nodes
+            && request.query.index() < self.topo.num_nodes()
             && (!algorithm.needs_materialization()
-                || self.materialized.as_ref().is_some_and(|table| {
-                    request.k <= table.capacity_k() && table.num_nodes() == nodes
-                }))
-            && (!algorithm.needs_hub_labels()
-                || self.hub_index.as_ref().is_some_and(|index| {
-                    index.num_nodes() == nodes && index.num_points() == self.points.num_points()
-                }))
+                || self.materialized.as_ref().is_some_and(|table| request.k <= table.capacity_k()))
+            && (!algorithm.needs_hub_labels() || self.hub_index.is_some())
     }
 }
 
@@ -297,57 +319,21 @@ impl ServerConfig {
     }
 }
 
-/// One priority class's admission / completion counters.
-struct ClassCounts {
-    submitted: AtomicU64,
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    shed: AtomicU64,
-    shed_at_dequeue: AtomicU64,
-    completed: AtomicU64,
-}
-
-impl ClassCounts {
-    fn new() -> Self {
-        ClassCounts {
-            submitted: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            shed_at_dequeue: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Cumulative per-class counters plus per-algorithm serve counts (indexed
-/// in [`Algorithm::ALL`] order). Global totals are derived by summing the
-/// classes, so the two levels can never disagree.
-struct Counts {
-    classes: [ClassCounts; Priority::ALL.len()],
-    per_algorithm: [AtomicU64; Algorithm::ALL.len()],
-}
-
-impl Counts {
-    fn new() -> Self {
-        Counts {
-            classes: std::array::from_fn(|_| ClassCounts::new()),
-            per_algorithm: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    fn class(&self, priority: Priority) -> &ClassCounts {
-        &self.classes[priority.index()]
-    }
-}
-
 /// Everything the workers and the handle share.
 struct Shared {
     queue: RequestQueue,
     world: RwLock<World>,
     io: Option<IoCounters>,
-    counts: Counts,
-    metrics: Vec<PublishedMetrics>,
+    /// Admission and completion counters, in [`Priority::ALL`] order.
+    /// Global totals are their sums, so the two levels never disagree.
+    classes: [ClassCounters; Priority::ALL.len()],
+    /// Served requests per algorithm, in [`Algorithm::ALL`] order.
+    served: [Counter; Algorithm::ALL.len()],
+    /// Worker wakeups that took at least one request.
+    micro_batches: Counter,
+    /// Per worker, its latency pair per class in [`Priority::ALL`] order;
+    /// only that worker records into them.
+    latencies: Vec<[LatencyPair; Priority::ALL.len()]>,
     /// Per-query phase tracing: workers start their scratch's tracer and
     /// harvest one trace per served query.
     tracing: bool,
@@ -377,6 +363,11 @@ impl Shared {
     /// The world, write-locked, ignoring poison likewise.
     fn world_mut(&self) -> RwLockWriteGuard<'_, World> {
         self.world.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The counters of `priority`'s class.
+    fn class(&self, priority: Priority) -> &ClassCounters {
+        &self.classes[priority.index()]
     }
 
     /// Nanoseconds since the server started — the shared timeline of trace
@@ -410,18 +401,18 @@ impl Shared {
         admission: Admission,
         ticket: Ticket,
     ) -> Result<Ticket, ServeError> {
-        let class = self.counts.class(priority);
+        let class = self.class(priority);
         match admission {
             Admission::Enqueued => {
-                class.accepted.fetch_add(1, Ordering::Relaxed);
+                class.accepted.inc();
                 Ok(ticket)
             }
             Admission::EnqueuedAfterShed(victim) => {
-                class.accepted.fetch_add(1, Ordering::Relaxed);
+                class.accepted.inc();
                 // The victim is shed against *its* class, not the
                 // submitter's.
                 let victim_class = victim.request.priority;
-                self.counts.class(victim_class).shed.fetch_add(1, Ordering::Relaxed);
+                self.class(victim_class).shed.inc();
                 self.record_shed(victim_class);
                 victim.fail(ServeError::Shed);
                 Ok(ticket)
@@ -430,19 +421,19 @@ impl Shared {
                 // The request arrived already expired at the full edge: it
                 // was never enqueued, and resolves through its ticket like
                 // every other shed.
-                class.shed.fetch_add(1, Ordering::Relaxed);
+                class.shed.inc();
                 self.record_shed(priority);
                 newcomer.fail(ServeError::Shed);
                 Ok(ticket)
             }
             Admission::Rejected(unadmitted) => {
-                class.rejected.fetch_add(1, Ordering::Relaxed);
+                class.rejected.inc();
                 // The drop resolves the never-handed-out ticket (Lost).
                 drop(unadmitted);
                 Err(ServeError::QueueFull)
             }
             Admission::Closed(unadmitted) => {
-                class.rejected.fetch_add(1, Ordering::Relaxed);
+                class.rejected.inc();
                 drop(unadmitted);
                 Err(ServeError::ShuttingDown)
             }
@@ -453,52 +444,31 @@ impl Shared {
     /// registered metrics source (which holds an `Arc<Shared>`, not the
     /// `Server` handle) polls the identical snapshot.
     fn stats_snapshot(&self) -> ServerStats {
-        // Read order matters for snapshot consistency: histograms FIRST
-        // (Acquire, through each worker's seqlock), admission counters
-        // after. A worker bumps its class counters *before* publishing the
-        // matching histogram entries (Release store on the version), so
-        // every latency sample visible below is already reflected in the
-        // counter values read afterwards — a poll can under-report
-        // latencies relative to the counters, never over-report
-        // (`queue_wait.count() <= completed + shed_at_dequeue` holds in
-        // every snapshot, not just at quiescence).
-        let mut micro_batches = 0;
-        let mut class_latencies: Vec<(LatencyHistogram, LatencyHistogram)> = Priority::ALL
-            .iter()
-            .map(|_| (LatencyHistogram::new(), LatencyHistogram::new()))
-            .collect();
-        for published in &self.metrics {
-            let m = published.read();
-            micro_batches += m.micro_batches;
-            for (slot, latencies) in class_latencies.iter_mut().zip(&m.classes) {
-                slot.0.merge(&latencies.queue_wait);
-                slot.1.merge(&latencies.service);
-            }
-        }
-        let counts = &self.counts;
+        // Read order carries the snapshot's invariants (see `crate::stats`):
+        // per class, histograms first, then counters, `submitted` last.
         let per_class: Vec<(Priority, ClassStats)> = Priority::ALL
             .iter()
-            .zip(class_latencies)
-            .map(|(&p, (queue_wait, service))| {
-                let c = counts.class(p);
-                (
-                    p,
-                    // `submitted` is read last (fields evaluate in the order
-                    // written): a request is submitted before it is
-                    // accepted, rejected, shed or completed, so a count read
-                    // after those covers every request they count, and
-                    // `accounted() <= submitted` holds in every snapshot.
-                    ClassStats {
-                        accepted: c.accepted.load(Ordering::Relaxed),
-                        rejected: c.rejected.load(Ordering::Relaxed),
-                        shed: c.shed.load(Ordering::Relaxed),
-                        shed_at_dequeue: c.shed_at_dequeue.load(Ordering::Relaxed),
-                        completed: c.completed.load(Ordering::Relaxed),
-                        submitted: c.submitted.load(Ordering::Relaxed),
-                        queue_wait,
-                        service,
-                    },
-                )
+            .map(|&p| {
+                let (mut queue_wait, mut service) =
+                    (LatencyHistogram::new(), LatencyHistogram::new());
+                for worker in &self.latencies {
+                    let pair = &worker[p.index()];
+                    queue_wait.merge(&pair.queue_wait.load());
+                    service.merge(&pair.service.load());
+                }
+                let c = self.class(p);
+                // Fields evaluate in the order written.
+                let class = ClassStats {
+                    queue_wait,
+                    service,
+                    accepted: c.accepted.value(),
+                    rejected: c.rejected.value(),
+                    shed: c.shed.value(),
+                    shed_at_dequeue: c.shed_at_dequeue.value(),
+                    completed: c.completed.value(),
+                    submitted: c.submitted.value(),
+                };
+                (p, class)
             })
             .collect();
         let mut queue_wait = LatencyHistogram::new();
@@ -514,10 +484,8 @@ impl Shared {
             totals.shed_at_dequeue += class.shed_at_dequeue;
             totals.completed += class.completed;
         }
-        let per_algorithm = Algorithm::ALL
-            .iter()
-            .map(|&a| (a, counts.per_algorithm[algorithm_index(a)].load(Ordering::Relaxed)))
-            .collect();
+        let per_algorithm =
+            Algorithm::ALL.iter().map(|&a| (a, self.served[algorithm_index(a)].value())).collect();
         ServerStats {
             submitted: totals.submitted,
             accepted: totals.accepted,
@@ -528,7 +496,7 @@ impl Shared {
             per_algorithm,
             per_class,
             queue_depth: self.queue.len(),
-            micro_batches,
+            micro_batches: self.micro_batches.value(),
             queue_wait,
             service,
             cache: CacheStats::default(),
@@ -563,7 +531,7 @@ fn register_server_source(registry: &MetricsRegistry, shared: &Arc<Shared>) {
         set.counter("rnn_server_completed_total", s.completed);
         set.counter("rnn_server_micro_batches_total", s.micro_batches);
         set.gauge("rnn_server_queue_depth", s.queue_depth as u64);
-        set.gauge("rnn_server_workers", shared.metrics.len() as u64);
+        set.gauge("rnn_server_workers", shared.latencies.len() as u64);
         set.histogram("rnn_server_queue_wait_nanos", s.queue_wait.clone());
         set.histogram("rnn_server_service_nanos", s.service.clone());
         for (priority, class) in &s.per_class {
@@ -691,8 +659,10 @@ impl Server {
             queue: RequestQueue::new(config.queue_capacity),
             world: RwLock::new(world),
             io,
-            counts: Counts::new(),
-            metrics: (0..workers).map(|_| PublishedMetrics::new()).collect(),
+            classes: std::array::from_fn(|_| ClassCounters::new()),
+            served: std::array::from_fn(|_| Counter::detached()),
+            micro_batches: Counter::detached(),
+            latencies: (0..workers).map(|_| std::array::from_fn(|_| LatencyPair::new())).collect(),
             tracing: config.tracing,
             recorder,
             slow_log,
@@ -727,12 +697,12 @@ impl Server {
     /// with nothing expired; one without a deadline parks the caller until a
     /// worker frees space instead), or [`ServeError::ShuttingDown`].
     pub fn submit(&self, request: Request) -> Result<Ticket, ServeError> {
-        let class = self.shared.counts.class(request.priority);
-        class.submitted.fetch_add(1, Ordering::Relaxed);
+        let class = self.shared.class(request.priority);
+        class.submitted.inc();
         // Admission validation: refuse now what no worker could ever serve
         // (panicking a worker thread instead would poison the whole pool).
         if !self.shared.world().can_serve(&request) {
-            class.rejected.fetch_add(1, Ordering::Relaxed);
+            class.rejected.inc();
             return Err(ServeError::Unservable);
         }
         let (queued, ticket) = Queued::new(request);
@@ -753,7 +723,6 @@ impl Server {
     /// cannot deadlock); requests with deadlines there get
     /// [`ServeError::QueueFull`] at once.
     pub fn submit_all(&self, requests: &[Request]) -> Vec<Result<Ticket, ServeError>> {
-        let counts = &self.shared.counts;
         let mut results: Vec<Option<Result<Ticket, ServeError>>> =
             Vec::with_capacity(requests.len());
         let mut batch: Vec<Queued> = Vec::with_capacity(requests.len());
@@ -762,10 +731,10 @@ impl Server {
             // One world read lock validates the whole batch.
             let world = self.shared.world();
             for (slot, &request) in requests.iter().enumerate() {
-                let class = counts.class(request.priority);
-                class.submitted.fetch_add(1, Ordering::Relaxed);
+                let class = self.shared.class(request.priority);
+                class.submitted.inc();
                 if !world.can_serve(&request) {
-                    class.rejected.fetch_add(1, Ordering::Relaxed);
+                    class.rejected.inc();
                     results.push(Some(Err(ServeError::Unservable)));
                 } else {
                     let (queued, ticket) = Queued::new(request);
@@ -788,7 +757,9 @@ impl Server {
     /// structures, which are stale by construction, under the world write
     /// lock: in-flight micro-batches finish first, and no batch started
     /// after the swap can see the old points. A new `hub_index` is the one
-    /// [`Server::swap_points_delta`] maintains from then on.
+    /// [`Server::swap_points_delta`] maintains from then on. A structure
+    /// built over other points is left off, as [`World::with_materialized`]
+    /// leaves it.
     pub fn swap_points(
         &self,
         points: Arc<dyn PointsOnNodes + Send + Sync>,
@@ -798,8 +769,8 @@ impl Server {
         let mut world = self.shared.world_mut();
         let num_points = points.num_points() as u64;
         world.points = points;
-        world.materialized = materialized;
-        world.hub_index = hub_index;
+        world.materialized = materialized.filter(|table| world.table_matches(table));
+        world.hub_index = hub_index.filter(|index| world.index_matches(index));
         self.shared.record_event(EventKind::PointsSwap { points: num_points, delta: false });
     }
 
@@ -808,7 +779,8 @@ impl Server {
     /// place* under the world write lock — `O(label size)` bucket splices
     /// per update (see [`HubLabelIndex::insert_point`]) instead of the
     /// `O(total label entries)` table rebuild a full swap pays. The eager
-    /// k-NN materialization, when present, is still replaced wholesale.
+    /// k-NN materialization is still replaced wholesale, and left off if it
+    /// was built over other points.
     ///
     /// Returns `false` without touching the world when it holds no index
     /// (built without [`World::with_hub_label_index`], or swapped to none by
@@ -848,14 +820,14 @@ impl Server {
         }
         let num_points = points.num_points() as u64;
         world.points = points;
-        world.materialized = materialized;
+        world.materialized = materialized.filter(|table| world.table_matches(table));
         self.shared.record_event(EventKind::PointsSwap { points: num_points, delta: true });
         true
     }
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.shared.metrics.len()
+        self.shared.latencies.len()
     }
 
     /// Requests currently waiting in the queue (all classes).
@@ -882,11 +854,12 @@ impl Server {
     }
 
     /// A point-in-time snapshot of counters, latency histograms and the I/O
-    /// rollup. The server's own counters are **wait-free**:
-    /// atomic loads plus one seqlock snapshot read per worker, so that part
-    /// of a poll never contends with an in-flight micro-batch. The I/O
-    /// rollup (with [`Server::start_with_io`]) is the buffer pool's count
-    /// and takes its shard locks, as [`StorageControl::pool_stats`] does.
+    /// rollup. The server's own counters are **wait-free**: counter and
+    /// histogram loads, so that part of a poll never contends with an
+    /// in-flight micro-batch. A request is in the snapshot once its
+    /// [`Ticket::wait`] has returned. The I/O rollup (with
+    /// [`Server::start_with_io`]) is the buffer pool's count and takes its
+    /// shard locks, as [`StorageControl::pool_stats`] does.
     pub fn stats(&self) -> ServerStats {
         self.shared.stats_snapshot()
     }
@@ -944,15 +917,16 @@ impl std::fmt::Debug for Server {
     }
 }
 
-/// One worker: pop a micro-batch, snapshot the world, serve, publish
-/// metrics, repeat until the queue is closed and drained.
+/// One worker: pop a micro-batch, snapshot the world, serve, repeat until
+/// the queue is closed and drained.
 fn worker_loop(shared: &Shared, worker_id: usize) {
     let mut scratch = Scratch::new();
     let mut batch: Vec<Queued> = Vec::with_capacity(MICRO_BATCH);
-    // The worker's cumulative metrics live on its own stack; after every
-    // micro-batch they are published wait-free through the seqlock snapshot
-    // (never a lock a stats() poll could contend on).
-    let mut metrics = WorkerMetrics::default();
+    // Per request, the worker bumps the counters first, records into its own
+    // histograms next and resolves the ticket last: a stats() poll never
+    // sees a sample its counters miss, and a caller whose wait returned
+    // finds its request in the next poll.
+    let own_latencies = &shared.latencies[worker_id];
     let mut served: u64 = 0;
     shared.record_event(EventKind::WorkerStart { worker: worker_id as u64 });
     loop {
@@ -961,6 +935,7 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
         if batch.is_empty() {
             break; // closed and drained
         }
+        shared.micro_batches.inc();
         // The read lock is held for the whole micro-batch, so the batch
         // answers every request from one consistent world: a swap waits for
         // it to finish.
@@ -971,8 +946,8 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
         };
         for queued in batch.drain(..) {
             let priority = queued.request.priority;
-            let class = shared.counts.class(priority);
-            let latencies = &mut metrics.classes[priority.index()];
+            let class = shared.class(priority);
+            let latencies = &own_latencies[priority.index()];
             let start = Instant::now();
             let queue_wait = start.duration_since(queued.request.submit_instant);
             // Re-check serveability at dequeue: a swap_points() between
@@ -980,7 +955,7 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
             // structure this request needs — fail its ticket instead of
             // letting the dispatch panic (which would kill the worker for good).
             if !world.can_serve(&queued.request) {
-                class.rejected.fetch_add(1, Ordering::Relaxed);
+                class.rejected.inc();
                 queued.fail(ServeError::Unservable);
                 continue;
             }
@@ -988,9 +963,9 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
                 // A shed request waited too: drop it from the histogram and
                 // overload telemetry reads healthy exactly when the queue
                 // drowns (survivorship bias). Count it and record its wait.
+                class.shed.inc();
+                class.shed_at_dequeue.inc();
                 latencies.queue_wait.record(queue_wait);
-                class.shed.fetch_add(1, Ordering::Relaxed);
-                class.shed_at_dequeue.fetch_add(1, Ordering::Relaxed);
                 shared.record_shed(priority);
                 queued.fail(ServeError::Shed);
                 continue;
@@ -1021,16 +996,13 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
                     }
                 }
             }
+            class.completed.inc();
+            shared.served[algorithm_index(queued.request.algorithm)].inc();
             latencies.queue_wait.record(queue_wait);
             latencies.service.record(service_time);
-            class.completed.fetch_add(1, Ordering::Relaxed);
             served += 1;
-            shared.counts.per_algorithm[algorithm_index(queued.request.algorithm)]
-                .fetch_add(1, Ordering::Relaxed);
             queued.complete(ServedQuery { outcome, queue_wait, service_time, worker: worker_id });
         }
-        metrics.micro_batches += 1;
-        shared.metrics[worker_id].publish(&metrics);
     }
     shared.record_event(EventKind::WorkerStop { worker: worker_id as u64, served });
 }
@@ -1079,6 +1051,7 @@ mod tests {
     use super::*;
     use rnn_core::{run_rknn, Precomputed};
     use rnn_graph::{Graph, GraphBuilder, NodeId, NodePointSet};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
     fn grid(side: usize) -> Graph {
@@ -1224,6 +1197,83 @@ mod tests {
         assert_eq!(outcome(Request::new(Algorithm::Eager, q, 1)), Ok(expected));
         let stats = server.shutdown();
         assert_eq!((stats.rejected, stats.completed), (3, 2));
+    }
+
+    #[test]
+    fn structures_over_as_many_other_points_are_unservable() {
+        // A 6-node path whose points sit on nodes 0 and 1, beside an index
+        // and a table built over points on nodes 4 and 5: the counts agree,
+        // the points do not. Attached, they answered query 3 with the wrong
+        // set instead of refusing it.
+        let mut b = GraphBuilder::new(6);
+        for v in 0..5 {
+            b.add_edge(v, v + 1, 1.0).unwrap();
+        }
+        let path = Arc::new(b.build().unwrap());
+        let near = Arc::new(NodePointSet::from_nodes(6, [0, 1].map(NodeId::new)));
+        let far = Arc::new(NodePointSet::from_nodes(6, [4, 5].map(NodeId::new)));
+        let index = Arc::new(HubLabelIndex::build(&*path, &*far));
+        let table = Arc::new(MaterializedKnn::build(&*path, &*far, 1));
+        let world = World::new(path.clone(), near.clone())
+            .with_hub_label_index(index.clone())
+            .with_materialized(table.clone());
+        let server = Server::start(world, ServerConfig::default().with_workers(1));
+        let q = NodeId::new(3);
+        let outcome = |algorithm| match server.submit(Request::new(algorithm, q, 1)) {
+            Ok(ticket) => ticket.wait().map(|served| served.outcome.points),
+            Err(e) => Err(e),
+        };
+        let (hub_label, eager_m) = (Algorithm::HubLabel, Algorithm::EagerMaterialized);
+        assert_eq!(outcome(hub_label), Err(ServeError::Unservable));
+        assert_eq!(outcome(eager_m), Err(ServeError::Unservable));
+
+        // A swap to the points they were built over attaches both.
+        server.swap_points(far.clone(), Some(table.clone()), Some(index));
+        let expected = run_rknn(Algorithm::Eager, &*path, &*far, Precomputed::none(), q, 1).points;
+        assert_eq!(outcome(hub_label), Ok(expected.clone()));
+        assert_eq!(outcome(eager_m), Ok(expected));
+
+        // A delta swap that drops node 5's point keeps the maintained index
+        // but leaves off the table, still over {4, 5}.
+        let four = Arc::new(NodePointSet::from_nodes(6, [NodeId::new(4)]));
+        assert!(server.swap_points_delta(
+            four.clone(),
+            Some(table),
+            &[PointUpdate::Remove(NodeId::new(5))]
+        ));
+        let expected = run_rknn(Algorithm::Eager, &*path, &*four, Precomputed::none(), q, 1).points;
+        assert_eq!(outcome(hub_label), Ok(expected));
+        assert_eq!(outcome(eager_m), Err(ServeError::Unservable));
+        // A full swap back to {0, 1} with structures over {4, 5} leaves
+        // both off again.
+        let index = Arc::new(HubLabelIndex::build(&*path, &*far));
+        let table = Arc::new(MaterializedKnn::build(&*path, &*far, 1));
+        server.swap_points(near, Some(table), Some(index));
+        assert_eq!(outcome(hub_label), Err(ServeError::Unservable));
+        assert_eq!(outcome(eager_m), Err(ServeError::Unservable));
+        let stats = server.shutdown();
+        assert_eq!((stats.rejected, stats.completed), (5, 3));
+    }
+
+    #[test]
+    fn a_request_is_in_the_stats_once_its_ticket_returns() {
+        // One worker takes the whole burst as one micro-batch of heavy
+        // queries: each request must be counted before its ticket resolves,
+        // not when the batch ends.
+        let (_, _, world) = world(80, 53);
+        let server = Server::start(world, ServerConfig::default().with_workers(1));
+        let requests: Vec<Request> = (0..MICRO_BATCH)
+            .map(|i| Request::new(Algorithm::Lazy, NodeId::new(i * 797), 16))
+            .collect();
+        for (waited, result) in server.submit_all(&requests).into_iter().enumerate() {
+            result.unwrap().wait().unwrap();
+            let stats = server.stats();
+            let class = stats.class(Priority::Interactive);
+            assert!(class.service.count() > waited as u64, "{waited} waited: {stats:?}");
+            assert!(class.queue_wait.count() > waited as u64);
+            assert!(stats.completed > waited as u64);
+        }
+        server.shutdown();
     }
 
     #[test]
@@ -1737,9 +1787,8 @@ mod tests {
                 .unwrap();
             assert_eq!(served.outcome.points, index.rknn(NodeId::new(q), 2).points);
         }
-        // Shut down before snapshotting: workers publish their histograms
-        // after each micro-batch, so only a post-join snapshot is guaranteed
-        // to count every service time (counters lead histograms mid-flight).
+        // Every ticket above has returned, so its request is already in the
+        // snapshot; shutting down first just ends the workers.
         server.shutdown();
         let snap = registry.snapshot();
         // One source poll carries the admission counters...

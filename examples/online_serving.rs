@@ -91,8 +91,9 @@ fn main() {
         );
     }
 
-    // A wait-free snapshot: stats() never takes the queue lock or a worker
-    // lock — it reads each worker's seqlock-published histograms.
+    // A wait-free snapshot of the counts: stats() loads the server's
+    // counters and each worker's own histograms, taking no lock a worker
+    // holds while it serves (only the queue lock, for the depth).
     let stats = server.stats();
     println!("\nserved {} requests over {} micro-batches:", stats.completed, stats.micro_batches);
     for (algorithm, count) in &stats.per_algorithm {

@@ -263,9 +263,8 @@ fn one_snapshot_exposes_every_layer_and_exports_deterministically() {
     let report = server.drain_slow_queries();
     assert_eq!(report.worst.len(), 8);
     assert!(!report.samples.is_empty());
-    // Shut down first: workers publish their seqlock histograms at
-    // micro-batch ends, so only a post-join snapshot is guaranteed to carry
-    // every service sample (counters lead histograms in a racing snapshot).
+    // Every ticket above has returned, so the snapshot already carries its
+    // service sample; shutting down first just ends the workers.
     server.shutdown();
 
     let snap = registry.snapshot();
