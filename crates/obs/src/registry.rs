@@ -29,8 +29,9 @@
 //!   *every* snapshot, concurrent recorders notwithstanding (the
 //!   `observability` integration suite hammers exactly this). A
 //!   [`Histogram`]'s record ends with a `Release` bump of its count, and
-//!   its load starts with an `Acquire` read of it, so the same rule orders
-//!   a histogram after the counters its recorder bumped first.
+//!   its load starts with an `Acquire` read of it, so a read that loads a
+//!   histogram before some counters sees, for every sample it counts, each
+//!   counter bump the recorder made before that sample.
 //!
 //! Counters are striped over `STRIPES` cache-line-padded atomics with a
 //! per-thread stripe assignment, so concurrent recorders do not contend on
